@@ -9,6 +9,8 @@
 //! * [`dataset`] — synthetic-uniform and neuroscience-like dataset
 //!   generators (§6.1 of the paper);
 //! * [`workload`] — clustered and uniform query-sequence generators (§6.1);
+//! * [`pool`] — the process-wide pool of parked workers every parallel
+//!   batch, shard fan-out and shard load runs its jobs on;
 //! * [`scan`] — the full-scan baseline;
 //! * [`measure`] — per-query/cumulative timing series, break-even detection,
 //!   table & CSV rendering for the experiment harness;
@@ -29,6 +31,7 @@ pub mod index;
 pub mod io;
 pub mod knn;
 pub mod measure;
+pub mod pool;
 pub mod scan;
 pub mod snapshot;
 pub mod workload;

@@ -3,10 +3,9 @@
 //! [`Quasii::execute_batch`] runs every batch in **two phases**:
 //!
 //! 1. **Shared-read phase** — queries whose whole §5.2 candidate window is
-//!    covered by sealed arenas (see [`crate::seal`]) are pure reads: they
-//!    run on a `&self` thread pool with *no* disjoint-partition constraint
-//!    and no work-queue Mutex (an atomic cursor hands out queries). In the
-//!    converged regime this phase is the entire batch.
+//!    covered by sealed arenas (see [`crate::seal`]) are pure reads: one
+//!    job per query over a shared `&self`, with *no* disjoint-partition
+//!    constraint. In the converged regime this phase is the entire batch.
 //! 2. **Crack phase** — everything else falls back to the adaptive `&mut`
 //!    machinery below, lazily invalidating just the seals the fallback
 //!    queries span.
@@ -21,8 +20,13 @@
 //! ranges), hands each worker the matching disjoint window of the
 //! assignment-key column (see [`crate::keys`]; cracks keep both in
 //! lockstep), assigns each query of the batch to the partitions the sequential
-//! engine would visit for it, and runs the partitions on scoped worker
-//! threads pulling from a chunked work queue.
+//! engine would visit for it, and runs one job per partition.
+//!
+//! Both phases hand their jobs to the process-wide parked-worker pool
+//! ([`quasii_common::pool`]): the calling thread claims jobs off an atomic
+//! cursor, up to `threads − 1` idle pool workers join it, and every job
+//! writes into its own slot. No thread is created per batch, and with
+//! `threads = 1` the jobs run inline without touching the pool.
 //!
 //! Splitting a batch into the two phases is result- and state-transparent:
 //! sealed regions are immutable (a converged subtree never reorganizes), so
@@ -59,10 +63,9 @@ use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use crate::{EnginePoisoned, Quasii};
 use quasii_common::geom::{Aabb, Record};
+use quasii_common::pool::{self, panic_message};
 use quasii_obs as obs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Closes a batch-phase span: feeds the phase histogram (metrics on) and
 /// emits a [`obs::trace::TraceEvent::BatchPhase`] (tracing on). `t` comes
@@ -80,17 +83,6 @@ fn finish_phase(t: Option<std::time::Instant>, phase: obs::Phase, queries: u64) 
     });
 }
 
-/// Renders a caught panic payload for the poison marker.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The one-shot test trap: panics when the worker reaches the trapped
 /// query index (see `Quasii::inject_panic_at`).
 fn trap_check(trap: Option<usize>, j: usize) {
@@ -99,16 +91,14 @@ fn trap_check(trap: Option<usize>, j: usize) {
     }
 }
 
-/// Work-queue chunking: partitions per worker thread, so stragglers (a
+/// Job chunking: partitions per participating thread, so stragglers (a
 /// partition that happens to hold the hot slices) rebalance onto idle
-/// workers instead of serializing the batch.
+/// threads instead of serializing the batch.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// One unit of work: a contiguous run of top-level slices, the matching
 /// disjoint window of the data array, and the batch queries that reach it.
 struct Partition<'a, const D: usize> {
-    /// Position in partition order (ascending data ranges).
-    index: usize,
     /// Offset of `data[0]` within the full array (slices are rebased by
     /// this amount while the partition is detached).
     offset: usize,
@@ -126,7 +116,7 @@ struct Partition<'a, const D: usize> {
     queries: Vec<usize>,
     /// Ids found per assigned query (aligned with `queries`).
     hits: Vec<Vec<u64>>,
-    /// Work counters accumulated by whichever worker ran this partition.
+    /// Work counters accumulated by whichever thread ran this partition.
     stats: QuasiiStats,
 }
 
@@ -146,14 +136,13 @@ fn shift<const D: usize>(s: &mut Slice<D>, offset: usize, add: bool) {
 }
 
 impl<const D: usize> Quasii<D> {
-    /// The worker-thread count [`execute_batch`](Self::execute_batch) will
-    /// use: the [`threads`](crate::QuasiiConfig::threads) knob, with `0`
-    /// resolved to [`std::thread::available_parallelism`].
+    /// The most threads [`execute_batch`](Self::execute_batch) will run a
+    /// phase on: the [`threads`](crate::QuasiiConfig::threads) knob, with
+    /// `0` resolved to the host's parallelism (read once per process, see
+    /// [`pool::parallelism`]).
     pub fn effective_threads(&self) -> usize {
         match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => pool::parallelism(),
             n => n,
         }
     }
@@ -305,10 +294,9 @@ impl<const D: usize> Quasii<D> {
         finish_phase(span, obs::Phase::Classify, queries.len() as u64);
 
         // Phase 1 — shared-read execution over the sealed arenas: arbitrary
-        // queries on a `&self` thread pool, no disjoint-partition
-        // constraint, no work-queue Mutex (an atomic cursor hands out
-        // jobs). Reads commute with the crack phase below: sealed regions
-        // are immutable and crack queries never read them.
+        // queries as pool jobs over `&self`, no disjoint-partition
+        // constraint. Reads commute with the crack phase below: sealed
+        // regions are immutable and crack queries never read them.
         if !sealed_jobs.is_empty() {
             let span = obs::start_span();
             self.run_sealed_batch(
@@ -390,9 +378,9 @@ impl<const D: usize> Quasii<D> {
     }
 
     /// Phase-1 executor: answers `jobs` (indices into the batch) entirely
-    /// through the sealed arenas. Workers share `&self` and pull jobs off an
-    /// atomic cursor; each query's result vector is computed independently
-    /// of scheduling, so results are byte-identical for every thread count.
+    /// through the sealed arenas, one pool job per query over a shared
+    /// `&self`; each query's result vector lands in its own slot, so
+    /// results are byte-identical for every thread count.
     fn run_sealed_batch(
         &mut self,
         queries: &[Aabb<D>],
@@ -402,76 +390,17 @@ impl<const D: usize> Quasii<D> {
         threads: usize,
         trap: Option<usize>,
     ) {
+        let mut slots: Vec<(Vec<u64>, u64)> = vec![(Vec::new(), 0); jobs.len()];
+        let this: &Quasii<D> = self;
+        let failed = pool::for_each_mut(&mut slots, threads, |t, (out, tested)| {
+            let (j, cand) = &jobs[t];
+            trap_check(trap, *j);
+            *tested = this.run_sealed_query(&queries[*j], &extended[*j], cand.clone(), out);
+        });
         let mut tested_total = 0u64;
-        let mut worker_panic: Option<String> = None;
-        if threads <= 1 || jobs.len() < 2 {
-            for (j, cand) in jobs {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    trap_check(trap, *j);
-                    let mut out = Vec::new();
-                    let tested =
-                        self.run_sealed_query(&queries[*j], &extended[*j], cand.clone(), &mut out);
-                    (out, tested)
-                }));
-                match r {
-                    Ok((out, tested)) => {
-                        results[*j] = out;
-                        tested_total += tested;
-                    }
-                    Err(payload) => {
-                        worker_panic = Some(panic_message(payload));
-                        break;
-                    }
-                }
-            }
-        } else {
-            let workers = threads.min(jobs.len());
-            let cursor = AtomicUsize::new(0);
-            let collected: Mutex<Vec<(usize, Vec<u64>, u64)>> =
-                Mutex::new(Vec::with_capacity(jobs.len()));
-            let panicked: Mutex<Option<String>> = Mutex::new(None);
-            let this: &Quasii<D> = self;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, Vec<u64>, u64)> = Vec::new();
-                        loop {
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((j, cand)) = jobs.get(t) else { break };
-                            // Isolate each job: a panic is recorded, never
-                            // unwound across the scope (which would abort
-                            // the batch with the results half-collected).
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                trap_check(trap, *j);
-                                let mut out = Vec::new();
-                                let tested = this.run_sealed_query(
-                                    &queries[*j],
-                                    &extended[*j],
-                                    cand.clone(),
-                                    &mut out,
-                                );
-                                (out, tested)
-                            }));
-                            match r {
-                                Ok((out, tested)) => local.push((*j, out, tested)),
-                                Err(payload) => {
-                                    *panicked.lock().expect("panic slot poisoned") =
-                                        Some(panic_message(payload));
-                                    break;
-                                }
-                            }
-                        }
-                        // One lock per worker, at drain time — the hot loop
-                        // itself is contention-free.
-                        collected.lock().expect("collector poisoned").extend(local);
-                    });
-                }
-            });
-            worker_panic = panicked.into_inner().expect("panic slot poisoned");
-            for (j, out, tested) in collected.into_inner().expect("collector poisoned") {
-                results[j] = out;
-                tested_total += tested;
-            }
+        for ((j, _), (out, tested)) in jobs.iter().zip(slots) {
+            results[*j] = out;
+            tested_total += tested;
         }
         self.rt.stats.queries += jobs.len() as u64;
         self.rt.stats.objects_tested += tested_total;
@@ -480,11 +409,14 @@ impl<const D: usize> Quasii<D> {
         if obs::enabled() {
             obs::registry::SEALED_QUERIES_TOTAL.add(jobs.len() as u64);
         }
-        if let Some(msg) = worker_panic {
+        if let Err(p) = failed {
             // The sealed phase mutates nothing, so the structure is intact
             // — but the batch's results are incomplete, so the engine still
             // refuses to pretend it answered (repair() will revalidate).
-            self.poison(format!("worker panic during sealed batch phase: {msg}"));
+            self.poison(format!(
+                "worker panic during sealed batch phase: {}",
+                p.message
+            ));
         }
     }
 
@@ -502,7 +434,7 @@ impl<const D: usize> Quasii<D> {
         let extended: Vec<Aabb<D>> = queries.iter().map(|q| self.extend_query(q)).collect();
 
         // Group the top-level slices into contiguous runs of roughly equal
-        // record counts. More runs than workers, so the queue balances load.
+        // record counts. More runs than threads, so the job cursor balances load.
         let target_parts = (threads * CHUNKS_PER_WORKER).min(self.root.len());
         let per_part = self.data.len().div_ceil(target_parts).max(1);
         let roots = std::mem::take(&mut self.root);
@@ -520,7 +452,6 @@ impl<const D: usize> Quasii<D> {
         if !cur.is_empty() {
             groups.push(cur);
         }
-        let m = groups.len();
 
         // Key boundaries between partitions: partition k owns assignment
         // keys in [fences.range(k)). The inner fence before partition k is
@@ -534,11 +465,11 @@ impl<const D: usize> Quasii<D> {
         // each group's slices onto its window; the key column is split
         // along the exact same boundaries so each worker cracks its
         // (keys, data) pair in lockstep.
-        let mut parts: Vec<Partition<'_, D>> = Vec::with_capacity(m);
+        let mut parts: Vec<Partition<'_, D>> = Vec::with_capacity(groups.len());
         let mut rest: &mut [Record<D>] = &mut self.data;
         let (mut rest_keys, mut rest_his) = self.keys.as_mut_slices();
         let mut consumed = 0usize;
-        for (index, mut slices) in groups.into_iter().enumerate() {
+        for mut slices in groups {
             let begin = slices[0].begin;
             let end = slices.last().expect("groups are non-empty").end;
             debug_assert_eq!(begin, consumed, "top-level slices must be contiguous");
@@ -553,7 +484,6 @@ impl<const D: usize> Quasii<D> {
                 shift(s, begin, false);
             }
             parts.push(Partition {
-                index,
                 offset: begin,
                 data: window,
                 keys: key_window,
@@ -574,68 +504,41 @@ impl<const D: usize> Quasii<D> {
             p.queries = queries;
         }
 
-        // Chunked work queue: workers pop partitions until none are left.
+        // One pool job per partition. A panic mid-crack may leave that
+        // partition's subtree inconsistent, but the partition object (and
+        // its slices) stays in `parts`, so the hierarchy reassembles
+        // completely and repair() can inspect it.
         let env = &self.env;
-        let queue: Mutex<Vec<Partition<'_, D>>> = Mutex::new(parts);
-        let done: Mutex<Vec<Partition<'_, D>>> = Mutex::new(Vec::with_capacity(m));
-        let panicked: Mutex<Option<String>> = Mutex::new(None);
-        let workers = threads.min(m);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if panicked.lock().expect("panic slot poisoned").is_some() {
-                        break; // a sibling already failed the batch
-                    }
-                    let popped = queue.lock().expect("queue poisoned").pop();
-                    let Some(mut p) = popped else { break };
-                    // catch_unwind around the whole partition run: a panic
-                    // mid-crack may leave this partition's subtree
-                    // inconsistent, but the partition object (and its
-                    // slices) survives, so the hierarchy reassembles
-                    // completely and repair() can inspect it.
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        let mut rt = engine::Runtime::<D>::new();
-                        for &j in &p.queries {
-                            trap_check(trap, j);
-                            let mut out = Vec::new();
-                            engine::query_level(
-                                p.data,
-                                p.keys,
-                                p.his,
-                                &mut p.slices,
-                                &queries[j],
-                                &extended[j],
-                                env,
-                                &mut rt,
-                                &mut out,
-                            );
-                            p.hits.push(out);
-                        }
-                        p.stats = rt.stats;
-                    }));
-                    done.lock().expect("done poisoned").push(p);
-                    if let Err(payload) = r {
-                        *panicked.lock().expect("panic slot poisoned") =
-                            Some(panic_message(payload));
-                        break;
-                    }
-                });
+        let failed = pool::for_each_mut(&mut parts, threads, |_, p| {
+            let mut rt = engine::Runtime::<D>::new();
+            for &j in &p.queries {
+                trap_check(trap, j);
+                let mut out = Vec::new();
+                engine::query_level(
+                    p.data,
+                    p.keys,
+                    p.his,
+                    &mut p.slices,
+                    &queries[j],
+                    &extended[j],
+                    env,
+                    &mut rt,
+                    &mut out,
+                );
+                p.hits.push(out);
             }
+            p.stats = rt.stats;
         });
 
-        // Reassemble: partitions back in data order, slices rebased to
+        // Reassemble: `parts` is still in data order; slices are rebased to
         // absolute indices, hits concatenated per query in partition order
         // (= ascending data order, the sequential append order), counters
-        // summed. After a worker panic the queue may still hold unstarted
-        // partitions — they reattach too, so the top level is always a
-        // complete partition of the data array.
+        // summed. Every partition reattaches, also one whose job panicked,
+        // so the top level is always a complete partition of the data
+        // array.
         let span = obs::start_span();
-        let mut finished = done.into_inner().expect("done poisoned");
-        finished.extend(queue.into_inner().expect("queue poisoned"));
-        finished.sort_unstable_by_key(|p| p.index);
-        debug_assert_eq!(finished.len(), m);
         self.rt.stats.queries += queries.len() as u64;
-        for p in &mut finished {
+        for p in &mut parts {
             self.rt.stats.merge(&p.stats);
             for s in &mut p.slices {
                 shift(s, p.offset, true);
@@ -646,9 +549,10 @@ impl<const D: usize> Quasii<D> {
             }
         }
         finish_phase(span, obs::Phase::Merge, queries.len() as u64);
-        if let Some(msg) = panicked.into_inner().expect("panic slot poisoned") {
+        if let Err(p) = failed {
             self.poison(format!(
-                "worker panic during partitioned crack phase: {msg}"
+                "worker panic during partitioned crack phase: {}",
+                p.message
             ));
         }
     }

@@ -61,11 +61,12 @@ pub struct QuasiiConfig {
     /// Upper bound on recursive artificial (midpoint) splits per slice.
     /// Guards against non-separable value distributions.
     pub max_artificial_depth: usize,
-    /// Worker threads for [`crate::Quasii::execute_batch`]: `0` (the
-    /// default) resolves to [`std::thread::available_parallelism`], `1`
-    /// forces the sequential per-query path, `n > 1` runs disjoint
-    /// top-level partitions on `n` scoped workers. Results are bit-for-bit
-    /// identical for every value.
+    /// Most threads one [`crate::Quasii::execute_batch`] phase runs on:
+    /// `0` (the default) resolves to the host's parallelism, `1` forces
+    /// the sequential per-query path and never touches the worker pool,
+    /// `n > 1` lets up to `n − 1` idle workers of the process-wide pool
+    /// (`quasii_common::pool`) join the calling thread. Results are
+    /// bit-for-bit identical for every value.
     pub threads: usize,
     /// Whether converged top-level slices are compacted into **sealed**
     /// arenas answered through the shared-read path (default: `true`; see

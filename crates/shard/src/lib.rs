@@ -19,12 +19,15 @@
 //!   query-extension rule the engine itself applies, using the *global*
 //!   maximum object extent so no shard holding a qualifying record is ever
 //!   skipped).
-//! * **Two-level parallelism** — a batch executes shards on scoped worker
-//!   threads ([`ShardConfig::shard_threads`]), and each shard runs its
-//!   assigned sub-batch through [`Quasii::execute_batch`], which itself
-//!   cracks disjoint top-level partitions on
-//!   [`QuasiiConfig::threads`] workers: total concurrency is
-//!   `shard_threads × threads`.
+//! * **Two-level parallelism** — a batch runs one job per visited shard
+//!   on the process-wide parked-worker pool ([`quasii_common::pool`]; at
+//!   most [`ShardConfig::shard_threads`] threads take part), and each
+//!   shard job runs its sub-batch through [`Quasii::execute_batch`], which
+//!   opens its own job list on the same pool (at most
+//!   [`QuasiiConfig::threads`] threads). A shard job works on its own
+//!   nested list instead of waiting for a worker, so however the two knobs
+//!   are set the process computes on no more threads than the host has
+//!   CPUs, and no thread is created per batch.
 //!
 //! ## Determinism
 //!
@@ -91,9 +94,9 @@ use quasii::{
 use quasii_common::fsx::{self, SnapshotStore};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::index::SpatialIndex;
+use quasii_common::pool;
 use quasii_obs as obs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// First 8 bytes of every shard-deployment manifest.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"QSIISHRD";
@@ -113,9 +116,9 @@ pub struct ShardConfig {
     /// than requested (never more) — every planned shard owns a
     /// non-degenerate key range instead of sitting permanently empty.
     pub shards: usize,
-    /// Concurrent shard workers for [`ShardedQuasii::execute_batch`]:
-    /// `0` (the default) resolves to
-    /// [`std::thread::available_parallelism`], `1` executes shards
+    /// Most threads that run shard jobs of one
+    /// [`ShardedQuasii::execute_batch`] at a time: `0` (the default)
+    /// resolves to the host's parallelism, `1` executes shards
     /// sequentially in shard order. Results are identical for every value.
     pub shard_threads: usize,
     /// Upper bound on the number of keys the boundary planner samples
@@ -249,7 +252,8 @@ pub struct ShardedQuasii<const D: usize> {
 }
 
 /// One unit of shard work inside a batch: the target engine, the batch
-/// indices routed to it, and the hits it produced.
+/// indices routed to it, and the hits it produced (each vector already in
+/// canonical ascending-id order).
 struct Task<'a, const D: usize> {
     shard: usize,
     engine: &'a mut Quasii<D>,
@@ -382,24 +386,30 @@ impl<const D: usize> ShardedQuasii<D> {
             .collect()
     }
 
-    /// The shard-worker count [`execute_batch`](Self::execute_batch) will
-    /// use: the [`shard_threads`](ShardConfig::shard_threads) knob, with
-    /// `0` resolved to [`std::thread::available_parallelism`].
+    /// The most threads [`execute_batch`](Self::execute_batch) will run
+    /// shard jobs on: the [`shard_threads`](ShardConfig::shard_threads)
+    /// knob, with `0` resolved to the host's parallelism (read once per
+    /// process, see [`pool::parallelism`]).
     pub fn effective_shard_threads(&self) -> usize {
         match self.cfg.shard_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => pool::parallelism(),
             n => n,
+        }
+    }
+
+    /// Runs `f` on every shard engine, one pool job per shard on at most
+    /// `shard_threads` threads. The engines are independent, so each ends
+    /// in the state a sequential loop would leave it in.
+    fn for_each_shard(&mut self, f: impl Fn(&mut Quasii<D>) + Sync) {
+        if let Err(p) = pool::for_each_mut(&mut self.shards, self.cfg.shard_threads, |_, s| f(s)) {
+            panic!("shard {}: {}", p.job, p.message);
         }
     }
 
     /// Completes the incremental build of every shard (see
     /// [`Quasii::finalize`]).
     pub fn finalize(&mut self) {
-        for s in &mut self.shards {
-            s.finalize();
-        }
+        self.for_each_shard(Quasii::finalize);
     }
 
     /// Seals every shard's converged top-level slices (see
@@ -407,9 +417,7 @@ impl<const D: usize> ShardedQuasii<D> {
     /// — this moves every shard onto the shared-read path up front instead
     /// of at its next query.
     pub fn seal(&mut self) {
-        for s in &mut self.shards {
-            s.seal();
-        }
+        self.for_each_shard(Quasii::seal);
     }
 
     /// Record-weighted fraction of the whole deployment answered through
@@ -622,11 +630,10 @@ impl<const D: usize> ShardedQuasii<D> {
     }
 
     /// Shared tail of both load paths: verify each shard buffer against the
-    /// manifest table, revive the engines — **in parallel**, one scoped
-    /// worker per shard up to the host's parallelism — and rebuild the
-    /// router around them. Per-shard failures are collected and the first
-    /// one *in shard order* is returned, so the error is deterministic for
-    /// every worker count.
+    /// manifest table, revive the engines — **in parallel**, one pool job
+    /// per shard — and rebuild the router around them. Per-shard failures
+    /// land in per-shard slots and the first one *in shard order* is
+    /// returned, so the error is deterministic for every thread count.
     fn assemble(m: Manifest, shard_bufs: Vec<Vec<u8>>) -> Result<Self, SnapshotError> {
         if shard_bufs.len() != m.shards.len() {
             return Err(corrupt(format!(
@@ -639,47 +646,15 @@ impl<const D: usize> ShardedQuasii<D> {
         fences
             .validate()
             .map_err(|e| corrupt(format!("fences: {e}")))?;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(shard_bufs.len());
-        let loaded: Vec<Result<Quasii<D>, SnapshotError>> = if workers <= 1 {
-            m.shards
-                .iter()
-                .zip(shard_bufs)
-                .enumerate()
-                .map(|(k, (&entry, buf))| load_shard(k, entry, buf))
-                .collect()
-        } else {
-            type LoadJob = (usize, (usize, usize, u64), Vec<u8>);
-            let jobs: Vec<LoadJob> = m
-                .shards
-                .iter()
-                .zip(shard_bufs)
-                .enumerate()
-                .map(|(k, (&entry, buf))| (k, entry, buf))
-                .collect();
-            let queue = Mutex::new(jobs);
-            let slots: Vec<Mutex<Option<Result<Quasii<D>, SnapshotError>>>> =
-                (0..m.shards.len()).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let popped = queue.lock().expect("queue poisoned").pop();
-                        let Some((k, entry, buf)) = popped else { break };
-                        let r = load_shard(k, entry, buf);
-                        *slots[k].lock().expect("slot poisoned") = Some(r);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("slot poisoned").expect("job ran"))
-                .collect()
-        };
+        type Slot<const D: usize> = (Vec<u8>, Option<Result<Quasii<D>, SnapshotError>>);
+        let mut loaded: Vec<Slot<D>> = shard_bufs.into_iter().map(|buf| (buf, None)).collect();
+        pool::for_each_mut(&mut loaded, 0, |k, (buf, out)| {
+            *out = Some(load_shard(k, m.shards[k], std::mem::take(buf)));
+        })
+        .map_err(|p| corrupt(format!("shard {}: loader panicked: {}", p.job, p.message)))?;
         let mut engines: Vec<Quasii<D>> = Vec::with_capacity(loaded.len());
-        for r in loaded {
-            engines.push(r?);
+        for (_, r) in loaded {
+            engines.push(r.expect("every load job ran")?);
         }
         Ok(Self::from_parts_raw(engines, fences, m))
     }
@@ -778,9 +753,9 @@ impl<const D: usize> ShardedQuasii<D> {
         (query.lo[0] - self.ext_low0, query.hi[0] + self.ext_high0)
     }
 
-    /// Executes a batch of range queries across the shards — shards on
-    /// scoped worker threads, each shard's sub-batch through the engine's
-    /// own batch-parallel path — and returns one id vector per query (in
+    /// Executes a batch of range queries across the shards — one pool job
+    /// per visited shard, each shard's sub-batch through the engine's own
+    /// batch-parallel path — and returns one id vector per query (in
     /// `queries` order, each in canonical ascending-id order).
     ///
     /// Results are byte-identical for every (shard count, shard-thread
@@ -793,10 +768,6 @@ impl<const D: usize> ShardedQuasii<D> {
         }
     }
 
-    /// [`execute_batch`](Self::execute_batch) with worker panics surfaced
-    /// as a structured error instead of a propagated panic: if any shard
-    /// engine poisons itself mid-batch the whole deployment poisons (first
-    /// failing shard wins, deterministically) and returns
     /// Books a batch's routing decision into the global registry: one
     /// fan-out histogram observation per query, one [`ShardRoute`] trace
     /// event per visited shard. `assigned` is the router's per-shard query
@@ -842,6 +813,10 @@ impl<const D: usize> ShardedQuasii<D> {
         }
     }
 
+    /// [`execute_batch`](Self::execute_batch) with worker panics surfaced
+    /// as a structured error instead of a propagated panic: if any shard
+    /// engine poisons itself mid-batch the whole deployment poisons (first
+    /// failing shard wins, deterministically) and returns
     /// [`EnginePoisoned`]; call [`repair`](Self::repair) to recover. The
     /// deployment **never** silently returns partial results.
     pub fn try_execute_batch(
@@ -865,7 +840,6 @@ impl<const D: usize> ShardedQuasii<D> {
             assigned.iter().map(|a| a.len() as u64).sum::<u64>(),
         );
         self.observe_routing(queries.len(), &assigned);
-        let workers_cap = self.effective_shard_threads();
 
         let mut tasks: Vec<Task<'_, D>> = Vec::new();
         for ((shard, engine), queries) in self.shards.iter_mut().enumerate().zip(assigned) {
@@ -880,54 +854,30 @@ impl<const D: usize> ShardedQuasii<D> {
             }
         }
 
-        fn run_task<const D: usize>(t: &mut Task<'_, D>, queries: &[Aabb<D>]) {
+        // One job per visited shard; every shard engine is an independent
+        // `&mut`. The job also puts its hits into canonical order, so the
+        // sorts run beside each other instead of after the join.
+        let run = pool::for_each_mut(&mut tasks, self.cfg.shard_threads, |_, t| {
             let sub: Vec<Aabb<D>> = t.queries.iter().map(|&j| queries[j]).collect();
-            let engine = &mut *t.engine;
-            // The engine catches its own query-worker panics; this guard
-            // additionally contains panics from the routing glue so a
-            // sibling shard's thread never unwinds through the scope.
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.try_execute_batch(&sub)
-            }));
-            match run {
-                Ok(Ok(hits)) => t.hits = hits,
-                Ok(Err(e)) => t.error = Some(e.detail),
-                Err(payload) => t.error = Some(panic_message(payload)),
+            match t.engine.try_execute_batch(&sub) {
+                Ok(hits) => t.hits = hits,
+                Err(e) => t.error = Some(e.detail),
             }
+            for h in &mut t.hits {
+                h.sort_unstable();
+            }
+        });
+        // The engine catches its own query-worker panics; the pool
+        // additionally contains a panic of the routing glue above.
+        if let Err(p) = run {
+            tasks[p.job].error.get_or_insert(p.message);
         }
 
-        let workers = workers_cap.min(tasks.len());
-        let finished = if workers <= 1 {
-            // Sequential path: shards in ascending order, no thread setup.
-            for t in &mut tasks {
-                run_task(t, queries);
-            }
-            tasks
-        } else {
-            // Work queue over the shards; every shard engine is an
-            // independent `&mut`, so workers never contend beyond the pop.
-            let queue: Mutex<Vec<Task<'_, D>>> = Mutex::new(tasks);
-            let done: Mutex<Vec<Task<'_, D>>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let popped = queue.lock().expect("queue poisoned").pop();
-                        let Some(mut t) = popped else { break };
-                        run_task(&mut t, queries);
-                        done.lock().expect("done poisoned").push(t);
-                    });
-                }
-            });
-            let mut v = done.into_inner().expect("done poisoned");
-            v.sort_unstable_by_key(|t| t.shard);
-            v
-        };
-
         // A worker panic anywhere poisons the whole deployment: partial
-        // results would be silently wrong. `finished` is in shard order, so
+        // results would be silently wrong. `tasks` is in shard order, so
         // the reported failure is the first failing shard regardless of
-        // which worker hit it first.
-        if let Some(t) = finished.iter().find(|t| t.error.is_some()) {
+        // which thread hit it first.
+        if let Some(t) = tasks.iter().find(|t| t.error.is_some()) {
             let detail = format!(
                 "shard {}: {}",
                 t.shard,
@@ -939,16 +889,19 @@ impl<const D: usize> ShardedQuasii<D> {
             return Err(EnginePoisoned { detail });
         }
 
-        // Merge hits per query in shard order (deterministic), then
-        // canonicalize: shards are disjoint, so this is a duplicate-free
-        // union sorted by id.
-        for t in finished {
+        // Merge per query in shard order. Shards are disjoint and each run
+        // is sorted, so the answer of a query one shard served is that
+        // shard's vector as it is, and a query spanning shards takes a
+        // linear merge of its runs: the duplicate-free union sorted by id.
+        for t in tasks {
             for (&j, hits) in t.queries.iter().zip(t.hits) {
-                results[j].extend(hits);
+                let r = &mut results[j];
+                *r = if r.is_empty() {
+                    hits
+                } else {
+                    merge_sorted(r, &hits)
+                };
             }
-        }
-        for r in &mut results {
-            r.sort_unstable();
         }
         self.publish_shard_gauges();
         Ok(results)
@@ -1026,15 +979,22 @@ pub fn manifest_summary(bytes: &[u8]) -> Result<ManifestSummary, SnapshotError> 
     })
 }
 
-/// Extracts the human-readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Merges two ascending runs into one.
+fn merge_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] <= b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Manifest encoding of [`AssignBy`] (mirrors the engine snapshot's).

@@ -153,6 +153,9 @@ fn enabled_run_populates_registry_and_exposition_parses() {
 /// the signal `verify`/`recover`/faulted `snapshot` surface in the CLI.
 #[test]
 fn fsx_commit_counter_is_always_on() {
+    // The siblings reset the shared registry; holding their lock keeps a
+    // reset from landing between the two reads below.
+    let _g = OBS_LOCK.lock().unwrap();
     let before = obs::registry::FSX_COMMITS_TOTAL.get();
     let dir = std::env::temp_dir().join(format!("quasii-obs-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
