@@ -1006,17 +1006,13 @@ fn verify_file(path: &str) -> Result<(), String> {
         let packed = bytes.len() > s.total;
         let mut failures = 0usize;
         let mut off = s.total;
-        for (k, &(records, len, sum)) in s.shards.iter().enumerate() {
-            let verdict: Result<(), String> = if packed {
+        for (k, &(records, len, word)) in s.shards.iter().enumerate() {
+            let part: Result<std::borrow::Cow<'_, [u8]>, String> = if packed {
                 match off.checked_add(len).filter(|&e| e <= bytes.len()) {
                     Some(end) => {
-                        let actual = quasii::snapshot::fnv1a(&bytes[off..end]);
+                        let section = &bytes[off..end];
                         off = end;
-                        if actual == sum {
-                            Ok(())
-                        } else {
-                            Err("checksum mismatch".to_string())
-                        }
+                        Ok(section.into())
                     }
                     None => Err("buffer overruns the packed file".to_string()),
                 }
@@ -1025,13 +1021,25 @@ fn verify_file(path: &str) -> Result<(), String> {
                     Ok(part) if part.len() != len => {
                         Err(format!("part is {} bytes, manifest says {len}", part.len()))
                     }
-                    Ok(part) if quasii::snapshot::fnv1a(&part) != sum => {
-                        Err("part checksum mismatch".to_string())
-                    }
-                    Ok(_) => Ok(()),
+                    Ok(part) => Ok(part.into()),
                     Err(e) => Err(format!("part unreadable: {e}")),
                 }
             };
+            // The manifest binds the part by its header word; the engine
+            // snapshot's own verification is the one pass over its content.
+            let verdict = part.and_then(|part| {
+                if quasii::snapshot::header_word(&part) != Some(word) {
+                    return Err("part checksum mismatch".to_string());
+                }
+                match quasii::snapshot::verify(&part) {
+                    Ok(v) if v.records != records as u64 => Err(format!(
+                        "part holds {} records, manifest says {records}",
+                        v.records
+                    )),
+                    Ok(_) => Ok(()),
+                    Err(e) => Err(e.to_string()),
+                }
+            });
             match verdict {
                 Ok(()) => println!("  shard {k}: ok ({records} records, {len} bytes)"),
                 Err(why) => {

@@ -49,8 +49,8 @@ mod validate;
 /// (see `persist` for the layout and versioning policy, and
 /// [`Quasii::write_snapshot`] / [`Quasii::from_snapshot`] for the API).
 pub mod snapshot {
-    pub use crate::persist::{fnv1a, verify, SnapshotSummary, FORMAT_VERSION, MAGIC};
-    pub use quasii_common::snapshot::SnapshotError;
+    pub use crate::persist::{verify, SnapshotSummary, FORMAT_VERSION, MAGIC};
+    pub use quasii_common::snapshot::{header_word, SnapshotError};
 }
 
 pub use config::{tau_schedule, AssignBy, QuasiiConfig};

@@ -13,22 +13,40 @@
 //! permutation) to the writer — the warm-start contract `tests/persist.rs`
 //! enforces property-based.
 //!
-//! # Buffer layout (format version 1)
+//! # Buffer layout (format version 2)
 //!
 //! All scalars little-endian; every section a multiple of 8 bytes, so each
 //! section (and in particular every region blob) starts 8-aligned. The
-//! fixed 32-byte prefix:
+//! fixed 32-byte prefix is the [`Frame`] every persistent form shares:
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "QSIISNAP"
-//!      8     4  format version (u32, currently 1)
+//!      8     4  format version (u32, currently 2)
 //!     12     4  dimensionality D (u32)
-//!     16     8  FNV-1a 64 checksum of bytes[24..]
+//!     16     8  checksum64 of bytes[24..]  (the "header word")
 //!     24     8  total buffer length in bytes
 //! ```
 //!
-//! followed by the engine state, sequentially:
+//! [`checksum64`](quasii_common::snapshot::checksum64) is four independent
+//! 64-bit lanes over 32-byte stripes, folded, with the tail bytes and the
+//! length mixed in last; a change confined to one stripe word or one tail
+//! byte (so every single-bit flip) changes it with certainty. Version 1
+//! carried byte-serial FNV-1a 64 in the same place; nothing else moved, so
+//! the format gained and lost no byte. The buffer is hashed **once** when
+//! written and once when loaded: a shard manifest binds a part by storing
+//! this header word (8 bytes copied, 8 bytes compared) instead of hashing
+//! the part again. Neither side makes a pass of its own for it: the writer
+//! announces the exact length, so the sum follows the encoder block by
+//! block ([`Writer`]); the loader hashes each block of the record and key
+//! sections right before it decodes it ([`Verifier`]) and the rest (slice
+//! tree, region table, blobs) at the end. A block is then read from memory
+//! once, and the sum runs at the speed of its multiplies whatever the
+//! memory system is doing: a separate 64 MB pass read at half that speed
+//! and was the part of a restart that differed most from one run to the
+//! next.
+//!
+//! The frame is followed by the engine state, sequentially:
 //!
 //! ```text
 //! u64 n                      record count
@@ -67,11 +85,16 @@
 //!
 //! # Totality
 //!
-//! `load` never panics on malformed input: length, magic, version,
-//! dimensionality and checksum are checked up front, every subsequent read
-//! is bounds-checked, the slice tree is re-validated to exactly partition
-//! the dataset (which bounds recursion at `D` and every index at `n`), and
-//! each region blob re-runs `SealedRegion::from_blob`'s structural checks.
+//! `load` never panics on malformed input: length, magic, version and
+//! dimensionality are checked up front, every subsequent read is
+//! bounds-checked, the slice tree is re-validated to exactly partition the
+//! dataset (which bounds recursion at `D` and every index at `n`), and each
+//! region blob re-runs `SealedRegion::from_blob`'s structural checks. The
+//! decoder works beside the sum, so it sees bytes before they are vouched
+//! for; it sizes nothing by a count it has not checked against the buffer,
+//! its result is dropped unless the sum accepts the buffer, and the sum's
+//! verdict is the one reported ("checksum mismatch" for any damaged
+//! buffer, wherever the decoder stopped).
 
 use crate::config::AssignBy;
 use crate::engine::{Env, Runtime};
@@ -80,35 +103,14 @@ use crate::seal::SealedRegion;
 use crate::slice::Slice;
 use crate::{config, Quasii, QuasiiConfig, QuasiiStats, SealStats};
 use quasii_common::geom::{Aabb, Record};
-use quasii_common::snapshot::SnapshotError;
+use quasii_common::snapshot::{corrupt, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN};
 use std::sync::Arc;
 
 /// First 8 bytes of every engine snapshot.
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub const FORMAT_VERSION: u32 = 1;
-
-/// Byte offset where the checksum's coverage starts (everything after the
-/// magic/version/dims/checksum words — the total length is covered).
-const CHECKSUM_FROM: usize = 24;
-
-/// FNV-1a 64-bit over `bytes` — small, dependency-free, and plenty to catch
-/// torn writes and bit rot (this is an integrity check, not an
-/// authenticity one). Public so companion formats (the shard manifest)
-/// share the exact same checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn corrupt(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(msg.into())
-}
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -213,89 +215,6 @@ impl std::fmt::Debug for AlignedBytes {
 }
 
 // ---------------------------------------------------------------------
-// Little-endian writer / bounds-checked reader
-// ---------------------------------------------------------------------
-
-/// Append-only little-endian buffer writer.
-struct Cursor {
-    buf: Vec<u8>,
-}
-
-impl Cursor {
-    /// Pre-reserves `cap` bytes — the writer knows the dominant section
-    /// sizes up front, and growing a 100+ MiB buffer by doubling would copy
-    /// the whole snapshot a couple of times over.
-    fn with_capacity(cap: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    fn patch_u64(&mut self, at: usize, v: u64) {
-        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Sequential little-endian reader; every read is bounds-checked and a
-/// short buffer yields `Err`, never a panic.
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(b: &'a [u8], pos: usize) -> Self {
-        Self { b, pos }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| {
-                corrupt(format!(
-                    "buffer truncated: need {n} bytes at offset {}, have {}",
-                    self.pos,
-                    self.b.len().saturating_sub(self.pos)
-                ))
-            })?;
-        let s = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A `u64` that must fit `usize` (trivial on 64-bit; explicit anyway).
-    fn index(&mut self, what: &str) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| corrupt(format!("{what} exceeds usize")))
-    }
-}
-
-// ---------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------
 
@@ -316,7 +235,7 @@ fn decode_assign(v: u64) -> Result<AssignBy, SnapshotError> {
     }
 }
 
-fn write_slice<const D: usize>(w: &mut Cursor, s: &Slice<D>) {
+fn write_slice<const D: usize>(w: &mut Writer, s: &Slice<D>) {
     w.u64(s.level as u64);
     w.u64(s.begin as u64);
     w.u64(s.end as u64);
@@ -353,15 +272,24 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     debug_assert!(idx.parked.is_empty(), "try_seal drains the parked list");
 
     let n = idx.data.len();
-    // Records + key columns + region blobs dominate; headers, the slice
-    // tree and the region table ride in the slack (at worst one realloc).
+    let has_keys = idx.keys.is_built(n) && n > 0;
+    debug_assert_eq!(has_keys, n > 0, "`write` runs after `ensure_init`");
+    // The layout is determined before the first byte is written, so the
+    // buffer is sized exactly and never reallocates (a 64 MB `Vec` that
+    // outgrows its reserve copies the whole snapshot once more).
+    let record_bytes = (1 + 2 * D) * 8;
+    let slice_bytes = (8 + 2 * D) * 8;
     let blob_bytes: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
-    let mut w = Cursor::with_capacity(n * (24 + 16 * D) + blob_bytes + (64 << 10));
-    w.bytes(&MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u32(D as u32);
-    w.u64(0); // checksum, patched below
-    w.u64(0); // total length, patched below
+    let total = FRAME_LEN
+        + (21 + 4 * D) * 8 // scalars up to the bounds
+        + 8 + idx.seal_dirty.len() * 16
+        + n * record_bytes
+        + 8 + if has_keys { n * 16 } else { 0 }
+        + 8 + idx.slice_count() * slice_bytes
+        + 8 + idx.seals.len() * 32
+        + blob_bytes;
+    let mut w = Writer::framed(&MAGIC, FORMAT_VERSION, D as u32, total);
+    let reserved = w.capacity();
 
     w.u64(n as u64);
     w.u64(u64::from(idx.initialized) | (u64::from(idx.seal_dirty_all) << 1));
@@ -409,28 +337,20 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
 
     // Records, in the engine's current (cracked) permutation — reloading
     // them verbatim is what makes the reloaded permutation byte-identical.
+    // Three appends into reserved space per record: the section is bound
+    // by first-touch page faults of the fresh buffer, and a zero-filling
+    // reserve would touch it twice.
     for r in &idx.data {
-        w.u64(r.id);
-        for d in 0..D {
-            w.f64(r.mbb.lo[d]);
-        }
-        for d in 0..D {
-            w.f64(r.mbb.hi[d]);
-        }
+        w.bytes(&r.id.to_le_bytes());
+        w.bytes(r.mbb.lo.map(f64::to_le_bytes).as_flattened());
+        w.bytes(r.mbb.hi.map(f64::to_le_bytes).as_flattened());
     }
 
-    // Key columns (built whenever the dataset is non-empty — `write` runs
-    // after `ensure_init`).
-    let has_keys = idx.keys.is_built(n) && n > 0;
-    debug_assert_eq!(has_keys, n > 0);
+    // Key columns (built whenever the dataset is non-empty).
     w.u64(u64::from(has_keys));
     if has_keys {
-        for &k in idx.keys.keys() {
-            w.f64(k);
-        }
-        for &h in idx.keys.his() {
-            w.f64(h);
-        }
+        w.f64s(idx.keys.keys());
+        w.f64s(idx.keys.his());
     }
 
     // Slice-tree skeleton, pre-order — enough to revive the unsealed
@@ -443,7 +363,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     // Region table + blobs. Blob offsets are absolute and computed before
     // the blobs are appended (table size is known).
     w.u64(idx.seals.len() as u64);
-    let mut blob_off = w.buf.len() + idx.seals.len() * 32;
+    let mut blob_off = w.pos() + idx.seals.len() * 32;
     for r in &idx.seals {
         w.u64(r.begin as u64);
         w.u64(r.end as u64);
@@ -452,15 +372,13 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
         blob_off += r.blob().len();
     }
     for r in &idx.seals {
-        debug_assert_eq!(w.buf.len() % 8, 0, "region blobs start 8-aligned");
+        debug_assert_eq!(w.pos() % 8, 0, "region blobs start 8-aligned");
         w.bytes(r.blob());
     }
 
-    let total = w.buf.len() as u64;
-    w.patch_u64(24, total);
-    let sum = fnv1a(&w.buf[CHECKSUM_FROM..]);
-    w.patch_u64(16, sum);
-    Ok(w.buf)
+    debug_assert_eq!(w.pos(), total, "the layout was sized exactly");
+    debug_assert_eq!(w.capacity(), reserved, "the buffer never reallocated");
+    Ok(w.finish())
 }
 
 // ---------------------------------------------------------------------
@@ -540,51 +458,54 @@ fn read_slice<const D: usize>(
     })
 }
 
+/// Reads the frame of an engine snapshot, which must span the whole
+/// buffer (a manifest, by contrast, may be followed by packed parts).
+fn open_frame(bytes: &[u8]) -> Result<Frame, SnapshotError> {
+    let frame = Frame::read(bytes, &MAGIC, FORMAT_VERSION, "snapshot")?;
+    if frame.total != bytes.len() {
+        return Err(corrupt(format!(
+            "snapshot claims {} bytes, buffer holds {}",
+            frame.total,
+            bytes.len()
+        )));
+    }
+    Ok(frame)
+}
+
 pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, SnapshotError> {
     require_little_endian()?;
-    if bytes.len() < 32 {
-        return Err(corrupt(format!(
-            "{} bytes is shorter than the 32-byte snapshot prefix",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != MAGIC {
-        return Err(corrupt("bad magic (not a QUASII snapshot)"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::WrongVersion {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    let dims = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    if dims as usize != D {
+    let frame = open_frame(&bytes)?;
+    if frame.dims as usize != D {
         return Err(SnapshotError::WrongDims {
-            found: dims,
+            found: frame.dims,
             expected: D as u32,
         });
-    }
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let total = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    if total != bytes.len() as u64 {
-        return Err(corrupt(format!(
-            "header claims {total} bytes, buffer holds {}",
-            bytes.len()
-        )));
-    }
-    let actual = fnv1a(&bytes[CHECKSUM_FROM..]);
-    if actual != checksum {
-        return Err(corrupt(format!(
-            "checksum mismatch: header {checksum:#018x}, computed {actual:#018x}"
-        )));
     }
 
     // Adopt the buffer in place (aligned-copy fallback only if the
     // allocator handed out a misaligned base, which it doesn't in
     // practice); every sealed column below borrows this buffer.
     let buf = Arc::new(AlignedBytes::from_vec(bytes));
-    let mut r = Reader::new(buf.as_bytes(), 32);
+    // The sum is taken block by block beside the decoding (each block of
+    // the two big sections is hashed, then decoded while it is in cache),
+    // and its verdict comes first: whatever the decoder made of a damaged
+    // buffer, the caller hears "checksum mismatch", as if the pass had run
+    // up front. The decoder is total, so running it on unverified bytes
+    // costs time at worst.
+    let mut sum = frame.verifier(buf.as_bytes());
+    let decoded = decode(&buf, &mut sum);
+    sum.finish("snapshot")?;
+    decoded
+}
+
+/// Decodes the body of a snapshot whose frame [`load`] has read, advancing
+/// `sum` ahead of the two big sections. Its result means nothing until
+/// `sum` has accepted the buffer.
+fn decode<const D: usize>(
+    buf: &Arc<AlignedBytes>,
+    sum: &mut Verifier,
+) -> Result<Quasii<D>, SnapshotError> {
+    let mut r = Reader::new(buf.as_bytes(), FRAME_LEN);
 
     let n = r.index("record count")?;
     let flags = r.u64()?;
@@ -597,11 +518,7 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
         assign_by: decode_assign(r.u64()?)?,
         max_artificial_depth: r.index("max_artificial_depth")?,
         threads: r.index("threads")?,
-        seal: match r.u64()? {
-            0 => false,
-            1 => true,
-            other => return Err(corrupt(format!("seal flag {other}"))),
-        },
+        seal: r.flag("seal flag")?,
         // The SIMD policy is a host property, not index state: a snapshot
         // written on an AVX2 host must dispatch scalar on a host without
         // it (results are identical either way), so it is never persisted
@@ -658,53 +575,47 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
     }
 
     // Bulk-decode the two big sections (records, key columns): one bounds
-    // check for the whole section, then fixed-stride chunks — the per-scalar
+    // check for the whole section, then fixed-stride entries — per-scalar
     // `Reader` calls are fine for headers but dominate load time at n ~ 10⁶.
-    // `take` succeeding also proves `n` is honest, so the reserves below are
+    // `entries` succeeding also proves `n` honest, so the reserve below is
     // bounded by the buffer length.
-    let rec_bytes = (1 + 2 * D) * 8;
-    let sect = r.take(
-        n.checked_mul(rec_bytes)
-            .ok_or_else(|| corrupt("record section overflow"))?,
-    )?;
+    let blocks = r.blocks(n, (1 + 2 * D) * 8, "records")?;
     let mut data = Vec::with_capacity(n);
-    for c in sect.chunks_exact(rec_bytes) {
-        let id = u64::from_le_bytes(c[..8].try_into().unwrap());
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for (d, v) in lo.iter_mut().enumerate() {
-            *v = f64::from_le_bytes(c[8 + 8 * d..16 + 8 * d].try_into().unwrap());
+    for (end, entries) in blocks {
+        sum.advance(end);
+        for c in entries {
+            let id = u64::from_le_bytes(c[..8].try_into().unwrap());
+            let mut lo = [0.0; D];
+            let mut hi = [0.0; D];
+            for (d, v) in lo.iter_mut().enumerate() {
+                *v = f64::from_le_bytes(c[8 + 8 * d..16 + 8 * d].try_into().unwrap());
+            }
+            for (d, v) in hi.iter_mut().enumerate() {
+                let at = 8 + 8 * (D + d);
+                *v = f64::from_le_bytes(c[at..at + 8].try_into().unwrap());
+            }
+            data.push(Record::new(id, Aabb { lo, hi }));
         }
-        for (d, v) in hi.iter_mut().enumerate() {
-            let at = 8 + 8 * (D + d);
-            *v = f64::from_le_bytes(c[at..at + 8].try_into().unwrap());
-        }
-        data.push(Record::new(id, Aabb { lo, hi }));
     }
 
-    let has_keys = match r.u64()? {
-        0 => false,
-        1 => true,
-        other => return Err(corrupt(format!("key-column flag {other}"))),
-    };
+    let has_keys = r.flag("key-column flag")?;
     if has_keys != (n > 0) {
         return Err(corrupt(
             "key-column presence disagrees with the record count",
         ));
     }
-    let f64_column = |r: &mut Reader| -> Result<Vec<f64>, SnapshotError> {
-        let sect = r.take(
-            n.checked_mul(8)
-                .ok_or_else(|| corrupt("key column overflow"))?,
-        )?;
-        Ok(sect
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    };
     let keys = if has_keys {
-        let ks = f64_column(&mut r)?;
-        let hs = f64_column(&mut r)?;
+        let mut column = |what| -> Result<Vec<f64>, SnapshotError> {
+            let blocks = r.blocks(n, 8, what)?;
+            let mut vs = Vec::with_capacity(n);
+            for (end, entries) in blocks {
+                sum.advance(end);
+                vs.extend(entries.map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))));
+            }
+            Ok(vs)
+        };
+        let ks = column("keys")?;
+        let hs = column("key upper bounds")?;
         KeyColumn::from_raw(ks, hs)
     } else {
         KeyColumn::new()
@@ -727,13 +638,9 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
     // (offsets sequential, last blob ending at the buffer end) means no
     // byte of the buffer is unaccounted for.
     let region_count = r.index("region count")?;
-    let table_end = r
-        .pos
-        .checked_add(
-            region_count
-                .checked_mul(32)
-                .ok_or_else(|| corrupt("region table overflow"))?,
-        )
+    let table_end = region_count
+        .checked_mul(32)
+        .and_then(|t| t.checked_add(r.pos()))
         .ok_or_else(|| corrupt("region table overflow"))?;
     let mut expected_off = table_end;
     let mut seals: Vec<SealedRegion<D>> = Vec::new();
@@ -766,7 +673,7 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
             )));
         }
         root_cursor += 1;
-        let region = SealedRegion::from_blob(begin, end, Arc::clone(&buf), off, len)
+        let region = SealedRegion::from_blob(begin, end, Arc::clone(buf), off, len)
             .map_err(|e| corrupt(format!("region {k}: {e}")))?;
         seals.push(region);
     }
@@ -835,7 +742,7 @@ pub struct SnapshotSummary {
     pub slices: u64,
     /// Per sealed region: record range `begin..end` and blob bytes.
     pub regions: Vec<(u64, u64, u64)>,
-    /// The (verified) FNV-1a checksum from the header.
+    /// The (verified) header word: `checksum64` of everything after it.
     pub checksum: u64,
 }
 
@@ -899,45 +806,16 @@ fn skim_slice(
 /// drives the strides), so the CLI `verify` subcommand needs no type
 /// parameter. Returns the per-region report on success.
 pub fn verify(bytes: &[u8]) -> Result<SnapshotSummary, SnapshotError> {
-    if bytes.len() < 32 {
-        return Err(corrupt(format!(
-            "{} bytes is shorter than the 32-byte snapshot prefix",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != MAGIC {
-        return Err(corrupt("bad magic (not a QUASII snapshot)"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::WrongVersion {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    let dims32 = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let dims = dims32 as usize;
+    let frame = open_frame(bytes)?;
+    let dims = frame.dims as usize;
     // The slice walk recurses one level per dimension; bound it before
     // trusting a crafted header with it.
     if dims == 0 || dims > 64 {
         return Err(corrupt(format!("implausible dimensionality {dims}")));
     }
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let total = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    if total != bytes.len() as u64 {
-        return Err(corrupt(format!(
-            "header claims {total} bytes, buffer holds {}",
-            bytes.len()
-        )));
-    }
-    let actual = fnv1a(&bytes[CHECKSUM_FROM..]);
-    if actual != checksum {
-        return Err(corrupt(format!(
-            "checksum mismatch: header {checksum:#018x}, computed {actual:#018x}"
-        )));
-    }
+    frame.verify(bytes, "snapshot")?;
 
-    let mut r = Reader::new(bytes, 32);
+    let mut r = Reader::new(bytes, FRAME_LEN);
     let n = r.index("record count")?;
     let flags = r.u64()?;
     if flags & 1 == 0 || flags > 0b11 {
@@ -946,42 +824,23 @@ pub fn verify(bytes: &[u8]) -> Result<SnapshotSummary, SnapshotError> {
     let _tau = r.u64()?;
     decode_assign(r.u64()?)?;
     r.take(2 * 8)?; // max_artificial_depth, threads
-    let seal_enabled = match r.u64()? {
-        0 => false,
-        1 => true,
-        other => return Err(corrupt(format!("seal flag {other}"))),
-    };
+    let seal_enabled = r.flag("seal flag")?;
     r.take((10 + 3 + 1) * 8)?; // stats, seal stats, seal_stamp
     r.take(4 * dims * 8)?; // ext_low/high, bounds lo/hi
     let dirty_count = r.index("dirty-span count")?;
-    r.take(
-        dirty_count
-            .checked_mul(16)
-            .ok_or_else(|| corrupt("dirty-span overflow"))?,
-    )?;
+    r.section(dirty_count, 16, "dirty spans")?;
 
     // Records — one bounds-checked take proves the declared count honest
     // before anything is sized from it.
-    let rec_bytes = (1 + 2 * dims) * 8;
-    r.take(
-        n.checked_mul(rec_bytes)
-            .ok_or_else(|| corrupt("record section overflow"))?,
-    )?;
-    let has_keys = match r.u64()? {
-        0 => false,
-        1 => true,
-        other => return Err(corrupt(format!("key-column flag {other}"))),
-    };
+    r.section(n, (1 + 2 * dims) * 8, "records")?;
+    let has_keys = r.flag("key-column flag")?;
     if has_keys != (n > 0) {
         return Err(corrupt(
             "key-column presence disagrees with the record count",
         ));
     }
     if has_keys {
-        r.take(
-            n.checked_mul(16)
-                .ok_or_else(|| corrupt("key column overflow"))?,
-        )?;
+        r.section(n, 16, "key pairs")?;
     }
 
     let root_count = r.index("root-slice count")?;
@@ -997,13 +856,9 @@ pub fn verify(bytes: &[u8]) -> Result<SnapshotSummary, SnapshotError> {
     }
 
     let region_count = r.index("region count")?;
-    let table_end = r
-        .pos
-        .checked_add(
-            region_count
-                .checked_mul(32)
-                .ok_or_else(|| corrupt("region table overflow"))?,
-        )
+    let table_end = region_count
+        .checked_mul(32)
+        .and_then(|t| t.checked_add(r.pos()))
         .ok_or_else(|| corrupt("region table overflow"))?;
     let mut expected_off = table_end;
     let mut regions = Vec::new();
@@ -1034,12 +889,12 @@ pub fn verify(bytes: &[u8]) -> Result<SnapshotSummary, SnapshotError> {
 
     Ok(SnapshotSummary {
         bytes: bytes.len(),
-        dims: dims32,
+        dims: frame.dims,
         records: n as u64,
         root_slices: root_count as u64,
         slices,
         regions,
-        checksum,
+        checksum: frame.checksum,
     })
 }
 
@@ -1049,14 +904,6 @@ mod tests {
     use quasii_common::dataset::uniform_boxes_in;
     use quasii_common::index::SpatialIndex;
     use quasii_common::workload;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn roundtrip_is_byte_identical() {
@@ -1110,12 +957,16 @@ mod tests {
             Err(SnapshotError::Corrupt(_))
         ));
 
-        let mut bad = snap.clone();
-        bad[8] = 99; // version
-        assert!(matches!(
-            Quasii::<2>::from_snapshot(bad),
-            Err(SnapshotError::WrongVersion { found: 99, .. })
-        ));
+        // Exactly one version is accepted: the previous one is foreign too.
+        for foreign in [99, FORMAT_VERSION - 1] {
+            let mut bad = snap.clone();
+            bad[8] = foreign as u8;
+            assert!(matches!(
+                Quasii::<2>::from_snapshot(bad),
+                Err(SnapshotError::WrongVersion { found, expected: FORMAT_VERSION })
+                    if found == foreign
+            ));
+        }
 
         assert!(matches!(
             Quasii::<3>::from_snapshot(snap.clone()),
@@ -1135,6 +986,34 @@ mod tests {
 
         for cut in [0, 10, 31, 32, snap.len() - 1] {
             assert!(Quasii::<2>::from_snapshot(snap[..cut].to_vec()).is_err());
+        }
+    }
+
+    #[test]
+    fn the_sum_speaks_before_the_decoder() {
+        // The decoder runs beside the sum, on bytes nobody has vouched for
+        // yet; a damaged buffer must still read as a checksum mismatch,
+        // wherever the decoder gave up on it.
+        let data = uniform_boxes_in::<2>(300, 50.0, 9);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
+        idx.finalize();
+        let snap = idx.write_snapshot().expect("write");
+        // The record count (the decoder stops at "records ... remain"), a
+        // config word (an unknown assignment mode), the last byte (the
+        // decoder never looks at it).
+        for (at, byte) in [
+            (FRAME_LEN + 7, 0x7f),
+            (FRAME_LEN + 24, 9),
+            (snap.len() - 1, 0xa5),
+        ] {
+            let mut bad = snap.clone();
+            bad[at] ^= byte;
+            match Quasii::<2>::from_snapshot(bad) {
+                Err(SnapshotError::Corrupt(why)) => {
+                    assert!(why.contains("checksum mismatch"), "byte {at}: {why}")
+                }
+                other => panic!("byte {at}: expected Corrupt, got {:?}", other.map(|_| ())),
+            }
         }
     }
 

@@ -481,6 +481,18 @@ pub static DEFS: &[Def] = &[
     },
 ];
 
+/// Held by every unit test of this crate that resets the registry, asserts
+/// an absolute value in it, or drives the trace ring: the tests of one
+/// binary run on parallel threads and share these process-wide statics
+/// (`tests/obs.rs` does the same with its `OBS_LOCK`). A test that failed
+/// while holding it must not fail the rest, so poison is ignored.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Zeroes every metric (tests and experiment isolation; the trace ring has
 /// its own lifecycle).
 pub fn reset() {
@@ -880,6 +892,7 @@ mod tests {
     /// reproduces every value.
     #[test]
     fn prometheus_round_trip() {
+        let _g = test_lock();
         reset();
         QUERIES_TOTAL.add(123);
         SEALED_QUERIES_TOTAL.add(7);
@@ -968,6 +981,7 @@ mod tests {
 
     #[test]
     fn table_and_jsonl_render() {
+        let _g = test_lock();
         reset();
         QUERIES_TOTAL.add(5);
         batch_phase(Phase::Classify).observe(2_000);

@@ -168,6 +168,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
+        let _g = registry::test_lock();
         enable(4, 1);
         let dropped_before = registry::TRACE_DROPPED_TOTAL.get();
         for i in 0..10 {
@@ -192,6 +193,7 @@ mod tests {
 
     #[test]
     fn sampling_thins_events_but_markers_pass() {
+        let _g = registry::test_lock();
         enable(1024, 4);
         for _ in 0..16 {
             record(|| TraceEvent::FsxRetry);
@@ -211,6 +213,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_no_op() {
+        let _g = registry::test_lock();
         disable();
         assert!(!on());
         record(|| panic!("closure must not run when disabled"));

@@ -43,8 +43,12 @@
 //! A deployment snapshots as **one buffer per shard** (each an independent
 //! engine snapshot, see `quasii`'s `persist` module) plus a small
 //! checksummed **manifest** binding them together: fences, router extension,
-//! router counters, and a per-shard `(record count, length, checksum)`
-//! table. [`ShardedQuasii::write_snapshot_parts`] /
+//! router counters, and a per-shard `(record count, length, header word)`
+//! table. The header word is the part's own checksum field (bytes `16..24`
+//! of the part, covering everything after it), so binding a part costs 8
+//! bytes copied on write and 8 compared on load; the engine's load is the
+//! one pass over the part's content.
+//! [`ShardedQuasii::write_snapshot_parts`] /
 //! [`ShardedQuasii::from_snapshot_parts`] expose the parts individually —
 //! the migration seam (shard buffers can live on different nodes) — and
 //! [`ShardedQuasii::write_snapshot`] / [`ShardedQuasii::from_snapshot`]
@@ -87,7 +91,7 @@ pub mod recovery;
 pub use recovery::{Coverage, DegradedQuasii, Recovery, RecoveryReport, ShardHealth, ShardStatus};
 
 use quasii::crack::key_of;
-use quasii::snapshot::{fnv1a, SnapshotError};
+use quasii::snapshot::{header_word, SnapshotError};
 use quasii::{
     AssignBy, EnginePoisoned, KeyFences, Quasii, QuasiiConfig, QuasiiStats, RepairOutcome,
 };
@@ -95,6 +99,7 @@ use quasii_common::fsx::{self, SnapshotStore};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_common::pool;
+use quasii_common::snapshot::{corrupt, Frame, Reader, Writer, FRAME_LEN};
 use quasii_obs as obs;
 use std::path::{Path, PathBuf};
 
@@ -105,7 +110,9 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"QSIISHRD";
 /// Version 2 added the snapshot **generation** counter and the inner engine
 /// configuration, so durable multi-file commits can name their part files
 /// and degraded-mode recovery can rebuild shards with zero healthy engines.
-pub const MANIFEST_VERSION: u32 = 2;
+/// Version 3 binds each part by its header word (see the module docs) and
+/// moved both checksums to `checksum64`.
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// Tuning knobs of [`ShardedQuasii`].
 #[derive(Clone, Debug)]
@@ -514,8 +521,10 @@ impl<const D: usize> ShardedQuasii<D> {
     /// shard** — the migration seam: each shard buffer is a self-contained
     /// engine snapshot that can be shipped to (and verified on) a different
     /// node, while the manifest pins the pieces together (fences, router
-    /// extension/counters, and a per-shard record-count/length/checksum
-    /// table).
+    /// extension/counters, and a per-shard record-count/length/header-word
+    /// table). The shards are written one after another (loading them is
+    /// parallel); writing them as pool jobs is measured and waits for its
+    /// own change, see ROADMAP.md item 2.
     ///
     /// Like the engine's `write_snapshot`, this sweeps pending seal work
     /// first, so a snapshot captures the post-sweep state.
@@ -525,15 +534,13 @@ impl<const D: usize> ShardedQuasii<D> {
                 "a poisoned sharded deployment (a worker panicked mid-batch; call repair() first)",
             ));
         }
-        let mut shard_bufs = Vec::with_capacity(self.shards.len());
-        for s in &mut self.shards {
-            shard_bufs.push(s.write_snapshot()?);
-        }
-        let mut m = Vec::new();
-        m.extend_from_slice(&MANIFEST_MAGIC);
-        m.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        m.extend_from_slice(&(D as u32).to_le_bytes());
-        m.extend_from_slice(&[0u8; 16]); // checksum + total, patched below
+        let shard_bufs = self
+            .shards
+            .iter_mut()
+            .map(Quasii::write_snapshot)
+            .collect::<Result<Vec<_>, _>>()?;
+
+        let mut m = Writer::framed(&MANIFEST_MAGIC, MANIFEST_VERSION, D as u32, 0);
         for v in [
             self.generation,
             self.shards.len() as u64,
@@ -546,36 +553,30 @@ impl<const D: usize> ShardedQuasii<D> {
             self.cfg.inner.threads as u64,
             self.cfg.inner.seal as u64,
         ] {
-            m.extend_from_slice(&v.to_le_bytes());
+            m.u64(v);
         }
-        m.extend_from_slice(&self.ext_low0.to_le_bytes());
-        m.extend_from_slice(&self.ext_high0.to_le_bytes());
+        m.f64(self.ext_low0);
+        m.f64(self.ext_high0);
         let router = self.router_stats();
-        m.extend_from_slice(&router.queries.to_le_bytes());
-        m.extend_from_slice(&router.shard_visits.to_le_bytes());
+        m.u64(router.queries);
+        m.u64(router.shard_visits);
         let inner = self.fences.inner_bounds();
-        m.extend_from_slice(&(inner.len() as u64).to_le_bytes());
-        for b in inner {
-            m.extend_from_slice(&b.to_le_bytes());
-        }
+        m.u64(inner.len() as u64);
+        m.f64s(inner);
         for (s, buf) in self.shards.iter().zip(&shard_bufs) {
-            m.extend_from_slice(&(s.data().len() as u64).to_le_bytes());
-            m.extend_from_slice(&(buf.len() as u64).to_le_bytes());
-            m.extend_from_slice(&fnv1a(buf).to_le_bytes());
+            m.u64(s.data().len() as u64);
+            m.u64(buf.len() as u64);
+            m.u64(header_word(buf).expect("an engine snapshot starts with a frame"));
         }
-        let total = m.len() as u64;
-        m[24..32].copy_from_slice(&total.to_le_bytes());
-        let sum = fnv1a(&m[24..]);
-        m[16..24].copy_from_slice(&sum.to_le_bytes());
-        Ok((m, shard_bufs))
+        Ok((m.finish(), shard_bufs))
     }
 
     /// Revives a deployment from [`write_snapshot_parts`] output. Every
-    /// shard buffer is verified against the manifest's length/checksum
-    /// table (buffers must arrive in shard order), then loaded through the
-    /// engine's own validated snapshot path; the reloaded deployment
-    /// answers every query byte-identically to the writer. Never panics on
-    /// malformed input.
+    /// shard buffer is bound to the manifest's length/header-word table
+    /// (buffers must arrive in shard order), then loaded through the
+    /// engine's own validated, checksummed snapshot path; the reloaded
+    /// deployment answers every query byte-identically to the writer.
+    /// Never panics on malformed input.
     pub fn from_snapshot_parts(
         manifest: &[u8],
         shards: Vec<Vec<u8>>,
@@ -631,9 +632,10 @@ impl<const D: usize> ShardedQuasii<D> {
 
     /// Shared tail of both load paths: verify each shard buffer against the
     /// manifest table, revive the engines — **in parallel**, one pool job
-    /// per shard — and rebuild the router around them. Per-shard failures
-    /// land in per-shard slots and the first one *in shard order* is
-    /// returned, so the error is deterministic for every thread count.
+    /// per shard on at most the manifest's `shard_threads` threads — and
+    /// rebuild the router around them. Per-shard failures land in
+    /// per-shard slots and the first one *in shard order* is returned, so
+    /// the error is deterministic for every thread count.
     fn assemble(m: Manifest, shard_bufs: Vec<Vec<u8>>) -> Result<Self, SnapshotError> {
         if shard_bufs.len() != m.shards.len() {
             return Err(corrupt(format!(
@@ -648,7 +650,7 @@ impl<const D: usize> ShardedQuasii<D> {
             .map_err(|e| corrupt(format!("fences: {e}")))?;
         type Slot<const D: usize> = (Vec<u8>, Option<Result<Quasii<D>, SnapshotError>>);
         let mut loaded: Vec<Slot<D>> = shard_bufs.into_iter().map(|buf| (buf, None)).collect();
-        pool::for_each_mut(&mut loaded, 0, |k, (buf, out)| {
+        pool::for_each_mut(&mut loaded, m.shard_threads, |k, (buf, out)| {
             *out = Some(load_shard(k, m.shards[k], std::mem::take(buf)));
         })
         .map_err(|p| corrupt(format!("shard {}: loader panicked: {}", p.job, p.message)))?;
@@ -931,10 +933,6 @@ impl<const D: usize> ShardedQuasii<D> {
     }
 }
 
-fn corrupt(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(msg.into())
-}
-
 /// The part-file path for shard `shard` of snapshot generation
 /// `generation`, as named by a manifest committed at `path`:
 /// `<path>.g<G>.part<k>`, a sibling of the manifest.
@@ -956,7 +954,8 @@ pub struct ManifestSummary {
     pub generation: u64,
     /// Manifest byte length; a packed snapshot's shard buffers start here.
     pub total: usize,
-    /// Per-shard `(record count, buffer length, buffer checksum)` table.
+    /// Per-shard `(record count, buffer length, header word)` table; the
+    /// header word is the buffer's own checksum field (its bytes `16..24`).
     pub shards: Vec<(usize, usize, u64)>,
     /// Records across all shards.
     pub records: usize,
@@ -1015,12 +1014,15 @@ fn assign_from_code(v: u64) -> Result<AssignBy, SnapshotError> {
     }
 }
 
-/// Verifies one shard buffer against its manifest entry
-/// `(record count, length, checksum)` and revives its engine — the
-/// per-shard unit of work the parallel load path fans out.
+/// Binds one shard buffer to its manifest entry
+/// `(record count, length, header word)` and revives its engine — the
+/// per-shard unit of work the parallel load path fans out. The entry is
+/// compared with the buffer's header word (8 bytes, no pass over the
+/// content); the engine's load then hashes the content against that same
+/// word, once, and value-checks the 16 bytes before it.
 fn load_shard<const D: usize>(
     k: usize,
-    (records, len, sum): (usize, usize, u64),
+    (records, len, word): (usize, usize, u64),
     buf: Vec<u8>,
 ) -> Result<Quasii<D>, SnapshotError> {
     if buf.len() != len {
@@ -1029,7 +1031,7 @@ fn load_shard<const D: usize>(
             buf.len()
         )));
     }
-    if fnv1a(&buf) != sum {
+    if header_word(&buf) != Some(word) {
         return Err(corrupt(format!("shard {k} buffer checksum mismatch")));
     }
     let engine = Quasii::from_snapshot(buf).map_err(|e| match e {
@@ -1047,7 +1049,7 @@ fn load_shard<const D: usize>(
 
 /// Decoded manifest: everything the router needs besides the engines
 /// themselves, plus the per-shard verification table
-/// `(record count, buffer length, buffer checksum)`.
+/// `(record count, buffer length, header word)`.
 pub(crate) struct Manifest {
     pub(crate) total: usize,
     pub(crate) generation: u64,
@@ -1060,49 +1062,6 @@ pub(crate) struct Manifest {
     pub(crate) router: RouterStats,
     pub(crate) inner_bounds: Vec<f64>,
     pub(crate) shards: Vec<(usize, usize, u64)>,
-}
-
-/// Sequential little-endian reader over the manifest body; every read is
-/// bounds-checked so a short or hostile buffer yields `Err`, never a panic.
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| corrupt(format!("manifest truncated at offset {}", self.pos)))?;
-        let v = u64::from_le_bytes(self.b[self.pos..end].try_into().unwrap());
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn index(&mut self, what: &str) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| corrupt(format!("{what} exceeds usize")))
-    }
-
-    /// Checks that `count` entries of `entry_bytes` each fit in the bytes
-    /// remaining — the pre-allocation guard against forged huge counts.
-    fn fits(&self, count: usize, entry_bytes: usize, what: &str) -> Result<(), SnapshotError> {
-        let need = count
-            .checked_mul(entry_bytes)
-            .ok_or_else(|| corrupt(format!("{what} count overflows")))?;
-        if need > self.b.len() - self.pos {
-            return Err(corrupt(format!(
-                "{count} {what} need {need} bytes, only {} remain",
-                self.b.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// Parses and verifies a manifest prefix for dimensionality `D` (see
@@ -1128,43 +1087,11 @@ pub(crate) fn parse_manifest<const D: usize>(bytes: &[u8]) -> Result<Manifest, S
 /// remain *before* any allocation sized by it, so a forged manifest with a
 /// colliding checksum and huge counts yields `Err`, never an OOM abort.
 pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), SnapshotError> {
-    if bytes.len() < 32 {
-        return Err(corrupt(format!(
-            "{} bytes is shorter than the 32-byte manifest prefix",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != MANIFEST_MAGIC {
-        return Err(corrupt("bad magic (not a QUASII shard manifest)"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != MANIFEST_VERSION {
-        return Err(SnapshotError::WrongVersion {
-            found: version,
-            expected: MANIFEST_VERSION,
-        });
-    }
-    let dims = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let total = usize::try_from(u64::from_le_bytes(bytes[24..32].try_into().unwrap()))
-        .map_err(|_| corrupt("manifest length exceeds usize"))?;
-    if total < 32 || total > bytes.len() {
-        return Err(corrupt(format!(
-            "manifest claims {total} bytes, buffer holds {}",
-            bytes.len()
-        )));
-    }
-    let actual = fnv1a(&bytes[24..total]);
-    if actual != checksum {
-        return Err(corrupt(format!(
-            "manifest checksum mismatch: header {checksum:#018x}, computed {actual:#018x}"
-        )));
-    }
+    let frame = Frame::read(bytes, &MANIFEST_MAGIC, MANIFEST_VERSION, "shard manifest")?;
+    let (dims, total) = (frame.dims, frame.total);
+    frame.verify(bytes, "shard manifest")?;
 
-    let mut r = Reader {
-        b: &bytes[..total],
-        pos: 32,
-    };
+    let mut r = Reader::new(&bytes[..total], FRAME_LEN);
     let generation = r.u64()?;
     let shard_count = r.index("shard count")?;
     if shard_count == 0 {
@@ -1178,11 +1105,7 @@ pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), Snapsh
         assign_by: assign_from_code(r.u64()?)?,
         max_artificial_depth: r.index("max artificial depth")?,
         threads: r.index("inner threads")?,
-        seal: match r.u64()? {
-            0 => false,
-            1 => true,
-            other => return Err(corrupt(format!("seal flag is {other}, expected 0 or 1"))),
-        },
+        seal: r.flag("seal flag")?,
         // SIMD dispatch is a host property, never persisted: re-resolve on
         // the loading host (see `quasii::simd`).
         simd: quasii::SimdPolicy::default(),
@@ -1199,25 +1122,21 @@ pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), Snapsh
             "{bound_count} inner fence bounds for {shard_count} shards"
         )));
     }
-    // Guard every count-sized allocation against the bytes that actually
-    // remain: a forged (checksum-colliding) manifest must not OOM us.
-    r.fits(bound_count, 8, "inner fence bounds")?;
-    let mut inner_bounds = Vec::with_capacity(bound_count);
-    for _ in 0..bound_count {
-        inner_bounds.push(r.f64()?);
-    }
-    r.fits(shard_count, 24, "shard table entries")?;
+    // `f64s` and `section` check a count against the bytes that actually
+    // remain before anything is sized by it: a forged (checksum-colliding)
+    // manifest must not OOM us.
+    let inner_bounds = r.f64s(bound_count, "inner fence bounds")?;
+    let mut table = Reader::new(r.section(shard_count, 24, "shard table entries")?, 0);
     let mut shards = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        let records = r.index("shard record count")?;
-        let len = r.index("shard buffer length")?;
-        let sum = r.u64()?;
-        shards.push((records, len, sum));
+        let records = table.index("shard record count")?;
+        let len = table.index("shard buffer length")?;
+        shards.push((records, len, table.u64()?));
     }
-    if r.pos != total {
+    if r.pos() != total {
         return Err(corrupt(format!(
             "manifest body ends at {}, header claims {total}",
-            r.pos
+            r.pos()
         )));
     }
     Ok((
@@ -1646,12 +1565,16 @@ mod tests {
             Err(SnapshotError::Corrupt(_))
         ));
 
-        let mut bad = manifest.clone();
-        bad[8] = 99;
-        assert!(matches!(
-            ShardedQuasii::<3>::from_snapshot_parts(&bad, shard_bufs.clone()),
-            Err(SnapshotError::WrongVersion { found: 99, .. })
-        ));
+        // Exactly one version is accepted: the previous one is foreign too.
+        for foreign in [99, MANIFEST_VERSION - 1] {
+            let mut bad = manifest.clone();
+            bad[8] = foreign as u8;
+            assert!(matches!(
+                ShardedQuasii::<3>::from_snapshot_parts(&bad, shard_bufs.clone()),
+                Err(SnapshotError::WrongVersion { found, expected: MANIFEST_VERSION })
+                    if found == foreign
+            ));
+        }
 
         assert!(matches!(
             ShardedQuasii::<2>::from_snapshot(packed.clone()),
@@ -1698,6 +1621,64 @@ mod tests {
     }
 
     #[test]
+    fn parts_are_bound_by_header_word_and_hashed_by_the_engine() {
+        let (mut idx, _) = warmed_deployment();
+        let (manifest, bufs) = idx.write_snapshot_parts().expect("write parts");
+        let m = parse_manifest::<3>(&manifest).expect("manifest");
+        for (&(records, len, word), (buf, engine)) in
+            m.shards.iter().zip(bufs.iter().zip(idx.engines()))
+        {
+            assert_eq!((records, len), (engine.data().len(), buf.len()));
+            assert_eq!(
+                Some(word),
+                header_word(buf),
+                "the entry is the part's header word"
+            );
+        }
+        let (records, len, word) = m.shards[1];
+        let reason = |r: Result<Quasii<3>, SnapshotError>| match r {
+            Err(SnapshotError::Corrupt(why)) => why,
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a damaged part was accepted"),
+        };
+
+        // Header word patched (and the entry with it), content intact: the
+        // engine's pass over the content disagrees with the word.
+        let mut patched = bufs[1].clone();
+        patched[16] ^= 0x40;
+        let entry = (records, len, header_word(&patched).unwrap());
+        let why = reason(load_shard::<3>(1, entry, patched));
+        assert!(
+            why.starts_with("shard 1: snapshot checksum mismatch"),
+            "{why}"
+        );
+
+        // Content flipped, header word and entry intact: the same check.
+        let mut flipped = bufs[1].clone();
+        flipped[len / 2] ^= 0x01;
+        let why = reason(load_shard::<3>(1, (records, len, word), flipped.clone()));
+        assert!(
+            why.starts_with("shard 1: snapshot checksum mismatch"),
+            "{why}"
+        );
+
+        // An entry that differs from the header word is refused by the
+        // 8-byte comparison. The content is damaged as well, so a pass over
+        // it would have reported the engine checksum instead: none ran.
+        let why = reason(load_shard::<3>(1, (records, len, word ^ 1), flipped));
+        assert_eq!(why, "shard 1 buffer checksum mismatch");
+        // Another shard's part under this entry: length or word differ.
+        assert!(load_shard::<3>(1, (records, len, word), bufs[0].clone()).is_err());
+        // A buffer too short to hold a header word.
+        let why = reason(load_shard::<3>(
+            1,
+            (records, 20, word),
+            bufs[1][..20].to_vec(),
+        ));
+        assert_eq!(why, "shard 1 buffer checksum mismatch");
+    }
+
+    #[test]
     fn snapshot_files_commit_generations_and_roundtrip() {
         let (mut idx, queries) = warmed_deployment();
         let store = MemStore::new();
@@ -1741,11 +1722,7 @@ mod tests {
         // A hostile manifest with a *valid* checksum but an absurd shard
         // count must fail cleanly before any count-sized allocation.
         let huge: u64 = 1 << 40;
-        let mut m = Vec::new();
-        m.extend_from_slice(&MANIFEST_MAGIC);
-        m.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        m.extend_from_slice(&3u32.to_le_bytes());
-        m.extend_from_slice(&[0u8; 16]); // checksum + total, patched below
+        let mut m = Writer::framed(&MANIFEST_MAGIC, MANIFEST_VERSION, 3, 0);
         for v in [
             1u64,     // generation
             huge,     // shard count
@@ -1763,12 +1740,9 @@ mod tests {
             0,        // router visits
             huge - 1, // inner-bound count
         ] {
-            m.extend_from_slice(&v.to_le_bytes());
+            m.u64(v);
         }
-        let total = m.len() as u64;
-        m[24..32].copy_from_slice(&total.to_le_bytes());
-        let sum = fnv1a(&m[24..]);
-        m[16..24].copy_from_slice(&sum.to_le_bytes());
+        let m = m.finish();
         match manifest_summary(&m) {
             Err(SnapshotError::Corrupt(why)) => {
                 assert!(why.contains("remain"), "unexpected reason: {why}")
