@@ -20,7 +20,12 @@
 //! ranges), hands each worker the matching disjoint window of the
 //! assignment-key column (see [`crate::keys`]; cracks keep both in
 //! lockstep), assigns each query of the batch to the partitions the sequential
-//! engine would visit for it, and runs one job per partition.
+//! engine would visit for it, and runs one job per partition. Slices keep
+//! their absolute data indices throughout: each window is an
+//! [`engine::Cols`] that knows the absolute index of its first element, so
+//! detaching and reattaching a partition moves its run of the top-level
+//! list and touches no slice below it — a batch pays for the slices its
+//! queries visit, not for the size of the hierarchy.
 //!
 //! Both phases hand their jobs to the process-wide parked-worker pool
 //! ([`quasii_common::pool`]): the calling thread claims jobs off an atomic
@@ -97,20 +102,14 @@ fn trap_check(trap: Option<usize>, j: usize) {
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// One unit of work: a contiguous run of top-level slices, the matching
-/// disjoint window of the data array, and the batch queries that reach it.
+/// disjoint window of the columns, and the batch queries that reach it.
 struct Partition<'a, const D: usize> {
-    /// Offset of `data[0]` within the full array (slices are rebased by
-    /// this amount while the partition is detached).
-    offset: usize,
-    /// This partition's window of the data array.
-    data: &'a mut [Record<D>],
-    /// The matching disjoint window of the assignment-key column (kept in
-    /// lockstep with `data` by the crack kernels).
-    keys: &'a mut [f64],
-    /// The matching disjoint window of the upper-bound column.
-    his: &'a mut [f64],
-    /// This partition's run of the top-level slice list, rebased to local
-    /// indices.
+    /// This partition's disjoint window of the data array and of the
+    /// assignment-key / upper-bound columns (kept in lockstep by the crack
+    /// kernels), based at its first slice's `begin`.
+    cols: engine::Cols<'a, D>,
+    /// This partition's run of the top-level slice list, in absolute data
+    /// indices like every other slice.
     slices: Vec<Slice<D>>,
     /// Indices (into the batch) of the queries assigned here, ascending.
     queries: Vec<usize>,
@@ -118,21 +117,6 @@ struct Partition<'a, const D: usize> {
     hits: Vec<Vec<u64>>,
     /// Work counters accumulated by whichever thread ran this partition.
     stats: QuasiiStats,
-}
-
-/// Rebases a slice subtree from absolute data indices to partition-local
-/// ones (`sub`) or back (`add`).
-fn shift<const D: usize>(s: &mut Slice<D>, offset: usize, add: bool) {
-    if add {
-        s.begin += offset;
-        s.end += offset;
-    } else {
-        s.begin -= offset;
-        s.end -= offset;
-    }
-    for c in &mut s.children {
-        shift(c, offset, add);
-    }
 }
 
 impl<const D: usize> Quasii<D> {
@@ -244,107 +228,80 @@ impl<const D: usize> Quasii<D> {
         let threads = self.effective_threads();
         let extended: Vec<Aabb<D>> = queries.iter().map(|q| self.extend_query(q)).collect();
 
-        // Sealing disabled: skip classification outright (there is nothing
-        // to classify against) and run the crack machinery directly — the
-        // `--seal false` reference configuration must not pay any sealed-
-        // path bookkeeping.
-        if !self.cfg.seal {
-            let span = obs::start_span();
-            let mut next = 0;
-            while next < queries.len() && (threads <= 1 || self.root.len() < 2) {
-                self.run_one_caught(
-                    next,
-                    trap,
-                    &queries[next],
-                    &extended[next],
-                    &mut results[next],
-                )?;
-                next += 1;
-            }
-            if next < queries.len() {
-                let local_trap = trap.filter(|&t| t >= next).map(|t| t - next);
-                self.run_partitioned(&queries[next..], &mut results[next..], threads, local_trap);
-            }
-            finish_phase(span, obs::Phase::Crack, queries.len() as u64);
-            return match self.poison_error() {
-                Some(e) => Err(e),
-                None => Ok(results),
-            };
-        }
-
-        // Classify each query by the root slices its §5.2 candidate window
-        // covers: entirely sealed → the shared-read phase; anything else →
-        // the crack phase. Classification is stable across the whole batch
-        // because the sealed phase mutates nothing and the crack phase runs
-        // after it (cracks only ever split *unsealed* slices, so a sealed
-        // query's window can never gain an unsealed candidate mid-batch).
-        let span = obs::start_span();
-        let mut sealed_jobs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        // Sealing disabled: there is nothing to classify against, so every
+        // query is a crack job and the `--seal false` reference
+        // configuration pays no sealed-path bookkeeping.
         let mut crack_jobs: Vec<usize> = Vec::new();
-        let mut crack_windows: Vec<std::ops::Range<usize>> = Vec::new();
-        for j in 0..queries.len() {
-            let cand = self.root_candidates(&extended[j]);
-            if !self.root.is_empty() && self.all_sealed(cand.clone()) {
-                sealed_jobs.push((j, cand));
-            } else {
-                crack_jobs.push(j);
-                crack_windows.push(cand);
-            }
-        }
-        finish_phase(span, obs::Phase::Classify, queries.len() as u64);
-
-        // Phase 1 — shared-read execution over the sealed arenas: arbitrary
-        // queries as pool jobs over `&self`, no disjoint-partition
-        // constraint. Reads commute with the crack phase below: sealed
-        // regions are immutable and crack queries never read them.
-        if !sealed_jobs.is_empty() {
+        if !self.cfg.seal {
+            crack_jobs.extend(0..queries.len());
+        } else {
+            // Classify each query by the root slices its §5.2 candidate
+            // window covers: entirely sealed → the shared-read phase;
+            // anything else → the crack phase. Classification is stable
+            // across the whole batch because the sealed phase mutates
+            // nothing and the crack phase runs after it (cracks only ever
+            // split *unsealed* slices, so a sealed query's window can never
+            // gain an unsealed candidate mid-batch).
             let span = obs::start_span();
-            self.run_sealed_batch(
-                queries,
-                &extended,
-                &sealed_jobs,
-                &mut results,
-                threads,
-                trap,
-            );
-            finish_phase(span, obs::Phase::SealedRead, sealed_jobs.len() as u64);
-            if let Some(e) = self.poison_error() {
-                return Err(e);
+            let mut sealed_jobs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+            let mut crack_windows: Vec<std::ops::Range<usize>> = Vec::new();
+            for j in 0..queries.len() {
+                let cand = self.root_candidates(&extended[j]);
+                if !self.root.is_empty() && self.all_sealed(cand.clone()) {
+                    sealed_jobs.push((j, cand));
+                } else {
+                    crack_jobs.push(j);
+                    crack_windows.push(cand);
+                }
+            }
+            finish_phase(span, obs::Phase::Classify, queries.len() as u64);
+
+            // Phase 1 — shared-read execution over the sealed arenas:
+            // arbitrary queries as pool jobs over `&self`, no
+            // disjoint-partition constraint. Reads commute with the crack
+            // phase below: sealed regions are immutable and crack queries
+            // never read them.
+            if !sealed_jobs.is_empty() {
+                let span = obs::start_span();
+                self.run_sealed_batch(
+                    queries,
+                    &extended,
+                    &sealed_jobs,
+                    &mut results,
+                    threads,
+                    trap,
+                );
+                finish_phase(span, obs::Phase::SealedRead, sealed_jobs.len() as u64);
+                if let Some(e) = self.poison_error() {
+                    return Err(e);
+                }
+            }
+
+            // Lazily invalidate just the seals the fallback queries span
+            // (root indices are still those of classification time: phase 1
+            // did not touch the tree).
+            for cand in crack_windows {
+                self.invalidate_candidates(cand);
+            }
+            if crack_jobs.is_empty() {
+                return Ok(results);
             }
         }
 
-        // Phase 2 — the adaptive `&mut` path for everything else, after
-        // lazily invalidating just the seals the fallback queries span
-        // (root indices are still those of classification time: phase 1
-        // did not touch the tree).
-        for cand in crack_windows {
-            self.invalidate_candidates(cand);
-        }
-        if crack_jobs.is_empty() {
-            return Ok(results);
-        }
-        let span = obs::start_span();
+        // Phase 2 — the adaptive `&mut` path for everything else.
         // Sequential prefix: the whole remainder with one worker; otherwise
         // only until the top level has cracked open far enough to split (a
         // fresh index starts as a single whole-dataset slice).
+        let span = obs::start_span();
         let mut next = 0;
         while next < crack_jobs.len() && (threads <= 1 || self.root.len() < 2) {
             let j = crack_jobs[next];
-            let mut out = std::mem::take(&mut results[j]);
-            self.run_one_caught(j, trap, &queries[j], &extended[j], &mut out)?;
-            results[j] = out;
+            self.run_one_caught(j, trap, &queries[j], &extended[j], &mut results[j])?;
             next += 1;
         }
         if next < crack_jobs.len() {
-            let rest = &crack_jobs[next..];
-            let sub_queries: Vec<Aabb<D>> = rest.iter().map(|&j| queries[j]).collect();
-            let mut sub_results: Vec<Vec<u64>> = Vec::with_capacity(rest.len());
-            sub_results.resize_with(rest.len(), Vec::new);
-            let local_trap = trap.and_then(|t| rest.iter().position(|&j| j == t));
-            self.run_partitioned(&sub_queries, &mut sub_results, threads, local_trap);
-            for (&j, hits) in rest.iter().zip(sub_results) {
-                results[j] = hits;
-            }
+            let jobs = &crack_jobs[next..];
+            self.run_partitioned(queries, &extended, jobs, &mut results, threads, trap);
         }
         finish_phase(span, obs::Phase::Crack, crack_jobs.len() as u64);
         match self.poison_error() {
@@ -420,19 +377,20 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// Parallel remainder of a batch: requires `root.len() >= 2` and
-    /// `threads >= 2`. A worker panic is caught, the partition (slices
-    /// reattached) is returned to the pool so the hierarchy reassembles
-    /// completely, and the engine is poisoned.
+    /// Parallel remainder of a batch: answers `jobs` (ascending indices
+    /// into the batch's `queries` / `extended`); requires
+    /// `root.len() >= 2` and `threads >= 2`. A worker panic is caught, the
+    /// partition (slices included) is returned to the pool so the
+    /// hierarchy reassembles completely, and the engine is poisoned.
     fn run_partitioned(
         &mut self,
         queries: &[Aabb<D>],
+        extended: &[Aabb<D>],
+        jobs: &[usize],
         results: &mut [Vec<u64>],
         threads: usize,
         trap: Option<usize>,
     ) {
-        let extended: Vec<Aabb<D>> = queries.iter().map(|q| self.extend_query(q)).collect();
-
         // Group the top-level slices into contiguous runs of roughly equal
         // record counts. More runs than threads, so the job cursor balances load.
         let target_parts = (threads * CHUNKS_PER_WORKER).min(self.root.len());
@@ -461,15 +419,15 @@ impl<const D: usize> Quasii<D> {
         // sub-slice of any refinement keeps the minimum-key record.
         let fences = KeyFences::from_inner(groups[1..].iter().map(|g| g[0].key_lo).collect());
 
-        // Detach the disjoint data windows (split_at_mut chain) and rebase
-        // each group's slices onto its window; the key column is split
-        // along the exact same boundaries so each worker cracks its
-        // (keys, data) pair in lockstep.
+        // Detach the disjoint data windows (split_at_mut chain); the key
+        // column is split along the exact same boundaries so each worker
+        // cracks its (keys, data) pair in lockstep. The slices move as they
+        // are: each window carries the absolute index it starts at.
         let mut parts: Vec<Partition<'_, D>> = Vec::with_capacity(groups.len());
         let mut rest: &mut [Record<D>] = &mut self.data;
         let (mut rest_keys, mut rest_his) = self.keys.as_mut_slices();
         let mut consumed = 0usize;
-        for mut slices in groups {
+        for slices in groups {
             let begin = slices[0].begin;
             let end = slices.last().expect("groups are non-empty").end;
             debug_assert_eq!(begin, consumed, "top-level slices must be contiguous");
@@ -480,14 +438,8 @@ impl<const D: usize> Quasii<D> {
             rest_keys = key_tail;
             rest_his = hi_tail;
             consumed = end;
-            for s in &mut slices {
-                shift(s, begin, false);
-            }
             parts.push(Partition {
-                offset: begin,
-                data: window,
-                keys: key_window,
-                his: hi_window,
+                cols: engine::Cols::new(window, key_window, hi_window, begin),
                 slices,
                 queries: Vec::new(),
                 hits: Vec::new(),
@@ -499,9 +451,9 @@ impl<const D: usize> Quasii<D> {
         // search would visit: the candidate range [qe.lo, qe.hi] on the
         // root dimension; `KeyFences::overlapping`'s closed lower edge
         // admits the partition holding the "step one back" slice.
-        let assigned = fences.assign(extended.iter().map(|qe| (qe.lo[0], qe.hi[0])));
-        for (p, queries) in parts.iter_mut().zip(assigned) {
-            p.queries = queries;
+        let spans = jobs.iter().map(|&j| (extended[j].lo[0], extended[j].hi[0]));
+        for (p, assigned) in parts.iter_mut().zip(fences.assign(spans)) {
+            p.queries = assigned.into_iter().map(|t| jobs[t]).collect();
         }
 
         // One pool job per partition. A panic mid-crack may leave that
@@ -515,9 +467,7 @@ impl<const D: usize> Quasii<D> {
                 trap_check(trap, j);
                 let mut out = Vec::new();
                 engine::query_level(
-                    p.data,
-                    p.keys,
-                    p.his,
+                    &mut p.cols,
                     &mut p.slices,
                     &queries[j],
                     &extended[j],
@@ -530,25 +480,27 @@ impl<const D: usize> Quasii<D> {
             p.stats = rt.stats;
         });
 
-        // Reassemble: `parts` is still in data order; slices are rebased to
-        // absolute indices, hits concatenated per query in partition order
-        // (= ascending data order, the sequential append order), counters
-        // summed. Every partition reattaches, also one whose job panicked,
-        // so the top level is always a complete partition of the data
-        // array.
+        // Reassemble: `parts` is still in data order; each run of slices
+        // goes back onto the top-level list, hits are concatenated per
+        // query in partition order (= ascending data order, the sequential
+        // append order), counters summed. A query's first vector is moved,
+        // not copied: one served by a single partition costs no copy at
+        // all. Every partition reattaches, also one whose job panicked, so
+        // the top level is always a complete partition of the data array.
         let span = obs::start_span();
-        self.rt.stats.queries += queries.len() as u64;
+        self.rt.stats.queries += jobs.len() as u64;
         for p in &mut parts {
             self.rt.stats.merge(&p.stats);
-            for s in &mut p.slices {
-                shift(s, p.offset, true);
-            }
             self.root.append(&mut p.slices);
             for (&j, hits) in p.queries.iter().zip(p.hits.drain(..)) {
-                results[j].extend(hits);
+                if results[j].is_empty() {
+                    results[j] = hits;
+                } else {
+                    results[j].extend(hits);
+                }
             }
         }
-        finish_phase(span, obs::Phase::Merge, queries.len() as u64);
+        finish_phase(span, obs::Phase::Merge, jobs.len() as u64);
         if let Err(p) = failed {
             self.poison(format!(
                 "worker panic during partitioned crack phase: {}",

@@ -5,9 +5,12 @@
 //! Everything here operates on split borrows of the [`crate::Quasii`]
 //! fields: the data array **and its narrow column pair** (assignment keys +
 //! upper bounds, see [`crate::keys`]) are reorganized in place, in
-//! lockstep, while the slice hierarchy is rebuilt around them. Every
-//! function taking `(data, keys, his)` expects three full, parallel arrays
-//! indexed by the same slice ranges.
+//! lockstep, while the slice hierarchy is rebuilt around them. Slices keep
+//! **absolute** data indices for their whole life; every function here
+//! reaches the three columns through one [`Cols`] window that knows the
+//! absolute index of its first element: the whole arrays (`base = 0`) on
+//! the sequential path, one disjoint `split_at_mut` window per partition in
+//! a parallel batch (see [`crate::batch`]).
 
 use crate::config::AssignBy;
 use crate::crack::{
@@ -61,6 +64,68 @@ impl<const D: usize> Runtime<D> {
     }
 }
 
+/// A window over the three parallel columns (records, assignment keys,
+/// upper bounds) that starts at absolute data index `base`. A slice is
+/// resolved against the window it lies in, so the same recursion serves
+/// the whole arrays and a partition's window without rewriting a single
+/// `begin`/`end`.
+pub(crate) struct Cols<'a, const D: usize> {
+    data: &'a mut [Record<D>],
+    keys: &'a mut [f64],
+    his: &'a mut [f64],
+    base: usize,
+}
+
+impl<'a, const D: usize> Cols<'a, D> {
+    /// Wraps three equally long windows whose element 0 is `base`.
+    pub fn new(
+        data: &'a mut [Record<D>],
+        keys: &'a mut [f64],
+        his: &'a mut [f64],
+        base: usize,
+    ) -> Self {
+        debug_assert!(data.len() == keys.len() && data.len() == his.len());
+        Self {
+            data,
+            keys,
+            his,
+            base,
+        }
+    }
+
+    /// Window-local index range of `s`.
+    #[inline]
+    fn local(&self, s: &Slice<D>) -> std::ops::Range<usize> {
+        debug_assert!(
+            self.base <= s.begin && s.begin <= s.end && s.end - self.base <= self.data.len(),
+            "slice {}..{} outside its window {}..{}",
+            s.begin,
+            s.end,
+            self.base,
+            self.base + self.data.len()
+        );
+        s.begin - self.base..s.end - self.base
+    }
+
+    /// The records of `s`.
+    #[inline]
+    pub fn records(&self, s: &Slice<D>) -> &[Record<D>] {
+        &self.data[self.local(s)]
+    }
+
+    /// The `(keys, his, records)` triple of `s`, in crack-kernel argument
+    /// order.
+    #[inline]
+    pub fn range_mut(&mut self, s: &Slice<D>) -> (&mut [f64], &mut [f64], &mut [Record<D>]) {
+        let r = self.local(s);
+        (
+            &mut self.keys[r.clone()],
+            &mut self.his[r.clone()],
+            &mut self.data[r],
+        )
+    }
+}
+
 /// Placeholder swapped into a slice list while its slice is refined.
 fn placeholder<const D: usize>() -> Slice<D> {
     Slice {
@@ -95,7 +160,7 @@ fn record_crack<const D: usize>(rt: &mut Runtime<D>, records: u64) {
 /// the crack dimension (§5.1).
 #[allow(clippy::too_many_arguments)]
 fn make_sub<const D: usize>(
-    data: &[Record<D>],
+    cols: &Cols<'_, D>,
     parent: &Slice<D>,
     begin: usize,
     end: usize,
@@ -121,7 +186,7 @@ fn make_sub<const D: usize>(
         children: Vec::new(),
     };
     if s.len() <= env.tau[dim] {
-        s.measure_exact(data);
+        s.measure_exact(cols.records(&s));
         s.refined = true;
     } else {
         s.bbox.lo[dim] = db.min_lo;
@@ -134,11 +199,11 @@ fn make_sub<const D: usize>(
 /// Finalizes a slice that cannot be split further (value-indivisible
 /// assignment keys): exact MBB, marked refined even though it exceeds τ.
 fn force_refine<const D: usize>(
-    data: &[Record<D>],
+    cols: &Cols<'_, D>,
     mut s: Slice<D>,
     rt: &mut Runtime<D>,
 ) -> Slice<D> {
-    s.measure_exact(data);
+    s.measure_exact(cols.records(&s));
     s.refined = true;
     rt.stats.forced_refinements += 1;
     rt.stats.slices_refined += 1;
@@ -149,21 +214,14 @@ fn force_refine<const D: usize>(
 /// cache it — the lazy per-level rebuild of the column pair (root slices
 /// and crack outputs are born fresh; only default children pay this).
 fn ensure_keys<const D: usize>(
-    data: &[Record<D>],
-    keys: &mut [f64],
-    his: &mut [f64],
+    cols: &mut Cols<'_, D>,
     s: &mut Slice<D>,
     env: &Env<D>,
     rt: &mut Runtime<D>,
 ) {
     if !s.keys_fresh {
-        rekey(
-            &mut keys[s.begin..s.end],
-            &mut his[s.begin..s.end],
-            &data[s.begin..s.end],
-            s.level,
-            env.mode,
-        );
+        let (keys, his, data) = cols.range_mut(s);
+        rekey(keys, his, data, s.level, env.mode);
         s.keys_fresh = true;
         rt.stats.rekeys += 1;
         rt.stats.records_rekeyed += s.len() as u64;
@@ -177,11 +235,8 @@ fn ensure_keys<const D: usize>(
 ///
 /// `s` must have fresh keys (its callers guarantee it: `refine` re-keys
 /// before cracking and every `make_sub` output is born fresh).
-#[allow(clippy::too_many_arguments)]
 fn artificial<const D: usize>(
-    data: &mut [Record<D>],
-    keys: &mut [f64],
-    his: &mut [f64],
+    cols: &mut Cols<'_, D>,
     s: Slice<D>,
     qe: &Aabb<D>,
     env: &Env<D>,
@@ -198,7 +253,7 @@ fn artificial<const D: usize>(
         return;
     }
     if depth >= env.max_artificial_depth {
-        out.push(force_refine(data, s, rt));
+        out.push(force_refine(cols, s, rt));
         return;
     }
     debug_assert!(s.keys_fresh, "artificial() requires fresh columns");
@@ -208,9 +263,7 @@ fn artificial<const D: usize>(
     let lo = s.bbox.lo[dim].max(s.cut_lo);
     let hi = s.bbox.hi[dim].min(s.cut_hi);
     let mid = 0.5 * (lo + hi);
-    let seg = &mut data[s.begin..s.end];
-    let kseg = &mut keys[s.begin..s.end];
-    let hseg = &mut his[s.begin..s.end];
+    let (kseg, hseg, seg) = cols.range_mut(&s);
     let seg_len = seg.len() as u64;
     let (mut split, mut lm, mut rm) =
         crack_two_keyed_measured(kseg, hseg, seg, dim, env.mode, mid, env.simd_crack);
@@ -223,7 +276,7 @@ fn artificial<const D: usize>(
         let (msplit, mlm, mrm) =
             crack_median_keyed_measured(kseg, hseg, seg, dim, env.mode, env.simd_crack);
         if msplit == 0 || msplit == seg.len() {
-            out.push(force_refine(data, s, rt));
+            out.push(force_refine(cols, s, rt));
             return;
         }
         (split, lm, rm) = (msplit, mlm, mrm);
@@ -231,10 +284,10 @@ fn artificial<const D: usize>(
     }
     record_crack(rt, seg_len);
     let m = s.begin + split;
-    let left = make_sub(data, &s, s.begin, m, s.cut_lo, split_value, &lm, env, rt);
-    let right = make_sub(data, &s, m, s.end, split_value, s.cut_hi, &rm, env, rt);
-    artificial(data, keys, his, left, qe, env, rt, out, depth + 1);
-    artificial(data, keys, his, right, qe, env, rt, out, depth + 1);
+    let left = make_sub(cols, &s, s.begin, m, s.cut_lo, split_value, &lm, env, rt);
+    let right = make_sub(cols, &s, m, s.end, split_value, s.cut_hi, &rm, env, rt);
+    artificial(cols, left, qe, env, rt, out, depth + 1);
+    artificial(cols, right, qe, env, rt, out, depth + 1);
 }
 
 /// Algorithm 2: refines `s` on its own dimension against the (extended)
@@ -244,9 +297,7 @@ fn artificial<const D: usize>(
 /// slices in place without ever calling `refine` (so the old
 /// refined-early-return `vec![s]` allocation is gone from this path).
 pub(crate) fn refine<const D: usize>(
-    data: &mut [Record<D>],
-    keys: &mut [f64],
-    his: &mut [f64],
+    cols: &mut Cols<'_, D>,
     mut s: Slice<D>,
     qe: &Aabb<D>,
     env: &Env<D>,
@@ -256,7 +307,7 @@ pub(crate) fn refine<const D: usize>(
         !s.refined,
         "refine() must not be called on refined slices (query_level guards)"
     );
-    ensure_keys(data, keys, his, &mut s, env, rt);
+    ensure_keys(cols, &mut s, env, rt);
     let dim = s.level;
     let (cl, ch) = (s.cut_lo, s.cut_hi);
     let (ql, qu) = (qe.lo[dim], qe.hi[dim]);
@@ -268,55 +319,36 @@ pub(crate) fn refine<const D: usize>(
     match (inside_l, inside_u) {
         (true, true) => {
             // Both query bounds inside the slice: three-way slicing.
-            let (p1, p2, m) = crack_three_keyed_measured(
-                &mut keys[s.begin..s.end],
-                &mut his[s.begin..s.end],
-                &mut data[s.begin..s.end],
-                dim,
-                env.mode,
-                ql,
-                qu,
-                env.simd_crack,
-            );
+            let (keys, his, data) = cols.range_mut(&s);
+            let (p1, p2, m) =
+                crack_three_keyed_measured(keys, his, data, dim, env.mode, ql, qu, env.simd_crack);
             record_crack(rt, seg_len);
             let (b, m1, m2, e) = (s.begin, s.begin + p1, s.begin + p2, s.end);
-            primary.push(make_sub(data, &s, b, m1, cl, ql, &m[0], env, rt));
-            primary.push(make_sub(data, &s, m1, m2, ql, qu, &m[1], env, rt));
-            primary.push(make_sub(data, &s, m2, e, qu, ch, &m[2], env, rt));
+            primary.push(make_sub(cols, &s, b, m1, cl, ql, &m[0], env, rt));
+            primary.push(make_sub(cols, &s, m1, m2, ql, qu, &m[1], env, rt));
+            primary.push(make_sub(cols, &s, m2, e, qu, ch, &m[2], env, rt));
         }
         (true, false) => {
             // Only the lower bound cuts the slice: two-way at ql.
-            let (p, lm, rm) = crack_two_keyed_measured(
-                &mut keys[s.begin..s.end],
-                &mut his[s.begin..s.end],
-                &mut data[s.begin..s.end],
-                dim,
-                env.mode,
-                ql,
-                env.simd_crack,
-            );
+            let (keys, his, data) = cols.range_mut(&s);
+            let (p, lm, rm) =
+                crack_two_keyed_measured(keys, his, data, dim, env.mode, ql, env.simd_crack);
             record_crack(rt, seg_len);
             let m = s.begin + p;
-            primary.push(make_sub(data, &s, s.begin, m, cl, ql, &lm, env, rt));
-            primary.push(make_sub(data, &s, m, s.end, ql, ch, &rm, env, rt));
+            primary.push(make_sub(cols, &s, s.begin, m, cl, ql, &lm, env, rt));
+            primary.push(make_sub(cols, &s, m, s.end, ql, ch, &rm, env, rt));
         }
         (false, true) => {
             // Only the upper bound cuts the slice: two-way keeping
             // `key <= qu` on the left (pivot just above qu).
             let pivot = qu.next_up();
-            let (p, lm, rm) = crack_two_keyed_measured(
-                &mut keys[s.begin..s.end],
-                &mut his[s.begin..s.end],
-                &mut data[s.begin..s.end],
-                dim,
-                env.mode,
-                pivot,
-                env.simd_crack,
-            );
+            let (keys, his, data) = cols.range_mut(&s);
+            let (p, lm, rm) =
+                crack_two_keyed_measured(keys, his, data, dim, env.mode, pivot, env.simd_crack);
             record_crack(rt, seg_len);
             let m = s.begin + p;
-            primary.push(make_sub(data, &s, s.begin, m, cl, qu, &lm, env, rt));
-            primary.push(make_sub(data, &s, m, s.end, qu, ch, &rm, env, rt));
+            primary.push(make_sub(cols, &s, s.begin, m, cl, qu, &lm, env, rt));
+            primary.push(make_sub(cols, &s, m, s.end, qu, ch, &rm, env, rt));
         }
         (false, false) => {
             // The query covers the slice on this dimension: only artificial
@@ -332,18 +364,15 @@ pub(crate) fn refine<const D: usize>(
         }
         // Paper Alg. 2 lines 8–13: pieces still above τ that overlap the
         // query get artificial refinement; others stay coarse.
-        artificial(data, keys, his, p, qe, env, rt, &mut out, 0);
+        artificial(cols, p, qe, env, rt, &mut out, 0);
     }
     out
 }
 
 /// Visits one query-overlapping slice: scans it at the bottom level or
 /// recurses into its children (materializing the default child first).
-#[allow(clippy::too_many_arguments)]
 fn descend<const D: usize>(
-    data: &mut [Record<D>],
-    keys: &mut [f64],
-    his: &mut [f64],
+    cols: &mut Cols<'_, D>,
     s: &mut Slice<D>,
     q: &Aabb<D>,
     qe: &Aabb<D>,
@@ -360,7 +389,7 @@ fn descend<const D: usize>(
         // `collect_bottom` dispatches to the batched AABB kernel (one
         // vector compare pair per record at D == 2/3) or the scalar
         // branchless loop, with identical emissions either way.
-        let seg = &data[s.begin..s.end];
+        let seg = cols.records(s);
         rt.stats.objects_tested += seg.len() as u64;
         let start = out.len();
         out.resize(start + seg.len(), 0);
@@ -374,7 +403,7 @@ fn descend<const D: usize>(
         rt.stats.default_children += 1;
         s.children.push(child);
     }
-    query_level(data, keys, his, &mut s.children, q, qe, env, rt, out);
+    query_level(cols, &mut s.children, q, qe, env, rt, out);
 }
 
 /// Algorithm 1: processes one level's slice list depth-first, refining
@@ -385,11 +414,8 @@ fn descend<const D: usize>(
 /// filter); `qe` is the extension-adjusted query used for reorganization —
 /// every assignment key of a potentially qualifying object lies inside
 /// `[qe.lo, qe.hi]` on each dimension.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn query_level<const D: usize>(
-    data: &mut [Record<D>],
-    keys: &mut [f64],
-    his: &mut [f64],
+    cols: &mut Cols<'_, D>,
     slices: &mut Vec<Slice<D>>,
     q: &Aabb<D>,
     qe: &Aabb<D>,
@@ -425,14 +451,14 @@ pub(crate) fn query_level<const D: usize>(
         if slices[i].refined {
             // Fast path for the converged regime: descend in place, no
             // replacement bookkeeping, no allocation.
-            descend(data, keys, his, &mut slices[i], q, qe, env, rt, out);
+            descend(cols, &mut slices[i], q, qe, env, rt, out);
             continue;
         }
         let s = std::mem::replace(&mut slices[i], placeholder());
-        let mut subs = refine(data, keys, his, s, qe, env, rt);
+        let mut subs = refine(cols, s, qe, env, rt);
         for sub in subs.iter_mut() {
             if q.intersects(&sub.bbox) {
-                descend(data, keys, his, sub, q, qe, env, rt, out);
+                descend(cols, sub, q, qe, env, rt, out);
             }
         }
         replacements.get_or_insert_with(Vec::new).push((i, subs));
@@ -465,5 +491,68 @@ pub(crate) fn query_level<const D: usize>(
             }
             *slices = merged;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A level-0 slice over absolute indices `begin..end`.
+    fn slice_at(begin: usize, end: usize) -> Slice<2> {
+        Slice {
+            begin,
+            end,
+            ..Slice::root(0, Aabb::empty(), 60)
+        }
+    }
+
+    /// Ten records with ids 100..110, standing for absolute indices
+    /// 100..110 of a larger array, plus matching columns.
+    fn window() -> (Vec<Record<2>>, Vec<f64>, Vec<f64>) {
+        let data: Vec<Record<2>> = (100..110u64)
+            .map(|i| Record::new(i, Aabb::new([i as f64; 2], [i as f64 + 1.0; 2])))
+            .collect();
+        let keys = data.iter().map(|r| r.mbb.lo[0]).collect();
+        let his = data.iter().map(|r| r.mbb.hi[0]).collect();
+        (data, keys, his)
+    }
+
+    #[test]
+    fn ranges_resolve_against_a_non_zero_base() {
+        let (mut data, mut keys, mut his) = window();
+        let mut cols = Cols::new(&mut data, &mut keys, &mut his, 100);
+        let s = slice_at(103, 106);
+        let ids: Vec<u64> = cols.records(&s).iter().map(|r| r.id).collect();
+        assert_eq!(ids, [103, 104, 105], "absolute index = base + local index");
+        let (k, h, d) = cols.range_mut(&s);
+        assert_eq!(k, [103.0, 104.0, 105.0]);
+        assert_eq!(h, [104.0, 105.0, 106.0]);
+        assert_eq!(d.len(), 3);
+        // The window's own edges, and an empty slice at its end.
+        assert_eq!(cols.records(&slice_at(100, 110)).len(), 10);
+        assert!(cols.records(&slice_at(110, 110)).is_empty());
+        // With base 0 the same slice addresses the same local positions.
+        let mut whole = Cols::new(&mut data, &mut keys, &mut his, 0);
+        assert_eq!(whole.records(&slice_at(3, 6))[0].id, 103);
+        assert_eq!(whole.range_mut(&slice_at(3, 6)).0, [103.0, 104.0, 105.0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its window")]
+    fn a_slice_before_its_window_is_refused() {
+        let (mut data, mut keys, mut his) = window();
+        let cols = Cols::new(&mut data, &mut keys, &mut his, 100);
+        cols.records(&slice_at(97, 103));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its window")]
+    fn a_slice_past_its_window_is_refused() {
+        let (mut data, mut keys, mut his) = window();
+        let mut cols = Cols::new(&mut data, &mut keys, &mut his, 100);
+        cols.range_mut(&slice_at(105, 111));
     }
 }

@@ -739,9 +739,7 @@ impl<const D: usize> Quasii<D> {
         self.rt.stats.queries += 1;
         let (keys, his) = self.keys.as_mut_slices();
         engine::query_level(
-            &mut self.data,
-            keys,
-            his,
+            &mut engine::Cols::new(&mut self.data, keys, his, 0),
             &mut self.root,
             query,
             qe,

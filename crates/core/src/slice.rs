@@ -106,10 +106,13 @@ impl<const D: usize> Slice<D> {
         }
     }
 
-    /// Exact MBB of the slice's objects; used when a slice becomes refined.
-    pub fn measure_exact(&mut self, data: &[Record<D>]) {
+    /// Exact MBB of the slice's objects, `records` (the slice's own range
+    /// of the data array, resolved by the caller's window); used when a
+    /// slice becomes refined.
+    pub fn measure_exact(&mut self, records: &[Record<D>]) {
+        debug_assert_eq!(records.len(), self.len());
         let mut mbb = Aabb::empty();
-        for r in &data[self.begin..self.end] {
+        for r in records {
             mbb.expand(&r.mbb);
         }
         self.bbox = mbb;

@@ -102,7 +102,7 @@ pub enum Phase {
     SealedRead,
     /// The partitioned adaptive (`&mut`) crack phase.
     Crack,
-    /// Partition reassembly: slices rebased, hits concatenated.
+    /// Partition reassembly: slice runs reattached, hits concatenated.
     Merge,
 }
 

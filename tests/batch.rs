@@ -110,3 +110,73 @@ fn larger_fixed_workload_is_deterministic_across_thread_counts() {
             .unwrap_or_else(|e| panic!("threads = {threads}: {e}"));
     }
 }
+
+/// Where an engine snapshot records `QuasiiConfig::threads`: the sixth word
+/// after the frame (`n`, flags, tau, assign_by, max_artificial_depth,
+/// threads; see `quasii::snapshot`).
+const THREADS_WORD: usize = quasii_common::snapshot::FRAME_LEN + 5 * 8;
+
+/// Runs `first` then `second` on a fresh engine at `threads` and returns
+/// its snapshot with the two words that name the thread count blanked: the
+/// config word itself and the header checksum (bytes 16..24) that covers
+/// it. Everything else an engine is (slice-tree coordinates, permutation,
+/// key columns, sealed arenas, counters) stays in the buffer.
+fn snapshot_after_two_batches(
+    data: &[Record<3>],
+    first: &[Aabb<3>],
+    second: &[Aabb<3>],
+    tau: usize,
+    threads: usize,
+) -> Vec<u8> {
+    let mut idx = Quasii::new(
+        data.to_vec(),
+        QuasiiConfig::with_tau(tau).with_threads(threads),
+    );
+    idx.execute_batch(first);
+    idx.execute_batch(second);
+    idx.validate()
+        .unwrap_or_else(|e| panic!("threads = {threads}: {e}"));
+    let mut buf = idx.write_snapshot().expect("little-endian host");
+    let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
+    assert_eq!(
+        word(THREADS_WORD),
+        threads as u64,
+        "the threads word moved: update THREADS_WORD"
+    );
+    buf[THREADS_WORD..THREADS_WORD + 8].fill(0);
+    buf[16..24].fill(0);
+    buf
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn snapshot_bytes_never_depend_on_thread_count(
+        data in dataset3(100),
+        queries in prop::collection::vec(arb_box3(), 2..16),
+        split in 1usize..8,
+    ) {
+        let cut = split.min(queries.len() - 1);
+        let (first, second) = queries.split_at(cut);
+        let one = snapshot_after_two_batches(&data, first, second, 5, 1);
+        let three = snapshot_after_two_batches(&data, first, second, 5, 3);
+        prop_assert!(one == three, "snapshot bytes depend on thread count");
+    }
+}
+
+#[test]
+fn cracks_confined_to_windows_past_the_first_leave_identical_snapshots() {
+    // Every query lies in the last quarter of the dimension-0 key range, so
+    // once the top level has cracked open the partition based at index 0
+    // holds the untouched front of the array and every crack happens in a
+    // window whose first element is not element 0 of the data array.
+    let data = dataset::uniform_boxes_in::<3>(5_000, 1_000.0, 97);
+    let tail = Aabb::new([750.0, 0.0, 0.0], [1_000.0; 3]);
+    let queries = workload::uniform(&tail, 80, 1e-3, 98).queries;
+    assert!(queries.iter().all(|q| q.lo[0] >= 750.0));
+    let (first, second) = queries.split_at(30);
+    let one = snapshot_after_two_batches(&data, first, second, 24, 1);
+    let three = snapshot_after_two_batches(&data, first, second, 24, 3);
+    assert!(one == three, "snapshot bytes depend on thread count");
+}
