@@ -16,12 +16,6 @@ use quasii_rtree::str_pack::str_tile;
 use quasii_sfc::ZGrid;
 use std::hint::black_box;
 
-/// The scalar kernel generation (PR 4's keyed kernels, kept as the oracle):
-/// the `*_keyed` benches below are pinned to it so their names keep meaning
-/// the same kernels across bench files; the `crack_1m_simd` group compares
-/// it against the host's best vector generation.
-const SCALAR: SimdLevel = SimdLevel::Scalar;
-
 /// Builds the narrow column pair the keyed kernels crack (assignment keys +
 /// crack-dimension upper bounds). Cloned per iteration together with the
 /// records — the engine maintains the columns incrementally, so per-crack
@@ -65,7 +59,7 @@ fn bench_cracks(c: &mut Criterion) {
     g.bench_function("three_way_keyed_100k", |b| {
         b.iter_batched_ref(
             || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_three_keyed(k, h, d, 3_000.0, 7_000.0, SCALAR)),
+            |(k, h, d)| black_box(crack_three_keyed(k, h, d, 3_000.0, 7_000.0)),
             BatchSize::LargeInput,
         )
     });
@@ -112,7 +106,7 @@ fn bench_fused_cracks(c: &mut Criterion) {
     g.bench_function("two_way_keyed", |b| {
         b.iter_batched_ref(
             || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0, SCALAR)),
+            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0)),
             BatchSize::LargeInput,
         )
     });
@@ -126,7 +120,7 @@ fn bench_fused_cracks(c: &mut Criterion) {
     g.bench_function("two_way_keyed_skewed_pivot", |b| {
         b.iter_batched_ref(
             || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 1_000.0, SCALAR)),
+            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 1_000.0)),
             BatchSize::LargeInput,
         )
     });
@@ -155,7 +149,7 @@ fn bench_fused_cracks(c: &mut Criterion) {
             || (keys.clone(), his.clone(), data.clone()),
             |(k, h, d)| {
                 black_box(crack_three_keyed_measured(
-                    k, h, d, 0, MODE, 3_000.0, 7_000.0, SCALAR,
+                    k, h, d, 0, MODE, 3_000.0, 7_000.0,
                 ))
             },
             BatchSize::LargeInput,
@@ -183,88 +177,10 @@ fn bench_center_mode_cracks(c: &mut Criterion) {
     g.bench_function("two_way_keyed", |b| {
         b.iter_batched_ref(
             || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0, SCALAR)),
+            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0)),
             BatchSize::LargeInput,
         )
     });
-    g.finish();
-}
-
-/// The PR 9 kernel generation: scalar keyed vs the host's best vector
-/// generation (`SimdLevel::detect()`, AVX2 on this machine) on the same
-/// 1M-record operations as `crack_1m`. Both sides produce bit-identical
-/// partitions and measurements — only the classify/fast-forward/fold
-/// machinery differs.
-fn bench_simd_cracks(c: &mut Criterion) {
-    const MODE: AssignBy = AssignBy::Lower;
-    let vector = SimdLevel::detect();
-    let data = uniform_boxes_in::<3>(1_000_000, 10_000.0, 4);
-    let (keys, his) = columns_of(&data, MODE);
-    let mut g = c.benchmark_group("crack_1m_simd");
-    for (name, level) in [("scalar", SimdLevel::Scalar), ("vector", vector)] {
-        g.bench_function(&format!("two_way_{name}"), |b| {
-            b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0, level)),
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_function(&format!("two_way_{name}_skewed_pivot"), |b| {
-            b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 1_000.0, level)),
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_function(&format!("three_way_{name}"), |b| {
-            b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| {
-                    black_box(crack_three_keyed_measured(
-                        k, h, d, 0, MODE, 3_000.0, 7_000.0, level,
-                    ))
-                },
-                BatchSize::LargeInput,
-            )
-        });
-        // Wide range: ~98 % middle class, mean middle-run length ~50 — the
-        // long-run regime (converging segments) the vector middle
-        // fast-forward targets; the [30 %, 70 %] case above has runs of
-        // ~1.7 where the kernels stay scalar-side by design.
-        g.bench_function(&format!("three_way_{name}_wide_middle"), |b| {
-            b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| {
-                    black_box(crack_three_keyed_measured(
-                        k, h, d, 0, MODE, 100.0, 9_900.0, level,
-                    ))
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    // Center assignment folds record lows on top of the column scan — the
-    // chunked kernel's worst case for the extra classified sweep.
-    let (ckeys, chis) = columns_of(&data, AssignBy::Center);
-    for (name, level) in [("scalar", SimdLevel::Scalar), ("vector", vector)] {
-        g.bench_function(&format!("two_way_center_{name}"), |b| {
-            b.iter_batched_ref(
-                || (ckeys.clone(), chis.clone(), data.clone()),
-                |(k, h, d)| {
-                    black_box(crack_two_keyed_measured(
-                        k,
-                        h,
-                        d,
-                        0,
-                        AssignBy::Center,
-                        5_000.0,
-                        level,
-                    ))
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
     g.finish();
 }
 
@@ -387,7 +303,7 @@ fn bench_str(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_cracks, bench_fused_cracks, bench_center_mode_cracks, bench_simd_cracks,
+    targets = bench_cracks, bench_fused_cracks, bench_center_mode_cracks,
         bench_simd_scan_kernels, bench_simd_sealed_reads, bench_zorder, bench_str
 }
 criterion_main!(kernels);

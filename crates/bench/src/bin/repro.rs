@@ -16,8 +16,7 @@
 //! QUASII's assignment coordinate for those sweeps, `--simd` pins the
 //! kernel dispatch policy (default `auto`; the *resolved* ISA is recorded
 //! in the report); `--json` writes a machine-readable per-experiment timing
-//! summary, with the full run configuration embedded, so successive PRs can
-//! track the perf trajectory.
+//! summary, with the full run configuration embedded.
 
 use quasii::AssignBy;
 use quasii_bench::experiments::{Harness, ALL_EXPERIMENTS};

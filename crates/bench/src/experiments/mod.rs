@@ -82,7 +82,7 @@ pub(crate) fn crack_cost_curve<I: SpatialIndex<3>>(index: &mut I, queries: &[Aab
 
 /// One row of the machine-readable report `repro --json` emits: either an
 /// experiment's wall time (series `"(wall)"`) or one measured series inside
-/// an experiment. Future PRs diff these files to track the perf trajectory.
+/// an experiment.
 #[derive(Clone, Debug)]
 pub struct JsonRecord {
     /// Experiment id (`fig7`, `scaling`, …).
@@ -153,7 +153,7 @@ pub struct Harness {
     /// default: lower). The `scaling` and `sharding` experiments build
     /// every engine with it — center/upper are the modes where the cached
     /// key column saves the most work — and it is recorded in the JSON
-    /// report so trajectory files carry their configuration.
+    /// report so the file carries its configuration.
     pub assign_by: AssignBy,
     /// SIMD kernel-dispatch policy from `repro --simd` (default: auto —
     /// `QUASII_SIMD` env override, then runtime CPU detection). Every
@@ -188,8 +188,8 @@ impl Harness {
     /// Renders every recorded row as the `repro --json` document. The
     /// leading `config` object embeds the full run configuration (scale
     /// preset with its sizes, thread/shard overrides, generator seeds) so a
-    /// trajectory file is self-describing: two reports are comparable iff
-    /// their `config` objects match.
+    /// report is self-describing: two reports are comparable iff their
+    /// `config` objects match.
     /// The run configuration as a JSON object — embedded at the top of
     /// [`json_report`](Self::json_report) and (as a `# config` comment) in
     /// `--metrics-out` dumps, so every artifact names the run that made it.

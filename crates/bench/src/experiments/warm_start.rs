@@ -13,8 +13,8 @@
 //! 4. **Payoff**: time-to-results on the steady workload, cold (fresh
 //!    engine cracking from scratch) vs warm (load + sealed reads).
 //! 5. **Sharded**: the same roundtrip through the one-buffer-per-shard
-//!    manifest transport ([`ShardedQuasii::write_snapshot_parts`]) and the
-//!    packed single file, with the same byte-identity gate.
+//!    manifest transport ([`ShardedQuasii::write_snapshot_parts`]), with
+//!    the same byte-identity gate.
 
 use super::{Harness, JsonRecord};
 use quasii::{Quasii, QuasiiConfig};
@@ -162,9 +162,6 @@ pub fn run_exp(h: &mut Harness) {
         "sharded reload byte-identical"
     );
     sreloaded.validate().expect("sharded reloaded invariants");
-    let packed = swriter.write_snapshot().expect("write packed");
-    let mut spacked = ShardedQuasii::<3>::from_snapshot(packed).expect("load packed");
-    assert_eq!(spacked.execute_batch(&steady), sref, "packed reload agrees");
     println!(
         "sharded: {} shards, {:.2} MiB parts written in {:.4}s, reloaded in {:.4}s",
         swriter.shard_count(),

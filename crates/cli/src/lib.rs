@@ -11,8 +11,8 @@
 //!   `--warm-start FILE` the QUASII index is revived from a snapshot
 //!   instead of cracked from scratch;
 //! * `snapshot` — warm a QUASII index (plain or sharded) on a workload and
-//!   persist it for later `--warm-start` runs, either as a single packed
-//!   file or (`--layout parts`) as a manifest plus per-shard part files;
+//!   persist it for later `--warm-start` runs: a plain engine as one
+//!   file, a sharded deployment as a manifest plus per-shard part files;
 //!   every write goes through the crash-safe atomic-replace protocol, and
 //!   `--fault SPEC` injects deterministic crashes/transients into it;
 //! * `verify` — check the integrity of a snapshot, shard manifest (+ its
@@ -123,9 +123,6 @@ pub enum Command {
         /// "true" finalizes (fully cracks) the index instead of warming it
         /// with queries.
         finalize: String,
-        /// "packed" (one file) or "parts" (manifest + per-shard part
-        /// files; requires `--shards`).
-        layout: String,
         /// Deterministic fault-injection spec for the snapshot write
         /// (`crash@OP[:SEED]` or `transient@COUNT`; empty = no faults).
         fault: String,
@@ -139,7 +136,7 @@ pub enum Command {
     /// Quarantine corrupt shards of a sharded snapshot, rebuild them from
     /// the source dataset, and durably re-commit the repaired deployment.
     Recover {
-        /// Sharded snapshot (manifest or packed file) to repair.
+        /// Sharded snapshot (its manifest file) to repair.
         snapshot: String,
         /// Source dataset to rebuild quarantined shards from (may be empty
         /// to only report health).
@@ -288,7 +285,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             assign_by: get("assign-by", Some("lower"))?,
             simd: get("simd", Some("auto"))?,
             finalize: get("finalize", Some("false"))?,
-            layout: get("layout", Some("packed"))?,
             fault: get("fault", Some(""))?,
         }),
         "verify" => Ok(Command::Verify {
@@ -335,8 +331,7 @@ USAGE:
                   [--pattern uniform|clustered|skewed] [--seed S]
                   [--threads N] [--shards K]
                   [--assign-by lower|center|upper] [--finalize true|false]
-                  [--simd auto|scalar|sse2|avx2]
-                  [--layout packed|parts] [--fault SPEC]
+                  [--simd auto|scalar|sse2|avx2] [--fault SPEC]
   quasii verify   --path FILE
   quasii recover  --snapshot SNAP [--data FILE]
   quasii serve    (--data FILE | --warm-start SNAP) [--addr HOST:PORT]
@@ -370,22 +365,24 @@ shard fan-out, seal sweeps); metrics are a pure side channel — answers are
 byte-identical with or without it.
 `snapshot` warms a QUASII index on the workload (or fully cracks it with
 --finalize true), then persists it — sealed arenas, record permutation
-and slice tree — as one checksummed snapshot file. `bench --warm-start
-SNAP` revives that index (sharded snapshots carry their own layout, so
---shards/--threads/--assign-by/--seal are read from the file) and answers
+and slice tree — as one checksummed snapshot file; with --shards K as one
+such part file per shard (SNAP.g<G>.part<k>) plus a small manifest at
+SNAP. `bench --warm-start SNAP` revives that index (a sharded snapshot
+carries its own configuration, so --shards/--threads/--assign-by/--seal
+are read from the manifest) and answers
 queries byte-identically to the index that wrote it, skipping the cold
 cracking phase entirely.
 Snapshots are written crash-safely (temp file, fsync, atomic rename,
-directory fsync); --layout parts additionally commits a sharded snapshot
-as one part file per shard plus a small manifest whose rename is the
-single commit point — a crash at any instant leaves the old snapshot or
-the new one, never a torn mix. --fault crash@OP[:SEED] kills the write at
+directory fsync); a sharded snapshot writes its part files first and the
+manifest last, so the manifest's rename is the single commit point — a
+crash at any instant leaves the old snapshot or the new one, never a torn
+mix. --fault crash@OP[:SEED] kills the write at
 its OP-th store operation (tearing the in-flight file to a seeded
 prefix); --fault transient@COUNT makes the first COUNT operations fail
 with a retryable error (absorbed by bounded retry).
 `verify` checks magic, version, checksums and structural accounting of an
 engine snapshot (per-region report), a shard manifest (per-shard report,
-reading part files when the manifest is the parts layout), or a .qsd
+reading the part files it names), or a .qsd
 dataset — without constructing an engine; it exits nonzero on corruption.
 `recover` validates each shard of a sharded snapshot independently,
 quarantines the corrupt ones, re-cracks them from --data (routing records
@@ -617,9 +614,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     bytes.len()
                 );
                 if bytes.len() >= 8 && bytes[..8] == MANIFEST_MAGIC {
-                    // Handles both the packed single-file layout and a
-                    // manifest + part files commit; per-shard loads run on
-                    // parallel workers either way.
+                    // Per-shard loads run on parallel workers.
                     let (b, idx) = timed(|| {
                         ShardedQuasii::<3>::from_snapshot_files(&FsStore, Path::new(&warm_start))
                     });
@@ -729,7 +724,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             assign_by,
             simd,
             finalize,
-            layout,
             fault,
         } => {
             let assign_by = quasii::AssignBy::parse(&assign_by)
@@ -740,18 +734,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 "false" => false,
                 other => return Err(format!("unknown --finalize '{other}' (true|false)")),
             };
-            let parts = match layout.as_str() {
-                "packed" => false,
-                "parts" => true,
-                other => return Err(format!("unknown --layout '{other}' (packed|parts)")),
-            };
-            if parts && shards == 0 {
-                return Err(
-                    "--layout parts requires --shards K (the manifest + part-file \
-                            commit is the sharded transport)"
-                        .to_string(),
-                );
-            }
             // All writes go through the crash-safe atomic-replace protocol;
             // --fault wraps the store in a deterministic fault injector so
             // the protocol can be exercised from the command line.
@@ -785,26 +767,15 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 }
                 idx.seal();
                 let frac = idx.sealed_fraction();
-                if parts {
-                    let gen = idx
-                        .write_snapshot_files(store, out_path)
-                        .map_err(|e| format!("snapshot: {e}"))?;
-                    println!(
-                        "committed generation {gen} ({} shards, {} part files + manifest, \
-                         sealed fraction {frac:.3}) to {out}",
-                        idx.shard_count(),
-                        idx.shard_count()
-                    );
-                } else {
-                    let bytes = idx.write_snapshot().map_err(|e| format!("snapshot: {e}"))?;
-                    fsx::write_atomic(store, out_path, &bytes)
-                        .map_err(|e| format!("cannot write '{out}': {e}"))?;
-                    println!(
-                        "wrote {} snapshot bytes ({} shards, sealed fraction {frac:.3}) to {out}",
-                        bytes.len(),
-                        idx.shard_count()
-                    );
-                }
+                let gen = idx
+                    .write_snapshot_files(store, out_path)
+                    .map_err(|e| format!("snapshot: {e}"))?;
+                println!(
+                    "committed generation {gen} ({} shards, {} part files + manifest, \
+                     sealed fraction {frac:.3}) to {out}",
+                    idx.shard_count(),
+                    idx.shard_count()
+                );
             } else {
                 let mut idx = Quasii::new(records, inner);
                 if finalize {
@@ -1001,29 +972,16 @@ fn verify_file(path: &str) -> Result<(), String> {
             s.dims,
             s.shards.len(),
             s.records,
-            s.total
+            bytes.len()
         );
-        let packed = bytes.len() > s.total;
         let mut failures = 0usize;
-        let mut off = s.total;
         for (k, &(records, len, word)) in s.shards.iter().enumerate() {
-            let part: Result<std::borrow::Cow<'_, [u8]>, String> = if packed {
-                match off.checked_add(len).filter(|&e| e <= bytes.len()) {
-                    Some(end) => {
-                        let section = &bytes[off..end];
-                        off = end;
-                        Ok(section.into())
-                    }
-                    None => Err("buffer overruns the packed file".to_string()),
+            let part = match std::fs::read(part_path(Path::new(path), s.generation, k)) {
+                Ok(part) if part.len() != len => {
+                    Err(format!("part is {} bytes, manifest says {len}", part.len()))
                 }
-            } else {
-                match std::fs::read(part_path(Path::new(path), s.generation, k)) {
-                    Ok(part) if part.len() != len => {
-                        Err(format!("part is {} bytes, manifest says {len}", part.len()))
-                    }
-                    Ok(part) => Ok(part.into()),
-                    Err(e) => Err(format!("part unreadable: {e}")),
-                }
+                Ok(part) => Ok(part),
+                Err(e) => Err(format!("part unreadable: {e}")),
             };
             // The manifest binds the part by its header word; the engine
             // snapshot's own verification is the one pass over its content.
@@ -1047,12 +1005,6 @@ fn verify_file(path: &str) -> Result<(), String> {
                     println!("  shard {k}: CORRUPT — {why}");
                 }
             }
-        }
-        if packed && off != bytes.len() {
-            return Err(format!(
-                "packed file holds {} bytes, sections account for {off}",
-                bytes.len()
-            ));
         }
         if failures > 0 {
             return Err(format!(
@@ -1481,7 +1433,6 @@ mod tests {
             assign_by: "lower".into(),
             simd: "auto".into(),
             finalize: finalize.into(),
-            layout: "packed".into(),
             fault: String::new(),
         };
         let warm_bench = |snap: &std::path::Path, batch: usize| Command::Bench {
@@ -1504,7 +1455,8 @@ mod tests {
         execute(snapshot(&single, 0, "false")).unwrap();
         execute(warm_bench(&single, 0)).unwrap();
         // Sharded deployment: finalize, then warm-start through the batch
-        // path (the packed file self-identifies via its manifest magic).
+        // path (the manifest self-identifies via its magic and names its
+        // part files).
         execute(snapshot(&sharded, 3, "true")).unwrap();
         execute(warm_bench(&sharded, 8)).unwrap();
         // A corrupt snapshot file fails loudly, not with a panic.
@@ -1514,6 +1466,9 @@ mod tests {
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&single).ok();
         std::fs::remove_file(&sharded).ok();
+        for k in 0..3 {
+            std::fs::remove_file(part_path(&sharded, 1, k)).ok();
+        }
     }
 
     #[test]
@@ -1542,7 +1497,6 @@ mod tests {
             assign_by: "lower".into(),
             simd: "auto".into(),
             finalize: "false".into(),
-            layout: "parts".into(),
             fault: fault.into(),
         };
         execute(snapshot("")).unwrap();
@@ -1598,6 +1552,30 @@ mod tests {
             data: String::new(),
         })
         .unwrap();
+
+        // One file holding the manifest and then the shard buffers is not
+        // a snapshot layout: verify and recover both name the trailing
+        // bytes instead of reading it as a second format.
+        let mut one_file = std::fs::read(&snap).unwrap();
+        let summary = manifest_summary(&one_file).unwrap();
+        for k in 0..summary.shards.len() {
+            let part = part_path(Path::new(&snap), summary.generation, k);
+            one_file.extend(std::fs::read(part).unwrap());
+        }
+        let glued = dir.join("one-file.qshard").to_string_lossy().to_string();
+        std::fs::write(&glued, &one_file).unwrap();
+        let expect = format!("{} trailing bytes", summary.shard_bytes);
+        let err = execute(Command::Verify {
+            path: glued.clone(),
+        })
+        .unwrap_err();
+        assert!(err.contains(&expect), "{err}");
+        let err = execute(Command::Recover {
+            snapshot: glued,
+            data: data.clone(),
+        })
+        .unwrap_err();
+        assert!(err.contains(&expect), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

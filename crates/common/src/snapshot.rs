@@ -712,8 +712,8 @@ mod tests {
                 expected: 8
             })
         ));
-        // A longer buffer is fine (packed parts follow a manifest), a
-        // shorter one is not; a flipped content bit fails `verify` only.
+        // A longer buffer is fine (the caller decides what may follow a
+        // frame), a shorter one is not; a flipped content bit fails `verify` only.
         let mut longer = bytes.clone();
         longer.push(0);
         assert_eq!(

@@ -38,7 +38,6 @@
 //! min/max folds); `tests/keyed_kernels.rs` proves it property-based.
 
 use crate::config::AssignBy;
-use crate::simd::{self, SimdLevel};
 use quasii_common::geom::{Aabb, Record};
 
 /// The representative (assignment) coordinate of `r` on `dim`.
@@ -79,10 +78,9 @@ impl DimBounds {
     /// Folds one element's assignment key and upper bound in. Kept
     /// `inline(always)` and only ever called on fixed named locals so the
     /// accumulator stays in registers (an index-selected destination would
-    /// force it into memory). `pub(crate)` so [`crate::simd`]'s scalar
-    /// twins share the exact fold the oracle uses.
+    /// force it into memory).
     #[inline(always)]
-    pub(crate) fn fold_key_hi(&mut self, k: f64, h: f64) {
+    fn fold_key_hi(&mut self, k: f64, h: f64) {
         if k < self.min_key {
             self.min_key = k;
         }
@@ -190,9 +188,8 @@ fn folds_lo(mode: AssignBy) -> bool {
 
 /// The one place a measuring kernel touches a record's MBB: folds
 /// `recs[idx].mbb.lo[dim]` into `b` when the assignment mode requires it
-/// (`Center`/`Upper`, where the key is not the lower bound). Shared by
-/// the scalar oracle kernels and the chunked SIMD path so both load the
-/// record exactly the same way; compiles to nothing when `!FOLD_LO`.
+/// (`Center`/`Upper`, where the key is not the lower bound). Compiles to
+/// nothing when `!FOLD_LO`.
 #[inline(always)]
 fn fold_lo_at<const D: usize, const FOLD_LO: bool>(
     b: &mut DimBounds,
@@ -300,79 +297,12 @@ fn crack_two_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     (i, left, right)
 }
 
-/// Chunked classify-then-swap two-way crack — the vectorized generation
-/// of [`crack_two_keyed_measured_impl`]. Pass 1 classifies the key
-/// column against the pivot with [`simd::classify_two`] (vector
-/// compare + movemask count, min/max folds as vector reductions), which
-/// pins the exact split point up front; pass 2 then runs the Hoare swap
-/// loop bounded by that split, fast-forwarding both pointers with
-/// vector scans ([`simd::ff_lt`] / [`simd::ff_ge_rev`]) and swapping
-/// the same misplaced pairs, in the same order, as the scalar oracle —
-/// the permutation and split point are bit-for-bit identical, the fold
-/// results value-equal.
-fn crack_two_keyed_chunked<const D: usize, const FOLD_LO: bool>(
-    level: SimdLevel,
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    dim: usize,
-    pivot: f64,
-) -> (usize, DimBounds, DimBounds) {
-    let mut left = DimBounds::empty();
-    let mut right = DimBounds::empty();
-    let census = simd::classify_two(level, keys, his, pivot);
-    left.fold_key_hi(census.l_min_key, census.l_max_hi);
-    right.fold_key_hi(census.r_min_key, census.r_max_hi);
-    if FOLD_LO {
-        // Center/Upper assignment also needs min `lo[dim]` per side,
-        // which lives in the wide records: one classified sweep through
-        // the shared fold helper, before any swap disturbs positions.
-        for (idx, &k) in keys.iter().enumerate() {
-            if k < pivot {
-                fold_lo_at::<D, FOLD_LO>(&mut left, recs, idx, dim);
-            } else {
-                fold_lo_at::<D, FOLD_LO>(&mut right, recs, idx, dim);
-            }
-        }
-    }
-    let split = census.count_lt;
-    let mut i = 0usize;
-    let mut j = keys.len();
-    loop {
-        i += simd::ff_lt(level, &keys[i..split], pivot);
-        if i >= split {
-            break;
-        }
-        // keys[i] is a misplaced `>= pivot`; by the split-count
-        // invariant an equally-misplaced `< pivot` partner exists in
-        // [split, j), so the backward fast-forward cannot run past it.
-        j -= simd::ff_ge_rev(level, &keys[split..j], pivot);
-        debug_assert!(j > split && keys[j - 1] < pivot);
-        keys.swap(i, j - 1);
-        his.swap(i, j - 1);
-        recs.swap(i, j - 1);
-        i += 1;
-        j -= 1;
-    }
-    if !FOLD_LO {
-        // Lower assignment: the key is the lower bound.
-        left.min_lo = left.min_key;
-        right.min_lo = right.min_key;
-    }
-    (split, left, right)
-}
-
 /// Measuring two-way keyed crack (see
 /// [`crack_two_keyed`] for the partition contract): returns the split point
 /// and both output segments' [`DimBounds`], measured from the narrow
 /// columns during the pass. Identical permutation and split point to
 /// [`reference::crack_two_measured`]; the measurements equal that kernel's
 /// [`SegMeasure::dim_bounds`] view.
-///
-/// `level` selects the kernel generation: [`SimdLevel::Scalar`] runs the
-/// swap-interleaved oracle loop, the vector levels run the chunked
-/// classify-then-swap pass ([`crack_two_keyed_chunked`]) with identical
-/// results.
 pub fn crack_two_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -380,58 +310,31 @@ pub fn crack_two_keyed_measured<const D: usize>(
     dim: usize,
     mode: AssignBy,
     pivot: f64,
-    level: SimdLevel,
 ) -> (usize, DimBounds, DimBounds) {
     debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    match (level, folds_lo(mode)) {
-        (SimdLevel::Scalar, true) => {
-            crack_two_keyed_measured_impl::<D, true>(keys, his, recs, dim, pivot)
-        }
-        (SimdLevel::Scalar, false) => {
-            crack_two_keyed_measured_impl::<D, false>(keys, his, recs, dim, pivot)
-        }
-        (lv, true) => crack_two_keyed_chunked::<D, true>(lv, keys, his, recs, dim, pivot),
-        (lv, false) => crack_two_keyed_chunked::<D, false>(lv, keys, his, recs, dim, pivot),
+    if folds_lo(mode) {
+        crack_two_keyed_measured_impl::<D, true>(keys, his, recs, dim, pivot)
+    } else {
+        crack_two_keyed_measured_impl::<D, false>(keys, his, recs, dim, pivot)
     }
 }
-
-/// Consecutive middle-class elements the three-way kernels handle scalar
-/// before engaging the vector middle-run scan. The `#[target_feature]`
-/// vector bodies cannot inline into the kernel loop, so each engagement
-/// pays a real call; runs shorter than this are cheaper scalar (random
-/// segments have runs of 1–3 at typical range selectivities), while the
-/// long runs of converging segments amortize it in the first lane-width.
-const MID_RUN: usize = 8;
 
 /// Three-way keyed crack (Dutch national flag): partitions the
 /// `(keys, his, recs)` triple into `key < low` | `low <= key <= high` |
 /// `key > high`; returns the two split points `(p1, p2)` so the middle part
 /// is `p1..p2`. Identical permutation to [`reference::crack_three`].
-///
-/// The DNF swap chain is inherently sequential, so the vector levels keep
-/// it scalar and vectorize the middle-run advance ([`simd::ff_middle`]) —
-/// the dominant class once a segment converges. Middle elements never
-/// swap, so the permutation stays bit-for-bit identical across levels.
 pub fn crack_three_keyed<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
     recs: &mut [Record<D>],
     low: f64,
     high: f64,
-    level: SimdLevel,
 ) -> (usize, usize) {
     debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
     debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
-    let vector = level != SimdLevel::Scalar;
     let mut lt = 0usize;
     let mut i = 0usize;
     let mut gt = keys.len();
-    // Consecutive middle-class elements seen scalar-side. The vector
-    // fast-forward only engages once a run has proven long (≥ MID_RUN):
-    // random segments have runs of a few elements, where the non-inlinable
-    // vector call costs more than it saves; converged segments — the case
-    // the fast-forward exists for — have long runs that amortize it.
-    let mut mid_run = 0usize;
     while i < gt {
         let v = keys[i];
         if v < low {
@@ -445,20 +348,13 @@ pub fn crack_three_keyed<const D: usize>(
             }
             lt += 1;
             i += 1;
-            mid_run = 0;
         } else if v > high {
             gt -= 1;
             keys.swap(i, gt);
             his.swap(i, gt);
             recs.swap(i, gt);
-            mid_run = 0;
         } else {
             i += 1;
-            mid_run += 1;
-            if vector && mid_run >= MID_RUN && i < gt {
-                i += simd::ff_middle(level, &keys[i..gt], low, high);
-                mid_run = 0;
-            }
         }
     }
     (lt, gt)
@@ -474,7 +370,6 @@ fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     dim: usize,
     low: f64,
     high: f64,
-    level: SimdLevel,
 ) -> (usize, usize, [DimBounds; 3]) {
     // Three scalar accumulator sets with a fixed destination per branch arm
     // (an index-selected `m[region]` fold would force the accumulators into
@@ -482,54 +377,21 @@ fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     let mut m0 = DimBounds::empty();
     let mut m1 = DimBounds::empty();
     let mut m2 = DimBounds::empty();
-    let vector = level != SimdLevel::Scalar;
     let mut lt = 0usize;
     let mut i = 0usize;
     let mut gt = keys.len();
     while i < gt {
         // Fast-forward over a run of middle-class elements (no swap, fixed
         // fold destination) — the dominant class once a segment converges.
-        // Vector levels scan the first MID_RUN elements of a run scalar
-        // (short runs dominate unconverged segments, where the
-        // non-inlinable vector call costs more than it saves) and advance
-        // 4 (2) lanes per compare with vector min/max folds once the run
-        // proves long; the scalar oracle keeps its zipped subslice
-        // iterators so the narrow-column loads carry no per-element bounds
-        // check.
-        if vector {
-            let mut run = 0usize;
-            while i < gt {
-                let k = keys[i];
-                if k < low || k > high {
-                    break;
-                }
-                m1.fold_key_hi(k, his[i]);
-                fold_lo_at::<D, FOLD_LO>(&mut m1, recs, i, dim);
-                i += 1;
-                run += 1;
-                if run >= MID_RUN && i < gt {
-                    let adv =
-                        simd::ff_middle_fold(level, &keys[i..gt], &his[i..gt], low, high, &mut m1);
-                    if FOLD_LO {
-                        for t in i..i + adv {
-                            fold_lo_at::<D, FOLD_LO>(&mut m1, recs, t, dim);
-                        }
-                    }
-                    i += adv;
-                    // The vector scan stopped on a non-middle element (or
-                    // the end of the range).
-                    break;
-                }
+        // The zipped subslice iterators carry no per-element bounds check
+        // on the narrow-column loads.
+        for (&k, &h) in keys[i..gt].iter().zip(his[i..gt].iter()) {
+            if k < low || k > high {
+                break;
             }
-        } else {
-            for (&k, &h) in keys[i..gt].iter().zip(his[i..gt].iter()) {
-                if k < low || k > high {
-                    break;
-                }
-                m1.fold_key_hi(k, h);
-                fold_lo_at::<D, FOLD_LO>(&mut m1, recs, i, dim);
-                i += 1;
-            }
+            m1.fold_key_hi(k, h);
+            fold_lo_at::<D, FOLD_LO>(&mut m1, recs, i, dim);
+            i += 1;
         }
         if i >= gt {
             break;
@@ -574,7 +436,6 @@ fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
 /// partition contract): identical permutation and split points to
 /// [`reference::crack_three_measured`]; the measurements equal that
 /// kernel's [`SegMeasure::dim_bounds`] view.
-#[allow(clippy::too_many_arguments)]
 pub fn crack_three_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -583,14 +444,13 @@ pub fn crack_three_keyed_measured<const D: usize>(
     mode: AssignBy,
     low: f64,
     high: f64,
-    level: SimdLevel,
 ) -> (usize, usize, [DimBounds; 3]) {
     debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
     debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
     if folds_lo(mode) {
-        crack_three_keyed_measured_impl::<D, true>(keys, his, recs, dim, low, high, level)
+        crack_three_keyed_measured_impl::<D, true>(keys, his, recs, dim, low, high)
     } else {
-        crack_three_keyed_measured_impl::<D, false>(keys, his, recs, dim, low, high, level)
+        crack_three_keyed_measured_impl::<D, false>(keys, his, recs, dim, low, high)
     }
 }
 
@@ -646,7 +506,6 @@ pub fn crack_median_keyed_measured<const D: usize>(
     recs: &mut [Record<D>],
     dim: usize,
     mode: AssignBy,
-    level: SimdLevel,
 ) -> (usize, DimBounds, DimBounds) {
     debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
     if recs.len() < 2 {
@@ -661,7 +520,7 @@ pub fn crack_median_keyed_measured<const D: usize>(
     // The selection permuted the records without the columns: re-key.
     crate::keys::rekey(keys, his, recs, dim, mode);
     let pivot = keys[mid];
-    crack_two_keyed_measured(keys, his, recs, dim, mode, pivot, level)
+    crack_two_keyed_measured(keys, his, recs, dim, mode, pivot)
 }
 
 /// The record-streaming kernel generations (pre-key-column), kept as the
@@ -862,7 +721,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const LOWER: AssignBy = AssignBy::Lower;
-    const ALL_LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
 
     fn rec1(lo: f64, hi: f64) -> Record<1> {
         Record::new(0, Aabb::new([lo], [hi]))
@@ -1156,41 +1014,30 @@ mod tests {
 
     #[test]
     fn keyed_two_way_matches_reference() {
-        for level in ALL_LEVELS {
-            for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-                for (seed, pivot) in [(31, 50.0), (32, 0.0), (33, 200.0), (34, 97.5)] {
-                    for dim in [0usize, 2] {
-                        let mut keyed = random_segment3(501, seed);
-                        let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
-                        let mut plain = keyed.clone();
-                        let (p, l, r) = crack_two_keyed_measured(
-                            &mut ck, &mut ch, &mut keyed, dim, mode, pivot, level,
-                        );
-                        let (p_ref, l_ref, r_ref) =
-                            crack_two_measured(&mut plain, dim, mode, pivot);
-                        assert_eq!(p, p_ref, "split ({level:?}, mode {mode:?}, dim {dim})");
-                        assert_eq!(
-                            keyed, plain,
-                            "permutation ({level:?}, mode {mode:?}, dim {dim})"
-                        );
-                        assert_eq!(l, l_ref.dim_bounds(dim), "left bounds ({level:?} {mode:?})");
-                        assert_eq!(
-                            r,
-                            r_ref.dim_bounds(dim),
-                            "right bounds ({level:?} {mode:?})"
-                        );
-                        assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
+        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
+            for (seed, pivot) in [(31, 50.0), (32, 0.0), (33, 200.0), (34, 97.5)] {
+                for dim in [0usize, 2] {
+                    let mut keyed = random_segment3(501, seed);
+                    let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
+                    let mut plain = keyed.clone();
+                    let (p, l, r) =
+                        crack_two_keyed_measured(&mut ck, &mut ch, &mut keyed, dim, mode, pivot);
+                    let (p_ref, l_ref, r_ref) = crack_two_measured(&mut plain, dim, mode, pivot);
+                    assert_eq!(p, p_ref, "split (mode {mode:?}, dim {dim})");
+                    assert_eq!(keyed, plain, "permutation (mode {mode:?}, dim {dim})");
+                    assert_eq!(l, l_ref.dim_bounds(dim), "left bounds ({mode:?})");
+                    assert_eq!(r, r_ref.dim_bounds(dim), "right bounds ({mode:?})");
+                    assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
 
-                        // Unmeasured variant: identical partition too.
-                        let mut keyed2 = plain.clone();
-                        let (mut ck2, mut ch2) = columns_of(&keyed2, dim, mode);
-                        // plain is already partitioned; re-run both on the
-                        // partitioned input to exercise the sorted edge case.
-                        let p2 = crack_two_keyed(&mut ck2, &mut ch2, &mut keyed2, pivot);
-                        let p2_ref = crack_two(&mut plain, dim, mode, pivot);
-                        assert_eq!(p2, p2_ref);
-                        assert_eq!(keyed2, plain);
-                    }
+                    // Unmeasured variant: identical partition too.
+                    let mut keyed2 = plain.clone();
+                    let (mut ck2, mut ch2) = columns_of(&keyed2, dim, mode);
+                    // plain is already partitioned; re-run both on the
+                    // partitioned input to exercise the sorted edge case.
+                    let p2 = crack_two_keyed(&mut ck2, &mut ch2, &mut keyed2, pivot);
+                    let p2_ref = crack_two(&mut plain, dim, mode, pivot);
+                    assert_eq!(p2, p2_ref);
+                    assert_eq!(keyed2, plain);
                 }
             }
         }
@@ -1198,31 +1045,27 @@ mod tests {
 
     #[test]
     fn keyed_three_way_matches_reference() {
-        for level in ALL_LEVELS {
-            for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-                for (seed, lo, hi) in [(41, 25.0, 75.0), (42, 50.0, 50.0), (43, -5.0, -1.0)] {
-                    let mut keyed = random_segment3(700, seed);
-                    let (mut ck, mut ch) = columns_of(&keyed, 1, mode);
-                    let mut plain = keyed.clone();
-                    let (p1, p2, m) = crack_three_keyed_measured(
-                        &mut ck, &mut ch, &mut keyed, 1, mode, lo, hi, level,
-                    );
-                    let (r1, r2, m_ref) = crack_three_measured(&mut plain, 1, mode, lo, hi);
-                    assert_eq!((p1, p2), (r1, r2), "{level:?}");
-                    assert_eq!(keyed, plain, "{level:?}");
-                    for (got, want) in m.iter().zip(&m_ref) {
-                        assert_eq!(*got, want.dim_bounds(1), "bounds ({level:?} {mode:?})");
-                    }
-                    assert_columns_consistent(&ck, &ch, &keyed, 1, mode);
-
-                    let mut keyed2 = plain.clone();
-                    let (mut ck2, mut ch2) = columns_of(&keyed2, 1, mode);
-                    let (q1, q2) =
-                        crack_three_keyed(&mut ck2, &mut ch2, &mut keyed2, lo, hi, level);
-                    let (s1, s2) = crack_three(&mut plain, 1, mode, lo, hi);
-                    assert_eq!((q1, q2), (s1, s2), "{level:?}");
-                    assert_eq!(keyed2, plain, "{level:?}");
+        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
+            for (seed, lo, hi) in [(41, 25.0, 75.0), (42, 50.0, 50.0), (43, -5.0, -1.0)] {
+                let mut keyed = random_segment3(700, seed);
+                let (mut ck, mut ch) = columns_of(&keyed, 1, mode);
+                let mut plain = keyed.clone();
+                let (p1, p2, m) =
+                    crack_three_keyed_measured(&mut ck, &mut ch, &mut keyed, 1, mode, lo, hi);
+                let (r1, r2, m_ref) = crack_three_measured(&mut plain, 1, mode, lo, hi);
+                assert_eq!((p1, p2), (r1, r2));
+                assert_eq!(keyed, plain);
+                for (got, want) in m.iter().zip(&m_ref) {
+                    assert_eq!(*got, want.dim_bounds(1), "bounds ({mode:?})");
                 }
+                assert_columns_consistent(&ck, &ch, &keyed, 1, mode);
+
+                let mut keyed2 = plain.clone();
+                let (mut ck2, mut ch2) = columns_of(&keyed2, 1, mode);
+                let (q1, q2) = crack_three_keyed(&mut ck2, &mut ch2, &mut keyed2, lo, hi);
+                let (s1, s2) = crack_three(&mut plain, 1, mode, lo, hi);
+                assert_eq!((q1, q2), (s1, s2));
+                assert_eq!(keyed2, plain);
             }
         }
     }
@@ -1269,14 +1112,8 @@ mod tests {
             let mut plain = measured.clone();
             let (mut pk, mut ph) = columns_of(&plain, dim, mode);
 
-            let (p, lm, rm) = crack_median_keyed_measured(
-                &mut mk,
-                &mut mh,
-                &mut measured,
-                dim,
-                mode,
-                SimdLevel::detect(),
-            );
+            let (p, lm, rm) =
+                crack_median_keyed_measured(&mut mk, &mut mh, &mut measured, dim, mode);
             let p_ref = crack_median_keyed(&mut pk, &mut ph, &mut plain, dim, mode);
             assert_eq!(p, p_ref, "{mode:?}");
             assert_eq!(measured, plain, "{mode:?}: permutation diverged");
@@ -1293,40 +1130,35 @@ mod tests {
         let mut same: Vec<Record<3>> = (0..9)
             .map(|i| Record::new(i, Aabb::new([3.0; 3], [4.0; 3])))
             .collect();
-        let lv = SimdLevel::detect();
         let (mut ck, mut ch) = columns_of(&same, 0, LOWER);
-        let (p, _, _) = crack_median_keyed_measured(&mut ck, &mut ch, &mut same, 0, LOWER, lv);
+        let (p, _, _) = crack_median_keyed_measured(&mut ck, &mut ch, &mut same, 0, LOWER);
         assert_eq!(p, 0);
         let mut one = vec![Record::new(0, Aabb::new([1.0; 3], [2.0; 3]))];
         let (mut ck1, mut ch1) = columns_of(&one, 0, LOWER);
-        let (p, _, _) = crack_median_keyed_measured(&mut ck1, &mut ch1, &mut one, 0, LOWER, lv);
+        let (p, _, _) = crack_median_keyed_measured(&mut ck1, &mut ch1, &mut one, 0, LOWER);
         assert_eq!(p, 1);
         let mut empty: Vec<Record<3>> = vec![];
         let (mut ck0, mut ch0) = columns_of(&empty, 0, LOWER);
-        let (p, l, r) = crack_median_keyed_measured(&mut ck0, &mut ch0, &mut empty, 0, LOWER, lv);
+        let (p, l, r) = crack_median_keyed_measured(&mut ck0, &mut ch0, &mut empty, 0, LOWER);
         assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
     }
 
     #[test]
     fn keyed_kernels_handle_empty_segments() {
-        for level in ALL_LEVELS {
-            let mut keys: Vec<f64> = vec![];
-            let mut his: Vec<f64> = vec![];
-            let mut recs: Vec<Record<3>> = vec![];
-            assert_eq!(crack_two_keyed(&mut keys, &mut his, &mut recs, 1.0), 0);
-            let (p, l, r) =
-                crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 1.0, level);
-            assert_eq!(p, 0);
-            assert_eq!((l, r), (DimBounds::empty(), DimBounds::empty()));
-            let (p1, p2, m) = crack_three_keyed_measured(
-                &mut keys, &mut his, &mut recs, 0, LOWER, 0.0, 1.0, level,
-            );
-            assert_eq!((p1, p2), (0, 0));
-            assert!(m.iter().all(|x| *x == DimBounds::empty()));
-            assert_eq!(
-                crack_median_keyed(&mut keys, &mut his, &mut recs, 0, LOWER),
-                0
-            );
-        }
+        let mut keys: Vec<f64> = vec![];
+        let mut his: Vec<f64> = vec![];
+        let mut recs: Vec<Record<3>> = vec![];
+        assert_eq!(crack_two_keyed(&mut keys, &mut his, &mut recs, 1.0), 0);
+        let (p, l, r) = crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 1.0);
+        assert_eq!(p, 0);
+        assert_eq!((l, r), (DimBounds::empty(), DimBounds::empty()));
+        let (p1, p2, m) =
+            crack_three_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 0.0, 1.0);
+        assert_eq!((p1, p2), (0, 0));
+        assert!(m.iter().all(|x| *x == DimBounds::empty()));
+        assert_eq!(
+            crack_median_keyed(&mut keys, &mut his, &mut recs, 0, LOWER),
+            0
+        );
     }
 }

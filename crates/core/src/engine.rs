@@ -35,12 +35,6 @@ pub(crate) struct Env<const D: usize> {
     /// collect, sealed lane tests), resolved once at engine construction
     /// (see [`crate::simd`]).
     pub simd: SimdLevel,
-    /// Kernel generation for the partition (crack) kernels. Resolved
-    /// separately because `Auto` keeps the cracks on the scalar fused
-    /// generation: the chunked classify-then-swap pass re-streams the key
-    /// column and loses on bandwidth-bound hosts (see
-    /// [`crate::simd::SimdPolicy::resolve_crack`]).
-    pub simd_crack: SimdLevel,
 }
 
 /// Mutable runtime state shared across the recursion.
@@ -265,16 +259,14 @@ fn artificial<const D: usize>(
     let mid = 0.5 * (lo + hi);
     let (kseg, hseg, seg) = cols.range_mut(&s);
     let seg_len = seg.len() as u64;
-    let (mut split, mut lm, mut rm) =
-        crack_two_keyed_measured(kseg, hseg, seg, dim, env.mode, mid, env.simd_crack);
+    let (mut split, mut lm, mut rm) = crack_two_keyed_measured(kseg, hseg, seg, dim, env.mode, mid);
     let mut split_value = mid;
     if split == 0 || split == seg.len() {
         // Midpoint failed to separate — rank-based fallback (rare: only on
         // degenerate value distributions). The measuring kernel returns
         // both halves' bounds from its final partition pass, so no
         // re-scan of the halves is needed here either.
-        let (msplit, mlm, mrm) =
-            crack_median_keyed_measured(kseg, hseg, seg, dim, env.mode, env.simd_crack);
+        let (msplit, mlm, mrm) = crack_median_keyed_measured(kseg, hseg, seg, dim, env.mode);
         if msplit == 0 || msplit == seg.len() {
             out.push(force_refine(cols, s, rt));
             return;
@@ -320,8 +312,7 @@ pub(crate) fn refine<const D: usize>(
         (true, true) => {
             // Both query bounds inside the slice: three-way slicing.
             let (keys, his, data) = cols.range_mut(&s);
-            let (p1, p2, m) =
-                crack_three_keyed_measured(keys, his, data, dim, env.mode, ql, qu, env.simd_crack);
+            let (p1, p2, m) = crack_three_keyed_measured(keys, his, data, dim, env.mode, ql, qu);
             record_crack(rt, seg_len);
             let (b, m1, m2, e) = (s.begin, s.begin + p1, s.begin + p2, s.end);
             primary.push(make_sub(cols, &s, b, m1, cl, ql, &m[0], env, rt));
@@ -331,8 +322,7 @@ pub(crate) fn refine<const D: usize>(
         (true, false) => {
             // Only the lower bound cuts the slice: two-way at ql.
             let (keys, his, data) = cols.range_mut(&s);
-            let (p, lm, rm) =
-                crack_two_keyed_measured(keys, his, data, dim, env.mode, ql, env.simd_crack);
+            let (p, lm, rm) = crack_two_keyed_measured(keys, his, data, dim, env.mode, ql);
             record_crack(rt, seg_len);
             let m = s.begin + p;
             primary.push(make_sub(cols, &s, s.begin, m, cl, ql, &lm, env, rt));
@@ -343,8 +333,7 @@ pub(crate) fn refine<const D: usize>(
             // `key <= qu` on the left (pivot just above qu).
             let pivot = qu.next_up();
             let (keys, his, data) = cols.range_mut(&s);
-            let (p, lm, rm) =
-                crack_two_keyed_measured(keys, his, data, dim, env.mode, pivot, env.simd_crack);
+            let (p, lm, rm) = crack_two_keyed_measured(keys, his, data, dim, env.mode, pivot);
             record_crack(rt, seg_len);
             let m = s.begin + p;
             primary.push(make_sub(cols, &s, s.begin, m, cl, qu, &lm, env, rt));

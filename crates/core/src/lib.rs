@@ -191,7 +191,6 @@ impl<const D: usize> Quasii<D> {
                 mode: cfg.assign_by,
                 max_artificial_depth: cfg.max_artificial_depth,
                 simd,
-                simd_crack: cfg.simd.resolve_crack(),
             },
             rt: Runtime::new(),
             cfg,

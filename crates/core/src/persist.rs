@@ -459,7 +459,7 @@ fn read_slice<const D: usize>(
 }
 
 /// Reads the frame of an engine snapshot, which must span the whole
-/// buffer (a manifest, by contrast, may be followed by packed parts).
+/// buffer.
 fn open_frame(bytes: &[u8]) -> Result<Frame, SnapshotError> {
     let frame = Frame::read(bytes, &MAGIC, FORMAT_VERSION, "snapshot")?;
     if frame.total != bytes.len() {
@@ -699,7 +699,6 @@ fn decode<const D: usize>(
             mode: cfg.assign_by,
             max_artificial_depth: cfg.max_artificial_depth,
             simd: cfg.simd.resolve(),
-            simd_crack: cfg.simd.resolve_crack(),
         },
         rt,
         cfg,

@@ -1,21 +1,16 @@
-//! Runtime-dispatched SIMD kernels for the narrow-column hot paths.
+//! Runtime-dispatched SIMD kernels for the streaming test paths.
 //!
-//! PR 4/5 shaped every hot loop into contiguous `f64`/`u32` column scans
-//! (keyed crack kernels, the sealed arena's negated-upper `v <= bound`
-//! lane tests) precisely so the hardware could chew them; this module
-//! vectorizes those scans explicitly with `core::arch::x86_64`
-//! intrinsics behind a one-time runtime-detected dispatch.
+//! PR 4/5 shaped the read-side hot loops into contiguous `f64`/`u32`
+//! column scans (the sealed arena's negated-upper `v <= bound` lane
+//! tests, the bottom-level MBB collect) so the hardware could chew them;
+//! this module vectorizes those scans explicitly with
+//! `core::arch::x86_64` intrinsics behind a one-time runtime-detected
+//! dispatch. The crack (partition) kernels are not here: a crack costs
+//! its partition scan and is bandwidth-bound, so they stay on the scalar
+//! keyed generation in [`crate::crack`].
 //!
-//! Three kernel families:
+//! Two kernel families:
 //!
-//! - **Crack classify / fast-forward** ([`classify_two`], [`ff_lt`],
-//!   [`ff_ge_rev`], [`ff_middle`], [`ff_middle_fold`]): the chunked
-//!   classify-then-swap two-way crack counts `keys < pivot` and folds
-//!   per-partition min-key / max-hi bounds as 4-wide vector reductions,
-//!   then performs the permutation-exact swap pass with vectorized
-//!   pointer fast-forward scans. The three-way (DNF) kernel keeps its
-//!   inherently sequential swap loop and vectorizes its middle-run
-//!   fast-forward.
 //! - **Sealed lane tests** ([`scan_emit`]): the bottom-level
 //!   `rec_lo`/`rec_nhi` columns run 4-wide `v <= bound` compares, masks
 //!   are ANDed across active lanes, and ids are emitted by a
@@ -24,35 +19,31 @@
 //!   bottom-level collect tests a whole `#[repr(C)]` [`Aabb`] per
 //!   compare pair instead of 2×D scalar compares.
 //!
-//! # Dispatch policy
+//! # Dispatch
 //!
 //! [`SimdPolicy`] is the config-level knob (`Auto` by default);
-//! [`SimdPolicy::resolve`] turns it into a concrete [`SimdLevel`] once,
-//! at engine construction. `Auto` honors a `QUASII_SIMD` environment
-//! override (`auto|scalar|sse2|avx2`, read once per process) and
-//! otherwise probes the host with `is_x86_feature_detected!`. Forced
-//! levels are clamped to what the host actually supports, and every
-//! dispatch function re-clamps before entering an intrinsic kernel, so
-//! a hand-constructed [`SimdLevel`] can never execute an unsupported
-//! instruction. Non-x86_64 targets compile only the scalar fallbacks
-//! and always detect [`SimdLevel::Scalar`].
+//! [`SimdPolicy::resolve`] turns it into the one concrete [`SimdLevel`]
+//! an engine runs, once, at construction. `Auto` honors a `QUASII_SIMD`
+//! environment override (`auto|scalar|sse2|avx2`, read once per process;
+//! any other value is reported on stderr and ignored) and otherwise
+//! probes the host with `is_x86_feature_detected!`. Forced levels are
+//! clamped to what the host actually supports, and every dispatch
+//! function re-clamps before entering an intrinsic kernel, so a
+//! hand-constructed [`SimdLevel`] can never execute an unsupported
+//! instruction. Non-x86_64 targets compile only the scalar fallbacks and
+//! always detect [`SimdLevel::Scalar`].
 //!
 //! # Equivalence contract
 //!
 //! Every kernel here is a drop-in for a scalar twin that remains in the
-//! codebase as the bit-for-bit oracle: permutations are exact (the
-//! chunked crack reproduces the scalar Hoare pairing swap for swap) and
-//! fold results are value-identical on NaN-free data. The one
-//! documented divergence: min/max *vector* folds may keep the opposite
-//! zero sign when `-0.0` and `+0.0` tie. The values still compare equal
-//! under `f64` comparison — only raw snapshot bytes could differ, and
-//! only for datasets containing negative zero.
+//! codebase as the bit-for-bit oracle: both families only compare and
+//! emit ids, so results, work counters and snapshot bytes are identical
+//! at every level.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 use std::sync::OnceLock;
 
-use crate::crack::DimBounds;
 use quasii_common::geom::{Aabb, Record};
 
 /// Config-level kernel-generation knob: how an engine picks the ISA its
@@ -108,24 +99,6 @@ impl SimdPolicy {
         }
     }
 
-    /// Resolves the level for the **partition (crack) kernels**, which
-    /// dispatch separately from the streaming test kernels. The chunked
-    /// classify-then-swap crack re-streams the key column once more than
-    /// the fused scalar generation, which loses on bandwidth-bound hosts
-    /// (measured in EXPERIMENTS.md "Kernel generations"), so `Auto` keeps
-    /// the cracks scalar. An explicit force — config policy or
-    /// `QUASII_SIMD` — still wins, so the byte-identity suites exercise
-    /// the chunked kernels and wider-vector hosts can opt them in.
-    pub fn resolve_crack(self) -> SimdLevel {
-        match self {
-            SimdPolicy::Auto => match env_override() {
-                Some(forced) => forced.resolve_forced(),
-                None => SimdLevel::Scalar,
-            },
-            other => other.resolve_forced(),
-        }
-    }
-
     fn resolve_forced(self) -> SimdLevel {
         match self {
             SimdPolicy::Auto => SimdLevel::detect(),
@@ -137,14 +110,29 @@ impl SimdPolicy {
 }
 
 /// Reads `QUASII_SIMD` once per process. Only [`SimdPolicy::Auto`]
-/// consults this, so an explicit config-level force always wins.
+/// consults this, so an explicit config-level force always wins. A value
+/// that is not one of the four spellings is reported once on stderr and
+/// ignored: a misspelled force must not pass for a forced run.
 fn env_override() -> Option<SimdPolicy> {
     static CACHE: OnceLock<Option<SimdPolicy>> = OnceLock::new();
     *CACHE.get_or_init(|| {
-        std::env::var("QUASII_SIMD")
-            .ok()
-            .and_then(|s| SimdPolicy::parse(s.trim()))
+        let raw = std::env::var("QUASII_SIMD").ok()?;
+        match parse_override(&raw) {
+            Ok(policy) => Some(policy),
+            Err(msg) => {
+                eprintln!("{msg}");
+                None
+            }
+        }
     })
+}
+
+/// The `QUASII_SIMD` string → outcome step of [`env_override`]:
+/// surrounding whitespace is trimmed, the four CLI spellings are
+/// accepted, anything else is the message to report.
+fn parse_override(raw: &str) -> Result<SimdPolicy, String> {
+    SimdPolicy::parse(raw.trim())
+        .ok_or_else(|| format!("QUASII_SIMD='{raw}' ignored: expected auto|scalar|sse2|avx2"))
 }
 
 /// The concrete kernel generation an engine dispatches to, resolved
@@ -197,482 +185,6 @@ impl SimdLevel {
     fn clamp_to_host(self) -> Self {
         self.min(Self::detect())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Two-way classify: count + per-partition fold in one pass.
-// ---------------------------------------------------------------------------
-
-/// Census of a segment against a two-way crack pivot: how many keys sit
-/// strictly below it, plus min-key / max-hi folds for each side. Feeds
-/// the chunked classify-then-swap two-way crack.
-#[derive(Clone, Copy, Debug)]
-pub struct TwoFold {
-    /// Number of keys strictly below the pivot (the final split point).
-    pub count_lt: usize,
-    /// Minimum key among `keys < pivot`.
-    pub l_min_key: f64,
-    /// Maximum upper bound among `keys < pivot`.
-    pub l_max_hi: f64,
-    /// Minimum key among `keys >= pivot`.
-    pub r_min_key: f64,
-    /// Maximum upper bound among `keys >= pivot`.
-    pub r_max_hi: f64,
-}
-
-impl TwoFold {
-    fn empty() -> Self {
-        TwoFold {
-            count_lt: 0,
-            l_min_key: f64::INFINITY,
-            l_max_hi: f64::NEG_INFINITY,
-            r_min_key: f64::INFINITY,
-            r_max_hi: f64::NEG_INFINITY,
-        }
-    }
-}
-
-#[inline]
-fn fold_min(acc: &mut f64, v: f64) {
-    if v < *acc {
-        *acc = v;
-    }
-}
-
-#[inline]
-fn fold_max(acc: &mut f64, v: f64) {
-    if v > *acc {
-        *acc = v;
-    }
-}
-
-/// Classifies `keys` against `pivot`, counting `keys < pivot` and
-/// folding min-key / max-hi for both partitions in a single pass over
-/// the two narrow columns. `keys` and `his` run in lockstep.
-pub fn classify_two(level: SimdLevel, keys: &[f64], his: &[f64], pivot: f64) -> TwoFold {
-    debug_assert_eq!(keys.len(), his.len());
-    let mut acc = TwoFold::empty();
-    match level.clamp_to_host() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { classify_two_avx2(keys, his, pivot, &mut acc) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { classify_two_sse2(keys, his, pivot, &mut acc) },
-        _ => classify_two_scalar(keys, his, pivot, &mut acc),
-    }
-    acc
-}
-
-fn classify_two_scalar(keys: &[f64], his: &[f64], pivot: f64, acc: &mut TwoFold) {
-    for (&k, &h) in keys.iter().zip(his.iter()) {
-        if k < pivot {
-            acc.count_lt += 1;
-            fold_min(&mut acc.l_min_key, k);
-            fold_max(&mut acc.l_max_hi, h);
-        } else {
-            fold_min(&mut acc.r_min_key, k);
-            fold_max(&mut acc.r_max_hi, h);
-        }
-    }
-}
-
-/// SAFETY: caller checked `avx2` is available (dispatchers clamp to
-/// [`SimdLevel::detect`]). Unaligned loads stay within `keys`/`his`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn classify_two_avx2(keys: &[f64], his: &[f64], pivot: f64, acc: &mut TwoFold) {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let hp = his.as_ptr();
-    let vp = _mm256_set1_pd(pivot);
-    let pinf = _mm256_set1_pd(f64::INFINITY);
-    let ninf = _mm256_set1_pd(f64::NEG_INFINITY);
-    let mut lmin = pinf;
-    let mut lmax = ninf;
-    let mut rmin = pinf;
-    let mut rmax = ninf;
-    let mut count = 0usize;
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let vk = _mm256_loadu_pd(kp.add(i));
-        let vh = _mm256_loadu_pd(hp.add(i));
-        let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(vk, vp);
-        count += (_mm256_movemask_pd(lt) as u32).count_ones() as usize;
-        // blendv picks the neutral element on inactive lanes, so each
-        // accumulator only ever sees values from its own partition.
-        lmin = _mm256_min_pd(lmin, _mm256_blendv_pd(pinf, vk, lt));
-        lmax = _mm256_max_pd(lmax, _mm256_blendv_pd(ninf, vh, lt));
-        rmin = _mm256_min_pd(rmin, _mm256_blendv_pd(vk, pinf, lt));
-        rmax = _mm256_max_pd(rmax, _mm256_blendv_pd(vh, ninf, lt));
-        i += 4;
-    }
-    acc.count_lt += count;
-    fold_min(&mut acc.l_min_key, hmin4(lmin));
-    fold_max(&mut acc.l_max_hi, hmax4(lmax));
-    fold_min(&mut acc.r_min_key, hmin4(rmin));
-    fold_max(&mut acc.r_max_hi, hmax4(rmax));
-    classify_two_scalar(&keys[i..], &his[i..], pivot, acc);
-}
-
-/// SAFETY: SSE2 is part of the x86_64 baseline; unaligned loads stay
-/// within `keys`/`his`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn classify_two_sse2(keys: &[f64], his: &[f64], pivot: f64, acc: &mut TwoFold) {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let hp = his.as_ptr();
-    let vp = _mm_set1_pd(pivot);
-    let pinf = _mm_set1_pd(f64::INFINITY);
-    let ninf = _mm_set1_pd(f64::NEG_INFINITY);
-    let mut lmin = pinf;
-    let mut lmax = ninf;
-    let mut rmin = pinf;
-    let mut rmax = ninf;
-    let mut count = 0usize;
-    let mut i = 0usize;
-    while i + 2 <= n {
-        let vk = _mm_loadu_pd(kp.add(i));
-        let vh = _mm_loadu_pd(hp.add(i));
-        let lt = _mm_cmplt_pd(vk, vp);
-        count += (_mm_movemask_pd(lt) as u32).count_ones() as usize;
-        lmin = _mm_min_pd(lmin, blend2(pinf, vk, lt));
-        lmax = _mm_max_pd(lmax, blend2(ninf, vh, lt));
-        rmin = _mm_min_pd(rmin, blend2(vk, pinf, lt));
-        rmax = _mm_max_pd(rmax, blend2(vh, ninf, lt));
-        i += 2;
-    }
-    acc.count_lt += count;
-    fold_min(&mut acc.l_min_key, hmin2(lmin));
-    fold_max(&mut acc.l_max_hi, hmax2(lmax));
-    fold_min(&mut acc.r_min_key, hmin2(rmin));
-    fold_max(&mut acc.r_max_hi, hmax2(rmax));
-    classify_two_scalar(&keys[i..], &his[i..], pivot, acc);
-}
-
-// ---------------------------------------------------------------------------
-// Pointer fast-forward scans for the permutation-exact swap pass.
-// ---------------------------------------------------------------------------
-
-/// Length of the maximal prefix of `keys` with every key `< pivot`
-/// (how far the left crack pointer can fast-forward).
-pub fn ff_lt(level: SimdLevel, keys: &[f64], pivot: f64) -> usize {
-    match level.clamp_to_host() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { ff_lt_avx2(keys, pivot) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { ff_lt_sse2(keys, pivot) },
-        _ => ff_lt_scalar(keys, pivot),
-    }
-}
-
-fn ff_lt_scalar(keys: &[f64], pivot: f64) -> usize {
-    keys.iter().take_while(|&&k| k < pivot).count()
-}
-
-/// SAFETY: caller checked `avx2`; loads stay within `keys`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ff_lt_avx2(keys: &[f64], pivot: f64) -> usize {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let vp = _mm256_set1_pd(pivot);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_loadu_pd(kp.add(i)), vp);
-        let m = _mm256_movemask_pd(lt) as u32;
-        if m == 0xF {
-            i += 4;
-        } else {
-            return i + m.trailing_ones() as usize;
-        }
-    }
-    i + ff_lt_scalar(&keys[i..], pivot)
-}
-
-/// SAFETY: SSE2 baseline; loads stay within `keys`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn ff_lt_sse2(keys: &[f64], pivot: f64) -> usize {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let vp = _mm_set1_pd(pivot);
-    let mut i = 0usize;
-    while i + 2 <= n {
-        let lt = _mm_cmplt_pd(_mm_loadu_pd(kp.add(i)), vp);
-        let m = _mm_movemask_pd(lt) as u32;
-        if m == 0x3 {
-            i += 2;
-        } else {
-            return i + m.trailing_ones() as usize;
-        }
-    }
-    i + ff_lt_scalar(&keys[i..], pivot)
-}
-
-/// Length of the maximal suffix of `keys` with every key `>= pivot`
-/// (how far the right crack pointer can fast-forward).
-pub fn ff_ge_rev(level: SimdLevel, keys: &[f64], pivot: f64) -> usize {
-    match level.clamp_to_host() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { ff_ge_rev_avx2(keys, pivot) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { ff_ge_rev_sse2(keys, pivot) },
-        _ => ff_ge_rev_scalar(keys, pivot),
-    }
-}
-
-fn ff_ge_rev_scalar(keys: &[f64], pivot: f64) -> usize {
-    keys.iter().rev().take_while(|&&k| k >= pivot).count()
-}
-
-/// SAFETY: caller checked `avx2`; loads stay within `keys`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ff_ge_rev_avx2(keys: &[f64], pivot: f64) -> usize {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let vp = _mm256_set1_pd(pivot);
-    let mut j = n;
-    while j >= 4 {
-        // Lane t holds keys[j - 4 + t]; set bits mark `< pivot` stops.
-        let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_loadu_pd(kp.add(j - 4)), vp);
-        let m = _mm256_movemask_pd(lt) as u32;
-        if m == 0 {
-            j -= 4;
-        } else {
-            let h = 31 - m.leading_zeros(); // highest stop lane, 0..=3
-            return (n - j) + (3 - h) as usize;
-        }
-    }
-    (n - j) + ff_ge_rev_scalar(&keys[..j], pivot)
-}
-
-/// SAFETY: SSE2 baseline; loads stay within `keys`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn ff_ge_rev_sse2(keys: &[f64], pivot: f64) -> usize {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let vp = _mm_set1_pd(pivot);
-    let mut j = n;
-    while j >= 2 {
-        let lt = _mm_cmplt_pd(_mm_loadu_pd(kp.add(j - 2)), vp);
-        let m = _mm_movemask_pd(lt) as u32;
-        if m == 0 {
-            j -= 2;
-        } else {
-            let h = 31 - m.leading_zeros(); // highest stop lane, 0..=1
-            return (n - j) + (1 - h) as usize;
-        }
-    }
-    (n - j) + ff_ge_rev_scalar(&keys[..j], pivot)
-}
-
-// ---------------------------------------------------------------------------
-// Three-way (DNF) middle-run fast-forward.
-// ---------------------------------------------------------------------------
-
-/// Length of the maximal prefix of `keys` with every key inside
-/// `[low, high]` (the three-way crack's middle-run fast-forward).
-/// Assumes NaN-free keys, as produced by [`crate::keys::rekey`].
-///
-/// The `#[target_feature]` bodies cannot inline into scalar callers, so
-/// each call pays real dispatch overhead — callers should invoke this
-/// only once a middle run has already proven long (the three-way kernels
-/// count consecutive middle-class elements scalar-side first).
-#[inline]
-pub fn ff_middle(level: SimdLevel, keys: &[f64], low: f64, high: f64) -> usize {
-    match level.clamp_to_host() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { ff_middle_avx2(keys, low, high) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { ff_middle_sse2(keys, low, high) },
-        _ => ff_middle_scalar(keys, low, high),
-    }
-}
-
-fn ff_middle_scalar(keys: &[f64], low: f64, high: f64) -> usize {
-    keys.iter().take_while(|&&k| !(k < low || k > high)).count()
-}
-
-/// SAFETY: caller checked `avx2`; loads stay within `keys`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ff_middle_avx2(keys: &[f64], low: f64, high: f64) -> usize {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let vlo = _mm256_set1_pd(low);
-    let vhi = _mm256_set1_pd(high);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let vk = _mm256_loadu_pd(kp.add(i));
-        let inside = _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_GE_OQ>(vk, vlo),
-            _mm256_cmp_pd::<_CMP_LE_OQ>(vk, vhi),
-        );
-        let m = _mm256_movemask_pd(inside) as u32;
-        if m == 0xF {
-            i += 4;
-        } else {
-            return i + m.trailing_ones() as usize;
-        }
-    }
-    i + ff_middle_scalar(&keys[i..], low, high)
-}
-
-/// SAFETY: SSE2 baseline; loads stay within `keys`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn ff_middle_sse2(keys: &[f64], low: f64, high: f64) -> usize {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let vlo = _mm_set1_pd(low);
-    let vhi = _mm_set1_pd(high);
-    let mut i = 0usize;
-    while i + 2 <= n {
-        let vk = _mm_loadu_pd(kp.add(i));
-        let inside = _mm_and_pd(_mm_cmpge_pd(vk, vlo), _mm_cmple_pd(vk, vhi));
-        let m = _mm_movemask_pd(inside) as u32;
-        if m == 0x3 {
-            i += 2;
-        } else {
-            return i + m.trailing_ones() as usize;
-        }
-    }
-    i + ff_middle_scalar(&keys[i..], low, high)
-}
-
-/// [`ff_middle`] for the measured three-way kernel: also folds every
-/// advanced `(key, hi)` pair into `mid` as a vector min/max reduction.
-/// Assumes NaN-free keys. Same call-overhead caveat as [`ff_middle`].
-#[inline]
-pub fn ff_middle_fold(
-    level: SimdLevel,
-    keys: &[f64],
-    his: &[f64],
-    low: f64,
-    high: f64,
-    mid: &mut DimBounds,
-) -> usize {
-    debug_assert_eq!(keys.len(), his.len());
-    match level.clamp_to_host() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { ff_middle_fold_avx2(keys, his, low, high, mid) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { ff_middle_fold_sse2(keys, his, low, high, mid) },
-        _ => ff_middle_fold_scalar(keys, his, low, high, mid),
-    }
-}
-
-fn ff_middle_fold_scalar(
-    keys: &[f64],
-    his: &[f64],
-    low: f64,
-    high: f64,
-    mid: &mut DimBounds,
-) -> usize {
-    let mut i = 0usize;
-    for (&k, &h) in keys.iter().zip(his.iter()) {
-        if k < low || k > high {
-            break;
-        }
-        mid.fold_key_hi(k, h);
-        i += 1;
-    }
-    i
-}
-
-/// SAFETY: caller checked `avx2`; loads stay within `keys`/`his`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ff_middle_fold_avx2(
-    keys: &[f64],
-    his: &[f64],
-    low: f64,
-    high: f64,
-    mid: &mut DimBounds,
-) -> usize {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let hp = his.as_ptr();
-    let vlo = _mm256_set1_pd(low);
-    let vhi = _mm256_set1_pd(high);
-    let mut vmin = _mm256_set1_pd(f64::INFINITY);
-    let mut vmax = _mm256_set1_pd(f64::NEG_INFINITY);
-    let mut i = 0usize;
-    let mut stopped = false;
-    while i + 4 <= n {
-        let vk = _mm256_loadu_pd(kp.add(i));
-        let inside = _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_GE_OQ>(vk, vlo),
-            _mm256_cmp_pd::<_CMP_LE_OQ>(vk, vhi),
-        );
-        let m = _mm256_movemask_pd(inside) as u32;
-        if m == 0xF {
-            vmin = _mm256_min_pd(vmin, vk);
-            vmax = _mm256_max_pd(vmax, _mm256_loadu_pd(hp.add(i)));
-            i += 4;
-        } else {
-            let p = m.trailing_ones() as usize;
-            for t in 0..p {
-                mid.fold_key_hi(keys[i + t], his[i + t]);
-            }
-            i += p;
-            stopped = true;
-            break;
-        }
-    }
-    // min-key / max-hi folds are order-insensitive, so merging the
-    // vector accumulators after the stop-lane prefix is fine.
-    mid.fold_key_hi(hmin4(vmin), hmax4(vmax));
-    if !stopped {
-        i += ff_middle_fold_scalar(&keys[i..], &his[i..], low, high, mid);
-    }
-    i
-}
-
-/// SAFETY: SSE2 baseline; loads stay within `keys`/`his`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn ff_middle_fold_sse2(
-    keys: &[f64],
-    his: &[f64],
-    low: f64,
-    high: f64,
-    mid: &mut DimBounds,
-) -> usize {
-    let n = keys.len();
-    let kp = keys.as_ptr();
-    let hp = his.as_ptr();
-    let vlo = _mm_set1_pd(low);
-    let vhi = _mm_set1_pd(high);
-    let mut vmin = _mm_set1_pd(f64::INFINITY);
-    let mut vmax = _mm_set1_pd(f64::NEG_INFINITY);
-    let mut i = 0usize;
-    let mut stopped = false;
-    while i + 2 <= n {
-        let vk = _mm_loadu_pd(kp.add(i));
-        let inside = _mm_and_pd(_mm_cmpge_pd(vk, vlo), _mm_cmple_pd(vk, vhi));
-        let m = _mm_movemask_pd(inside) as u32;
-        if m == 0x3 {
-            vmin = _mm_min_pd(vmin, vk);
-            vmax = _mm_max_pd(vmax, _mm_loadu_pd(hp.add(i)));
-            i += 2;
-        } else {
-            let p = m.trailing_ones() as usize;
-            for t in 0..p {
-                mid.fold_key_hi(keys[i + t], his[i + t]);
-            }
-            i += p;
-            stopped = true;
-            break;
-        }
-    }
-    mid.fold_key_hi(hmin2(vmin), hmax2(vmax));
-    if !stopped {
-        i += ff_middle_fold_scalar(&keys[i..], &his[i..], low, high, mid);
-    }
-    i
 }
 
 // ---------------------------------------------------------------------------
@@ -949,76 +461,6 @@ unsafe fn collect_bottom2_avx2<const D: usize>(
     w
 }
 
-// ---------------------------------------------------------------------------
-// Horizontal reductions / bitwise blend helpers.
-// ---------------------------------------------------------------------------
-
-/// SAFETY: requires `avx2` (callers are `avx2` kernels).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hmin4(v: __m256d) -> f64 {
-    let mut buf = [0.0f64; 4];
-    _mm256_storeu_pd(buf.as_mut_ptr(), v);
-    let mut m = buf[0];
-    for &x in &buf[1..] {
-        if x < m {
-            m = x;
-        }
-    }
-    m
-}
-
-/// SAFETY: requires `avx2` (callers are `avx2` kernels).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hmax4(v: __m256d) -> f64 {
-    let mut buf = [0.0f64; 4];
-    _mm256_storeu_pd(buf.as_mut_ptr(), v);
-    let mut m = buf[0];
-    for &x in &buf[1..] {
-        if x > m {
-            m = x;
-        }
-    }
-    m
-}
-
-/// SAFETY: SSE2 baseline.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn hmin2(v: __m128d) -> f64 {
-    let mut buf = [0.0f64; 2];
-    _mm_storeu_pd(buf.as_mut_ptr(), v);
-    if buf[1] < buf[0] {
-        buf[1]
-    } else {
-        buf[0]
-    }
-}
-
-/// SAFETY: SSE2 baseline.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn hmax2(v: __m128d) -> f64 {
-    let mut buf = [0.0f64; 2];
-    _mm_storeu_pd(buf.as_mut_ptr(), v);
-    if buf[1] > buf[0] {
-        buf[1]
-    } else {
-        buf[0]
-    }
-}
-
-/// Bitwise select: lanes where `mask` is all-ones take `b`, the rest
-/// take `a` (compare masks are all-ones/all-zeros per lane).
-///
-/// SAFETY: SSE2 baseline.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn blend2(a: __m128d, b: __m128d, mask: __m128d) -> __m128d {
-    _mm_or_pd(_mm_and_pd(mask, b), _mm_andnot_pd(mask, a))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1052,98 +494,23 @@ mod tests {
         assert_eq!(SimdPolicy::Scalar.resolve(), SimdLevel::Scalar);
     }
 
-    /// Adversarial lane patterns: every 4-bit classify mask in every
-    /// chunk position, plus unaligned remainders.
-    fn adversarial_keys(pivot: f64) -> Vec<Vec<f64>> {
-        let mut cases = Vec::new();
-        for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13] {
-            for m in 0..(1u32 << n.min(8)) {
-                let keys: Vec<f64> = (0..n)
-                    .map(|i| {
-                        if m & (1 << (i % 8)) != 0 {
-                            pivot - 1.0 - i as f64
-                        } else {
-                            pivot + i as f64
-                        }
-                    })
-                    .collect();
-                cases.push(keys);
-                if cases.len() > 600 {
-                    return cases;
-                }
-            }
-        }
-        cases
-    }
-
     #[test]
-    fn classify_two_matches_scalar_on_adversarial_patterns() {
-        let pivot = 10.0;
-        for keys in adversarial_keys(pivot) {
-            let his: Vec<f64> = keys.iter().map(|k| k + 0.5).collect();
-            let want = classify_two(SimdLevel::Scalar, &keys, &his, pivot);
-            for lv in levels() {
-                let got = classify_two(lv, &keys, &his, pivot);
-                assert_eq!(got.count_lt, want.count_lt, "{lv:?} {keys:?}");
-                assert_eq!(got.l_min_key, want.l_min_key, "{lv:?} {keys:?}");
-                assert_eq!(got.l_max_hi, want.l_max_hi, "{lv:?} {keys:?}");
-                assert_eq!(got.r_min_key, want.r_min_key, "{lv:?} {keys:?}");
-                assert_eq!(got.r_max_hi, want.r_max_hi, "{lv:?} {keys:?}");
-            }
+    fn env_override_strings_are_accepted_trimmed_or_rejected() {
+        for p in [
+            SimdPolicy::Auto,
+            SimdPolicy::Scalar,
+            SimdPolicy::Sse2,
+            SimdPolicy::Avx2,
+        ] {
+            assert_eq!(parse_override(p.name()), Ok(p));
+            assert_eq!(parse_override(&format!("  {}\n", p.name())), Ok(p));
         }
-    }
-
-    #[test]
-    fn classify_two_handles_all_equal_keys() {
-        for n in 0..9usize {
-            let keys = vec![5.0; n];
-            let his = vec![6.0; n];
-            for lv in levels() {
-                let below = classify_two(lv, &keys, &his, 7.0);
-                assert_eq!(below.count_lt, n);
-                let at = classify_two(lv, &keys, &his, 5.0);
-                assert_eq!(at.count_lt, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn fast_forwards_match_scalar_on_adversarial_patterns() {
-        let pivot = 10.0;
-        for keys in adversarial_keys(pivot) {
-            for lv in levels() {
-                assert_eq!(
-                    ff_lt(lv, &keys, pivot),
-                    ff_lt_scalar(&keys, pivot),
-                    "{lv:?} {keys:?}"
-                );
-                assert_eq!(
-                    ff_ge_rev(lv, &keys, pivot),
-                    ff_ge_rev_scalar(&keys, pivot),
-                    "{lv:?} {keys:?}"
-                );
-                assert_eq!(
-                    ff_middle(lv, &keys, pivot - 3.0, pivot + 3.0),
-                    ff_middle_scalar(&keys, pivot - 3.0, pivot + 3.0),
-                    "{lv:?} {keys:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ff_middle_fold_matches_scalar_fold() {
-        let (low, high) = (4.0, 12.0);
-        for keys in adversarial_keys(8.0) {
-            let his: Vec<f64> = keys.iter().map(|k| k + 0.25).collect();
-            let mut want = DimBounds::empty();
-            let want_adv = ff_middle_fold_scalar(&keys, &his, low, high, &mut want);
-            for lv in levels() {
-                let mut got = DimBounds::empty();
-                let adv = ff_middle_fold(lv, &keys, &his, low, high, &mut got);
-                assert_eq!(adv, want_adv, "{lv:?} {keys:?}");
-                assert_eq!(got, want, "{lv:?} {keys:?}");
-            }
+        for bad in ["AVX2", "scaler", "", "avx2,scalar"] {
+            let msg = parse_override(bad).expect_err(bad);
+            assert_eq!(
+                msg,
+                format!("QUASII_SIMD='{bad}' ignored: expected auto|scalar|sse2|avx2")
+            );
         }
     }
 

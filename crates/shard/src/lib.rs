@@ -49,10 +49,12 @@
 //! bytes copied on write and 8 compared on load; the engine's load is the
 //! one pass over the part's content.
 //! [`ShardedQuasii::write_snapshot_parts`] /
-//! [`ShardedQuasii::from_snapshot_parts`] expose the parts individually —
-//! the migration seam (shard buffers can live on different nodes) — and
-//! [`ShardedQuasii::write_snapshot`] / [`ShardedQuasii::from_snapshot`]
-//! pack manifest + buffers into a single file-friendly byte vector. A
+//! [`ShardedQuasii::from_snapshot_parts`] expose the parts in memory — the
+//! migration seam (shard buffers can live on different nodes) — and
+//! [`ShardedQuasii::write_snapshot_files`] /
+//! [`ShardedQuasii::from_snapshot_files`] commit and load them as a
+//! manifest file beside generation-stamped part files. That is the one
+//! layout: a manifest followed by anything else in its file is corrupt. A
 //! reloaded deployment answers every query byte-identically to the writer.
 //!
 //! Result vectors are returned in **canonical (ascending id) order**. The
@@ -581,53 +583,7 @@ impl<const D: usize> ShardedQuasii<D> {
         manifest: &[u8],
         shards: Vec<Vec<u8>>,
     ) -> Result<Self, SnapshotError> {
-        let m = parse_manifest::<D>(manifest)?;
-        if m.total != manifest.len() {
-            return Err(corrupt(format!(
-                "manifest claims {} bytes, got {}",
-                m.total,
-                manifest.len()
-            )));
-        }
-        Self::assemble(m, shards)
-    }
-
-    /// Serializes the whole deployment into **one buffer**: the manifest of
-    /// [`write_snapshot_parts`](Self::write_snapshot_parts) followed by the
-    /// shard buffers back-to-back — the single-file transport.
-    pub fn write_snapshot(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let (manifest, shard_bufs) = self.write_snapshot_parts()?;
-        let mut out = manifest;
-        for b in &shard_bufs {
-            out.extend_from_slice(b);
-        }
-        Ok(out)
-    }
-
-    /// Revives a deployment from a packed [`write_snapshot`]
-    /// (manifest + shard buffers) byte vector. Never panics on malformed
-    /// input.
-    ///
-    /// [`write_snapshot`]: Self::write_snapshot
-    pub fn from_snapshot(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        let m = parse_manifest::<D>(&bytes)?;
-        let mut off = m.total;
-        let mut bufs = Vec::with_capacity(m.shards.len());
-        for (k, &(_, len, _)) in m.shards.iter().enumerate() {
-            let end = off
-                .checked_add(len)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| corrupt(format!("shard {k} buffer overruns the packed snapshot")))?;
-            bufs.push(bytes[off..end].to_vec());
-            off = end;
-        }
-        if off != bytes.len() {
-            return Err(corrupt(format!(
-                "packed snapshot holds {} bytes, sections account for {off}",
-                bytes.len()
-            )));
-        }
-        Self::assemble(m, bufs)
+        Self::assemble(parse_manifest::<D>(manifest)?, shards)
     }
 
     /// Shared tail of both load paths: verify each shard buffer against the
@@ -728,10 +684,8 @@ impl<const D: usize> ShardedQuasii<D> {
     /// Revives a deployment committed by
     /// [`write_snapshot_files`](Self::write_snapshot_files): reads the
     /// manifest at `path`, then the generation-stamped part files it names.
-    /// Also accepts a **packed** single-file snapshot at `path` (the
-    /// manifest's `total` tells the two layouts apart), so one loader
-    /// serves both transports. Never panics on malformed input; any
-    /// missing or corrupt part yields `Err` — use
+    /// Never panics on malformed input; any missing or corrupt part yields
+    /// `Err` — use
     /// [`Recovery`](crate::recovery::Recovery) to load what survives
     /// instead.
     pub fn from_snapshot_files<S: SnapshotStore + ?Sized>(
@@ -740,9 +694,6 @@ impl<const D: usize> ShardedQuasii<D> {
     ) -> Result<Self, SnapshotError> {
         let bytes = store.read_file(path)?;
         let m = parse_manifest::<D>(&bytes)?;
-        if bytes.len() > m.total {
-            return Self::from_snapshot(bytes);
-        }
         let mut bufs = Vec::with_capacity(m.shards.len());
         for k in 0..m.shards.len() {
             bufs.push(store.read_file(&part_path(path, m.generation, k))?);
@@ -950,10 +901,8 @@ pub fn part_path(path: &Path, generation: u64, shard: usize) -> PathBuf {
 pub struct ManifestSummary {
     /// Dimensionality declared in the header.
     pub dims: u32,
-    /// Snapshot generation (names the part files of a multi-file commit).
+    /// Snapshot generation (names the part files of a commit).
     pub generation: u64,
-    /// Manifest byte length; a packed snapshot's shard buffers start here.
-    pub total: usize,
     /// Per-shard `(record count, buffer length, header word)` table; the
     /// header word is the buffer's own checksum field (its bytes `16..24`).
     pub shards: Vec<(usize, usize, u64)>,
@@ -971,7 +920,6 @@ pub fn manifest_summary(bytes: &[u8]) -> Result<ManifestSummary, SnapshotError> 
     Ok(ManifestSummary {
         dims,
         generation: m.generation,
-        total: m.total,
         records: m.shards.iter().map(|&(r, _, _)| r).sum(),
         shard_bytes: m.shards.iter().map(|&(_, l, _)| l).sum(),
         shards: m.shards,
@@ -1051,7 +999,6 @@ fn load_shard<const D: usize>(
 /// themselves, plus the per-shard verification table
 /// `(record count, buffer length, header word)`.
 pub(crate) struct Manifest {
-    pub(crate) total: usize,
     pub(crate) generation: u64,
     pub(crate) requested_shards: usize,
     pub(crate) shard_threads: usize,
@@ -1064,7 +1011,7 @@ pub(crate) struct Manifest {
     pub(crate) shards: Vec<(usize, usize, u64)>,
 }
 
-/// Parses and verifies a manifest prefix for dimensionality `D` (see
+/// Parses and verifies a manifest for dimensionality `D` (see
 /// [`parse_manifest_any`] for the runtime-dims variant).
 pub(crate) fn parse_manifest<const D: usize>(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
     let (dims, m) = parse_manifest_any(bytes)?;
@@ -1077,11 +1024,11 @@ pub(crate) fn parse_manifest<const D: usize>(bytes: &[u8]) -> Result<Manifest, S
     Ok(m)
 }
 
-/// Parses and verifies a manifest prefix (magic, version, checksum, exact
-/// body accounting) without pinning the dimensionality — the CLI `verify`
-/// path inspects manifests of any `D`. `bytes` may extend past the
-/// manifest — the packed single-buffer form appends the shard buffers
-/// right after it — so callers decide what `total` must equal.
+/// Parses and verifies a manifest (magic, version, checksum, exact body
+/// accounting) without pinning the dimensionality — the CLI `verify` path
+/// inspects manifests of any `D`. The manifest must be all of `bytes`:
+/// shard buffers live in their own part files, so anything after it (one
+/// file holding the manifest and the buffers, say) is corrupt.
 ///
 /// Every count read from the body is validated against the bytes that
 /// remain *before* any allocation sized by it, so a forged manifest with a
@@ -1089,9 +1036,15 @@ pub(crate) fn parse_manifest<const D: usize>(bytes: &[u8]) -> Result<Manifest, S
 pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), SnapshotError> {
     let frame = Frame::read(bytes, &MANIFEST_MAGIC, MANIFEST_VERSION, "shard manifest")?;
     let (dims, total) = (frame.dims, frame.total);
+    if bytes.len() > total {
+        return Err(corrupt(format!(
+            "{} trailing bytes after the {total}-byte shard manifest",
+            bytes.len() - total
+        )));
+    }
     frame.verify(bytes, "shard manifest")?;
 
-    let mut r = Reader::new(&bytes[..total], FRAME_LEN);
+    let mut r = Reader::new(bytes, FRAME_LEN);
     let generation = r.u64()?;
     let shard_count = r.index("shard count")?;
     if shard_count == 0 {
@@ -1142,7 +1095,6 @@ pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), Snapsh
     Ok((
         dims,
         Manifest {
-            total,
             generation,
             requested_shards,
             shard_threads,
@@ -1206,14 +1158,6 @@ impl<const D: usize> SpatialIndex<D> for ShardedQuasii<D> {
 
     fn sealed_fraction(&self) -> f64 {
         ShardedQuasii::sealed_fraction(self)
-    }
-
-    fn write_snapshot(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        ShardedQuasii::write_snapshot(self)
-    }
-
-    fn from_snapshot(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        ShardedQuasii::from_snapshot(bytes)
     }
 }
 
@@ -1543,20 +1487,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_snapshot_roundtrips_through_the_trait() {
-        let (mut idx, queries) = warmed_deployment();
-        let packed = SpatialIndex::write_snapshot(&mut idx).expect("write packed");
-        let mut re =
-            <ShardedQuasii<3> as SpatialIndex<3>>::from_snapshot(packed).expect("load packed");
-        assert_eq!(re.execute_batch(&queries), idx.execute_batch(&queries));
-        assert_eq!(re.stats(), idx.stats());
-    }
-
-    #[test]
     fn corrupted_shard_snapshots_are_rejected() {
         let (mut idx, _) = warmed_deployment();
         let (manifest, shard_bufs) = idx.write_snapshot_parts().expect("write parts");
-        let packed = idx.write_snapshot().expect("write packed");
 
         let mut bad = manifest.clone();
         bad[0] ^= 0xff;
@@ -1577,7 +1510,7 @@ mod tests {
         }
 
         assert!(matches!(
-            ShardedQuasii::<2>::from_snapshot(packed.clone()),
+            ShardedQuasii::<2>::from_snapshot_parts(&manifest, shard_bufs.clone()),
             Err(SnapshotError::WrongDims {
                 found: 3,
                 expected: 2
@@ -1606,9 +1539,12 @@ mod tests {
         short.pop();
         assert!(ShardedQuasii::<3>::from_snapshot_parts(&manifest, short).is_err());
 
-        // Truncations of the packed form never panic.
-        for cut in [0, 16, 31, 32, manifest.len(), packed.len() - 1] {
-            assert!(ShardedQuasii::<3>::from_snapshot(packed[..cut].to_vec()).is_err());
+        // Truncations of the manifest never panic.
+        for cut in [0, 16, 31, 32, manifest.len() - 1] {
+            assert!(
+                ShardedQuasii::<3>::from_snapshot_parts(&manifest[..cut], shard_bufs.clone())
+                    .is_err()
+            );
         }
 
         // A manifest-body bit flip fails the manifest checksum.
@@ -1709,12 +1645,25 @@ mod tests {
         assert_eq!(summary.records, 2_500);
         assert_eq!(summary.shards.len(), idx.shard_count());
 
-        // A packed single file loads through the same entry point.
-        let packed = idx.write_snapshot().unwrap();
-        let p2 = Path::new("/deploy/packed.bin");
-        fsx::write_atomic(&store, p2, &packed).unwrap();
-        let mut re2 = ShardedQuasii::<3>::from_snapshot_files(&store, p2).unwrap();
-        assert_eq!(re2.execute_batch(&queries), idx.execute_batch(&queries));
+        // One file holding the manifest and then the shard buffers is not a
+        // second layout: every entry point names the trailing bytes, and
+        // recovery has no manifest to quarantine shards against.
+        let (manifest, bufs) = idx.write_snapshot_parts().unwrap();
+        let trailing: usize = bufs.iter().map(Vec::len).sum();
+        let one_file = [manifest, bufs.concat()].concat();
+        let p2 = Path::new("/deploy/one-file.bin");
+        fsx::write_atomic(&store, p2, &one_file).unwrap();
+        let expect = format!("{trailing} trailing bytes after the");
+        for err in [
+            ShardedQuasii::<3>::from_snapshot_files(&store, p2).err(),
+            Recovery::<3>::load(&store, p2).err(),
+            manifest_summary(&one_file).err(),
+        ] {
+            match err {
+                Some(SnapshotError::Corrupt(why)) => assert!(why.contains(&expect), "{why}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1750,7 +1699,7 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
         assert!(matches!(
-            ShardedQuasii::<3>::from_snapshot(m),
+            ShardedQuasii::<3>::from_snapshot_parts(&m, Vec::new()),
             Err(SnapshotError::Corrupt(_))
         ));
     }

@@ -110,11 +110,10 @@ pub struct Recovery<const D: usize> {
 }
 
 impl<const D: usize> Recovery<D> {
-    /// Loads whatever survives of a deployment committed at `path`
-    /// (multi-file or packed layout, auto-detected). The manifest itself
-    /// must parse — it is the small, last-committed, checksummed piece; if
+    /// Loads whatever survives of a deployment committed at `path`. The
+    /// manifest itself must parse — it is the small, last-committed, checksummed piece; if
     /// *it* is gone there is nothing to recover and the caller should
-    /// re-crack from source data. Each shard part is then validated
+    /// re-crack from source data. Each shard part file is then validated
     /// independently; failures quarantine the shard instead of failing the
     /// load. Never panics on malformed input.
     pub fn load<S: SnapshotStore + ?Sized>(store: &S, path: &Path) -> Result<Self, SnapshotError> {
@@ -124,34 +123,13 @@ impl<const D: usize> Recovery<D> {
         fences
             .validate()
             .map_err(|e| corrupt(format!("fences: {e}")))?;
-        let packed = bytes.len() > m.total;
         let mut engines = Vec::with_capacity(m.shards.len());
         let mut shards = Vec::with_capacity(m.shards.len());
-        let mut off = m.total;
-        let mut packed_torn = false;
         for (k, &entry) in m.shards.iter().enumerate() {
-            let (records, len, _) = entry;
-            let buf: Result<Vec<u8>, String> = if packed {
-                if packed_torn {
-                    Err("packed snapshot truncated before this shard".to_string())
-                } else {
-                    match off.checked_add(len).filter(|&e| e <= bytes.len()) {
-                        Some(end) => {
-                            let b = bytes[off..end].to_vec();
-                            off = end;
-                            Ok(b)
-                        }
-                        None => {
-                            packed_torn = true;
-                            Err("shard buffer overruns the packed snapshot".to_string())
-                        }
-                    }
-                }
-            } else {
-                store
-                    .read_file(&part_path(path, m.generation, k))
-                    .map_err(|e| format!("part unreadable: {e}"))
-            };
+            let (records, _, _) = entry;
+            let buf = store
+                .read_file(&part_path(path, m.generation, k))
+                .map_err(|e| format!("part unreadable: {e}"));
             let status =
                 match buf.and_then(|b| load_shard::<D>(k, entry, b).map_err(|e| e.to_string())) {
                     Ok(engine) => {
@@ -347,11 +325,5 @@ impl<const D: usize> DegradedQuasii<D> {
             });
         }
         (hits, Coverage { missing })
-    }
-
-    /// [`query_partial`](Self::query_partial) over a batch, sequentially —
-    /// degraded mode favors simplicity over throughput.
-    pub fn execute_batch_partial(&mut self, queries: &[Aabb<D>]) -> Vec<(Vec<u64>, Coverage)> {
-        queries.iter().map(|q| self.query_partial(q)).collect()
     }
 }

@@ -38,8 +38,6 @@ fn one_shard_thread_writes_and_loads_without_the_pool() {
     let (manifest, parts) = writer.write_snapshot_parts().expect("write parts");
     let mut loaded = ShardedQuasii::<3>::from_snapshot_parts(&manifest, parts).expect("load parts");
     assert_eq!(loaded.config().shard_threads, 1, "the knob is restored");
-    let packed = writer.write_snapshot().expect("write packed");
-    let mut repacked = ShardedQuasii::<3>::from_snapshot(packed).expect("load packed");
 
     let pool_threads: Vec<String> = thread_names()
         .into_iter()
@@ -50,5 +48,4 @@ fn one_shard_thread_writes_and_loads_without_the_pool() {
         "the pool was started: {pool_threads:?}"
     );
     assert_eq!(loaded.execute_batch(&queries), expected);
-    assert_eq!(repacked.execute_batch(&queries), expected);
 }

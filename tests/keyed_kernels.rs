@@ -14,16 +14,8 @@
 use proptest::prelude::*;
 use quasii::crack::{self, key_of, reference, DimBounds};
 use quasii::keys::rekey;
-use quasii::{AssignBy, SimdLevel, SimdPolicy};
+use quasii::AssignBy;
 use quasii_suite::prelude::*;
-
-/// The kernel generation under test: the engine's own resolution, so the
-/// CI matrix (auto + `QUASII_SIMD=scalar`) runs this suite against both the
-/// vector and the oracle kernels. Cross-level equivalence is proven
-/// separately (`tests/simd.rs` and the in-crate kernel tests).
-fn lv() -> SimdLevel {
-    SimdPolicy::default().resolve()
-}
 
 /// Segments with deliberately coarse coordinates so duplicate assignment
 /// keys (the Dutch-flag middle class, degenerate splits) appear often.
@@ -104,7 +96,7 @@ proptest! {
         let mut keyed = seg.clone();
         let mut plain = seg;
         let (p, l, r) = crack::crack_two_keyed_measured(
-            &mut keys, &mut his, &mut keyed, dim, mode, pivot, lv(),
+            &mut keys, &mut his, &mut keyed, dim, mode, pivot,
         );
         let (p_ref, l_ref, r_ref) =
             reference::crack_two_measured(&mut plain, dim, mode, pivot);
@@ -142,7 +134,7 @@ proptest! {
         let mut keyed = seg.clone();
         let mut plain = seg;
         let (p1, p2, m) = crack::crack_three_keyed_measured(
-            &mut keys, &mut his, &mut keyed, dim, mode, low, high, lv(),
+            &mut keys, &mut his, &mut keyed, dim, mode, low, high,
         );
         let (r1, r2, m_ref) =
             reference::crack_three_measured(&mut plain, dim, mode, low, high);
@@ -159,7 +151,7 @@ proptest! {
         let (mut k2, mut h2) = columns_of(&plain, dim, mode);
         let mut keyed2 = plain.clone();
         let (q1, q2) =
-            crack::crack_three_keyed(&mut k2, &mut h2, &mut keyed2, low, high, lv());
+            crack::crack_three_keyed(&mut k2, &mut h2, &mut keyed2, low, high);
         let (s1, s2) = reference::crack_three(&mut plain, dim, mode, low, high);
         prop_assert_eq!((q1, q2), (s1, s2));
         prop_assert_eq!(keyed2, plain);
@@ -226,15 +218,8 @@ fn degenerate_all_equal_keys_segment() {
             let (mut keys, mut his) = columns_of(&seg, 0, mode);
             let mut keyed = seg.clone();
             let mut plain = seg.clone();
-            let (p, l, r) = crack::crack_two_keyed_measured(
-                &mut keys,
-                &mut his,
-                &mut keyed,
-                0,
-                mode,
-                pivot,
-                lv(),
-            );
+            let (p, l, r) =
+                crack::crack_two_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, pivot);
             let (p_ref, l_ref, r_ref) = reference::crack_two_measured(&mut plain, 0, mode, pivot);
             assert_eq!(p, p_ref);
             assert_eq!(keyed, plain);
@@ -245,7 +230,7 @@ fn degenerate_all_equal_keys_segment() {
         let (mut keys, mut his) = columns_of(&seg, 0, mode);
         let mut keyed = seg.clone();
         let (p1, p2, _) =
-            crack::crack_three_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, k, k, lv());
+            crack::crack_three_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, k, k);
         assert_eq!((p1, p2), (0, 50), "middle swallows the identical keys");
         let p = crack::crack_median_keyed(&mut keys, &mut his, &mut keyed, 0, mode);
         assert_eq!(p, 0, "value-indivisible segment");
@@ -261,15 +246,8 @@ fn empty_segments_are_no_ops() {
         crack::crack_two_keyed(&mut keys, &mut his, &mut recs, 1.0),
         0
     );
-    let (p, l, r) = crack::crack_two_keyed_measured(
-        &mut keys,
-        &mut his,
-        &mut recs,
-        0,
-        AssignBy::Lower,
-        1.0,
-        lv(),
-    );
+    let (p, l, r) =
+        crack::crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower, 1.0);
     assert_eq!(p, 0);
     assert_eq!((l, r), (DimBounds::empty(), DimBounds::empty()));
     let (p1, p2, m) = crack::crack_three_keyed_measured(
@@ -280,7 +258,6 @@ fn empty_segments_are_no_ops() {
         AssignBy::Lower,
         0.0,
         1.0,
-        lv(),
     );
     assert_eq!((p1, p2), (0, 0));
     assert!(m.iter().all(|b| *b == DimBounds::empty()));

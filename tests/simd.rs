@@ -2,14 +2,13 @@
 //! forced-scalar oracle.
 //!
 //! The kernel-level equivalence proofs live next to the kernels
-//! (`quasii::simd` unit tests) and in `tests/keyed_kernels.rs`; this suite
-//! closes the loop at the **engine** level: two engines that differ *only*
-//! in their [`SimdPolicy`] — one forced to the scalar oracle, one forced to
-//! the best level the host detects — must produce byte-identical query
-//! results, byte-identical cumulative [`Quasii::stats`], and byte-identical
-//! snapshots (the snapshot serializes the physical record permutation and
-//! every slice boundary, so snapshot equality proves the vector cracks
-//! performed the *exact same swap sequence* as the scalar ones).
+//! (`quasii::simd` unit tests); this suite closes the loop at the
+//! **engine** level: two engines that differ *only* in their
+//! [`SimdPolicy`] — one forced to the scalar oracle, one forced to the best
+//! level the host detects — must produce byte-identical query results,
+//! byte-identical cumulative [`Quasii::stats`], and byte-identical
+//! snapshots (the snapshot serializes the physical record permutation,
+//! every slice boundary and every sealed column).
 //!
 //! On a host without SSE2/AVX2 the "vector" side clamps to scalar and the
 //! suite degenerates to scalar-vs-scalar — still a valid (if trivial) run,
@@ -17,9 +16,8 @@
 //!
 //! The generators use coarse integer-derived coordinates, so segments hit
 //! heavy key ties, odd (non-lane-multiple) lengths, and unaligned chunk
-//! remainders; `-0.0` never appears (the vector fold min/max and the scalar
-//! fold can legitimately disagree on the *sign* of a zero bound, a
-//! documented non-goal — see `quasii::simd`).
+//! remainders; `-0.0` appears in `snapshots_cross_isa_boundaries`, where a
+//! tie between the two zeros must not move a snapshot byte.
 
 use proptest::prelude::*;
 use quasii::{AssignBy, SimdLevel, SimdPolicy};
@@ -185,31 +183,67 @@ fn degenerate_all_equal_records_stay_identical() {
     }
 }
 
+/// Boxes whose coordinates tie as `-0.0 == +0.0` in every dimension, in
+/// mixed order and beside ordinary values: a kernel that kept "the other
+/// zero" of a tie would answer identically and still change the bytes of
+/// every bound it folded.
+fn signed_zero_boxes() -> Vec<Record<3>> {
+    (0..400u64)
+        .map(|i| {
+            let zero = |k: u64| if (i / k).is_multiple_of(2) { -0.0 } else { 0.0 };
+            let coord = |k: u64| match (i / k) % 3 {
+                0 => zero(k + 1),
+                _ => ((i * k) % 89) as f64,
+            };
+            let lo = [coord(1), coord(2), coord(5)];
+            // Degenerate extents keep the zero's sign in the upper corner.
+            let hi = if i.is_multiple_of(4) {
+                lo
+            } else {
+                lo.map(|v| v + 3.0)
+            };
+            Record::new(i, Aabb::new(lo, hi))
+        })
+        .collect()
+}
+
 /// A snapshot written by a forced-vector engine revives and keeps answering
 /// identically under a forced-scalar revival (and vice versa): the SIMD
-/// policy is a host property, never index state.
+/// policy is a host property, never index state. Snapshot bytes are equal
+/// across levels mid-crack and converged, signed zeros included.
 #[test]
 fn snapshots_cross_isa_boundaries() {
-    let data = dataset::uniform_boxes_in::<3>(500, 100.0, 11);
     let qs: Vec<Aabb<3>> = (0..16)
         .map(|i| {
             let v = 6.0 * i as f64;
             Aabb::new([v; 3], [v + 9.0; 3])
         })
         .collect();
-    let (mut scalar, mut vector) = pair(&data, 8, AssignBy::Lower, 1, true);
-    for idx in [&mut scalar, &mut vector] {
-        let _ = idx.execute_batch(&qs);
-        idx.finalize();
-        idx.seal();
-    }
-    let from_vector = vector.write_snapshot().unwrap();
-    assert_eq!(scalar.write_snapshot().unwrap(), from_vector);
-    // Revive the vector-written snapshot; the loader re-resolves dispatch
-    // from the default policy on *this* host, and the results must match
-    // the still-live forced-scalar engine.
-    let mut revived = Quasii::<3>::from_snapshot(from_vector).unwrap();
-    for q in &qs {
-        assert_eq!(revived.query_collect(q), scalar.query_collect(q));
+    for data in [
+        dataset::uniform_boxes_in::<3>(500, 100.0, 11),
+        signed_zero_boxes(),
+    ] {
+        let (mut scalar, mut vector) = pair(&data, 8, AssignBy::Lower, 1, true);
+        for idx in [&mut scalar, &mut vector] {
+            let _ = idx.execute_batch(&qs);
+        }
+        assert_eq!(
+            scalar.write_snapshot().unwrap(),
+            vector.write_snapshot().unwrap(),
+            "mid-crack snapshot bytes"
+        );
+        for idx in [&mut scalar, &mut vector] {
+            idx.finalize();
+            idx.seal();
+        }
+        let from_vector = vector.write_snapshot().unwrap();
+        assert_eq!(scalar.write_snapshot().unwrap(), from_vector);
+        // Revive the vector-written snapshot; the loader re-resolves dispatch
+        // from the default policy on *this* host, and the results must match
+        // the still-live forced-scalar engine.
+        let mut revived = Quasii::<3>::from_snapshot(from_vector).unwrap();
+        for q in &qs {
+            assert_eq!(revived.query_collect(q), scalar.query_collect(q));
+        }
     }
 }
