@@ -20,13 +20,15 @@
 //!   "no hits" from "hits possibly missing" instead of silently reading
 //!   partial answers as complete ones.
 
-use crate::{corrupt, load_shard, parse_manifest, part_path, Manifest, ShardedQuasii};
+use crate::manifest::{load_shard, parse_manifest, part_path, Manifest};
+use crate::ShardedQuasii;
 use quasii::crack::key_of;
 use quasii::snapshot::SnapshotError;
 use quasii::{KeyFences, Quasii};
 use quasii_common::fsx::SnapshotStore;
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::index::SpatialIndex;
+use quasii_common::snapshot::corrupt;
 use quasii_obs as obs;
 use std::path::Path;
 
