@@ -234,13 +234,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         opts.insert(key.to_string(), (*val).clone());
         i += 2;
     }
-    let get = |k: &str, default: Option<&str>| -> Result<String, String> {
+    // An option the command does not read is an error, not noise: a typo,
+    // or an option that no longer exists, must not pass for the default.
+    let read = std::cell::RefCell::new(std::collections::HashSet::new());
+    let get = |k: &'static str, default: Option<&str>| -> Result<String, String> {
+        read.borrow_mut().insert(k);
         opts.get(k)
             .cloned()
             .or_else(|| default.map(str::to_string))
             .ok_or_else(|| format!("missing required --{k}"))
     };
-    match cmd {
+    let command = match cmd {
         "generate" => Ok(Command::Generate {
             family: get("family", Some("uniform"))?,
             n: num("n", &get("n", Some("100000"))?)?,
@@ -310,6 +314,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }),
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(format!("unknown command '{other}'")),
+    }?;
+    let read = read.into_inner();
+    match opts.keys().filter(|k| !read.contains(k.as_str())).min() {
+        Some(k) => Err(format!("unknown option --{k} for '{cmd}'")),
+        None => Ok(command),
     }
 }
 
@@ -369,21 +378,20 @@ and slice tree — as one checksummed snapshot file; with --shards K as one
 such part file per shard (SNAP.g<G>.part<k>) plus a small manifest at
 SNAP. `bench --warm-start SNAP` revives that index (a sharded snapshot
 carries its own configuration, so --shards/--threads/--assign-by/--seal
-are read from the manifest) and answers
-queries byte-identically to the index that wrote it, skipping the cold
-cracking phase entirely.
+are read from the manifest) and answers queries byte-identically to the
+index that wrote it, skipping the cold cracking phase entirely.
 Snapshots are written crash-safely (temp file, fsync, atomic rename,
 directory fsync); a sharded snapshot writes its part files first and the
 manifest last, so the manifest's rename is the single commit point — a
 crash at any instant leaves the old snapshot or the new one, never a torn
-mix. --fault crash@OP[:SEED] kills the write at
-its OP-th store operation (tearing the in-flight file to a seeded
-prefix); --fault transient@COUNT makes the first COUNT operations fail
-with a retryable error (absorbed by bounded retry).
+mix. --fault crash@OP[:SEED] kills the write at its OP-th store operation
+(tearing the in-flight file to a seeded prefix); --fault transient@COUNT
+makes the first COUNT operations fail with a retryable error (absorbed by
+bounded retry).
 `verify` checks magic, version, checksums and structural accounting of an
 engine snapshot (per-region report), a shard manifest (per-shard report,
-reading the part files it names), or a .qsd
-dataset — without constructing an engine; it exits nonzero on corruption.
+reading the part files it names), or a .qsd dataset — without constructing
+an engine; it exits nonzero on corruption.
 `recover` validates each shard of a sharded snapshot independently,
 quarantines the corrupt ones, re-cracks them from --data (routing records
 through the manifest's fences), re-validates every invariant, and
@@ -1222,6 +1230,19 @@ mod tests {
             parse(&args("snapshot --data d.qsd")).is_err(),
             "missing --out"
         );
+        // An option the command does not read is named, not ignored
+        // (`--layout` left with the second sharded snapshot form).
+        for (cmdline, option) in [
+            (
+                "snapshot --data d.qsd --out s --shards 3 --layout parts",
+                "--layout",
+            ),
+            ("bench --data d.qsd --querys 10", "--querys"),
+            ("info --data d.qsd --seed 1", "--seed"),
+        ] {
+            let err = parse(&args(cmdline)).unwrap_err();
+            assert!(err.contains(&format!("unknown option {option}")), "{err}");
+        }
         assert_eq!(parse(&args("help")).unwrap(), Command::Help);
         assert_eq!(parse(&[]).unwrap(), Command::Help);
     }

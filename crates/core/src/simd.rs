@@ -90,17 +90,11 @@ impl SimdPolicy {
     /// once per process and cached) before falling back to host
     /// detection; forced levels are clamped to host capabilities.
     pub fn resolve(self) -> SimdLevel {
-        match self {
-            SimdPolicy::Auto => match env_override() {
-                Some(forced) => forced.resolve_forced(),
-                None => SimdLevel::detect(),
-            },
-            other => other.resolve_forced(),
-        }
-    }
-
-    fn resolve_forced(self) -> SimdLevel {
-        match self {
+        let policy = match self {
+            SimdPolicy::Auto => env_override().unwrap_or(SimdPolicy::Auto),
+            forced => forced,
+        };
+        match policy {
             SimdPolicy::Auto => SimdLevel::detect(),
             SimdPolicy::Scalar => SimdLevel::Scalar,
             SimdPolicy::Sse2 => SimdLevel::Sse2.clamp_to_host(),
@@ -117,13 +111,7 @@ fn env_override() -> Option<SimdPolicy> {
     static CACHE: OnceLock<Option<SimdPolicy>> = OnceLock::new();
     *CACHE.get_or_init(|| {
         let raw = std::env::var("QUASII_SIMD").ok()?;
-        match parse_override(&raw) {
-            Ok(policy) => Some(policy),
-            Err(msg) => {
-                eprintln!("{msg}");
-                None
-            }
-        }
+        parse_override(&raw).map_err(|msg| eprintln!("{msg}")).ok()
     })
 }
 

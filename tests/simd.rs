@@ -80,8 +80,8 @@ fn assert_lockstep(
         vector.validate().map_err(TestCaseError::fail)?;
     }
     // Snapshot bytes serialize the physical permutation, every slice
-    // boundary and every sealed column: equality proves the vector kernels
-    // replayed the scalar swap sequence exactly.
+    // boundary and every sealed column: equality proves the two engines
+    // hold the same state, not only the same answers.
     let a = scalar
         .write_snapshot()
         .map_err(|e| TestCaseError::fail(e.to_string()))?;
@@ -159,7 +159,7 @@ proptest! {
 
 /// Degenerate all-equal keys: every record identical, so every crack pass
 /// hits the value-indivisible guard and three-way middles swallow whole
-/// segments — the nastiest tie-handling path for a classify-based kernel.
+/// segments — the nastiest tie-handling path.
 #[test]
 fn degenerate_all_equal_records_stay_identical() {
     let data: Vec<Record<3>> = (0..257)
