@@ -404,8 +404,9 @@ GET /healthz, POST /admin/repair, POST /admin/shutdown. Concurrent
 requests are regrouped by the admission controller onto the engine's
 batch path: a group closes at --max-batch queries or after the admission
 window, whichever first; --adaptive true (the default) shrinks the window
-at low arrival rates so an idle server adds at most microseconds of
-latency, --max-batch 1 disables grouping (the per-request baseline).
+at low arrival rates until it is no longer waited at all, so an idle
+server adds no latency, --max-batch 1 disables grouping (the per-request
+baseline).
 Answers are byte-identical for every setting. The submission queue is
 bounded at --queue-cap; an overloaded server answers 503 rather than
 buffering without bound. --warm-start revives a sharded snapshot

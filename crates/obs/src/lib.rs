@@ -168,3 +168,19 @@ impl Endpoint {
         }
     }
 }
+
+/// The stages of one `/query` or `/batch` request inside `crates/server`,
+/// in the order a request passes them, which is also the registry storage
+/// order (the fixed-enum indexing idiom of [`Phase`]). The four clocks of a
+/// request sum to its [`Endpoint`] latency less the wake-ups between them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Slot pushed onto the admission queue → its group closed.
+    Queue,
+    /// The group's engine call, engine lock wait included.
+    Engine,
+    /// Rendering the response body.
+    Encode,
+    /// Writing the response to the socket.
+    Write,
+}

@@ -8,7 +8,7 @@
 //! and the exporters can never observe a half-registered state.
 
 use crate::metrics::{bucket_upper, Counter, Gauge, GaugeVec, Histogram, BUCKETS};
-use crate::{Endpoint, Phase};
+use crate::{Endpoint, Phase, Stage};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -88,10 +88,24 @@ pub fn server_request(e: Endpoint) -> &'static Histogram {
     &SERVER_REQUEST_SECONDS[e as usize]
 }
 
-/// Queries per admission group handed to `execute_batch` (the dispatcher's
-/// batch-or-deadline close sizes).
+/// Where a `/query` or `/batch` request spends its time, indexed by
+/// [`Stage`] order; one sample per request and stage.
+pub static SERVER_STAGE_SECONDS: [Histogram; 4] = [
+    Histogram::new(),
+    Histogram::new(),
+    Histogram::new(),
+    Histogram::new(),
+];
+
+/// The stage histogram for `s`.
+pub fn server_stage(s: Stage) -> &'static Histogram {
+    &SERVER_STAGE_SECONDS[s as usize]
+}
+
+/// Queries per admission group handed to `execute_batch` (the group
+/// leader's batch-or-deadline close sizes).
 pub static SERVER_BATCH_SIZE: Histogram = Histogram::new();
-/// Admission groups executed by the dispatcher.
+/// Admission groups executed by a group leader.
 pub static SERVER_BATCHES_TOTAL: Counter = Counter::new();
 /// Queries admitted through the submission queue.
 pub static SERVER_QUERIES_TOTAL: Counter = Counter::new();
@@ -361,6 +375,34 @@ pub static DEFS: &[Def] = &[
         metric: Metric::Histogram(&SERVER_REQUEST_SECONDS[Endpoint::Other as usize]),
     },
     Def {
+        name: "quasii_server_stage_seconds",
+        help: "Time a /query or /batch request spends per stage",
+        labels: "stage=\"queue\"",
+        unit: Unit::Seconds,
+        metric: Metric::Histogram(&SERVER_STAGE_SECONDS[Stage::Queue as usize]),
+    },
+    Def {
+        name: "quasii_server_stage_seconds",
+        help: "Time a /query or /batch request spends per stage",
+        labels: "stage=\"engine\"",
+        unit: Unit::Seconds,
+        metric: Metric::Histogram(&SERVER_STAGE_SECONDS[Stage::Engine as usize]),
+    },
+    Def {
+        name: "quasii_server_stage_seconds",
+        help: "Time a /query or /batch request spends per stage",
+        labels: "stage=\"encode\"",
+        unit: Unit::Seconds,
+        metric: Metric::Histogram(&SERVER_STAGE_SECONDS[Stage::Encode as usize]),
+    },
+    Def {
+        name: "quasii_server_stage_seconds",
+        help: "Time a /query or /batch request spends per stage",
+        labels: "stage=\"write\"",
+        unit: Unit::Seconds,
+        metric: Metric::Histogram(&SERVER_STAGE_SECONDS[Stage::Write as usize]),
+    },
+    Def {
         name: "quasii_server_batch_size",
         help: "Queries per admission group handed to execute_batch",
         labels: "",
@@ -369,7 +411,7 @@ pub static DEFS: &[Def] = &[
     },
     Def {
         name: "quasii_server_batches_total",
-        help: "Admission groups executed by the dispatcher",
+        help: "Admission groups executed by a group leader",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&SERVER_BATCHES_TOTAL),
@@ -903,6 +945,7 @@ mod tests {
         SHARD_FANOUT.observe(2);
         SHARD_FANOUT.observe(3);
         server_request(Endpoint::Query).observe(42_000);
+        server_stage(Stage::Encode).observe(9_000);
         SERVER_BATCH_SIZE.observe(17);
         SERVER_BATCHED_QUERIES_TOTAL.add(17);
         SERVER_QUEUE_DEPTH.set(3.0);
@@ -931,6 +974,14 @@ mod tests {
                 &[("endpoint", "query")]
             ),
             Some(1.0)
+        );
+        assert_eq!(
+            exp.value("quasii_server_stage_seconds_count", &[("stage", "encode")]),
+            Some(1.0)
+        );
+        assert_eq!(
+            exp.value("quasii_server_stage_seconds_count", &[("stage", "queue")]),
+            Some(0.0)
         );
         assert_eq!(exp.value("quasii_server_batch_size_count", &[]), Some(1.0));
         assert_eq!(

@@ -7,28 +7,34 @@
 //! and everything the engine crates built to exploit that (disjoint
 //! crack partitions, the sealed shared-read pool, SIMD lane kernels)
 //! only pays off through the batch path. Real traffic, though, arrives
-//! as independent small requests. The bridge is the **admission
-//! controller**:
+//! as independent small requests. The bridge is **leader hand-off on the
+//! connection threads**: a request runs on the thread that parsed it, and
+//! there is no dispatcher thread to hand it to.
 //!
-//! * acceptor threads parse requests into a **bounded** MPSC submission
-//!   queue (`try_send`; a full queue answers 503 instead of buffering
-//!   without bound);
-//! * a single dispatcher drains it under a **batch-or-deadline** policy:
-//!   a group closes when it reaches `max_batch` queries, when no
-//!   follow-up submission arrives within the **admission gap** (the
-//!   arrival burst is over — under saturation batches form from the
-//!   queue accumulated while the previous group executed, so there is
-//!   nothing to wait for), or at the hard `max_delay_us` window cap,
-//!   whichever comes first;
-//! * the gap is **adaptive**: it halves whenever a group closed by
-//!   timeout (waiting longer bought no grouping — p99 must not pay for
-//!   idle batching) and doubles back toward `max_delay_us` whenever a
-//!   group fills to `max_batch` (arrivals outpace dispatch — more
-//!   grouping is free throughput). The current gap is exported as the
-//!   `quasii_admission_delay_us` gauge;
-//! * the group executes through
-//!   [`ShardedQuasii::try_execute_grouped`] and the canonical per-query
-//!   answers are demultiplexed back to the waiting connections.
+//! * **Who executes.** A parsed `/query` or `/batch` pushes one slot onto
+//!   a **bounded** queue (a full queue answers 503 instead of buffering
+//!   without bound). A submitter that finds no leader becomes it: it
+//!   takes a group from the head of the queue (its own slot first), runs
+//!   it through [`ShardedQuasii::try_execute_grouped`] under the engine
+//!   lock, passes leadership to the next queued slot (or clears it)
+//!   *before* answering its group, then encodes and writes its own
+//!   response. A submitter that finds a leader waits on its slot and is
+//!   woken once, with its answer or as the next leader, whichever comes
+//!   first. A lone request crosses no thread boundary.
+//! * **When a group closes.** Batch-or-deadline: at `max_batch` queries,
+//!   when no follow-up arrives within the **admission gap** (the burst is
+//!   over — under saturation groups form from what queued while the
+//!   previous group executed, so there is nothing to wait for), or at the
+//!   hard `max_delay_us` window cap, whichever comes first.
+//! * The gap is **adaptive**: it halves whenever a group closed short
+//!   (waiting bought no grouping — p99 must not pay for idle batching)
+//!   and doubles back toward `max_delay_us` whenever a group fills
+//!   (arrivals outpace execution — more grouping is free throughput). It
+//!   is exported as the `quasii_admission_delay_us` gauge.
+//! * **A gap the kernel cannot honour is not slept.** The shortest timed
+//!   park costs the timer slack plus a reschedule whatever timeout was
+//!   asked for (`TIMER_SLACK`); below it the leader takes what is
+//!   queued and goes, so a decayed gap costs an idle service nothing.
 //!
 //! **Determinism across the network boundary**: the engine's batching
 //! invisibility (results are byte-identical for every batch shape)
@@ -40,10 +46,12 @@
 //! Failure posture: a worker panic poisons the engine
 //! ([`quasii::EnginePoisoned`]); every queued and future submission is
 //! answered 503 until `POST /admin/repair` runs the engine's repair
-//! protocol. Graceful shutdown (the [`ServerHandle`] or
-//! `POST /admin/shutdown`) stops admission, **drains** the queue —
-//! every already-accepted submission still gets its answer — and joins
-//! the service threads.
+//! protocol (`/healthz` reports it without taking the engine lock), and a
+//! leader that unwinds fails alone (`Term`). Graceful shutdown (the
+//! [`ServerHandle`] or `POST /admin/shutdown`) stops admission and
+//! **drains** the queue: [`ServerHandle::shutdown`] returns once the
+//! acceptor has exited, no leader is active and the queue is empty, so
+//! every already-accepted submission has its answer.
 //!
 //! # Endpoints
 //!
@@ -62,12 +70,14 @@
 use minihttp::{read_request, Limits, Request, Response};
 use quasii_common::geom::{mbb_of, Aabb};
 use quasii_obs as obs;
+use quasii_obs::registry::server_stage;
+use quasii_obs::Stage;
 use quasii_shard::ShardedQuasii;
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -133,23 +143,17 @@ impl ServeConfig {
     }
 }
 
-/// What the dispatcher sends back per submission: the per-query canonical
-/// id vectors, or the engine-poisoned detail string.
+/// What one request gets back: its per-query canonical id vectors, or the
+/// message of the 503 that answers it.
 type Reply = Result<Vec<Vec<u64>>, String>;
 
-/// One accepted unit of work: the queries of one request plus the channel
-/// the dispatcher answers on.
-struct Submission {
-    queries: Vec<Aabb<3>>,
-    reply: SyncSender<Reply>,
-}
+/// What running a group returns: one [`Reply`] payload per slot in group
+/// order, or the one 503 message every slot of it gets.
+type GroupReply = Result<Vec<Vec<Vec<u64>>>, String>;
 
-/// Queue protocol: work, or a no-op nudge that wakes the dispatcher so it
-/// can observe the shutdown flag.
-enum Msg {
-    Work(Submission),
-    Wake,
-}
+/// How a leader runs a closed group: the engine call in the server, a
+/// recording or panicking stand-in in the unit tests.
+type Exec<'a> = &'a dyn Fn(&[&[Aabb<3>]]) -> GroupReply;
 
 /// Why a submission was refused at the gate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,51 +164,30 @@ pub enum Rejection {
     ShuttingDown,
 }
 
-/// The submission side of the admission queue, split out so backpressure
-/// is unit-testable without sockets or a running dispatcher.
-struct Gate {
-    tx: SyncSender<Msg>,
-    depth: Arc<AtomicUsize>,
-    shutdown: Arc<AtomicBool>,
-}
+/// The shortest timed wait a leader asks the kernel for. A timed condvar
+/// wait parks on a futex, and Linux rounds every such sleep up by the
+/// thread's timer slack (50 µs by default, `PR_SET_TIMERSLACK`) before the
+/// thread is scheduled again: on the 2-vCPU benchmark host a nominal 1 µs
+/// admission gap measured 74.0 µs per group (`serve_http`, PR 17).
+const TIMER_SLACK: Duration = Duration::from_micros(50);
 
-impl Gate {
-    /// Enqueues `queries` as one submission. Never blocks: a full queue is
-    /// [`Rejection::Overloaded`], which the caller maps to 503.
-    fn submit(&self, queries: Vec<Aabb<3>>) -> Result<Receiver<Reply>, Rejection> {
-        if self.shutdown.load(Ordering::Relaxed) {
-            return Err(Rejection::ShuttingDown);
-        }
-        let (reply, rx) = mpsc::sync_channel(1);
-        // Count before sending so the dispatcher's decrement (which can
-        // only follow a successful send) never races the count below zero.
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        match self.tx.try_send(Msg::Work(Submission { queries, reply })) {
-            Ok(()) => {
-                if obs::enabled() {
-                    obs::registry::SERVER_QUEUE_DEPTH.set(depth as f64);
-                }
-                Ok(rx)
-            }
-            Err(e) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                match e {
-                    TrySendError::Full(_) => Err(Rejection::Overloaded),
-                    TrySendError::Disconnected(_) => Err(Rejection::ShuttingDown),
-                }
-            }
-        }
-    }
+/// The leader's wait decision, as a pure function so it is directly
+/// testable: how long to wait for a follow-up slot given the admission
+/// `gap` and the time `left` in the hard window, or `None` when the kernel
+/// cannot honour the wait and the leader takes what is queued and goes.
+fn wait_for(gap: Duration, left: Duration) -> Option<Duration> {
+    let wait = gap.min(left);
+    (wait >= TIMER_SLACK).then_some(wait)
 }
 
 /// The adaptive-gap policy, as a pure function so it is directly
 /// testable: `filled` groups (hit `max_batch`) double the gap back
-/// toward the cap — arrivals are outpacing dispatch and a longer gap
-/// costs nothing while the queue is never empty. Groups closed by a gap
-/// or window timeout halve it (floor 1µs): the wait bought no further
-/// grouping, so the next lone query pays at most a microsecond-scale
-/// delay. Steady saturated traffic needs no gap at all — its batches
-/// are already queued when the dispatcher comes back around.
+/// toward the cap — arrivals are outpacing execution and a longer gap
+/// costs nothing while the queue is never empty. Groups that closed short
+/// halve it (floor 1µs): the wait bought no further grouping, and below
+/// [`TIMER_SLACK`] the next lone query no longer waits at all. Steady
+/// saturated traffic needs no gap either — its groups are already queued
+/// when the next leader takes over.
 fn next_delay_us(delay_us: f64, max_delay_us: u64, filled: bool) -> f64 {
     let cap = (max_delay_us as f64).max(1.0);
     if filled {
@@ -214,110 +197,147 @@ fn next_delay_us(delay_us: f64, max_delay_us: u64, filled: bool) -> f64 {
     }
 }
 
-/// State shared between acceptors, connection handlers and the dispatcher.
-struct Shared {
-    engine: Mutex<ShardedQuasii<3>>,
-    cfg: ServeConfig,
-    gate: Gate,
-    shutdown: Arc<AtomicBool>,
-    addr: SocketAddr,
-    /// MBB over every record (computed once; the dataset never mutates).
-    universe: Aabb<3>,
-    records: usize,
+/// What a waiting slot is woken with, once.
+enum Wake {
+    /// Its group was executed: its share of the outcome.
+    Answer(Reply),
+    /// The previous leader passed leadership on: lead the next group.
+    Lead,
 }
 
-/// The dispatcher: the single consumer of the submission queue. Applies
-/// the batch-or-deadline policy, executes each group through the engine's
-/// grouped batch seam, and demultiplexes answers.
-struct Dispatcher {
-    shared: Arc<Shared>,
-    rx: Receiver<Msg>,
+/// One accepted unit of work: the queries of one request, and the place
+/// its connection thread waits for its [`Wake`].
+struct Slot {
+    queries: Vec<Aabb<3>>,
+    /// When the slot was pushed (starts the `queue` stage clock).
+    pushed: Option<Instant>,
+    wake: Mutex<Option<Wake>>,
+    woken: Condvar,
+}
+
+impl Slot {
+    fn wake(&self, wake: Wake) {
+        *relock(self.wake.lock()) = Some(wake);
+        self.woken.notify_one();
+    }
+
+    fn wait(&self) -> Wake {
+        let mut wake = relock(self.wake.lock());
+        loop {
+            if let Some(wake) = wake.take() {
+                return wake;
+            }
+            wake = relock(self.woken.wait(wake));
+        }
+    }
+}
+
+/// The queue and slot mutexes guard single pushes, pops and stores, valid
+/// at every step, and an unwinding leader's [`Term`] must still get
+/// through them: their poison flag is dropped.
+fn relock<T>(locked: Result<T, PoisonError<T>>) -> T {
+    locked.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the queue mutex guards.
+struct Queue {
+    /// Accepted slots not yet taken into a group, in arrival order. While
+    /// a leader has not closed its group, the head is its own slot.
+    slots: VecDeque<Arc<Slot>>,
+    /// Whether some connection thread currently leads.
+    leader: bool,
+    /// Whether that leader is parked on `arrived`: a submitter pays for a
+    /// notify only when someone is there to hear it.
+    gathering: bool,
+    /// The current adaptive admission gap.
     delay_us: f64,
 }
 
-impl Dispatcher {
-    fn run(mut self) {
-        loop {
-            // Block for the group's opening submission. During shutdown,
-            // switch to non-blocking drain: every already-queued
-            // submission is still answered, then the thread exits.
-            let first = loop {
-                if self.shared.shutdown.load(Ordering::Relaxed) {
-                    match self.rx.try_recv() {
-                        Ok(Msg::Work(s)) => break s,
-                        Ok(Msg::Wake) => continue,
-                        Err(TryRecvError::Empty | TryRecvError::Disconnected) => return,
-                    }
-                }
-                match self.rx.recv() {
-                    Ok(Msg::Work(s)) => break s,
-                    Ok(Msg::Wake) => continue,
-                    Err(_) => return,
-                }
-            };
-            self.note_popped();
-            let mut group = vec![first];
-            let mut n_queries = group[0].queries.len();
+/// The admission queue and the leader hand-off over it, free of sockets
+/// and engine so that both are unit-testable.
+struct Admission {
+    cfg: ServeConfig,
+    queue: Mutex<Queue>,
+    /// A slot arrived while the leader is gathering, or shutdown began.
+    arrived: Condvar,
+    /// Leadership was cleared during shutdown.
+    idle: Condvar,
+    shutdown: AtomicBool,
+}
 
-            // Batch-or-deadline: gather follow-ups until the group holds
-            // max_batch queries, no follow-up arrives within the adaptive
-            // gap (the burst is over — already-queued submissions pop
-            // without waiting, so saturated traffic never idles here), or
-            // the hard window cap expires. With max_batch = 1 grouping is
-            // off and nothing is ever waited.
-            let max_batch = self.shared.cfg.max_batch.max(1);
-            if max_batch > 1 {
-                let gap = Duration::from_micros(self.delay_us.round() as u64);
-                let deadline = Instant::now() + Duration::from_micros(self.shared.cfg.max_delay_us);
-                let mut filled = n_queries >= max_batch;
-                while n_queries < max_batch && !self.shared.shutdown.load(Ordering::Relaxed) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match self.rx.recv_timeout((deadline - now).min(gap)) {
-                        Ok(Msg::Work(s)) => {
-                            self.note_popped();
-                            n_queries += s.queries.len();
-                            group.push(s);
-                            filled = n_queries >= max_batch;
-                        }
-                        Ok(Msg::Wake) => continue,
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                if self.shared.cfg.adaptive {
-                    self.delay_us =
-                        next_delay_us(self.delay_us, self.shared.cfg.max_delay_us, filled);
-                }
-                if obs::enabled() {
-                    obs::registry::ADMISSION_DELAY_US.set(self.delay_us);
-                }
+impl Admission {
+    fn new(cfg: ServeConfig) -> Self {
+        Self {
+            queue: Mutex::new(Queue {
+                slots: VecDeque::new(),
+                leader: false,
+                gathering: false,
+                delay_us: cfg.max_delay_us.max(1) as f64,
+            }),
+            cfg,
+            arrived: Condvar::new(),
+            idle: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        relock(self.queue.lock())
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Pushes `queries` as one slot; the flag says whether the caller
+    /// found no leader and is now it. Never blocks: a full queue is
+    /// [`Rejection::Overloaded`], which the caller maps to 503.
+    fn enqueue(&self, queries: Vec<Aabb<3>>) -> Result<(Arc<Slot>, bool), Rejection> {
+        let slot = Arc::new(Slot {
+            queries,
+            pushed: obs::start(),
+            wake: Mutex::new(None),
+            woken: Condvar::new(),
+        });
+        let mut q = self.lock();
+        // Under the lock: `drain` relies on no slot entering behind it.
+        if self.shutting_down() {
+            return Err(Rejection::ShuttingDown);
+        }
+        if q.slots.len() >= self.cfg.queue_cap.max(1) {
+            return Err(Rejection::Overloaded);
+        }
+        q.slots.push_back(Arc::clone(&slot));
+        if obs::enabled() {
+            obs::registry::SERVER_QUEUE_DEPTH.set(q.slots.len() as f64);
+        }
+        let (lead, gathering) = (!std::mem::replace(&mut q.leader, true), q.gathering);
+        drop(q);
+        if gathering {
+            self.arrived.notify_one();
+        }
+        Ok((slot, lead))
+    }
+
+    /// The blocking half of a submission: waits for the slot's answer, or
+    /// leads a group (at once when `lead`, else when leadership is passed
+    /// to it) and returns its own share of that group's outcome.
+    fn finish(&self, slot: &Slot, lead: bool, exec: Exec) -> Reply {
+        if !lead {
+            if let Wake::Answer(reply) = slot.wait() {
+                return reply;
             }
-
-            self.execute(group, n_queries);
         }
-    }
-
-    /// Bookkeeping for one submission popped off the queue.
-    fn note_popped(&self) {
-        let depth = self
-            .shared
-            .gate
-            .depth
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
+        let (group, n_queries) = self.close_group();
+        let mut term = Term {
+            admission: self,
+            group,
+            outcome: Err("the thread that ran this request's group panicked".to_string()),
+        };
         if obs::enabled() {
-            obs::registry::SERVER_QUEUE_DEPTH.set(depth as f64);
-        }
-    }
-
-    /// Runs one admission group through the engine and answers every
-    /// submission. On poison, every waiter gets the detail (→ 503) — the
-    /// service never returns partial results.
-    fn execute(&self, group: Vec<Submission>, n_queries: usize) {
-        if obs::enabled() {
+            for slot in &term.group {
+                server_stage(Stage::Queue).observe_since(slot.pushed);
+            }
             obs::registry::SERVER_BATCHES_TOTAL.inc();
             obs::registry::SERVER_BATCH_SIZE.observe(n_queries as u64);
             obs::registry::SERVER_QUERIES_TOTAL.add(n_queries as u64);
@@ -325,35 +345,158 @@ impl Dispatcher {
                 obs::registry::SERVER_BATCHED_QUERIES_TOTAL.add(n_queries as u64);
             }
         }
-        let groups: Vec<&[Aabb<3>]> = group.iter().map(|s| s.queries.as_slice()).collect();
-        let outcome = {
-            let mut engine = self.shared.engine.lock().expect("engine lock poisoned");
-            engine.try_execute_grouped(&groups)
-        };
-        match outcome {
-            Ok(answers) => {
-                for (s, a) in group.iter().zip(answers) {
-                    // A waiter that vanished (client hung up) is fine.
-                    let _ = s.reply.send(Ok(a));
-                }
+        let t = obs::start();
+        let groups: Vec<&[Aabb<3>]> = term.group.iter().map(|s| s.queries.as_slice()).collect();
+        term.outcome = exec(&groups);
+        if obs::enabled() {
+            let engine_ns = obs::elapsed_nanos(t);
+            for _ in &term.group {
+                server_stage(Stage::Engine).observe(engine_ns);
             }
-            Err(e) => {
-                for s in &group {
-                    let _ = s.reply.send(Err(e.detail.clone()));
-                }
+        }
+        // The rest of the outcome goes to the group's waiters as `term`
+        // drops, after leadership.
+        match &mut term.outcome {
+            Ok(answers) => Ok(std::mem::take(&mut answers[0])),
+            Err(msg) => Err(msg.clone()),
+        }
+    }
+
+    /// Batch-or-deadline: takes the head of the queue (the leader's own
+    /// slot), then follow-ups until the group holds `max_batch` queries,
+    /// no follow-up arrives within the adaptive gap (the burst is over —
+    /// already-queued slots pop without waiting, so saturated traffic
+    /// never idles here), the hard window cap expires, or what is left to
+    /// wait is below [`TIMER_SLACK`]. With `max_batch = 1` grouping is off
+    /// and nothing is ever waited. Returns the group and its query count.
+    fn close_group(&self) -> (Vec<Arc<Slot>>, usize) {
+        let max_batch = self.cfg.max_batch.max(1);
+        let deadline = Instant::now() + Duration::from_micros(self.cfg.max_delay_us);
+        let (mut group, mut n_queries) = (Vec::new(), 0);
+        let mut q = self.lock();
+        loop {
+            while n_queries < max_batch {
+                let Some(slot) = q.slots.pop_front() else {
+                    break;
+                };
+                n_queries += slot.queries.len();
+                group.push(slot);
             }
+            if n_queries >= max_batch || self.shutting_down() {
+                break;
+            }
+            let gap = Duration::from_micros(q.delay_us.round() as u64);
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Some(wait) = wait_for(gap, left) else {
+                break;
+            };
+            q.gathering = true;
+            let (back, timeout) = relock(self.arrived.wait_timeout(q, wait));
+            q = back;
+            q.gathering = false;
+            if timeout.timed_out() && q.slots.is_empty() {
+                break;
+            }
+        }
+        if max_batch > 1 && self.cfg.adaptive {
+            q.delay_us = next_delay_us(q.delay_us, self.cfg.max_delay_us, n_queries >= max_batch);
+        }
+        if obs::enabled() {
+            obs::registry::SERVER_QUEUE_DEPTH.set(q.slots.len() as f64);
+            if max_batch > 1 {
+                obs::registry::ADMISSION_DELAY_US.set(q.delay_us);
+            }
+        }
+        (group, n_queries)
+    }
+
+    /// Blocks until no leader is active and the queue is empty; with the
+    /// shutdown flag set nothing new enters, so every accepted slot has
+    /// been answered on return.
+    fn drain(&self) {
+        let mut q = self.lock();
+        while q.leader || !q.slots.is_empty() {
+            q = relock(self.idle.wait(q));
         }
     }
 }
 
-/// A running server: the bound address plus the service threads. Dropping
+/// One leader's term over its closed `group` (own slot first). Dropping
+/// it is how a leader lets go, so that it also happens when the leader
+/// unwinds (an `engine lock poisoned` `expect`) and a panicking request
+/// fails alone: leadership goes to the next queued slot or is cleared,
+/// *then* each waiter of the group gets its share of `outcome` — the
+/// next group executes while this one's waiters wake, encode and write.
+struct Term<'a> {
+    admission: &'a Admission,
+    group: Vec<Arc<Slot>>,
+    /// What the group's waiters get: a 503 until the engine call returns.
+    outcome: GroupReply,
+}
+
+impl Drop for Term<'_> {
+    fn drop(&mut self) {
+        let next = {
+            let mut q = self.admission.lock();
+            let next = q.slots.front().cloned();
+            if next.is_none() {
+                q.leader = false;
+                if self.admission.shutting_down() {
+                    self.admission.idle.notify_all();
+                }
+            }
+            next
+        };
+        // Woken with the queue lock released: the first thing a leader
+        // does is take it.
+        if let Some(next) = next {
+            next.wake(Wake::Lead);
+        }
+        for (i, slot) in self.group.iter().enumerate().skip(1) {
+            slot.wake(Wake::Answer(match &mut self.outcome {
+                Ok(answers) => Ok(answers.get_mut(i).map(std::mem::take).unwrap_or_default()),
+                Err(msg) => Err(msg.clone()),
+            }));
+        }
+    }
+}
+
+/// State shared between the acceptor and the connection threads.
+struct Shared {
+    engine: Mutex<ShardedQuasii<3>>,
+    /// The engine's poison marker, kept beside it so that `/healthz` does
+    /// not queue behind the group that holds the engine lock: set where a
+    /// group comes back poisoned, refreshed by `/admin/repair`.
+    poisoned: AtomicBool,
+    admission: Admission,
+    addr: SocketAddr,
+    /// MBB over every record (computed once; the dataset never mutates).
+    universe: Aabb<3>,
+    records: usize,
+}
+
+impl Shared {
+    /// Runs one closed group through the engine's grouped batch seam. On
+    /// poison every slot gets the detail (→ 503): the service never
+    /// returns partial results.
+    fn execute(&self, groups: &[&[Aabb<3>]]) -> GroupReply {
+        let mut engine = self.engine.lock().expect("engine lock poisoned");
+        engine.try_execute_grouped(groups).map_err(|e| {
+            self.poisoned.store(true, Ordering::Relaxed);
+            let detail = e.detail;
+            format!("engine poisoned: {detail}; POST /admin/repair to recover")
+        })
+    }
+}
+
+/// A running server: the bound address plus the acceptor thread. Dropping
 /// the handle triggers (but does not wait for) shutdown; call
 /// [`shutdown`](Self::shutdown) for the drained, joined variant or
 /// [`wait`](Self::wait) to block until `POST /admin/shutdown` arrives.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -362,25 +505,28 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Graceful shutdown: stop admission, drain the queue (every accepted
-    /// submission is still answered), join the service threads.
+    /// Graceful shutdown: stop admission, join the acceptor, and return
+    /// once no leader is active and the queue is empty (every accepted
+    /// submission has been answered).
     pub fn shutdown(mut self) {
         trigger_shutdown(&self.shared);
-        self.join_all();
+        self.join_and_drain();
     }
 
     /// Blocks until the server shuts down (via `POST /admin/shutdown` or a
-    /// concurrent [`trigger_shutdown`]), then joins the service threads.
+    /// concurrent [`trigger_shutdown`]), then drains like
+    /// [`shutdown`](Self::shutdown).
     pub fn wait(mut self) {
-        self.join_all();
+        self.join_and_drain();
     }
 
-    fn join_all(&mut self) {
-        for t in self.threads.drain(..) {
-            if t.join().is_err() {
-                eprintln!("[quasii-server] a service thread panicked");
+    fn join_and_drain(&mut self) {
+        if let Some(acceptor) = self.acceptor.take() {
+            if acceptor.join().is_err() {
+                eprintln!("[quasii-server] the acceptor thread panicked");
             }
         }
+        self.shared.admission.drain();
     }
 }
 
@@ -391,21 +537,23 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Flips the shutdown flag and wakes both blocking points: the dispatcher
-/// (queue nudge) and the acceptor (self-connect). Idempotent.
+/// Flips the shutdown flag and wakes both blocking points: a gathering
+/// leader (queue condvar) and the acceptor (self-connect). Idempotent.
 fn trigger_shutdown(shared: &Shared) {
-    if shared.shutdown.swap(true, Ordering::Relaxed) {
+    let admission = &shared.admission;
+    if admission.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
-    // If the queue is full the dispatcher is awake anyway and will see
-    // the flag on its next pass.
-    let _ = shared.gate.tx.try_send(Msg::Wake);
+    // Through the lock: a leader either has not checked the flag yet or
+    // is already parked where the notify reaches it.
+    drop(admission.lock());
+    admission.arrived.notify_all();
     let _ = TcpStream::connect(shared.addr);
 }
 
 /// Starts the service on `addr` (use port `0` for an ephemeral port) over
 /// an already-built engine. Returns once the listener is bound; the
-/// acceptor, connection handlers and dispatcher run on background threads.
+/// acceptor and the connection threads run in the background.
 pub fn start(
     engine: ShardedQuasii<3>,
     addr: &str,
@@ -425,68 +573,41 @@ pub fn start(
         }
     }
 
-    let (tx, rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let delay_us = cfg.max_delay_us.max(1) as f64;
     let shared = Arc::new(Shared {
+        poisoned: AtomicBool::new(engine.is_poisoned()),
         engine: Mutex::new(engine),
-        cfg,
-        gate: Gate {
-            tx,
-            depth: Arc::new(AtomicUsize::new(0)),
-            shutdown: Arc::clone(&shutdown),
-        },
-        shutdown,
+        admission: Admission::new(cfg),
         addr: local,
         universe,
         records,
     });
 
-    let mut threads = Vec::new();
-    {
+    let acceptor = {
         let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("quasii-dispatch".into())
-                .spawn(move || {
-                    Dispatcher {
-                        shared,
-                        rx,
-                        delay_us,
+        std::thread::Builder::new()
+            .name("quasii-accept".into())
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if shared.admission.shutting_down() {
+                        break;
                     }
-                    .run()
-                })
-                .map_err(|e| format!("spawn dispatcher: {e}"))?,
-        );
-    }
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("quasii-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let shared = Arc::clone(&shared);
-                        // Connection threads are detached: they exit on
-                        // client close, read timeout, or the next response
-                        // after shutdown flips (Connection: close).
-                        let _ = std::thread::Builder::new()
-                            .name("quasii-conn".into())
-                            .spawn(move || handle_connection(&shared, stream));
-                    }
-                })
-                .map_err(|e| format!("spawn acceptor: {e}"))?,
-        );
-    }
+                    let Ok(stream) = stream else { continue };
+                    let shared = Arc::clone(&shared);
+                    // Connection threads are detached: they exit on
+                    // client close, read timeout, or the next response
+                    // after shutdown flips (Connection: close).
+                    let _ = std::thread::Builder::new()
+                        .name("quasii-conn".into())
+                        .spawn(move || handle_connection(&shared, stream));
+                }
+            })
+            .map_err(|e| format!("spawn acceptor: {e}"))?
+    };
 
     Ok(ServerHandle {
         addr: local,
         shared,
-        threads,
+        acceptor: Some(acceptor),
     })
 }
 
@@ -502,7 +623,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let limits = Limits {
-        max_body: shared.cfg.max_body_bytes,
+        max_body: shared.admission.cfg.max_body_bytes,
         ..Limits::default()
     };
     loop {
@@ -544,10 +665,14 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         if resp.status >= 400 && resp.status < 500 && obs::enabled() {
             obs::registry::SERVER_BAD_REQUESTS_TOTAL.inc();
         }
-        let close = resp.close || req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
+        let close = resp.close || req.wants_close() || shared.admission.shutting_down();
         resp.close = close;
+        let t_write = obs::start();
         let ok = resp.write_to(&mut writer).is_ok();
         if obs::enabled() {
+            if matches!(endpoint, obs::Endpoint::Query | obs::Endpoint::Batch) {
+                server_stage(Stage::Write).observe_since(t_write);
+            }
             obs::registry::server_request(endpoint).observe_since(t);
         }
         if close || !ok {
@@ -589,20 +714,6 @@ fn esc(s: &str) -> String {
 
 fn err_json(status: u16, msg: &str) -> Response {
     Response::json(status, format!("{{\"error\":\"{}\"}}", esc(msg)))
-}
-
-/// Renders one id vector as a JSON array.
-fn ids_json(ids: &[u64]) -> String {
-    let mut out = String::with_capacity(ids.len() * 8 + 2);
-    out.push('[');
-    for (i, id) in ids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&id.to_string());
-    }
-    out.push(']');
-    out
 }
 
 /// A JSON number for `v`, or `null` when non-finite (fence bounds of the
@@ -690,31 +801,62 @@ fn parse_batch_body(body: &[u8], max_queries: usize) -> Result<Vec<Aabb<3>>, (u1
     Ok(queries)
 }
 
-/// Submits one request's queries and waits for the dispatcher's answer.
-fn submit_and_wait(shared: &Shared, queries: Vec<Aabb<3>>) -> Result<Vec<Vec<u64>>, Response> {
-    match shared.gate.submit(queries) {
-        Ok(rx) => match rx.recv() {
-            Ok(Ok(answers)) => Ok(answers),
-            Ok(Err(detail)) => Err(err_json(
-                503,
-                &format!("engine poisoned: {detail}; POST /admin/repair to recover"),
-            )),
-            // Dispatcher gone mid-wait (shutdown race): refuse cleanly.
-            Err(_) => Err(err_json(503, "server is shutting down").closing()),
-        },
-        Err(Rejection::Overloaded) => {
-            if obs::enabled() {
-                obs::registry::SERVER_REJECTED_TOTAL.inc();
-            }
-            Err(err_json(503, "admission queue is full, retry later"))
-        }
-        Err(Rejection::ShuttingDown) => {
-            if obs::enabled() {
-                obs::registry::SERVER_REJECTED_TOTAL.inc();
-            }
-            Err(err_json(503, "server is shutting down").closing())
+/// Appends `v` in decimal: the bytes of `u64::to_string`, rendered
+/// straight into `out` without the `String` per number.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends one id vector as a JSON array.
+fn push_ids(out: &mut Vec<u8>, ids: &[u64]) {
+    out.reserve(ids.len() * 8 + 2);
+    out.push(b'[');
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_u64(out, *id);
+    }
+    out.push(b']');
+}
+
+/// The 200 response over a body rendered since `t` (the `encode` stage).
+fn rendered(t: Option<Instant>, body: Vec<u8>) -> Response {
+    server_stage(Stage::Encode).observe_since(t);
+    let mut resp = Response::json(200, String::new());
+    resp.body = body;
+    resp
+}
+
+/// Submits one request's queries and waits for their answers: from the
+/// group's leader, or by leading a group on this thread.
+fn submit_and_wait(shared: &Shared, queries: Vec<Aabb<3>>) -> Result<Vec<Vec<u64>>, Response> {
+    let admission = &shared.admission;
+    let rejection = match admission.enqueue(queries) {
+        Ok((slot, lead)) => {
+            return admission
+                .finish(&slot, lead, &|groups| shared.execute(groups))
+                .map_err(|msg| err_json(503, &msg));
+        }
+        Err(rejection) => rejection,
+    };
+    if obs::enabled() {
+        obs::registry::SERVER_REJECTED_TOTAL.inc();
+    }
+    Err(match rejection {
+        Rejection::Overloaded => err_json(503, "admission queue is full, retry later"),
+        Rejection::ShuttingDown => err_json(503, "server is shutting down").closing(),
+    })
 }
 
 /// Routes one parsed request to its endpoint handler.
@@ -730,27 +872,33 @@ fn route(shared: &Shared, req: &Request) -> Response {
             };
             match submit_and_wait(shared, vec![q]) {
                 Ok(answers) => {
-                    Response::json(200, format!("{{\"ids\":{}}}", ids_json(&answers[0])))
+                    let t = obs::start();
+                    let mut body = b"{\"ids\":".to_vec();
+                    push_ids(&mut body, &answers[0]);
+                    body.push(b'}');
+                    rendered(t, body)
                 }
                 Err(resp) => resp,
             }
         }
         ("POST", "/batch") => {
-            let queries = match parse_batch_body(&req.body, shared.cfg.max_queries_per_request) {
-                Ok(q) => q,
-                Err((status, msg)) => return err_json(status, &msg),
-            };
+            let queries =
+                match parse_batch_body(&req.body, shared.admission.cfg.max_queries_per_request) {
+                    Ok(q) => q,
+                    Err((status, msg)) => return err_json(status, &msg),
+                };
             match submit_and_wait(shared, queries) {
                 Ok(answers) => {
-                    let mut body = String::from("{\"results\":[");
+                    let t = obs::start();
+                    let mut body = b"{\"results\":[".to_vec();
                     for (i, a) in answers.iter().enumerate() {
                         if i > 0 {
-                            body.push(',');
+                            body.push(b',');
                         }
-                        body.push_str(&ids_json(a));
+                        push_ids(&mut body, a);
                     }
-                    body.push_str("]}");
-                    Response::json(200, body)
+                    body.extend_from_slice(b"]}");
+                    rendered(t, body)
                 }
                 Err(resp) => resp,
             }
@@ -758,24 +906,22 @@ fn route(shared: &Shared, req: &Request) -> Response {
         ("GET", "/snapshots") => snapshots_json(shared),
         ("GET", "/metrics") => Response::text(200, obs::registry::render_prometheus()),
         ("GET", "/healthz") => {
-            let poisoned = shared
-                .engine
-                .lock()
-                .expect("engine lock poisoned")
-                .is_poisoned();
-            if poisoned {
+            if shared.poisoned.load(Ordering::Relaxed) {
                 err_json(503, "engine poisoned; POST /admin/repair to recover")
             } else {
                 Response::json(200, "{\"status\":\"ok\"}")
             }
         }
         ("POST", "/admin/repair") => {
-            let outcome = shared.engine.lock().expect("engine lock poisoned").repair();
-            let name = match outcome {
+            let mut engine = shared.engine.lock().expect("engine lock poisoned");
+            let name = match engine.repair() {
                 quasii::RepairOutcome::Clean => "clean",
                 quasii::RepairOutcome::Revalidated => "revalidated",
                 quasii::RepairOutcome::Rebuilt => "rebuilt",
             };
+            shared
+                .poisoned
+                .store(engine.is_poisoned(), Ordering::Relaxed);
             Response::json(200, format!("{{\"outcome\":\"{name}\"}}"))
         }
         ("POST", "/admin/shutdown") => {
@@ -849,23 +995,176 @@ mod tests {
         ShardedQuasii::new(data, cfg)
     }
 
+    /// Held by every test that enqueues: `follower_that_hung_up_…` turns
+    /// the process-wide metrics on and reads the queue-depth gauge, which
+    /// any other test's submission would write meanwhile. A test that
+    /// failed while holding it must not fail the rest.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        relock(LOCK.lock())
+    }
+
+    /// Spins until `cond` holds: the tests order threads by the queue
+    /// state they wait for, never by sleeping a guessed time.
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let t = Instant::now();
+        while !cond() {
+            assert!(t.elapsed() < Duration::from_secs(20), "never saw {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// One single-query request whose box carries the mark `k`.
+    fn marked(k: usize) -> Vec<Aabb<3>> {
+        vec![Aabb::new([k as f64; 3], [k as f64 + 1.0; 3])]
+    }
+
+    /// The marks of a closed group, in group order.
+    fn marks(groups: &[&[Aabb<3>]]) -> Vec<usize> {
+        groups.iter().map(|g| g[0].lo[0] as usize).collect()
+    }
+
+    /// A stand-in engine: every query is answered with its own mark.
+    fn echo(groups: &[&[Aabb<3>]]) -> GroupReply {
+        Ok(groups
+            .iter()
+            .map(|g| g.iter().map(|q| vec![q.lo[0] as u64]).collect())
+            .collect())
+    }
+
+    /// Enqueues requests `0..n` on one thread; only the first finds no
+    /// leader.
+    fn enqueue_marked(a: &Admission, n: usize) -> Vec<Arc<Slot>> {
+        (0..n)
+            .map(|k| {
+                let (slot, lead) = a.enqueue(marked(k)).expect("below the cap");
+                assert_eq!(lead, k == 0, "slot {k}");
+                slot
+            })
+            .collect()
+    }
+
+    fn is_next_leader(slot: &Slot) -> bool {
+        matches!(*relock(slot.wake.lock()), Some(Wake::Lead))
+    }
+
     #[test]
-    fn gate_backpressure_is_bounded_not_buffered() {
-        // No dispatcher attached: the queue fills and the gate refuses.
-        let (tx, _rx) = mpsc::sync_channel(2);
-        let gate = Gate {
-            tx,
-            depth: Arc::new(AtomicUsize::new(0)),
-            shutdown: Arc::new(AtomicBool::new(false)),
-        };
-        let q = || vec![Aabb::new([0.0; 3], [1.0; 3])];
-        assert!(gate.submit(q()).is_ok());
-        assert!(gate.submit(q()).is_ok());
-        assert_eq!(gate.submit(q()).unwrap_err(), Rejection::Overloaded);
-        assert_eq!(gate.depth.load(Ordering::Relaxed), 2);
+    fn queue_backpressure_is_bounded_not_buffered() {
+        let _serial = serial();
+        // Nobody leads: the queue fills and the next submission is refused.
+        let a = Admission::new(ServeConfig::default().with_queue_cap(2));
+        enqueue_marked(&a, 2);
+        assert_eq!(a.enqueue(marked(2)).err(), Some(Rejection::Overloaded));
+        assert_eq!(a.lock().slots.len(), 2);
         // Shutdown refuses before even touching the queue.
-        gate.shutdown.store(true, Ordering::Relaxed);
-        assert_eq!(gate.submit(q()).unwrap_err(), Rejection::ShuttingDown);
+        a.shutdown.store(true, Ordering::SeqCst);
+        assert_eq!(a.enqueue(marked(3)).err(), Some(Rejection::ShuttingDown));
+        assert_eq!(a.lock().slots.len(), 2);
+    }
+
+    #[test]
+    fn hand_off_is_fifo_and_a_group_starts_with_its_leader() {
+        let _serial = serial();
+        // (max_batch, requests, the groups in the order they must run:
+        // leader first). A zero window: no leader waits for company.
+        for (max_batch, n, expect) in [
+            (1, 4, vec![vec![0], vec![1], vec![2], vec![3]]),
+            (2, 5, vec![vec![0, 1], vec![2, 3], vec![4]]),
+        ] {
+            let cfg = ServeConfig::default()
+                .with_max_batch(max_batch)
+                .with_max_delay_us(0);
+            let a = Admission::new(cfg);
+            let slots = enqueue_marked(&a, n);
+            let ran = Mutex::new(Vec::new());
+            for (k, slot) in slots.iter().enumerate() {
+                let leads = expect.iter().any(|g| g[0] == k);
+                if k > 0 {
+                    // Leadership or the answer is already there: nothing
+                    // below blocks, and a wrong hand-off order fails here.
+                    assert_eq!(is_next_leader(slot), leads, "slot {k}");
+                }
+                let reply = a.finish(slot, k == 0, &|groups| {
+                    ran.lock().unwrap().push((k, marks(groups)));
+                    echo(groups)
+                });
+                assert_eq!(reply, Ok(vec![vec![k as u64]]), "slot {k}");
+            }
+            // Groups in arrival order, each run by its first slot.
+            let expect: Vec<_> = expect.into_iter().map(|g| (g[0], g)).collect();
+            assert_eq!(ran.into_inner().unwrap(), expect, "max_batch {max_batch}");
+            let q = a.lock();
+            assert!(!q.leader && q.slots.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_leader_that_unwinds_fails_alone() {
+        let _serial = serial();
+        let cfg = ServeConfig::default()
+            .with_max_batch(2)
+            .with_max_delay_us(0);
+        let a = Admission::new(cfg);
+        let slots = enqueue_marked(&a, 3);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.finish(&slots[0], true, &|_| panic!("engine lock poisoned"))
+        }));
+        assert!(unwound.is_err());
+        // Its group's waiter is answered 503 instead of waiting for ever …
+        let reply = a.finish(&slots[1], false, &echo);
+        assert!(reply.unwrap_err().contains("panicked"));
+        // … and the slot behind the group leads the next one.
+        assert!(is_next_leader(&slots[2]));
+        assert_eq!(a.finish(&slots[2], false, &echo), Ok(vec![vec![2]]));
+        // With nobody queued behind it, an unwinding leader clears
+        // leadership: the next request finds no leader and runs.
+        let (slot, lead) = a.enqueue(marked(3)).unwrap();
+        assert!(lead);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.finish(&slot, true, &|_| panic!("engine lock poisoned"))
+        }));
+        assert!(unwound.is_err());
+        let (slot, lead) = a.enqueue(marked(4)).unwrap();
+        assert!(lead);
+        assert_eq!(a.finish(&slot, lead, &echo), Ok(vec![vec![4]]));
+        let q = a.lock();
+        assert!(!q.leader && q.slots.is_empty());
+    }
+
+    #[test]
+    fn sub_slack_gaps_are_not_slept() {
+        let us = Duration::from_micros;
+        // Below the floor, whichever of the two is the shorter: no wait.
+        assert_eq!(wait_for(us(1), us(200)), None);
+        assert_eq!(wait_for(us(49), us(1_000_000)), None);
+        assert_eq!(wait_for(us(200), us(49)), None);
+        assert_eq!(wait_for(us(200), Duration::ZERO), None);
+        // At and above it: the shorter of gap and time left.
+        assert_eq!(wait_for(TIMER_SLACK, us(200)), Some(TIMER_SLACK));
+        assert_eq!(wait_for(us(200), TIMER_SLACK), Some(TIMER_SLACK));
+        assert_eq!(wait_for(us(200), us(120)), Some(us(120)));
+        assert_eq!(wait_for(us(100), us(120)), Some(us(100)));
+        // The default window decays out of the sleeping range in three
+        // short groups.
+        let mut d = ServeConfig::default().max_delay_us as f64;
+        for _ in 0..3 {
+            d = next_delay_us(d, 200, false);
+        }
+        assert_eq!(wait_for(us(d.round() as u64), us(200)), None);
+    }
+
+    #[test]
+    fn digits_render_as_to_string_does() {
+        for v in [0, 9, 10, 4_294_967_295, u64::MAX] {
+            let mut out = Vec::new();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string().into_bytes(), "{v}");
+        }
+        let mut out = Vec::new();
+        push_ids(&mut out, &[]);
+        push_ids(&mut out, &[7]);
+        push_ids(&mut out, &[0, 10, u64::MAX]);
+        assert_eq!(out, b"[][7][0,10,18446744073709551615]");
     }
 
     #[test]
@@ -909,6 +1208,7 @@ mod tests {
 
     #[test]
     fn server_round_trip_and_graceful_shutdown() {
+        let _serial = serial();
         let handle = start(tiny_engine(800, 2), "127.0.0.1:0", ServeConfig::default())
             .expect("bind ephemeral");
         let addr = handle.addr();
@@ -954,6 +1254,7 @@ mod tests {
 
     #[test]
     fn poisoned_engine_answers_503_until_repaired() {
+        let _serial = serial();
         let mut engine = tiny_engine(600, 2);
         engine.inject_panic_at(0, 0);
         let handle = start(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
@@ -979,6 +1280,7 @@ mod tests {
 
     #[test]
     fn admin_shutdown_endpoint_stops_the_server() {
+        let _serial = serial();
         let handle = start(tiny_engine(400, 1), "127.0.0.1:0", ServeConfig::default()).unwrap();
         let addr = handle.addr();
         let mut c = minihttp::Client::connect(addr).unwrap();
@@ -986,5 +1288,105 @@ mod tests {
         assert_eq!(r.status, 200);
         // wait() returns because the endpoint triggered shutdown.
         handle.wait();
+    }
+
+    const EVERYTHING: &str = "/query?lo=0,0,0&hi=1000,1000,1000";
+
+    /// One client round trip on a thread of its own; joins to the status.
+    fn get_in_background(addr: SocketAddr, target: &'static str) -> JoinHandle<u16> {
+        std::thread::spawn(move || {
+            let mut c = minihttp::Client::connect(addr).unwrap();
+            c.get(target).unwrap().status
+        })
+    }
+
+    /// Whether `thread` ends within `limit`. A `false` can only be late,
+    /// never wrong: the tests below use it where the parent would block.
+    fn ends_within<T>(thread: &JoinHandle<T>, limit: Duration) -> bool {
+        let t = Instant::now();
+        while !thread.is_finished() && t.elapsed() < limit {
+            std::thread::yield_now();
+        }
+        thread.is_finished()
+    }
+
+    #[test]
+    fn healthz_does_not_queue_behind_the_engine_lock() {
+        let handle = start(tiny_engine(400, 1), "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let shared = Arc::clone(&handle.shared);
+        // A group that executes for a long time, as a 4 096-query batch does.
+        let executing = shared.engine.lock().unwrap();
+        let probe = get_in_background(handle.addr(), "/healthz");
+        let answered = ends_within(&probe, Duration::from_millis(100));
+        drop(executing);
+        assert!(answered, "the liveness probe waited for the engine");
+        assert_eq!(probe.join().unwrap(), 200);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn follower_that_hung_up_neither_stalls_its_group_nor_keeps_leadership() {
+        let _serial = serial();
+        let cfg = ServeConfig::default()
+            .with_max_batch(2)
+            .with_max_delay_us(0);
+        let handle = start(tiny_engine(400, 1), "127.0.0.1:0", cfg).unwrap();
+        let shared = Arc::clone(&handle.shared);
+        let queue_is = |leader: bool, depth: usize| {
+            let q = shared.admission.lock();
+            q.leader == leader && q.slots.len() == depth
+        };
+        obs::set_enabled(true);
+
+        // A leads a group of one and stops at the engine lock.
+        let executing = shared.engine.lock().unwrap();
+        let a = get_in_background(handle.addr(), EVERYTHING);
+        until("A leading", || queue_is(true, 0));
+        // B queues behind it and hangs up; C queues behind B.
+        let mut b = TcpStream::connect(handle.addr()).unwrap();
+        std::io::Write::write_all(
+            &mut b,
+            format!("GET {EVERYTHING} HTTP/1.1\r\nHost: quasii\r\n\r\n").as_bytes(),
+        )
+        .unwrap();
+        until("B queued", || queue_is(true, 1));
+        drop(b);
+        let c = get_in_background(handle.addr(), EVERYTHING);
+        until("C queued", || queue_is(true, 2));
+        drop(executing);
+
+        // B is handed leadership, runs the group it shares with C, and
+        // passes leadership on although nobody reads its own answer.
+        assert_eq!(a.join().unwrap(), 200);
+        assert_eq!(c.join().unwrap(), 200);
+        until("leadership cleared", || queue_is(false, 0));
+        assert_eq!(obs::registry::SERVER_QUEUE_DEPTH.get(), 0.0);
+        obs::set_enabled(false);
+        let next = get_in_background(handle.addr(), EVERYTHING);
+        assert_eq!(next.join().unwrap(), 200);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_returns_only_once_the_leader_is_done() {
+        let _serial = serial();
+        let handle = start(tiny_engine(400, 1), "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let shared = Arc::clone(&handle.shared);
+        let executing = shared.engine.lock().unwrap();
+        let a = get_in_background(handle.addr(), EVERYTHING);
+        until("A leading", || {
+            let q = shared.admission.lock();
+            q.leader && q.slots.is_empty()
+        });
+        let shutdown = std::thread::spawn(move || handle.shutdown());
+        // The accepted request is still executing: shutdown() must wait.
+        let early = ends_within(&shutdown, Duration::from_millis(100));
+        drop(executing);
+        assert!(!early, "shutdown() returned over an active leader");
+        shutdown.join().unwrap();
+        let q = shared.admission.lock();
+        assert!(!q.leader && q.slots.is_empty());
+        drop(q);
+        assert_eq!(a.join().unwrap(), 200);
     }
 }
