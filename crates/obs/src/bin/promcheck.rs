@@ -1,7 +1,7 @@
 //! `promcheck FILE FAMILY...` — parses a Prometheus text exposition dump
 //! and asserts every named metric family is declared with at least one
-//! sample. Exit 0 on success; CI runs it against the `repro --metrics-out`
-//! dump so the exported format stays parseable.
+//! sample. Exit 0 on success; CI runs it against the `/metrics` scrape of a
+//! live `quasii serve` so the exported format stays parseable.
 
 use quasii_obs::registry::parse_prometheus;
 
