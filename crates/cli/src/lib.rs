@@ -1,34 +1,20 @@
 //! Implementation of the `quasii` command-line workbench (kept in a library
 //! so the argument parsing and command logic are unit-testable).
 //!
-//! Subcommands:
+//! [`USAGE`] has a line per subcommand (`generate`, `info`, `bench`,
+//! `snapshot`, `verify`, `recover`, `serve`) and per option.
 //!
-//! * `generate` — write a synthetic dataset (`uniform` or `neuro` family)
-//!   to a `.qsd` or `.csv` file;
-//! * `info` — dataset statistics (count, bounds, extents);
-//! * `bench` — run a query workload against one of the paper's indexes and
-//!   print the timing summary (an ad-hoc, single-index `repro`); with
-//!   `--warm-start FILE` the QUASII index is revived from a snapshot
-//!   instead of cracked from scratch;
-//! * `snapshot` — warm a QUASII index (plain or sharded) on a workload and
-//!   persist it for later `--warm-start` runs: a plain engine as one
-//!   file, a sharded deployment as a manifest plus per-shard part files;
-//!   every write goes through the crash-safe atomic-replace protocol, and
-//!   `--fault SPEC` injects deterministic crashes/transients into it;
-//! * `verify` — check the integrity of a snapshot, shard manifest (+ its
-//!   part files), or dataset file — header, version, checksums, structure —
-//!   without constructing any engine; exits nonzero on corruption;
-//! * `recover` — degraded-mode recovery of a sharded snapshot: quarantine
-//!   corrupt shards, rebuild them from the source dataset, and durably
-//!   re-commit the repaired deployment.
+//! [`parse`] turns the command line into a [`Command`] whose fields are
+//! already typed and already consistent with each other; [`execute`] never
+//! validates an option.
 
 #![warn(missing_docs)]
 
-use quasii::{Quasii, QuasiiConfig};
+use quasii::{AssignBy, Quasii, QuasiiConfig, SimdPolicy};
 use quasii_common::dataset;
 use quasii_common::fault::{parse_fault_spec, FaultStore};
 use quasii_common::fsx::{self, FsStore, SnapshotStore};
-use quasii_common::geom::{max_extents, mbb_of, Record};
+use quasii_common::geom::{max_extents, mbb_of, Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_common::measure::{run_queries, run_query_batches, timed};
 use quasii_common::scan::Scan;
@@ -39,9 +25,109 @@ use quasii_obs as obs;
 use quasii_rtree::RTree;
 use quasii_sfc::{SfCracker, SfcIndex};
 use quasii_shard::{
-    manifest_summary, part_path, Recovery, ShardConfig, ShardedQuasii, MANIFEST_MAGIC,
+    Recovery, RecoveryReport, ShardConfig, ShardStatus, ShardedQuasii, MANIFEST_MAGIC,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+
+/// Where the index of a `bench` or `serve` run comes from.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Source {
+    /// Built from this dataset file (`--data`).
+    Data(String),
+    /// Revived from this snapshot file (`--warm-start`).
+    WarmStart(String),
+}
+
+/// The query pattern of a workload (`--pattern`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pattern {
+    /// Uniformly placed queries.
+    Uniform,
+    /// Five clusters of queries.
+    Clustered,
+    /// Zipf hot-region workload (the shard-imbalance stress).
+    Skewed,
+}
+
+impl Pattern {
+    fn parse(s: &str) -> Option<Self> {
+        match s {
+            "uniform" => Some(Self::Uniform),
+            "clustered" => Some(Self::Clustered),
+            "skewed" => Some(Self::Skewed),
+            _ => None,
+        }
+    }
+}
+
+/// The WORKLOAD option group, shared by `bench` and `snapshot` so a
+/// warm-started run replays exactly the pattern the snapshot was warmed
+/// on, given the same seed.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WorkloadOpts {
+    /// Query pattern.
+    pub pattern: Pattern,
+    /// Number of queries.
+    pub queries: usize,
+    /// Query volume as a fraction of the universe.
+    pub volume: f64,
+    /// Workload seed.
+    pub seed: u64,
+}
+
+impl WorkloadOpts {
+    fn build(&self, universe: &Aabb<3>) -> workload::QueryWorkload<3> {
+        let (queries, volume, seed) = (self.queries, self.volume, self.seed);
+        match self.pattern {
+            Pattern::Uniform => workload::uniform(universe, queries, volume, seed),
+            Pattern::Clustered => {
+                workload::clustered(universe, 5, queries.div_ceil(5), volume, seed)
+            }
+            Pattern::Skewed => workload::skewed(universe, 8, queries, volume, 1.1, seed),
+        }
+    }
+}
+
+/// The ENGINE option group: how a QUASII index is built from a dataset.
+/// Shared by `bench`, `snapshot` (which does not read `--seal`) and
+/// `serve`; holds defaults wherever the index is not built from `--data`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EngineOpts {
+    /// Worker threads per parallelism level (0 = machine parallelism).
+    pub threads: usize,
+    /// Shard count; 0 = unsharded single engine.
+    pub shards: usize,
+    /// Slice assignment coordinate (paper footnote 1).
+    pub assign_by: AssignBy,
+    /// Whether converged regions compact into sealed arenas.
+    pub seal: bool,
+    /// SIMD kernel dispatch policy (a host property, never persisted).
+    pub simd: SimdPolicy,
+}
+
+/// The option names of the ENGINE group.
+const ENGINE_OPTIONS: [&str; 5] = ["threads", "shards", "assign-by", "seal", "simd"];
+
+impl EngineOpts {
+    /// The single engine these options describe.
+    fn config(&self) -> QuasiiConfig {
+        QuasiiConfig::default()
+            .with_threads(self.threads)
+            .with_assign_by(self.assign_by)
+            .with_seal(self.seal)
+            .with_simd(self.simd)
+    }
+
+    /// The deployment of `shards` such engines (0 and 1 both mean one
+    /// shard; `--threads` feeds both parallelism levels).
+    fn sharded(&self) -> ShardConfig {
+        ShardConfig::default()
+            .with_shards(self.shards)
+            .with_shard_threads(self.threads)
+            .with_inner(self.config())
+    }
+}
 
 /// Parsed command line.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,34 +150,17 @@ pub enum Command {
     },
     /// Run a workload against one index.
     Bench {
-        /// Dataset path (empty when `--warm-start` supplies the index).
-        data: String,
+        /// Dataset to build the index from, or snapshot to revive it from
+        /// (quasii only).
+        source: Source,
         /// Index name: scan|rtree|grid|sfc|sfcracker|mosaic|quasii.
         index: String,
-        /// Number of queries.
-        queries: usize,
-        /// Query volume fraction.
-        volume: f64,
-        /// "uniform", "clustered" or "skewed" (Zipf hot-region).
-        pattern: String,
-        /// Workload seed.
-        seed: u64,
+        /// The queries to run.
+        workload: WorkloadOpts,
         /// Queries per `query_batch` call; 0 = one-by-one execution.
         batch: usize,
-        /// Worker threads for QUASII batch execution (0 = auto).
-        threads: usize,
-        /// Shard count for `--index quasii`; 0 = unsharded single engine.
-        shards: usize,
-        /// Assignment coordinate for QUASII: lower|center|upper.
-        assign_by: String,
-        /// Whether QUASII compacts converged regions into sealed arenas
-        /// ("true"/"false"; default true).
-        seal: String,
-        /// SIMD kernel dispatch policy for QUASII: auto|scalar|sse2|avx2.
-        simd: String,
-        /// Snapshot file to revive the index from instead of `--data`
-        /// (quasii only; empty = cold start from the dataset).
-        warm_start: String,
+        /// How the QUASII index is built.
+        engine: EngineOpts,
         /// Enable the metrics registry for the run and print the latency /
         /// fan-out table afterwards (`--metrics`, no value needed).
         metrics: bool,
@@ -104,31 +173,17 @@ pub enum Command {
         /// Output snapshot path.
         out: String,
         /// Warm-up queries before the snapshot is taken.
-        queries: usize,
-        /// Query volume fraction.
-        volume: f64,
-        /// "uniform", "clustered" or "skewed".
-        pattern: String,
-        /// Workload seed.
-        seed: u64,
-        /// Worker threads (0 = auto).
-        threads: usize,
-        /// Shard count; 0 = unsharded single engine.
-        shards: usize,
-        /// Assignment coordinate: lower|center|upper.
-        assign_by: String,
-        /// SIMD kernel dispatch policy: auto|scalar|sse2|avx2 (a host
-        /// property — never stored in the snapshot).
-        simd: String,
-        /// "true" finalizes (fully cracks) the index instead of warming it
-        /// with queries.
-        finalize: String,
+        workload: WorkloadOpts,
+        /// How the QUASII index is built (`seal` is always on).
+        engine: EngineOpts,
+        /// Fully crack the index instead of warming it with queries.
+        finalize: bool,
         /// Deterministic fault-injection spec for the snapshot write
-        /// (`crash@OP[:SEED]` or `transient@COUNT`; empty = no faults).
-        fault: String,
+        /// (`crash@OP[:SEED]` or `transient@COUNT`).
+        fault: Option<String>,
     },
-    /// Verify the integrity of a snapshot, shard manifest (+ parts), or
-    /// dataset file without constructing any engine.
+    /// Load a snapshot, shard manifest (+ parts), or dataset file with the
+    /// loader that will serve it.
     Verify {
         /// File to verify.
         path: String,
@@ -138,60 +193,38 @@ pub enum Command {
     Recover {
         /// Sharded snapshot (its manifest file) to repair.
         snapshot: String,
-        /// Source dataset to rebuild quarantined shards from (may be empty
-        /// to only report health).
-        data: String,
+        /// Source dataset to rebuild quarantined shards from (`None` only
+        /// reports health).
+        data: Option<String>,
     },
     /// Serve queries over HTTP with admission batching (`quasii-server`).
     Serve {
-        /// Dataset path for a cold start (exactly one of this or
-        /// `warm_start`).
-        data: String,
-        /// Sharded snapshot to revive the deployment from.
-        warm_start: String,
+        /// Dataset for a cold start, or sharded snapshot to revive.
+        source: Source,
         /// Listen address (`host:port`; port 0 picks an ephemeral port).
         addr: String,
-        /// Shard count for a cold start (0 = one shard).
-        shards: usize,
-        /// Worker threads per parallelism level (0 = auto).
-        threads: usize,
+        /// How a cold-started deployment is built (0 shards = one shard).
+        engine: EngineOpts,
         /// Queries per admission group (1 disables grouping).
         max_batch: usize,
         /// Admission window upper bound in microseconds.
         max_delay_us: u64,
-        /// "true"/"false": shrink the window at low arrival rates.
-        adaptive: String,
+        /// Shrink the window at low arrival rates.
+        adaptive: bool,
         /// Bounded submission-queue capacity (full queue answers 503).
         queue_cap: usize,
-        /// Assignment coordinate: lower|center|upper.
-        assign_by: String,
-        /// Whether converged regions compact into sealed arenas.
-        seal: String,
-        /// SIMD kernel dispatch policy: auto|scalar|sse2|avx2.
-        simd: String,
     },
     /// Show usage.
     Help,
 }
 
-/// Parses a numeric flag value, naming the flag and the offending value in
-/// the error (`--n: cannot parse 'ten': …`).
-fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value
-        .parse()
-        .map_err(|e| format!("--{flag}: cannot parse '{value}': {e}"))
-}
-
 /// Parses and validates a `--simd` value: unknown spellings and ISAs the
 /// host cannot run (a forced level the dispatcher would clamp down) are
 /// both flag errors, so a forced run never silently degrades.
-fn parse_simd(value: &str) -> Result<quasii::SimdPolicy, String> {
-    let policy = quasii::SimdPolicy::parse(value)
+fn parse_simd(value: &str) -> Result<SimdPolicy, String> {
+    let policy = SimdPolicy::parse(value)
         .ok_or_else(|| format!("unknown --simd '{value}' (auto|scalar|sse2|avx2)"))?;
-    if policy != quasii::SimdPolicy::Auto && policy.resolve().name() != policy.name() {
+    if policy != SimdPolicy::Auto && policy.resolve().name() != policy.name() {
         return Err(format!(
             "--simd {}: not supported on this host (best available: {})",
             policy.name(),
@@ -201,21 +234,137 @@ fn parse_simd(value: &str) -> Result<quasii::SimdPolicy, String> {
     Ok(policy)
 }
 
-/// One line naming the kernel generation a QUASII run dispatches to.
-fn report_simd(policy: quasii::SimdPolicy) {
-    println!(
-        "simd kernels: {} (policy {})",
-        policy.resolve().name(),
-        policy.name()
-    );
+/// The options given on a command line, and the names the command asked
+/// for: what was given and never asked for is an unknown option.
+struct Given<'a> {
+    opts: BTreeMap<&'a str, &'a str>,
+    read: BTreeSet<&'static str>,
+}
+
+impl<'a> Given<'a> {
+    fn get(&mut self, key: &'static str) -> Option<&'a str> {
+        self.read.insert(key);
+        self.opts.get(key).copied()
+    }
+
+    fn required(&mut self, key: &'static str) -> Result<String, String> {
+        self.get(key)
+            .map(str::to_string)
+            .ok_or_else(|| format!("missing required --{key}"))
+    }
+
+    /// A numeric option; the error names the flag and the offending value
+    /// (`--n: cannot parse 'ten': …`).
+    fn num<T: std::str::FromStr>(&mut self, key: &'static str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|e| format!("--{key}: cannot parse '{v}': {e}")),
+        }
+    }
+
+    /// An option that names one of a few `choices`.
+    fn one_of<T>(
+        &mut self,
+        key: &'static str,
+        default: T,
+        parse: fn(&str) -> Option<T>,
+        choices: &str,
+    ) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => parse(v).ok_or_else(|| format!("unknown --{key} '{v}' ({choices})")),
+        }
+    }
+
+    fn flag(&mut self, key: &'static str, default: bool) -> Result<bool, String> {
+        let parse = |v: &str| match v {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        };
+        self.one_of(key, default, parse, "true|false")
+    }
+
+    /// `--data` or `--warm-start`: a snapshot carries the records itself,
+    /// so exactly one of them names where the index comes from.
+    fn source(&mut self, cmd: &str) -> Result<Source, String> {
+        match (self.get("data"), self.get("warm-start")) {
+            (Some(data), None) => Ok(Source::Data(data.to_string())),
+            (None, Some(snap)) => Ok(Source::WarmStart(snap.to_string())),
+            _ => Err(format!("{cmd} needs exactly one of --data or --warm-start")),
+        }
+    }
+
+    fn workload(&mut self) -> Result<WorkloadOpts, String> {
+        Ok(WorkloadOpts {
+            queries: self.num("queries", 200)?,
+            volume: self.num("volume", 1e-4)?,
+            pattern: self.one_of(
+                "pattern",
+                Pattern::Clustered,
+                Pattern::parse,
+                "uniform|clustered|skewed",
+            )?,
+            seed: self.num("seed", 7)?,
+        })
+    }
+
+    /// The ENGINE group; `snapshot` passes `reads_seal = false` and always
+    /// seals, so `snapshot --seal` stays an unknown option.
+    fn engine(&mut self, reads_seal: bool) -> Result<EngineOpts, String> {
+        Ok(EngineOpts {
+            threads: self.num("threads", 0)?,
+            shards: self.num("shards", 0)?,
+            assign_by: self.one_of(
+                "assign-by",
+                AssignBy::default(),
+                AssignBy::parse,
+                "lower|center|upper",
+            )?,
+            seal: !reads_seal || self.flag("seal", true)?,
+            simd: self.get("simd").map_or(Ok(SimdPolicy::Auto), parse_simd)?,
+        })
+    }
+
+    /// The one rule for the ENGINE group: an option that was given where it
+    /// cannot take effect is an error, not ignored, whatever its value.
+    fn engine_options_take_effect(&self, index: &str, source: &Source) -> Result<(), String> {
+        for key in ENGINE_OPTIONS {
+            if !self.opts.contains_key(key) {
+                continue;
+            }
+            if index != "quasii" {
+                return Err(format!("--{key} requires --index quasii"));
+            }
+            if matches!(source, Source::WarmStart(_)) {
+                return Err(format!(
+                    "--{key} conflicts with --warm-start (the snapshot fixes layout and \
+                     configuration; kernel dispatch is re-resolved at load, set QUASII_SIMD to \
+                     override)"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Parses raw arguments (without the binary name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = it.next().map(String::as_str).unwrap_or("help");
-    let mut opts = std::collections::HashMap::new();
-    let rest: Vec<&String> = it.collect();
+    parse_census(args).map(|(command, _)| command)
+}
+
+/// [`parse`], also yielding the names of the options the command read.
+fn parse_census(args: &[String]) -> Result<(Command, BTreeSet<&'static str>), String> {
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => ("help", args),
+    };
+    let mut opts = BTreeMap::new();
     let mut i = 0;
     while i < rest.len() {
         let key = rest[i]
@@ -224,101 +373,91 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         // `--metrics` is a bare flag: a following `--option` (or end of
         // line) means "on", an explicit true/false value is also accepted.
         if key == "metrics" && rest.get(i + 1).is_none_or(|v| v.starts_with("--")) {
-            opts.insert(key.to_string(), "true".to_string());
+            opts.insert(key, "true");
             i += 1;
             continue;
         }
         let val = rest
             .get(i + 1)
             .ok_or_else(|| format!("--{key} needs a value"))?;
-        opts.insert(key.to_string(), (*val).clone());
+        opts.insert(key, val.as_str());
         i += 2;
     }
-    // An option the command does not read is an error, not noise: a typo,
-    // or an option that no longer exists, must not pass for the default.
-    let read = std::cell::RefCell::new(std::collections::HashSet::new());
-    let get = |k: &'static str, default: Option<&str>| -> Result<String, String> {
-        read.borrow_mut().insert(k);
-        opts.get(k)
-            .cloned()
-            .or_else(|| default.map(str::to_string))
-            .ok_or_else(|| format!("missing required --{k}"))
+    let mut g = Given {
+        opts,
+        read: BTreeSet::new(),
     };
     let command = match cmd {
-        "generate" => Ok(Command::Generate {
-            family: get("family", Some("uniform"))?,
-            n: num("n", &get("n", Some("100000"))?)?,
-            seed: num("seed", &get("seed", Some("42"))?)?,
-            out: get("out", None)?,
-        }),
-        "info" => Ok(Command::Info {
-            data: get("data", None)?,
-        }),
-        "bench" => Ok(Command::Bench {
-            // `--data` is normally required; a `--warm-start` snapshot
-            // carries the records itself, so either one satisfies it
-            // (exactly-one is enforced at execution).
-            data: get("data", Some(""))?,
-            index: get("index", Some("quasii"))?,
-            queries: num("queries", &get("queries", Some("200"))?)?,
-            volume: num("volume", &get("volume", Some("1e-4"))?)?,
-            pattern: get("pattern", Some("clustered"))?,
-            seed: num("seed", &get("seed", Some("7"))?)?,
-            batch: num("batch", &get("batch", Some("0"))?)?,
-            threads: num("threads", &get("threads", Some("0"))?)?,
-            shards: num("shards", &get("shards", Some("0"))?)?,
-            assign_by: get("assign-by", Some("lower"))?,
-            seal: get("seal", Some("true"))?,
-            simd: get("simd", Some("auto"))?,
-            warm_start: get("warm-start", Some(""))?,
-            metrics: match get("metrics", Some("false"))?.as_str() {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("unknown --metrics '{other}' (true|false)")),
-            },
-        }),
-        "snapshot" => Ok(Command::Snapshot {
-            data: get("data", None)?,
-            out: get("out", None)?,
-            queries: num("queries", &get("queries", Some("200"))?)?,
-            volume: num("volume", &get("volume", Some("1e-4"))?)?,
-            pattern: get("pattern", Some("clustered"))?,
-            seed: num("seed", &get("seed", Some("7"))?)?,
-            threads: num("threads", &get("threads", Some("0"))?)?,
-            shards: num("shards", &get("shards", Some("0"))?)?,
-            assign_by: get("assign-by", Some("lower"))?,
-            simd: get("simd", Some("auto"))?,
-            finalize: get("finalize", Some("false"))?,
-            fault: get("fault", Some(""))?,
-        }),
-        "verify" => Ok(Command::Verify {
-            path: get("path", None)?,
-        }),
-        "recover" => Ok(Command::Recover {
-            snapshot: get("snapshot", None)?,
-            data: get("data", Some(""))?,
-        }),
-        "serve" => Ok(Command::Serve {
-            data: get("data", Some(""))?,
-            warm_start: get("warm-start", Some(""))?,
-            addr: get("addr", Some("127.0.0.1:7077"))?,
-            shards: num("shards", &get("shards", Some("0"))?)?,
-            threads: num("threads", &get("threads", Some("0"))?)?,
-            max_batch: num("max-batch", &get("max-batch", Some("64"))?)?,
-            max_delay_us: num("max-delay-us", &get("max-delay-us", Some("200"))?)?,
-            adaptive: get("adaptive", Some("true"))?,
-            queue_cap: num("queue-cap", &get("queue-cap", Some("1024"))?)?,
-            assign_by: get("assign-by", Some("lower"))?,
-            seal: get("seal", Some("true"))?,
-            simd: get("simd", Some("auto"))?,
-        }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command '{other}'")),
-    }?;
-    let read = read.into_inner();
-    match opts.keys().filter(|k| !read.contains(k.as_str())).min() {
+        "generate" => Command::Generate {
+            family: g.get("family").unwrap_or("uniform").to_string(),
+            n: g.num("n", 100_000)?,
+            seed: g.num("seed", 42)?,
+            out: g.required("out")?,
+        },
+        "info" => Command::Info {
+            data: g.required("data")?,
+        },
+        "bench" => {
+            let source = g.source("bench")?;
+            let index = g.get("index").unwrap_or("quasii").to_string();
+            if matches!(source, Source::WarmStart(_)) && index != "quasii" {
+                return Err("--warm-start requires --index quasii".to_string());
+            }
+            let engine = g.engine(true)?;
+            g.engine_options_take_effect(&index, &source)?;
+            Command::Bench {
+                source,
+                index,
+                workload: g.workload()?,
+                batch: g.num("batch", 0)?,
+                engine,
+                metrics: g.flag("metrics", false)?,
+            }
+        }
+        "snapshot" => Command::Snapshot {
+            data: g.required("data")?,
+            out: g.required("out")?,
+            workload: g.workload()?,
+            engine: g.engine(false)?,
+            finalize: g.flag("finalize", false)?,
+            fault: g.get("fault").map(str::to_string),
+        },
+        "verify" => Command::Verify {
+            path: g.required("path")?,
+        },
+        "recover" => Command::Recover {
+            snapshot: g.required("snapshot")?,
+            data: g.get("data").map(str::to_string),
+        },
+        "serve" => {
+            let source = g.source("serve")?;
+            let engine = g.engine(true)?;
+            g.engine_options_take_effect("quasii", &source)?;
+            let max_batch = g.num("max-batch", 64)?;
+            if max_batch == 0 {
+                return Err(
+                    "--max-batch must be >= 1 (1 disables grouping, the per-request baseline)"
+                        .to_string(),
+                );
+            }
+            Command::Serve {
+                source,
+                addr: g.get("addr").unwrap_or("127.0.0.1:7077").to_string(),
+                engine,
+                max_batch,
+                max_delay_us: g.num("max-delay-us", 200)?,
+                adaptive: g.flag("adaptive", true)?,
+                queue_cap: g.num("queue-cap", 1024)?,
+            }
+        }
+        "help" | "--help" | "-h" => Command::Help,
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    // An option the command does not read is an error, not noise: a typo,
+    // or an option that no longer exists, must not pass for the default.
+    match g.opts.keys().find(|k| !g.read.contains(*k)) {
         Some(k) => Err(format!("unknown option --{k} for '{cmd}'")),
-        None => Ok(command),
+        None => Ok((command, g.read)),
     }
 }
 
@@ -329,110 +468,58 @@ quasii — spatial incremental index workbench (QUASII, EDBT 2018 reproduction)
 USAGE:
   quasii generate --out FILE [--family uniform|neuro] [--n N] [--seed S]
   quasii info     --data FILE
-  quasii bench    (--data FILE | --warm-start SNAP)
+  quasii bench    (--data FILE [ENGINE] | --warm-start SNAP) [WORKLOAD]
                   [--index scan|rtree|grid|sfc|sfcracker|mosaic|quasii]
-                  [--queries N] [--volume FRAC]
-                  [--pattern uniform|clustered|skewed] [--seed S]
-                  [--batch N] [--threads N] [--shards K]
-                  [--assign-by lower|center|upper] [--seal true|false]
-                  [--simd auto|scalar|sse2|avx2] [--metrics]
-  quasii snapshot --data FILE --out SNAP [--queries N] [--volume FRAC]
-                  [--pattern uniform|clustered|skewed] [--seed S]
-                  [--threads N] [--shards K]
-                  [--assign-by lower|center|upper] [--finalize true|false]
-                  [--simd auto|scalar|sse2|avx2] [--fault SPEC]
+                  [--batch N] [--metrics]
+  quasii snapshot --data FILE --out SNAP [WORKLOAD] [ENGINE but --seal]
+                  [--finalize true|false] [--fault SPEC]
   quasii verify   --path FILE
   quasii recover  --snapshot SNAP [--data FILE]
-  quasii serve    (--data FILE | --warm-start SNAP) [--addr HOST:PORT]
-                  [--shards K] [--threads N]
-                  [--max-batch N] [--max-delay-us US]
-                  [--adaptive true|false] [--queue-cap N]
-                  [--assign-by lower|center|upper] [--seal true|false]
-                  [--simd auto|scalar|sse2|avx2]
+  quasii serve    (--data FILE [ENGINE] | --warm-start SNAP) [--addr HOST:PORT]
+                  [--max-batch N] [--max-delay-us US] [--adaptive true|false]
+                  [--queue-cap N]
 
-Datasets are 3-d; FILE extension picks the format (.qsd binary, .csv text).
---batch N executes the workload in batches of N queries through the index's
-batch path (QUASII cracks disjoint top-level partitions on --threads workers;
-0 = machine parallelism). --shards K (quasii only) splits the dataset across
-K QUASII engines behind a key-range router; with --batch N, --threads feeds
-both parallelism levels (--threads shard workers x --threads engine workers)
-and results come back in canonical id-sorted order.
---pattern skewed is a Zipf hot-region workload that concentrates
-most queries on one region (the shard-imbalance stress). Results are
-identical to one-by-one execution. --assign-by picks QUASII's slice
-assignment coordinate (paper footnote 1; lower is the paper's default —
-center/upper exercise the engine's cached-key modes). --seal false keeps
-the adaptive machinery on every query (the sealed read path's reference
-configuration); results are identical either way, and the run prints the
-sealed fraction reached. --simd picks the kernel generation QUASII's
-column kernels dispatch to (auto = QUASII_SIMD env override, then runtime
-CPU detection; forcing an ISA the host lacks is an error; scalar is the
-bit-for-bit oracle) — results are identical for every level, and the run
-prints the selected ISA. --metrics turns on the global metrics registry
-for the run and prints a latency table afterwards (batch phase p50/p90/p99,
-shard fan-out, seal sweeps); metrics are a pure side channel — answers are
-byte-identical with or without it.
-`snapshot` warms a QUASII index on the workload (or fully cracks it with
---finalize true), then persists it — sealed arenas, record permutation
-and slice tree — as one checksummed snapshot file; with --shards K as one
-such part file per shard (SNAP.g<G>.part<k>) plus a small manifest at
-SNAP. `bench --warm-start SNAP` revives that index (a sharded snapshot
-carries its own configuration, so --shards/--threads/--assign-by/--seal
-are read from the manifest) and answers queries byte-identically to the
-index that wrote it, skipping the cold cracking phase entirely.
-Snapshots are written crash-safely (temp file, fsync, atomic rename,
-directory fsync); a sharded snapshot writes its part files first and the
-manifest last, so the manifest's rename is the single commit point — a
-crash at any instant leaves the old snapshot or the new one, never a torn
-mix. --fault crash@OP[:SEED] kills the write at its OP-th store operation
-(tearing the in-flight file to a seeded prefix); --fault transient@COUNT
-makes the first COUNT operations fail with a retryable error (absorbed by
-bounded retry).
-`verify` checks magic, version, checksums and structural accounting of an
-engine snapshot (per-region report), a shard manifest (per-shard report,
-reading the part files it names), or a .qsd dataset — without constructing
-an engine; it exits nonzero on corruption.
-`recover` validates each shard of a sharded snapshot independently,
-quarantines the corrupt ones, re-cracks them from --data (routing records
-through the manifest's fences), re-validates every invariant, and
-re-commits the repaired deployment as a new snapshot generation; without
---data it only reports per-shard health.
-`serve` fronts a (sharded) QUASII deployment with the HTTP query service:
-GET /query?lo=a,b,c&hi=d,e,f, POST /batch (one query per line,
-lo0,lo1,lo2,hi0,hi1,hi2), GET /snapshots, GET /metrics (Prometheus),
-GET /healthz, POST /admin/repair, POST /admin/shutdown. Concurrent
-requests are regrouped by the admission controller onto the engine's
-batch path: a group closes at --max-batch queries or after the admission
-window, whichever first; --adaptive true (the default) shrinks the window
-at low arrival rates until it is no longer waited at all, so an idle
-server adds no latency, --max-batch 1 disables grouping (the per-request
-baseline).
-Answers are byte-identical for every setting. The submission queue is
-bounded at --queue-cap; an overloaded server answers 503 rather than
-buffering without bound. --warm-start revives a sharded snapshot
-(written by `snapshot --shards K`) instead of cracking from --data; the
-snapshot fixes layout, so --shards/--threads/--assign-by/--seal/--simd
-conflict with it. The metrics registry is always on for a server (the
-/metrics endpoint is part of the API). The server runs until
-POST /admin/shutdown, which drains already-accepted work before exit.";
+WORKLOAD: [--queries N] [--volume FRAC] [--seed S]
+          [--pattern uniform|clustered|skewed]
+ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
+          [--seal true|false] [--simd auto|scalar|sse2|avx2]
+  ENGINE options say how a QUASII index is built from --data. Given with
+  another --index, or beside --warm-start (the snapshot fixes layout and
+  configuration), they are errors, not ignored. Answers are byte-identical
+  for every ENGINE setting, --batch, --metrics and admission setting.
 
-/// Builds the benchmark workload for a universe (shared by `bench` and
-/// `snapshot` so a warm-started run replays exactly the pattern the
-/// snapshot was warmed on, given the same seed).
-fn build_workload(
-    universe: &quasii_common::geom::Aabb<3>,
-    pattern: &str,
-    queries: usize,
-    volume: f64,
-    seed: u64,
-) -> Result<workload::QueryWorkload<3>, String> {
-    Ok(match pattern {
-        "uniform" => workload::uniform(universe, queries, volume, seed),
-        "clustered" => workload::clustered(universe, 5, queries.div_ceil(5), volume, seed),
-        "skewed" => workload::skewed(universe, 8, queries, volume, 1.1, seed),
-        other => return Err(format!("unknown pattern '{other}'")),
-    })
-}
+  --data FILE       3-d dataset; the extension picks the format (.csv text,
+                    anything else .qsd binary)
+  --warm-start SNAP revive the index `snapshot` wrote instead of cracking
+                    from --data (`serve` takes a sharded snapshot only)
+  --pattern         skewed is a Zipf hot-region workload (shard imbalance)
+  --batch N         run the workload N queries at a time through the batch
+                    path (0 = one by one)
+  --threads N       workers per parallelism level (0 = machine parallelism)
+  --shards K        K engines behind a key-range router, results in
+                    ascending-id order (0 = one engine; `serve`: one shard)
+  --assign-by       slice assignment coordinate (paper footnote 1)
+  --seal false      keep the adaptive machinery on every query (the sealed
+                    read path's reference configuration)
+  --simd            kernel generation (auto = QUASII_SIMD, then CPU
+                    detection; an ISA the host lacks is an error)
+  --metrics         print the metrics registry's table after the run
+  --finalize true   fully crack the index instead of warming it on WORKLOAD
+  --out SNAP        one checksummed file; with --shards K a manifest at SNAP
+                    plus SNAP.g<G>.part<k> per shard, manifest renamed last
+  --fault SPEC      crash@OP[:SEED] kills the write at its OP-th store
+                    operation, transient@COUNT fails the first COUNT
+  verify            loads a snapshot, a manifest and its parts, or a .qsd
+                    with the loader that will serve it; exit 2 on corruption
+  recover           quarantines corrupt shards, re-cracks them from --data
+                    and commits a new generation; without --data, reports
+  serve             GET /query?lo=a,b,c&hi=d,e,f | POST /batch (one
+                    lo0,lo1,lo2,hi0,hi1,hi2 per line) | GET /snapshots
+                    /metrics /healthz | POST /admin/repair /admin/shutdown
+  --max-batch N     a group closes at N queries (1 = no grouping) or after
+  --max-delay-us US the admission window, whichever first; --adaptive true
+                    shrinks the window at low arrival rates
+  --queue-cap N     submissions queued beyond N are answered 503";
 
 fn load(path: &str) -> Result<Vec<Record<3>>, String> {
     let res = if path.ends_with(".csv") {
@@ -486,326 +573,24 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Bench {
-            data,
+            source,
             index,
-            queries,
-            volume,
-            pattern,
-            seed,
+            workload,
             batch,
-            threads,
-            shards,
-            assign_by,
-            seal,
-            simd,
-            warm_start,
+            engine,
             metrics,
-        } => {
-            if metrics {
-                // Fresh registry per run: the table below reports this
-                // invocation only, not process history.
-                obs::registry::reset();
-                obs::set_enabled(true);
-            }
-            if warm_start.is_empty() == data.is_empty() {
-                return Err("bench needs exactly one of --data or --warm-start".to_string());
-            }
-            if !warm_start.is_empty() && index != "quasii" {
-                return Err("--warm-start requires --index quasii".to_string());
-            }
-            if shards > 0 && index != "quasii" {
-                return Err("--shards requires --index quasii".to_string());
-            }
-            let assign_by = quasii::AssignBy::parse(&assign_by)
-                .ok_or_else(|| format!("unknown --assign-by '{assign_by}' (lower|center|upper)"))?;
-            if assign_by != quasii::AssignBy::default() && index != "quasii" {
-                return Err("--assign-by requires --index quasii".to_string());
-            }
-            let seal = match seal.as_str() {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("unknown --seal '{other}' (true|false)")),
-            };
-            if !seal && index != "quasii" {
-                return Err("--seal requires --index quasii".to_string());
-            }
-            let simd = parse_simd(&simd)?;
-            if simd != quasii::SimdPolicy::Auto && index != "quasii" {
-                return Err("--simd requires --index quasii".to_string());
-            }
-            /// Runs the workload one query at a time (`batch == 0`) or in
-            /// batches through the index's batch path, printing one summary
-            /// line either way; returns the index so callers can report
-            /// post-run state (sealed fraction).
-            fn report<I: SpatialIndex<3>>(
-                mut index: I,
-                build_secs: f64,
-                queries: &[quasii_common::geom::Aabb<3>],
-                batch: usize,
-            ) -> I {
-                if batch == 0 {
-                    let series = run_queries(&mut index, build_secs, queries);
-                    let total_results: usize = series.result_counts.iter().sum();
-                    println!(
-                        "{}: build {:.4}s, first query {:.4}s, {} queries in {:.4}s (tail mean {:.1}µs), {} results",
-                        series.name,
-                        series.build_secs,
-                        series.query_secs.first().copied().unwrap_or(0.0),
-                        series.query_secs.len(),
-                        series.total_secs() - series.build_secs,
-                        series.tail_mean_secs(20) * 1e6,
-                        total_results
-                    );
-                } else {
-                    let (series, _) = run_query_batches(&mut index, queries, batch);
-                    let total_results: usize = series.result_counts.iter().sum();
-                    println!(
-                        "{}: build {:.4}s, {} queries in batches of {} in {:.4}s ({:.0} q/s), {} results",
-                        series.name,
-                        build_secs,
-                        series.queries(),
-                        series.batch_size,
-                        series.total_secs(),
-                        series.throughput_qps(),
-                        total_results
-                    );
-                }
-                index
-            }
-
-            /// One summary line for the sealed read path's end state (the
-            /// quasii variants call it after [`report`]).
-            fn report_sealed<I: SpatialIndex<3>>(index: &I) {
-                println!("sealed fraction after run: {:.3}", index.sealed_fraction());
-            }
-
-            if !warm_start.is_empty() {
-                // The snapshot fixes layout and configuration; flags that
-                // would contradict it are rejected rather than ignored.
-                if shards > 0 {
-                    return Err(
-                        "--shards conflicts with --warm-start (the snapshot fixes the shard layout)"
-                            .to_string(),
-                    );
-                }
-                if threads > 0 {
-                    return Err(
-                        "--threads conflicts with --warm-start (stored in the snapshot)"
-                            .to_string(),
-                    );
-                }
-                if assign_by != quasii::AssignBy::default() {
-                    return Err(
-                        "--assign-by conflicts with --warm-start (stored in the snapshot)"
-                            .to_string(),
-                    );
-                }
-                if !seal {
-                    return Err(
-                        "--seal conflicts with --warm-start (stored in the snapshot)".to_string(),
-                    );
-                }
-                if simd != quasii::SimdPolicy::Auto {
-                    // Dispatch is a host property, never persisted: a revived
-                    // engine re-resolves the default policy, which honors the
-                    // QUASII_SIMD environment override.
-                    return Err(
-                        "--simd conflicts with --warm-start (dispatch is re-resolved at load; \
-                         set QUASII_SIMD to override)"
-                            .to_string(),
-                    );
-                }
-                report_simd(quasii::SimdPolicy::default());
-                let bytes = std::fs::read(&warm_start)
-                    .map_err(|e| format!("cannot read '{warm_start}': {e}"))?;
-                println!(
-                    "warm start: {} snapshot bytes from {warm_start}",
-                    bytes.len()
-                );
-                if bytes.len() >= 8 && bytes[..8] == MANIFEST_MAGIC {
-                    // Per-shard loads run on parallel workers.
-                    let (b, idx) = timed(|| {
-                        ShardedQuasii::<3>::from_snapshot_files(&FsStore, Path::new(&warm_start))
-                    });
-                    let idx = idx.map_err(|e| format!("cannot load '{warm_start}': {e}"))?;
-                    let mut universe = quasii_common::geom::Aabb::empty();
-                    for e in idx.engines() {
-                        if !e.data().is_empty() {
-                            universe.expand(&mbb_of(e.data()));
-                        }
-                    }
-                    let w = build_workload(&universe, &pattern, queries, volume, seed)?;
-                    println!(
-                        "shards: {} engines revived, sealed fraction {:.3}",
-                        idx.shard_count(),
-                        idx.sealed_fraction()
-                    );
-                    let idx = report(idx, b, &w.queries, batch);
-                    report_sealed(&idx);
-                } else {
-                    let (b, idx) = timed(|| Quasii::<3>::from_snapshot(bytes));
-                    let idx = idx.map_err(|e| format!("cannot load '{warm_start}': {e}"))?;
-                    let universe = mbb_of(idx.data());
-                    let w = build_workload(&universe, &pattern, queries, volume, seed)?;
-                    println!("sealed fraction at load: {:.3}", idx.sealed_fraction());
-                    let idx = report(idx, b, &w.queries, batch);
-                    report_sealed(&idx);
-                }
-                report_metrics(metrics);
-                return Ok(());
-            }
-
-            let records = load(&data)?;
-            let universe = mbb_of(&records);
-            let w = build_workload(&universe, &pattern, queries, volume, seed)?;
-
-            match index.as_str() {
-                "scan" => {
-                    let (b, i) = timed(|| Scan::new(records));
-                    report(i, b, &w.queries, batch);
-                }
-                "rtree" => {
-                    let (b, i) = timed(|| RTree::bulk_load_default(records));
-                    report(i, b, &w.queries, batch);
-                }
-                "grid" => {
-                    let parts = (records.len() as f64).cbrt().round().clamp(8.0, 256.0) as usize;
-                    let (b, i) =
-                        timed(|| UniformGrid::build(records, parts, Assignment::QueryExtension));
-                    report(i, b, &w.queries, batch);
-                }
-                "sfc" => {
-                    let (b, i) = timed(|| SfcIndex::build_default(records));
-                    report(i, b, &w.queries, batch);
-                }
-                "sfcracker" => {
-                    let (b, i) = timed(|| SfCracker::with_default_bits(records));
-                    report(i, b, &w.queries, batch);
-                }
-                "mosaic" => {
-                    let (b, i) = timed(|| Mosaic::with_defaults(records));
-                    report(i, b, &w.queries, batch);
-                }
-                "quasii" if shards > 0 => {
-                    report_simd(simd);
-                    let cfg = ShardConfig::default()
-                        .with_shards(shards)
-                        .with_shard_threads(threads)
-                        .with_inner(
-                            QuasiiConfig::default()
-                                .with_threads(threads)
-                                .with_assign_by(assign_by)
-                                .with_seal(seal)
-                                .with_simd(simd),
-                        );
-                    let (b, i) = timed(|| ShardedQuasii::new(records, cfg));
-                    let snaps = i.snapshots();
-                    let per_shard: Vec<usize> = snaps.iter().map(|s| s.records).collect();
-                    println!("shards: {shards} engines, records per shard {per_shard:?}");
-                    let i = report(i, b, &w.queries, batch);
-                    report_sealed(&i);
-                }
-                "quasii" => {
-                    report_simd(simd);
-                    let cfg = QuasiiConfig::default()
-                        .with_threads(threads)
-                        .with_assign_by(assign_by)
-                        .with_seal(seal)
-                        .with_simd(simd);
-                    let (b, i) = timed(|| Quasii::new(records, cfg));
-                    let i = report(i, b, &w.queries, batch);
-                    report_sealed(&i);
-                }
-                other => return Err(format!("unknown index '{other}'")),
-            }
-            report_metrics(metrics);
-            Ok(())
-        }
+        } => bench(source, &index, &workload, batch, &engine, metrics),
         Command::Snapshot {
             data,
             out,
-            queries,
-            volume,
-            pattern,
-            seed,
-            threads,
-            shards,
-            assign_by,
-            simd,
+            workload,
+            engine,
             finalize,
             fault,
         } => {
-            let assign_by = quasii::AssignBy::parse(&assign_by)
-                .ok_or_else(|| format!("unknown --assign-by '{assign_by}' (lower|center|upper)"))?;
-            let simd = parse_simd(&simd)?;
-            let finalize = match finalize.as_str() {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("unknown --finalize '{other}' (true|false)")),
-            };
-            // All writes go through the crash-safe atomic-replace protocol;
-            // --fault wraps the store in a deterministic fault injector so
-            // the protocol can be exercised from the command line.
-            let plain = FsStore;
-            let injected;
-            let store: &dyn SnapshotStore = if fault.is_empty() {
-                &plain
-            } else {
-                let plan = parse_fault_spec(&fault).map_err(|e| format!("--fault: {e}"))?;
-                injected = FaultStore::new(FsStore, plan);
-                &injected
-            };
-            let records = load(&data)?;
-            let universe = mbb_of(&records);
-            let w = build_workload(&universe, &pattern, queries, volume, seed)?;
-            let inner = QuasiiConfig::default()
-                .with_threads(threads)
-                .with_assign_by(assign_by)
-                .with_simd(simd);
-            let out_path = Path::new(&out);
-            if shards > 0 {
-                let cfg = ShardConfig::default()
-                    .with_shards(shards)
-                    .with_shard_threads(threads)
-                    .with_inner(inner);
-                let mut idx = ShardedQuasii::new(records, cfg);
-                if finalize {
-                    idx.finalize();
-                } else {
-                    idx.execute_batch(&w.queries);
-                }
-                idx.seal();
-                let frac = idx.sealed_fraction();
-                let gen = idx
-                    .write_snapshot_files(store, out_path)
-                    .map_err(|e| format!("snapshot: {e}"))?;
-                println!(
-                    "committed generation {gen} ({} shards, {} part files + manifest, \
-                     sealed fraction {frac:.3}) to {out}",
-                    idx.shard_count(),
-                    idx.shard_count()
-                );
-            } else {
-                let mut idx = Quasii::new(records, inner);
-                if finalize {
-                    idx.finalize();
-                } else {
-                    for q in &w.queries {
-                        idx.query_collect(q);
-                    }
-                }
-                idx.seal();
-                let frac = idx.sealed_fraction();
-                let bytes = idx.write_snapshot().map_err(|e| format!("snapshot: {e}"))?;
-                fsx::write_atomic(store, out_path, &bytes)
-                    .map_err(|e| format!("cannot write '{out}': {e}"))?;
-                println!(
-                    "wrote {} snapshot bytes (1 engine, sealed fraction {frac:.3}) to {out}",
-                    bytes.len()
-                );
-            }
+            let r = snapshot(&data, &out, &workload, &engine, finalize, fault.as_deref());
             report_fsx_counters();
-            Ok(())
+            r
         }
         Command::Verify { path } => {
             let r = verify_file(&path);
@@ -813,148 +598,266 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             r
         }
         Command::Recover { snapshot, data } => {
-            let r = recover_snapshot(&snapshot, &data);
+            let r = recover_snapshot(&snapshot, data.as_deref());
             report_fsx_counters();
             r
         }
         Command::Serve {
-            data,
-            warm_start,
+            source,
             addr,
-            shards,
-            threads,
+            engine,
             max_batch,
             max_delay_us,
             adaptive,
             queue_cap,
-            assign_by,
-            seal,
-            simd,
         } => {
-            if warm_start.is_empty() == data.is_empty() {
-                return Err("serve needs exactly one of --data or --warm-start".to_string());
-            }
-            if max_batch == 0 {
-                return Err(
-                    "--max-batch must be >= 1 (1 disables grouping, the per-request baseline)"
-                        .to_string(),
-                );
-            }
-            let assign_by = quasii::AssignBy::parse(&assign_by)
-                .ok_or_else(|| format!("unknown --assign-by '{assign_by}' (lower|center|upper)"))?;
-            let seal = match seal.as_str() {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("unknown --seal '{other}' (true|false)")),
-            };
-            let adaptive = match adaptive.as_str() {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("unknown --adaptive '{other}' (true|false)")),
-            };
-            let simd = parse_simd(&simd)?;
-            // A server always exposes /metrics, so the registry is always
-            // on (fresh, so the exposition reports this process only).
-            obs::registry::reset();
-            obs::set_enabled(true);
-            let engine = if !warm_start.is_empty() {
-                // The snapshot fixes layout and configuration (same
-                // contract as `bench --warm-start`).
-                if shards > 0 {
-                    return Err(
-                        "--shards conflicts with --warm-start (the snapshot fixes the shard \
-                         layout)"
-                            .to_string(),
-                    );
-                }
-                if threads > 0 {
-                    return Err(
-                        "--threads conflicts with --warm-start (stored in the snapshot)"
-                            .to_string(),
-                    );
-                }
-                if assign_by != quasii::AssignBy::default() {
-                    return Err(
-                        "--assign-by conflicts with --warm-start (stored in the snapshot)"
-                            .to_string(),
-                    );
-                }
-                if !seal {
-                    return Err(
-                        "--seal conflicts with --warm-start (stored in the snapshot)".to_string(),
-                    );
-                }
-                if simd != quasii::SimdPolicy::Auto {
-                    return Err(
-                        "--simd conflicts with --warm-start (dispatch is re-resolved at load; \
-                         set QUASII_SIMD to override)"
-                            .to_string(),
-                    );
-                }
-                let bytes = std::fs::read(&warm_start)
-                    .map_err(|e| format!("cannot read '{warm_start}': {e}"))?;
-                if !(bytes.len() >= 8 && bytes[..8] == MANIFEST_MAGIC) {
-                    return Err(format!(
-                        "'{warm_start}' is not a sharded snapshot (serve fronts a sharded \
-                         deployment; write one with `quasii snapshot --shards K`)"
-                    ));
-                }
-                report_simd(quasii::SimdPolicy::default());
-                ShardedQuasii::<3>::from_snapshot_files(&FsStore, Path::new(&warm_start))
-                    .map_err(|e| format!("cannot load '{warm_start}': {e}"))?
-            } else {
-                report_simd(simd);
-                let records = load(&data)?;
-                let cfg = ShardConfig::default()
-                    .with_shards(shards.max(1))
-                    .with_shard_threads(threads)
-                    .with_inner(
-                        QuasiiConfig::default()
-                            .with_threads(threads)
-                            .with_assign_by(assign_by)
-                            .with_seal(seal)
-                            .with_simd(simd),
-                    );
-                ShardedQuasii::new(records, cfg)
-            };
-            let records: usize = engine.engines().iter().map(|e| e.data().len()).sum();
-            let shard_count = engine.shard_count();
             let cfg = quasii_server::ServeConfig::default()
                 .with_max_batch(max_batch)
                 .with_max_delay_us(max_delay_us)
                 .with_adaptive(adaptive)
                 .with_queue_cap(queue_cap);
-            let handle =
-                quasii_server::start(engine, &addr, cfg).map_err(|e| format!("serve: {e}"))?;
-            println!(
-                "serving http://{} — {records} records across {shard_count} shards, admission \
-                 max_batch {max_batch}, window <= {max_delay_us}us ({}), queue cap {}",
-                handle.addr(),
-                if adaptive { "adaptive" } else { "fixed" },
-                queue_cap.max(1),
-            );
-            println!(
-                "endpoints: GET /query?lo=a,b,c&hi=d,e,f | POST /batch | GET /snapshots \
-                 /metrics /healthz | POST /admin/repair /admin/shutdown"
-            );
-            handle.wait();
-            println!("server stopped");
-            Ok(())
+            serve(source, &addr, &engine, cfg)
         }
     }
 }
 
-/// Prints the metrics table for a `--metrics` bench run (no-op otherwise).
-fn report_metrics(metrics: bool) {
+// ---- command bodies ----
+
+/// One line naming the kernel generation a QUASII run dispatches to.
+fn report_simd(policy: SimdPolicy) {
+    println!(
+        "simd kernels: {} (policy {})",
+        policy.resolve().name(),
+        policy.name()
+    );
+}
+
+/// Runs the workload one query at a time (`batch == 0`) or in batches
+/// through the index's batch path, printing one summary line either way;
+/// returns the index so callers can report post-run state.
+fn report<I: SpatialIndex<3>>(
+    mut index: I,
+    build_secs: f64,
+    queries: &[Aabb<3>],
+    batch: usize,
+) -> I {
+    if batch == 0 {
+        let series = run_queries(&mut index, build_secs, queries);
+        let total_results: usize = series.result_counts.iter().sum();
+        println!(
+            "{}: build {:.4}s, first query {:.4}s, {} queries in {:.4}s (tail mean {:.1}µs), {} results",
+            series.name,
+            series.build_secs,
+            series.query_secs.first().copied().unwrap_or(0.0),
+            series.query_secs.len(),
+            series.total_secs() - series.build_secs,
+            series.tail_mean_secs(20) * 1e6,
+            total_results
+        );
+    } else {
+        let (series, _) = run_query_batches(&mut index, queries, batch);
+        let total_results: usize = series.result_counts.iter().sum();
+        println!(
+            "{}: build {:.4}s, {} queries in batches of {} in {:.4}s ({:.0} q/s), {} results",
+            series.name,
+            build_secs,
+            series.queries(),
+            series.batch_size,
+            series.total_secs(),
+            series.throughput_qps(),
+            total_results
+        );
+    }
+    index
+}
+
+/// [`report`], then one line for the sealed read path's end state (the
+/// quasii variants).
+fn report_quasii<I: SpatialIndex<3>>(index: I, build_secs: f64, queries: &[Aabb<3>], batch: usize) {
+    let index = report(index, build_secs, queries, batch);
+    println!("sealed fraction after run: {:.3}", index.sealed_fraction());
+}
+
+/// `quasii bench`.
+fn bench(
+    source: Source,
+    index: &str,
+    workload: &WorkloadOpts,
+    batch: usize,
+    engine: &EngineOpts,
+    metrics: bool,
+) -> Result<(), String> {
+    if metrics {
+        // Fresh registry per run: the table below reports this
+        // invocation only, not process history.
+        obs::registry::reset();
+        obs::set_enabled(true);
+    }
+    match source {
+        Source::WarmStart(snap) => bench_warm(&snap, workload, batch)?,
+        Source::Data(data) => bench_cold(&data, index, workload, batch, engine)?,
+    }
     if metrics {
         println!("\nmetrics (this run):");
         print!("{}", obs::registry::render_table());
     }
+    Ok(())
+}
+
+/// `bench --warm-start`: the snapshot fixes layout and configuration, and a
+/// revived engine re-resolves the default dispatch policy (which honors the
+/// `QUASII_SIMD` environment override).
+fn bench_warm(snap: &str, workload: &WorkloadOpts, batch: usize) -> Result<(), String> {
+    report_simd(SimdPolicy::default());
+    let bytes = std::fs::read(snap).map_err(|e| format!("cannot read '{snap}': {e}"))?;
+    println!("warm start: {} snapshot bytes from {snap}", bytes.len());
+    if bytes.starts_with(&MANIFEST_MAGIC) {
+        // Per-shard loads run on parallel workers.
+        let (b, idx) = timed(|| ShardedQuasii::<3>::from_snapshot_files(&FsStore, Path::new(snap)));
+        let idx = idx.map_err(|e| format!("cannot load '{snap}': {e}"))?;
+        let mut universe = Aabb::empty();
+        for e in idx.engines() {
+            if !e.data().is_empty() {
+                universe.expand(&mbb_of(e.data()));
+            }
+        }
+        println!(
+            "shards: {} engines revived, sealed fraction {:.3}",
+            idx.shard_count(),
+            idx.sealed_fraction()
+        );
+        report_quasii(idx, b, &workload.build(&universe).queries, batch);
+    } else {
+        let (b, idx) = timed(|| Quasii::<3>::from_snapshot(bytes));
+        let idx = idx.map_err(|e| format!("cannot load '{snap}': {e}"))?;
+        println!("sealed fraction at load: {:.3}", idx.sealed_fraction());
+        let w = workload.build(&mbb_of(idx.data()));
+        report_quasii(idx, b, &w.queries, batch);
+    }
+    Ok(())
+}
+
+/// `bench --data`: build `index` over the dataset, then run the workload.
+fn bench_cold(
+    data: &str,
+    index: &str,
+    workload: &WorkloadOpts,
+    batch: usize,
+    engine: &EngineOpts,
+) -> Result<(), String> {
+    let records = load(data)?;
+    let w = workload.build(&mbb_of(&records));
+    match index {
+        "scan" => {
+            let (b, i) = timed(|| Scan::new(records));
+            report(i, b, &w.queries, batch);
+        }
+        "rtree" => {
+            let (b, i) = timed(|| RTree::bulk_load_default(records));
+            report(i, b, &w.queries, batch);
+        }
+        "grid" => {
+            let parts = (records.len() as f64).cbrt().round().clamp(8.0, 256.0) as usize;
+            let (b, i) = timed(|| UniformGrid::build(records, parts, Assignment::QueryExtension));
+            report(i, b, &w.queries, batch);
+        }
+        "sfc" => {
+            let (b, i) = timed(|| SfcIndex::build_default(records));
+            report(i, b, &w.queries, batch);
+        }
+        "sfcracker" => {
+            let (b, i) = timed(|| SfCracker::with_default_bits(records));
+            report(i, b, &w.queries, batch);
+        }
+        "mosaic" => {
+            let (b, i) = timed(|| Mosaic::with_defaults(records));
+            report(i, b, &w.queries, batch);
+        }
+        "quasii" if engine.shards > 0 => {
+            report_simd(engine.simd);
+            let (b, i) = timed(|| ShardedQuasii::new(records, engine.sharded()));
+            let per_shard: Vec<usize> = i.snapshots().iter().map(|s| s.records).collect();
+            println!(
+                "shards: {} engines, records per shard {per_shard:?}",
+                engine.shards
+            );
+            report_quasii(i, b, &w.queries, batch);
+        }
+        "quasii" => {
+            report_simd(engine.simd);
+            let (b, i) = timed(|| Quasii::new(records, engine.config()));
+            report_quasii(i, b, &w.queries, batch);
+        }
+        other => return Err(format!("unknown index '{other}'")),
+    }
+    Ok(())
+}
+
+/// `quasii snapshot`: warm (or fully crack) an index, seal it, and commit
+/// it through the crash-safe atomic-replace protocol; `--fault` wraps the
+/// store in a deterministic fault injector so the protocol can be
+/// exercised from the command line.
+fn snapshot(
+    data: &str,
+    out: &str,
+    workload: &WorkloadOpts,
+    engine: &EngineOpts,
+    finalize: bool,
+    fault: Option<&str>,
+) -> Result<(), String> {
+    let store: Box<dyn SnapshotStore> = match fault {
+        None => Box::new(FsStore),
+        Some(spec) => {
+            let plan = parse_fault_spec(spec).map_err(|e| format!("--fault: {e}"))?;
+            Box::new(FaultStore::new(FsStore, plan))
+        }
+    };
+    let records = load(data)?;
+    let w = workload.build(&mbb_of(&records));
+    let out_path = Path::new(out);
+    if engine.shards > 0 {
+        let mut idx = ShardedQuasii::new(records, engine.sharded());
+        if finalize {
+            idx.finalize();
+        } else {
+            idx.execute_batch(&w.queries);
+        }
+        idx.seal();
+        let frac = idx.sealed_fraction();
+        let gen = idx
+            .write_snapshot_files(store.as_ref(), out_path)
+            .map_err(|e| format!("snapshot: {e}"))?;
+        println!(
+            "committed generation {gen} ({} shards, {} part files + manifest, \
+             sealed fraction {frac:.3}) to {out}",
+            idx.shard_count(),
+            idx.shard_count()
+        );
+    } else {
+        let mut idx = Quasii::new(records, engine.config());
+        if finalize {
+            idx.finalize();
+        } else {
+            for q in &w.queries {
+                idx.query_collect(q);
+            }
+        }
+        idx.seal();
+        let frac = idx.sealed_fraction();
+        let bytes = idx.write_snapshot().map_err(|e| format!("snapshot: {e}"))?;
+        fsx::write_atomic(store.as_ref(), out_path, &bytes)
+            .map_err(|e| format!("cannot write '{out}': {e}"))?;
+        println!(
+            "wrote {} snapshot bytes (1 engine, sealed fraction {frac:.3}) to {out}",
+            bytes.len()
+        );
+    }
+    Ok(())
 }
 
 /// One line of durable-write health: the always-on `fsx` counters (commit,
 /// retry, fault-injection), so flaky-store symptoms show up in `verify`,
-/// `recover` and faulted `snapshot` runs without any flag.
+/// `recover` and `snapshot` runs, failed ones included, without any flag.
 fn report_fsx_counters() {
     let commits = obs::registry::FSX_COMMITS_TOTAL.get();
     let failures = obs::registry::FSX_COMMIT_FAILURES_TOTAL.get();
@@ -968,72 +871,62 @@ fn report_fsx_counters() {
     );
 }
 
-/// `quasii verify` — integrity check of a snapshot/manifest/dataset file
-/// by magic sniffing, without constructing any engine. Returns `Err` (exit
-/// code 2) on any corruption so scripts can gate on it.
+/// The per-shard health lines `verify` and `recover` both print.
+fn report_health(report: &RecoveryReport) {
+    println!(
+        "generation {}: {} shards, coverage {:.3}",
+        report.generation,
+        report.shards.len(),
+        report.coverage_fraction()
+    );
+    for h in &report.shards {
+        match &h.status {
+            ShardStatus::Healthy => {
+                println!("  shard {}: healthy ({} records)", h.shard, h.records)
+            }
+            ShardStatus::Rebuilt => {
+                println!("  shard {}: rebuilt ({} records)", h.shard, h.records)
+            }
+            ShardStatus::Quarantined(why) => println!("  shard {}: QUARANTINED — {why}", h.shard),
+        }
+    }
+}
+
+/// `quasii verify`: the file is read by the loader that will read it when
+/// it is served (picked by magic), so what passes here loads there. Returns
+/// `Err` (exit code 2) on any corruption so scripts can gate on it.
 fn verify_file(path: &str) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    if bytes.len() >= 8 && bytes[..8] == MANIFEST_MAGIC {
-        let s = manifest_summary(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "shard manifest: generation {}, {}-d, {} shards, {} records, {} manifest bytes",
-            s.generation,
-            s.dims,
-            s.shards.len(),
-            s.records,
-            bytes.len()
-        );
-        let mut failures = 0usize;
-        for (k, &(records, len, word)) in s.shards.iter().enumerate() {
-            let part = match std::fs::read(part_path(Path::new(path), s.generation, k)) {
-                Ok(part) if part.len() != len => {
-                    Err(format!("part is {} bytes, manifest says {len}", part.len()))
-                }
-                Ok(part) => Ok(part),
-                Err(e) => Err(format!("part unreadable: {e}")),
-            };
-            // The manifest binds the part by its header word; the engine
-            // snapshot's own verification is the one pass over its content.
-            let verdict = part.and_then(|part| {
-                if quasii::snapshot::header_word(&part) != Some(word) {
-                    return Err("part checksum mismatch".to_string());
-                }
-                match quasii::snapshot::verify(&part) {
-                    Ok(v) if v.records != records as u64 => Err(format!(
-                        "part holds {} records, manifest says {records}",
-                        v.records
-                    )),
-                    Ok(_) => Ok(()),
-                    Err(e) => Err(e.to_string()),
-                }
-            });
-            match verdict {
-                Ok(()) => println!("  shard {k}: ok ({records} records, {len} bytes)"),
-                Err(why) => {
-                    failures += 1;
-                    println!("  shard {k}: CORRUPT — {why}");
-                }
-            }
-        }
-        if failures > 0 {
+    if bytes.starts_with(&MANIFEST_MAGIC) {
+        let rec =
+            Recovery::<3>::load(&FsStore, Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+        let report = rec.report();
+        report_health(report);
+        if !report.is_complete() {
             return Err(format!(
-                "{failures} of {} shard buffers failed verification (recover can quarantine \
-                 and rebuild them from the source dataset)",
-                s.shards.len()
+                "{} of {} shards failed verification (recover can quarantine and rebuild them \
+                 from the source dataset)",
+                report.quarantined().len(),
+                report.shards.len()
             ));
         }
         Ok(())
-    } else if bytes.len() >= 8 && bytes[..8] == quasii::snapshot::MAGIC {
-        let s = quasii::snapshot::verify(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    } else if bytes.starts_with(&quasii::snapshot::MAGIC) {
+        let (len, word) = (bytes.len(), quasii::snapshot::header_word(&bytes));
+        let idx = Quasii::<3>::from_snapshot(bytes).map_err(|e| format!("{path}: {e}"))?;
         println!(
-            "engine snapshot: {}-d, {} records, {} slices ({} root), checksum {:#018x} ok",
-            s.dims, s.records, s.slices, s.root_slices, s.checksum
+            "engine snapshot: {len} bytes, {} records, {} slices ({} root), {} sealed regions \
+             ({} arena bytes, sealed fraction {:.3}), checksum {:#018x} ok",
+            idx.len(),
+            idx.slice_count(),
+            idx.level_profile()[0],
+            idx.sealed_regions(),
+            idx.seal_bytes(),
+            idx.sealed_fraction(),
+            word.expect("a loaded snapshot has a header word"),
         );
-        for (i, &(begin, end, blob)) in s.regions.iter().enumerate() {
-            println!("  sealed region {i}: records {begin}..{end}, {blob} arena bytes");
-        }
         Ok(())
-    } else if bytes.len() >= 4 && bytes[..4] == qio::QSD_MAGIC[..] {
+    } else if bytes.starts_with(qio::QSD_MAGIC) {
         let records = qio::decode_qsd::<3>(&bytes).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "qsd dataset: {} records, {} bytes",
@@ -1053,42 +946,23 @@ fn verify_file(path: &str) -> Result<(), String> {
 
 /// `quasii recover` — per-shard health report, rebuild of quarantined
 /// shards from the source dataset, and durable re-commit.
-fn recover_snapshot(snapshot: &str, data: &str) -> Result<(), String> {
+fn recover_snapshot(snapshot: &str, data: Option<&str>) -> Result<(), String> {
     let store = FsStore;
     let path = Path::new(snapshot);
     let mut rec =
         Recovery::<3>::load(&store, path).map_err(|e| format!("cannot load '{snapshot}': {e}"))?;
-    let report = rec.report().clone();
-    println!(
-        "generation {}: {} shards, coverage {:.3}",
-        report.generation,
-        report.shards.len(),
-        report.coverage_fraction()
-    );
-    for h in &report.shards {
-        match &h.status {
-            quasii_shard::ShardStatus::Healthy => {
-                println!("  shard {}: healthy ({} records)", h.shard, h.records)
-            }
-            quasii_shard::ShardStatus::Rebuilt => {
-                println!("  shard {}: rebuilt ({} records)", h.shard, h.records)
-            }
-            quasii_shard::ShardStatus::Quarantined(why) => {
-                println!("  shard {}: QUARANTINED — {why}", h.shard)
-            }
-        }
-    }
-    if report.is_complete() {
+    report_health(rec.report());
+    if rec.report().is_complete() {
         println!("all shards healthy; nothing to repair");
         return Ok(());
     }
-    if data.is_empty() {
+    let Some(data) = data else {
         return Err(format!(
             "{} shards are quarantined; pass --data FILE (the snapshot's source dataset) \
              to rebuild them",
-            report.quarantined().len()
+            rec.report().quarantined().len()
         ));
-    }
+    };
     let records = load(data)?;
     let rebuilt = rec
         .rebuild(&records)
@@ -1103,12 +977,81 @@ fn recover_snapshot(snapshot: &str, data: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// `quasii serve`: runs until `POST /admin/shutdown`.
+fn serve(
+    source: Source,
+    addr: &str,
+    engine: &EngineOpts,
+    cfg: quasii_server::ServeConfig,
+) -> Result<(), String> {
+    // A server always exposes /metrics, so the registry is always on
+    // (fresh, so the exposition reports this process only).
+    obs::registry::reset();
+    obs::set_enabled(true);
+    let deployment = match source {
+        Source::WarmStart(snap) => {
+            let bytes = std::fs::read(&snap).map_err(|e| format!("cannot read '{snap}': {e}"))?;
+            if !bytes.starts_with(&MANIFEST_MAGIC) {
+                return Err(format!(
+                    "'{snap}' is not a sharded snapshot (serve fronts a sharded deployment; \
+                     write one with `quasii snapshot --shards K`)"
+                ));
+            }
+            report_simd(SimdPolicy::default());
+            ShardedQuasii::<3>::from_snapshot_files(&FsStore, Path::new(&snap))
+                .map_err(|e| format!("cannot load '{snap}': {e}"))?
+        }
+        Source::Data(data) => {
+            report_simd(engine.simd);
+            ShardedQuasii::new(load(&data)?, engine.sharded())
+        }
+    };
+    let records: usize = deployment.engines().iter().map(|e| e.data().len()).sum();
+    let shard_count = deployment.shard_count();
+    let handle =
+        quasii_server::start(deployment, addr, cfg.clone()).map_err(|e| format!("serve: {e}"))?;
+    println!(
+        "serving http://{} — {records} records across {shard_count} shards, admission \
+         max_batch {}, window <= {}us ({}), queue cap {}",
+        handle.addr(),
+        cfg.max_batch,
+        cfg.max_delay_us,
+        if cfg.adaptive { "adaptive" } else { "fixed" },
+        cfg.queue_cap.max(1),
+    );
+    println!(
+        "endpoints: GET /query?lo=a,b,c&hi=d,e,f | POST /batch | GET /snapshots \
+         /metrics /healthz | POST /admin/repair /admin/shutdown"
+    );
+    handle.wait();
+    println!("server stopped");
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quasii_shard::part_path;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// Threads and shards 0 (auto, unsharded), the paper's lower coordinate,
+    /// sealing on, dispatch auto.
+    fn default_engine() -> EngineOpts {
+        EngineOpts {
+            threads: 0,
+            shards: 0,
+            assign_by: AssignBy::Lower,
+            seal: true,
+            simd: SimdPolicy::Auto,
+        }
+    }
+
+    /// Parses and executes one command line (paths must not hold spaces).
+    fn run(cmdline: &str) -> Result<(), String> {
+        parse(&args(cmdline)).and_then(execute)
     }
 
     #[test]
@@ -1127,97 +1070,131 @@ mod tests {
 
     #[test]
     fn parse_bench_full() {
-        let cmd = parse(&args(
-            "bench --data d.qsd --index rtree --queries 50 --volume 0.01 --pattern uniform --seed 3 --batch 25 --threads 2",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Bench {
-                index,
-                queries,
-                volume,
-                pattern,
-                seed,
-                batch,
-                threads,
-                ..
-            } => {
-                assert_eq!(index, "rtree");
-                assert_eq!(queries, 50);
-                assert_eq!(volume, 0.01);
-                assert_eq!(pattern, "uniform");
-                assert_eq!(seed, 3);
-                assert_eq!(batch, 25);
-                assert_eq!(threads, 2);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // Batch/threads/shards default to 0 (per-query, auto, unsharded).
-        match parse(&args("bench --data d.qsd")).unwrap() {
-            Command::Bench {
-                batch,
-                threads,
-                shards,
-                ..
-            } => {
-                assert_eq!((batch, threads, shards), (0, 0, 0));
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match parse(&args("bench --data d.qsd --shards 4 --pattern skewed")).unwrap() {
-            Command::Bench {
-                shards,
-                pattern,
-                assign_by,
-                ..
-            } => {
-                assert_eq!(shards, 4);
-                assert_eq!(pattern, "skewed");
-                assert_eq!(assign_by, "lower", "paper default");
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match parse(&args("bench --data d.qsd --assign-by center")).unwrap() {
-            Command::Bench { assign_by, .. } => assert_eq!(assign_by, "center"),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match parse(&args("bench --data d.qsd --seal false")).unwrap() {
-            Command::Bench { seal, .. } => assert_eq!(seal, "false"),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match parse(&args("bench --data d.qsd")).unwrap() {
-            Command::Bench { seal, .. } => assert_eq!(seal, "true", "sealing defaults on"),
-            other => panic!("wrong parse: {other:?}"),
+        let bench = |rest: &str| parse(&args(&format!("bench --data d.qsd {rest}"))).unwrap();
+        let expected =
+            |index: &str, workload: &WorkloadOpts, batch, engine: &EngineOpts, metrics| {
+                Command::Bench {
+                    source: Source::Data("d.qsd".into()),
+                    index: index.into(),
+                    workload: workload.clone(),
+                    batch,
+                    engine: engine.clone(),
+                    metrics,
+                }
+            };
+        // Batch defaults to 0 (per-query).
+        let workload = WorkloadOpts {
+            pattern: Pattern::Clustered,
+            queries: 200,
+            volume: 1e-4,
+            seed: 7,
+        };
+        let engine = default_engine();
+        assert_eq!(bench(""), expected("quasii", &workload, 0, &engine, false));
+        let uniform = WorkloadOpts {
+            pattern: Pattern::Uniform,
+            queries: 50,
+            volume: 0.01,
+            seed: 3,
+        };
+        assert_eq!(
+            bench("--index rtree --queries 50 --volume 0.01 --pattern uniform --seed 3 --batch 25"),
+            expected("rtree", &uniform, 25, &engine, false)
+        );
+        let skewed = WorkloadOpts {
+            pattern: Pattern::Skewed,
+            ..workload.clone()
+        };
+        let tuned = EngineOpts {
+            threads: 2,
+            shards: 4,
+            assign_by: AssignBy::Center,
+            seal: false,
+            simd: SimdPolicy::Scalar,
+        };
+        assert_eq!(
+            bench("--shards 4 --threads 2 --pattern skewed --assign-by center --seal false --simd scalar"),
+            expected("quasii", &skewed, 0, &tuned, false)
+        );
+        // `--metrics` is a bare flag that also takes an explicit value.
+        for (rest, on) in [
+            ("--metrics", true),
+            ("--metrics --seed 7", true),
+            ("--metrics false", false),
+        ] {
+            assert_eq!(
+                bench(rest),
+                expected("quasii", &workload, 0, &engine, on),
+                "{rest}"
+            );
         }
     }
 
     #[test]
-    fn assign_by_and_seal_are_validated_and_quasii_only() {
-        let bench = |index: &str, assign_by: &str, seal: &str| Command::Bench {
-            data: "/nonexistent.qsd".into(),
-            index: index.into(),
-            queries: 1,
-            volume: 1e-4,
-            pattern: "uniform".into(),
-            seed: 1,
-            batch: 0,
-            threads: 0,
-            shards: 0,
-            assign_by: assign_by.into(),
-            seal: seal.into(),
-            simd: "auto".into(),
-            warm_start: String::new(),
-            metrics: false,
-        };
-        // Every rejection fires before the dataset is even loaded.
-        let err = execute(bench("quasii", "sideways", "true")).unwrap_err();
-        assert!(err.contains("--assign-by"), "{err}");
-        let err = execute(bench("rtree", "center", "true")).unwrap_err();
-        assert!(err.contains("--assign-by requires"), "{err}");
-        let err = execute(bench("quasii", "lower", "sideways")).unwrap_err();
-        assert!(err.contains("--seal"), "{err}");
-        let err = execute(bench("rtree", "lower", "false")).unwrap_err();
-        assert!(err.contains("--seal requires"), "{err}");
+    fn options_are_validated_by_parse_before_any_file_or_socket() {
+        let err_of = |cmdline: &str| parse(&args(cmdline)).unwrap_err();
+        for (cmdline, fragment) in [
+            // Typed values are checked where they enter.
+            ("bench --data d --assign-by sideways", "--assign-by"),
+            ("bench --data d --seal sideways", "--seal 'sideways' (true|"),
+            ("bench --data d --simd mmx", "unknown --simd 'mmx'"),
+            ("bench --data d --pattern zigzag", "--pattern 'zigzag'"),
+            ("bench --data d --metrics maybe", "--metrics"),
+            ("snapshot --data d --out s --assign-by 3", "--assign-by"),
+            ("snapshot --data d --out s --simd mmx", "--simd"),
+            ("snapshot --data d --out s --pattern zigzag", "--pattern"),
+            ("snapshot --data d --out s --finalize maybe", "--finalize"),
+            ("snapshot --data d --out s --seal true", "unknown option"),
+            ("serve --data d --adaptive sideways", "--adaptive"),
+            ("serve --data d --seal sideways", "--seal"),
+            ("serve --data d --assign-by sideways", "--assign-by"),
+            ("serve --data d --max-batch 0", "--max-batch must be >= 1"),
+            // Exactly one source, and only QUASII has snapshots.
+            ("bench", "bench needs exactly one of --data or"),
+            ("bench --data d --warm-start s", "exactly one"),
+            ("serve", "serve needs exactly one of --data or"),
+            ("serve --data d --warm-start s", "exactly one"),
+            (
+                "bench --index rtree --warm-start s",
+                "--warm-start requires",
+            ),
+        ] {
+            let err = err_of(cmdline);
+            assert!(err.contains(fragment), "{cmdline}: {err}");
+        }
+        // The one rule, for every ENGINE option: given where it cannot take
+        // effect, at its default value or another, is an error with one
+        // message.
+        for option in [
+            "threads 0",
+            "threads 2",
+            "shards 0",
+            "shards 2",
+            "assign-by lower",
+            "assign-by center",
+            "seal true",
+            "seal false",
+            "simd auto",
+            "simd scalar",
+        ] {
+            let key = option.split(' ').next().unwrap();
+            for index in ["rtree", "btree"] {
+                assert_eq!(
+                    err_of(&format!("bench --data d --index {index} --{option}")),
+                    format!("--{key} requires --index quasii")
+                );
+            }
+            for cmd in ["bench", "serve"] {
+                assert_eq!(
+                    err_of(&format!("{cmd} --warm-start s --{option}")),
+                    format!(
+                        "--{key} conflicts with --warm-start (the snapshot fixes layout and \
+                         configuration; kernel dispatch is re-resolved at load, set QUASII_SIMD \
+                         to override)"
+                    )
+                );
+            }
+        }
     }
 
     #[test]
@@ -1271,6 +1248,7 @@ mod tests {
                 "--shards",
                 "-2",
             ),
+            ("serve --data d.qsd --max-batch many", "--max-batch", "many"),
         ];
         for (cmdline, flag, value) in cases {
             let err = parse(&args(cmdline)).unwrap_err();
@@ -1281,90 +1259,76 @@ mod tests {
 
     #[test]
     fn parse_serve_defaults_and_overrides() {
-        match parse(&args("serve --data d.qsd")).unwrap() {
+        assert_eq!(
+            parse(&args("serve --data d.qsd")).unwrap(),
             Command::Serve {
-                data,
-                warm_start,
-                addr,
-                shards,
-                max_batch,
-                max_delay_us,
-                adaptive,
-                queue_cap,
-                ..
-            } => {
-                assert_eq!(data, "d.qsd");
-                assert_eq!(warm_start, "");
-                assert_eq!(addr, "127.0.0.1:7077");
-                assert_eq!(shards, 0);
-                assert_eq!(max_batch, 64);
-                assert_eq!(max_delay_us, 200);
-                assert_eq!(adaptive, "true");
-                assert_eq!(queue_cap, 1024);
+                source: Source::Data("d.qsd".into()),
+                addr: "127.0.0.1:7077".into(),
+                engine: default_engine(),
+                max_batch: 64,
+                max_delay_us: 200,
+                adaptive: true,
+                queue_cap: 1024,
             }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match parse(&args(
-            "serve --warm-start s.qshard --addr 0.0.0.0:80 --max-batch 1 --max-delay-us 0 \
-             --adaptive false --queue-cap 8",
-        ))
-        .unwrap()
-        {
+        );
+        assert_eq!(
+            parse(&args(
+                "serve --warm-start s.qshard --addr 0.0.0.0:80 --max-batch 1 --max-delay-us 0 \
+                 --adaptive false --queue-cap 8",
+            ))
+            .unwrap(),
             Command::Serve {
-                warm_start,
-                addr,
-                max_batch,
-                max_delay_us,
-                adaptive,
-                queue_cap,
-                ..
-            } => {
-                assert_eq!(warm_start, "s.qshard");
-                assert_eq!(addr, "0.0.0.0:80");
-                assert_eq!(max_batch, 1);
-                assert_eq!(max_delay_us, 0);
-                assert_eq!(adaptive, "false");
-                assert_eq!(queue_cap, 8);
+                source: Source::WarmStart("s.qshard".into()),
+                addr: "0.0.0.0:80".into(),
+                engine: default_engine(),
+                max_batch: 1,
+                max_delay_us: 0,
+                adaptive: false,
+                queue_cap: 8,
             }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let err = parse(&args("serve --data d.qsd --max-batch many")).unwrap_err();
-        assert!(err.contains("--max-batch") && err.contains("many"), "{err}");
+        );
     }
 
     #[test]
-    fn serve_validation_fires_before_any_socket_or_file() {
-        let serve = |data: &str,
-                     warm: &str,
-                     shards: usize,
-                     max_batch: usize,
-                     adaptive: &str,
-                     seal: &str| Command::Serve {
-            data: data.into(),
-            warm_start: warm.into(),
-            addr: "127.0.0.1:0".into(),
-            shards,
-            threads: 0,
-            max_batch,
-            max_delay_us: 200,
-            adaptive: adaptive.into(),
-            queue_cap: 1024,
-            assign_by: "lower".into(),
-            seal: seal.into(),
-            simd: "auto".into(),
+    fn option_census() {
+        // Every (command, option) pair, by name: an option added without a
+        // usage line, or a usage line without its option, fails here.
+        const CENSUS: [(&str, &str); 7] = [
+            ("generate --out x", "family n out seed"),
+            ("info --data d", "data"),
+            (
+                "bench --data d",
+                "assign-by batch data index metrics pattern queries seal seed shards simd threads \
+                 volume warm-start",
+            ),
+            (
+                "snapshot --data d --out s",
+                "assign-by data fault finalize out pattern queries seed shards simd threads volume",
+            ),
+            ("verify --path p", "path"),
+            ("recover --snapshot s", "data snapshot"),
+            (
+                "serve --data d",
+                "adaptive addr assign-by data max-batch max-delay-us queue-cap seal shards simd \
+                 threads warm-start",
+            ),
+        ];
+        let mut pairs = 0;
+        let mut union = BTreeSet::new();
+        for (cmdline, options) in CENSUS {
+            let (_, read) = parse_census(&args(cmdline)).unwrap();
+            let options: Vec<&str> = options.split(' ').collect();
+            assert_eq!(read.into_iter().collect::<Vec<_>>(), options, "{cmdline}");
+            pairs += options.len();
+            union.extend(options);
+        }
+        assert_eq!(pairs, 46);
+        let option_name = |t: &'static str| {
+            let end = t.find(|c: char| !c.is_ascii_lowercase() && c != '-');
+            &t[..end.unwrap_or(t.len())]
         };
-        let err = execute(serve("", "", 0, 64, "true", "true")).unwrap_err();
-        assert!(err.contains("exactly one"), "{err}");
-        let err = execute(serve("d.qsd", "s.qshard", 0, 64, "true", "true")).unwrap_err();
-        assert!(err.contains("exactly one"), "{err}");
-        let err = execute(serve("d.qsd", "", 0, 0, "true", "true")).unwrap_err();
-        assert!(err.contains("--max-batch"), "{err}");
-        let err = execute(serve("d.qsd", "", 0, 64, "sideways", "true")).unwrap_err();
-        assert!(err.contains("--adaptive"), "{err}");
-        let err = execute(serve("", "s.qshard", 2, 64, "true", "true")).unwrap_err();
-        assert!(err.contains("--shards conflicts"), "{err}");
-        let err = execute(serve("", "s.qshard", 0, 64, "true", "false")).unwrap_err();
-        assert!(err.contains("--seal conflicts"), "{err}");
+        let in_usage: BTreeSet<&str> = USAGE.split("--").skip(1).map(option_name).collect();
+        assert_eq!(in_usage, union);
     }
 
     #[test]
@@ -1374,13 +1338,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let data = dir.join(format!("quasii-serve-{}.qsd", std::process::id()));
         let data_s = data.to_string_lossy().to_string();
-        execute(Command::Generate {
-            family: "uniform".into(),
-            n: 1_500,
-            seed: 31,
-            out: data_s.clone(),
-        })
-        .unwrap();
+        run(&format!("generate --out {data_s} --n 1500 --seed 31")).unwrap();
         let records = load(&data_s).unwrap();
         let cfg = ShardConfig::default()
             .with_shards(2)
@@ -1403,88 +1361,44 @@ mod tests {
     }
 
     #[test]
-    fn bench_requires_exactly_one_data_source() {
-        let bench = |data: &str, index: &str, warm_start: &str| Command::Bench {
-            data: data.into(),
-            index: index.into(),
-            queries: 1,
-            volume: 1e-4,
-            pattern: "uniform".into(),
-            seed: 1,
-            batch: 0,
-            threads: 0,
-            shards: 0,
-            assign_by: "lower".into(),
-            seal: "true".into(),
-            simd: "auto".into(),
-            warm_start: warm_start.into(),
-            metrics: false,
-        };
-        let err = execute(bench("", "quasii", "")).unwrap_err();
-        assert!(err.contains("exactly one"), "{err}");
-        let err = execute(bench("d.qsd", "quasii", "s.qsnap")).unwrap_err();
-        assert!(err.contains("exactly one"), "{err}");
-        let err = execute(bench("", "rtree", "s.qsnap")).unwrap_err();
-        assert!(err.contains("--warm-start requires"), "{err}");
-    }
-
-    #[test]
     fn snapshot_and_warm_start_round_trip() {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
         let data = dir.join(format!("quasii-snap-{pid}.qsd"));
         let single = dir.join(format!("quasii-snap-{pid}-single.qsnap"));
         let sharded = dir.join(format!("quasii-snap-{pid}-sharded.qsnap"));
-        let data_s = data.to_string_lossy().to_string();
-        execute(Command::Generate {
-            family: "uniform".into(),
-            n: 2_000,
-            seed: 11,
-            out: data_s.clone(),
-        })
-        .unwrap();
-        let snapshot = |out: &std::path::Path, shards: usize, finalize: &str| Command::Snapshot {
-            data: data_s.clone(),
-            out: out.to_string_lossy().to_string(),
-            queries: 30,
-            volume: 1e-4,
-            pattern: "clustered".into(),
-            seed: 12,
-            threads: 0,
-            shards,
-            assign_by: "lower".into(),
-            simd: "auto".into(),
-            finalize: finalize.into(),
-            fault: String::new(),
-        };
-        let warm_bench = |snap: &std::path::Path, batch: usize| Command::Bench {
-            data: String::new(),
-            index: "quasii".into(),
-            queries: 30,
-            volume: 1e-4,
-            pattern: "clustered".into(),
-            seed: 12,
-            batch,
-            threads: 0,
-            shards: 0,
-            assign_by: "lower".into(),
-            seal: "true".into(),
-            simd: "auto".into(),
-            warm_start: snap.to_string_lossy().to_string(),
-            metrics: false,
-        };
+        let (data_s, single_s, sharded_s) = (
+            data.to_string_lossy(),
+            single.to_string_lossy(),
+            sharded.to_string_lossy(),
+        );
+        const WORKLOAD: &str = "--queries 30 --volume 1e-4 --pattern clustered --seed 12";
+        run(&format!("generate --out {data_s} --n 2000 --seed 11")).unwrap();
         // Single engine: snapshot after a query warm-up, then warm-start.
-        execute(snapshot(&single, 0, "false")).unwrap();
-        execute(warm_bench(&single, 0)).unwrap();
+        run(&format!(
+            "snapshot --data {data_s} --out {single_s} {WORKLOAD}"
+        ))
+        .unwrap();
+        run(&format!("verify --path {single_s}")).unwrap();
+        run(&format!("bench --warm-start {single_s} {WORKLOAD}")).unwrap();
         // Sharded deployment: finalize, then warm-start through the batch
         // path (the manifest self-identifies via its magic and names its
         // part files).
-        execute(snapshot(&sharded, 3, "true")).unwrap();
-        execute(warm_bench(&sharded, 8)).unwrap();
-        // A corrupt snapshot file fails loudly, not with a panic.
+        run(&format!(
+            "snapshot --data {data_s} --out {sharded_s} --shards 3 --finalize true {WORKLOAD}"
+        ))
+        .unwrap();
+        run(&format!(
+            "bench --warm-start {sharded_s} --batch 8 {WORKLOAD}"
+        ))
+        .unwrap();
+        // A corrupt snapshot file fails loudly, not with a panic, in the
+        // run that would serve it and in `verify` alike.
         let bytes = std::fs::read(&single).unwrap();
         std::fs::write(&single, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(execute(warm_bench(&single, 0)).is_err());
+        assert!(run(&format!("bench --warm-start {single_s} {WORKLOAD}")).is_err());
+        let err = run(&format!("verify --path {single_s}")).unwrap_err();
+        assert!(err.contains("buffer holds"), "{err}");
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&single).ok();
         std::fs::remove_file(&sharded).ok();
@@ -1499,104 +1413,62 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("d.qsd").to_string_lossy().to_string();
         let snap = dir.join("deploy.qshard").to_string_lossy().to_string();
-        execute(Command::Generate {
-            family: "uniform".into(),
-            n: 2_000,
-            seed: 21,
-            out: data.clone(),
-        })
-        .unwrap();
-        execute(Command::Verify { path: data.clone() }).unwrap();
-        let snapshot = |fault: &str| Command::Snapshot {
-            data: data.clone(),
-            out: snap.clone(),
-            queries: 30,
-            volume: 1e-4,
-            pattern: "clustered".into(),
-            seed: 22,
-            threads: 0,
-            shards: 3,
-            assign_by: "lower".into(),
-            simd: "auto".into(),
-            finalize: "false".into(),
-            fault: fault.into(),
+        run(&format!("generate --out {data} --n 2000 --seed 21")).unwrap();
+        let verify = |path: &str| run(&format!("verify --path {path}"));
+        verify(&data).unwrap();
+        let snapshot = |fault: &str| {
+            run(&format!(
+                "snapshot --data {data} --out {snap} --queries 30 --seed 22 --shards 3 {fault}"
+            ))
         };
-        execute(snapshot("")).unwrap();
-        execute(Command::Verify { path: snap.clone() }).unwrap();
+        snapshot("").unwrap();
+        verify(&snap).unwrap();
 
         // A crash injected mid-commit fails the write but leaves the
         // committed generation fully intact (manifest still names it).
-        assert!(execute(snapshot("crash@2:7")).is_err());
-        execute(Command::Verify { path: snap.clone() }).unwrap();
-        execute(Command::Bench {
-            data: String::new(),
-            index: "quasii".into(),
-            queries: 30,
-            volume: 1e-4,
-            pattern: "clustered".into(),
-            seed: 22,
-            batch: 8,
-            threads: 0,
-            shards: 0,
-            assign_by: "lower".into(),
-            seal: "true".into(),
-            simd: "auto".into(),
-            warm_start: snap.clone(),
-            metrics: false,
-        })
+        assert!(snapshot("--fault crash@2:7").is_err());
+        verify(&snap).unwrap();
+        run(&format!(
+            "bench --warm-start {snap} --queries 30 --seed 22 --batch 8"
+        ))
         .unwrap();
         // Transient faults are absorbed by the bounded retry.
-        execute(snapshot("transient@2")).unwrap();
-        execute(Command::Verify { path: snap.clone() }).unwrap();
+        snapshot("--fault transient@2").unwrap();
+        verify(&snap).unwrap();
 
         // Tear one part file: verify flags it, recover reports it, and
         // rebuilding from the source dataset re-commits a clean generation.
         let part = part_path(Path::new(&snap), 2, 1);
         let bytes = std::fs::read(&part).expect("part of committed generation");
         std::fs::write(&part, &bytes[..bytes.len() / 2]).unwrap();
-        let err = execute(Command::Verify { path: snap.clone() }).unwrap_err();
-        assert!(err.contains("failed verification"), "{err}");
-        let err = execute(Command::Recover {
-            snapshot: snap.clone(),
-            data: String::new(),
-        })
-        .unwrap_err();
+        let err = verify(&snap).unwrap_err();
+        assert!(
+            err.starts_with("1 of 3 shards failed verification"),
+            "{err}"
+        );
+        let err = run(&format!("recover --snapshot {snap}")).unwrap_err();
         assert!(err.contains("--data"), "{err}");
-        execute(Command::Recover {
-            snapshot: snap.clone(),
-            data: data.clone(),
-        })
-        .unwrap();
-        execute(Command::Verify { path: snap.clone() }).unwrap();
+        run(&format!("recover --snapshot {snap} --data {data}")).unwrap();
+        verify(&snap).unwrap();
         // A healthy deployment reports complete and changes nothing.
-        execute(Command::Recover {
-            snapshot: snap.clone(),
-            data: String::new(),
-        })
-        .unwrap();
+        run(&format!("recover --snapshot {snap}")).unwrap();
 
         // One file holding the manifest and then the shard buffers is not
         // a snapshot layout: verify and recover both name the trailing
         // bytes instead of reading it as a second format.
         let mut one_file = std::fs::read(&snap).unwrap();
-        let summary = manifest_summary(&one_file).unwrap();
-        for k in 0..summary.shards.len() {
-            let part = part_path(Path::new(&snap), summary.generation, k);
-            one_file.extend(std::fs::read(part).unwrap());
+        let mut trailing = 0;
+        for k in 0..3 {
+            let part = std::fs::read(part_path(Path::new(&snap), 3, k)).unwrap();
+            trailing += part.len();
+            one_file.extend(part);
         }
         let glued = dir.join("one-file.qshard").to_string_lossy().to_string();
         std::fs::write(&glued, &one_file).unwrap();
-        let expect = format!("{} trailing bytes", summary.shard_bytes);
-        let err = execute(Command::Verify {
-            path: glued.clone(),
-        })
-        .unwrap_err();
+        let expect = format!("{trailing} trailing bytes");
+        let err = verify(&glued).unwrap_err();
         assert!(err.contains(&expect), "{err}");
-        let err = execute(Command::Recover {
-            snapshot: glued,
-            data: data.clone(),
-        })
-        .unwrap_err();
+        let err = run(&format!("recover --snapshot {glued} --data {data}")).unwrap_err();
         assert!(err.contains(&expect), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1605,122 +1477,33 @@ mod tests {
     fn end_to_end_generate_info_bench() {
         let path = std::env::temp_dir().join(format!("quasii-cli-{}.qsd", std::process::id()));
         let out = path.to_string_lossy().to_string();
-        execute(Command::Generate {
-            family: "neuro".into(),
-            n: 3_000,
-            seed: 1,
-            out: out.clone(),
-        })
+        run(&format!(
+            "generate --out {out} --family neuro --n 3000 --seed 1"
+        ))
         .unwrap();
-        execute(Command::Info { data: out.clone() }).unwrap();
-        for index in ["scan", "rtree", "quasii", "mosaic"] {
-            execute(Command::Bench {
-                data: out.clone(),
-                index: index.into(),
-                queries: 20,
-                volume: 1e-4,
-                pattern: "clustered".into(),
-                seed: 2,
-                batch: 0,
-                threads: 0,
-                shards: 0,
-                assign_by: "lower".into(),
-                seal: "true".into(),
-                simd: "auto".into(),
-                warm_start: String::new(),
-                metrics: false,
-            })
-            .unwrap();
+        run(&format!("info --data {out}")).unwrap();
+        let bench = |rest: &str| run(&format!("bench --data {out} --queries 20 --seed 2 {rest}"));
+        for index in [
+            "scan",
+            "rtree",
+            "grid",
+            "sfc",
+            "sfcracker",
+            "mosaic",
+            "quasii",
+        ] {
+            bench(&format!("--index {index}")).unwrap();
         }
         // Batch-parallel path: batches of 8 on 2 workers.
-        execute(Command::Bench {
-            data: out.clone(),
-            index: "quasii".into(),
-            queries: 20,
-            volume: 1e-4,
-            pattern: "clustered".into(),
-            seed: 2,
-            batch: 8,
-            threads: 2,
-            shards: 0,
-            assign_by: "center".into(),
-            seal: "true".into(),
-            simd: "auto".into(),
-            warm_start: String::new(),
-            metrics: false,
-        })
-        .unwrap();
+        bench("--batch 8 --threads 2 --assign-by center").unwrap();
         // Sealing disabled: the reference (pure adaptive) configuration.
-        execute(Command::Bench {
-            data: out.clone(),
-            index: "quasii".into(),
-            queries: 20,
-            volume: 1e-4,
-            pattern: "clustered".into(),
-            seed: 2,
-            batch: 0,
-            threads: 0,
-            shards: 0,
-            assign_by: "lower".into(),
-            seal: "false".into(),
-            simd: "auto".into(),
-            warm_start: String::new(),
-            metrics: false,
-        })
-        .unwrap();
-        // Sharded two-level path on the skewed (hot-region) workload.
-        execute(Command::Bench {
-            data: out.clone(),
-            index: "quasii".into(),
-            queries: 20,
-            volume: 1e-4,
-            pattern: "skewed".into(),
-            seed: 2,
-            batch: 8,
-            threads: 2,
-            shards: 3,
-            assign_by: "lower".into(),
-            seal: "true".into(),
-            simd: "auto".into(),
-            warm_start: String::new(),
-            metrics: false,
-        })
-        .unwrap();
+        bench("--seal false").unwrap();
+        // Sharded two-level path on the skewed (hot-region) workload, with
+        // the metrics table printed after it.
+        bench("--pattern skewed --batch 8 --threads 2 --shards 3 --metrics").unwrap();
         // --shards is a router over QUASII engines only.
-        assert!(execute(Command::Bench {
-            data: out.clone(),
-            index: "rtree".into(),
-            queries: 1,
-            volume: 1e-4,
-            pattern: "uniform".into(),
-            seed: 2,
-            batch: 0,
-            threads: 0,
-            shards: 2,
-            assign_by: "lower".into(),
-            seal: "true".into(),
-            simd: "auto".into(),
-            warm_start: String::new(),
-            metrics: false,
-        })
-        .is_err());
-        assert!(execute(Command::Bench {
-            data: out.clone(),
-            index: "btree".into(),
-            queries: 1,
-            volume: 1e-4,
-            pattern: "clustered".into(),
-            seed: 2,
-            batch: 0,
-            threads: 0,
-            shards: 0,
-            assign_by: "lower".into(),
-            seal: "true".into(),
-            simd: "auto".into(),
-            warm_start: String::new(),
-            metrics: false,
-        })
-        .is_err());
+        assert!(bench("--index rtree --shards 2").is_err());
+        assert!(bench("--index btree").is_err());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -44,12 +44,12 @@ mod slice;
 mod stats;
 mod validate;
 
-/// Single-buffer snapshot surface: format constants, the shared error
-/// type, and header/structure verification without engine construction
-/// (see `persist` for the layout and versioning policy, and
-/// [`Quasii::write_snapshot`] / [`Quasii::from_snapshot`] for the API).
+/// Single-buffer snapshot surface: format constants and the shared error
+/// type (see `persist` for the layout and versioning policy, and
+/// [`Quasii::write_snapshot`] / [`Quasii::from_snapshot`], the one reader
+/// of the format, for the API).
 pub mod snapshot {
-    pub use crate::persist::{verify, SnapshotSummary, FORMAT_VERSION, MAGIC};
+    pub use crate::persist::{FORMAT_VERSION, MAGIC};
     pub use quasii_common::snapshot::{header_word, SnapshotError};
 }
 

@@ -719,184 +719,6 @@ fn decode<const D: usize>(
     })
 }
 
-// ---------------------------------------------------------------------
-// Verification (no engine construction)
-// ---------------------------------------------------------------------
-
-/// What [`verify`] learned about a snapshot buffer. Everything here was
-/// cross-checked against the buffer's actual size and section accounting —
-/// printing it is safe even for adversarial input (which would have
-/// returned `Err` instead).
-#[derive(Debug, Clone)]
-pub struct SnapshotSummary {
-    /// Total buffer length in bytes.
-    pub bytes: usize,
-    /// Dimensionality from the header.
-    pub dims: u32,
-    /// Record count.
-    pub records: u64,
-    /// Top-level slice count.
-    pub root_slices: u64,
-    /// Total slice count across the whole tree.
-    pub slices: u64,
-    /// Per sealed region: record range `begin..end` and blob bytes.
-    pub regions: Vec<(u64, u64, u64)>,
-    /// The (verified) header word: `checksum64` of everything after it.
-    pub checksum: u64,
-}
-
-/// Skims one pre-order slice without building it — the runtime-`dims`
-/// mirror of [`read_slice`]'s structural checks (partition, level bounds).
-fn skim_slice(
-    r: &mut Reader,
-    dims: usize,
-    level: usize,
-    cursor: &mut usize,
-    end: usize,
-    slices: &mut u64,
-) -> Result<(), SnapshotError> {
-    let got_level = r.index("slice level")?;
-    if got_level != level {
-        return Err(corrupt(format!(
-            "slice at level {got_level}, expected {level}"
-        )));
-    }
-    let begin = r.index("slice begin")?;
-    let s_end = r.index("slice end")?;
-    if begin != *cursor || s_end <= begin || s_end > end {
-        return Err(corrupt(format!(
-            "slice range {begin}..{s_end} does not partition {}..{end} at level {level}",
-            *cursor
-        )));
-    }
-    *cursor = s_end;
-    let flags = r.u64()?;
-    if flags > 0b11 {
-        return Err(corrupt(format!("unknown slice flags {flags:#x}")));
-    }
-    r.take((3 + 2 * dims) * 8)?; // cut_lo, cut_hi, key_lo, bbox lo/hi
-    *slices += 1;
-    let child_count = r.index("child count")?;
-    if child_count > 0 {
-        if level + 1 >= dims {
-            return Err(corrupt(format!(
-                "bottom-level slice claims {child_count} children"
-            )));
-        }
-        let mut child_cursor = begin;
-        for _ in 0..child_count {
-            skim_slice(r, dims, level + 1, &mut child_cursor, s_end, slices)?;
-        }
-        if child_cursor != s_end {
-            return Err(corrupt(format!(
-                "children cover {begin}..{child_cursor}, expected {begin}..{s_end}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Verifies an engine snapshot **without constructing the engine**: the
-/// 32-byte prefix (magic, version, checksum over the whole body, total
-/// length), then a structural skim of every section — the slice tree must
-/// exactly partition the dataset, the region table must mirror top-level
-/// structure with back-to-back blobs, and the final blob must end exactly
-/// at the buffer end. Works for any dimensionality (the header's `dims`
-/// drives the strides), so the CLI `verify` subcommand needs no type
-/// parameter. Returns the per-region report on success.
-pub fn verify(bytes: &[u8]) -> Result<SnapshotSummary, SnapshotError> {
-    let frame = open_frame(bytes)?;
-    let dims = frame.dims as usize;
-    // The slice walk recurses one level per dimension; bound it before
-    // trusting a crafted header with it.
-    if dims == 0 || dims > 64 {
-        return Err(corrupt(format!("implausible dimensionality {dims}")));
-    }
-    frame.verify(bytes, "snapshot")?;
-
-    let mut r = Reader::new(bytes, FRAME_LEN);
-    let n = r.index("record count")?;
-    let flags = r.u64()?;
-    if flags & 1 == 0 || flags > 0b11 {
-        return Err(corrupt(format!("unknown snapshot flags {flags:#x}")));
-    }
-    let _tau = r.u64()?;
-    decode_assign(r.u64()?)?;
-    r.take(2 * 8)?; // max_artificial_depth, threads
-    let seal_enabled = r.flag("seal flag")?;
-    r.take((10 + 3 + 1) * 8)?; // stats, seal stats, seal_stamp
-    r.take(4 * dims * 8)?; // ext_low/high, bounds lo/hi
-    let dirty_count = r.index("dirty-span count")?;
-    r.section(dirty_count, 16, "dirty spans")?;
-
-    // Records — one bounds-checked take proves the declared count honest
-    // before anything is sized from it.
-    r.section(n, (1 + 2 * dims) * 8, "records")?;
-    let has_keys = r.flag("key-column flag")?;
-    if has_keys != (n > 0) {
-        return Err(corrupt(
-            "key-column presence disagrees with the record count",
-        ));
-    }
-    if has_keys {
-        r.section(n, 16, "key pairs")?;
-    }
-
-    let root_count = r.index("root-slice count")?;
-    let mut cursor = 0usize;
-    let mut slices = 0u64;
-    for _ in 0..root_count {
-        skim_slice(&mut r, dims, 0, &mut cursor, n, &mut slices)?;
-    }
-    if cursor != n {
-        return Err(corrupt(format!(
-            "root slices cover 0..{cursor}, expected 0..{n}"
-        )));
-    }
-
-    let region_count = r.index("region count")?;
-    let table_end = region_count
-        .checked_mul(32)
-        .and_then(|t| t.checked_add(r.pos()))
-        .ok_or_else(|| corrupt("region table overflow"))?;
-    let mut expected_off = table_end;
-    let mut regions = Vec::new();
-    for k in 0..region_count {
-        let begin = r.u64()?;
-        let end = r.u64()?;
-        let off = r.index("region blob offset")?;
-        let len = r.index("region blob length")?;
-        if off != expected_off {
-            return Err(corrupt(format!(
-                "region {k} blob at {off}, expected {expected_off}"
-            )));
-        }
-        expected_off = off
-            .checked_add(len)
-            .ok_or_else(|| corrupt("region blob overflow"))?;
-        regions.push((begin, end, len as u64));
-    }
-    if expected_off != bytes.len() {
-        return Err(corrupt(format!(
-            "buffer holds {} bytes, sections account for {expected_off}",
-            bytes.len()
-        )));
-    }
-    if !seal_enabled && !regions.is_empty() {
-        return Err(corrupt("sealed regions present with sealing disabled"));
-    }
-
-    Ok(SnapshotSummary {
-        bytes: bytes.len(),
-        dims: frame.dims,
-        records: n as u64,
-        root_slices: root_count as u64,
-        slices,
-        regions,
-        checksum: frame.checksum,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1014,42 +836,6 @@ mod tests {
                 other => panic!("byte {at}: expected Corrupt, got {:?}", other.map(|_| ())),
             }
         }
-    }
-
-    #[test]
-    fn verify_skims_without_constructing_the_engine() {
-        let data = uniform_boxes_in::<3>(2_000, 400.0, 61);
-        let u = Aabb::new([0.0; 3], [400.0; 3]);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
-        for q in &workload::uniform(&u, 40, 1e-3, 62).queries {
-            idx.query_collect(q);
-        }
-        let snap = idx.write_snapshot().expect("write");
-        let s = verify(&snap).expect("verify");
-        assert_eq!(s.bytes, snap.len());
-        assert_eq!(s.dims, 3);
-        assert_eq!(s.records, 2_000);
-        assert_eq!(s.regions.len(), idx.sealed_regions());
-        assert!(s.slices >= s.root_slices && s.root_slices > 0);
-
-        // Same corruption classes `load` rejects.
-        let mut bad = snap.clone();
-        bad[snap.len() / 2] ^= 1;
-        assert!(matches!(verify(&bad), Err(SnapshotError::Corrupt(_))));
-        let mut bad = snap.clone();
-        bad[8] = 99;
-        assert!(matches!(
-            verify(&bad),
-            Err(SnapshotError::WrongVersion { found: 99, .. })
-        ));
-        assert!(verify(&snap[..snap.len() - 1]).is_err());
-
-        // A crafted header with an absurd region count must not allocate
-        // or walk out of bounds.
-        let mut bad = snap.clone();
-        let len = bad.len();
-        bad[len - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(verify(&bad).is_err());
     }
 
     #[test]

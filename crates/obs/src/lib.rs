@@ -9,7 +9,7 @@
 //!   [`CounterGroup`] is the shared snapshot/merge idiom the engine's
 //!   lifecycle counters (`SealStats`, `RouterStats`) are built on.
 //! * **Registry** ([`registry`]) — a static table of every metric the
-//!   suite exposes, with three exporters: a human table, JSON lines, and
+//!   suite exposes, with two exporters: a human table and
 //!   Prometheus-style text exposition (plus a parser for the exposition,
 //!   so round-trips are testable without external tooling).
 //! * **Trace** ([`trace`]) — structured events (batch phase spans, crack

@@ -1,7 +1,7 @@
 //! The static metric registry: every metric the suite exposes, plus the
-//! three exporters (human table, JSON lines, Prometheus text exposition)
-//! and a parser for the exposition format so round-trips are testable
-//! without external tooling.
+//! two exporters (human table, Prometheus text exposition) and a parser
+//! for the exposition format so round-trips are testable without external
+//! tooling.
 //!
 //! Metrics live in plain statics — registration is the `DEFS` table below,
 //! so there is no runtime registration step, no locking on the hot path,
@@ -703,66 +703,6 @@ pub fn render_table() -> String {
     out
 }
 
-/// Renders the registry as JSON lines: one self-contained object per
-/// metric (histograms carry count/sum/p50/p90/p99/max). Names and labels
-/// are static identifiers, so no escaping is needed.
-pub fn render_jsonl() -> String {
-    let mut out = String::new();
-    for def in DEFS {
-        let labels = if def.labels.is_empty() || matches!(def.metric, Metric::GaugeVec(_)) {
-            // GaugeVec emits per-label objects below.
-            String::new()
-        } else {
-            // `phase="crack"` → `"phase":"crack"`
-            let (k, v) = def.labels.split_once('=').unwrap_or((def.labels, "\"\""));
-            format!(",\"labels\":{{\"{k}\":{v}}}")
-        };
-        match &def.metric {
-            Metric::Counter(c) => {
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"{}\",\"type\":\"counter\"{labels},\"value\":{}}}",
-                    def.name,
-                    c.get()
-                );
-            }
-            Metric::Gauge(g) => {
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"{}\",\"type\":\"gauge\"{labels},\"value\":{}}}",
-                    def.name,
-                    g.get()
-                );
-            }
-            Metric::GaugeVec(g) => {
-                for (label, v) in g.snapshot() {
-                    let _ = writeln!(
-                        out,
-                        "{{\"name\":\"{}\",\"type\":\"gauge\",\"labels\":{{\"{}\":\"{label}\"}},\"value\":{v}}}",
-                        def.name, def.labels
-                    );
-                }
-            }
-            Metric::Histogram(h) => {
-                let s = h.snapshot();
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"{}\",\"type\":\"histogram\"{labels},\"count\":{},\"sum\":{},\
-                     \"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                    def.name,
-                    s.count,
-                    scale(s.sum, def.unit),
-                    scale(s.quantile(0.5), def.unit),
-                    scale(s.quantile(0.9), def.unit),
-                    scale(s.quantile(0.99), def.unit),
-                    scale(s.max, def.unit),
-                );
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Prometheus text exposition parser
 // ---------------------------------------------------------------------
@@ -1031,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn table_and_jsonl_render() {
+    fn table_renders() {
         let _g = test_lock();
         reset();
         QUERIES_TOTAL.add(5);
@@ -1040,13 +980,6 @@ mod tests {
         assert!(table.contains("quasii_queries_total"));
         assert!(table.contains("p99"));
         assert!(table.contains("phase=\"classify\""));
-        let jsonl = render_jsonl();
-        assert!(jsonl.contains("\"name\":\"quasii_queries_total\""));
-        assert!(jsonl.contains("\"type\":\"histogram\""));
-        // Every JSONL line is a braced object (cheap structural check).
-        for line in jsonl.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
         reset();
     }
 }

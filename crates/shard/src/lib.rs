@@ -65,8 +65,8 @@
 //! anyway. Canonicalizing makes every query's result vector byte-identical
 //! across **every** (shard count, thread count, batch size) configuration
 //! — and equal to the sorted single-instance answer, which is exactly the
-//! brute-force ground truth's format. `tests/shard.rs` and the `repro
-//! sharding` experiment assert all three equalities byte-for-byte.
+//! brute-force ground truth's format. `tests/shard.rs` asserts all three
+//! equalities byte-for-byte.
 //!
 //! ```
 //! use quasii_shard::{ShardConfig, ShardedQuasii};
@@ -91,9 +91,7 @@
 mod manifest;
 pub mod recovery;
 
-pub use manifest::{
-    manifest_summary, part_path, ManifestSummary, MANIFEST_MAGIC, MANIFEST_VERSION,
-};
+pub use manifest::{part_path, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use recovery::{Coverage, DegradedQuasii, Recovery, RecoveryReport, ShardHealth, ShardStatus};
 
 use quasii::crack::key_of;

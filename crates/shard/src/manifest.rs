@@ -216,37 +216,6 @@ pub fn part_path(path: &Path, generation: u64, shard: usize) -> PathBuf {
     path.with_file_name(format!("{name}.g{generation}.part{shard}"))
 }
 
-/// What [`manifest_summary`] reports about a shard-deployment manifest
-/// without loading any engine.
-#[derive(Clone, Debug)]
-pub struct ManifestSummary {
-    /// Dimensionality declared in the header.
-    pub dims: u32,
-    /// Snapshot generation (names the part files of a commit).
-    pub generation: u64,
-    /// Per-shard `(record count, buffer length, header word)` table; the
-    /// header word is the buffer's own checksum field (its bytes `16..24`).
-    pub shards: Vec<(usize, usize, u64)>,
-    /// Records across all shards.
-    pub records: usize,
-    /// Bytes across all shard buffers (excluding the manifest).
-    pub shard_bytes: usize,
-}
-
-/// Parses and verifies a manifest **header** (magic, version, checksum,
-/// body accounting) of any dimensionality and returns its shard table —
-/// the CLI `verify` seam: no engine is constructed, no part file read.
-pub fn manifest_summary(bytes: &[u8]) -> Result<ManifestSummary, SnapshotError> {
-    let (dims, m) = parse_manifest_any(bytes)?;
-    Ok(ManifestSummary {
-        dims,
-        generation: m.generation,
-        records: m.shards.iter().map(|&(r, _, _)| r).sum(),
-        shard_bytes: m.shards.iter().map(|&(_, l, _)| l).sum(),
-        shards: m.shards,
-    })
-}
-
 /// Manifest encoding of [`AssignBy`] (mirrors the engine snapshot's).
 fn assign_code(mode: AssignBy) -> u64 {
     match mode {
@@ -328,8 +297,9 @@ pub(crate) fn parse_manifest<const D: usize>(bytes: &[u8]) -> Result<Manifest, S
 }
 
 /// Parses and verifies a manifest (magic, version, checksum, exact body
-/// accounting) without pinning the dimensionality — the CLI `verify` path
-/// inspects manifests of any `D`. The manifest must be all of `bytes`:
+/// accounting) without pinning the dimensionality: a commit reads the
+/// generation it supersedes whatever `D` wrote it. The manifest must be all
+/// of `bytes`:
 /// shard buffers live in their own part files, so anything after it (one
 /// file holding the manifest and the buffers, say) is corrupt.
 ///
@@ -596,12 +566,11 @@ mod tests {
             "superseded generation swept: {files:?}",
             files = files.keys().collect::<Vec<_>>()
         );
-        let summary = manifest_summary(files.get(Path::new("/deploy/shards.manifest")).unwrap())
+        let m = parse_manifest::<3>(files.get(Path::new("/deploy/shards.manifest")).unwrap())
             .expect("committed manifest verifies");
-        assert_eq!(summary.dims, 3);
-        assert_eq!(summary.generation, 2);
-        assert_eq!(summary.records, 2_500);
-        assert_eq!(summary.shards.len(), idx.shard_count());
+        assert_eq!(m.generation, 2);
+        assert_eq!(m.shards.iter().map(|&(r, _, _)| r).sum::<usize>(), 2_500);
+        assert_eq!(m.shards.len(), idx.shard_count());
 
         // One file holding the manifest and then the shard buffers is not a
         // second layout: every entry point names the trailing bytes, and
@@ -615,7 +584,7 @@ mod tests {
         for err in [
             ShardedQuasii::<3>::from_snapshot_files(&store, p2).err(),
             Recovery::<3>::load(&store, p2).err(),
-            manifest_summary(&one_file).err(),
+            parse_manifest::<3>(&one_file).err(),
         ] {
             match err {
                 Some(SnapshotError::Corrupt(why)) => assert!(why.contains(&expect), "{why}"),
@@ -650,8 +619,8 @@ mod tests {
             m.u64(v);
         }
         let m = m.finish();
-        match manifest_summary(&m) {
-            Err(SnapshotError::Corrupt(why)) => {
+        match parse_manifest::<3>(&m).err() {
+            Some(SnapshotError::Corrupt(why)) => {
                 assert!(why.contains("remain"), "unexpected reason: {why}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
