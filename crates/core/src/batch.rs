@@ -1,14 +1,16 @@
 //! Batch-parallel query execution.
 //!
-//! [`Quasii::execute_batch`] runs every batch in **two phases**:
+//! [`Quasii::execute_batch`] classifies every query once
+//! (`Quasii::sealed_window`, the same call a single query makes) and runs
+//! the batch in **two phases**:
 //!
 //! 1. **Shared-read phase** — queries whose whole §5.2 candidate window is
 //!    covered by sealed arenas (see [`crate::seal`]) are pure reads: one
 //!    job per query over a shared `&self`, with *no* disjoint-partition
 //!    constraint. In the converged regime this phase is the entire batch.
-//! 2. **Crack phase** — everything else falls back to the adaptive `&mut`
-//!    machinery below, lazily invalidating just the seals the fallback
-//!    queries span.
+//! 2. **Crack phase** — everything else runs through the adaptive `&mut`
+//!    machinery below. A sealed slice such a query reaches is read through
+//!    the tree and stays sealed: it has converged, so nothing cracks it.
 //!
 //! The crack phase exploits exactly the structure the paper builds:
 //! QUASII's top-level slice list contiguously partitions the data array, and
@@ -27,7 +29,7 @@
 //! list and touches no slice below it — a batch pays for the slices its
 //! queries visit, not for the size of the hierarchy.
 //!
-//! Both phases hand their jobs to the process-wide parked-worker pool
+//! Both phases hand their jobs to the process-wide worker pool
 //! ([`quasii_common::pool`]): the calling thread claims jobs off an atomic
 //! cursor, up to `threads − 1` idle pool workers join it, and every job
 //! writes into its own slot. No thread is created per batch, and with
@@ -228,64 +230,49 @@ impl<const D: usize> Quasii<D> {
         let threads = self.effective_threads();
         let extended: Vec<Aabb<D>> = queries.iter().map(|q| self.extend_query(q)).collect();
 
-        // Sealing disabled: there is nothing to classify against, so every
-        // query is a crack job and the `--seal false` reference
-        // configuration pays no sealed-path bookkeeping.
+        // Classify each query (`sealed_window`): every candidate sealed →
+        // the shared-read phase; anything else → the crack phase, its
+        // window marked dirty for the next sweep. Classification is stable
+        // across the whole batch because the sealed phase mutates nothing
+        // and the crack phase runs after it (cracks only ever split
+        // unconverged slices, so a sealed query's window can never gain an
+        // unsealed candidate mid-batch).
+        let span = obs::start_span();
+        let mut sealed_jobs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
         let mut crack_jobs: Vec<usize> = Vec::new();
-        if !self.cfg.seal {
-            crack_jobs.extend(0..queries.len());
-        } else {
-            // Classify each query by the root slices its §5.2 candidate
-            // window covers: entirely sealed → the shared-read phase;
-            // anything else → the crack phase. Classification is stable
-            // across the whole batch because the sealed phase mutates
-            // nothing and the crack phase runs after it (cracks only ever
-            // split *unsealed* slices, so a sealed query's window can never
-            // gain an unsealed candidate mid-batch).
-            let span = obs::start_span();
-            let mut sealed_jobs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-            let mut crack_windows: Vec<std::ops::Range<usize>> = Vec::new();
-            for j in 0..queries.len() {
-                let cand = self.root_candidates(&extended[j]);
-                if !self.root.is_empty() && self.all_sealed(cand.clone()) {
-                    sealed_jobs.push((j, cand));
-                } else {
+        for (j, qe) in extended.iter().enumerate() {
+            match self.sealed_window(qe) {
+                Ok(cand) => sealed_jobs.push((j, cand)),
+                Err(window) => {
+                    self.mark_seal_dirty(window);
                     crack_jobs.push(j);
-                    crack_windows.push(cand);
                 }
             }
-            finish_phase(span, obs::Phase::Classify, queries.len() as u64);
+        }
+        finish_phase(span, obs::Phase::Classify, queries.len() as u64);
 
-            // Phase 1 — shared-read execution over the sealed arenas:
-            // arbitrary queries as pool jobs over `&self`, no
-            // disjoint-partition constraint. Reads commute with the crack
-            // phase below: sealed regions are immutable and crack queries
-            // never read them.
-            if !sealed_jobs.is_empty() {
-                let span = obs::start_span();
-                self.run_sealed_batch(
-                    queries,
-                    &extended,
-                    &sealed_jobs,
-                    &mut results,
-                    threads,
-                    trap,
-                );
-                finish_phase(span, obs::Phase::SealedRead, sealed_jobs.len() as u64);
-                if let Some(e) = self.poison_error() {
-                    return Err(e);
-                }
+        // Phase 1 — shared-read execution over the sealed arenas:
+        // arbitrary queries as pool jobs over `&self`, no disjoint-partition
+        // constraint. Reads commute with the crack phase below: sealed
+        // regions are immutable, and a crack query that reaches one only
+        // reads it.
+        if !sealed_jobs.is_empty() {
+            let span = obs::start_span();
+            self.run_sealed_batch(
+                queries,
+                &extended,
+                &sealed_jobs,
+                &mut results,
+                threads,
+                trap,
+            );
+            finish_phase(span, obs::Phase::SealedRead, sealed_jobs.len() as u64);
+            if let Some(e) = self.poison_error() {
+                return Err(e);
             }
-
-            // Lazily invalidate just the seals the fallback queries span
-            // (root indices are still those of classification time: phase 1
-            // did not touch the tree).
-            for cand in crack_windows {
-                self.invalidate_candidates(cand);
-            }
-            if crack_jobs.is_empty() {
-                return Ok(results);
-            }
+        }
+        if crack_jobs.is_empty() {
+            return Ok(results);
         }
 
         // Phase 2 — the adaptive `&mut` path for everything else.
@@ -322,7 +309,7 @@ impl<const D: usize> Quasii<D> {
     ) -> Result<(), EnginePoisoned> {
         let r = catch_unwind(AssertUnwindSafe(|| {
             trap_check(trap, j);
-            self.query_unsealed(q, qe, out);
+            self.crack_query(q, qe, out);
         }));
         if let Err(payload) = r {
             self.poison(format!(
@@ -359,13 +346,7 @@ impl<const D: usize> Quasii<D> {
             results[*j] = out;
             tested_total += tested;
         }
-        self.rt.stats.queries += jobs.len() as u64;
-        self.rt.stats.objects_tested += tested_total;
-        self.seal_stats
-            .add(crate::SealStats::SEALED_QUERIES, jobs.len() as u64);
-        if obs::enabled() {
-            obs::registry::SEALED_QUERIES_TOTAL.add(jobs.len() as u64);
-        }
+        self.book_sealed(jobs.len() as u64, tested_total);
         if let Err(p) = failed {
             // The sealed phase mutates nothing, so the structure is intact
             // — but the batch's results are incomplete, so the engine still

@@ -132,36 +132,30 @@ pub struct Quasii<const D: usize> {
     precomputed_keys: Option<Vec<f64>>,
     /// Sealed arenas over converged top-level slices, sorted by `begin`,
     /// disjoint, each covering exactly one root slice's range (see
-    /// [`seal`]).
+    /// [`seal`]). A seal is permanent: its root slice has converged, so no
+    /// later query reorganizes it.
     seals: Vec<SealedRegion<D>>,
     /// Structure fingerprint (`slices_created + slices_refined`) at the
-    /// last seal sweep; [`u64::MAX`] forces the next sweep (initial state,
-    /// or a seal was invalidated).
+    /// last seal sweep; [`u64::MAX`] (the initial state) forces the first.
     seal_stamp: u64,
     /// Seal lifecycle counters ([`SealStats`] cells), held in the shared
     /// registry group type so batch workers and snapshot restore use the
     /// same snapshot/merge idiom as the global metrics.
     seal_stats: obs::CounterGroup<{ SealStats::CELLS }>,
-    /// Cached sum of sealed region lengths (kept in sync by `try_seal` and
-    /// `invalidate_candidates`): the fully-sealed steady state is detected
+    /// Cached sum of sealed region lengths, written by `try_seal` only
+    /// (`validate()` checks it): the fully-sealed steady state is detected
     /// with one integer compare per query.
     sealed_record_count: usize,
     /// Data-space spans whose slices may have newly converged since the
-    /// last sweep — every fallback (crack-path) query records its candidate
-    /// window here, and [`try_seal`](Self::try_seal) rechecks only root
-    /// slices overlapping a recorded span: structural change is confined to
-    /// the windows of the queries that caused it, so the sweep never
+    /// last sweep — every crack-path query records its candidate window
+    /// here, and [`try_seal`](Self::try_seal) rechecks only unsealed root
+    /// slices overlapping a recorded span: structural change is confined
+    /// to the windows of the queries that caused it, so the sweep never
     /// re-walks untouched subtrees. Capped; overflow collapses into one
     /// covering span.
     seal_dirty: Vec<(usize, usize)>,
     /// Forces the next sweep to recheck every root slice (initial state).
     seal_dirty_all: bool,
-    /// Invalidated arenas, parked for revival: a fallback query spanning a
-    /// sealed region unseals it (conservative lifecycle), but a converged
-    /// subtree can never reorganize, so the arena itself stays valid — the
-    /// next sweep revives it by range match instead of rebuilding, making
-    /// an invalidate → re-seal cycle O(1) instead of O(region).
-    parked: Vec<SealedRegion<D>>,
     /// Set when a batch worker panicked: the hierarchy may be mid-crack
     /// inconsistent, so the engine refuses to answer (structured
     /// [`EnginePoisoned`], never a silent wrong result) until
@@ -205,7 +199,6 @@ impl<const D: usize> Quasii<D> {
             sealed_record_count: 0,
             seal_dirty: Vec::new(),
             seal_dirty_all: true,
-            parked: Vec::new(),
             poisoned: None,
             panic_trap: None,
         }
@@ -463,9 +456,9 @@ impl<const D: usize> Quasii<D> {
         self.try_seal();
     }
 
-    /// Seal lifecycle counters (regions sealed / invalidated, queries
-    /// served fully sealed). Unlike [`stats`](Self::stats) these depend on
-    /// batching shape — see [`SealStats`].
+    /// Seal lifecycle counters (regions sealed, queries served fully
+    /// sealed). Unlike [`stats`](Self::stats) these depend on batching
+    /// shape — see [`SealStats`].
     pub fn seal_stats(&self) -> SealStats {
         SealStats::from_group(&self.seal_stats)
     }
@@ -491,14 +484,12 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// Heap bytes held by the sealed arenas (live and parked — an
-    /// invalidated arena stays allocated for O(1) revival).
+    /// Heap bytes held by the sealed arenas.
     pub fn seal_bytes(&self) -> usize {
-        (self.seals.capacity() + self.parked.capacity()) * std::mem::size_of::<SealedRegion<D>>()
+        self.seals.capacity() * std::mem::size_of::<SealedRegion<D>>()
             + self
                 .seals
                 .iter()
-                .chain(&self.parked)
                 .map(SealedRegion::heap_bytes)
                 .sum::<usize>()
     }
@@ -519,34 +510,14 @@ impl<const D: usize> Quasii<D> {
         let span = obs::start_span();
         let seals_before = self.seal_stats.get(SealStats::SEALS);
         let mut kept = std::mem::take(&mut self.seals).into_iter().peekable();
-        let mut parked = std::mem::take(&mut self.parked).into_iter().peekable();
         let mut out: Vec<SealedRegion<D>> = Vec::new();
         for s in &self.root {
-            // Sealed root slices are immutable, so an existing seal is
-            // reused whenever its range still matches a root slice, and an
-            // invalidated one is revived from the parked list (counted as a
-            // fresh seal — the observable lifecycle event) instead of
-            // rebuilt. Entries whose range matches no root slice are
-            // dropped by the cursor advance.
-            while kept.peek().is_some_and(|r| r.begin < s.begin) {
-                kept.next();
-            }
-            while parked.peek().is_some_and(|r| r.begin < s.begin) {
-                parked.next();
-            }
-            if kept
-                .peek()
-                .is_some_and(|r| r.begin == s.begin && r.end == s.end)
-            {
-                out.push(kept.next().expect("peeked"));
-                continue;
-            }
-            if parked
-                .peek()
-                .is_some_and(|r| r.begin == s.begin && r.end == s.end)
-            {
-                self.seal_stats.inc(SealStats::SEALS);
-                out.push(parked.next().expect("peeked"));
+            // A sealed root slice has converged, so no query splits it: its
+            // seal is kept as it is, and the two sorted lists advance in
+            // lockstep.
+            if let Some(region) = kept.next_if(|r| r.begin == s.begin) {
+                debug_assert_eq!(region.end, s.end, "a sealed root slice changed its range");
+                out.push(region);
                 continue;
             }
             // Only slices inside a dirty span can have changed convergence
@@ -565,6 +536,7 @@ impl<const D: usize> Quasii<D> {
                 out.push(region);
             }
         }
+        debug_assert!(kept.next().is_none(), "a seal matches no root slice");
         self.seal_dirty.clear();
         self.seal_dirty_all = false;
         self.sealed_record_count = out.iter().map(SealedRegion::records).sum();
@@ -581,13 +553,16 @@ impl<const D: usize> Quasii<D> {
         });
     }
 
-    /// Records a data-space span whose convergence state a fallback query
-    /// may have changed (see the `seal_dirty` field).
-    fn mark_seal_dirty(&mut self, lo: usize, hi: usize) {
+    /// Records the root-slice window a crack-path query is about to visit:
+    /// the only slices it can reorganize, and so newly converge (see the
+    /// `seal_dirty` field).
+    pub(crate) fn mark_seal_dirty(&mut self, window: Range<usize>) {
         const CAP: usize = 8;
-        if self.seal_dirty_all {
+        if self.seal_dirty_all || window.is_empty() {
             return;
         }
+        let lo = self.root[window.start].begin;
+        let hi = self.root[window.end - 1].end;
         if self.seal_dirty.len() >= CAP {
             let cover = self
                 .seal_dirty
@@ -614,64 +589,39 @@ impl<const D: usize> Quasii<D> {
         start..end
     }
 
-    /// The seal covering the root slice starting at data index `begin`.
-    pub(crate) fn seal_of(&self, begin: usize, end: usize) -> Option<&SealedRegion<D>> {
-        let i = self.seals.partition_point(|r| r.begin < begin);
-        self.seals
-            .get(i)
-            .filter(|r| r.begin == begin && r.end == end)
+    /// The one place an extended query is decided sealed or crack. `Ok`
+    /// carries its root-slice candidate window when every candidate is
+    /// sealed ([`run_sealed_query`](Self::run_sealed_query) answers it over
+    /// `&self`); `Err` carries the window the crack path will visit, the one
+    /// to [`mark_seal_dirty`](Self::mark_seal_dirty), and is empty with
+    /// sealing off or no root list yet. In the fully converged steady state
+    /// this is one integer compare.
+    pub(crate) fn sealed_window(&self, qe: &Aabb<D>) -> Result<Range<usize>, Range<usize>> {
+        if !self.cfg.seal || self.root.is_empty() {
+            return Err(0..0);
+        }
+        let cand = self.root_candidates(qe);
+        let sealed = self.sealed_record_count == self.data.len()
+            || cand.clone().all(|i| {
+                let begin = self.root[i].begin;
+                self.seals.binary_search_by_key(&begin, |r| r.begin).is_ok()
+            });
+        if sealed {
+            Ok(cand)
+        } else {
+            Err(cand)
+        }
     }
 
-    /// Whether every candidate root slice is sealed — the condition for
-    /// answering a query entirely through the shared-read path. In the
-    /// fully converged steady state (every record sealed) this is one
-    /// integer compare.
-    pub(crate) fn all_sealed(&self, cand: Range<usize>) -> bool {
-        if !self.cfg.seal {
-            return false;
-        }
-        if self.sealed_records() == self.data.len() {
-            return true;
-        }
-        cand.clone()
-            .all(|i| self.seal_of(self.root[i].begin, self.root[i].end).is_some())
-    }
-
-    /// Invalidates the seals overlapping a fallback query's candidate
-    /// window: the query runs through the `&mut` crack path, and the seal
-    /// lifecycle stays conservative — a region is only ever *read* sealed
-    /// while no fallback execution spans it. (The arena itself could not
-    /// have gone stale — converged subtrees never reorganize — so this
-    /// costs a rebuild at the next sweep, never correctness.)
-    pub(crate) fn invalidate_candidates(&mut self, cand: Range<usize>) {
-        if cand.is_empty() {
-            return;
-        }
-        let lo = self.root[cand.start].begin;
-        let hi = self.root[cand.end - 1].end;
-        // The fallback query about to run can only reorganize (and so
-        // newly converge) slices inside its candidate window.
-        self.mark_seal_dirty(lo, hi);
-        if self.seals.is_empty() {
-            return;
-        }
-        let (dropped, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.seals)
-            .into_iter()
-            .partition(|r| r.begin < hi && r.end > lo);
-        self.seals = kept;
-        if !dropped.is_empty() {
-            let n = dropped.len() as u64;
-            self.seal_stats.add(SealStats::UNSEALS, n);
-            if obs::enabled() {
-                obs::registry::UNSEALS_TOTAL.add(n);
-            }
-            self.seal_stamp = u64::MAX; // converged-but-unsealed: re-sweep
-            self.sealed_record_count = self.seals.iter().map(SealedRegion::records).sum();
-            // Park the arenas for O(1) revival (both lists are sorted and
-            // disjoint: a region leaves `parked` only by revival, so no
-            // range appears twice).
-            self.parked.extend(dropped);
-            self.parked.sort_unstable_by_key(|r| r.begin);
+    /// Books `n` queries answered through the sealed arenas, which tested
+    /// `tested` objects between them. The registry's query counter follows
+    /// from `publish_work_deltas`, like a crack-path query's.
+    pub(crate) fn book_sealed(&mut self, n: u64, tested: u64) {
+        self.rt.stats.queries += n;
+        self.rt.stats.objects_tested += tested;
+        self.seal_stats.add(SealStats::SEALED_QUERIES, n);
+        if obs::enabled() {
+            obs::registry::SEALED_QUERIES_TOTAL.add(n);
         }
     }
 
@@ -732,9 +682,10 @@ impl<const D: usize> Quasii<D> {
     }
 
     /// The adaptive `&mut` path: Algorithm 1 over the slice tree, cracking
-    /// as it goes. The caller has already handled seal classification and
-    /// invalidation (or there are no seals to consider).
-    pub(crate) fn query_unsealed(&mut self, query: &Aabb<D>, qe: &Aabb<D>, out: &mut Vec<u64>) {
+    /// as it goes. The caller has classified the query (`sealed_window`)
+    /// and marked its window dirty; sealed slices in that window are read
+    /// through the tree and left unchanged.
+    pub(crate) fn crack_query(&mut self, query: &Aabb<D>, qe: &Aabb<D>, out: &mut Vec<u64>) {
         self.rt.stats.queries += 1;
         let (keys, his) = self.keys.as_mut_slices();
         engine::query_level(
@@ -806,25 +757,17 @@ impl<const D: usize> SpatialIndex<D> for Quasii<D> {
         self.ensure_init();
         self.try_seal();
         let qe = self.extend_query(query);
-        if self.cfg.seal && !self.root.is_empty() {
-            let cand = self.root_candidates(&qe);
-            if self.all_sealed(cand.clone()) {
-                // Pure read over the arenas: no `&mut` state is touched
-                // beyond the counters.
-                self.rt.stats.queries += 1;
-                self.seal_stats.inc(SealStats::SEALED_QUERIES);
-                if obs::enabled() {
-                    obs::registry::QUERIES_TOTAL.inc();
-                    obs::registry::SEALED_QUERIES_TOTAL.inc();
-                }
-                let tested = self.run_sealed_query(query, &qe, cand, out);
-                self.rt.stats.objects_tested += tested;
-                return;
-            }
-            self.invalidate_candidates(cand);
-        }
         let before = self.rt.stats;
-        self.query_unsealed(query, &qe, out);
+        match self.sealed_window(&qe) {
+            Ok(cand) => {
+                let tested = self.run_sealed_query(query, &qe, cand, out);
+                self.book_sealed(1, tested);
+            }
+            Err(window) => {
+                self.mark_seal_dirty(window);
+                self.crack_query(query, &qe, out);
+            }
+        }
         self.publish_work_deltas(&before);
     }
 

@@ -54,7 +54,8 @@
 //! u64 ×5                     config: tau, assign_by (0|1|2), max_artificial_depth,
 //!                            threads, seal (0|1)
 //! u64 ×10                    QuasiiStats (deterministic work counters)
-//! u64 ×3                     SealStats (lifecycle counters)
+//! u64 ×3                     SealStats: seals, unseals (retired: written 0,
+//!                            ignored on load), sealed_queries
 //! u64                        seal_stamp
 //! f64 ×2D                    ext_low, ext_high (query extension amounts)
 //! f64 ×2D                    data_bounds lo, hi
@@ -101,7 +102,7 @@ use crate::engine::{Env, Runtime};
 use crate::keys::KeyColumn;
 use crate::seal::SealedRegion;
 use crate::slice::Slice;
-use crate::{config, Quasii, QuasiiConfig, QuasiiStats, SealStats};
+use crate::{config, Quasii, QuasiiConfig, QuasiiStats};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::snapshot::{corrupt, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN};
 use std::sync::Arc;
@@ -264,12 +265,9 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
             "a poisoned engine (a worker panicked mid-batch; call repair() first)",
         ));
     }
-    // Initialize and sweep first: a snapshot captures the post-sweep state
-    // (notably, `try_seal` always drains the parked list, so parked arenas
-    // never need a serialized form).
+    // Initialize and sweep first: a snapshot captures the post-sweep state.
     idx.ensure_init();
     idx.try_seal();
-    debug_assert!(idx.parked.is_empty(), "try_seal drains the parked list");
 
     let n = idx.data.len();
     let has_keys = idx.keys.is_built(n) && n > 0;
@@ -313,7 +311,8 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     ] {
         w.u64(v);
     }
-    for v in idx.seal_stats.snapshot() {
+    let [seals, sealed_queries] = idx.seal_stats.snapshot();
+    for v in [seals, 0, sealed_queries] {
         w.u64(v);
     }
     w.u64(idx.seal_stamp);
@@ -540,14 +539,9 @@ fn decode<const D: usize>(
     ] {
         *slot = r.u64()?;
     }
-    let mut seal_stats = SealStats::default();
-    for slot in [
-        &mut seal_stats.seals,
-        &mut seal_stats.unseals,
-        &mut seal_stats.sealed_queries,
-    ] {
-        *slot = r.u64()?;
-    }
+    let seals = r.u64()?;
+    r.u64()?; // the retired unseals word
+    let seal_cells = [seals, r.u64()?];
     let seal_stamp = r.u64()?;
     let mut ext_low = [0.0; D];
     let mut ext_high = [0.0; D];
@@ -709,11 +703,10 @@ fn decode<const D: usize>(
         precomputed_keys: None,
         seals,
         seal_stamp,
-        seal_stats: quasii_obs::CounterGroup::from_snapshot(seal_stats.cells()),
+        seal_stats: quasii_obs::CounterGroup::from_snapshot(seal_cells),
         sealed_record_count,
         seal_dirty,
         seal_dirty_all,
-        parked: Vec::new(),
         poisoned: None,
         panic_trap: None,
     })

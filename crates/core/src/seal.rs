@@ -57,9 +57,10 @@
 //! `&self` from any number of threads while unrelated parts of the index
 //! crack on. The slice tree stays in place as the source of truth (cracking
 //! a region is impossible once converged, but the tree still serves
-//! `validate`, `level_profile`, introspection and the fallback `&mut`
-//! path); invalidating a seal parks the arena for O(1) revival at the next
-//! sweep — a converged subtree can never go stale.
+//! `validate`, `level_profile`, introspection and a crack-path query that
+//! spans sealed and unsealed slices, which reads the sealed ones through
+//! the tree). A seal is permanent: a converged subtree never goes stale,
+//! so nothing ever unseals it.
 //!
 //! [`SealedRegion::run`] reproduces, operation for operation, the traversal
 //! the engine's `query_level`/`descend` would perform over the same

@@ -20,7 +20,8 @@
 //!    coordinate over the slice's whole range (see `crate::keys`);
 //! 9. every sealed region (see `crate::seal`) mirrors a converged top-level
 //!    slice exactly: matching data range, level-by-level SoA metadata equal
-//!    to the slice subtree, and record columns equal to the data array.
+//!    to the slice subtree, and record columns equal to the data array; the
+//!    cached sealed-record count equals the regions' total.
 
 use crate::config::AssignBy;
 use crate::crack::key_of;
@@ -47,9 +48,17 @@ pub(crate) fn validate<const D: usize>(index: &Quasii<D>) -> Result<(), String> 
 }
 
 /// Invariant 9: every sealed arena is an exact compaction of a converged
-/// top-level slice.
+/// top-level slice, and the cached sealed-record count the fully-sealed
+/// fast path trusts is their total.
 fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
     let (data, _, roots, _, _) = index.raw_parts();
+    let sealed: usize = index.seal_regions().iter().map(|r| r.records()).sum();
+    if index.sealed_records() != sealed {
+        return Err(format!(
+            "sealed-record count {} but the regions hold {sealed}",
+            index.sealed_records()
+        ));
+    }
     let mut prev_end = 0usize;
     for (k, region) in index.seal_regions().iter().enumerate() {
         if region.begin < prev_end {

@@ -43,10 +43,8 @@ pub static RECORDS_CRACKED_TOTAL: Counter = Counter::new();
 pub static SEAL_SWEEP_SECONDS: Histogram = Histogram::new();
 /// Seal sweeps that actually walked the root list.
 pub static SEAL_SWEEPS_TOTAL: Counter = Counter::new();
-/// Regions sealed (built or revived).
+/// Regions sealed (each once: a seal is permanent).
 pub static SEALS_TOTAL: Counter = Counter::new();
-/// Regions invalidated by fallback queries.
-pub static UNSEALS_TOTAL: Counter = Counter::new();
 /// Dispatched SIMD kernel generation, 1 on the selected ISA (label:
 /// `isa` = `scalar` | `sse2` | `avx2`; see `quasii::simd`).
 pub static SIMD_LEVEL: GaugeVec = GaugeVec::new();
@@ -271,17 +269,10 @@ pub static DEFS: &[Def] = &[
     },
     Def {
         name: "quasii_seals_total",
-        help: "Regions sealed (built or revived)",
+        help: "Regions sealed",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&SEALS_TOTAL),
-    },
-    Def {
-        name: "quasii_unseals_total",
-        help: "Regions invalidated by fallback queries",
-        labels: "",
-        unit: Unit::Count,
-        metric: Metric::Counter(&UNSEALS_TOTAL),
     },
     Def {
         name: "quasii_simd_level",
