@@ -1,13 +1,16 @@
 //! Batch-parallel query execution.
 //!
-//! [`Quasii::execute_batch`] classifies every query once
-//! (`Quasii::sealed_window`, the same call a single query makes) and runs
-//! the batch in **two phases**:
+//! [`Quasii::try_execute_batch`] is the engine's one `&mut` write: every
+//! other entry point that may crack (`execute_batch`, `SpatialIndex::query`
+//! as a one-query batch answering into the caller's buffer, `finalize`)
+//! wraps it. It classifies every query once (`Quasii::sealed_window`, the
+//! same call [`Quasii::read`] makes) and runs the batch in **two phases**:
 //!
 //! 1. **Shared-read phase** — queries whose whole §5.2 candidate window is
-//!    covered by sealed arenas (see [`crate::seal`]) are pure reads: one
-//!    job per query over a shared `&self`, with *no* disjoint-partition
-//!    constraint. In the converged regime this phase is the entire batch.
+//!    covered by sealed arenas (see [`crate::seal`]) are pure reads: a pool
+//!    map of [`Quasii::read`], one job per query over a shared `&self`,
+//!    with *no* disjoint-partition constraint. In the converged regime this
+//!    phase is the entire batch.
 //! 2. **Crack phase** — everything else runs through the adaptive `&mut`
 //!    machinery below. A sealed slice such a query reaches is read through
 //!    the tree and stays sealed: it has converged, so nothing cracks it.
@@ -33,7 +36,8 @@
 //! ([`quasii_common::pool`]): the calling thread claims jobs off an atomic
 //! cursor, up to `threads − 1` idle pool workers join it, and every job
 //! writes into its own slot. No thread is created per batch, and with
-//! `threads = 1` the jobs run inline without touching the pool.
+//! `threads = 1` the jobs run inline without touching the pool; so does a
+//! crack phase down to its last query, which is not worth a partition.
 //!
 //! Splitting a batch into the two phases is result- and state-transparent:
 //! sealed regions are immutable (a converged subtree never reorganizes), so
@@ -122,11 +126,11 @@ struct Partition<'a, const D: usize> {
 }
 
 impl<const D: usize> Quasii<D> {
-    /// The most threads [`execute_batch`](Self::execute_batch) will run a
-    /// phase on: the [`threads`](crate::QuasiiConfig::threads) knob, with
-    /// `0` resolved to the host's parallelism (read once per process, see
+    /// The most threads a batch will run a phase on: the
+    /// [`threads`](crate::QuasiiConfig::threads) knob, with `0` resolved to
+    /// the host's parallelism (read once per process, see
     /// [`pool::parallelism`]).
-    pub fn effective_threads(&self) -> usize {
+    fn effective_threads(&self) -> usize {
         match self.cfg.threads {
             0 => pool::parallelism(),
             n => n,
@@ -178,54 +182,63 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// Fallible form of [`execute_batch`](Self::execute_batch): identical
-    /// semantics, but a worker panic (caught under `catch_unwind`) or an
-    /// already-poisoned engine returns the structured [`EnginePoisoned`]
-    /// error instead of panicking. On `Err` the engine stays poisoned —
-    /// and keeps refusing queries — until [`repair`](Self::repair).
+    /// The engine's one `&mut` write; [`execute_batch`](Self::execute_batch)
+    /// and `SpatialIndex::query` (a one-query batch, through its slot form
+    /// `try_execute_into`) wrap it. A worker panic (caught under
+    /// `catch_unwind`) or an already-poisoned engine returns the structured
+    /// [`EnginePoisoned`] error instead of panicking. On `Err` the engine
+    /// stays poisoned — and keeps refusing queries — until
+    /// [`repair`](Self::repair).
     pub fn try_execute_batch(
         &mut self,
         queries: &[Aabb<D>],
     ) -> Result<Vec<Vec<u64>>, EnginePoisoned> {
+        let mut results = vec![Vec::new(); queries.len()];
+        self.try_execute_into(queries, &mut results)?;
+        Ok(results)
+    }
+
+    /// [`try_execute_batch`](Self::try_execute_batch) appending each
+    /// query's ids to its slot of `results`, so a single query answers
+    /// straight into the caller's buffer. On every return path it publishes
+    /// the call's deterministic work-counter deltas into the global
+    /// registry (a read books its own). The registry *mirrors* the
+    /// engine-local counters — it never feeds back into them — so results,
+    /// permutation and [`QuasiiStats`] are byte-identical with metrics on
+    /// or off.
+    pub(crate) fn try_execute_into(
+        &mut self,
+        queries: &[Aabb<D>],
+        results: &mut [Vec<u64>],
+    ) -> Result<(), EnginePoisoned> {
         let before = self.rt.stats;
         if obs::enabled() && !queries.is_empty() {
             obs::registry::BATCHES_TOTAL.inc();
         }
-        let r = self.try_execute_batch_inner(queries);
-        self.publish_work_deltas(&before);
+        let r = self.try_execute_into_inner(queries, results);
+        if obs::enabled() {
+            let now = &self.rt.stats;
+            obs::registry::QUERIES_TOTAL.add(now.queries - before.queries);
+            obs::registry::CRACKS_TOTAL.add(now.cracks - before.cracks);
+            obs::registry::RECORDS_CRACKED_TOTAL.add(now.records_cracked - before.records_cracked);
+        }
         r
     }
 
-    /// Publishes this call's deterministic work-counter deltas into the
-    /// global registry. The registry *mirrors* the engine-local counters —
-    /// it never feeds back into them — so results, permutation and
-    /// [`QuasiiStats`] are byte-identical with metrics on or off.
-    pub(crate) fn publish_work_deltas(&self, before: &QuasiiStats) {
-        if !obs::enabled() {
-            return;
-        }
-        let now = &self.rt.stats;
-        obs::registry::QUERIES_TOTAL.add(now.queries - before.queries);
-        obs::registry::CRACKS_TOTAL.add(now.cracks - before.cracks);
-        obs::registry::RECORDS_CRACKED_TOTAL.add(now.records_cracked - before.records_cracked);
-    }
-
-    /// The batch body, split out so the public wrapper can publish metric
-    /// deltas on every return path.
-    fn try_execute_batch_inner(
+    /// The batch body.
+    fn try_execute_into_inner(
         &mut self,
         queries: &[Aabb<D>],
-    ) -> Result<Vec<Vec<u64>>, EnginePoisoned> {
+        results: &mut [Vec<u64>],
+    ) -> Result<(), EnginePoisoned> {
         if let Some(e) = self.poison_error() {
             return Err(e);
         }
         let trap = self.panic_trap.take();
         self.ensure_init();
         self.try_seal();
-        let mut results: Vec<Vec<u64>> = Vec::with_capacity(queries.len());
-        results.resize_with(queries.len(), Vec::new);
         if queries.is_empty() {
-            return Ok(results);
+            return Ok(());
         }
         let threads = self.effective_threads();
         let extended: Vec<Aabb<D>> = queries.iter().map(|q| self.extend_query(q)).collect();
@@ -238,11 +251,11 @@ impl<const D: usize> Quasii<D> {
         // unconverged slices, so a sealed query's window can never gain an
         // unsealed candidate mid-batch).
         let span = obs::start_span();
-        let mut sealed_jobs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        let mut sealed_jobs: Vec<usize> = Vec::new();
         let mut crack_jobs: Vec<usize> = Vec::new();
         for (j, qe) in extended.iter().enumerate() {
             match self.sealed_window(qe) {
-                Ok(cand) => sealed_jobs.push((j, cand)),
+                Ok(_) => sealed_jobs.push(j),
                 Err(window) => {
                     self.mark_seal_dirty(window);
                     crack_jobs.push(j);
@@ -251,54 +264,75 @@ impl<const D: usize> Quasii<D> {
         }
         finish_phase(span, obs::Phase::Classify, queries.len() as u64);
 
-        // Phase 1 — shared-read execution over the sealed arenas:
-        // arbitrary queries as pool jobs over `&self`, no disjoint-partition
-        // constraint. Reads commute with the crack phase below: sealed
-        // regions are immutable, and a crack query that reaches one only
-        // reads it.
+        // Phase 1 — a pool map of `read` over the sealed queries: arbitrary
+        // queries as jobs over `&self`, no disjoint-partition constraint,
+        // each appending to its own result slot (taken out for the phase).
+        // Reads commute with the crack phase below: sealed regions are
+        // immutable, and a crack query that reaches one only reads it.
         if !sealed_jobs.is_empty() {
             let span = obs::start_span();
-            self.run_sealed_batch(
-                queries,
-                &extended,
-                &sealed_jobs,
-                &mut results,
-                threads,
-                trap,
-            );
+            let mut slots: Vec<Vec<u64>> = sealed_jobs
+                .iter()
+                .map(|&j| std::mem::take(&mut results[j]))
+                .collect();
+            let this: &Quasii<D> = self;
+            let failed = pool::for_each_mut(&mut slots, threads, |t, out| {
+                let j = sealed_jobs[t];
+                trap_check(trap, j);
+                let answered = this.read(&queries[j], out);
+                debug_assert!(answered, "query {j} was classified sealed");
+            });
+            for (&j, out) in sealed_jobs.iter().zip(slots) {
+                results[j] = out;
+            }
             finish_phase(span, obs::Phase::SealedRead, sealed_jobs.len() as u64);
-            if let Some(e) = self.poison_error() {
-                return Err(e);
+            if let Err(p) = failed {
+                // The sealed phase mutates nothing, so the structure is
+                // intact — but the batch's results are incomplete, so the
+                // engine still refuses to pretend it answered (repair()
+                // will revalidate).
+                self.poison(format!(
+                    "worker panic during sealed batch phase: {}",
+                    p.message
+                ));
+                return Err(self.poison_error().expect("poison just set"));
             }
         }
         if crack_jobs.is_empty() {
-            return Ok(results);
+            return Ok(());
         }
 
         // Phase 2 — the adaptive `&mut` path for everything else.
         // Sequential prefix: the whole remainder with one worker; otherwise
         // only until the top level has cracked open far enough to split (a
-        // fresh index starts as a single whole-dataset slice).
+        // fresh index starts as a single whole-dataset slice), and the last
+        // remaining query inline too (partitioning would cost a detach and a
+        // pool hop for one job; by the determinism invariant the result is
+        // the same).
         let span = obs::start_span();
         let mut next = 0;
-        while next < crack_jobs.len() && (threads <= 1 || self.root.len() < 2) {
+        while next < crack_jobs.len()
+            && (threads <= 1 || self.root.len() < 2 || next + 1 == crack_jobs.len())
+        {
             let j = crack_jobs[next];
             self.run_one_caught(j, trap, &queries[j], &extended[j], &mut results[j])?;
             next += 1;
         }
         if next < crack_jobs.len() {
             let jobs = &crack_jobs[next..];
-            self.run_partitioned(queries, &extended, jobs, &mut results, threads, trap);
+            self.run_partitioned(queries, &extended, jobs, results, threads, trap);
         }
         finish_phase(span, obs::Phase::Crack, crack_jobs.len() as u64);
         match self.poison_error() {
             Some(e) => Err(e),
-            None => Ok(results),
+            None => Ok(()),
         }
     }
 
-    /// Runs one crack-path query on the calling thread under
-    /// `catch_unwind`; a panic poisons the engine and surfaces as `Err`.
+    /// Runs one crack-path query (Algorithm 1 over the whole slice tree,
+    /// cracking as it goes; sealed slices it reaches are read through the
+    /// tree and left unchanged) on the calling thread under `catch_unwind`;
+    /// a panic poisons the engine and surfaces as `Err`.
     fn run_one_caught(
         &mut self,
         j: usize,
@@ -309,7 +343,18 @@ impl<const D: usize> Quasii<D> {
     ) -> Result<(), EnginePoisoned> {
         let r = catch_unwind(AssertUnwindSafe(|| {
             trap_check(trap, j);
-            self.crack_query(q, qe, out);
+            self.rt.stats.queries += 1;
+            let (keys, his) = self.keys.as_mut_slices();
+            let mut cols = engine::Cols::new(&mut self.data, keys, his, 0);
+            engine::query_level(
+                &mut cols,
+                &mut self.root,
+                q,
+                qe,
+                &self.env,
+                &mut self.rt,
+                out,
+            );
         }));
         if let Err(payload) = r {
             self.poison(format!(
@@ -319,43 +364,6 @@ impl<const D: usize> Quasii<D> {
             return Err(self.poison_error().expect("poison just set"));
         }
         Ok(())
-    }
-
-    /// Phase-1 executor: answers `jobs` (indices into the batch) entirely
-    /// through the sealed arenas, one pool job per query over a shared
-    /// `&self`; each query's result vector lands in its own slot, so
-    /// results are byte-identical for every thread count.
-    fn run_sealed_batch(
-        &mut self,
-        queries: &[Aabb<D>],
-        extended: &[Aabb<D>],
-        jobs: &[(usize, std::ops::Range<usize>)],
-        results: &mut [Vec<u64>],
-        threads: usize,
-        trap: Option<usize>,
-    ) {
-        let mut slots: Vec<(Vec<u64>, u64)> = vec![(Vec::new(), 0); jobs.len()];
-        let this: &Quasii<D> = self;
-        let failed = pool::for_each_mut(&mut slots, threads, |t, (out, tested)| {
-            let (j, cand) = &jobs[t];
-            trap_check(trap, *j);
-            *tested = this.run_sealed_query(&queries[*j], &extended[*j], cand.clone(), out);
-        });
-        let mut tested_total = 0u64;
-        for ((j, _), (out, tested)) in jobs.iter().zip(slots) {
-            results[*j] = out;
-            tested_total += tested;
-        }
-        self.book_sealed(jobs.len() as u64, tested_total);
-        if let Err(p) = failed {
-            // The sealed phase mutates nothing, so the structure is intact
-            // — but the batch's results are incomplete, so the engine still
-            // refuses to pretend it answered (repair() will revalidate).
-            self.poison(format!(
-                "worker panic during sealed batch phase: {}",
-                p.message
-            ));
-        }
     }
 
     /// Parallel remainder of a batch: answers `jobs` (ascending indices
@@ -675,6 +683,50 @@ mod tests {
             let mut got = idx.query_collect(q);
             got.sort_unstable();
             assert_matches_brute_force(&data, q, &got);
+        }
+    }
+
+    #[test]
+    fn a_last_crack_query_runs_inline() {
+        let data = uniform_boxes_in::<3>(2_000, 500.0, 83);
+        let u = Aabb::new([0.0; 3], [500.0; 3]);
+        let queries = workload::uniform(&u, 9, 1e-3, 84).queries;
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(12).with_threads(2));
+        idx.execute_batch(&queries[..8]);
+        idx.seal();
+        assert!(idx.root.len() >= 2, "the warm-up split the root list");
+        let q = queries[8];
+        assert!(idx.sealed_window(&idx.extend_query(&q)).is_err());
+
+        idx.inject_panic_at(0);
+        let err = idx.try_execute_batch(&[q]).expect_err("the trap fires");
+        assert!(
+            err.detail.starts_with("panic during crack query 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_armed_trap_poisons_a_single_query() {
+        let data = uniform_boxes_in::<3>(1_500, 400.0, 85);
+        let u = Aabb::new([0.0; 3], [400.0; 3]);
+        let queries = workload::uniform(&u, 10, 1e-3, 86).queries;
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12).with_threads(2));
+        idx.inject_panic_at(0);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            idx.query_collect(&queries[0])
+        }))
+        .expect_err("an armed trap fires on a single query");
+        let msg = quasii_common::pool::panic_message(panic);
+        assert!(
+            msg.starts_with("engine poisoned: panic during crack query 0"),
+            "{msg}"
+        );
+        assert!(idx.is_poisoned());
+
+        assert_ne!(idx.repair(), crate::RepairOutcome::Clean);
+        for q in &queries {
+            assert_matches_brute_force(&data, q, &idx.query_collect(q));
         }
     }
 

@@ -71,10 +71,11 @@ use std::ops::Range;
 /// A worker thread panicked mid-batch and the engine refused to keep
 /// serving: the slice hierarchy (or a partition of it) may be in an
 /// undefined intermediate state, so every answer after the panic would be
-/// untrustworthy. The engine never degrades into silently wrong results —
-/// it returns this from [`Quasii::try_execute_batch`] (and panics with the
-/// same message from the infallible entry points) until
-/// [`Quasii::repair`] re-validates or rebuilds it.
+/// untrustworthy. The engine never degrades into silently wrong results:
+/// until [`Quasii::repair`] re-validates or rebuilds it,
+/// [`Quasii::try_execute_batch`] returns this, its panicking wrappers
+/// (`execute_batch`, `SpatialIndex::query`) panic with the same message,
+/// and [`Quasii::read`] answers nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnginePoisoned {
     /// Where the panic happened and what its payload said.
@@ -142,6 +143,11 @@ pub struct Quasii<const D: usize> {
     /// registry group type so batch workers and snapshot restore use the
     /// same snapshot/merge idiom as the global metrics.
     seal_stats: obs::CounterGroup<{ SealStats::CELLS }>,
+    /// The work of [`read`](Self::read), `[queries, objects tested]`: atomic
+    /// sums, so concurrent readers book through `&self`. [`stats`](Self::stats)
+    /// adds them to `rt.stats`; a snapshot writes the sum and a load starts
+    /// them at 0.
+    reads: obs::CounterGroup<2>,
     /// Cached sum of sealed region lengths, written by `try_seal` only
     /// (`validate()` checks it): the fully-sealed steady state is detected
     /// with one integer compare per query.
@@ -196,6 +202,7 @@ impl<const D: usize> Quasii<D> {
             seals: Vec::new(),
             seal_stamp: u64::MAX,
             seal_stats: obs::CounterGroup::new(),
+            reads: obs::CounterGroup::new(),
             sealed_record_count: 0,
             seal_dirty: Vec::new(),
             seal_dirty_all: true,
@@ -290,9 +297,13 @@ impl<const D: usize> Quasii<D> {
         self.env.tau
     }
 
-    /// Work counters accumulated so far.
+    /// Work counters accumulated so far, [`read`](Self::read)s included.
     pub fn stats(&self) -> QuasiiStats {
-        self.rt.stats
+        let [queries, objects_tested] = self.reads.snapshot();
+        let mut stats = self.rt.stats;
+        stats.queries += queries;
+        stats.objects_tested += objects_tested;
+        stats
     }
 
     /// The configuration this index was built with.
@@ -317,10 +328,15 @@ impl<const D: usize> Quasii<D> {
         }
         let everything = self.data_bounds;
         let mut sink = Vec::with_capacity(self.data.len());
-        // Count as internal work, not as a user query.
-        let queries_before = self.rt.stats.queries;
+        // Count as internal work, not as a user query: the query may have
+        // been booked as a read, so fold the read cells in before restoring.
+        let queries = self.stats().queries;
         self.query(&everything, &mut sink);
-        self.rt.stats.queries = queries_before;
+        self.rt.stats = QuasiiStats {
+            queries,
+            ..self.stats()
+        };
+        self.reads.reset();
         debug_assert_eq!(sink.len(), self.data.len());
     }
 
@@ -432,8 +448,9 @@ impl<const D: usize> Quasii<D> {
         RepairOutcome::Rebuilt
     }
 
-    /// Fault-injection seam for the recovery test suite: the next
-    /// [`execute_batch`](Self::execute_batch) panics on the worker that
+    /// Fault-injection seam for the recovery test suite: the next write
+    /// ([`try_execute_batch`](Self::try_execute_batch) or one of its
+    /// wrappers, `SpatialIndex::query` included) panics on the worker that
     /// picks up query `query_index`, exercising the `catch_unwind` →
     /// poison → [`repair`](Self::repair) path deterministically.
     #[doc(hidden)]
@@ -576,31 +593,26 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// The root-slice candidate window `query_level` would iterate for an
-    /// extended query: the §5.2 partition-point probe with the "step one
-    /// back" rule, up to the first slice whose minimum key exceeds the
-    /// extended upper bound.
-    pub(crate) fn root_candidates(&self, qe: &Aabb<D>) -> Range<usize> {
+    /// The one place an extended query is decided sealed or crack, over
+    /// the root-slice candidate window `query_level` would iterate: the
+    /// §5.2 partition-point probe with the "step one back" rule, up to the
+    /// first slice whose minimum key exceeds the extended upper bound. `Ok`
+    /// carries that window when every candidate is sealed
+    /// ([`read`](Self::read) answers it over `&self`); `Err` carries the
+    /// window the crack path will visit, the one to
+    /// [`mark_seal_dirty`](Self::mark_seal_dirty), and is empty with
+    /// sealing off or no root list yet. In the fully converged steady state
+    /// the decision is one integer compare.
+    pub(crate) fn sealed_window(&self, qe: &Aabb<D>) -> Result<Range<usize>, Range<usize>> {
+        if !self.cfg.seal || self.root.is_empty() {
+            return Err(0..0);
+        }
         let start = self
             .root
             .partition_point(|s| s.key_lo < qe.lo[0])
             .saturating_sub(1);
         let end = start + self.root[start..].partition_point(|s| s.key_lo <= qe.hi[0]);
-        start..end
-    }
-
-    /// The one place an extended query is decided sealed or crack. `Ok`
-    /// carries its root-slice candidate window when every candidate is
-    /// sealed ([`run_sealed_query`](Self::run_sealed_query) answers it over
-    /// `&self`); `Err` carries the window the crack path will visit, the one
-    /// to [`mark_seal_dirty`](Self::mark_seal_dirty), and is empty with
-    /// sealing off or no root list yet. In the fully converged steady state
-    /// this is one integer compare.
-    pub(crate) fn sealed_window(&self, qe: &Aabb<D>) -> Result<Range<usize>, Range<usize>> {
-        if !self.cfg.seal || self.root.is_empty() {
-            return Err(0..0);
-        }
-        let cand = self.root_candidates(qe);
+        let cand = start..end;
         let sealed = self.sealed_record_count == self.data.len()
             || cand.clone().all(|i| {
                 let begin = self.root[i].begin;
@@ -613,41 +625,32 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// Books `n` queries answered through the sealed arenas, which tested
-    /// `tested` objects between them. The registry's query counter follows
-    /// from `publish_work_deltas`, like a crack-path query's.
-    pub(crate) fn book_sealed(&mut self, n: u64, tested: u64) {
-        self.rt.stats.queries += n;
-        self.rt.stats.objects_tested += tested;
-        self.seal_stats.add(SealStats::SEALED_QUERIES, n);
-        if obs::enabled() {
-            obs::registry::SEALED_QUERIES_TOTAL.add(n);
+    /// The `&self` read seam: answers `q` when every root-slice candidate
+    /// of its extended window is sealed, appending its ids to `out` exactly
+    /// as [`SpatialIndex::query`] would and booking the work (`queries`,
+    /// `objects_tested`, `sealed_queries`, the registry counters) as atomic
+    /// sums, so any number of threads may read one engine at once. Returns
+    /// `false` with nothing appended and nothing booked when the query
+    /// needs the writer ([`try_execute_batch`](Self::try_execute_batch)): a
+    /// candidate not sealed yet, sealing off, a fresh or a poisoned engine.
+    /// A read does not sweep for new seals; the next write does.
+    #[must_use]
+    pub fn read(&self, q: &Aabb<D>, out: &mut Vec<u64>) -> bool {
+        if self.poisoned.is_some() {
+            return false;
         }
-    }
-
-    /// Answers a query known to fall entirely within sealed regions,
-    /// reproducing `query_level`'s root-level loop (bounding-box skip
-    /// included) and descending through the arenas. Returns the number of
-    /// objects tested at the bottom level.
-    pub(crate) fn run_sealed_query(
-        &self,
-        q: &Aabb<D>,
-        qe: &Aabb<D>,
-        cand: Range<usize>,
-        out: &mut Vec<u64>,
-    ) -> u64 {
+        let qe = self.extend_query(q);
+        let Ok(cand) = self.sealed_window(&qe) else {
+            return false;
+        };
+        // Reproduces `query_level`'s root-level loop (bounding-box skip
+        // included) and descends through the arenas. Seals are sorted by
+        // range like the root list, so one binary search positions a cursor
+        // that then advances in lockstep with the ascending candidates.
         let mut tested = 0;
-        debug_assert_eq!(cand, self.root_candidates(qe));
-        if cand.is_empty() {
-            return 0;
-        }
-        // Seals are sorted by range like the root list, so one binary
-        // search positions a cursor that then advances in lockstep with
-        // the ascending candidates — no per-candidate search.
         let first_begin = self.root[cand.start].begin;
         let mut cursor = self.seals.partition_point(|r| r.begin < first_begin);
-        for i in cand {
-            let s = &self.root[i];
+        for s in &self.root[cand] {
             while self.seals[cursor].begin < s.begin {
                 cursor += 1;
             }
@@ -662,10 +665,16 @@ impl<const D: usize> Quasii<D> {
                 // descent's output and tested count).
                 tested += region.emit_all(out);
             } else {
-                tested += region.run(q, qe, out, self.env.simd);
+                tested += region.run(q, &qe, out, self.env.simd);
             }
         }
-        tested
+        self.reads.merge(&[1, tested]);
+        self.seal_stats.inc(SealStats::SEALED_QUERIES);
+        if obs::enabled() {
+            obs::registry::QUERIES_TOTAL.inc();
+            obs::registry::SEALED_QUERIES_TOTAL.inc();
+        }
+        true
     }
 
     /// Query extension (§5.2): reorganization must consider the query grown
@@ -679,24 +688,6 @@ impl<const D: usize> Quasii<D> {
             qe.hi[k] += self.ext_high[k];
         }
         qe
-    }
-
-    /// The adaptive `&mut` path: Algorithm 1 over the slice tree, cracking
-    /// as it goes. The caller has classified the query (`sealed_window`)
-    /// and marked its window dirty; sealed slices in that window are read
-    /// through the tree and left unchanged.
-    pub(crate) fn crack_query(&mut self, query: &Aabb<D>, qe: &Aabb<D>, out: &mut Vec<u64>) {
-        self.rt.stats.queries += 1;
-        let (keys, his) = self.keys.as_mut_slices();
-        engine::query_level(
-            &mut engine::Cols::new(&mut self.data, keys, his, 0),
-            &mut self.root,
-            query,
-            qe,
-            &self.env,
-            &mut self.rt,
-            out,
-        );
     }
 
     #[allow(clippy::type_complexity)]
@@ -748,27 +739,13 @@ impl<const D: usize> SpatialIndex<D> for Quasii<D> {
         "QUASII"
     }
 
+    /// A one-query batch that answers into `out`: a poisoned engine panics
+    /// with the structured message, never a silently wrong answer.
     fn query(&mut self, query: &Aabb<D>, out: &mut Vec<u64>) {
-        // The trait signature is infallible, so a poisoned engine panics
-        // with the structured message — never a silently wrong answer.
-        if let Some(e) = self.poison_error() {
+        let slot = std::slice::from_mut(out);
+        if let Err(e) = self.try_execute_into(std::slice::from_ref(query), slot) {
             panic!("{e}");
         }
-        self.ensure_init();
-        self.try_seal();
-        let qe = self.extend_query(query);
-        let before = self.rt.stats;
-        match self.sealed_window(&qe) {
-            Ok(cand) => {
-                let tested = self.run_sealed_query(query, &qe, cand, out);
-                self.book_sealed(1, tested);
-            }
-            Err(window) => {
-                self.mark_seal_dirty(window);
-                self.crack_query(query, &qe, out);
-            }
-        }
-        self.publish_work_deltas(&before);
     }
 
     fn query_batch(&mut self, queries: &[Aabb<D>]) -> Vec<Vec<u64>> {

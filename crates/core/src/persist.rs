@@ -296,7 +296,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     w.u64(idx.cfg.max_artificial_depth as u64);
     w.u64(idx.cfg.threads as u64);
     w.u64(u64::from(idx.cfg.seal));
-    let st = idx.rt.stats;
+    let st = idx.stats();
     for v in [
         st.queries,
         st.cracks,
@@ -704,6 +704,7 @@ fn decode<const D: usize>(
         seals,
         seal_stamp,
         seal_stats: quasii_obs::CounterGroup::from_snapshot(seal_cells),
+        reads: quasii_obs::CounterGroup::new(),
         sealed_record_count,
         seal_dirty,
         seal_dirty_all,

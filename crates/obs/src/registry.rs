@@ -29,9 +29,10 @@ pub fn batch_phase(p: Phase) -> &'static Histogram {
     &BATCH_PHASE_SECONDS[p as usize]
 }
 
-/// Batches executed through `execute_batch`.
+/// Batches executed through `try_execute_batch` (a single query is a
+/// one-query batch).
 pub static BATCHES_TOTAL: Counter = Counter::new();
-/// Queries answered (single and batched).
+/// Queries answered, `read` included.
 pub static QUERIES_TOTAL: Counter = Counter::new();
 /// Queries answered entirely through sealed arenas.
 pub static SEALED_QUERIES_TOTAL: Counter = Counter::new();
@@ -55,7 +56,8 @@ pub static SIMD_LEVEL: GaugeVec = GaugeVec::new();
 
 /// Shards visited per routed query (dimensionless).
 pub static SHARD_FANOUT: Histogram = Histogram::new();
-/// Batches accepted by the shard router.
+/// Batches accepted by the shard router (a single query is a one-query
+/// batch).
 pub static SHARD_BATCHES_TOTAL: Counter = Counter::new();
 /// Records owned per shard (label: shard index).
 pub static SHARD_RECORDS: GaugeVec = GaugeVec::new();
@@ -220,14 +222,14 @@ pub static DEFS: &[Def] = &[
     },
     Def {
         name: "quasii_batches_total",
-        help: "Batches executed",
+        help: "Batches executed (a single query counts as a one-query batch)",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&BATCHES_TOTAL),
     },
     Def {
         name: "quasii_queries_total",
-        help: "Queries answered",
+        help: "Queries answered, read() included",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&QUERIES_TOTAL),
@@ -290,7 +292,7 @@ pub static DEFS: &[Def] = &[
     },
     Def {
         name: "quasii_shard_batches_total",
-        help: "Batches accepted by the shard router",
+        help: "Batches accepted by the shard router (a single query counts as a one-query batch)",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&SHARD_BATCHES_TOTAL),

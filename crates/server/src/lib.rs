@@ -15,7 +15,7 @@
 //!   a **bounded** queue (a full queue answers 503 instead of buffering
 //!   without bound). A submitter that finds no leader becomes it: it
 //!   takes a group from the head of the queue (its own slot first), runs
-//!   it through [`ShardedQuasii::try_execute_grouped`] under the engine
+//!   it as one [`ShardedQuasii::try_execute_batch`] under the engine
 //!   lock, passes leadership to the next queued slot (or clears it)
 //!   *before* answering its group, then encodes and writes its own
 //!   response. A submitter that finds a leader waits on its slot and is
@@ -476,16 +476,25 @@ struct Shared {
 }
 
 impl Shared {
-    /// Runs one closed group through the engine's grouped batch seam. On
-    /// poison every slot gets the detail (→ 503): the service never
-    /// returns partial results.
+    /// Runs one closed group as one engine batch and splits the answers
+    /// back by slot: batching is invisible in the results, so each slot
+    /// gets what it would have got alone. On poison every slot gets the
+    /// detail (→ 503): the service never returns partial results.
     fn execute(&self, groups: &[&[Aabb<3>]]) -> GroupReply {
+        let flat = groups.concat();
         let mut engine = self.engine.lock().expect("engine lock poisoned");
-        engine.try_execute_grouped(groups).map_err(|e| {
-            self.poisoned.store(true, Ordering::Relaxed);
-            let detail = e.detail;
-            format!("engine poisoned: {detail}; POST /admin/repair to recover")
-        })
+        let mut answers = engine
+            .try_execute_batch(&flat)
+            .map_err(|e| {
+                self.poisoned.store(true, Ordering::Relaxed);
+                let detail = e.detail;
+                format!("engine poisoned: {detail}; POST /admin/repair to recover")
+            })?
+            .into_iter();
+        Ok(groups
+            .iter()
+            .map(|g| answers.by_ref().take(g.len()).collect())
+            .collect())
     }
 }
 

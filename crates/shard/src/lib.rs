@@ -22,8 +22,8 @@
 //! * **Two-level parallelism** — a batch runs one job per visited shard
 //!   on the process-wide parked-worker pool ([`quasii_common::pool`]; at
 //!   most [`ShardConfig::shard_threads`] threads take part), and each
-//!   shard job runs its sub-batch through [`Quasii::execute_batch`], which
-//!   opens its own job list on the same pool (at most
+//!   shard job runs its sub-batch through [`Quasii::try_execute_batch`],
+//!   which opens its own job list on the same pool (at most
 //!   [`QuasiiConfig::threads`] threads). A shard job works on its own
 //!   nested list instead of waiting for a worker, so however the two knobs
 //!   are set the process computes on no more threads than the host has
@@ -113,9 +113,10 @@ pub struct ShardConfig {
     /// non-degenerate key range instead of sitting permanently empty.
     pub shards: usize,
     /// Most threads that run shard jobs of one
-    /// [`ShardedQuasii::execute_batch`] at a time: `0` (the default)
-    /// resolves to the host's parallelism, `1` executes shards
-    /// sequentially in shard order. Results are identical for every value.
+    /// [`ShardedQuasii::try_execute_batch`] at a time, handed to the pool
+    /// as it is: `0` (the default) means as many as the pool has, `1`
+    /// executes shards sequentially in shard order. Results are identical
+    /// for every value.
     pub shard_threads: usize,
     /// Upper bound on the number of keys the boundary planner samples
     /// (stride-subsampled deterministically, no RNG).
@@ -382,17 +383,6 @@ impl<const D: usize> ShardedQuasii<D> {
             .collect()
     }
 
-    /// The most threads [`execute_batch`](Self::execute_batch) will run
-    /// shard jobs on: the [`shard_threads`](ShardConfig::shard_threads)
-    /// knob, with `0` resolved to the host's parallelism (read once per
-    /// process, see [`pool::parallelism`]).
-    pub fn effective_shard_threads(&self) -> usize {
-        match self.cfg.shard_threads {
-            0 => pool::parallelism(),
-            n => n,
-        }
-    }
-
     /// Runs `f` on every shard engine, one pool job per shard on at most
     /// `shard_threads` threads. The engines are independent, so each ends
     /// in the state a sequential loop would leave it in.
@@ -506,11 +496,6 @@ impl<const D: usize> ShardedQuasii<D> {
         self.shards[shard].inject_panic_at(query_index);
     }
 
-    /// The extension-adjusted routing span of `query` on dimension 0.
-    fn extended_span(&self, query: &Aabb<D>) -> (f64, f64) {
-        (query.lo[0] - self.ext_low0, query.hi[0] + self.ext_high0)
-    }
-
     /// Executes a batch of range queries across the shards — one pool job
     /// per visited shard, each shard's sub-batch through the engine's own
     /// batch-parallel path — and returns one id vector per query (in
@@ -571,12 +556,19 @@ impl<const D: usize> ShardedQuasii<D> {
         }
     }
 
-    /// [`execute_batch`](Self::execute_batch) with worker panics surfaced
-    /// as a structured error instead of a propagated panic: if any shard
-    /// engine poisons itself mid-batch the whole deployment poisons (first
-    /// failing shard wins, deterministically) and returns
-    /// [`EnginePoisoned`]; call [`repair`](Self::repair) to recover. The
-    /// deployment **never** silently returns partial results.
+    /// The deployment's one `&mut` write;
+    /// [`execute_batch`](Self::execute_batch) and `SpatialIndex::query` (a
+    /// one-query batch) wrap it. Worker panics surface as a structured
+    /// error instead of a propagated panic: if any shard engine poisons
+    /// itself mid-batch the whole deployment poisons (first failing shard
+    /// wins, deterministically) and returns [`EnginePoisoned`]; call
+    /// [`repair`](Self::repair) to recover. The deployment **never**
+    /// silently returns partial results.
+    ///
+    /// Batching is invisible in the results: a caller that flattens
+    /// several independent groups of queries into one batch (the service's
+    /// admission grouping) gets each group exactly the vectors it would
+    /// have got alone.
     pub fn try_execute_batch(
         &mut self,
         queries: &[Aabb<D>],
@@ -590,9 +582,12 @@ impl<const D: usize> ShardedQuasii<D> {
         if queries.is_empty() {
             return Ok(results);
         }
-        let assigned = self
-            .fences
-            .assign(queries.iter().map(|q| self.extended_span(q)));
+        // Route by each query's extension-adjusted span on dimension 0.
+        let assigned = self.fences.assign(
+            queries
+                .iter()
+                .map(|q| (q.lo[0] - self.ext_low0, q.hi[0] + self.ext_high0)),
+        );
         self.router.add(
             RouterStats::SHARD_VISITS,
             assigned.iter().map(|a| a.len() as u64).sum::<u64>(),
@@ -664,29 +659,6 @@ impl<const D: usize> ShardedQuasii<D> {
         self.publish_shard_gauges();
         Ok(results)
     }
-
-    /// The admission-batching seam (`crates/server`): executes several
-    /// independent query groups as **one** engine batch and demultiplexes
-    /// the answers back per group. Each group gets exactly the vectors
-    /// [`try_execute_batch`](Self::try_execute_batch) would have returned
-    /// for it alone — batching is invisible in the results (the engine's
-    /// established determinism contract), which is what lets a service
-    /// layer coalesce concurrently arriving requests without changing any
-    /// answer byte.
-    ///
-    /// On [`EnginePoisoned`] the whole call fails; no group receives a
-    /// partial answer.
-    pub fn try_execute_grouped(
-        &mut self,
-        groups: &[&[Aabb<D>]],
-    ) -> Result<Vec<Vec<Vec<u64>>>, EnginePoisoned> {
-        let flat: Vec<Aabb<D>> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-        let mut all = self.try_execute_batch(&flat)?.into_iter();
-        Ok(groups
-            .iter()
-            .map(|g| all.by_ref().take(g.len()).collect())
-            .collect())
-    }
 }
 
 /// Merges two ascending runs into one.
@@ -712,30 +684,10 @@ impl<const D: usize> SpatialIndex<D> for ShardedQuasii<D> {
         "QUASII-sharded"
     }
 
+    /// A one-query batch: a poisoned deployment panics with the structured
+    /// message, never a silently wrong answer.
     fn query(&mut self, query: &Aabb<D>, out: &mut Vec<u64>) {
-        if let Some(e) = self.poison_error() {
-            panic!("{e}");
-        }
-        self.router.inc(RouterStats::QUERIES);
-        let (lo, hi) = self.extended_span(query);
-        let range = self.fences.overlapping(lo, hi);
-        self.router
-            .add(RouterStats::SHARD_VISITS, range.len() as u64);
-        if obs::enabled() {
-            obs::registry::SHARD_FANOUT.observe(range.len() as u64);
-        }
-        for k in range.clone() {
-            obs::trace::record(|| obs::trace::TraceEvent::ShardRoute {
-                shard: k as u64,
-                queries: 1,
-            });
-        }
-        let mut hits = Vec::new();
-        for k in range {
-            self.shards[k].query(query, &mut hits);
-        }
-        hits.sort_unstable();
-        out.extend(hits);
+        out.append(&mut self.execute_batch(std::slice::from_ref(query))[0]);
     }
 
     fn query_batch(&mut self, queries: &[Aabb<D>]) -> Vec<Vec<u64>> {
@@ -828,22 +780,27 @@ mod tests {
                 .map(|g| solo.try_execute_batch(g).unwrap())
                 .collect();
 
+            // The groups flattened into one batch, the answers split back
+            // by group length.
+            let flat_queries: Vec<Aabb<3>> = groups.concat();
             let mut grouped = ShardedQuasii::new(data.clone(), cfg());
-            let got = grouped.try_execute_grouped(&groups).unwrap();
+            let flat_got = grouped.try_execute_batch(&flat_queries).unwrap();
+            let mut answers = flat_got.iter().cloned();
+            let got: Vec<Vec<Vec<u64>>> = groups
+                .iter()
+                .map(|g| answers.by_ref().take(g.len()).collect())
+                .collect();
             assert_eq!(got, expect, "cuts = {cuts:?}");
             // And both equal the canonical single-instance answer.
-            let flat_got: Vec<Vec<u64>> = got.into_iter().flatten().collect();
-            let flat_queries: Vec<Aabb<3>> =
-                groups.iter().flat_map(|g| g.iter().copied()).collect();
             assert_eq!(
                 flat_got,
                 canonical_reference(&data, &flat_queries, &inner),
                 "cuts = {cuts:?}"
             );
         }
-        // Empty input: no groups, no work, no error.
+        // Empty input: no queries, no work, no error.
         let mut idx = ShardedQuasii::new(data, cfg());
-        assert!(idx.try_execute_grouped(&[]).unwrap().is_empty());
+        assert!(idx.try_execute_batch(&[]).unwrap().is_empty());
     }
 
     /// Observable state of one run: results, per-shard id orders, stats.
@@ -1157,13 +1114,5 @@ mod tests {
         let short = &data[..2_000];
         let mut rec = Recovery::<3>::load(&store, path).unwrap();
         assert!(rec.rebuild(short).is_err());
-    }
-
-    #[test]
-    fn effective_shard_threads_resolves_zero() {
-        let idx = ShardedQuasii::<2>::new(Vec::new(), ShardConfig::default());
-        assert!(idx.effective_shard_threads() >= 1);
-        let idx = ShardedQuasii::<2>::new(Vec::new(), ShardConfig::default().with_shard_threads(5));
-        assert_eq!(idx.effective_shard_threads(), 5);
     }
 }

@@ -60,7 +60,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Single-query histories: the sealing engine must be indistinguishable
-    /// from the oracle at every step, while seals come and go underneath.
+    /// from the oracle at every step, while seals come and go underneath —
+    /// through `query`, and through `read` with `query` as the fallback
+    /// when the read needs the writer.
     #[test]
     fn sealed_equals_unsealed_query_by_query(
         data in dataset3(900),
@@ -68,24 +70,35 @@ proptest! {
         tau in 2usize..24,
     ) {
         let (expect, orc) = oracle(&data, &queries, tau);
-        let mut idx = Quasii::new(
-            data.clone(),
-            QuasiiConfig::with_tau(tau).with_threads(1),
-        );
-        for (q, want) in queries.iter().zip(&expect) {
-            let got = idx.query_collect(q);
-            prop_assert_eq!(&got, want, "ids diverged at query {:?}", q);
-            idx.validate().map_err(|e| {
-                TestCaseError::fail(format!("invariants: {e}"))
-            })?;
-            prop_assert_eq!(
-                idx.seal_stats().seals as usize,
-                idx.sealed_regions(),
-                "a region sealed more than once"
+        for read_first in [false, true] {
+            let mut idx = Quasii::new(
+                data.clone(),
+                QuasiiConfig::with_tau(tau).with_threads(1),
             );
+            for (q, want) in queries.iter().zip(&expect) {
+                let mut got = Vec::new();
+                if !(read_first && idx.read(q, &mut got)) {
+                    idx.query(q, &mut got);
+                }
+                prop_assert_eq!(
+                    &got, want,
+                    "ids diverged at query {:?}, read first: {}", q, read_first
+                );
+                idx.validate().map_err(|e| {
+                    TestCaseError::fail(format!("invariants: {e}"))
+                })?;
+                prop_assert_eq!(
+                    idx.seal_stats().seals as usize,
+                    idx.sealed_regions(),
+                    "a region sealed more than once"
+                );
+            }
+            prop_assert_eq!(
+                idx.stats(), orc.stats(),
+                "work counters diverged, read first: {}", read_first
+            );
+            prop_assert_eq!(ids(idx.data()), ids(orc.data()), "permutation diverged");
         }
-        prop_assert_eq!(idx.stats(), orc.stats(), "work counters diverged");
-        prop_assert_eq!(ids(idx.data()), ids(orc.data()), "permutation diverged");
     }
 
     /// Batched histories across thread counts: phase-split execution
@@ -294,6 +307,90 @@ fn trait_object_path_exposes_sealing() {
     rt.seal();
     assert_eq!(rt.sealed_fraction(), 0.0);
     assert_matches_brute_force(&data, &queries[1], &rt.query_collect(&queries[1]));
+}
+
+/// `read` is the `&self` seam: on a finalized, sealed engine four threads
+/// share one `&engine`, every read answers, the answers are the
+/// sealing-disabled oracle's query by query and in order, and the atomic
+/// booking sums to the stats of the same queries answered one by one.
+#[test]
+fn concurrent_reads_equal_the_sequential_engine() {
+    let data = dataset::uniform_boxes_in::<3>(5_000, 800.0, 216);
+    let universe = Aabb::new([0.0; 3], [800.0; 3]);
+    let queries = workload::uniform(&universe, 64, 1e-3, 217).queries;
+    let sealed = |seal: bool| {
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12).with_seal(seal));
+        idx.finalize();
+        idx.seal();
+        idx
+    };
+
+    let mut orc = sealed(false);
+    let expect: Vec<Vec<u64>> = queries.iter().map(|q| orc.query_collect(q)).collect();
+    let mut sequential = sealed(true);
+    for q in &queries {
+        sequential.query_collect(q);
+    }
+
+    const READERS: usize = 4;
+    let engine = sealed(true);
+    let start = std::sync::Barrier::new(READERS);
+    let answers: Vec<Vec<(usize, Vec<u64>)>> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|t| {
+                let (engine, queries, start) = (&engine, &queries, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (t..queries.len())
+                        .step_by(READERS)
+                        .map(|j| {
+                            let mut out = Vec::new();
+                            assert!(
+                                engine.read(&queries[j], &mut out),
+                                "query {j} needs no writer"
+                            );
+                            (j, out)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    let mut got = vec![Vec::new(); queries.len()];
+    for (j, out) in answers.into_iter().flatten() {
+        got[j] = out;
+    }
+    assert_eq!(got, expect);
+    assert_eq!(engine.stats(), sequential.stats());
+    assert_eq!(engine.stats(), orc.stats());
+    assert_eq!(engine.seal_stats(), sequential.seal_stats());
+}
+
+/// `read` answers nothing and books nothing where the writer must run: on
+/// a fresh engine (nothing sealed yet) and on a poisoned one.
+#[test]
+fn read_refuses_fresh_and_poisoned_engines() {
+    let data = dataset::uniform_boxes_in::<3>(2_000, 500.0, 218);
+    let q = Aabb::new([100.0; 3], [160.0; 3]);
+    let refuses = |idx: &Quasii<3>| {
+        let (stats, seal_stats) = (idx.stats(), idx.seal_stats());
+        let mut out = Vec::new();
+        assert!(!idx.read(&q, &mut out));
+        assert!(out.is_empty());
+        assert_eq!((idx.stats(), idx.seal_stats()), (stats, seal_stats));
+    };
+
+    let fresh = Quasii::new(data.clone(), QuasiiConfig::with_tau(12));
+    refuses(&fresh);
+
+    let mut idx = Quasii::new(data, QuasiiConfig::with_tau(12));
+    idx.finalize();
+    idx.seal();
+    idx.inject_panic_at(0);
+    assert!(idx.try_execute_batch(&[q]).is_err());
+    assert!(idx.is_poisoned());
+    refuses(&idx);
 }
 
 /// Sealing must be invisible to the sharded router: sealed and unsealed
