@@ -625,6 +625,13 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
+    /// Whether [`read`](Self::read) would answer `q`: the same test it
+    /// makes, booking nothing. A caller that must read several engines all
+    /// or none (`ShardedQuasii::read`) asks each one first.
+    pub fn can_read(&self, q: &Aabb<D>) -> bool {
+        self.poisoned.is_none() && self.sealed_window(&self.extend_query(q)).is_ok()
+    }
+
     /// The `&self` read seam: answers `q` when every root-slice candidate
     /// of its extended window is sealed, appending its ids to `out` exactly
     /// as [`SpatialIndex::query`] would and booking the work (`queries`,

@@ -45,12 +45,13 @@
 //! **position-independent**: [`SealedRegion::from_blob`] revives a region at
 //! any 8-aligned base inside any buffer without copying a column — this is
 //! what lets a snapshot file hold every region back-to-back and the loader
-//! hand each region a borrow of the single mapped buffer. Scalars are
-//! host-endian in memory (live sealing must work on any host); the persist
-//! layer pins the *on-disk* format to little-endian by refusing to write or
-//! load on big-endian hosts. `from_blob` is total: it validates alignment,
-//! exact length, and every node's record/child ranges before the first
-//! unsafe cast, returning `Err` on any malformed input.
+//! hand each region a borrow of the single mapped buffer. The header words
+//! are little-endian, read with the snapshot `Reader`; the columns are
+//! host-endian in memory (live sealing must work on any host), and the
+//! persist layer pins the *on-disk* format to little-endian by refusing to
+//! write or load on big-endian hosts. `from_blob` is total: it validates
+//! alignment, exact length, and every node's record/child ranges before
+//! the first unsafe cast, returning `Err` on any malformed input.
 //!
 //! The arena is a **self-contained copy** — it borrows nothing from the
 //! data array or the slice tree, so sealed regions can be read through
@@ -73,6 +74,7 @@ use crate::persist::AlignedBytes;
 use crate::simd::{self, SimdLevel};
 use crate::slice::Slice;
 use quasii_common::geom::{Aabb, Record};
+use quasii_common::snapshot::Reader;
 use std::sync::Arc;
 
 /// Per-node payload of one arena level: everything the candidate loop
@@ -168,18 +170,15 @@ fn put_u32(dst: &mut [u8], off: &mut usize, v: u32) {
     *off += 4;
 }
 
+/// A header word, little-endian as [`Reader::u64`] reads it.
 fn put_u64(dst: &mut [u8], off: &mut usize, v: u64) {
-    dst[*off..*off + 8].copy_from_slice(&v.to_ne_bytes());
+    dst[*off..*off + 8].copy_from_slice(&v.to_le_bytes());
     *off += 8;
 }
 
 fn put_f64(dst: &mut [u8], off: &mut usize, v: f64) {
     dst[*off..*off + 8].copy_from_slice(&v.to_ne_bytes());
     *off += 8;
-}
-
-fn read_u64(b: &[u8], off: usize) -> u64 {
-    u64::from_ne_bytes(b[off..off + 8].try_into().unwrap())
 }
 
 /// Chunk size of the masked fallback scan (only reached at `D > 4`): each
@@ -330,12 +329,10 @@ impl<const D: usize> SealedRegion<D> {
                 buf.len()
             ));
         }
-        let bytes = &buf.as_bytes()[base..base + len];
-        if len < 16 {
-            return Err(format!("blob of {len} bytes is shorter than its header"));
-        }
-        let m = read_u64(bytes, 0);
-        let l = read_u64(bytes, 8);
+        let mut header = Reader::new(&buf.as_bytes()[base..base + len], 0);
+        let short = |_| format!("blob of {len} bytes is shorter than its header");
+        let m = header.u64().map_err(short)?;
+        let l = header.u64().map_err(short)?;
         if end < begin || (end - begin) as u64 != m {
             return Err(format!(
                 "record count {m} does not match region {begin}..{end}"
@@ -348,10 +345,10 @@ impl<const D: usize> SealedRegion<D> {
             return Err(format!("level count {l}, expected {} for D = {D}", D - 1));
         }
         let l = l as usize;
-        if len < 16 + 8 * l {
-            return Err("blob too short for its level-count table".into());
-        }
-        let counts: Vec<u64> = (0..l).map(|i| read_u64(bytes, 16 + 8 * i)).collect();
+        let counts = (0..l)
+            .map(|_| header.u64())
+            .collect::<Result<Vec<u64>, _>>()
+            .map_err(|_| "blob too short for its level-count table".to_string())?;
         let layout = BlobLayout::compute::<D>(m, &counts)
             .ok_or_else(|| "blob section sizes overflow".to_string())?;
         if layout.len != len {

@@ -171,13 +171,15 @@ impl Endpoint {
 
 /// The stages of one `/query` or `/batch` request inside `crates/server`,
 /// in the order a request passes them, which is also the registry storage
-/// order (the fixed-enum indexing idiom of [`Phase`]). The four clocks of a
-/// request sum to its [`Endpoint`] latency less the wake-ups between them.
+/// order (the fixed-enum indexing idiom of [`Phase`]). The clocks a request
+/// passes sum to its [`Endpoint`] latency less the wake-ups between them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Slot pushed onto the admission queue → its group closed.
+    /// Slot pushed onto the admission queue → its group closed. A `/query`
+    /// answered by a read is not admitted and has none.
     Queue,
-    /// The group's engine call, engine lock wait included.
+    /// The group's engine call, engine lock wait included; for a `/query`
+    /// answered by a read, the read with its shared guard.
     Engine,
     /// Rendering the response body.
     Encode,

@@ -89,7 +89,8 @@ pub fn server_request(e: Endpoint) -> &'static Histogram {
 }
 
 /// Where a `/query` or `/batch` request spends its time, indexed by
-/// [`Stage`] order; one sample per request and stage.
+/// [`Stage`] order; one sample per request and stage it passes (a `/query`
+/// answered by a read is not admitted, so it has no `queue` sample).
 pub static SERVER_STAGE_SECONDS: [Histogram; 4] = [
     Histogram::new(),
     Histogram::new(),
@@ -102,12 +103,15 @@ pub fn server_stage(s: Stage) -> &'static Histogram {
     &SERVER_STAGE_SECONDS[s as usize]
 }
 
-/// Queries per admission group handed to `execute_batch` (the group
-/// leader's batch-or-deadline close sizes).
+/// Queries per admission group handed to `try_execute_batch` (the group
+/// leader's batch-or-deadline close sizes). A `/query` answered by a read
+/// is not admitted.
 pub static SERVER_BATCH_SIZE: Histogram = Histogram::new();
-/// Admission groups executed by a group leader.
+/// Admission groups executed by a group leader (a `/query` answered by a
+/// read is not admitted).
 pub static SERVER_BATCHES_TOTAL: Counter = Counter::new();
-/// Queries admitted through the submission queue.
+/// Queries admitted through the submission queue (a `/query` answered by
+/// a read is not admitted).
 pub static SERVER_QUERIES_TOTAL: Counter = Counter::new();
 /// Queries that ran in an admission group of ≥ 2 queries — the batch-path
 /// payoff counter (equal to `server_queries_total` minus lone queries).
@@ -369,49 +373,49 @@ pub static DEFS: &[Def] = &[
     },
     Def {
         name: "quasii_server_stage_seconds",
-        help: "Time a /query or /batch request spends per stage",
+        help: "Time a /query or /batch request spends per stage (a /query answered by a read is not admitted and has no queue stage)",
         labels: "stage=\"queue\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&SERVER_STAGE_SECONDS[Stage::Queue as usize]),
     },
     Def {
         name: "quasii_server_stage_seconds",
-        help: "Time a /query or /batch request spends per stage",
+        help: "Time a /query or /batch request spends per stage (a /query answered by a read is not admitted and has no queue stage)",
         labels: "stage=\"engine\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&SERVER_STAGE_SECONDS[Stage::Engine as usize]),
     },
     Def {
         name: "quasii_server_stage_seconds",
-        help: "Time a /query or /batch request spends per stage",
+        help: "Time a /query or /batch request spends per stage (a /query answered by a read is not admitted and has no queue stage)",
         labels: "stage=\"encode\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&SERVER_STAGE_SECONDS[Stage::Encode as usize]),
     },
     Def {
         name: "quasii_server_stage_seconds",
-        help: "Time a /query or /batch request spends per stage",
+        help: "Time a /query or /batch request spends per stage (a /query answered by a read is not admitted and has no queue stage)",
         labels: "stage=\"write\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&SERVER_STAGE_SECONDS[Stage::Write as usize]),
     },
     Def {
         name: "quasii_server_batch_size",
-        help: "Queries per admission group handed to execute_batch",
+        help: "Queries per admission group handed to try_execute_batch (a /query answered by a read is not admitted)",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Histogram(&SERVER_BATCH_SIZE),
     },
     Def {
         name: "quasii_server_batches_total",
-        help: "Admission groups executed by a group leader",
+        help: "Admission groups executed by a group leader (a /query answered by a read is not admitted)",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&SERVER_BATCHES_TOTAL),
     },
     Def {
         name: "quasii_server_queries_total",
-        help: "Queries admitted through the submission queue",
+        help: "Queries admitted through the submission queue (a /query answered by a read is not admitted)",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&SERVER_QUERIES_TOTAL),

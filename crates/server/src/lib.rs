@@ -1,22 +1,23 @@
 //! The query service layer: an HTTP/1.1 server (over the vendored
-//! [`minihttp`] shim) fronting a [`ShardedQuasii`] deployment, built
-//! around **admission batching** — the performance core that turns
-//! concurrently arriving single queries into `execute_batch` calls.
-//!
-//! QUASII's premise is that query arrival *is* the index-build workload,
-//! and everything the engine crates built to exploit that (disjoint
-//! crack partitions, the sealed shared-read pool, SIMD lane kernels)
-//! only pays off through the batch path. Real traffic, though, arrives
-//! as independent small requests. The bridge is **leader hand-off on the
-//! connection threads**: a request runs on the thread that parsed it, and
+//! [`minihttp`] shim) fronting a [`ShardedQuasii`] deployment held in one
+//! `RwLock`. Quokka's rule (one writer, reads first): a converged query is
+//! **read** under a shared guard, and whatever needs the writer goes
+//! through **admission batching**, whose leader is the single writer.
+//! Either way a request runs on the connection thread that parsed it;
 //! there is no dispatcher thread to hand it to.
 //!
-//! * **Who executes.** A parsed `/query` or `/batch` pushes one slot onto
-//!   a **bounded** queue (a full queue answers 503 instead of buffering
-//!   without bound). A submitter that finds no leader becomes it: it
-//!   takes a group from the head of the queue (its own slot first), runs
-//!   it as one [`ShardedQuasii::try_execute_batch`] under the engine
-//!   lock, passes leadership to the next queued slot (or clears it)
+//! * **Who reads.** A `GET /query` first tries [`ShardedQuasii::read`]
+//!   under `try_read`, and enters admission only when some shard it
+//!   routes to needs a crack or the guard is refused. `try_read` is
+//!   refused while a writer holds the lock or waits for it, so a reader
+//!   never blocks behind a crack and never starves the writer: it queues
+//!   behind it instead.
+//! * **Who writes.** Every other `/query` and every `POST /batch` pushes
+//!   one slot onto a **bounded** queue (a full queue answers 503 instead
+//!   of buffering without bound). A submitter that finds no leader becomes
+//!   it: it takes a group from the head of the queue (its own slot first),
+//!   runs it as one [`ShardedQuasii::try_execute_batch`] under the write
+//!   guard, passes leadership to the next queued slot (or clears it)
 //!   *before* answering its group, then encodes and writes its own
 //!   response. A submitter that finds a leader waits on its slot and is
 //!   woken once, with its answer or as the next leader, whichever comes
@@ -37,8 +38,9 @@
 //!   queued and goes, so a decayed gap costs an idle service nothing.
 //!
 //! **Determinism across the network boundary**: the engine's batching
-//! invisibility (results are byte-identical for every batch shape)
-//! means admission grouping can never change an answer — the workspace
+//! invisibility (results are byte-identical for every batch shape, and a
+//! read equals a one-query batch) means neither admission grouping nor
+//! the read path can change an answer — the workspace
 //! `tests/server.rs` suite asserts network-path responses equal direct
 //! `execute_batch` answers across `max_batch`/`max_delay` settings,
 //! including `max_batch = 1`.
@@ -77,7 +79,7 @@ use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -463,7 +465,7 @@ impl Drop for Term<'_> {
 
 /// State shared between the acceptor and the connection threads.
 struct Shared {
-    engine: Mutex<ShardedQuasii<3>>,
+    engine: RwLock<ShardedQuasii<3>>,
     /// The engine's poison marker, kept beside it so that `/healthz` does
     /// not queue behind the group that holds the engine lock: set where a
     /// group comes back poisoned, refreshed by `/admin/repair`.
@@ -482,7 +484,7 @@ impl Shared {
     /// detail (→ 503): the service never returns partial results.
     fn execute(&self, groups: &[&[Aabb<3>]]) -> GroupReply {
         let flat = groups.concat();
-        let mut engine = self.engine.lock().expect("engine lock poisoned");
+        let mut engine = self.engine.write().expect("engine lock poisoned");
         let mut answers = engine
             .try_execute_batch(&flat)
             .map_err(|e| {
@@ -584,7 +586,7 @@ pub fn start(
 
     let shared = Arc::new(Shared {
         poisoned: AtomicBool::new(engine.is_poisoned()),
-        engine: Mutex::new(engine),
+        engine: RwLock::new(engine),
         admission: Admission::new(cfg),
         addr: local,
         universe,
@@ -868,6 +870,18 @@ fn submit_and_wait(shared: &Shared, queries: Vec<Aabb<3>>) -> Result<Vec<Vec<u64
     })
 }
 
+/// Answers one `GET /query`: a read under a shared engine guard, else
+/// through admission (see "Who reads" in the module docs).
+fn read_or_submit(shared: &Shared, q: Aabb<3>) -> Result<Vec<u64>, Response> {
+    let t = obs::start();
+    let mut ids = Vec::new();
+    if shared.engine.try_read().is_ok_and(|e| e.read(&q, &mut ids)) {
+        server_stage(Stage::Engine).observe_since(t);
+        return Ok(ids);
+    }
+    submit_and_wait(shared, vec![q]).map(|mut answers| answers.swap_remove(0))
+}
+
 /// Routes one parsed request to its endpoint handler.
 fn route(shared: &Shared, req: &Request) -> Response {
     match (req.method.as_str(), req.path()) {
@@ -879,11 +893,11 @@ fn route(shared: &Shared, req: &Request) -> Response {
                 Ok(q) => q,
                 Err(e) => return err_json(400, &e),
             };
-            match submit_and_wait(shared, vec![q]) {
-                Ok(answers) => {
+            match read_or_submit(shared, q) {
+                Ok(ids) => {
                     let t = obs::start();
                     let mut body = b"{\"ids\":".to_vec();
-                    push_ids(&mut body, &answers[0]);
+                    push_ids(&mut body, &ids);
                     body.push(b'}');
                     rendered(t, body)
                 }
@@ -922,7 +936,7 @@ fn route(shared: &Shared, req: &Request) -> Response {
             }
         }
         ("POST", "/admin/repair") => {
-            let mut engine = shared.engine.lock().expect("engine lock poisoned");
+            let mut engine = shared.engine.write().expect("engine lock poisoned");
             let name = match engine.repair() {
                 quasii::RepairOutcome::Clean => "clean",
                 quasii::RepairOutcome::Revalidated => "revalidated",
@@ -946,7 +960,7 @@ fn route(shared: &Shared, req: &Request) -> Response {
 /// dataset universe (the seam the load generator builds workloads from),
 /// and one health/balance object per shard.
 fn snapshots_json(shared: &Shared) -> Response {
-    let engine = shared.engine.lock().expect("engine lock poisoned");
+    let engine = shared.engine.read().expect("engine lock poisoned");
     let snaps = engine.snapshots();
     let router = engine.router_stats();
     let mut body = format!(
@@ -994,6 +1008,9 @@ mod tests {
     use super::*;
     use quasii::QuasiiConfig;
     use quasii_common::dataset;
+    use quasii_common::geom::Record;
+    use quasii_common::index::brute_force;
+    use quasii_common::workload;
     use quasii_shard::ShardConfig;
 
     fn tiny_engine(n: usize, shards: usize) -> ShardedQuasii<3> {
@@ -1324,7 +1341,7 @@ mod tests {
         let handle = start(tiny_engine(400, 1), "127.0.0.1:0", ServeConfig::default()).unwrap();
         let shared = Arc::clone(&handle.shared);
         // A group that executes for a long time, as a 4 096-query batch does.
-        let executing = shared.engine.lock().unwrap();
+        let executing = shared.engine.write().unwrap();
         let probe = get_in_background(handle.addr(), "/healthz");
         let answered = ends_within(&probe, Duration::from_millis(100));
         drop(executing);
@@ -1348,7 +1365,7 @@ mod tests {
         obs::set_enabled(true);
 
         // A leads a group of one and stops at the engine lock.
-        let executing = shared.engine.lock().unwrap();
+        let executing = shared.engine.write().unwrap();
         let a = get_in_background(handle.addr(), EVERYTHING);
         until("A leading", || queue_is(true, 0));
         // B queues behind it and hangs up; C queues behind B.
@@ -1376,12 +1393,139 @@ mod tests {
         handle.shutdown();
     }
 
+    fn query_target(q: &Aabb<3>) -> String {
+        format!(
+            "/query?lo={},{},{}&hi={},{},{}",
+            q.lo[0], q.lo[1], q.lo[2], q.hi[0], q.hi[1], q.hi[2]
+        )
+    }
+
+    /// The `GET /query` body of the brute-force answer.
+    fn expected_body(data: &[Record<3>], q: &Aabb<3>) -> Vec<u8> {
+        let mut body = b"{\"ids\":".to_vec();
+        push_ids(&mut body, &brute_force(data, q));
+        body.push(b'}');
+        body
+    }
+
+    #[test]
+    fn sealed_queries_are_read_without_admission() {
+        let _serial = serial();
+        let data = dataset::uniform_boxes::<3>(2_000, 77);
+        let mut engine = tiny_engine(2_000, 2);
+        engine.finalize();
+        engine.seal();
+        let handle = start(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut c = minihttp::Client::connect(handle.addr()).unwrap();
+        let mut queries = workload::uniform(&dataset::universe(10_000.0), 40, 1e-3, 78).queries;
+        queries.push(Aabb::new([0.0; 3], [1e4; 3]));
+        obs::set_enabled(true);
+        let batches = obs::registry::SERVER_BATCHES_TOTAL.get();
+        let queued = server_stage(Stage::Queue).snapshot().count;
+        let engine_calls = server_stage(Stage::Engine).snapshot().count;
+        for q in &queries {
+            let r = c.get(&query_target(q)).unwrap();
+            assert_eq!(r.status, 200);
+            assert_eq!(r.body, expected_body(&data, q), "{q:?}");
+        }
+        let batches_after = obs::registry::SERVER_BATCHES_TOTAL.get();
+        let queued_after = server_stage(Stage::Queue).snapshot().count;
+        let engine_calls_after = server_stage(Stage::Engine).snapshot().count;
+        obs::set_enabled(false);
+        assert_eq!(batches_after, batches, "a sealed query entered admission");
+        assert_eq!(queued_after, queued, "a read observes no queue stage");
+        assert_eq!(engine_calls_after - engine_calls, queries.len() as u64);
+        // A client batch still goes through admission.
+        let r = c.post("/batch", "text/plain", b"0,0,0,50,50,50\n").unwrap();
+        assert_eq!(r.status, 200);
+        let router = handle.shared.engine.read().unwrap().router_stats();
+        assert_eq!(router.queries, queries.len() as u64 + 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn readers_beside_a_cracking_writer_answer_exactly_and_never_starve_it() {
+        let _serial = serial();
+        let data = dataset::uniform_boxes::<3>(4_000, 77);
+        let mut engine = tiny_engine(4_000, 2);
+        // One query over everything left of the fence converges shard 0;
+        // shard 1 cracks only near the fence and stays mostly fresh.
+        let fence = engine.fences().inner_bounds()[0];
+        engine.execute_batch(&[Aabb::new([0.0; 3], [fence, 1e4, 1e4])]);
+        engine.seal();
+        assert_eq!(engine.engines()[0].sealed_fraction(), 1.0);
+        assert!(engine.engines()[1].sealed_fraction() < 0.5);
+        // Far enough from the fence that the router's extension cannot
+        // reach across it: a left query reads shard 0 alone, a right one
+        // cracks shard 1 alone.
+        let side = |lo: f64, hi: f64, seed| {
+            let u = Aabb::new([lo, 0.0, 0.0], [hi, 1e4, 1e4]);
+            workload::uniform(&u, 32, 1e-3, seed).queries
+        };
+        let sealed = side(0.0, fence - 1_500.0, 79);
+        let cracking = side(fence + 1_500.0, 1e4, 80);
+        let mut out = Vec::new();
+        assert!(sealed.iter().all(|q| engine.read(q, &mut out)));
+        assert!(cracking.iter().all(|q| !engine.read(q, &mut out)));
+        let cracks = engine.stats().cracks;
+
+        let handle = start(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = handle.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        // Readers and the writer start sending together.
+        let go = Arc::new(std::sync::Barrier::new(5));
+        let (data, sealed) = (Arc::new(data), Arc::new(sealed));
+        let readers: Vec<JoinHandle<usize>> = (0..4)
+            .map(|k| {
+                let (data, sealed, stop, go) =
+                    (data.clone(), sealed.clone(), stop.clone(), go.clone());
+                std::thread::spawn(move || {
+                    let mut c = minihttp::Client::connect(addr).unwrap();
+                    go.wait();
+                    let mut sent = 0;
+                    while sent < sealed.len() || !stop.load(Ordering::Relaxed) {
+                        let q = &sealed[(k + sent) % sealed.len()];
+                        let r = c.get(&query_target(q)).unwrap();
+                        assert_eq!(r.status, 200);
+                        assert_eq!(r.body, expected_body(&data, q), "reader {k}: {q:?}");
+                        sent += 1;
+                    }
+                    sent
+                })
+            })
+            .collect();
+        let writer = {
+            let data = data.clone();
+            std::thread::spawn(move || {
+                let mut c = minihttp::Client::connect(addr).unwrap();
+                go.wait();
+                for q in &cracking {
+                    let r = c.get(&query_target(q)).unwrap();
+                    assert_eq!(r.status, 200);
+                    assert_eq!(r.body, expected_body(&data, q), "writer: {q:?}");
+                }
+            })
+        };
+        // The starvation bound: 32 crack-path requests beside four
+        // closed-loop readers take well under a second on a 2-vCPU host.
+        let finished = ends_within(&writer, Duration::from_secs(20));
+        stop.store(true, Ordering::Relaxed);
+        assert!(finished, "the writer starved behind the readers");
+        writer.join().unwrap();
+        for r in readers {
+            assert!(r.join().unwrap() >= 32);
+        }
+        let after = handle.shared.engine.read().unwrap().stats().cracks;
+        assert!(after > cracks, "the writer cracked: {cracks} → {after}");
+        handle.shutdown();
+    }
+
     #[test]
     fn shutdown_returns_only_once_the_leader_is_done() {
         let _serial = serial();
         let handle = start(tiny_engine(400, 1), "127.0.0.1:0", ServeConfig::default()).unwrap();
         let shared = Arc::clone(&handle.shared);
-        let executing = shared.engine.lock().unwrap();
+        let executing = shared.engine.write().unwrap();
         let a = get_in_background(handle.addr(), EVERYTHING);
         until("A leading", || {
             let q = shared.admission.lock();

@@ -28,6 +28,12 @@
 //!   nested list instead of waiting for a worker, so however the two knobs
 //!   are set the process computes on no more threads than the host has
 //!   CPUs, and no thread is created per batch.
+//! * **The `&self` read** — [`ShardedQuasii::read`] answers one query
+//!   through [`Quasii::read`] on every shard it routes to, all or nothing:
+//!   if one of them needs a crack it returns `false` having booked nothing,
+//!   and the caller writes through [`ShardedQuasii::try_execute_batch`].
+//!   Any number of threads may read one deployment at once (the service
+//!   does, under a shared lock guard).
 //!
 //! ## Determinism
 //!
@@ -494,6 +500,43 @@ impl<const D: usize> ShardedQuasii<D> {
     #[doc(hidden)]
     pub fn inject_panic_at(&mut self, shard: usize, query_index: usize) {
         self.shards[shard].inject_panic_at(query_index);
+    }
+
+    /// The deployment's `&self` read: appends `q`'s ids to `out` in
+    /// canonical ascending-id order, exactly as [`SpatialIndex::query`]
+    /// would, when every shard it routes to can answer through
+    /// [`Quasii::read`], and returns `true`. All or nothing: on a poisoned
+    /// deployment, or when any routed shard needs the writer, it returns
+    /// `false` having appended and booked nothing, so the caller's
+    /// [`try_execute_batch`](Self::try_execute_batch) books every shard
+    /// once. Under `&self` no writer interleaves, so the check and the
+    /// reads see one state. Books the router counters and one fan-out
+    /// observation; a read is not a batch.
+    #[must_use]
+    pub fn read(&self, q: &Aabb<D>, out: &mut Vec<u64>) -> bool {
+        if self.poisoned.is_some() {
+            return false;
+        }
+        let route = self
+            .fences
+            .overlapping(q.lo[0] - self.ext_low0, q.hi[0] + self.ext_high0);
+        let shards = &self.shards[route];
+        if !shards.iter().all(|s| s.can_read(q)) {
+            return false;
+        }
+        let start = out.len();
+        for s in shards {
+            let answered = s.read(q, out);
+            debug_assert!(answered, "a shard that can read reads");
+        }
+        // The shards are disjoint: one sort equals sorting each run and
+        // merging them.
+        out[start..].sort_unstable();
+        self.router.merge(&[1, shards.len() as u64]);
+        if obs::enabled() {
+            obs::registry::SHARD_FANOUT.observe(shards.len() as u64);
+        }
+        true
     }
 
     /// Executes a batch of range queries across the shards — one pool job
@@ -1004,6 +1047,104 @@ mod tests {
         }
         assert_eq!(idx.stats().cracks, cracks, "pure reads after sealing");
         idx.validate().unwrap();
+    }
+
+    /// A two-shard deployment over 3 000 boxes in `[0, 600]³`, with the
+    /// shards `sealed` finalized and sealed and the others fresh.
+    fn two_shards(sealed: &[usize]) -> (Vec<Record<3>>, ShardedQuasii<3>) {
+        let data = uniform_boxes_in::<3>(3_000, 600.0, 130);
+        let cfg = ShardConfig::default()
+            .with_shards(2)
+            .with_inner(QuasiiConfig::with_tau(16));
+        let mut idx = ShardedQuasii::new(data.clone(), cfg);
+        assert_eq!(idx.shard_count(), 2);
+        for &k in sealed {
+            idx.shards[k].finalize();
+            idx.shards[k].seal();
+        }
+        (data, idx)
+    }
+
+    /// The shards `idx` routes `q` to.
+    fn route(idx: &ShardedQuasii<3>, q: &Aabb<3>) -> std::ops::Range<usize> {
+        idx.fences
+            .overlapping(q.lo[0] - idx.ext_low0, q.hi[0] + idx.ext_high0)
+    }
+
+    /// Thin slabs astride the fence on dimension 0: each visits both shards.
+    fn astride_the_fence(idx: &ShardedQuasii<3>, n: usize) -> Vec<Aabb<3>> {
+        let fence = idx.fences().inner_bounds()[0];
+        (0..n)
+            .map(|i| {
+                let y = i as f64 * 40.0;
+                Aabb::new([fence - 20.0, y, y], [fence + 20.0, y + 60.0, y + 60.0])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reads_equal_the_batch_write_on_a_sealed_deployment() {
+        let (data, reader) = two_shards(&[0, 1]);
+        let (_, mut writer) = two_shards(&[0, 1]);
+        let u = Aabb::new([0.0; 3], [600.0; 3]);
+        let mut queries = workload::uniform(&u, 60, 1e-3, 131).queries;
+        queries.extend(astride_the_fence(&reader, 10));
+        let got: Vec<Vec<u64>> = queries
+            .iter()
+            .map(|q| {
+                let mut out = Vec::new();
+                assert!(reader.read(q, &mut out), "{q:?} is sealed");
+                out
+            })
+            .collect();
+        assert_eq!(got, writer.execute_batch(&queries));
+        assert_eq!(reader.stats(), writer.stats());
+        assert_eq!(reader.router_stats(), writer.router_stats());
+        assert!(reader.router_stats().shard_visits >= queries.len() as u64 + 10);
+        for (q, ids) in queries.iter().zip(&got) {
+            assert_eq!(ids, &brute_force(&data, q));
+        }
+    }
+
+    #[test]
+    fn a_read_is_all_or_nothing_across_its_shards() {
+        let (data, idx) = two_shards(&[0]);
+        let (stats, router) = (idx.stats(), idx.router_stats());
+        // Astride the fence: shard 0 could read, shard 1 needs the writer.
+        for q in astride_the_fence(&idx, 4) {
+            assert_eq!(route(&idx, &q), 0..2);
+            let mut out = vec![7];
+            assert!(!idx.read(&q, &mut out));
+            assert_eq!(out, vec![7], "nothing appended");
+        }
+        assert_eq!(idx.stats(), stats, "nothing booked");
+        assert_eq!(idx.router_stats(), router);
+        // A query that reaches shard 0 alone reads.
+        let q = Aabb::new([10.0; 3], [80.0; 3]);
+        assert_eq!(route(&idx, &q), 0..1);
+        let mut out = vec![7];
+        assert!(idx.read(&q, &mut out));
+        let mut expect = vec![7];
+        expect.extend(brute_force(&data, &q));
+        assert_eq!(out, expect);
+        assert_eq!(idx.router_stats().queries, router.queries + 1);
+        assert_eq!(idx.router_stats().shard_visits, router.shard_visits + 1);
+    }
+
+    #[test]
+    fn a_poisoned_deployment_refuses_reads() {
+        let (_, mut idx) = two_shards(&[0, 1]);
+        let q = Aabb::new([590.0; 3], [599.0; 3]);
+        assert_eq!(route(&idx, &q), 1..2);
+        idx.inject_panic_at(0, 0);
+        let spans_shard_0 = Aabb::new([10.0; 3], [80.0; 3]);
+        idx.try_execute_batch(&[spans_shard_0])
+            .expect_err("injected panic");
+        // Shard 1 alone could still read; the deployment refuses.
+        assert!(idx.engines()[1].can_read(&q));
+        let mut out = Vec::new();
+        assert!(!idx.read(&q, &mut out));
+        assert!(out.is_empty());
     }
 
     /// A warmed 3-shard deployment for the snapshot tests.
