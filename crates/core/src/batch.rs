@@ -73,26 +73,11 @@ use crate::fence::KeyFences;
 use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use crate::{EnginePoisoned, Quasii};
+use obs::finish_phase;
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::pool::{self, panic_message};
 use quasii_obs as obs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Closes a batch-phase span: feeds the phase histogram (metrics on) and
-/// emits a [`obs::trace::TraceEvent::BatchPhase`] (tracing on). `t` comes
-/// from [`obs::start_span`], so a disabled site costs two relaxed loads.
-fn finish_phase(t: Option<std::time::Instant>, phase: obs::Phase, queries: u64) {
-    let Some(start) = t else { return };
-    let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    if obs::enabled() {
-        obs::registry::batch_phase(phase).observe(nanos);
-    }
-    obs::trace::record(|| obs::trace::TraceEvent::BatchPhase {
-        phase,
-        queries,
-        nanos,
-    });
-}
 
 /// The one-shot test trap: panics when the worker reaches the trapped
 /// query index (see `Quasii::inject_panic_at`).

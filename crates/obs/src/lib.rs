@@ -93,12 +93,30 @@ pub fn elapsed_nanos(t: Option<Instant>) -> u64 {
     t.map_or(0, |t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
 }
 
+/// Closes a batch-phase span: feeds the phase histogram (metrics on) and
+/// emits a [`trace::TraceEvent::BatchPhase`] (tracing on). `t` comes from
+/// [`start_span`], so a disabled site costs two relaxed loads. The engine
+/// books its phases here, and so does a sharded deployment's read phase.
+pub fn finish_phase(t: Option<Instant>, phase: Phase, queries: u64) {
+    let Some(start) = t else { return };
+    let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    if enabled() {
+        registry::batch_phase(phase).observe(nanos);
+    }
+    trace::record(|| trace::TraceEvent::BatchPhase {
+        phase,
+        queries,
+        nanos,
+    });
+}
+
 /// The batch execution phases the engine reports spans for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Classifying each query of a batch as sealed-read vs crack work.
     Classify,
-    /// The `&self` shared-read pool over the sealed arenas.
+    /// The `&self` shared-read pool over the sealed arenas: an engine's,
+    /// or a sharded deployment's read of its converged queries.
     SealedRead,
     /// The partitioned adaptive (`&mut`) crack phase.
     Crack,

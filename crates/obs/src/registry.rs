@@ -16,7 +16,8 @@ use std::fmt::Write as _;
 // Engine (crates/core)
 // ---------------------------------------------------------------------
 
-/// Per-phase batch span latencies, indexed by [`Phase`] order.
+/// Per-phase batch span latencies, indexed by [`Phase`] order. A sharded
+/// deployment books its read phase as [`Phase::SealedRead`] too.
 pub static BATCH_PHASE_SECONDS: [Histogram; 4] = [
     Histogram::new(),
     Histogram::new(),
@@ -198,28 +199,28 @@ pub struct Def {
 pub static DEFS: &[Def] = &[
     Def {
         name: "quasii_batch_phase_seconds",
-        help: "Batch execution span per phase",
+        help: "Batch execution span per phase, an engine's or a sharded deployment's (its read phase)",
         labels: "phase=\"classify\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&BATCH_PHASE_SECONDS[Phase::Classify as usize]),
     },
     Def {
         name: "quasii_batch_phase_seconds",
-        help: "Batch execution span per phase",
+        help: "Batch execution span per phase, an engine's or a sharded deployment's (its read phase)",
         labels: "phase=\"sealed_read\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&BATCH_PHASE_SECONDS[Phase::SealedRead as usize]),
     },
     Def {
         name: "quasii_batch_phase_seconds",
-        help: "Batch execution span per phase",
+        help: "Batch execution span per phase, an engine's or a sharded deployment's (its read phase)",
         labels: "phase=\"crack\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&BATCH_PHASE_SECONDS[Phase::Crack as usize]),
     },
     Def {
         name: "quasii_batch_phase_seconds",
-        help: "Batch execution span per phase",
+        help: "Batch execution span per phase, an engine's or a sharded deployment's (its read phase)",
         labels: "phase=\"merge\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&BATCH_PHASE_SECONDS[Phase::Merge as usize]),

@@ -19,21 +19,29 @@
 //!   query-extension rule the engine itself applies, using the *global*
 //!   maximum object extent so no shard holding a qualifying record is ever
 //!   skipped).
-//! * **Two-level parallelism** — a batch runs one job per visited shard
-//!   on the process-wide parked-worker pool ([`quasii_common::pool`]; at
-//!   most [`ShardConfig::shard_threads`] threads take part), and each
-//!   shard job runs its sub-batch through [`Quasii::try_execute_batch`],
-//!   which opens its own job list on the same pool (at most
-//!   [`QuasiiConfig::threads`] threads). A shard job works on its own
-//!   nested list instead of waiting for a worker, so however the two knobs
-//!   are set the process computes on no more threads than the host has
-//!   CPUs, and no thread is created per batch.
 //! * **The `&self` read** — [`ShardedQuasii::read`] answers one query
 //!   through [`Quasii::read`] on every shard it routes to, all or nothing:
 //!   if one of them needs a crack it returns `false` having booked nothing,
 //!   and the caller writes through [`ShardedQuasii::try_execute_batch`].
 //!   Any number of threads may read one deployment at once (the service
 //!   does, under a shared lock guard).
+//! * **A batch reads, then writes** — [`ShardedQuasii::try_execute_batch`]
+//!   classifies every query once: routed by the fences, then
+//!   [`Quasii::can_read`] on every shard of its route. The **read phase**
+//!   answers each readable query as the `&self` read does, one job per
+//!   query on the process-wide parked-worker pool
+//!   ([`quasii_common::pool`]; at most [`ShardConfig::shard_threads`]
+//!   threads), and is skipped when no query is readable. The **writer**
+//!   takes the rest with two-level parallelism: one job per visited shard
+//!   (at most `shard_threads` threads), each running its sub-batch through
+//!   [`Quasii::try_execute_batch`], which opens its own job list on the
+//!   same pool (at most [`QuasiiConfig::threads`] threads). A shard job
+//!   works on its own nested list instead of waiting for a worker, so
+//!   however the two knobs are set the process computes on no more threads
+//!   than the host has CPUs, and no thread is created per batch. A
+//!   converged query never enters the writer; the writer's engines sweep
+//!   for new seals before they classify, so a query the read phase left
+//!   them is decided there exactly as if the whole batch had come.
 //!
 //! ## Determinism
 //!
@@ -42,7 +50,9 @@
 //! size**: routing depends only on the fences and the global extent (both
 //! fixed at construction), so each shard always sees the same query
 //! subsequence in the same order, and the engine's batch path is itself
-//! deterministic (see `quasii::Quasii::execute_batch`).
+//! deterministic (see `quasii::Quasii::execute_batch`). A query the read
+//! phase answers is one the shard's engine would have read too (sweeps
+//! only add seals), and reads change no structure.
 //!
 //! ## Persistence
 //!
@@ -95,11 +105,13 @@
 #![warn(missing_docs)]
 
 mod manifest;
+mod order;
 pub mod recovery;
 
 pub use manifest::{part_path, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use recovery::{Coverage, DegradedQuasii, Recovery, RecoveryReport, ShardHealth, ShardStatus};
 
+use order::{merge_sorted, sort_ids};
 use quasii::crack::key_of;
 use quasii::{
     AssignBy, EnginePoisoned, KeyFences, Quasii, QuasiiConfig, QuasiiStats, RepairOutcome,
@@ -108,6 +120,7 @@ use quasii_common::geom::{Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_common::pool;
 use quasii_obs as obs;
+use std::ops::Range;
 
 /// Tuning knobs of [`ShardedQuasii`].
 #[derive(Clone, Debug)]
@@ -118,11 +131,12 @@ pub struct ShardConfig {
     /// than requested (never more) — every planned shard owns a
     /// non-degenerate key range instead of sitting permanently empty.
     pub shards: usize,
-    /// Most threads that run shard jobs of one
+    /// Most threads that run the jobs of one phase of
     /// [`ShardedQuasii::try_execute_batch`] at a time, handed to the pool
-    /// as it is: `0` (the default) means as many as the pool has, `1`
-    /// executes shards sequentially in shard order. Results are identical
-    /// for every value.
+    /// as it is: the read phase's query jobs and the writer's shard jobs.
+    /// `0` (the default) means as many as the pool has, `1` runs each
+    /// phase's jobs sequentially in order. Results are identical for every
+    /// value.
     pub shard_threads: usize,
     /// Upper bound on the number of keys the boundary planner samples
     /// (stride-subsampled deterministically, no RNG).
@@ -209,10 +223,9 @@ pub struct RouterStats {
 }
 
 impl RouterStats {
-    /// Cell order inside the router's [`obs::CounterGroup`] backing store
-    /// (the snapshot/merge idiom shared with the engine's seal counters).
-    pub(crate) const QUERIES: usize = 0;
-    pub(crate) const SHARD_VISITS: usize = 1;
+    /// Cells of the router's [`obs::CounterGroup`] backing store, in the
+    /// order `[queries, shard_visits]` (the snapshot/merge idiom shared
+    /// with the engine's seal counters).
     pub(crate) const CELLS: usize = 2;
 
     /// One consistent snapshot of the router's counter group.
@@ -254,9 +267,9 @@ pub struct ShardedQuasii<const D: usize> {
     poisoned: Option<String>,
 }
 
-/// One unit of shard work inside a batch: the target engine, the batch
-/// indices routed to it, and the hits it produced (each vector already in
-/// canonical ascending-id order).
+/// One job of a batch's writer: the target engine, the indices of the
+/// batch queries the read phase left and routed to it, and the hits it
+/// produced (each vector already in canonical ascending-id order).
 struct Task<'a, const D: usize> {
     shard: usize,
     engine: &'a mut Quasii<D>,
@@ -494,9 +507,11 @@ impl<const D: usize> ShardedQuasii<D> {
     }
 
     /// Test seam: arms a one-shot panic inside shard `shard`'s engine that
-    /// fires on the `query_index`-th query of its **next sub-batch** (the
-    /// shard-local index, not the batch-global one). See
-    /// `Quasii::inject_panic_at`.
+    /// fires on the `query_index`-th query of its **next writer
+    /// sub-batch** (the shard-local index among the queries that reach the
+    /// writer, not the batch-global one). A query the read phase answers
+    /// never reaches an engine sub-batch, so on a converged shard the trap
+    /// waits. See `Quasii::inject_panic_at`.
     #[doc(hidden)]
     pub fn inject_panic_at(&mut self, shard: usize, query_index: usize) {
         self.shards[shard].inject_panic_at(query_index);
@@ -517,30 +532,53 @@ impl<const D: usize> ShardedQuasii<D> {
         if self.poisoned.is_some() {
             return false;
         }
+        match self.route(q) {
+            Ok(route) => {
+                self.read_routed(q, route, out);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// The deployment's one read-or-write decision, made by
+    /// [`read`](Self::read) and by a batch's classification. It routes `q`
+    /// to the shards whose fence ranges its extension-adjusted span on
+    /// dimension 0 overlaps; `Ok` carries that route when every shard on it
+    /// can read `q`, `Err` when one needs the writer.
+    fn route(&self, q: &Aabb<D>) -> Result<Range<usize>, Range<usize>> {
         let route = self
             .fences
             .overlapping(q.lo[0] - self.ext_low0, q.hi[0] + self.ext_high0);
-        let shards = &self.shards[route];
-        if !shards.iter().all(|s| s.can_read(q)) {
-            return false;
+        if self.shards[route.clone()].iter().all(|s| s.can_read(q)) {
+            Ok(route)
+        } else {
+            Err(route)
         }
+    }
+
+    /// The body of [`read`](Self::read) once [`route`](Self::route) said
+    /// `Ok(route)`: reads every shard of `route` into `out`, puts the
+    /// appended ids into canonical order and books the router counters and
+    /// one fan-out observation.
+    fn read_routed(&self, q: &Aabb<D>, route: Range<usize>, out: &mut Vec<u64>) {
         let start = out.len();
-        for s in shards {
+        for s in &self.shards[route.clone()] {
             let answered = s.read(q, out);
             debug_assert!(answered, "a shard that can read reads");
         }
         // The shards are disjoint: one sort equals sorting each run and
         // merging them.
-        out[start..].sort_unstable();
-        self.router.merge(&[1, shards.len() as u64]);
+        sort_ids(&mut out[start..]);
+        self.router.merge(&[1, route.len() as u64]);
         if obs::enabled() {
-            obs::registry::SHARD_FANOUT.observe(shards.len() as u64);
+            obs::registry::SHARD_FANOUT.observe(route.len() as u64);
         }
-        true
     }
 
-    /// Executes a batch of range queries across the shards — one pool job
-    /// per visited shard, each shard's sub-batch through the engine's own
+    /// Executes a batch of range queries across the shards — a read phase
+    /// for the converged queries, then one pool job per shard the rest
+    /// visit, each shard's sub-batch through the engine's own
     /// batch-parallel path — and returns one id vector per query (in
     /// `queries` order, each in canonical ascending-id order).
     ///
@@ -551,37 +589,6 @@ impl<const D: usize> ShardedQuasii<D> {
         match self.try_execute_batch(queries) {
             Ok(results) => results,
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Books a batch's routing decision into the global registry: one
-    /// fan-out histogram observation per query, one [`ShardRoute`] trace
-    /// event per visited shard. `assigned` is the router's per-shard query
-    /// lists. Pure side channel — routing itself never reads the registry.
-    ///
-    /// [`ShardRoute`]: obs::trace::TraceEvent::ShardRoute
-    fn observe_routing(&self, query_count: usize, assigned: &[Vec<usize>]) {
-        if obs::enabled() {
-            obs::registry::SHARD_BATCHES_TOTAL.inc();
-            let mut fanout = vec![0u64; query_count];
-            for per_shard in assigned {
-                for &j in per_shard {
-                    fanout[j] += 1;
-                }
-            }
-            for f in fanout {
-                obs::registry::SHARD_FANOUT.observe(f);
-            }
-        }
-        if obs::trace::on() {
-            for (k, per_shard) in assigned.iter().enumerate() {
-                if !per_shard.is_empty() {
-                    obs::trace::record(|| obs::trace::TraceEvent::ShardRoute {
-                        shard: k as u64,
-                        queries: per_shard.len() as u64,
-                    });
-                }
-            }
         }
     }
 
@@ -619,27 +626,94 @@ impl<const D: usize> ShardedQuasii<D> {
         if let Some(e) = self.poison_error() {
             return Err(e);
         }
-        self.router.add(RouterStats::QUERIES, queries.len() as u64);
         let mut results: Vec<Vec<u64>> = Vec::with_capacity(queries.len());
         results.resize_with(queries.len(), Vec::new);
         if queries.is_empty() {
             return Ok(results);
         }
-        // Route by each query's extension-adjusted span on dimension 0.
-        let assigned = self.fences.assign(
-            queries
-                .iter()
-                .map(|q| (q.lo[0] - self.ext_low0, q.hi[0] + self.ext_high0)),
-        );
-        self.router.add(
-            RouterStats::SHARD_VISITS,
-            assigned.iter().map(|a| a.len() as u64).sum::<u64>(),
-        );
-        self.observe_routing(queries.len(), &assigned);
+        if obs::enabled() {
+            obs::registry::SHARD_BATCHES_TOTAL.inc();
+        }
 
+        // Classify each query once: the read phase takes it when every
+        // shard it routes to can read it, the writer takes the rest (listed
+        // per shard, in batch order). A read books its own router counters.
+        let mut reads: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut writes: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let (mut written, mut visits) = (0u64, 0u64);
+        for (j, q) in queries.iter().enumerate() {
+            match self.route(q) {
+                Ok(route) => reads.push((j, route)),
+                Err(route) => {
+                    written += 1;
+                    visits += route.len() as u64;
+                    if obs::enabled() {
+                        obs::registry::SHARD_FANOUT.observe(route.len() as u64);
+                    }
+                    for k in route {
+                        writes[k].push(j);
+                    }
+                }
+            }
+        }
+
+        // Reads first: they change no structure, so they commute with the
+        // writer's cracks.
+        self.read_phase(queries, &reads, &mut results)?;
+        if written > 0 {
+            self.router.merge(&[written, visits]);
+            self.write(queries, writes, &mut results)?;
+        }
+        self.publish_shard_gauges();
+        Ok(results)
+    }
+
+    /// A batch's read phase: each `(batch index, route)` of `reads`
+    /// answered through [`read_routed`](Self::read_routed), one pool job
+    /// per query over `&self` on at most `shard_threads` threads, each into
+    /// its own result slot; booked as the [`obs::Phase::SealedRead`] span.
+    /// A read changes no structure, but a panicking job (a bug) leaves the
+    /// batch unanswered, so it poisons the deployment.
+    fn read_phase(
+        &mut self,
+        queries: &[Aabb<D>],
+        reads: &[(usize, Range<usize>)],
+        results: &mut [Vec<u64>],
+    ) -> Result<(), EnginePoisoned> {
+        if reads.is_empty() {
+            return Ok(());
+        }
+        let span = obs::start_span();
+        let mut slots = vec![Vec::new(); reads.len()];
+        let this: &Self = self;
+        let run = pool::for_each_mut(&mut slots, self.cfg.shard_threads, |t, out| {
+            let (j, route) = &reads[t];
+            this.read_routed(&queries[*j], route.clone(), out);
+        });
+        for ((j, _), out) in reads.iter().zip(slots) {
+            results[*j] = out;
+        }
+        obs::finish_phase(span, obs::Phase::SealedRead, reads.len() as u64);
+        run.map_err(|p| self.poison(format!("read phase: {}", p.message)))
+    }
+
+    /// A batch's writer: one pool job per shard with queries in `writes`
+    /// (batch indices per shard, ascending), each running its sub-batch
+    /// through [`Quasii::try_execute_batch`]; the answers are merged into
+    /// `results` per query in shard order.
+    fn write(
+        &mut self,
+        queries: &[Aabb<D>],
+        writes: Vec<Vec<usize>>,
+        results: &mut [Vec<u64>],
+    ) -> Result<(), EnginePoisoned> {
         let mut tasks: Vec<Task<'_, D>> = Vec::new();
-        for ((shard, engine), queries) in self.shards.iter_mut().enumerate().zip(assigned) {
+        for ((shard, engine), queries) in self.shards.iter_mut().enumerate().zip(writes) {
             if !queries.is_empty() {
+                obs::trace::record(|| obs::trace::TraceEvent::ShardRoute {
+                    shard: shard as u64,
+                    queries: queries.len() as u64,
+                });
                 tasks.push(Task {
                     shard,
                     engine,
@@ -660,7 +734,7 @@ impl<const D: usize> ShardedQuasii<D> {
                 Err(e) => t.error = Some(e.detail),
             }
             for h in &mut t.hits {
-                h.sort_unstable();
+                sort_ids(h);
             }
         });
         // The engine catches its own query-worker panics; the pool
@@ -679,10 +753,7 @@ impl<const D: usize> ShardedQuasii<D> {
                 t.shard,
                 t.error.as_deref().unwrap_or("worker panic")
             );
-            if self.poisoned.is_none() {
-                self.poisoned = Some(detail.clone());
-            }
-            return Err(EnginePoisoned { detail });
+            return Err(self.poison(detail));
         }
 
         // Merge per query in shard order. Shards are disjoint and each run
@@ -699,27 +770,15 @@ impl<const D: usize> ShardedQuasii<D> {
                 };
             }
         }
-        self.publish_shard_gauges();
-        Ok(results)
+        Ok(())
     }
-}
 
-/// Merges two ascending runs into one.
-fn merge_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
+    /// Poisons the deployment mid-batch (it was clean when the batch
+    /// started) and returns the batch's error.
+    fn poison(&mut self, detail: String) -> EnginePoisoned {
+        self.poisoned = Some(detail.clone());
+        EnginePoisoned { detail }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 impl<const D: usize> SpatialIndex<D> for ShardedQuasii<D> {
@@ -1052,10 +1111,16 @@ mod tests {
     /// A two-shard deployment over 3 000 boxes in `[0, 600]³`, with the
     /// shards `sealed` finalized and sealed and the others fresh.
     fn two_shards(sealed: &[usize]) -> (Vec<Record<3>>, ShardedQuasii<3>) {
+        deployment(sealed, 0)
+    }
+
+    /// [`two_shards`] with both thread knobs at `threads`.
+    fn deployment(sealed: &[usize], threads: usize) -> (Vec<Record<3>>, ShardedQuasii<3>) {
         let data = uniform_boxes_in::<3>(3_000, 600.0, 130);
         let cfg = ShardConfig::default()
             .with_shards(2)
-            .with_inner(QuasiiConfig::with_tau(16));
+            .with_shard_threads(threads)
+            .with_inner(QuasiiConfig::with_tau(16).with_threads(threads));
         let mut idx = ShardedQuasii::new(data.clone(), cfg);
         assert_eq!(idx.shard_count(), 2);
         for &k in sealed {
@@ -1065,10 +1130,9 @@ mod tests {
         (data, idx)
     }
 
-    /// The shards `idx` routes `q` to.
-    fn route(idx: &ShardedQuasii<3>, q: &Aabb<3>) -> std::ops::Range<usize> {
-        idx.fences
-            .overlapping(q.lo[0] - idx.ext_low0, q.hi[0] + idx.ext_high0)
+    /// The shards `idx` routes `q` to, readable or not.
+    fn route(idx: &ShardedQuasii<3>, q: &Aabb<3>) -> Range<usize> {
+        idx.route(q).unwrap_or_else(|route| route)
     }
 
     /// Thin slabs astride the fence on dimension 0: each visits both shards.
@@ -1133,18 +1197,63 @@ mod tests {
 
     #[test]
     fn a_poisoned_deployment_refuses_reads() {
-        let (_, mut idx) = two_shards(&[0, 1]);
+        // Shard 0 is fresh, so a query there reaches the writer and its
+        // trap; a read phase never enters an engine sub-batch.
+        let (_, mut idx) = two_shards(&[1]);
         let q = Aabb::new([590.0; 3], [599.0; 3]);
         assert_eq!(route(&idx, &q), 1..2);
         idx.inject_panic_at(0, 0);
-        let spans_shard_0 = Aabb::new([10.0; 3], [80.0; 3]);
-        idx.try_execute_batch(&[spans_shard_0])
+        let on_shard_0 = Aabb::new([10.0; 3], [80.0; 3]);
+        assert_eq!(route(&idx, &on_shard_0), 0..1);
+        let err = idx
+            .try_execute_batch(&[on_shard_0])
             .expect_err("injected panic");
+        assert!(err.detail.starts_with("shard 0: "), "{err}");
         // Shard 1 alone could still read; the deployment refuses.
         assert!(idx.engines()[1].can_read(&q));
         let mut out = Vec::new();
         assert!(!idx.read(&q, &mut out));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_mixed_batch_books_every_query_once() {
+        // Shard 0 sealed, shard 1 fresh: a query on shard 0 alone is read,
+        // one astride the fence goes to the writer. The batch alternates.
+        let (data, mut batched) = two_shards(&[0]);
+        let straddling = astride_the_fence(&batched, 6);
+        let mut queries = Vec::new();
+        for (i, &astride) in straddling.iter().enumerate() {
+            let v = 10.0 + i as f64 * 15.0;
+            let read = Aabb::new([v; 3], [v + 60.0; 3]);
+            assert!(batched.route(&read) == Ok(0..1), "{read:?} is read");
+            assert!(
+                batched.route(&astride) == Err(0..2),
+                "{astride:?} is written"
+            );
+            queries.extend([read, astride]);
+        }
+        let got = batched.execute_batch(&queries);
+
+        let (_, mut singles) = two_shards(&[0]);
+        let one_by_one: Vec<Vec<u64>> = queries.iter().map(|q| singles.query_collect(q)).collect();
+        let (_, mut sequential) = deployment(&[0], 1);
+        let t1 = sequential.execute_batch(&queries);
+
+        assert_eq!(got, one_by_one);
+        assert_eq!(got, t1);
+        for (q, ids) in queries.iter().zip(&got) {
+            assert_eq!(ids, &brute_force(&data, q));
+        }
+        for other in [&singles, &sequential] {
+            assert_eq!(batched.stats(), other.stats());
+            assert_eq!(batched.router_stats(), other.router_stats());
+        }
+        // Once each: 6 reads of shard 0, 6 writes of both shards.
+        let router = batched.router_stats();
+        assert_eq!(router.queries, 12);
+        assert_eq!(router.shard_visits, 18);
+        assert_eq!(batched.stats().queries, 18, "one engine query per visit");
     }
 
     /// A warmed 3-shard deployment for the snapshot tests.

@@ -21,6 +21,7 @@
 //!   partial answers as complete ones.
 
 use crate::manifest::{load_shard, parse_manifest, part_path, Manifest};
+use crate::order::sort_ids;
 use crate::ShardedQuasii;
 use quasii::crack::key_of;
 use quasii::snapshot::SnapshotError;
@@ -314,7 +315,7 @@ impl<const D: usize> DegradedQuasii<D> {
                 None => missing.push(k),
             }
         }
-        hits.sort_unstable();
+        sort_ids(&mut hits);
         if obs::enabled() {
             obs::registry::DEGRADED_QUERIES_TOTAL.inc();
             if !missing.is_empty() {
