@@ -40,6 +40,11 @@
 //!
 //! `validate()` re-checks the invariant over the whole hierarchy after every
 //! operation in the test suites.
+//!
+//! The columns under a sealed region are **unspecified**: every slice
+//! there is refined, so the invariant says nothing about them, and no
+//! crack ever reads them again. A snapshot does not store them, and the
+//! loader leaves them zero (see `crate::persist`).
 
 use crate::config::AssignBy;
 use crate::crack::key_of;
@@ -147,8 +152,9 @@ impl KeyColumn {
 
     /// Rebuilds the pair from columns serialized out of another index —
     /// the snapshot loader's path (see `crate::persist`). The caller
-    /// guarantees both columns came from a built `KeyColumn` of the same
-    /// dataset permutation, so the module invariant carries over verbatim.
+    /// guarantees that outside the sealed regions both columns equal those
+    /// of a built `KeyColumn` of the same dataset permutation, so the
+    /// module invariant carries over verbatim.
     pub(crate) fn from_raw(keys: Vec<f64>, his: Vec<f64>) -> Self {
         debug_assert_eq!(keys.len(), his.len());
         Self { keys, his }

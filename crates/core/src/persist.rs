@@ -13,7 +13,7 @@
 //! permutation) to the writer — the warm-start contract `tests/persist.rs`
 //! enforces property-based.
 //!
-//! # Buffer layout (format version 2)
+//! # Buffer layout (format version 3)
 //!
 //! All scalars little-endian; every section a multiple of 8 bytes, so each
 //! section (and in particular every region blob) starts 8-aligned. The
@@ -22,7 +22,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "QSIISNAP"
-//!      8     4  format version (u32, currently 2)
+//!      8     4  format version (u32, currently 3)
 //!     12     4  dimensionality D (u32)
 //!     16     8  checksum64 of bytes[24..]  (the "header word")
 //!     24     8  total buffer length in bytes
@@ -39,8 +39,9 @@
 //! the part again. Neither side makes a pass of its own for it: the writer
 //! announces the exact length, so the sum follows the encoder block by
 //! block ([`Writer`]); the loader hashes each block of the record and key
-//! sections right before it decodes it ([`Verifier`]) and the rest (slice
-//! tree, region table, blobs) at the end. A block is then read from memory
+//! sections right before it decodes it ([`Verifier`]), and each region blob
+//! (the slice tree and region table before the first) right before it
+//! rebuilds the blob's rows. A block is then read from memory
 //! once, and the sum runs at the speed of its multiplies whatever the
 //! memory system is doing: a separate 64 MB pass read at half that speed
 //! and was the part of a restart that differed most from one run to the
@@ -60,9 +61,10 @@
 //! f64 ×2D                    ext_low, ext_high (query extension amounts)
 //! f64 ×2D                    data_bounds lo, hi
 //! u64 + pairs                seal-dirty spans: count, then (lo, hi) each
-//! n × (u64 + 2D f64)         records in permuted order: id, mbb lo, mbb hi
-//! u64 [+ 2n f64]             key columns: present flag (1 iff n > 0), then
-//!                            keys[n], his[n]
+//! u64 s                      stored rows: the records outside every seal
+//! s × (u64 + 2D f64)         those records in permuted order, span after
+//!                            span: id, mbb lo, mbb hi
+//! 2s f64                     their key columns: keys[s], then his[s]
 //! u64 + tree                 slice-tree skeleton: root count, then pre-order
 //!                            nodes (level, begin, end, flags[refined,
 //!                            keys_fresh], cut_lo, cut_hi, key_lo, bbox lo/hi,
@@ -72,6 +74,11 @@
 //! blobs                      region blobs, back-to-back, 8-aligned, in the
 //!                            position-independent layout of `crate::seal`
 //! ```
+//!
+//! A sealed record is stored once, as its arena (a seal is permanent): the
+//! loader rebuilds its row from the blob's id and MBB columns, bit for bit
+//! (`hi = -nhi` is exact), and leaves its key windows zero (every sealed
+//! slice is refined, and `crate::keys` speaks only for unrefined ones).
 //!
 //! # Versioning policy
 //!
@@ -90,7 +97,9 @@
 //! dimensionality are checked up front, every subsequent read is
 //! bounds-checked, the slice tree is re-validated to exactly partition the
 //! dataset (which bounds recursion at `D` and every index at `n`), and each
-//! region blob re-runs `SealedRegion::from_blob`'s structural checks. The
+//! region blob re-runs `SealedRegion::from_blob`'s structural checks. `n`
+//! is proven by the stored rows plus the regions' records (`s ≤ n` before
+//! the rows are read, `s + Σ == n` before anything is sized by `n`). The
 //! decoder works beside the sum, so it sees bytes before they are vouched
 //! for; it sizes nothing by a count it has not checked against the buffer,
 //! its result is dropped unless the sum accepts the buffer, and the sum's
@@ -105,13 +114,14 @@ use crate::slice::Slice;
 use crate::{config, Quasii, QuasiiConfig, QuasiiStats};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::snapshot::{corrupt, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// First 8 bytes of every engine snapshot.
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -256,6 +266,19 @@ fn write_slice<const D: usize>(w: &mut Writer, s: &Slice<D>) {
     }
 }
 
+/// The spans of `0..n` before, between and after the seals, in order
+/// (`seals` is sorted by `begin`); any of them may be empty.
+fn unsealed<const D: usize>(
+    seals: &[SealedRegion<D>],
+    n: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let begins = seals.iter().map(|r| r.begin).chain([n]);
+    std::iter::once(0)
+        .chain(seals.iter().map(|r| r.end))
+        .zip(begins)
+        .map(|(a, b)| a..b)
+}
+
 pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, SnapshotError> {
     require_little_endian()?;
     // Never persist a state that might be mid-crack inconsistent: a
@@ -270,8 +293,8 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     idx.try_seal();
 
     let n = idx.data.len();
-    let has_keys = idx.keys.is_built(n) && n > 0;
-    debug_assert_eq!(has_keys, n > 0, "`write` runs after `ensure_init`");
+    debug_assert!(idx.keys.is_built(n), "`write` runs after `ensure_init`");
+    let stored = n - idx.sealed_record_count;
     // The layout is determined before the first byte is written, so the
     // buffer is sized exactly and never reallocates (a 64 MB `Vec` that
     // outgrows its reserve copies the whole snapshot once more).
@@ -281,8 +304,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     let total = FRAME_LEN
         + (21 + 4 * D) * 8 // scalars up to the bounds
         + 8 + idx.seal_dirty.len() * 16
-        + n * record_bytes
-        + 8 + if has_keys { n * 16 } else { 0 }
+        + 8 + stored * (record_bytes + 16)
         + 8 + idx.slice_count() * slice_bytes
         + 8 + idx.seals.len() * 32
         + blob_bytes;
@@ -334,22 +356,24 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
         w.u64(hi as u64);
     }
 
-    // Records, in the engine's current (cracked) permutation — reloading
-    // them verbatim is what makes the reloaded permutation byte-identical.
+    // The records outside the seals, in the engine's current (cracked)
+    // permutation — reloading them verbatim, and the sealed ones from
+    // their arenas, is what makes the reloaded permutation byte-identical.
     // Three appends into reserved space per record: the section is bound
     // by first-touch page faults of the fresh buffer, and a zero-filling
     // reserve would touch it twice.
-    for r in &idx.data {
-        w.bytes(&r.id.to_le_bytes());
-        w.bytes(r.mbb.lo.map(f64::to_le_bytes).as_flattened());
-        w.bytes(r.mbb.hi.map(f64::to_le_bytes).as_flattened());
+    w.u64(stored as u64);
+    for span in unsealed(&idx.seals, n) {
+        for r in &idx.data[span] {
+            w.bytes(&r.id.to_le_bytes());
+            w.bytes(r.mbb.lo.map(f64::to_le_bytes).as_flattened());
+            w.bytes(r.mbb.hi.map(f64::to_le_bytes).as_flattened());
+        }
     }
-
-    // Key columns (built whenever the dataset is non-empty).
-    w.u64(u64::from(has_keys));
-    if has_keys {
-        w.f64s(idx.keys.keys());
-        w.f64s(idx.keys.his());
+    for column in [idx.keys.keys(), idx.keys.his()] {
+        for span in unsealed(&idx.seals, n) {
+            w.f64s(&column[span]);
+        }
     }
 
     // Slice-tree skeleton, pre-order — enough to revive the unsealed
@@ -457,6 +481,19 @@ fn read_slice<const D: usize>(
     })
 }
 
+/// Appends `region`'s records, rebuilt from its arena columns (re-sliced to
+/// the record count, so the transpose runs free of bounds checks).
+fn push_rows<const D: usize>(region: &SealedRegion<D>, data: &mut Vec<Record<D>>) {
+    let m = region.records();
+    let ids = &region.ids()[..m];
+    let lo: [&[f64]; D] = std::array::from_fn(|d| &region.rec_lo(d)[..m]);
+    let nhi: [&[f64]; D] = std::array::from_fn(|d| &region.rec_nhi(d)[..m]);
+    data.extend((0..m).map(|p| {
+        let (lo, hi) = (lo.map(|c| c[p]), nhi.map(|c| -c[p]));
+        Record::new(u64::from(ids[p]), Aabb { lo, hi })
+    }));
+}
+
 /// Reads the frame of an engine snapshot, which must span the whole
 /// buffer.
 fn open_frame(bytes: &[u8]) -> Result<Frame, SnapshotError> {
@@ -498,8 +535,8 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
 }
 
 /// Decodes the body of a snapshot whose frame [`load`] has read, advancing
-/// `sum` ahead of the two big sections. Its result means nothing until
-/// `sum` has accepted the buffer.
+/// `sum` ahead of each block of the row and key sections and of each region
+/// blob. Its result means nothing until `sum` has accepted the buffer.
 fn decode<const D: usize>(
     buf: &Arc<AlignedBytes>,
     sum: &mut Verifier,
@@ -568,13 +605,17 @@ fn decode<const D: usize>(
         seal_dirty.push((lo, hi));
     }
 
-    // Bulk-decode the two big sections (records, key columns): one bounds
-    // check for the whole section, then fixed-stride entries — per-scalar
+    // Bulk-decode the stored rows and their key columns: one bounds check
+    // for the whole section, then fixed-stride entries — per-scalar
     // `Reader` calls are fine for headers but dominate load time at n ~ 10⁶.
-    // `entries` succeeding also proves `n` honest, so the reserve below is
-    // bounded by the buffer length.
-    let blocks = r.blocks(n, (1 + 2 * D) * 8, "records")?;
-    let mut data = Vec::with_capacity(n);
+    // `blocks` succeeding also proves `stored` honest, so the reserves
+    // below are bounded by the buffer length.
+    let stored = r.index("stored-row count")?;
+    if stored > n {
+        return Err(corrupt(format!("{stored} stored rows for {n} records")));
+    }
+    let blocks = r.blocks(stored, (1 + 2 * D) * 8, "records")?;
+    let mut rows = Vec::with_capacity(stored);
     for (end, entries) in blocks {
         sum.advance(end);
         for c in entries {
@@ -588,32 +629,20 @@ fn decode<const D: usize>(
                 let at = 8 + 8 * (D + d);
                 *v = f64::from_le_bytes(c[at..at + 8].try_into().unwrap());
             }
-            data.push(Record::new(id, Aabb { lo, hi }));
+            rows.push(Record::new(id, Aabb { lo, hi }));
         }
     }
-
-    let has_keys = r.flag("key-column flag")?;
-    if has_keys != (n > 0) {
-        return Err(corrupt(
-            "key-column presence disagrees with the record count",
-        ));
-    }
-    let keys = if has_keys {
-        let mut column = |what| -> Result<Vec<f64>, SnapshotError> {
-            let blocks = r.blocks(n, 8, what)?;
-            let mut vs = Vec::with_capacity(n);
-            for (end, entries) in blocks {
-                sum.advance(end);
-                vs.extend(entries.map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))));
-            }
-            Ok(vs)
-        };
-        let ks = column("keys")?;
-        let hs = column("key upper bounds")?;
-        KeyColumn::from_raw(ks, hs)
-    } else {
-        KeyColumn::new()
+    let mut column = |what| -> Result<Vec<f64>, SnapshotError> {
+        let blocks = r.blocks(stored, 8, what)?;
+        let mut vs = Vec::with_capacity(stored);
+        for (end, entries) in blocks {
+            sum.advance(end);
+            vs.extend(entries.map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))));
+        }
+        Ok(vs)
     };
+    let ks = column("keys")?;
+    let hs = column("key upper bounds")?;
 
     let root_count = r.index("root-slice count")?;
     let mut root = Vec::new();
@@ -680,8 +709,39 @@ fn decode<const D: usize>(
     if !cfg.seal && !seals.is_empty() {
         return Err(corrupt("sealed regions present with sealing disabled"));
     }
+    // `stored ≤ n` holds; the regions must hold exactly the other records.
+    let sealed_record_count: usize = seals.iter().map(SealedRegion::records).sum();
+    if n - stored != sealed_record_count {
+        return Err(corrupt(format!(
+            "{stored} stored rows and {sealed_record_count} sealed records for {n} records"
+        )));
+    }
 
-    let sealed_record_count = seals.iter().map(SealedRegion::records).sum();
+    // The data array, span after span: stored rows between the seals, each
+    // seal's rows rebuilt from its arena (without seals, no copy at all).
+    let (data, keys) = if seals.is_empty() {
+        (rows, KeyColumn::from_raw(ks, hs))
+    } else {
+        let mut data = Vec::with_capacity(n);
+        // Key windows under a seal stay zero pages nobody touches.
+        let (mut keys, mut his) = (vec![0.0; n], vec![0.0; n]);
+        let (mut at, mut blob_end) = (0, table_end);
+        let regions = seals.iter().map(Some).chain([None]);
+        for (span, region) in unsealed(&seals, n).zip(regions) {
+            let next = at + span.len();
+            data.extend_from_slice(&rows[at..next]);
+            keys[span.clone()].copy_from_slice(&ks[at..next]);
+            his[span].copy_from_slice(&hs[at..next]);
+            at = next;
+            if let Some(region) = region {
+                // Hash the blob right before its columns are read.
+                blob_end += region.blob().len();
+                sum.advance(blob_end);
+                push_rows(region, &mut data);
+            }
+        }
+        (data, KeyColumn::from_raw(keys, his))
+    };
     let mut rt = Runtime::new();
     rt.stats = stats;
     Ok(Quasii {
@@ -813,9 +873,9 @@ mod tests {
         let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
         idx.finalize();
         let snap = idx.write_snapshot().expect("write");
-        // The record count (the decoder stops at "records ... remain"), a
-        // config word (an unknown assignment mode), the last byte (the
-        // decoder never looks at it).
+        // The record count (the decoder stops where the root slices fall
+        // short of it), a config word (an unknown assignment mode), the
+        // last byte (the decoder never looks at it).
         for (at, byte) in [
             (FRAME_LEN + 7, 0x7f),
             (FRAME_LEN + 24, 9),
@@ -830,6 +890,130 @@ mod tests {
                 other => panic!("byte {at}: expected Corrupt, got {:?}", other.map(|_| ())),
             }
         }
+    }
+
+    /// Offset of the stored-row count: the frame, the scalars up to the
+    /// bounds, then the seal-dirty spans.
+    fn stored_at<const D: usize>(idx: &Quasii<D>) -> usize {
+        FRAME_LEN + (21 + 4 * D) * 8 + 8 + 16 * idx.seal_dirty.len()
+    }
+
+    fn word(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    fn put_word(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// The length of a snapshot that stores `stored` rows, from the parts
+    /// the layout names.
+    fn expected_len<const D: usize>(idx: &Quasii<D>, stored: usize) -> usize {
+        let blobs: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
+        stored_at(idx)
+            + 8
+            + stored * (8 + 16 * D + 16)
+            + 8
+            + idx.slice_count() * (8 + 2 * D) * 8
+            + 8
+            + idx.seals.len() * 32
+            + blobs
+    }
+
+    /// Loads a forged buffer whose checksum was recomputed, so the decoder,
+    /// not the sum, must name what is wrong with it.
+    fn forged_reason<const D: usize>(mut bytes: Vec<u8>) -> String {
+        let sum = quasii_common::snapshot::checksum64(&bytes[24..]);
+        put_word(&mut bytes, 16, sum);
+        match Quasii::<D>::from_snapshot(bytes) {
+            Err(SnapshotError::Corrupt(why)) => {
+                assert!(!why.contains("checksum"), "the sum accepted it: {why}");
+                why
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn a_partially_sealed_snapshot_stores_only_the_unsealed_rows() {
+        let data = uniform_boxes_in::<3>(3_000, 500.0, 42);
+        let n = data.len();
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
+        // A slab across the whole y, z extent converges the root slices it
+        // touches and leaves those on both sides unrefined.
+        idx.query_collect(&Aabb::new([200.0, -1.0, -1.0], [260.0, 501.0, 501.0]));
+        let snap = idx.write_snapshot().expect("write");
+        let sealed = idx.sealed_records();
+        assert!(idx.seals[0].begin > 0 && idx.seals.last().unwrap().end < n);
+        assert!(sealed > 0 && sealed < n);
+        assert_eq!(word(&snap, stored_at(&idx)), (n - sealed) as u64);
+        assert_eq!(snap.len(), expected_len(&idx, n - sealed));
+
+        let mut re = Quasii::<3>::from_snapshot(snap.clone()).expect("load");
+        assert_eq!(re.data(), idx.data(), "permutation is byte-identical");
+        assert_eq!(re.sealed_records(), sealed);
+        re.validate().expect("reloaded invariants");
+        assert_eq!(re.write_snapshot().expect("rewrite"), snap);
+        let q = Aabb::new([100.0; 3], [300.0; 3]);
+        assert_eq!(re.query_collect(&q), idx.query_collect(&q));
+        re.validate()
+            .expect("invariants after a crack beside the seals");
+    }
+
+    #[test]
+    fn a_fully_sealed_snapshot_stores_no_rows() {
+        let data = uniform_boxes_in::<2>(2_000, 100.0, 21);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
+        idx.finalize();
+        let snap = idx.write_snapshot().expect("write");
+        assert_eq!(idx.sealed_fraction(), 1.0);
+        assert_eq!(word(&snap, stored_at(&idx)), 0);
+        assert_eq!(snap.len(), expected_len(&idx, 0));
+        let mut re = Quasii::<2>::from_snapshot(snap.clone()).expect("load");
+        assert_eq!(re.data(), idx.data());
+        re.validate().expect("reloaded invariants");
+        assert_eq!(re.write_snapshot().expect("rewrite"), snap);
+    }
+
+    #[test]
+    fn forged_counts_are_named_corrupt() {
+        let data = uniform_boxes_in::<2>(500, 50.0, 13);
+        let n = data.len();
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
+        idx.finalize();
+        let snap = idx.write_snapshot().expect("write");
+        let at = stored_at(&idx);
+
+        // More stored rows than records.
+        let mut bad = snap.clone();
+        put_word(&mut bad, at, n as u64 + 1);
+        let why = forged_reason::<2>(bad);
+        assert!(why.contains("stored rows for"), "{why}");
+
+        // One stored row beside seals that already cover every record: the
+        // row, its two keys, and every offset behind them moved.
+        let row = 8 + 16 * 2 + 16;
+        let mut bad = snap[..at].to_vec();
+        bad.extend_from_slice(&1u64.to_le_bytes());
+        bad.resize(bad.len() + row, 0);
+        bad.extend_from_slice(&snap[at + 8..]);
+        let len = bad.len();
+        put_word(&mut bad, 24, len as u64);
+        let blobs: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
+        let table = len - blobs - 32 * idx.seals.len();
+        for k in 0..idx.seals.len() {
+            let off = table + 32 * k + 16;
+            let moved = word(&bad, off) + row as u64;
+            put_word(&mut bad, off, moved);
+        }
+        let why = forged_reason::<2>(bad);
+        assert!(why.contains("sealed records for"), "{why}");
+
+        // A record count no buffer could hold, on a snapshot that stores
+        // no rows: refused before anything is sized by it.
+        let mut bad = snap;
+        put_word(&mut bad, FRAME_LEN, 1 << 60);
+        forged_reason::<2>(bad);
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl<const D: usize> ShardedQuasii<D> {
     /// extension/counters, and a per-shard record-count/length/header-word
     /// table). The shards are written one after another (loading them is
     /// parallel); writing them as pool jobs is measured and waits for its
-    /// own change, see ROADMAP.md item 2.
+    /// own change, see ROADMAP.md item 5(a).
     ///
     /// Like the engine's `write_snapshot`, this sweeps pending seal work
     /// first, so a snapshot captures the post-sweep state.
