@@ -208,6 +208,33 @@ const CHECKSUM_FROM: usize = 24;
 /// small enough to still sit in cache, large enough to amortise the call.
 pub const HASH_BLOCK: usize = 64 * 1024;
 
+/// Twice glibc's ceiling for its dynamic mmap threshold
+/// (`DEFAULT_MMAP_THRESHOLD_MAX`, 32 MiB on 64-bit), which is the largest
+/// its trim threshold gets: glibc gives a top chunk of this size back to
+/// the system as soon as a chunk beside it is freed, so a larger request
+/// finds no top chunk to come from and is served by a mapping of its own.
+const OWN_MAPPING: usize = 64 << 20;
+
+/// The capacity to reserve for `len` elements of `T` that a snapshot
+/// writes or loads. From 16 MiB on it is more than [`OWN_MAPPING`] bytes
+/// (at most four times the address space, never more memory): the vector
+/// is then a mapping of its own, its pages past `len` are never touched,
+/// and dropping it unmaps it, so its pages are faulted in fresh every time
+/// whatever the heap did before. Left to the allocator, the 28 MB buffers
+/// of a two-shard million-record engine (a part, a loaded data array) sat
+/// right at glibc's dynamic threshold, and whether their pages were fresh
+/// or recycled from the heap depended on what the heap held and on which
+/// thread loaded which shard: the same write-load-answer cycle took 20, 35
+/// or 55 ms from one run to the next.
+pub fn own_mapping<T>(len: usize) -> usize {
+    let size = std::mem::size_of::<T>().max(1);
+    if len.saturating_mul(size) >= 16 << 20 {
+        len.max(OWN_MAPPING / size + 1)
+    } else {
+        len
+    }
+}
+
 /// Append-only little-endian buffer writer.
 pub struct Writer {
     buf: Vec<u8>,
@@ -227,7 +254,7 @@ impl Writer {
     /// [`finish`](Self::finish), which then hashes the content in one go
     /// (the length word is the first the sum covers).
     pub fn framed(magic: &[u8; 8], version: u32, dims: u32, total: usize) -> Self {
-        let mut buf = Vec::with_capacity(total.max(FRAME_LEN));
+        let mut buf = Vec::with_capacity(own_mapping::<u8>(total).max(FRAME_LEN));
         buf.extend_from_slice(magic);
         buf.extend_from_slice(&version.to_le_bytes());
         buf.extend_from_slice(&dims.to_le_bytes());
@@ -764,6 +791,23 @@ mod tests {
         let mut v = frame.verifier(&flipped);
         v.advance(HASH_BLOCK);
         assert!(v.finish("test buffer").is_err());
+    }
+
+    #[test]
+    fn large_buffers_reserve_a_mapping_of_their_own() {
+        // Below 16 MiB the reserve is exact; from there on it passes the
+        // largest trim threshold, and beyond it, it is exact again.
+        assert_eq!(own_mapping::<u8>(0), 0);
+        assert_eq!(own_mapping::<u8>((16 << 20) - 1), (16 << 20) - 1);
+        assert_eq!(own_mapping::<u8>(16 << 20), OWN_MAPPING + 1);
+        assert_eq!(own_mapping::<u8>(OWN_MAPPING + 5), OWN_MAPPING + 5);
+        let n = 500_000;
+        assert!(own_mapping::<[u64; 7]>(n) * 56 > OWN_MAPPING);
+        assert_eq!(own_mapping::<[u64; 7]>(2_000_000), 2_000_000);
+        assert_eq!(own_mapping::<u64>(usize::MAX / 4), usize::MAX / 4);
+        let big = Writer::framed(b"QSIITEST", 7, 3, 28 << 20);
+        assert!(big.capacity() > OWN_MAPPING);
+        assert_eq!(Writer::framed(b"QSIITEST", 7, 3, 0).capacity(), FRAME_LEN);
     }
 
     #[test]

@@ -113,7 +113,9 @@ use crate::seal::SealedRegion;
 use crate::slice::Slice;
 use crate::{config, Quasii, QuasiiConfig, QuasiiStats};
 use quasii_common::geom::{Aabb, Record};
-use quasii_common::snapshot::{corrupt, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN};
+use quasii_common::snapshot::{
+    corrupt, own_mapping, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN,
+};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -722,7 +724,9 @@ fn decode<const D: usize>(
     let (data, keys) = if seals.is_empty() {
         (rows, KeyColumn::from_raw(ks, hs))
     } else {
-        let mut data = Vec::with_capacity(n);
+        // A mapping of its own, faulted in fresh by every load whatever the
+        // heap holds, so a load costs the same from one run to the next.
+        let mut data = Vec::with_capacity(own_mapping::<Record<D>>(n));
         // Key windows under a seal stay zero pages nobody touches.
         let (mut keys, mut his) = (vec![0.0; n], vec![0.0; n]);
         let (mut at, mut blob_end) = (0, table_end);
