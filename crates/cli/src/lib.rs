@@ -197,12 +197,6 @@ pub enum Command {
         addr: String,
         /// How a cold-started deployment is built (0 shards = one shard).
         engine: EngineOpts,
-        /// Queries per admission group (1 disables grouping).
-        max_batch: usize,
-        /// Admission window upper bound in microseconds.
-        max_delay_us: u64,
-        /// Shrink the window at low arrival rates.
-        adaptive: bool,
         /// Bounded submission-queue capacity (full queue answers 503).
         queue_cap: usize,
     },
@@ -425,20 +419,10 @@ fn parse_census(args: &[String]) -> Result<(Command, BTreeSet<&'static str>), St
             let source = g.source("serve")?;
             let engine = g.engine(true)?;
             g.engine_options_take_effect("quasii", &source)?;
-            let max_batch = g.num("max-batch", 64)?;
-            if max_batch == 0 {
-                return Err(
-                    "--max-batch must be >= 1 (1 disables grouping, the per-request baseline)"
-                        .to_string(),
-                );
-            }
             Command::Serve {
                 source,
                 addr: g.get("addr").unwrap_or("127.0.0.1:7077").to_string(),
                 engine,
-                max_batch,
-                max_delay_us: g.num("max-delay-us", 200)?,
-                adaptive: g.flag("adaptive", true)?,
                 queue_cap: g.num("queue-cap", 1024)?,
             }
         }
@@ -468,7 +452,6 @@ USAGE:
   quasii verify   --path FILE
   quasii recover  --snapshot SNAP [--data FILE]
   quasii serve    (--data FILE [ENGINE] | --warm-start SNAP) [--addr HOST:PORT]
-                  [--max-batch N] [--max-delay-us US] [--adaptive true|false]
                   [--queue-cap N]
 
 WORKLOAD: [--queries N] [--volume FRAC] [--seed S]
@@ -478,7 +461,7 @@ ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
   ENGINE options say how a QUASII index is built from --data. Given with
   another --index, or beside --warm-start (the snapshot fixes layout and
   configuration), they are errors, not ignored. Answers are byte-identical
-  for every ENGINE setting, --batch, --metrics and admission setting.
+  for every ENGINE setting, --batch, --metrics and admission grouping.
 
   --data FILE       3-d dataset; the extension picks the format (.csv text,
                     anything else .qsd binary)
@@ -508,9 +491,6 @@ ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
   serve             GET /query?lo=a,b,c&hi=d,e,f | POST /batch (one
                     lo0,lo1,lo2,hi0,hi1,hi2 per line) | GET /snapshots
                     /metrics /healthz | POST /admin/repair /admin/shutdown
-  --max-batch N     a group closes at N queries (1 = no grouping) or after
-  --max-delay-us US the admission window, whichever first; --adaptive true
-                    shrinks the window at low arrival rates
   --queue-cap N     submissions queued beyond N are answered 503";
 
 fn load(path: &str) -> Result<Vec<Record<3>>, String> {
@@ -598,16 +578,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             source,
             addr,
             engine,
-            max_batch,
-            max_delay_us,
-            adaptive,
             queue_cap,
         } => {
-            let cfg = quasii_server::ServeConfig::default()
-                .with_max_batch(max_batch)
-                .with_max_delay_us(max_delay_us)
-                .with_adaptive(adaptive)
-                .with_queue_cap(queue_cap);
+            let cfg = quasii_server::ServeConfig::default().with_queue_cap(queue_cap);
             serve(source, &addr, &engine, cfg)
         }
     }

@@ -406,11 +406,8 @@ pub(crate) fn serve(
         quasii_server::start(deployment, addr, cfg.clone()).map_err(|e| format!("serve: {e}"))?;
     println!(
         "serving http://{} — {records} records across {shard_count} shards, admission \
-         max_batch {}, window <= {}us ({}), queue cap {}",
+         queue cap {}",
         handle.addr(),
-        cfg.max_batch,
-        cfg.max_delay_us,
-        if cfg.adaptive { "adaptive" } else { "fixed" },
         cfg.queue_cap.max(1),
     );
     println!(

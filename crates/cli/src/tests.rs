@@ -115,10 +115,8 @@ fn options_are_validated_by_parse_before_any_file_or_socket() {
         ("snapshot --data d --out s --pattern zigzag", "--pattern"),
         ("snapshot --data d --out s --finalize maybe", "--finalize"),
         ("snapshot --data d --out s --seal true", "unknown option"),
-        ("serve --data d --adaptive sideways", "--adaptive"),
         ("serve --data d --seal sideways", "--seal"),
         ("serve --data d --assign-by sideways", "--assign-by"),
-        ("serve --data d --max-batch 0", "--max-batch must be >= 1"),
         // Exactly one source, and only QUASII has snapshots.
         ("bench", "bench needs exactly one of --data or"),
         ("bench --data d --warm-start s", "exactly one"),
@@ -187,6 +185,11 @@ fn parse_errors() {
         ),
         ("bench --data d.qsd --querys 10", "--querys"),
         ("info --data d.qsd --seed 1", "--seed"),
+        // The admission window and its grouping knobs are gone: a group
+        // is what is queued.
+        ("serve --data d.qsd --max-batch 1", "--max-batch"),
+        ("serve --data d.qsd --max-delay-us 0", "--max-delay-us"),
+        ("serve --data d.qsd --adaptive false", "--adaptive"),
     ] {
         let err = parse(&args(cmdline)).unwrap_err();
         assert!(err.contains(&format!("unknown option {option}")), "{err}");
@@ -218,7 +221,7 @@ fn malformed_numeric_flags_name_flag_and_value() {
             "--shards",
             "-2",
         ),
-        ("serve --data d.qsd --max-batch many", "--max-batch", "many"),
+        ("serve --data d.qsd --queue-cap many", "--queue-cap", "many"),
     ];
     for (cmdline, flag, value) in cases {
         let err = parse(&args(cmdline)).unwrap_err();
@@ -235,25 +238,18 @@ fn parse_serve_defaults_and_overrides() {
             source: Source::Data("d.qsd".into()),
             addr: "127.0.0.1:7077".into(),
             engine: default_engine(),
-            max_batch: 64,
-            max_delay_us: 200,
-            adaptive: true,
             queue_cap: 1024,
         }
     );
     assert_eq!(
         parse(&args(
-            "serve --warm-start s.qshard --addr 0.0.0.0:80 --max-batch 1 --max-delay-us 0 \
-             --adaptive false --queue-cap 8",
+            "serve --warm-start s.qshard --addr 0.0.0.0:80 --queue-cap 8",
         ))
         .unwrap(),
         Command::Serve {
             source: Source::WarmStart("s.qshard".into()),
             addr: "0.0.0.0:80".into(),
             engine: default_engine(),
-            max_batch: 1,
-            max_delay_us: 0,
-            adaptive: false,
             queue_cap: 8,
         }
     );
@@ -279,8 +275,7 @@ fn option_census() {
         ("recover --snapshot s", "data snapshot"),
         (
             "serve --data d",
-            "adaptive addr assign-by data max-batch max-delay-us queue-cap seal shards simd \
-             threads warm-start",
+            "addr assign-by data queue-cap seal shards simd threads warm-start",
         ),
     ];
     let mut pairs = 0;
@@ -292,7 +287,7 @@ fn option_census() {
         pairs += options.len();
         union.extend(options);
     }
-    assert_eq!(pairs, 46);
+    assert_eq!(pairs, 43);
     let option_name = |t: &'static str| {
         let end = t.find(|c: char| !c.is_ascii_lowercase() && c != '-');
         &t[..end.unwrap_or(t.len())]
@@ -314,12 +309,8 @@ fn serve_end_to_end_over_loopback() {
         .with_shards(2)
         .with_inner(QuasiiConfig::default().with_threads(1));
     let engine = ShardedQuasii::new(records, cfg);
-    let handle = quasii_server::start(
-        engine,
-        "127.0.0.1:0",
-        quasii_server::ServeConfig::default().with_max_batch(8),
-    )
-    .unwrap();
+    let handle =
+        quasii_server::start(engine, "127.0.0.1:0", quasii_server::ServeConfig::default()).unwrap();
     let mut c = minihttp::Client::connect(handle.addr()).unwrap();
     assert_eq!(c.get("/healthz").unwrap().status, 200);
     let r = c.get("/query?lo=0,0,0&hi=1000,1000,1000").unwrap();

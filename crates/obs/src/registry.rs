@@ -104,9 +104,9 @@ pub fn server_stage(s: Stage) -> &'static Histogram {
     &SERVER_STAGE_SECONDS[s as usize]
 }
 
-/// Queries per admission group handed to `try_execute_batch` (the group
-/// leader's batch-or-deadline close sizes). A `/query` answered by a read
-/// is not admitted.
+/// Queries per admission group handed to `try_execute_batch` (what the
+/// leader found queued, up to the group cap). A `/query` answered by a
+/// read is not admitted.
 pub static SERVER_BATCH_SIZE: Histogram = Histogram::new();
 /// Admission groups executed by a group leader (a `/query` answered by a
 /// read is not admitted).
@@ -123,10 +123,6 @@ pub static SERVER_REJECTED_TOTAL: Counter = Counter::new();
 pub static SERVER_BAD_REQUESTS_TOTAL: Counter = Counter::new();
 /// Submissions waiting in the admission queue (point-in-time).
 pub static SERVER_QUEUE_DEPTH: Gauge = Gauge::new();
-/// The admission controller's current adaptive batch-close deadline in
-/// microseconds (shrinks under low arrival rate, grows back toward
-/// `max_delay_us` when groups fill).
-pub static ADMISSION_DELAY_US: Gauge = Gauge::new();
 
 // ---------------------------------------------------------------------
 // Persistence (quasii_common::fsx / fault)
@@ -448,13 +444,6 @@ pub static DEFS: &[Def] = &[
         labels: "",
         unit: Unit::Count,
         metric: Metric::Gauge(&SERVER_QUEUE_DEPTH),
-    },
-    Def {
-        name: "quasii_admission_delay_us",
-        help: "Current adaptive batch-close deadline in microseconds",
-        labels: "",
-        unit: Unit::Count,
-        metric: Metric::Gauge(&ADMISSION_DELAY_US),
     },
     Def {
         name: "fsx_commit_seconds",
@@ -887,7 +876,6 @@ mod tests {
         SERVER_BATCH_SIZE.observe(17);
         SERVER_BATCHED_QUERIES_TOTAL.add(17);
         SERVER_QUEUE_DEPTH.set(3.0);
-        ADMISSION_DELAY_US.set(150.0);
 
         let text = render_prometheus();
         let exp = parse_prometheus(&text).expect("rendered exposition must parse");
@@ -927,7 +915,6 @@ mod tests {
             Some(17.0)
         );
         assert_eq!(exp.value("quasii_server_queue_depth", &[]), Some(3.0));
-        assert_eq!(exp.value("quasii_admission_delay_us", &[]), Some(150.0));
         assert_eq!(
             exp.value("quasii_shard_records", &[("shard", "1")]),
             Some(12.0)

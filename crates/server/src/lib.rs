@@ -22,28 +22,22 @@
 //!   response. A submitter that finds a leader waits on its slot and is
 //!   woken once, with its answer or as the next leader, whichever comes
 //!   first. A lone request crosses no thread boundary.
-//! * **When a group closes.** Batch-or-deadline: at `max_batch` queries,
-//!   when no follow-up arrives within the **admission gap** (the burst is
-//!   over — under saturation groups form from what queued while the
-//!   previous group executed, so there is nothing to wait for), or at the
-//!   hard `max_delay_us` window cap, whichever comes first.
-//! * The gap is **adaptive**: it halves whenever a group closed short
-//!   (waiting bought no grouping — p99 must not pay for idle batching)
-//!   and doubles back toward `max_delay_us` whenever a group fills
-//!   (arrivals outpace execution — more grouping is free throughput). It
-//!   is exported as the `quasii_admission_delay_us` gauge.
-//! * **A gap the kernel cannot honour is not slept.** The shortest timed
-//!   park costs the timer slack plus a reschedule whatever timeout was
-//!   asked for (`TIMER_SLACK`); below it the leader takes what is
-//!   queued and goes, so a decayed gap costs an idle service nothing.
+//! * **When a group closes.** At once: the leader takes its own slot,
+//!   then whatever queued behind it, whole slots, until the group holds
+//!   `MAX_GROUP` (64) queries, and never waits for a follow-up. Under load a
+//!   group is what queued while the previous group ran; an idle service
+//!   adds no wait at all. (A waited-for admission window bought no
+//!   grouping on any traffic measured: EXPERIMENTS.md, "Admission takes
+//!   what is queued".)
 //!
 //! **Determinism across the network boundary**: the engine's batching
 //! invisibility (results are byte-identical for every batch shape, and a
 //! read equals a one-query batch) means neither admission grouping nor
 //! the read path can change an answer — the workspace
 //! `tests/server.rs` suite asserts network-path responses equal direct
-//! `execute_batch` answers across `max_batch`/`max_delay` settings,
-//! including `max_batch = 1`.
+//! `execute_batch` answers under concurrent single and client-batch
+//! traffic, including client batches large enough that a group crosses
+//! `MAX_GROUP`.
 //!
 //! Failure posture: a worker panic poisons the engine
 //! ([`quasii::EnginePoisoned`]); every queued and future submission is
@@ -83,20 +77,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Admission-controller and request-bound knobs.
+/// Admission-queue and request-bound knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Queries per admission group before it closes (≥ 1; `1` disables
-    /// grouping entirely — the per-request baseline).
-    pub max_batch: usize,
-    /// Hard admission-window cap in microseconds — no accepted query
-    /// waits longer than this for grouping. Also the upper bound of the
-    /// adaptive admission *gap* (the burst-over timeout), which shrinks
-    /// far below this at low arrival rates.
-    pub max_delay_us: u64,
-    /// `false` pins the admission gap at `max_delay_us` (measurement
-    /// mode: every group waits out the full window).
-    pub adaptive: bool,
     /// Bounded submission-queue capacity (submissions, not queries); a
     /// full queue answers 503.
     pub queue_cap: usize,
@@ -109,9 +92,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            max_batch: 64,
-            max_delay_us: 200,
-            adaptive: true,
             queue_cap: 1024,
             max_body_bytes: 1 << 20,
             max_queries_per_request: 4096,
@@ -120,30 +100,17 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Sets [`max_batch`](Self::max_batch) (clamped to ≥ 1).
-    pub fn with_max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n.max(1);
-        self
-    }
-
-    /// Sets [`max_delay_us`](Self::max_delay_us).
-    pub fn with_max_delay_us(mut self, us: u64) -> Self {
-        self.max_delay_us = us;
-        self
-    }
-
-    /// Sets [`adaptive`](Self::adaptive).
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
-    }
-
     /// Sets [`queue_cap`](Self::queue_cap) (clamped to ≥ 1).
     pub fn with_queue_cap(mut self, n: usize) -> Self {
         self.queue_cap = n.max(1);
         self
     }
 }
+
+/// The query count at which a leader stops taking slots into its group. A
+/// slot is taken whole, so a group that ends with a large client batch
+/// holds more.
+const MAX_GROUP: usize = 64;
 
 /// What one request gets back: its per-query canonical id vectors, or the
 /// message of the 503 that answers it.
@@ -164,39 +131,6 @@ pub enum Rejection {
     Overloaded,
     /// The server is shutting down and admits no new work (→ 503).
     ShuttingDown,
-}
-
-/// The shortest timed wait a leader asks the kernel for. A timed condvar
-/// wait parks on a futex, and Linux rounds every such sleep up by the
-/// thread's timer slack (50 µs by default, `PR_SET_TIMERSLACK`) before the
-/// thread is scheduled again: on the 2-vCPU benchmark host a nominal 1 µs
-/// admission gap measured 74.0 µs per group (`serve_http`, PR 17).
-const TIMER_SLACK: Duration = Duration::from_micros(50);
-
-/// The leader's wait decision, as a pure function so it is directly
-/// testable: how long to wait for a follow-up slot given the admission
-/// `gap` and the time `left` in the hard window, or `None` when the kernel
-/// cannot honour the wait and the leader takes what is queued and goes.
-fn wait_for(gap: Duration, left: Duration) -> Option<Duration> {
-    let wait = gap.min(left);
-    (wait >= TIMER_SLACK).then_some(wait)
-}
-
-/// The adaptive-gap policy, as a pure function so it is directly
-/// testable: `filled` groups (hit `max_batch`) double the gap back
-/// toward the cap — arrivals are outpacing execution and a longer gap
-/// costs nothing while the queue is never empty. Groups that closed short
-/// halve it (floor 1µs): the wait bought no further grouping, and below
-/// [`TIMER_SLACK`] the next lone query no longer waits at all. Steady
-/// saturated traffic needs no gap either — its groups are already queued
-/// when the next leader takes over.
-fn next_delay_us(delay_us: f64, max_delay_us: u64, filled: bool) -> f64 {
-    let cap = (max_delay_us as f64).max(1.0);
-    if filled {
-        (delay_us * 2.0).clamp(1.0, cap)
-    } else {
-        (delay_us * 0.5).max(1.0)
-    }
 }
 
 /// What a waiting slot is woken with, once.
@@ -248,11 +182,6 @@ struct Queue {
     slots: VecDeque<Arc<Slot>>,
     /// Whether some connection thread currently leads.
     leader: bool,
-    /// Whether that leader is parked on `arrived`: a submitter pays for a
-    /// notify only when someone is there to hear it.
-    gathering: bool,
-    /// The current adaptive admission gap.
-    delay_us: f64,
 }
 
 /// The admission queue and the leader hand-off over it, free of sockets
@@ -260,8 +189,6 @@ struct Queue {
 struct Admission {
     cfg: ServeConfig,
     queue: Mutex<Queue>,
-    /// A slot arrived while the leader is gathering, or shutdown began.
-    arrived: Condvar,
     /// Leadership was cleared during shutdown.
     idle: Condvar,
     shutdown: AtomicBool,
@@ -273,11 +200,8 @@ impl Admission {
             queue: Mutex::new(Queue {
                 slots: VecDeque::new(),
                 leader: false,
-                gathering: false,
-                delay_us: cfg.max_delay_us.max(1) as f64,
             }),
             cfg,
-            arrived: Condvar::new(),
             idle: Condvar::new(),
             shutdown: AtomicBool::new(false),
         }
@@ -313,11 +237,7 @@ impl Admission {
         if obs::enabled() {
             obs::registry::SERVER_QUEUE_DEPTH.set(q.slots.len() as f64);
         }
-        let (lead, gathering) = (!std::mem::replace(&mut q.leader, true), q.gathering);
-        drop(q);
-        if gathering {
-            self.arrived.notify_one();
-        }
+        let lead = !std::mem::replace(&mut q.leader, true);
         Ok((slot, lead))
     }
 
@@ -364,50 +284,22 @@ impl Admission {
         }
     }
 
-    /// Batch-or-deadline: takes the head of the queue (the leader's own
-    /// slot), then follow-ups until the group holds `max_batch` queries,
-    /// no follow-up arrives within the adaptive gap (the burst is over —
-    /// already-queued slots pop without waiting, so saturated traffic
-    /// never idles here), the hard window cap expires, or what is left to
-    /// wait is below [`TIMER_SLACK`]. With `max_batch = 1` grouping is off
-    /// and nothing is ever waited. Returns the group and its query count.
+    /// Takes the head of the queue (the leader's own slot), then the
+    /// slots queued behind it, whole, until the group holds [`MAX_GROUP`]
+    /// queries. Never waits for a follow-up. Returns the group and its
+    /// query count.
     fn close_group(&self) -> (Vec<Arc<Slot>>, usize) {
-        let max_batch = self.cfg.max_batch.max(1);
-        let deadline = Instant::now() + Duration::from_micros(self.cfg.max_delay_us);
         let (mut group, mut n_queries) = (Vec::new(), 0);
         let mut q = self.lock();
-        loop {
-            while n_queries < max_batch {
-                let Some(slot) = q.slots.pop_front() else {
-                    break;
-                };
-                n_queries += slot.queries.len();
-                group.push(slot);
-            }
-            if n_queries >= max_batch || self.shutting_down() {
-                break;
-            }
-            let gap = Duration::from_micros(q.delay_us.round() as u64);
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Some(wait) = wait_for(gap, left) else {
+        while n_queries < MAX_GROUP {
+            let Some(slot) = q.slots.pop_front() else {
                 break;
             };
-            q.gathering = true;
-            let (back, timeout) = relock(self.arrived.wait_timeout(q, wait));
-            q = back;
-            q.gathering = false;
-            if timeout.timed_out() && q.slots.is_empty() {
-                break;
-            }
-        }
-        if max_batch > 1 && self.cfg.adaptive {
-            q.delay_us = next_delay_us(q.delay_us, self.cfg.max_delay_us, n_queries >= max_batch);
+            n_queries += slot.queries.len();
+            group.push(slot);
         }
         if obs::enabled() {
             obs::registry::SERVER_QUEUE_DEPTH.set(q.slots.len() as f64);
-            if max_batch > 1 {
-                obs::registry::ADMISSION_DELAY_US.set(q.delay_us);
-            }
         }
         (group, n_queries)
     }
@@ -548,18 +440,12 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Flips the shutdown flag and wakes both blocking points: a gathering
-/// leader (queue condvar) and the acceptor (self-connect). Idempotent.
+/// Flips the shutdown flag and wakes the acceptor (self-connect).
+/// Idempotent.
 fn trigger_shutdown(shared: &Shared) {
-    let admission = &shared.admission;
-    if admission.shutdown.swap(true, Ordering::SeqCst) {
-        return;
+    if !shared.admission.shutdown.swap(true, Ordering::SeqCst) {
+        let _ = TcpStream::connect(shared.addr);
     }
-    // Through the lock: a leader either has not checked the flag yet or
-    // is already parked where the notify reaches it.
-    drop(admission.lock());
-    admission.arrived.notify_all();
-    let _ = TcpStream::connect(shared.addr);
 }
 
 /// Starts the service on `addr` (use port `0` for an ephemeral port) over
@@ -1040,9 +926,9 @@ mod tests {
         }
     }
 
-    /// One single-query request whose box carries the mark `k`.
-    fn marked(k: usize) -> Vec<Aabb<3>> {
-        vec![Aabb::new([k as f64; 3], [k as f64 + 1.0; 3])]
+    /// A request of `size` queries whose boxes all carry the mark `k`.
+    fn marked(k: usize, size: usize) -> Vec<Aabb<3>> {
+        vec![Aabb::new([k as f64; 3], [k as f64 + 1.0; 3]); size]
     }
 
     /// The marks of a closed group, in group order.
@@ -1058,12 +944,12 @@ mod tests {
             .collect())
     }
 
-    /// Enqueues requests `0..n` on one thread; only the first finds no
-    /// leader.
-    fn enqueue_marked(a: &Admission, n: usize) -> Vec<Arc<Slot>> {
+    /// Enqueues requests `0..n` of `size` queries each on one thread;
+    /// only the first finds no leader.
+    fn enqueue_marked(a: &Admission, n: usize, size: usize) -> Vec<Arc<Slot>> {
         (0..n)
             .map(|k| {
-                let (slot, lead) = a.enqueue(marked(k)).expect("below the cap");
+                let (slot, lead) = a.enqueue(marked(k, size)).expect("below the cap");
                 assert_eq!(lead, k == 0, "slot {k}");
                 slot
             })
@@ -1079,29 +965,27 @@ mod tests {
         let _serial = serial();
         // Nobody leads: the queue fills and the next submission is refused.
         let a = Admission::new(ServeConfig::default().with_queue_cap(2));
-        enqueue_marked(&a, 2);
-        assert_eq!(a.enqueue(marked(2)).err(), Some(Rejection::Overloaded));
+        enqueue_marked(&a, 2, 1);
+        assert_eq!(a.enqueue(marked(2, 1)).err(), Some(Rejection::Overloaded));
         assert_eq!(a.lock().slots.len(), 2);
         // Shutdown refuses before even touching the queue.
         a.shutdown.store(true, Ordering::SeqCst);
-        assert_eq!(a.enqueue(marked(3)).err(), Some(Rejection::ShuttingDown));
+        assert_eq!(a.enqueue(marked(3, 1)).err(), Some(Rejection::ShuttingDown));
         assert_eq!(a.lock().slots.len(), 2);
     }
 
     #[test]
     fn hand_off_is_fifo_and_a_group_starts_with_its_leader() {
         let _serial = serial();
-        // (max_batch, requests, the groups in the order they must run:
-        // leader first). A zero window: no leader waits for company.
-        for (max_batch, n, expect) in [
-            (1, 4, vec![vec![0], vec![1], vec![2], vec![3]]),
-            (2, 5, vec![vec![0, 1], vec![2, 3], vec![4]]),
+        // (queries per request, requests, the groups in the order they
+        // must run: leader first). Everything is queued before the first
+        // leader runs, so each group stops only at the cap.
+        for (size, n, expect) in [
+            (MAX_GROUP, 4, vec![vec![0], vec![1], vec![2], vec![3]]),
+            (MAX_GROUP / 2, 5, vec![vec![0, 1], vec![2, 3], vec![4]]),
         ] {
-            let cfg = ServeConfig::default()
-                .with_max_batch(max_batch)
-                .with_max_delay_us(0);
-            let a = Admission::new(cfg);
-            let slots = enqueue_marked(&a, n);
+            let a = Admission::new(ServeConfig::default());
+            let slots = enqueue_marked(&a, n, size);
             let ran = Mutex::new(Vec::new());
             for (k, slot) in slots.iter().enumerate() {
                 let leads = expect.iter().any(|g| g[0] == k);
@@ -1114,11 +998,11 @@ mod tests {
                     ran.lock().unwrap().push((k, marks(groups)));
                     echo(groups)
                 });
-                assert_eq!(reply, Ok(vec![vec![k as u64]]), "slot {k}");
+                assert_eq!(reply, Ok(vec![vec![k as u64]; size]), "slot {k}");
             }
             // Groups in arrival order, each run by its first slot.
             let expect: Vec<_> = expect.into_iter().map(|g| (g[0], g)).collect();
-            assert_eq!(ran.into_inner().unwrap(), expect, "max_batch {max_batch}");
+            assert_eq!(ran.into_inner().unwrap(), expect, "size {size}");
             let q = a.lock();
             assert!(!q.leader && q.slots.is_empty());
         }
@@ -1127,11 +1011,9 @@ mod tests {
     #[test]
     fn a_leader_that_unwinds_fails_alone() {
         let _serial = serial();
-        let cfg = ServeConfig::default()
-            .with_max_batch(2)
-            .with_max_delay_us(0);
-        let a = Admission::new(cfg);
-        let slots = enqueue_marked(&a, 3);
+        const HALF: usize = MAX_GROUP / 2;
+        let a = Admission::new(ServeConfig::default());
+        let slots = enqueue_marked(&a, 3, HALF);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             a.finish(&slots[0], true, &|_| panic!("engine lock poisoned"))
         }));
@@ -1141,42 +1023,20 @@ mod tests {
         assert!(reply.unwrap_err().contains("panicked"));
         // … and the slot behind the group leads the next one.
         assert!(is_next_leader(&slots[2]));
-        assert_eq!(a.finish(&slots[2], false, &echo), Ok(vec![vec![2]]));
+        assert_eq!(a.finish(&slots[2], false, &echo), Ok(vec![vec![2]; HALF]));
         // With nobody queued behind it, an unwinding leader clears
         // leadership: the next request finds no leader and runs.
-        let (slot, lead) = a.enqueue(marked(3)).unwrap();
+        let (slot, lead) = a.enqueue(marked(3, HALF)).unwrap();
         assert!(lead);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             a.finish(&slot, true, &|_| panic!("engine lock poisoned"))
         }));
         assert!(unwound.is_err());
-        let (slot, lead) = a.enqueue(marked(4)).unwrap();
+        let (slot, lead) = a.enqueue(marked(4, HALF)).unwrap();
         assert!(lead);
-        assert_eq!(a.finish(&slot, lead, &echo), Ok(vec![vec![4]]));
+        assert_eq!(a.finish(&slot, lead, &echo), Ok(vec![vec![4]; HALF]));
         let q = a.lock();
         assert!(!q.leader && q.slots.is_empty());
-    }
-
-    #[test]
-    fn sub_slack_gaps_are_not_slept() {
-        let us = Duration::from_micros;
-        // Below the floor, whichever of the two is the shorter: no wait.
-        assert_eq!(wait_for(us(1), us(200)), None);
-        assert_eq!(wait_for(us(49), us(1_000_000)), None);
-        assert_eq!(wait_for(us(200), us(49)), None);
-        assert_eq!(wait_for(us(200), Duration::ZERO), None);
-        // At and above it: the shorter of gap and time left.
-        assert_eq!(wait_for(TIMER_SLACK, us(200)), Some(TIMER_SLACK));
-        assert_eq!(wait_for(us(200), TIMER_SLACK), Some(TIMER_SLACK));
-        assert_eq!(wait_for(us(200), us(120)), Some(us(120)));
-        assert_eq!(wait_for(us(100), us(120)), Some(us(100)));
-        // The default window decays out of the sleeping range in three
-        // short groups.
-        let mut d = ServeConfig::default().max_delay_us as f64;
-        for _ in 0..3 {
-            d = next_delay_us(d, 200, false);
-        }
-        assert_eq!(wait_for(us(d.round() as u64), us(200)), None);
     }
 
     #[test]
@@ -1191,26 +1051,6 @@ mod tests {
         push_ids(&mut out, &[7]);
         push_ids(&mut out, &[0, 10, u64::MAX]);
         assert_eq!(out, b"[][7][0,10,18446744073709551615]");
-    }
-
-    #[test]
-    fn adaptive_window_shrinks_idle_and_recovers_under_load() {
-        let max = 200u64;
-        // Timeout-closed groups halve the gap down to the 1µs floor —
-        // saturated steady-state traffic batches from the queue, not
-        // from waiting, so the gap decays out of the latency path …
-        let mut d = max as f64;
-        for _ in 0..16 {
-            d = next_delay_us(d, max, false);
-        }
-        assert_eq!(d, 1.0);
-        // … and filled groups double back up to the cap.
-        for _ in 0..16 {
-            d = next_delay_us(d, max, true);
-        }
-        assert_eq!(d, max as f64);
-        // The cap binds even from above (a shrunken max_delay_us).
-        assert_eq!(next_delay_us(512.0, max, true), max as f64);
     }
 
     #[test]
@@ -1353,10 +1193,7 @@ mod tests {
     #[test]
     fn follower_that_hung_up_neither_stalls_its_group_nor_keeps_leadership() {
         let _serial = serial();
-        let cfg = ServeConfig::default()
-            .with_max_batch(2)
-            .with_max_delay_us(0);
-        let handle = start(tiny_engine(400, 1), "127.0.0.1:0", cfg).unwrap();
+        let handle = start(tiny_engine(400, 1), "127.0.0.1:0", ServeConfig::default()).unwrap();
         let shared = Arc::clone(&handle.shared);
         let queue_is = |leader: bool, depth: usize| {
             let q = shared.admission.lock();

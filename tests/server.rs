@@ -1,13 +1,12 @@
 //! End-to-end coverage for the HTTP query service: network-path responses
-//! must be **byte-identical** to direct engine answers across admission
-//! settings (`max_batch`/`max_delay`, including `max_batch = 1`), under
-//! concurrent mixed single/batch traffic, and graceful shutdown must
-//! drain already-accepted work.
+//! must be **byte-identical** to direct engine answers under concurrent
+//! mixed single/batch traffic, including groups past the admission cap,
+//! and graceful shutdown must drain already-accepted work.
 
 use quasii_common::dataset;
 use quasii_common::index::canonical_results;
 use quasii_suite::prelude::*;
-use quasii_suite::quasii_server;
+use quasii_suite::{quasii_obs, quasii_server};
 
 const DATA_N: usize = 2_500;
 const DATA_SEED: u64 = 141;
@@ -15,9 +14,13 @@ const N_QUERIES: usize = 96;
 const QUERY_SEED: u64 = 142;
 
 fn dataset_and_queries() -> (Vec<Record<3>>, Vec<Aabb<3>>) {
+    dataset_and_n_queries(N_QUERIES)
+}
+
+fn dataset_and_n_queries(n: usize) -> (Vec<Record<3>>, Vec<Aabb<3>>) {
     let data = dataset::uniform_boxes::<3>(DATA_N, DATA_SEED);
     let universe = quasii_common::geom::mbb_of(&data);
-    let queries = workload::skewed(&universe, 6, N_QUERIES, 1e-3, 1.1, QUERY_SEED).queries;
+    let queries = workload::skewed(&universe, 6, n, 1e-3, 1.1, QUERY_SEED).queries;
     (data, queries)
 }
 
@@ -76,40 +79,29 @@ fn parse_results(body: &str, expect: usize) -> Vec<Vec<u64>> {
     out
 }
 
-/// The core contract: under every admission setting, concurrent clients
-/// mixing single `GET /query` and `POST /batch` traffic read back exactly
-/// the canonical answers.
+/// The core contract: concurrent clients mixing single `GET /query` and
+/// `POST /batch` traffic read back exactly the canonical answers, whatever
+/// groups admission forms from them.
 #[test]
-fn network_path_is_byte_identical_across_admission_settings() {
-    let (data, queries) = dataset_and_queries();
-    let expected = reference(&data, &queries);
-    let settings = [
-        ("per-request", ServeConfig::default().with_max_batch(1)),
-        (
-            "small groups",
-            ServeConfig::default()
-                .with_max_batch(8)
-                .with_max_delay_us(500),
-        ),
-        (
-            "large window",
-            ServeConfig::default()
-                .with_max_batch(64)
-                .with_max_delay_us(2_000)
-                .with_adaptive(false),
-        ),
-    ];
-    for (name, cfg) in settings {
-        let handle = quasii_server::start(engine(&data, 3), "127.0.0.1:0", cfg).expect("bind");
+fn network_path_is_byte_identical_under_mixed_traffic() {
+    // 6 concurrent clients; even ones send singles, odd ones send client
+    // batches — both shapes in flight at once.
+    const CLIENTS: usize = 6;
+    // (shape, queries per client, queries per client batch). Two batches
+    // of 40 queued together form a group past the 64-query cap.
+    for (name, per_client, batch) in [
+        ("client batches of 7", N_QUERIES / CLIENTS, 7),
+        ("client batches of 40", 40, 40),
+    ] {
+        let (data, queries) = dataset_and_n_queries(CLIENTS * per_client);
+        let expected = reference(&data, &queries);
+        let handle = quasii_server::start(engine(&data, 3), "127.0.0.1:0", ServeConfig::default())
+            .expect("bind");
         let addr = handle.addr();
 
-        // 6 concurrent clients; even ones send singles, odd ones send
-        // client batches of up to 7 — both shapes in flight at once.
-        const CLIENTS: usize = 6;
-        let chunk = queries.len().div_ceil(CLIENTS);
         let mut answers: Vec<(usize, Vec<Vec<u64>>)> = std::thread::scope(|scope| {
             let mut workers = Vec::new();
-            for (c, slice) in queries.chunks(chunk).enumerate() {
+            for (c, slice) in queries.chunks(per_client).enumerate() {
                 workers.push(scope.spawn(move || {
                     let mut client = minihttp::Client::connect(addr).expect("connect");
                     let mut got = Vec::with_capacity(slice.len());
@@ -121,7 +113,7 @@ fn network_path_is_byte_identical_across_admission_settings() {
                             got.push(ids);
                         }
                     } else {
-                        for group in slice.chunks(7) {
+                        for group in slice.chunks(batch) {
                             let body = group.iter().map(batch_line).collect::<Vec<_>>().join("\n");
                             let r = client
                                 .post("/batch", "text/plain", body.as_bytes())
@@ -130,7 +122,7 @@ fn network_path_is_byte_identical_across_admission_settings() {
                             got.extend(parse_results(&r.text(), group.len()));
                         }
                     }
-                    (c * chunk, got)
+                    (c * per_client, got)
                 }));
             }
             workers
@@ -148,39 +140,49 @@ fn network_path_is_byte_identical_across_admission_settings() {
     }
 }
 
-/// Graceful shutdown drains the queue: a query accepted just before the
-/// shutdown trigger — still waiting inside a long admission window — gets
-/// its (correct) answer, not a dropped connection.
+/// Graceful shutdown drains the queue: a client batch the server has
+/// admitted before the shutdown trigger gets its (correct) answer, not a
+/// dropped connection. Whether its group is still running when the
+/// trigger arrives depends on timing here; the `crates/server` unit test
+/// `shutdown_returns_only_once_the_leader_is_done` holds the engine lock
+/// to make it certain.
 #[test]
 fn shutdown_drains_accepted_work() {
-    let (data, queries) = dataset_and_queries();
-    let expected = reference(&data, &queries[..1]);
-    // A huge fixed window: the lone query would otherwise sit in the
-    // admission window for a full second.
-    let cfg = ServeConfig::default()
-        .with_max_batch(64)
-        .with_max_delay_us(1_000_000)
-        .with_adaptive(false);
-    let handle = quasii_server::start(engine(&data, 2), "127.0.0.1:0", cfg).expect("bind");
+    let (data, _) = dataset_and_queries();
+    let universe = quasii_common::geom::mbb_of(&data);
+    // A large client batch on a fresh index: its group cracks for a while.
+    let queries = workload::uniform(&universe, 4_000, 1e-2, QUERY_SEED).queries;
+    let expected = reference(&data, &queries);
+    let handle = quasii_server::start(engine(&data, 2), "127.0.0.1:0", ServeConfig::default())
+        .expect("bind");
     let addr = handle.addr();
-    let q = queries[0];
-    let expected0 = expected[0].clone();
+    // The batch alone admits more queries than every other test here.
+    quasii_obs::set_enabled(true);
+    let admitted = quasii_obs::registry::SERVER_QUERIES_TOTAL.get() + queries.len() as u64;
+    let body = queries
+        .iter()
+        .map(batch_line)
+        .collect::<Vec<_>>()
+        .join("\n");
     let client = std::thread::spawn(move || {
         let mut client = minihttp::Client::connect(addr).expect("connect");
-        let r = client.get(&query_target(&q)).expect("round-trip");
+        let r = client
+            .post("/batch", "text/plain", body.as_bytes())
+            .expect("round-trip");
         assert_eq!(r.status, 200, "{}", r.text());
-        let (ids, _) = parse_id_array(&r.text(), 0);
-        assert_eq!(ids, expected0, "drained answer must still be canonical");
+        let got = parse_results(&r.text(), expected.len());
+        assert_eq!(got, expected, "drained answers must still be canonical");
     });
-    // Give the request time to enter the admission window, then shut down:
-    // the drain must answer it early instead of dropping it.
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    // Shut down once the batch's group has started.
     let t = std::time::Instant::now();
+    while quasii_obs::registry::SERVER_QUERIES_TOTAL.get() < admitted {
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(30),
+            "the batch was never admitted"
+        );
+        std::thread::yield_now();
+    }
     handle.shutdown();
-    assert!(
-        t.elapsed() < std::time::Duration::from_secs(30),
-        "shutdown hung on the admission window"
-    );
     client.join().expect("waiting client got its answer");
 }
 
