@@ -185,7 +185,7 @@ fn parse_errors() {
         ),
         ("bench --data d.qsd --querys 10", "--querys"),
         ("info --data d.qsd --seed 1", "--seed"),
-        // The admission window and its grouping knobs are gone: a group
+        // `serve` has no admission window and no grouping knob: a group
         // is what is queued.
         ("serve --data d.qsd --max-batch 1", "--max-batch"),
         ("serve --data d.qsd --max-delay-us 0", "--max-delay-us"),

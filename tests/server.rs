@@ -13,11 +13,7 @@ const DATA_SEED: u64 = 141;
 const N_QUERIES: usize = 96;
 const QUERY_SEED: u64 = 142;
 
-fn dataset_and_queries() -> (Vec<Record<3>>, Vec<Aabb<3>>) {
-    dataset_and_n_queries(N_QUERIES)
-}
-
-fn dataset_and_n_queries(n: usize) -> (Vec<Record<3>>, Vec<Aabb<3>>) {
+fn dataset_and_queries(n: usize) -> (Vec<Record<3>>, Vec<Aabb<3>>) {
     let data = dataset::uniform_boxes::<3>(DATA_N, DATA_SEED);
     let universe = quasii_common::geom::mbb_of(&data);
     let queries = workload::skewed(&universe, 6, n, 1e-3, 1.1, QUERY_SEED).queries;
@@ -93,7 +89,7 @@ fn network_path_is_byte_identical_under_mixed_traffic() {
         ("client batches of 7", N_QUERIES / CLIENTS, 7),
         ("client batches of 40", 40, 40),
     ] {
-        let (data, queries) = dataset_and_n_queries(CLIENTS * per_client);
+        let (data, queries) = dataset_and_queries(CLIENTS * per_client);
         let expected = reference(&data, &queries);
         let handle = quasii_server::start(engine(&data, 3), "127.0.0.1:0", ServeConfig::default())
             .expect("bind");
@@ -148,7 +144,7 @@ fn network_path_is_byte_identical_under_mixed_traffic() {
 /// to make it certain.
 #[test]
 fn shutdown_drains_accepted_work() {
-    let (data, _) = dataset_and_queries();
+    let (data, _) = dataset_and_queries(N_QUERIES);
     let universe = quasii_common::geom::mbb_of(&data);
     // A large client batch on a fresh index: its group cracks for a while.
     let queries = workload::uniform(&universe, 4_000, 1e-2, QUERY_SEED).queries;
@@ -190,7 +186,7 @@ fn shutdown_drains_accepted_work() {
 /// wire — the robustness seam, exercised through a real socket.
 #[test]
 fn malformed_requests_get_named_statuses() {
-    let (data, _) = dataset_and_queries();
+    let (data, _) = dataset_and_queries(N_QUERIES);
     let handle = quasii_server::start(engine(&data, 2), "127.0.0.1:0", ServeConfig::default())
         .expect("bind");
     let mut c = minihttp::Client::connect(handle.addr()).expect("connect");
@@ -233,7 +229,7 @@ fn malformed_requests_get_named_statuses() {
 /// universe the load generator samples workloads from.
 #[test]
 fn snapshots_payload_names_the_deployment() {
-    let (data, queries) = dataset_and_queries();
+    let (data, queries) = dataset_and_queries(N_QUERIES);
     let handle = quasii_server::start(engine(&data, 3), "127.0.0.1:0", ServeConfig::default())
         .expect("bind");
     let mut c = minihttp::Client::connect(handle.addr()).expect("connect");
