@@ -26,6 +26,7 @@
 //! cross the memory bus a second time for its sum.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Why a snapshot could not be written or loaded.
 ///
@@ -215,25 +216,81 @@ pub const HASH_BLOCK: usize = 64 * 1024;
 /// finds no top chunk to come from and is served by a mapping of its own.
 const OWN_MAPPING: usize = 64 << 20;
 
-/// The capacity to reserve for `len` elements of `T` that a snapshot
-/// writes or loads. From 16 MiB on it is more than [`OWN_MAPPING`] bytes
-/// (at most four times the address space, never more memory): the vector
-/// is then a mapping of its own, its pages past `len` are never touched,
-/// and dropping it unmaps it, so its pages are faulted in fresh every time
+/// The smallest buffer [`own_mapping`] gives a mapping of its own.
+const OWN_FROM: usize = 16 << 20;
+
+/// A transparent huge page (x86-64 and arm64 with 4 KiB base pages).
+const HUGE_PAGE: usize = 2 << 20;
+
+/// An empty vector with room for `len` elements of `T`, for a buffer that a
+/// snapshot writes or loads.
+///
+/// From 16 MiB on the room is more than [`OWN_MAPPING`] bytes (at most four
+/// times the address space, never more memory): the vector is then a
+/// mapping of its own, its pages past `len` are never touched, and
+/// dropping it unmaps it, so its pages are faulted in fresh every time
 /// whatever the heap did before. Left to the allocator, the 28 MB buffers
 /// of a two-shard million-record engine (a part, a loaded data array) sat
 /// right at glibc's dynamic threshold, and whether their pages were fresh
 /// or recycled from the heap depended on what the heap held and on which
 /// thread loaded which shard: the same write-load-answer cycle took 20, 35
 /// or 55 ms from one run to the next.
-pub fn own_mapping<T>(len: usize) -> usize {
-    let size = std::mem::size_of::<T>().max(1);
-    if len.saturating_mul(size) >= 16 << 20 {
-        len.max(OWN_MAPPING / size + 1)
-    } else {
-        len
+///
+/// Fresh pages cost a fault each, so such a mapping is then advised for
+/// transparent huge pages over its 2 MiB-aligned interior
+/// ([`huge_range`]): one fault fills 2 MiB instead of 4 KiB. The advice
+/// needs the mapping of its own, as advice given to a heap range would
+/// reach whatever else the heap puts there. It is advice only: with huge
+/// pages off, or where the kernel has none, the pages stay 4 KiB. Smaller
+/// buffers come from the heap and are never advised.
+pub fn own_mapping<T>(len: usize) -> Vec<T> {
+    let size = std::mem::size_of::<T>();
+    if len.saturating_mul(size) < OWN_FROM {
+        return Vec::with_capacity(len);
+    }
+    let cap = len.max(OWN_MAPPING / size + 1);
+    let v = Vec::with_capacity(cap);
+    if let Some(range) = huge_range(v.as_ptr() as usize, cap * size) {
+        advise_huge_pages(range);
+    }
+    v
+}
+
+/// The whole huge pages inside the `bytes` bytes from address `base`, or
+/// `None` when none fits or the buffer is under 16 MiB (a heap buffer,
+/// see [`own_mapping`]).
+fn huge_range(base: usize, bytes: usize) -> Option<Range<usize>> {
+    if bytes < OWN_FROM {
+        return None;
+    }
+    let start = base.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = base.checked_add(bytes)? / HUGE_PAGE * HUGE_PAGE;
+    (start < end).then_some(start..end)
+}
+
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(range: Range<usize>) {
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_HUGEPAGE: i32 = 14;
+    // SAFETY: `madvise` is glibc's wrapper of the system call of that name,
+    // declared with its C signature; it takes the address as a plain value
+    // and dereferences nothing in this process. `MADV_HUGEPAGE` only marks
+    // the pages of a range as eligible for huge pages: no byte changes its
+    // value or its address, so no reference into any range, live or
+    // later, can observe the call, whatever range it is given. The one
+    // caller passes the page-aligned interior of the allocation it just
+    // made (`huge_range`), so the advice reaches no other buffer. An error
+    // (no THP in the kernel, a range that is not mapped) leaves the pages
+    // as they were, so the result is ignored.
+    unsafe {
+        madvise(range.start as *mut _, range.len(), MADV_HUGEPAGE);
     }
 }
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_: Range<usize>) {}
 
 /// Append-only little-endian buffer writer.
 pub struct Writer {
@@ -254,7 +311,7 @@ impl Writer {
     /// [`finish`](Self::finish), which then hashes the content in one go
     /// (the length word is the first the sum covers).
     pub fn framed(magic: &[u8; 8], version: u32, dims: u32, total: usize) -> Self {
-        let mut buf = Vec::with_capacity(own_mapping::<u8>(total).max(FRAME_LEN));
+        let mut buf = own_mapping(total.max(FRAME_LEN));
         buf.extend_from_slice(magic);
         buf.extend_from_slice(&version.to_le_bytes());
         buf.extend_from_slice(&dims.to_le_bytes());
@@ -796,18 +853,53 @@ mod tests {
     #[test]
     fn large_buffers_reserve_a_mapping_of_their_own() {
         // Below 16 MiB the reserve is exact; from there on it passes the
-        // largest trim threshold, and beyond it, it is exact again.
-        assert_eq!(own_mapping::<u8>(0), 0);
-        assert_eq!(own_mapping::<u8>((16 << 20) - 1), (16 << 20) - 1);
-        assert_eq!(own_mapping::<u8>(16 << 20), OWN_MAPPING + 1);
-        assert_eq!(own_mapping::<u8>(OWN_MAPPING + 5), OWN_MAPPING + 5);
+        // largest trim threshold, and beyond it, it is exact again. The
+        // vectors are reserved, never written, so they cost address space.
+        assert_eq!(own_mapping::<u8>(0).capacity(), 0);
+        assert_eq!(own_mapping::<u8>(OWN_FROM - 1).capacity(), OWN_FROM - 1);
+        assert_eq!(own_mapping::<u8>(OWN_FROM).capacity(), OWN_MAPPING + 1);
+        assert_eq!(
+            own_mapping::<u8>(OWN_MAPPING + 5).capacity(),
+            OWN_MAPPING + 5
+        );
         let n = 500_000;
-        assert!(own_mapping::<[u64; 7]>(n) * 56 > OWN_MAPPING);
-        assert_eq!(own_mapping::<[u64; 7]>(2_000_000), 2_000_000);
-        assert_eq!(own_mapping::<u64>(usize::MAX / 4), usize::MAX / 4);
+        assert!(own_mapping::<[u64; 7]>(n).capacity() * 56 > OWN_MAPPING);
+        assert_eq!(own_mapping::<[u64; 7]>(2_000_000).capacity(), 2_000_000);
         let big = Writer::framed(b"QSIITEST", 7, 3, 28 << 20);
         assert!(big.capacity() > OWN_MAPPING);
         assert_eq!(Writer::framed(b"QSIITEST", 7, 3, 0).capacity(), FRAME_LEN);
+    }
+
+    #[test]
+    fn the_advised_range_is_whole_huge_pages_inside_the_buffer() {
+        // glibc hands out a mapping 16 bytes past its start; also a base
+        // on a page boundary, one just past it, and one far from zero.
+        for base in [
+            0x7f00_0000_0010usize,
+            0x7f00_0020_0000,
+            0x7f00_0020_0001,
+            0x5555_5555_5555,
+        ] {
+            for bytes in [OWN_FROM, OWN_FROM + 1, 28 << 20, OWN_MAPPING + 1] {
+                let r = huge_range(base, bytes).expect("a 16 MiB buffer holds a huge page");
+                assert_eq!(r.start % HUGE_PAGE, 0, "{base:#x} + {bytes}");
+                assert_eq!(r.end % HUGE_PAGE, 0, "{base:#x} + {bytes}");
+                assert!(base <= r.start && r.start < r.end && r.end <= base + bytes);
+                // Interior, not part of it: less than a page is left out
+                // at either end.
+                assert!(r.start - base < HUGE_PAGE && base + bytes - r.end < HUGE_PAGE);
+            }
+        }
+        // A heap buffer is never advised, even one that holds whole pages.
+        for bytes in [0, 1, HUGE_PAGE, 3 * HUGE_PAGE, OWN_FROM - 1] {
+            assert_eq!(huge_range(0x7f00_0000_0000, bytes), None, "{bytes}");
+        }
+        // From 16 MiB on, a whole page always fits, unless the range would
+        // wrap the top of the address space: refused, not wrapped.
+        assert_eq!(huge_range(usize::MAX - OWN_FROM + 1, OWN_FROM), None);
+        assert_eq!(huge_range(usize::MAX - 10, OWN_FROM), None);
+        let top = huge_range(usize::MAX - OWN_FROM, OWN_FROM).expect("no wrap");
+        assert_eq!(top.end, usize::MAX - HUGE_PAGE + 1);
     }
 
     #[test]

@@ -201,11 +201,16 @@ impl AlignedBytes {
     /// The bytes, starting 8-aligned.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.storage {
-            // Sound: `words` covers at least `len` bytes, u64 has no
-            // padding or invalid bit patterns, and u8 has alignment 1.
-            Storage::Words(words) => unsafe {
-                std::slice::from_raw_parts(words.as_ptr().cast(), self.len)
-            },
+            Storage::Words(words) => {
+                debug_assert!(self.len <= words.len() * 8);
+                // SAFETY: `zeroed`, the only constructor of `Words`, sized
+                // `words` to `len.div_ceil(8)` words, so it covers at least
+                // `len` bytes (asserted above), and neither field changes
+                // afterwards. A `u64` has no padding and `u8` has
+                // alignment 1 and no invalid bit patterns, and the slice
+                // borrows `self`, so the words outlive it.
+                unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), self.len) }
+            }
             Storage::Raw(v) => v,
         }
     }
@@ -213,9 +218,14 @@ impl AlignedBytes {
     /// Mutable view of the bytes.
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         match &mut self.storage {
-            Storage::Words(words) => unsafe {
-                std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), self.len)
-            },
+            Storage::Words(words) => {
+                debug_assert!(self.len <= words.len() * 8);
+                // SAFETY: as in `as_bytes`; the slice borrows `self`
+                // mutably, so it is the only view of the words while it
+                // lives, and whatever bytes are written through it leave
+                // valid `u64`s behind (every bit pattern is one).
+                unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), self.len) }
+            }
             Storage::Raw(v) => v,
         }
     }
@@ -725,8 +735,9 @@ fn decode<const D: usize>(
         (rows, KeyColumn::from_raw(ks, hs))
     } else {
         // A mapping of its own, faulted in fresh by every load whatever the
-        // heap holds, so a load costs the same from one run to the next.
-        let mut data = Vec::with_capacity(own_mapping::<Record<D>>(n));
+        // heap holds, so a load costs the same from one run to the next,
+        // and in huge pages where the kernel has them.
+        let mut data = own_mapping(n);
         // Key windows under a seal stay zero pages nobody touches.
         let (mut keys, mut his) = (vec![0.0; n], vec![0.0; n]);
         let (mut at, mut blob_end) = (0, table_end);

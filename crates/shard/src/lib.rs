@@ -403,18 +403,26 @@ impl<const D: usize> ShardedQuasii<D> {
     }
 
     /// Runs `f` on every shard engine, one pool job per shard on at most
-    /// `shard_threads` threads. The engines are independent, so each ends
-    /// in the state a sequential loop would leave it in.
-    fn for_each_shard(&mut self, f: impl Fn(&mut Quasii<D>) + Sync) {
-        if let Err(p) = pool::for_each_mut(&mut self.shards, self.cfg.shard_threads, |_, s| f(s)) {
+    /// `shard_threads` threads, and returns its results in shard order. The
+    /// engines are independent, so each ends in the state a sequential loop
+    /// would leave it in. A panicking job panics here as `shard k: …`.
+    fn map_shards<R: Send>(&mut self, f: impl Fn(&mut Quasii<D>) -> R + Sync) -> Vec<R> {
+        let mut jobs: Vec<_> = self.shards.iter_mut().map(|s| (s, None)).collect();
+        let ran = pool::for_each_mut(&mut jobs, self.cfg.shard_threads, |_, (s, out)| {
+            *out = Some(f(s));
+        });
+        if let Err(p) = ran {
             panic!("shard {}: {}", p.job, p.message);
         }
+        jobs.into_iter()
+            .map(|(_, out)| out.expect("every shard job ran"))
+            .collect()
     }
 
     /// Completes the incremental build of every shard (see
     /// [`Quasii::finalize`]).
     pub fn finalize(&mut self) {
-        self.for_each_shard(Quasii::finalize);
+        self.map_shards(Quasii::finalize);
     }
 
     /// Seals every shard's converged top-level slices (see
@@ -422,7 +430,7 @@ impl<const D: usize> ShardedQuasii<D> {
     /// — this moves every shard onto the shared-read path up front instead
     /// of at its next query.
     pub fn seal(&mut self) {
-        self.for_each_shard(Quasii::seal);
+        self.map_shards(Quasii::seal);
     }
 
     /// Record-weighted fraction of the whole deployment answered through

@@ -27,9 +27,10 @@ impl<const D: usize> ShardedQuasii<D> {
     /// engine snapshot that can be shipped to (and verified on) a different
     /// node, while the manifest pins the pieces together (fences, router
     /// extension/counters, and a per-shard record-count/length/header-word
-    /// table). The shards are written one after another (loading them is
-    /// parallel); writing them as pool jobs is measured and waits for its
-    /// own change, see ROADMAP.md item 5(a).
+    /// table). The shards are written as pool jobs, one per shard on at
+    /// most `shard_threads` threads, as they are loaded; the first error in
+    /// shard order is returned, so it is the same for every thread count,
+    /// and so are the bytes. The manifest is written after all the parts.
     ///
     /// Like the engine's `write_snapshot`, this sweeps pending seal work
     /// first, so a snapshot captures the post-sweep state.
@@ -40,9 +41,8 @@ impl<const D: usize> ShardedQuasii<D> {
             ));
         }
         let shard_bufs = self
-            .shards
-            .iter_mut()
-            .map(Quasii::write_snapshot)
+            .map_shards(Quasii::write_snapshot)
+            .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
 
         let mut m = Writer::framed(&MANIFEST_MAGIC, MANIFEST_VERSION, D as u32, 0);
@@ -412,6 +412,45 @@ mod tests {
         );
         assert_eq!(re.stats(), idx.stats(), "work counters track in lockstep");
         assert_eq!(re.router_stats(), idx.router_stats());
+    }
+
+    #[test]
+    fn part_bytes_do_not_depend_on_the_thread_count() {
+        // A finalized shard has converged but not been swept since, so each
+        // write job seals its whole shard before it writes.
+        for finalize in [false, true] {
+            let what = if finalize { "finalized" } else { "warmed" };
+            let written: Vec<_> = [1, 2, 4]
+                .into_iter()
+                .map(|threads| {
+                    let (mut idx, _) = warmed_deployment();
+                    idx.cfg.shard_threads = threads;
+                    if finalize {
+                        idx.finalize();
+                    }
+                    let before = idx.sealed_fraction();
+                    let parts = idx.write_snapshot_parts().expect("write parts");
+                    if finalize {
+                        assert!(before < 1.0 && idx.sealed_fraction() == 1.0);
+                    }
+                    parts
+                })
+                .collect();
+            let (manifest, parts) = &written[0];
+            for ((m, p), threads) in written[1..].iter().zip([2u64, 4]) {
+                assert_eq!(p, parts, "{what}: parts with {threads} threads");
+                assert_eq!(m.len(), manifest.len());
+                let word = FRAME_LEN + 3 * 8..FRAME_LEN + 4 * 8;
+                assert_eq!(m[word.clone()], threads.to_le_bytes(), "{what}");
+                for (i, (a, b)) in m.iter().zip(manifest).enumerate() {
+                    // The header word sums the content, the word with it.
+                    assert!(
+                        a == b || word.contains(&i) || (16..24).contains(&i),
+                        "{what}: manifest byte {i} with {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
