@@ -3,11 +3,8 @@
 //! interval decomposition (SFC/SFCracker), and STR tiling (R-Tree build).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use quasii::crack::reference::{crack_three, crack_three_measured, crack_two, crack_two_measured};
-use quasii::crack::{
-    crack_three_keyed, crack_three_keyed_measured, crack_two_keyed, crack_two_keyed_measured,
-    key_of, DimBounds,
-};
+use quasii::crack::reference::{crack_three, crack_two};
+use quasii::crack::{crack_three_keyed_measured, crack_two_keyed_measured, key_of, DimBounds};
 use quasii::{AssignBy, Quasii, QuasiiConfig, SimdLevel, SimdPolicy};
 use quasii_common::dataset::uniform_boxes_in;
 use quasii_common::geom::{Aabb, Record};
@@ -27,103 +24,53 @@ fn columns_of(data: &[Record<3>], mode: AssignBy) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
-/// Keyed (key-column) vs record-streaming partition kernels at 100k —
-/// small enough that the whole segment is cache-warm after the clone, so
-/// this group isolates the scan/compute savings from the memory savings.
-fn bench_cracks(c: &mut Criterion) {
-    const MODE: AssignBy = AssignBy::Lower;
-    let data = uniform_boxes_in::<3>(100_000, 10_000.0, 1);
-    let (keys, his) = columns_of(&data, MODE);
-    let mut g = c.benchmark_group("crack");
-    g.bench_function("two_way_100k", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_two(d, 0, MODE, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_keyed_100k", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed(k, h, d, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("three_way_100k", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_three(d, 0, MODE, 3_000.0, 7_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("three_way_keyed_100k", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_three_keyed(k, h, d, 3_000.0, 7_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
-/// The three kernel generations on the engine's hot-path operation (crack +
-/// measure what `make_sub` consumes) at 1M records: "split passes" is the
-/// original partition-then-measure scheme, "fused" the PR 2 single-pass
-/// record-streaming kernels (full `SegMeasure` folds of every record),
-/// "keyed" the current engine kernels — narrow-column scans measuring the
-/// crack-dimension bounds, records touched only to swap misplaced pairs
-/// (both 1M output segments stay above τ, so `DimBounds` is exactly what
-/// the engine consumes for them; at-most-τ segments additionally get a
-/// small cache-resident exact-MBB scan in `make_sub`).
+/// The engine's crack kernels against their oracle on the hot-path
+/// operation (crack + measure what `make_sub` consumes) at 1M records:
+/// "split passes" is the record-streaming partition followed by one
+/// `DimBounds::of` pass per output segment, "keyed" the engine kernels —
+/// narrow-column scans measuring the crack-dimension bounds in-pass, records
+/// touched only to swap misplaced pairs (both 1M output segments stay above
+/// τ, so `DimBounds` is exactly what the engine consumes for them; at-most-τ
+/// segments additionally get a small cache-resident exact-MBB scan in
+/// `make_sub`).
 ///
-/// Two pivot selectivities: the median pivot maximizes misplaced pairs
-/// (≈50% of records must physically move — the keyed kernels' worst case),
-/// the 10%-quantile pivot is closer to the engine's converged regime.
-fn bench_fused_cracks(c: &mut Criterion) {
-    const MODE: AssignBy = AssignBy::Lower;
+/// Two-way runs at two pivot selectivities and two assignment modes: the
+/// median pivot maximizes misplaced pairs (≈50% of records must physically
+/// move — the keyed kernels' worst case), the 10%-quantile pivot is closer
+/// to the engine's converged regime, and under `Center` assignment
+/// `key_of` costs an add + multiply per record-streaming probe (the keyed
+/// kernel additionally folds `lo[dim]` from the records in this mode).
+fn bench_cracks(c: &mut Criterion) {
     let data = uniform_boxes_in::<3>(1_000_000, 10_000.0, 4);
-    let (keys, his) = columns_of(&data, MODE);
     let mut g = c.benchmark_group("crack_1m");
-    g.bench_function("two_way_split_passes", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| {
-                let p = crack_two(d, 0, MODE, 5_000.0);
-                let lo = DimBounds::of(&d[..p], 0, MODE);
-                let hi = DimBounds::of(&d[p..], 0, MODE);
-                black_box((p, lo, hi))
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_fused", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_two_measured(d, 0, MODE, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_keyed", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_fused_skewed_pivot", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_two_measured(d, 0, MODE, 1_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_keyed_skewed_pivot", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 1_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
+    for (suffix, mode, pivot) in [
+        ("", AssignBy::Lower, 5_000.0),
+        ("_skewed_pivot", AssignBy::Lower, 1_000.0),
+        ("_center", AssignBy::Center, 5_000.0),
+    ] {
+        let (keys, his) = columns_of(&data, mode);
+        g.bench_function(&format!("two_way_split_passes{suffix}"), |b| {
+            b.iter_batched_ref(
+                || data.clone(),
+                |d| {
+                    let p = crack_two(d, 0, mode, pivot);
+                    let lo = DimBounds::of(&d[..p], 0, mode);
+                    let hi = DimBounds::of(&d[p..], 0, mode);
+                    black_box((p, lo, hi))
+                },
+                BatchSize::LargeInput,
+            )
+        });
+        g.bench_function(&format!("two_way_keyed{suffix}"), |b| {
+            b.iter_batched_ref(
+                || (keys.clone(), his.clone(), data.clone()),
+                |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, mode, pivot)),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    const MODE: AssignBy = AssignBy::Lower;
+    let (keys, his) = columns_of(&data, MODE);
     g.bench_function("three_way_split_passes", |b| {
         b.iter_batched_ref(
             || data.clone(),
@@ -137,13 +84,6 @@ fn bench_fused_cracks(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("three_way_fused", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_three_measured(d, 0, MODE, 3_000.0, 7_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
     g.bench_function("three_way_keyed", |b| {
         b.iter_batched_ref(
             || (keys.clone(), his.clone(), data.clone()),
@@ -152,32 +92,6 @@ fn bench_fused_cracks(c: &mut Criterion) {
                     k, h, d, 0, MODE, 3_000.0, 7_000.0,
                 ))
             },
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
-/// Center-assignment variant of the 1M two-way comparison: `key_of` costs
-/// an add + multiply per record-streaming probe here, so the cached key
-/// column pays beyond the memory savings (the keyed kernel additionally
-/// folds `lo[dim]` from the records in this mode).
-fn bench_center_mode_cracks(c: &mut Criterion) {
-    const MODE: AssignBy = AssignBy::Center;
-    let data = uniform_boxes_in::<3>(1_000_000, 10_000.0, 4);
-    let (keys, his) = columns_of(&data, MODE);
-    let mut g = c.benchmark_group("crack_1m_center");
-    g.bench_function("two_way_fused", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_two_measured(d, 0, MODE, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_keyed", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0)),
             BatchSize::LargeInput,
         )
     });
@@ -303,7 +217,6 @@ fn bench_str(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_cracks, bench_fused_cracks, bench_center_mode_cracks,
-        bench_simd_scan_kernels, bench_simd_sealed_reads, bench_zorder, bench_str
+    targets = bench_cracks, bench_simd_scan_kernels, bench_simd_sealed_reads, bench_zorder, bench_str
 }
 criterion_main!(kernels);

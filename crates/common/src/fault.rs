@@ -302,7 +302,6 @@ impl<S: SnapshotStore> FaultStore<S> {
         if st.transient_left > 0 {
             st.transient_left -= 1;
             obs::registry::FSX_INJECTED_FAULTS_TOTAL.inc();
-            obs::trace::record(|| obs::trace::TraceEvent::FsxFault { op });
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
                 "fault injection: transient error",
@@ -311,7 +310,6 @@ impl<S: SnapshotStore> FaultStore<S> {
         if self.plan.crash_at_op == Some(op) {
             st.crashed = true;
             obs::registry::FSX_INJECTED_FAULTS_TOTAL.inc();
-            obs::trace::record(|| obs::trace::TraceEvent::FsxFault { op });
             return Ok(false);
         }
         Ok(true)

@@ -161,7 +161,6 @@ impl RetryPolicy {
                         return Err(e);
                     }
                     obs::registry::FSX_RETRIES_TOTAL.inc();
-                    obs::trace::record(|| obs::trace::TraceEvent::FsxRetry);
                     if !wait.is_zero() {
                         std::thread::sleep(wait);
                         wait = wait.saturating_mul(2);
@@ -231,10 +230,6 @@ pub fn write_atomic_with<S: SnapshotStore + ?Sized>(
         obs::registry::FSX_COMMIT_FAILURES_TOTAL.inc();
     }
     obs::registry::FSX_COMMIT_SECONDS.observe_since(t);
-    obs::trace::record(|| obs::trace::TraceEvent::FsxCommit {
-        nanos: obs::elapsed_nanos(t),
-        ok: result.is_ok(),
-    });
     result
 }
 

@@ -9,6 +9,7 @@
 //! * [`dataset`] — synthetic-uniform and neuroscience-like dataset
 //!   generators (§6.1 of the paper);
 //! * [`workload`] — clustered and uniform query-sequence generators (§6.1);
+//! * [`io`] — dataset files: the binary `.qsd` format and CSV;
 //! * [`pool`] — the process-wide pool of parked workers every parallel
 //!   batch, shard fan-out and shard load runs its jobs on;
 //! * [`scan`] — the full-scan baseline;
@@ -29,7 +30,6 @@ pub mod fsx;
 pub mod geom;
 pub mod index;
 pub mod io;
-pub mod knn;
 pub mod measure;
 pub mod pool;
 pub mod scan;

@@ -235,7 +235,7 @@ impl<const D: usize> Quasii<D> {
         // and the crack phase runs after it (cracks only ever split
         // unconverged slices, so a sealed query's window can never gain an
         // unsealed candidate mid-batch).
-        let span = obs::start_span();
+        let span = obs::start();
         let mut sealed_jobs: Vec<usize> = Vec::new();
         let mut crack_jobs: Vec<usize> = Vec::new();
         for (j, qe) in extended.iter().enumerate() {
@@ -247,7 +247,7 @@ impl<const D: usize> Quasii<D> {
                 }
             }
         }
-        finish_phase(span, obs::Phase::Classify, queries.len() as u64);
+        finish_phase(span, obs::Phase::Classify);
 
         // Phase 1 — a pool map of `read` over the sealed queries: arbitrary
         // queries as jobs over `&self`, no disjoint-partition constraint,
@@ -255,7 +255,7 @@ impl<const D: usize> Quasii<D> {
         // Reads commute with the crack phase below: sealed regions are
         // immutable, and a crack query that reaches one only reads it.
         if !sealed_jobs.is_empty() {
-            let span = obs::start_span();
+            let span = obs::start();
             let mut slots: Vec<Vec<u64>> = sealed_jobs
                 .iter()
                 .map(|&j| std::mem::take(&mut results[j]))
@@ -270,7 +270,7 @@ impl<const D: usize> Quasii<D> {
             for (&j, out) in sealed_jobs.iter().zip(slots) {
                 results[j] = out;
             }
-            finish_phase(span, obs::Phase::SealedRead, sealed_jobs.len() as u64);
+            finish_phase(span, obs::Phase::SealedRead);
             if let Err(p) = failed {
                 // The sealed phase mutates nothing, so the structure is
                 // intact — but the batch's results are incomplete, so the
@@ -294,7 +294,7 @@ impl<const D: usize> Quasii<D> {
         // remaining query inline too (partitioning would cost a detach and a
         // pool hop for one job; by the determinism invariant the result is
         // the same).
-        let span = obs::start_span();
+        let span = obs::start();
         let mut next = 0;
         while next < crack_jobs.len()
             && (threads <= 1 || self.root.len() < 2 || next + 1 == crack_jobs.len())
@@ -307,7 +307,7 @@ impl<const D: usize> Quasii<D> {
             let jobs = &crack_jobs[next..];
             self.run_partitioned(queries, &extended, jobs, results, threads, trap);
         }
-        finish_phase(span, obs::Phase::Crack, crack_jobs.len() as u64);
+        finish_phase(span, obs::Phase::Crack);
         match self.poison_error() {
             Some(e) => Err(e),
             None => Ok(()),
@@ -461,7 +461,7 @@ impl<const D: usize> Quasii<D> {
         // not copied: one served by a single partition costs no copy at
         // all. Every partition reattaches, also one whose job panicked, so
         // the top level is always a complete partition of the data array.
-        let span = obs::start_span();
+        let span = obs::start();
         self.rt.stats.queries += jobs.len() as u64;
         for p in &mut parts {
             self.rt.stats.merge(&p.stats);
@@ -474,7 +474,7 @@ impl<const D: usize> Quasii<D> {
                 }
             }
         }
-        finish_phase(span, obs::Phase::Merge, jobs.len() as u64);
+        finish_phase(span, obs::Phase::Merge);
         if let Err(p) = failed {
             self.poison(format!(
                 "worker panic during partitioned crack phase: {}",

@@ -8,37 +8,34 @@
 //! the center/upper corner per the paper's footnote 1 (see
 //! [`crate::AssignBy`]).
 //!
-//! # Kernel generations
+//! # One kernel per crack shape
 //!
-//! The engine has gone through three kernel generations:
+//! The engine cracks with three keyed kernels, one per crack shape — the
+//! partition primitives of Idreos et al.'s cracker column: two-way
+//! ([`crack_two_keyed_measured`]), three-way
+//! ([`crack_three_keyed_measured`]) and the rank-based fallback
+//! ([`crack_median_keyed_measured`]). Each scans two narrow,
+//! cache-resident columns maintained by [`crate::keys::KeyColumn`] — the
+//! **assignment-key column** (`keys[i] == key_of(&recs[i], dim, mode)`) it
+//! compares against the pivot, and the companion upper-bound column
+//! (`his[i] == recs[i].mbb.hi[dim]`) it folds bounding information from —
+//! and touches the wide records **only to swap misplaced pairs**. During
+//! the pass it measures exactly what the engine consumes per output
+//! segment: a [`DimBounds`] on the crack dimension (the engine lazily
+//! computes an exact MBB only for the at-most-τ-sized segments that become
+//! refined slices, where the scan is cache-resident). Cf. Pirk et al.'s
+//! predicated "fancy scan" kernels.
 //!
-//! 1. **record-streaming** — compare-and-swap over the wide `Record<D>`
-//!    array, recomputing [`key_of`] on every probe, then separate measuring
-//!    passes per output segment (kept in [`reference`] as the oracle);
-//! 2. **fused** — same record-streaming comparison loop, but each record is
-//!    folded into its output segment's full [`SegMeasure`] during the
-//!    partition pass (also in [`reference`]);
-//! 3. **keyed** — the current generation (this module's `*_keyed*`
-//!    functions): the partition scans two narrow, cache-resident columns
-//!    maintained by [`crate::keys::KeyColumn`] — the **assignment-key
-//!    column** (`keys[i] == key_of(&recs[i], dim, mode)`) it compares
-//!    against the pivot, and the companion upper-bound column
-//!    (`his[i] == recs[i].mbb.hi[dim]`) it folds bounding information from
-//!    — and touches the wide records **only to swap misplaced pairs**.
-//!    Instead of the full multi-dimensional [`SegMeasure`], the keyed
-//!    kernels measure exactly what the engine consumes per output segment:
-//!    a [`DimBounds`] on the crack dimension (the engine lazily computes an
-//!    exact MBB only for the at-most-τ-sized segments that become refined
-//!    slices, where the scan is cache-resident). Cf. Idreos et al.'s
-//!    database cracking and Pirk et al.'s predicated "fancy scan" kernels.
-//!
-//! Every keyed kernel produces **the same permutation, split points and
-//! measurements** as its record-streaming counterpart in [`reference`]
-//! (permutations and split points bit-for-bit; measurements value-equal
-//! min/max folds); `tests/keyed_kernels.rs` proves it property-based.
+//! The oracle is [`reference`](mod@reference): record-streaming
+//! compare-and-swap kernels over the wide `Record<D>` array, recomputing
+//! [`key_of`] on every probe, followed by [`DimBounds::of`] on each output
+//! segment. Every keyed kernel produces **the same permutation and split
+//! points** as its counterpart there bit for bit, and value-equal
+//! measurements (min/max folds); `tests/keyed_kernels.rs` proves it
+//! property-based.
 
 use crate::config::AssignBy;
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::Record;
 
 /// The representative (assignment) coordinate of `r` on `dim`.
 #[inline(always)]
@@ -98,9 +95,8 @@ impl DimBounds {
         }
     }
 
-    /// Measures a segment with a record-streaming scan (the oracle for the
-    /// keyed kernels' in-pass measurements; also used by the rare rank-based
-    /// fallback path).
+    /// Measures a segment with a record-streaming scan: the oracle for the
+    /// keyed kernels' in-pass measurements.
     pub fn of<const D: usize>(seg: &[Record<D>], dim: usize, mode: AssignBy) -> Self {
         let mut b = Self::empty();
         for r in seg {
@@ -116,56 +112,6 @@ impl DimBounds {
             }
         }
         b
-    }
-}
-
-/// Full measurements of one crack output segment: the assignment-key
-/// minimum plus the exact MBB over **all** dimensions. The fused
-/// [`reference`] kernels accumulate this during their partition pass; the
-/// current keyed engine instead measures [`DimBounds`] in-pass and derives
-/// the exact MBB lazily (only for segments small enough to become refined).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SegMeasure<const D: usize> {
-    /// Minimum assignment key over the segment (`+inf` when empty).
-    pub min_key: f64,
-    /// Exact MBB of the segment ([`Aabb::empty`] when empty).
-    pub mbb: Aabb<D>,
-}
-
-impl<const D: usize> SegMeasure<D> {
-    /// Identity measurement of an empty segment.
-    pub fn empty() -> Self {
-        Self {
-            min_key: f64::INFINITY,
-            mbb: Aabb::empty(),
-        }
-    }
-
-    /// Folds one record in; `key` is its precomputed assignment key.
-    #[inline(always)]
-    fn add(&mut self, r: &Record<D>, key: f64) {
-        if key < self.min_key {
-            self.min_key = key;
-        }
-        self.mbb.expand(&r.mbb);
-    }
-
-    /// Measures a segment with a plain record scan.
-    pub fn of(seg: &[Record<D>], dim: usize, mode: AssignBy) -> Self {
-        let mut m = Self::empty();
-        for r in seg {
-            m.add(r, key_of(r, dim, mode));
-        }
-        m
-    }
-
-    /// The per-dimension view of this measurement.
-    pub fn dim_bounds(&self, dim: usize) -> DimBounds {
-        DimBounds {
-            min_key: self.min_key,
-            min_lo: self.mbb.lo[dim],
-            max_hi: self.mbb.hi[dim],
-        }
     }
 }
 
@@ -202,46 +148,8 @@ fn fold_lo_at<const D: usize, const FOLD_LO: bool>(
     }
 }
 
-/// Two-way keyed crack: reorders the `(keys, his, recs)` triple in lockstep
-/// so entries with `key < pivot` precede the rest; returns the split point
-/// (first index of the `>= pivot` part).
-///
-/// The scan compares only the 8-byte key column (a `Record<3>` is 56
-/// bytes); the wide records are touched only when a misplaced pair must
-/// swap. Produces bit-for-bit the same permutation and split point as
-/// [`reference::crack_two`].
-pub fn crack_two_keyed<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    pivot: f64,
-) -> usize {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    let mut i = 0usize;
-    let mut j = keys.len();
-    loop {
-        while i < j && keys[i] < pivot {
-            i += 1;
-        }
-        while i < j && keys[j - 1] >= pivot {
-            j -= 1;
-        }
-        if i + 1 >= j {
-            break;
-        }
-        keys.swap(i, j - 1);
-        his.swap(i, j - 1);
-        recs.swap(i, j - 1);
-        i += 1;
-        j -= 1;
-    }
-    i
-}
-
-/// Measuring two-way keyed crack: same partition (and identical split
-/// point) as [`crack_two_keyed`], additionally measuring both output
-/// segments' [`DimBounds`] during the pass — min key and max upper bound
-/// straight from the narrow columns (`FOLD_LO` additionally folds
+/// The body of [`crack_two_keyed_measured`]: min key and max upper bound
+/// come straight from the narrow columns (`FOLD_LO` additionally folds
 /// `lo[dim]` from the records, needed for `Center`/`Upper` assignment
 /// where the key is not the lower bound).
 fn crack_two_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
@@ -297,12 +205,16 @@ fn crack_two_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     (i, left, right)
 }
 
-/// Measuring two-way keyed crack (see
-/// [`crack_two_keyed`] for the partition contract): returns the split point
-/// and both output segments' [`DimBounds`], measured from the narrow
-/// columns during the pass. Identical permutation and split point to
-/// [`reference::crack_two_measured`]; the measurements equal that kernel's
-/// [`SegMeasure::dim_bounds`] view.
+/// Two-way keyed crack: reorders the `(keys, his, recs)` triple in lockstep
+/// so entries with `key < pivot` precede the rest; returns the split point
+/// (first index of the `>= pivot` part) and both output segments'
+/// [`DimBounds`], measured from the narrow columns during the pass.
+///
+/// The scan compares only the 8-byte key column (a `Record<3>` is 56
+/// bytes); the wide records are touched only when a misplaced pair must
+/// swap. Produces bit-for-bit the same permutation and split point as
+/// [`reference::crack_two`]; the measurements equal [`DimBounds::of`] on
+/// each side.
 pub fn crack_two_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -319,50 +231,7 @@ pub fn crack_two_keyed_measured<const D: usize>(
     }
 }
 
-/// Three-way keyed crack (Dutch national flag): partitions the
-/// `(keys, his, recs)` triple into `key < low` | `low <= key <= high` |
-/// `key > high`; returns the two split points `(p1, p2)` so the middle part
-/// is `p1..p2`. Identical permutation to [`reference::crack_three`].
-pub fn crack_three_keyed<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    low: f64,
-    high: f64,
-) -> (usize, usize) {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
-    let mut lt = 0usize;
-    let mut i = 0usize;
-    let mut gt = keys.len();
-    while i < gt {
-        let v = keys[i];
-        if v < low {
-            // Self-swaps (lt == i) are no-ops in the reference kernel too;
-            // skipping them saves record traffic on ordered prefixes
-            // without changing the permutation.
-            if lt != i {
-                keys.swap(lt, i);
-                his.swap(lt, i);
-                recs.swap(lt, i);
-            }
-            lt += 1;
-            i += 1;
-        } else if v > high {
-            gt -= 1;
-            keys.swap(i, gt);
-            his.swap(i, gt);
-            recs.swap(i, gt);
-        } else {
-            i += 1;
-        }
-    }
-    (lt, gt)
-}
-
-/// Measuring three-way keyed crack: same partition (and identical split
-/// points) as [`crack_three_keyed`], measuring the three output segments'
-/// [`DimBounds`] during the pass from the narrow columns.
+/// The body of [`crack_three_keyed_measured`].
 fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -432,10 +301,13 @@ fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     (lt, gt, m)
 }
 
-/// Measuring three-way keyed crack (see [`crack_three_keyed`] for the
-/// partition contract): identical permutation and split points to
-/// [`reference::crack_three_measured`]; the measurements equal that
-/// kernel's [`SegMeasure::dim_bounds`] view.
+/// Three-way keyed crack (Dutch national flag): partitions the
+/// `(keys, his, recs)` triple into `key < low` | `low <= key <= high` |
+/// `key > high`; returns the two split points `(p1, p2)` so the middle part
+/// is `p1..p2`, and the three output segments' [`DimBounds`], measured from
+/// the narrow columns during the pass. Identical permutation and split
+/// points to [`reference::crack_three`]; the measurements equal
+/// [`DimBounds::of`] on each segment.
 pub fn crack_three_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -457,7 +329,8 @@ pub fn crack_three_keyed_measured<const D: usize>(
 /// Rank-based fallback split used when midpoint (value) splits cannot
 /// separate a degenerate distribution: moves the median-by-key record into
 /// place, rebuilds both columns for the permuted segment, and partitions
-/// around the median key. Returns the split point, which may be `0` or
+/// around the median key, measuring both output segments' [`DimBounds`]
+/// during the partition pass. Returns the split point, which may be `0` or
 /// `recs.len()` when all keys are equal (caller must handle).
 ///
 /// The record selection runs the exact comparator of
@@ -465,37 +338,6 @@ pub fn crack_three_keyed_measured<const D: usize>(
 /// engine state) stays bit-for-bit identical to the record-streaming
 /// oracle. This path is rare (degenerate value distributions only), so the
 /// extra re-keying scan does not matter.
-pub fn crack_median_keyed<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    dim: usize,
-    mode: AssignBy,
-) -> usize {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    if recs.len() < 2 {
-        return recs.len();
-    }
-    let mid = recs.len() / 2;
-    recs.select_nth_unstable_by(mid, |a, b| {
-        key_of(a, dim, mode)
-            .partial_cmp(&key_of(b, dim, mode))
-            .expect("coordinates are never NaN")
-    });
-    // The selection permuted the records without the columns: re-key.
-    crate::keys::rekey(keys, his, recs, dim, mode);
-    let pivot = keys[mid];
-    // Partition strictly below the median value; if everything is equal to
-    // the pivot this yields 0 and the caller treats the slice as
-    // value-indivisible.
-    crack_two_keyed(keys, his, recs, pivot)
-}
-
-/// Measuring rank-based fallback split: same permutation and split point as
-/// [`crack_median_keyed`], additionally measuring both output segments'
-/// [`DimBounds`] during the final partition pass — so the engine's
-/// artificial-refinement fallback no longer re-scans both halves with
-/// [`DimBounds::of`] after the kernel already walked the columns.
 ///
 /// The measurements are only meaningful when `0 < split < recs.len()`; on a
 /// degenerate (value-indivisible or sub-2-element) segment the caller
@@ -520,15 +362,18 @@ pub fn crack_median_keyed_measured<const D: usize>(
     // The selection permuted the records without the columns: re-key.
     crate::keys::rekey(keys, his, recs, dim, mode);
     let pivot = keys[mid];
+    // Partition strictly below the median value; if everything is equal to
+    // the pivot this yields 0 and the caller treats the slice as
+    // value-indivisible.
     crack_two_keyed_measured(keys, his, recs, dim, mode, pivot)
 }
 
-/// The record-streaming kernel generations (pre-key-column), kept as the
-/// bit-for-bit oracle for the keyed kernels and as the baseline side of the
-/// `benches/kernels.rs` keyed-vs-record-streaming comparison. Not used on
-/// the engine's query path.
+/// The record-streaming kernels (pre-key-column), kept as the bit-for-bit
+/// oracle for the keyed kernels — with [`DimBounds::of`] on each output
+/// segment — and as the baseline side of the `benches/kernels.rs`
+/// keyed-vs-split-passes comparison. Not used on the engine's query path.
 pub mod reference {
-    use super::{key_of, SegMeasure};
+    use super::key_of;
     use crate::config::AssignBy;
     use quasii_common::geom::Record;
 
@@ -563,61 +408,6 @@ pub mod reference {
         i
     }
 
-    /// Fused two-way crack: same partition (and identical split point) as
-    /// [`crack_two`], but additionally measures both output segments
-    /// *during* the pass. Every record is folded into its final side's
-    /// [`SegMeasure`] exactly once, at the moment the partition decides
-    /// where it lands.
-    pub fn crack_two_measured<const D: usize>(
-        seg: &mut [Record<D>],
-        dim: usize,
-        mode: AssignBy,
-        pivot: f64,
-    ) -> (usize, SegMeasure<D>, SegMeasure<D>) {
-        let mut left = SegMeasure::empty();
-        let mut right = SegMeasure::empty();
-        let mut i = 0usize;
-        let mut j = seg.len();
-        loop {
-            // `ki`/`kj` carry the key each scan stopped on, so the swap
-            // branch below does not recompute them.
-            let mut ki = f64::NAN;
-            while i < j {
-                let k = key_of(&seg[i], dim, mode);
-                if k >= pivot {
-                    ki = k;
-                    break;
-                }
-                left.add(&seg[i], k);
-                i += 1;
-            }
-            let mut kj = f64::NAN;
-            while i < j {
-                let k = key_of(&seg[j - 1], dim, mode);
-                if k < pivot {
-                    kj = k;
-                    break;
-                }
-                right.add(&seg[j - 1], k);
-                j -= 1;
-            }
-            if i + 1 >= j {
-                break;
-            }
-            // Both scans stopped on a misplaced pair (i + 1 < j implies
-            // neither exhausted the range, so ki/kj are set): seg[i] belongs
-            // right, seg[j-1] belongs left. Measure both on their final
-            // side, swap.
-            debug_assert!(!ki.is_nan() && !kj.is_nan());
-            right.add(&seg[i], ki);
-            left.add(&seg[j - 1], kj);
-            seg.swap(i, j - 1);
-            i += 1;
-            j -= 1;
-        }
-        (i, left, right)
-    }
-
     /// Three-way crack (Dutch national flag): partitions `seg` into
     /// `key < low` | `low <= key <= high` | `key > high`; returns the two
     /// split points `(p1, p2)` so the middle part is `p1..p2`.
@@ -646,40 +436,6 @@ pub mod reference {
             }
         }
         (lt, gt)
-    }
-
-    /// Fused three-way crack: same partition (and identical split points)
-    /// as [`crack_three`], measuring the three output segments during the
-    /// pass.
-    pub fn crack_three_measured<const D: usize>(
-        seg: &mut [Record<D>],
-        dim: usize,
-        mode: AssignBy,
-        low: f64,
-        high: f64,
-    ) -> (usize, usize, [SegMeasure<D>; 3]) {
-        debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
-        let mut m = [SegMeasure::empty(); 3];
-        let mut lt = 0usize;
-        let mut i = 0usize;
-        let mut gt = seg.len();
-        while i < gt {
-            let v = key_of(&seg[i], dim, mode);
-            if v < low {
-                m[0].add(&seg[i], v);
-                seg.swap(lt, i);
-                lt += 1;
-                i += 1;
-            } else if v > high {
-                m[2].add(&seg[i], v);
-                gt -= 1;
-                seg.swap(i, gt);
-            } else {
-                m[1].add(&seg[i], v);
-                i += 1;
-            }
-        }
-        (lt, gt, m)
     }
 
     /// Rank-based fallback split used when midpoint (value) splits cannot
@@ -711,9 +467,7 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{
-        crack_median, crack_three, crack_three_measured, crack_two, crack_two_measured,
-    };
+    use super::reference::{crack_median, crack_three, crack_two};
     use super::*;
     use crate::keys::rekey;
     use quasii_common::geom::Aabb;
@@ -898,11 +652,6 @@ mod tests {
         assert!(e.min_lo.is_infinite() && e.max_hi.is_infinite());
     }
 
-    /// Reference measurement: plain scans over the already-partitioned data.
-    fn measure_ref(seg: &[Record<3>], mode: AssignBy) -> SegMeasure<3> {
-        SegMeasure::of(seg, 0, mode)
-    }
-
     fn random_segment3(n: usize, seed: u64) -> Vec<Record<3>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
@@ -916,70 +665,6 @@ mod tests {
                 Record::new(id as u64, Aabb::new(lo, hi))
             })
             .collect()
-    }
-
-    #[test]
-    fn fused_two_way_matches_split_passes() {
-        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-            for (seed, pivot) in [(11, 50.0), (12, 0.0), (13, 200.0), (14, 97.5)] {
-                let mut fused = random_segment3(500, seed);
-                let mut plain = fused.clone();
-                let (p, left, right) = crack_two_measured(&mut fused, 0, mode, pivot);
-                let p_ref = crack_two(&mut plain, 0, mode, pivot);
-                assert_eq!(p, p_ref, "split point diverged (mode {mode:?})");
-                let ids = |s: &[Record<3>]| s.iter().map(|r| r.id).collect::<Vec<_>>();
-                // Same partition contents (the physical order inside each
-                // side is identical: both kernels do the same swaps).
-                assert_eq!(ids(&fused), ids(&plain));
-                assert_eq!(left, measure_ref(&fused[..p], mode));
-                assert_eq!(right, measure_ref(&fused[p..], mode));
-                assert_eq!(
-                    left.dim_bounds(0),
-                    DimBounds::of(&fused[..p], 0, mode),
-                    "DimBounds view must match the unfused measurement"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_three_way_matches_split_passes() {
-        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-            for (seed, lo, hi) in [(21, 25.0, 75.0), (22, 50.0, 50.0), (23, -5.0, -1.0)] {
-                let mut fused = random_segment3(700, seed);
-                let mut plain = fused.clone();
-                let (p1, p2, m) = crack_three_measured(&mut fused, 0, mode, lo, hi);
-                let (r1, r2) = crack_three(&mut plain, 0, mode, lo, hi);
-                assert_eq!((p1, p2), (r1, r2), "split points diverged");
-                let ids = |s: &[Record<3>]| s.iter().map(|r| r.id).collect::<Vec<_>>();
-                assert_eq!(ids(&fused), ids(&plain));
-                assert_eq!(m[0], measure_ref(&fused[..p1], mode));
-                assert_eq!(m[1], measure_ref(&fused[p1..p2], mode));
-                assert_eq!(m[2], measure_ref(&fused[p2..], mode));
-            }
-        }
-    }
-
-    #[test]
-    fn fused_kernels_handle_empty_and_degenerate_segments() {
-        let mut empty: Vec<Record<3>> = vec![];
-        let (p, l, r) = crack_two_measured(&mut empty, 0, AssignBy::Lower, 1.0);
-        assert_eq!(p, 0);
-        assert_eq!(l, SegMeasure::empty());
-        assert_eq!(r, SegMeasure::empty());
-        let (p1, p2, m) = crack_three_measured(&mut empty, 0, AssignBy::Lower, 0.0, 1.0);
-        assert_eq!((p1, p2), (0, 0));
-        assert!(m.iter().all(|x| *x == SegMeasure::empty()));
-
-        // All keys equal: everything lands on one side, the other is empty.
-        let mut same: Vec<Record<3>> = (0..10)
-            .map(|i| Record::new(i, Aabb::new([7.0; 3], [8.0; 3])))
-            .collect();
-        let (p, l, r) = crack_two_measured(&mut same, 0, AssignBy::Lower, 7.0);
-        assert_eq!(p, 0);
-        assert_eq!(l, SegMeasure::empty());
-        assert_eq!(r.min_key, 7.0);
-        assert_eq!(r.mbb, Aabb::new([7.0; 3], [8.0; 3]));
     }
 
     #[test]
@@ -1018,26 +703,22 @@ mod tests {
             for (seed, pivot) in [(31, 50.0), (32, 0.0), (33, 200.0), (34, 97.5)] {
                 for dim in [0usize, 2] {
                     let mut keyed = random_segment3(501, seed);
-                    let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
                     let mut plain = keyed.clone();
-                    let (p, l, r) =
-                        crack_two_keyed_measured(&mut ck, &mut ch, &mut keyed, dim, mode, pivot);
-                    let (p_ref, l_ref, r_ref) = crack_two_measured(&mut plain, dim, mode, pivot);
-                    assert_eq!(p, p_ref, "split (mode {mode:?}, dim {dim})");
-                    assert_eq!(keyed, plain, "permutation (mode {mode:?}, dim {dim})");
-                    assert_eq!(l, l_ref.dim_bounds(dim), "left bounds ({mode:?})");
-                    assert_eq!(r, r_ref.dim_bounds(dim), "right bounds ({mode:?})");
-                    assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
-
-                    // Unmeasured variant: identical partition too.
-                    let mut keyed2 = plain.clone();
-                    let (mut ck2, mut ch2) = columns_of(&keyed2, dim, mode);
-                    // plain is already partitioned; re-run both on the
-                    // partitioned input to exercise the sorted edge case.
-                    let p2 = crack_two_keyed(&mut ck2, &mut ch2, &mut keyed2, pivot);
-                    let p2_ref = crack_two(&mut plain, dim, mode, pivot);
-                    assert_eq!(p2, p2_ref);
-                    assert_eq!(keyed2, plain);
+                    // The second pass re-runs both on the partitioned input
+                    // to exercise the sorted edge case.
+                    for pass in 0..2 {
+                        let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
+                        let (p, l, r) = crack_two_keyed_measured(
+                            &mut ck, &mut ch, &mut keyed, dim, mode, pivot,
+                        );
+                        let p_ref = crack_two(&mut plain, dim, mode, pivot);
+                        let at = format!("mode {mode:?}, dim {dim}, pass {pass}");
+                        assert_eq!(p, p_ref, "split ({at})");
+                        assert_eq!(keyed, plain, "permutation ({at})");
+                        assert_eq!(l, DimBounds::of(&plain[..p], dim, mode), "left ({at})");
+                        assert_eq!(r, DimBounds::of(&plain[p..], dim, mode), "right ({at})");
+                        assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
+                    }
                 }
             }
         }
@@ -1048,84 +729,45 @@ mod tests {
         for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
             for (seed, lo, hi) in [(41, 25.0, 75.0), (42, 50.0, 50.0), (43, -5.0, -1.0)] {
                 let mut keyed = random_segment3(700, seed);
-                let (mut ck, mut ch) = columns_of(&keyed, 1, mode);
                 let mut plain = keyed.clone();
-                let (p1, p2, m) =
-                    crack_three_keyed_measured(&mut ck, &mut ch, &mut keyed, 1, mode, lo, hi);
-                let (r1, r2, m_ref) = crack_three_measured(&mut plain, 1, mode, lo, hi);
-                assert_eq!((p1, p2), (r1, r2));
-                assert_eq!(keyed, plain);
-                for (got, want) in m.iter().zip(&m_ref) {
-                    assert_eq!(*got, want.dim_bounds(1), "bounds ({mode:?})");
+                for pass in 0..2 {
+                    let (mut ck, mut ch) = columns_of(&keyed, 1, mode);
+                    let (p1, p2, m) =
+                        crack_three_keyed_measured(&mut ck, &mut ch, &mut keyed, 1, mode, lo, hi);
+                    let (r1, r2) = crack_three(&mut plain, 1, mode, lo, hi);
+                    assert_eq!((p1, p2), (r1, r2), "split ({mode:?}, pass {pass})");
+                    assert_eq!(keyed, plain, "permutation ({mode:?}, pass {pass})");
+                    for (got, seg) in m.iter().zip([&plain[..r1], &plain[r1..r2], &plain[r2..]]) {
+                        assert_eq!(*got, DimBounds::of(seg, 1, mode), "bounds ({mode:?})");
+                    }
+                    assert_columns_consistent(&ck, &ch, &keyed, 1, mode);
                 }
-                assert_columns_consistent(&ck, &ch, &keyed, 1, mode);
-
-                let mut keyed2 = plain.clone();
-                let (mut ck2, mut ch2) = columns_of(&keyed2, 1, mode);
-                let (q1, q2) = crack_three_keyed(&mut ck2, &mut ch2, &mut keyed2, lo, hi);
-                let (s1, s2) = crack_three(&mut plain, 1, mode, lo, hi);
-                assert_eq!((q1, q2), (s1, s2));
-                assert_eq!(keyed2, plain);
             }
         }
     }
 
     #[test]
     fn keyed_median_matches_reference() {
-        for mode in [AssignBy::Lower, AssignBy::Center] {
-            let mut keyed = random_segment3(101, 51);
-            let (mut ck, mut ch) = columns_of(&keyed, 0, mode);
-            let mut plain = keyed.clone();
-            let p = crack_median_keyed(&mut ck, &mut ch, &mut keyed, 0, mode);
-            let p_ref = crack_median(&mut plain, 0, mode);
-            assert_eq!(p, p_ref);
-            assert_eq!(keyed, plain);
-            assert_columns_consistent(&ck, &ch, &keyed, 0, mode);
-        }
-        // Degenerate: all equal → 0; tiny segments return their length.
-        let mut same: Vec<Record<3>> = (0..9)
-            .map(|i| Record::new(i, Aabb::new([3.0; 3], [4.0; 3])))
-            .collect();
-        let (mut ck, mut ch) = columns_of(&same, 0, LOWER);
-        assert_eq!(crack_median_keyed(&mut ck, &mut ch, &mut same, 0, LOWER), 0);
-        let mut one = vec![Record::new(0, Aabb::new([1.0; 3], [2.0; 3]))];
-        let (mut ck1, mut ch1) = columns_of(&one, 0, LOWER);
-        assert_eq!(
-            crack_median_keyed(&mut ck1, &mut ch1, &mut one, 0, LOWER),
-            1
-        );
-    }
-
-    #[test]
-    fn measured_median_matches_unmeasured_and_rescan_oracle() {
-        // Same permutation and split point as the unmeasured kernel, and
-        // the in-pass measurements value-equal a `DimBounds::of` re-scan of
-        // each half — exactly what the engine's rank fallback consumed
-        // before the kernel returned them.
-        for (mode, dim, seed) in [
-            (AssignBy::Lower, 0, 61),
-            (AssignBy::Center, 1, 62),
-            (AssignBy::Upper, 2, 63),
+        for (mode, dim, n, seed) in [
+            (AssignBy::Lower, 0, 101, 51),
+            (AssignBy::Center, 0, 101, 51),
+            (AssignBy::Lower, 0, 137, 61),
+            (AssignBy::Center, 1, 137, 62),
+            (AssignBy::Upper, 2, 137, 63),
         ] {
-            let mut measured = random_segment3(137, seed);
-            let (mut mk, mut mh) = columns_of(&measured, dim, mode);
-            let mut plain = measured.clone();
-            let (mut pk, mut ph) = columns_of(&plain, dim, mode);
-
-            let (p, lm, rm) =
-                crack_median_keyed_measured(&mut mk, &mut mh, &mut measured, dim, mode);
-            let p_ref = crack_median_keyed(&mut pk, &mut ph, &mut plain, dim, mode);
+            let mut keyed = random_segment3(n, seed);
+            let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
+            let mut plain = keyed.clone();
+            let (p, l, r) = crack_median_keyed_measured(&mut ck, &mut ch, &mut keyed, dim, mode);
+            let p_ref = crack_median(&mut plain, dim, mode);
             assert_eq!(p, p_ref, "{mode:?}");
-            assert_eq!(measured, plain, "{mode:?}: permutation diverged");
-            assert_columns_consistent(&mk, &mh, &measured, dim, mode);
-            assert!(
-                0 < p && p < measured.len(),
-                "non-degenerate by construction"
-            );
-            assert_eq!(lm, DimBounds::of(&measured[..p], dim, mode), "{mode:?}");
-            assert_eq!(rm, DimBounds::of(&measured[p..], dim, mode), "{mode:?}");
+            assert_eq!(keyed, plain, "{mode:?}: permutation diverged");
+            assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
+            assert!(0 < p && p < keyed.len(), "non-degenerate by construction");
+            assert_eq!(l, DimBounds::of(&keyed[..p], dim, mode), "{mode:?}");
+            assert_eq!(r, DimBounds::of(&keyed[p..], dim, mode), "{mode:?}");
         }
-        // Degenerate inputs report their split like the unmeasured kernel
+        // Degenerate: all equal → 0; tiny segments return their length
         // (measurements are unspecified there and unread by the caller).
         let mut same: Vec<Record<3>> = (0..9)
             .map(|i| Record::new(i, Aabb::new([3.0; 3], [4.0; 3])))
@@ -1137,10 +779,6 @@ mod tests {
         let (mut ck1, mut ch1) = columns_of(&one, 0, LOWER);
         let (p, _, _) = crack_median_keyed_measured(&mut ck1, &mut ch1, &mut one, 0, LOWER);
         assert_eq!(p, 1);
-        let mut empty: Vec<Record<3>> = vec![];
-        let (mut ck0, mut ch0) = columns_of(&empty, 0, LOWER);
-        let (p, l, r) = crack_median_keyed_measured(&mut ck0, &mut ch0, &mut empty, 0, LOWER);
-        assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
     }
 
     #[test]
@@ -1148,7 +786,6 @@ mod tests {
         let mut keys: Vec<f64> = vec![];
         let mut his: Vec<f64> = vec![];
         let mut recs: Vec<Record<3>> = vec![];
-        assert_eq!(crack_two_keyed(&mut keys, &mut his, &mut recs, 1.0), 0);
         let (p, l, r) = crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 1.0);
         assert_eq!(p, 0);
         assert_eq!((l, r), (DimBounds::empty(), DimBounds::empty()));
@@ -1156,9 +793,7 @@ mod tests {
             crack_three_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 0.0, 1.0);
         assert_eq!((p1, p2), (0, 0));
         assert!(m.iter().all(|x| *x == DimBounds::empty()));
-        assert_eq!(
-            crack_median_keyed(&mut keys, &mut his, &mut recs, 0, LOWER),
-            0
-        );
+        let (p, l, r) = crack_median_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER);
+        assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
     }
 }

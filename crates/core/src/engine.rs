@@ -21,7 +21,6 @@ use crate::simd::{self, SimdLevel};
 use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use quasii_common::geom::{Aabb, Record};
-use quasii_obs as obs;
 
 /// Immutable per-index parameters.
 pub(crate) struct Env<const D: usize> {
@@ -137,12 +136,11 @@ fn placeholder<const D: usize>() -> Slice<D> {
 }
 
 /// Books one crack kernel pass: the two deterministic work counters (the
-/// ones the determinism gate compares), plus a per-kernel trace event when
-/// tracing is armed. All four kernel shapes funnel through here.
+/// ones the determinism gate compares). All four kernel shapes funnel
+/// through here.
 fn record_crack<const D: usize>(rt: &mut Runtime<D>, records: u64) {
     rt.stats.cracks += 1;
     rt.stats.records_cracked += records;
-    obs::trace::record(|| obs::trace::TraceEvent::Crack { records });
 }
 
 /// Builds a sub-slice over `begin..end` after a crack of `parent` on its

@@ -524,7 +524,7 @@ impl<const D: usize> Quasii<D> {
             return;
         }
         self.seal_stamp = stamp;
-        let span = obs::start_span();
+        let span = obs::start();
         let seals_before = self.seal_stats.get(SealStats::SEALS);
         let mut kept = std::mem::take(&mut self.seals).into_iter().peekable();
         let mut out: Vec<SealedRegion<D>> = Vec::new();
@@ -564,10 +564,6 @@ impl<const D: usize> Quasii<D> {
             obs::registry::SEALS_TOTAL.add(swept);
             obs::registry::SEAL_SWEEP_SECONDS.observe_since(span);
         }
-        obs::trace::record(|| obs::trace::TraceEvent::SealSweep {
-            seals: swept,
-            nanos: obs::elapsed_nanos(span),
-        });
     }
 
     /// Records the root-slice window a crack-path query is about to visit:

@@ -6,8 +6,8 @@
 //! this module vectorizes those scans explicitly with
 //! `core::arch::x86_64` intrinsics behind a one-time runtime-detected
 //! dispatch. The crack (partition) kernels are not here: a crack costs
-//! its partition scan and is bandwidth-bound, so they stay on the scalar
-//! keyed generation in [`crate::crack`].
+//! its partition scan and is bandwidth-bound, so they stay the scalar keyed
+//! kernels in [`crate::crack`].
 //!
 //! Two kernel families:
 //!

@@ -1,6 +1,6 @@
 //! Zero-dependency observability for the QUASII suite.
 //!
-//! Three pieces, all `std`-only (the vendored-shim policy — no crates.io):
+//! Two pieces, both `std`-only (the vendored-shim policy — no crates.io):
 //!
 //! * **Metrics** ([`metrics`]) — atomics-backed [`Counter`]s, [`Gauge`]s
 //!   and fixed log-bucket latency [`Histogram`]s (p50/p90/p99/max). A
@@ -12,38 +12,28 @@
 //!   suite exposes, with two exporters: a human table and
 //!   Prometheus-style text exposition (plus a parser for the exposition,
 //!   so round-trips are testable without external tooling).
-//! * **Trace** ([`trace`]) — structured events (batch phase spans, crack
-//!   kernels, seal sweeps, shard routing, `fsx` commit/retry/fault,
-//!   degraded coverage) captured into a bounded ring buffer behind a
-//!   sampling knob. The static default is **off**: a disabled recording
-//!   site costs one relaxed atomic load.
 //!
 //! # Enabling
 //!
-//! Everything defaults to off so instrumented code paths are ~free:
+//! Metrics default to off so instrumented code paths are ~free:
 //!
 //! ```
 //! quasii_obs::set_enabled(true);              // counters + histograms
-//! quasii_obs::trace::enable(1 << 16, 1);      // ring capacity, sample 1/N
 //! // ... run queries ...
 //! println!("{}", quasii_obs::registry::render_table());
-//! let events = quasii_obs::trace::drain();
-//! # let _ = events;
-//! quasii_obs::trace::disable();
 //! quasii_obs::set_enabled(false);
 //! ```
 //!
 //! # The determinism contract
 //!
 //! Observability is strictly a side channel: nothing in the engine may
-//! branch on a metric or trace value, so an instrumented engine answers
+//! branch on a metric value, so an instrumented engine answers
 //! every query byte-identically to a disabled one (ids, permutation,
 //! `QuasiiStats`). The workspace `tests/obs.rs` suite proptests exactly
 //! that across thread counts × batch shapes × seal on/off.
 
 pub mod metrics;
 pub mod registry;
-pub mod trace;
 
 pub use metrics::{Counter, CounterGroup, Gauge, GaugeVec, Histogram, HistogramSnapshot};
 
@@ -76,38 +66,17 @@ pub fn start() -> Option<Instant> {
     }
 }
 
-/// Like [`start`], but also armed when tracing is on, so trace spans carry
-/// real durations even while the metrics registry is disabled.
-#[inline]
-pub fn start_span() -> Option<Instant> {
-    if enabled() || trace::on() {
-        Some(Instant::now())
-    } else {
-        None
-    }
-}
-
-/// Nanoseconds elapsed since a [`start`]/[`start_span`] mark (0 if unarmed).
+/// Nanoseconds elapsed since a [`start`] mark (0 if unarmed).
 #[inline]
 pub fn elapsed_nanos(t: Option<Instant>) -> u64 {
     t.map_or(0, |t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
 }
 
-/// Closes a batch-phase span: feeds the phase histogram (metrics on) and
-/// emits a [`trace::TraceEvent::BatchPhase`] (tracing on). `t` comes from
-/// [`start_span`], so a disabled site costs two relaxed loads. The engine
-/// books its phases here, and so does a sharded deployment's read phase.
-pub fn finish_phase(t: Option<Instant>, phase: Phase, queries: u64) {
-    let Some(start) = t else { return };
-    let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    if enabled() {
-        registry::batch_phase(phase).observe(nanos);
-    }
-    trace::record(|| trace::TraceEvent::BatchPhase {
-        phase,
-        queries,
-        nanos,
-    });
+/// Closes a batch-phase span: feeds the phase histogram. `t` comes from
+/// [`start`], so a disabled site costs one relaxed load. The engine books
+/// its phases here, and so does a sharded deployment's read phase.
+pub fn finish_phase(t: Option<Instant>, phase: Phase) {
+    registry::batch_phase(phase).observe_since(t);
 }
 
 /// The batch execution phases the engine reports spans for.

@@ -145,15 +145,6 @@ pub static FSX_FAULT_OPS_TOTAL: Counter = Counter::new();
 /// post-crash refusals).
 pub static FSX_INJECTED_FAULTS_TOTAL: Counter = Counter::new();
 
-// ---------------------------------------------------------------------
-// The trace ring's own accounting
-// ---------------------------------------------------------------------
-
-/// Events recorded into the trace ring.
-pub static TRACE_EVENTS_TOTAL: Counter = Counter::new();
-/// Events evicted from the ring before being drained.
-pub static TRACE_DROPPED_TOTAL: Counter = Counter::new();
-
 /// What a registry entry points at.
 pub enum Metric {
     /// A monotone counter.
@@ -494,24 +485,10 @@ pub static DEFS: &[Def] = &[
         unit: Unit::Count,
         metric: Metric::Counter(&FSX_INJECTED_FAULTS_TOTAL),
     },
-    Def {
-        name: "obs_trace_events_total",
-        help: "Events recorded into the trace ring",
-        labels: "",
-        unit: Unit::Count,
-        metric: Metric::Counter(&TRACE_EVENTS_TOTAL),
-    },
-    Def {
-        name: "obs_trace_dropped_total",
-        help: "Events evicted from the trace ring before drain",
-        labels: "",
-        unit: Unit::Count,
-        metric: Metric::Counter(&TRACE_DROPPED_TOTAL),
-    },
 ];
 
-/// Held by every unit test of this crate that resets the registry, asserts
-/// an absolute value in it, or drives the trace ring: the tests of one
+/// Held by every unit test of this crate that resets the registry or
+/// asserts an absolute value in it: the tests of one
 /// binary run on parallel threads and share these process-wide statics
 /// (`tests/obs.rs` does the same with its `OBS_LOCK`). A test that failed
 /// while holding it must not fail the rest, so poison is ignored.
@@ -522,8 +499,7 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Zeroes every metric (tests and experiment isolation; the trace ring has
-/// its own lifecycle).
+/// Zeroes every metric (tests and experiment isolation).
 pub fn reset() {
     for def in DEFS {
         match &def.metric {

@@ -172,91 +172,6 @@ impl<const D: usize> RTree<D> {
         tested
     }
 
-    /// Exact k-nearest-neighbour search with the classic best-first
-    /// branch-and-bound traversal (Hjaltason & Samet): a priority queue on
-    /// minimum point-to-MBB distance, pruned by the current k-th distance.
-    ///
-    /// Provided as the high-quality comparator for the range-query-based
-    /// kNN in `quasii_common::knn` (the paper's §2 notes range queries are
-    /// the building block for kNN).
-    pub fn knn(&self, p: &[f64; D], k: usize) -> Vec<quasii_common::knn::Neighbor> {
-        use quasii_common::knn::{dist2_point_box, Neighbor};
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        /// Orders heap entries by distance (then id for determinism).
-        #[derive(PartialEq)]
-        struct Entry {
-            dist2: f64,
-            node: u64,
-        }
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.dist2
-                    .total_cmp(&other.dist2)
-                    .then(self.node.cmp(&other.node))
-            }
-        }
-
-        let mut result: Vec<Neighbor> = Vec::new();
-        let (Some(root), true) = (self.root, k > 0) else {
-            return result;
-        };
-        let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-        heap.push(Reverse(Entry {
-            dist2: dist2_point_box(p, &self.nodes[root as usize].bbox),
-            node: root as u64,
-        }));
-        // Candidate neighbours found so far, kept as a max-heap on distance.
-        let mut best: BinaryHeap<Entry> = BinaryHeap::new();
-        while let Some(Reverse(e)) = heap.pop() {
-            if best.len() == k && e.dist2 > best.peek().expect("k > 0").dist2 {
-                break; // nothing nearer can remain
-            }
-            match &self.nodes[e.node as usize].kind {
-                NodeKind::Inner { children } => {
-                    for &c in children {
-                        let d2 = dist2_point_box(p, &self.nodes[c as usize].bbox);
-                        if best.len() < k || d2 <= best.peek().expect("k > 0").dist2 {
-                            heap.push(Reverse(Entry {
-                                dist2: d2,
-                                node: c as u64,
-                            }));
-                        }
-                    }
-                }
-                NodeKind::Leaf { records } => {
-                    for r in records {
-                        let d2 = dist2_point_box(p, &r.mbb);
-                        if best.len() < k {
-                            best.push(Entry {
-                                dist2: d2,
-                                node: r.id,
-                            });
-                        } else if d2 < best.peek().expect("k > 0").dist2 {
-                            best.pop();
-                            best.push(Entry {
-                                dist2: d2,
-                                node: r.id,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        result.extend(best.into_sorted_vec().into_iter().map(|e| Neighbor {
-            id: e.node,
-            dist: e.dist2.sqrt(),
-        }));
-        result
-    }
-
     /// Checks structural invariants: child boxes contained in parents, leaf
     /// sizes within capacity, record count preserved.
     pub fn validate(&self) -> Result<(), String> {

@@ -691,7 +691,7 @@ impl<const D: usize> ShardedQuasii<D> {
         if reads.is_empty() {
             return Ok(());
         }
-        let span = obs::start_span();
+        let span = obs::start();
         let mut slots = vec![Vec::new(); reads.len()];
         let this: &Self = self;
         let run = pool::for_each_mut(&mut slots, self.cfg.shard_threads, |t, out| {
@@ -701,7 +701,7 @@ impl<const D: usize> ShardedQuasii<D> {
         for ((j, _), out) in reads.iter().zip(slots) {
             results[*j] = out;
         }
-        obs::finish_phase(span, obs::Phase::SealedRead, reads.len() as u64);
+        obs::finish_phase(span, obs::Phase::SealedRead);
         run.map_err(|p| self.poison(format!("read phase: {}", p.message)))
     }
 
@@ -718,10 +718,6 @@ impl<const D: usize> ShardedQuasii<D> {
         let mut tasks: Vec<Task<'_, D>> = Vec::new();
         for ((shard, engine), queries) in self.shards.iter_mut().enumerate().zip(writes) {
             if !queries.is_empty() {
-                obs::trace::record(|| obs::trace::TraceEvent::ShardRoute {
-                    shard: shard as u64,
-                    queries: queries.len() as u64,
-                });
                 tasks.push(Task {
                     shard,
                     engine,

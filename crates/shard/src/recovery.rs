@@ -322,11 +322,6 @@ impl<const D: usize> DegradedQuasii<D> {
                 obs::registry::DEGRADED_PARTIAL_TOTAL.inc();
             }
         }
-        if !missing.is_empty() {
-            obs::trace::record(|| obs::trace::TraceEvent::DegradedQuery {
-                missing: missing.len() as u64,
-            });
-        }
         (hits, Coverage { missing })
     }
 }

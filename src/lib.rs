@@ -18,8 +18,10 @@
 //!   Odyssey;
 //! * [`quasii_shard::ShardedQuasii`] — the multi-instance shard router
 //!   (two-level parallel scale-out on top of the paper's engine);
-//! * [`quasii_server`] — the HTTP query service with admission batching
-//!   (concurrent single queries regrouped onto the batch path);
+//! * [`quasii_server`] — the HTTP query service: a converged `GET /query`
+//!   is a read under a shared guard and never enters admission; a query
+//!   that needs the writer is grouped by the admission controller onto the
+//!   batch path;
 //! * [`quasii_common`] — geometry, datasets, workloads, measurement.
 
 pub use quasii;

@@ -4,12 +4,13 @@
 //!
 //! For arbitrary segments (including heavy key ties), arbitrary pivots and
 //! every [`AssignBy`] mode, the keyed kernels must reproduce the oracle's
-//! **split points and physical record order bit-for-bit**, its per-segment
-//! measurements, and leave the `(keys, his)` column pair in lockstep with
-//! the permuted records. The engine-level consequences (identical results,
-//! permutations and stats across threads/batches/shards) are covered by the
-//! existing suites in `tests/{batch,shard}.rs` — the kernels proven
-//! equivalent here are the only reorganization primitives the engine calls.
+//! **split points and physical record order bit-for-bit**, measure each
+//! output segment as [`DimBounds::of`] does, and leave the `(keys, his)`
+//! column pair in lockstep with the permuted records. The engine-level
+//! consequences (identical results, permutations and stats across
+//! threads/batches/shards) are covered by the existing suites in
+//! `tests/{batch,shard}.rs` — the kernels proven equivalent here are the
+//! only reorganization primitives the engine calls.
 
 use proptest::prelude::*;
 use quasii::crack::{self, key_of, reference, DimBounds};
@@ -78,12 +79,27 @@ fn exact_mbb(seg: &[Record<3>]) -> Aabb<3> {
     mbb
 }
 
+/// Asserts a kernel's in-pass measurement of one output segment equals the
+/// oracle's, `DimBounds::of` over the segment, and spans the crack
+/// dimension of the segment's exact MBB.
+fn assert_measured(
+    got: DimBounds,
+    seg: &[Record<3>],
+    dim: usize,
+    mode: AssignBy,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got, DimBounds::of(seg, dim, mode));
+    let mbb = exact_mbb(seg);
+    prop_assert_eq!((got.min_lo, got.max_hi), (mbb.lo[dim], mbb.hi[dim]));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Two-way: keyed ≡ record-streaming for split point, permutation,
-    /// measurements (the oracle's `SegMeasure` viewed per dimension), the
-    /// lazily derived exact MBBs, and column lockstep.
+    /// measurements and column lockstep — on the input, and again on the
+    /// partitioned output (the sorted edge case).
     #[test]
     fn two_way_keyed_equals_reference(
         seg in arb_segment(),
@@ -92,31 +108,20 @@ proptest! {
         pivot_idx in 0u32..40,
     ) {
         let pivot = pivot_idx as f64 + 0.5;
-        let (mut keys, mut his) = columns_of(&seg, dim, mode);
         let mut keyed = seg.clone();
         let mut plain = seg;
-        let (p, l, r) = crack::crack_two_keyed_measured(
-            &mut keys, &mut his, &mut keyed, dim, mode, pivot,
-        );
-        let (p_ref, l_ref, r_ref) =
-            reference::crack_two_measured(&mut plain, dim, mode, pivot);
-        prop_assert_eq!(p, p_ref, "split point diverged");
-        prop_assert_eq!(&keyed, &plain, "physical order diverged");
-        prop_assert_eq!(l, l_ref.dim_bounds(dim));
-        prop_assert_eq!(r, r_ref.dim_bounds(dim));
-        // The engine derives exact MBBs lazily for refined (≤ τ) outputs;
-        // they must equal what the fused oracle measured in crack order.
-        prop_assert_eq!(exact_mbb(&keyed[..p]), l_ref.mbb);
-        prop_assert_eq!(exact_mbb(&keyed[p..]), r_ref.mbb);
-        assert_lockstep(&keys, &his, &keyed, dim, mode)?;
-
-        // Unmeasured keyed variant produces the identical partition.
-        let (mut k2, mut h2) = columns_of(&plain, dim, mode);
-        let mut keyed2 = plain.clone();
-        let p2 = crack::crack_two_keyed(&mut k2, &mut h2, &mut keyed2, pivot);
-        let p2_ref = reference::crack_two(&mut plain, dim, mode, pivot);
-        prop_assert_eq!(p2, p2_ref);
-        prop_assert_eq!(keyed2, plain);
+        for _ in 0..2 {
+            let (mut keys, mut his) = columns_of(&keyed, dim, mode);
+            let (p, l, r) = crack::crack_two_keyed_measured(
+                &mut keys, &mut his, &mut keyed, dim, mode, pivot,
+            );
+            let p_ref = reference::crack_two(&mut plain, dim, mode, pivot);
+            prop_assert_eq!(p, p_ref, "split point diverged");
+            prop_assert_eq!(&keyed, &plain, "physical order diverged");
+            assert_measured(l, &keyed[..p], dim, mode)?;
+            assert_measured(r, &keyed[p..], dim, mode)?;
+            assert_lockstep(&keys, &his, &keyed, dim, mode)?;
+        }
     }
 
     /// Three-way (Dutch flag): keyed ≡ record-streaming, same contract.
@@ -130,36 +135,29 @@ proptest! {
     ) {
         let low = a as f64;
         let high = low + width as f64;
-        let (mut keys, mut his) = columns_of(&seg, dim, mode);
         let mut keyed = seg.clone();
         let mut plain = seg;
-        let (p1, p2, m) = crack::crack_three_keyed_measured(
-            &mut keys, &mut his, &mut keyed, dim, mode, low, high,
-        );
-        let (r1, r2, m_ref) =
-            reference::crack_three_measured(&mut plain, dim, mode, low, high);
-        prop_assert_eq!((p1, p2), (r1, r2), "split points diverged");
-        prop_assert_eq!(&keyed, &plain, "physical order diverged");
-        for (got, want) in m.iter().zip(&m_ref) {
-            prop_assert_eq!(*got, want.dim_bounds(dim));
+        for _ in 0..2 {
+            let (mut keys, mut his) = columns_of(&keyed, dim, mode);
+            let (p1, p2, m) = crack::crack_three_keyed_measured(
+                &mut keys, &mut his, &mut keyed, dim, mode, low, high,
+            );
+            let (r1, r2) = reference::crack_three(&mut plain, dim, mode, low, high);
+            prop_assert_eq!((p1, p2), (r1, r2), "split points diverged");
+            prop_assert_eq!(&keyed, &plain, "physical order diverged");
+            for (got, seg) in m.into_iter().zip([&keyed[..p1], &keyed[p1..p2], &keyed[p2..]]) {
+                assert_measured(got, seg, dim, mode)?;
+            }
+            assert_lockstep(&keys, &his, &keyed, dim, mode)?;
         }
-        prop_assert_eq!(exact_mbb(&keyed[..p1]), m_ref[0].mbb);
-        prop_assert_eq!(exact_mbb(&keyed[p1..p2]), m_ref[1].mbb);
-        prop_assert_eq!(exact_mbb(&keyed[p2..]), m_ref[2].mbb);
-        assert_lockstep(&keys, &his, &keyed, dim, mode)?;
-
-        let (mut k2, mut h2) = columns_of(&plain, dim, mode);
-        let mut keyed2 = plain.clone();
-        let (q1, q2) =
-            crack::crack_three_keyed(&mut k2, &mut h2, &mut keyed2, low, high);
-        let (s1, s2) = reference::crack_three(&mut plain, dim, mode, low, high);
-        prop_assert_eq!((q1, q2), (s1, s2));
-        prop_assert_eq!(keyed2, plain);
     }
 
-    /// Rank-based fallback: keyed ≡ record-streaming (same `select_nth`
-    /// comparator, then equivalent partitions), including the degenerate
-    /// all-equal-keys outcome (split 0).
+    /// Rank-based fallback, the kernel `artificial()` calls: keyed ≡
+    /// record-streaming (same `select_nth` comparator, then equivalent
+    /// partitions) for split point and permutation, including the
+    /// degenerate all-equal-keys outcome (split 0); both sides'
+    /// measurements whenever the split is interior (the only case the
+    /// engine reads them); column lockstep.
     #[test]
     fn median_keyed_equals_reference(
         seg in arb_segment(),
@@ -169,10 +167,15 @@ proptest! {
         let (mut keys, mut his) = columns_of(&seg, dim, mode);
         let mut keyed = seg.clone();
         let mut plain = seg;
-        let p = crack::crack_median_keyed(&mut keys, &mut his, &mut keyed, dim, mode);
+        let (p, l, r) =
+            crack::crack_median_keyed_measured(&mut keys, &mut his, &mut keyed, dim, mode);
         let p_ref = reference::crack_median(&mut plain, dim, mode);
         prop_assert_eq!(p, p_ref);
         prop_assert_eq!(&keyed, &plain);
+        if 0 < p && p < keyed.len() {
+            assert_measured(l, &keyed[..p], dim, mode)?;
+            assert_measured(r, &keyed[p..], dim, mode)?;
+        }
         assert_lockstep(&keys, &his, &keyed, dim, mode)?;
     }
 
@@ -220,11 +223,11 @@ fn degenerate_all_equal_keys_segment() {
             let mut plain = seg.clone();
             let (p, l, r) =
                 crack::crack_two_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, pivot);
-            let (p_ref, l_ref, r_ref) = reference::crack_two_measured(&mut plain, 0, mode, pivot);
+            let p_ref = reference::crack_two(&mut plain, 0, mode, pivot);
             assert_eq!(p, p_ref);
             assert_eq!(keyed, plain);
-            assert_eq!(l, l_ref.dim_bounds(0));
-            assert_eq!(r, r_ref.dim_bounds(0));
+            assert_measured(l, &keyed[..p], 0, mode).unwrap();
+            assert_measured(r, &keyed[p..], 0, mode).unwrap();
         }
         let k = key_of(&seg[0], 0, mode);
         let (mut keys, mut his) = columns_of(&seg, 0, mode);
@@ -232,7 +235,8 @@ fn degenerate_all_equal_keys_segment() {
         let (p1, p2, _) =
             crack::crack_three_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, k, k);
         assert_eq!((p1, p2), (0, 50), "middle swallows the identical keys");
-        let p = crack::crack_median_keyed(&mut keys, &mut his, &mut keyed, 0, mode);
+        let (p, _, _) =
+            crack::crack_median_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode);
         assert_eq!(p, 0, "value-indivisible segment");
     }
 }
@@ -242,10 +246,6 @@ fn empty_segments_are_no_ops() {
     let mut keys: Vec<f64> = vec![];
     let mut his: Vec<f64> = vec![];
     let mut recs: Vec<Record<3>> = vec![];
-    assert_eq!(
-        crack::crack_two_keyed(&mut keys, &mut his, &mut recs, 1.0),
-        0
-    );
     let (p, l, r) =
         crack::crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower, 1.0);
     assert_eq!(p, 0);
@@ -261,8 +261,7 @@ fn empty_segments_are_no_ops() {
     );
     assert_eq!((p1, p2), (0, 0));
     assert!(m.iter().all(|b| *b == DimBounds::empty()));
-    assert_eq!(
-        crack::crack_median_keyed(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower),
-        0
-    );
+    let (p, l, r) =
+        crack::crack_median_keyed_measured(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower);
+    assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
 }

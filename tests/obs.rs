@@ -1,11 +1,11 @@
-//! Observability byte-identity gate: enabling the metrics registry and the
-//! trace ring must never change anything an engine computes — result
-//! vectors (in engine visit order), the record permutation, `QuasiiStats`
-//! and `SealStats` are compared for equality between a disabled and an
-//! enabled run of the identical configuration, across thread counts ×
-//! batch shapes × seal on/off.
+//! Observability byte-identity gate: enabling the metrics registry must
+//! never change anything an engine computes — result vectors (in engine
+//! visit order), the record permutation, `QuasiiStats` and `SealStats` are
+//! compared for equality between a disabled and an enabled run of the
+//! identical configuration, across thread counts × batch shapes × seal
+//! on/off.
 //!
-//! The obs flags are process-global, so every test that toggles them holds
+//! The obs flag is process-global, so every test that toggles it holds
 //! [`OBS_LOCK`]; the engines themselves never *read* observability state to
 //! make a decision, which is exactly the property under test.
 
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use quasii_suite::prelude::*;
 use quasii_suite::quasii_obs as obs;
 
-/// Serializes tests that flip the global metrics/tracing switches.
+/// Serializes tests that flip the global metrics switch.
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn arb_box3() -> impl Strategy<Value = Aabb<3>> {
@@ -76,7 +76,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn metrics_and_tracing_never_change_results(
+    fn metrics_never_change_results(
         data in dataset3(140),
         queries in prop::collection::vec(arb_box3(), 1..16),
         seal_bit in 0u8..2,
@@ -86,15 +86,12 @@ proptest! {
         let seal = seal_bit == 1;
         let _g = OBS_LOCK.lock().unwrap();
         obs::set_enabled(false);
-        obs::trace::disable();
         let off = run_engine(&data, &queries, seal, threads, batch);
 
         obs::registry::reset();
         obs::set_enabled(true);
-        obs::trace::enable(1024, 2);
         let on = run_engine(&data, &queries, seal, threads, batch);
         obs::set_enabled(false);
-        obs::trace::disable();
 
         prop_assert_eq!(off, on);
     }

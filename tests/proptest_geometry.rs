@@ -86,17 +86,4 @@ proptest! {
         prop_assert!(low_only.contains(&a));
         prop_assert_eq!(low_only.hi, a.hi);
     }
-
-    #[test]
-    fn point_box_distance_axioms(a in arb_box3(), px in -100.0..100.0f64, py in -100.0..100.0f64, pz in -100.0..100.0f64) {
-        use quasii_common::knn::dist2_point_box;
-        let p = [px, py, pz];
-        let d2 = dist2_point_box(&p, &a);
-        prop_assert!(d2 >= 0.0);
-        // Zero distance exactly when the point is inside.
-        prop_assert_eq!(d2 == 0.0, a.contains_point(&p));
-        // Distance to a superset never exceeds distance to the subset.
-        let bigger = a.inflated(&[1.0; 3]);
-        prop_assert!(dist2_point_box(&p, &bigger) <= d2);
-    }
 }
