@@ -86,7 +86,8 @@ impl WorkloadOpts {
 /// `serve`; holds defaults wherever the index is not built from `--data`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineOpts {
-    /// Worker threads per parallelism level (0 = machine parallelism).
+    /// Worker cap of each parallel phase — shard jobs, sealed reads
+    /// (0 = machine parallelism).
     pub threads: usize,
     /// Shard count; 0 = unsharded single engine.
     pub shards: usize,
@@ -112,7 +113,8 @@ impl EngineOpts {
     }
 
     /// The deployment of `shards` such engines (0 and 1 both mean one
-    /// shard; `--threads` feeds both parallelism levels).
+    /// shard; `--threads` caps the shard jobs and each engine's sealed
+    /// reads).
     fn sharded(&self) -> ShardConfig {
         ShardConfig::default()
             .with_shards(self.shards)
@@ -470,7 +472,8 @@ ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
   --pattern         skewed is a Zipf hot-region workload (shard imbalance)
   --batch N         run the workload N queries at a time through the batch
                     path (0 = one by one)
-  --threads N       workers per parallelism level (0 = machine parallelism)
+  --threads N       workers per parallel phase: shard jobs, sealed reads
+                    (0 = machine parallelism)
   --shards K        K engines behind a key-range router, results in
                     ascending-id order (0 = one engine; `serve`: one shard)
   --assign-by       slice assignment coordinate (paper footnote 1)

@@ -455,11 +455,11 @@ fn end_to_end_generate_info_bench() {
     ] {
         bench(&format!("--index {index}")).unwrap();
     }
-    // Batch-parallel path: batches of 8 on 2 workers.
+    // Batch path: batches of 8, sealed reads on up to 2 workers.
     bench("--batch 8 --threads 2 --assign-by center").unwrap();
     // Sealing disabled: the reference (pure adaptive) configuration.
     bench("--seal false").unwrap();
-    // Sharded two-level path on the skewed (hot-region) workload, with
+    // Sharded path on the skewed (hot-region) workload, with
     // the metrics table printed after it.
     bench("--pattern skewed --batch 8 --threads 2 --shards 3 --metrics").unwrap();
     // --shards is a router over QUASII engines only.

@@ -1,4 +1,4 @@
-//! Batch-parallel query execution.
+//! Batch query execution.
 //!
 //! [`Quasii::try_execute_batch`] is the engine's one `&mut` write: every
 //! other entry point that may crack (`execute_batch`, `SpatialIndex::query`
@@ -9,72 +9,30 @@
 //! 1. **Shared-read phase** — queries whose whole §5.2 candidate window is
 //!    covered by sealed arenas (see [`crate::seal`]) are pure reads: a pool
 //!    map of [`Quasii::read`], one job per query over a shared `&self`,
-//!    with *no* disjoint-partition constraint. In the converged regime this
-//!    phase is the entire batch.
+//!    handed to the process-wide worker pool ([`quasii_common::pool`]): the
+//!    calling thread claims jobs off an atomic cursor, up to `threads − 1`
+//!    idle pool workers join it, and every job writes into its own slot.
+//!    With `threads = 1` the jobs run inline without touching the pool. In
+//!    the converged regime this phase is the entire batch.
 //! 2. **Crack phase** — everything else runs through the adaptive `&mut`
-//!    machinery below. A sealed slice such a query reaches is read through
-//!    the tree and stays sealed: it has converged, so nothing cracks it.
-//!
-//! The crack phase exploits exactly the structure the paper builds:
-//! QUASII's top-level slice list contiguously partitions the data array, and
-//! every crack a query triggers stays inside the top-level slice it refines
-//! (`refine` only touches `data[s.begin..s.end]`). `execute_batch`
-//! splits the data array
-//! along top-level slice boundaries into disjoint `&mut [Record]` windows
-//! (a `split_at_mut` chain — safe because sibling slices never share array
-//! ranges), hands each worker the matching disjoint window of the
-//! assignment-key column (see [`crate::keys`]; cracks keep both in
-//! lockstep), assigns each query of the batch to the partitions the sequential
-//! engine would visit for it, and runs one job per partition. Slices keep
-//! their absolute data indices throughout: each window is an
-//! [`engine::Cols`] that knows the absolute index of its first element, so
-//! detaching and reattaching a partition moves its run of the top-level
-//! list and touches no slice below it — a batch pays for the slices its
-//! queries visit, not for the size of the hierarchy.
-//!
-//! Both phases hand their jobs to the process-wide worker pool
-//! ([`quasii_common::pool`]): the calling thread claims jobs off an atomic
-//! cursor, up to `threads − 1` idle pool workers join it, and every job
-//! writes into its own slot. No thread is created per batch, and with
-//! `threads = 1` the jobs run inline without touching the pool; so does a
-//! crack phase down to its last query, which is not worth a partition.
+//!    machinery of [`crate::engine`], one query at a time in batch order on
+//!    the calling thread, like the paper's Algorithm 1. A sealed slice such
+//!    a query reaches is read through the tree and stays sealed: it has
+//!    converged, so nothing cracks it. Cracks run in parallel only across
+//!    engines: `quasii-shard` runs one writer job per shard.
 //!
 //! Splitting a batch into the two phases is result- and state-transparent:
 //! sealed regions are immutable (a converged subtree never reorganizes), so
 //! the reads commute with the cracks, and the sealed traversal reproduces
-//! the engine's own visit order operation for operation.
-//!
-//! # Determinism
-//!
-//! Results are **bit-for-bit identical for every thread count**, including
-//! the sequential `threads = 1` path, because:
-//!
-//! * a partition runs its assigned queries in ascending batch order — the
-//!   same order the sequential loop applies them to those slices;
-//! * the root-level search restricted to a partition visits exactly the
-//!   slices the sequential extended binary search (§5.2) would visit there.
-//!   The assignment predicate reproduces its "step one back" rule through
-//!   the partitions' key boundaries (shared [`KeyFences`] machinery, also
-//!   used by the `quasii-shard` router): partition `k` holds assignment
-//!   keys in `[bounds[k], bounds[k+1])`, and those boundaries are stable
-//!   for the whole batch — cracks only permute records within a partition,
-//!   and the front sub-slice always keeps the minimum key;
-//! * per-query hits are concatenated in partition order, which is ascending
-//!   data-array order — the order the sequential loop appends them in;
-//! * worker counters are folded back with order-independent sums.
-//!
-//! Every slice therefore sees the same sequence of refine/descend operations
-//! it would see under sequential execution, so the final hierarchy, data
-//! permutation, result vectors and stats are all independent of the thread
-//! count *and* of how queries are split into batches.
+//! the engine's own visit order operation for operation. Results, the final
+//! hierarchy, the data permutation and the stats are therefore bit-for-bit
+//! identical for every thread count and however the queries are split into
+//! batches.
 
 use crate::engine;
-use crate::fence::KeyFences;
-use crate::slice::Slice;
-use crate::stats::QuasiiStats;
 use crate::{EnginePoisoned, Quasii};
 use obs::finish_phase;
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::Aabb;
 use quasii_common::pool::{self, panic_message};
 use quasii_obs as obs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,31 +45,8 @@ fn trap_check(trap: Option<usize>, j: usize) {
     }
 }
 
-/// Job chunking: partitions per participating thread, so stragglers (a
-/// partition that happens to hold the hot slices) rebalance onto idle
-/// threads instead of serializing the batch.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// One unit of work: a contiguous run of top-level slices, the matching
-/// disjoint window of the columns, and the batch queries that reach it.
-struct Partition<'a, const D: usize> {
-    /// This partition's disjoint window of the data array and of the
-    /// assignment-key / upper-bound columns (kept in lockstep by the crack
-    /// kernels), based at its first slice's `begin`.
-    cols: engine::Cols<'a, D>,
-    /// This partition's run of the top-level slice list, in absolute data
-    /// indices like every other slice.
-    slices: Vec<Slice<D>>,
-    /// Indices (into the batch) of the queries assigned here, ascending.
-    queries: Vec<usize>,
-    /// Ids found per assigned query (aligned with `queries`).
-    hits: Vec<Vec<u64>>,
-    /// Work counters accumulated by whichever thread ran this partition.
-    stats: QuasiiStats,
-}
-
 impl<const D: usize> Quasii<D> {
-    /// The most threads a batch will run a phase on: the
+    /// The most threads a batch's read phase runs on: the
     /// [`threads`](crate::QuasiiConfig::threads) knob, with `0` resolved to
     /// the host's parallelism (read once per process, see
     /// [`pool::parallelism`]).
@@ -122,9 +57,9 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// Executes a batch of range queries, cracking disjoint top-level
-    /// partitions of the data array in parallel, and returns one id vector
-    /// per query (in `queries` order).
+    /// Executes a batch of range queries — sealed reads in parallel, cracks
+    /// in batch order — and returns one id vector per query (in `queries`
+    /// order).
     ///
     /// Results, the final hierarchy and the stats counters are bit-for-bit
     /// identical to running the queries one by one through
@@ -133,9 +68,9 @@ impl<const D: usize> Quasii<D> {
     ///
     /// # Panics
     ///
-    /// A panic on a worker thread (a bug — the engine itself never panics
-    /// on valid inputs) is caught under `catch_unwind`, the hierarchy is
-    /// reassembled, the engine is **poisoned**, and this infallible entry
+    /// A panic while answering a query (a bug — the engine itself never
+    /// panics on valid inputs) is caught under `catch_unwind`, the engine is
+    /// **poisoned**, and this infallible entry
     /// point re-panics with the structured [`EnginePoisoned`] message.
     /// Callers that want to handle the fault (and
     /// [`repair`](Self::repair) the engine) should use
@@ -169,10 +104,10 @@ impl<const D: usize> Quasii<D> {
 
     /// The engine's one `&mut` write; [`execute_batch`](Self::execute_batch)
     /// and `SpatialIndex::query` (a one-query batch, through its slot form
-    /// `try_execute_into`) wrap it. A worker panic (caught under
-    /// `catch_unwind`) or an already-poisoned engine returns the structured
-    /// [`EnginePoisoned`] error instead of panicking. On `Err` the engine
-    /// stays poisoned — and keeps refusing queries — until
+    /// `try_execute_into`) wrap it. A panic while answering a query (caught
+    /// under `catch_unwind`) or an already-poisoned engine returns the
+    /// structured [`EnginePoisoned`] error instead of panicking. On `Err` the
+    /// engine stays poisoned — and keeps refusing queries — until
     /// [`repair`](Self::repair).
     pub fn try_execute_batch(
         &mut self,
@@ -189,8 +124,8 @@ impl<const D: usize> Quasii<D> {
     /// the call's deterministic work-counter deltas into the global
     /// registry (a read books its own). The registry *mirrors* the
     /// engine-local counters — it never feeds back into them — so results,
-    /// permutation and [`QuasiiStats`] are byte-identical with metrics on
-    /// or off.
+    /// permutation and [`QuasiiStats`](crate::QuasiiStats) are
+    /// byte-identical with metrics on or off.
     pub(crate) fn try_execute_into(
         &mut self,
         queries: &[Aabb<D>],
@@ -249,9 +184,9 @@ impl<const D: usize> Quasii<D> {
         }
         finish_phase(span, obs::Phase::Classify);
 
-        // Phase 1 — a pool map of `read` over the sealed queries: arbitrary
-        // queries as jobs over `&self`, no disjoint-partition constraint,
-        // each appending to its own result slot (taken out for the phase).
+        // Phase 1 — a pool map of `read` over the sealed queries: one job
+        // per query over `&self`, each appending to its own result slot
+        // (taken out for the phase).
         // Reads commute with the crack phase below: sealed regions are
         // immutable, and a crack query that reaches one only reads it.
         if !sealed_jobs.is_empty() {
@@ -287,31 +222,14 @@ impl<const D: usize> Quasii<D> {
             return Ok(());
         }
 
-        // Phase 2 — the adaptive `&mut` path for everything else.
-        // Sequential prefix: the whole remainder with one worker; otherwise
-        // only until the top level has cracked open far enough to split (a
-        // fresh index starts as a single whole-dataset slice), and the last
-        // remaining query inline too (partitioning would cost a detach and a
-        // pool hop for one job; by the determinism invariant the result is
-        // the same).
+        // Phase 2 — the adaptive `&mut` path for everything else, one query
+        // at a time in batch order.
         let span = obs::start();
-        let mut next = 0;
-        while next < crack_jobs.len()
-            && (threads <= 1 || self.root.len() < 2 || next + 1 == crack_jobs.len())
-        {
-            let j = crack_jobs[next];
+        for &j in &crack_jobs {
             self.run_one_caught(j, trap, &queries[j], &extended[j], &mut results[j])?;
-            next += 1;
-        }
-        if next < crack_jobs.len() {
-            let jobs = &crack_jobs[next..];
-            self.run_partitioned(queries, &extended, jobs, results, threads, trap);
         }
         finish_phase(span, obs::Phase::Crack);
-        match self.poison_error() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Runs one crack-path query (Algorithm 1 over the whole slice tree,
@@ -330,7 +248,7 @@ impl<const D: usize> Quasii<D> {
             trap_check(trap, j);
             self.rt.stats.queries += 1;
             let (keys, his) = self.keys.as_mut_slices();
-            let mut cols = engine::Cols::new(&mut self.data, keys, his, 0);
+            let mut cols = engine::Cols::new(&mut self.data, keys, his);
             engine::query_level(
                 &mut cols,
                 &mut self.root,
@@ -349,138 +267,6 @@ impl<const D: usize> Quasii<D> {
             return Err(self.poison_error().expect("poison just set"));
         }
         Ok(())
-    }
-
-    /// Parallel remainder of a batch: answers `jobs` (ascending indices
-    /// into the batch's `queries` / `extended`); requires
-    /// `root.len() >= 2` and `threads >= 2`. A worker panic is caught, the
-    /// partition (slices included) is returned to the pool so the
-    /// hierarchy reassembles completely, and the engine is poisoned.
-    fn run_partitioned(
-        &mut self,
-        queries: &[Aabb<D>],
-        extended: &[Aabb<D>],
-        jobs: &[usize],
-        results: &mut [Vec<u64>],
-        threads: usize,
-        trap: Option<usize>,
-    ) {
-        // Group the top-level slices into contiguous runs of roughly equal
-        // record counts. More runs than threads, so the job cursor balances load.
-        let target_parts = (threads * CHUNKS_PER_WORKER).min(self.root.len());
-        let per_part = self.data.len().div_ceil(target_parts).max(1);
-        let roots = std::mem::take(&mut self.root);
-        let mut groups: Vec<Vec<Slice<D>>> = Vec::with_capacity(target_parts);
-        let mut cur: Vec<Slice<D>> = Vec::new();
-        let mut cur_records = 0usize;
-        for s in roots {
-            cur_records += s.len();
-            cur.push(s);
-            if cur_records >= per_part && groups.len() + 1 < target_parts {
-                groups.push(std::mem::take(&mut cur));
-                cur_records = 0;
-            }
-        }
-        if !cur.is_empty() {
-            groups.push(cur);
-        }
-
-        // Key boundaries between partitions: partition k owns assignment
-        // keys in [fences.range(k)). The inner fence before partition k is
-        // the key_lo of its first slice, which make_sub measured exactly; it
-        // stays the partition's true minimum for the whole batch because
-        // cracks never move records across partitions and the front
-        // sub-slice of any refinement keeps the minimum-key record.
-        let fences = KeyFences::from_inner(groups[1..].iter().map(|g| g[0].key_lo).collect());
-
-        // Detach the disjoint data windows (split_at_mut chain); the key
-        // column is split along the exact same boundaries so each worker
-        // cracks its (keys, data) pair in lockstep. The slices move as they
-        // are: each window carries the absolute index it starts at.
-        let mut parts: Vec<Partition<'_, D>> = Vec::with_capacity(groups.len());
-        let mut rest: &mut [Record<D>] = &mut self.data;
-        let (mut rest_keys, mut rest_his) = self.keys.as_mut_slices();
-        let mut consumed = 0usize;
-        for slices in groups {
-            let begin = slices[0].begin;
-            let end = slices.last().expect("groups are non-empty").end;
-            debug_assert_eq!(begin, consumed, "top-level slices must be contiguous");
-            let (window, tail) = rest.split_at_mut(end - consumed);
-            let (key_window, key_tail) = rest_keys.split_at_mut(end - consumed);
-            let (hi_window, hi_tail) = rest_his.split_at_mut(end - consumed);
-            rest = tail;
-            rest_keys = key_tail;
-            rest_his = hi_tail;
-            consumed = end;
-            parts.push(Partition {
-                cols: engine::Cols::new(window, key_window, hi_window, begin),
-                slices,
-                queries: Vec::new(),
-                hits: Vec::new(),
-                stats: QuasiiStats::default(),
-            });
-        }
-
-        // Assign each query to exactly the partitions the sequential root
-        // search would visit: the candidate range [qe.lo, qe.hi] on the
-        // root dimension; `KeyFences::overlapping`'s closed lower edge
-        // admits the partition holding the "step one back" slice.
-        let spans = jobs.iter().map(|&j| (extended[j].lo[0], extended[j].hi[0]));
-        for (p, assigned) in parts.iter_mut().zip(fences.assign(spans)) {
-            p.queries = assigned.into_iter().map(|t| jobs[t]).collect();
-        }
-
-        // One pool job per partition. A panic mid-crack may leave that
-        // partition's subtree inconsistent, but the partition object (and
-        // its slices) stays in `parts`, so the hierarchy reassembles
-        // completely and repair() can inspect it.
-        let env = &self.env;
-        let failed = pool::for_each_mut(&mut parts, threads, |_, p| {
-            let mut rt = engine::Runtime::<D>::new();
-            for &j in &p.queries {
-                trap_check(trap, j);
-                let mut out = Vec::new();
-                engine::query_level(
-                    &mut p.cols,
-                    &mut p.slices,
-                    &queries[j],
-                    &extended[j],
-                    env,
-                    &mut rt,
-                    &mut out,
-                );
-                p.hits.push(out);
-            }
-            p.stats = rt.stats;
-        });
-
-        // Reassemble: `parts` is still in data order; each run of slices
-        // goes back onto the top-level list, hits are concatenated per
-        // query in partition order (= ascending data order, the sequential
-        // append order), counters summed. A query's first vector is moved,
-        // not copied: one served by a single partition costs no copy at
-        // all. Every partition reattaches, also one whose job panicked, so
-        // the top level is always a complete partition of the data array.
-        let span = obs::start();
-        self.rt.stats.queries += jobs.len() as u64;
-        for p in &mut parts {
-            self.rt.stats.merge(&p.stats);
-            self.root.append(&mut p.slices);
-            for (&j, hits) in p.queries.iter().zip(p.hits.drain(..)) {
-                if results[j].is_empty() {
-                    results[j] = hits;
-                } else {
-                    results[j].extend(hits);
-                }
-            }
-        }
-        finish_phase(span, obs::Phase::Merge);
-        if let Err(p) = failed {
-            self.poison(format!(
-                "worker panic during partitioned crack phase: {}",
-                p.message
-            ));
-        }
     }
 }
 
@@ -669,26 +455,6 @@ mod tests {
             got.sort_unstable();
             assert_matches_brute_force(&data, q, &got);
         }
-    }
-
-    #[test]
-    fn a_last_crack_query_runs_inline() {
-        let data = uniform_boxes_in::<3>(2_000, 500.0, 83);
-        let u = Aabb::new([0.0; 3], [500.0; 3]);
-        let queries = workload::uniform(&u, 9, 1e-3, 84).queries;
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(12).with_threads(2));
-        idx.execute_batch(&queries[..8]);
-        idx.seal();
-        assert!(idx.root.len() >= 2, "the warm-up split the root list");
-        let q = queries[8];
-        assert!(idx.sealed_window(&idx.extend_query(&q)).is_err());
-
-        idx.inject_panic_at(0);
-        let err = idx.try_execute_batch(&[q]).expect_err("the trap fires");
-        assert!(
-            err.detail.starts_with("panic during crack query 0"),
-            "{err}"
-        );
     }
 
     #[test]

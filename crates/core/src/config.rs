@@ -61,12 +61,14 @@ pub struct QuasiiConfig {
     /// Upper bound on recursive artificial (midpoint) splits per slice.
     /// Guards against non-separable value distributions.
     pub max_artificial_depth: usize,
-    /// Most threads one [`crate::Quasii::execute_batch`] phase runs on:
-    /// `0` (the default) resolves to the host's parallelism, `1` forces
-    /// the sequential per-query path and never touches the worker pool,
-    /// `n > 1` lets up to `n − 1` idle workers of the process-wide pool
-    /// (`quasii_common::pool`) join the calling thread. Results are
-    /// bit-for-bit identical for every value.
+    /// Most threads the read phase of one [`crate::Quasii::execute_batch`]
+    /// runs on (its sealed queries): `0` (the default) resolves to the
+    /// host's parallelism, `1` answers them on the calling thread and never
+    /// touches the worker pool, `n > 1` lets up to `n − 1` idle workers of
+    /// the process-wide pool (`quasii_common::pool`) join the calling
+    /// thread. Cracks always run one query at a time on the calling thread;
+    /// they run in parallel only across the engines of a `quasii-shard`
+    /// deployment. Results are bit-for-bit identical for every value.
     pub threads: usize,
     /// Whether converged top-level slices are compacted into **sealed**
     /// arenas answered through the shared-read path (default: `true`; see
@@ -112,7 +114,7 @@ impl QuasiiConfig {
         }
     }
 
-    /// Returns `self` with the batch worker-thread count set (chainable:
+    /// Returns `self` with the read-phase thread cap set (chainable:
     /// `QuasiiConfig::with_tau(60).with_threads(4)`).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

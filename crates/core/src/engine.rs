@@ -6,11 +6,8 @@
 //! fields: the data array **and its narrow column pair** (assignment keys +
 //! upper bounds, see [`crate::keys`]) are reorganized in place, in
 //! lockstep, while the slice hierarchy is rebuilt around them. Slices keep
-//! **absolute** data indices for their whole life; every function here
-//! reaches the three columns through one [`Cols`] window that knows the
-//! absolute index of its first element: the whole arrays (`base = 0`) on
-//! the sequential path, one disjoint `split_at_mut` window per partition in
-//! a parallel batch (see [`crate::batch`]).
+//! data-array indices for their whole life; every function here reaches
+//! the three columns through one [`Cols`], which borrows the whole arrays.
 
 use crate::config::AssignBy;
 use crate::crack::{
@@ -57,60 +54,32 @@ impl<const D: usize> Runtime<D> {
     }
 }
 
-/// A window over the three parallel columns (records, assignment keys,
-/// upper bounds) that starts at absolute data index `base`. A slice is
-/// resolved against the window it lies in, so the same recursion serves
-/// the whole arrays and a partition's window without rewriting a single
-/// `begin`/`end`.
+/// The three parallel columns (records, assignment keys, upper bounds),
+/// borrowed whole; a slice's `begin..end` indexes all three.
 pub(crate) struct Cols<'a, const D: usize> {
     data: &'a mut [Record<D>],
     keys: &'a mut [f64],
     his: &'a mut [f64],
-    base: usize,
 }
 
 impl<'a, const D: usize> Cols<'a, D> {
-    /// Wraps three equally long windows whose element 0 is `base`.
-    pub fn new(
-        data: &'a mut [Record<D>],
-        keys: &'a mut [f64],
-        his: &'a mut [f64],
-        base: usize,
-    ) -> Self {
+    /// Wraps three equally long columns.
+    pub fn new(data: &'a mut [Record<D>], keys: &'a mut [f64], his: &'a mut [f64]) -> Self {
         debug_assert!(data.len() == keys.len() && data.len() == his.len());
-        Self {
-            data,
-            keys,
-            his,
-            base,
-        }
-    }
-
-    /// Window-local index range of `s`.
-    #[inline]
-    fn local(&self, s: &Slice<D>) -> std::ops::Range<usize> {
-        debug_assert!(
-            self.base <= s.begin && s.begin <= s.end && s.end - self.base <= self.data.len(),
-            "slice {}..{} outside its window {}..{}",
-            s.begin,
-            s.end,
-            self.base,
-            self.base + self.data.len()
-        );
-        s.begin - self.base..s.end - self.base
+        Self { data, keys, his }
     }
 
     /// The records of `s`.
     #[inline]
     pub fn records(&self, s: &Slice<D>) -> &[Record<D>] {
-        &self.data[self.local(s)]
+        &self.data[s.begin..s.end]
     }
 
     /// The `(keys, his, records)` triple of `s`, in crack-kernel argument
     /// order.
     #[inline]
     pub fn range_mut(&mut self, s: &Slice<D>) -> (&mut [f64], &mut [f64], &mut [Record<D>]) {
-        let r = self.local(s);
+        let r = s.begin..s.end;
         (
             &mut self.keys[r.clone()],
             &mut self.his[r.clone()],
@@ -478,68 +447,5 @@ pub(crate) fn query_level<const D: usize>(
             }
             *slices = merged;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A level-0 slice over absolute indices `begin..end`.
-    fn slice_at(begin: usize, end: usize) -> Slice<2> {
-        Slice {
-            begin,
-            end,
-            ..Slice::root(0, Aabb::empty(), 60)
-        }
-    }
-
-    /// Ten records with ids 100..110, standing for absolute indices
-    /// 100..110 of a larger array, plus matching columns.
-    fn window() -> (Vec<Record<2>>, Vec<f64>, Vec<f64>) {
-        let data: Vec<Record<2>> = (100..110u64)
-            .map(|i| Record::new(i, Aabb::new([i as f64; 2], [i as f64 + 1.0; 2])))
-            .collect();
-        let keys = data.iter().map(|r| r.mbb.lo[0]).collect();
-        let his = data.iter().map(|r| r.mbb.hi[0]).collect();
-        (data, keys, his)
-    }
-
-    #[test]
-    fn ranges_resolve_against_a_non_zero_base() {
-        let (mut data, mut keys, mut his) = window();
-        let mut cols = Cols::new(&mut data, &mut keys, &mut his, 100);
-        let s = slice_at(103, 106);
-        let ids: Vec<u64> = cols.records(&s).iter().map(|r| r.id).collect();
-        assert_eq!(ids, [103, 104, 105], "absolute index = base + local index");
-        let (k, h, d) = cols.range_mut(&s);
-        assert_eq!(k, [103.0, 104.0, 105.0]);
-        assert_eq!(h, [104.0, 105.0, 106.0]);
-        assert_eq!(d.len(), 3);
-        // The window's own edges, and an empty slice at its end.
-        assert_eq!(cols.records(&slice_at(100, 110)).len(), 10);
-        assert!(cols.records(&slice_at(110, 110)).is_empty());
-        // With base 0 the same slice addresses the same local positions.
-        let mut whole = Cols::new(&mut data, &mut keys, &mut his, 0);
-        assert_eq!(whole.records(&slice_at(3, 6))[0].id, 103);
-        assert_eq!(whole.range_mut(&slice_at(3, 6)).0, [103.0, 104.0, 105.0]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside its window")]
-    fn a_slice_before_its_window_is_refused() {
-        let (mut data, mut keys, mut his) = window();
-        let cols = Cols::new(&mut data, &mut keys, &mut his, 100);
-        cols.records(&slice_at(97, 103));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside its window")]
-    fn a_slice_past_its_window_is_refused() {
-        let (mut data, mut keys, mut his) = window();
-        let mut cols = Cols::new(&mut data, &mut keys, &mut his, 100);
-        cols.range_mut(&slice_at(105, 111));
     }
 }

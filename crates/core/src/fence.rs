@@ -1,15 +1,13 @@
-//! Key-range fences — the partition-boundary bookkeeping shared by the
-//! intra-index batch partitioner ([`crate::Quasii::execute_batch`]) and the
-//! multi-instance shard router (`quasii-shard`).
+//! Key-range fences — the partition-boundary bookkeeping of the shard
+//! router (`quasii-shard`), which splits a dataset across engines.
 //!
-//! Both layers exploit the same structure: a sequence of disjoint key ranges
-//! on one dimension, `partition k` owning assignment keys in
-//! `[bounds[k], bounds[k+1])`, with sentinel bounds `-inf` and `+inf` at the
-//! ends. A query whose (extension-adjusted) span on that dimension is
-//! `[lo, hi]` must visit every partition whose range can hold a qualifying
-//! key. [`KeyFences`] centralizes the fence construction, the ownership
-//! lookup and the overlap predicate so the batch layer and the shard layer
-//! cannot drift apart.
+//! A sequence of disjoint key ranges on one dimension, `partition k`
+//! owning assignment keys in `[bounds[k], bounds[k+1])`, with sentinel
+//! bounds `-inf` and `+inf` at the ends. A query whose (extension-adjusted)
+//! span on that dimension is `[lo, hi]` must visit every partition whose
+//! range can hold a qualifying key. [`KeyFences`] holds the fence
+//! construction, the ownership lookup and the overlap predicate; the router
+//! and the snapshot loader (`quasii-shard`'s recovery) share them.
 
 use std::ops::Range;
 
@@ -17,8 +15,7 @@ use std::ops::Range;
 /// partition `k` owning assignment keys in `[bounds[k], bounds[k+1])`.
 ///
 /// [`from_inner`](Self::from_inner) stays permissive — duplicate inner
-/// fences yield empty partitions, which the batch partitioner's
-/// minimum-key fences legitimately produce. The *planners*
+/// fences yield empty partitions. The *planners*
 /// ([`equi_depth`](Self::equi_depth) and its sampled variant) dedupe their
 /// quantiles instead: a repeated quantile used to become a permanently
 /// empty shard (every key ties on the fence and falls to its right), so a
@@ -164,20 +161,6 @@ impl KeyFences {
         let end = self.bounds[..m].partition_point(|&b| b <= hi);
         start..end.max(start)
     }
-
-    /// Assigns a sequence of query spans to partitions: entry `k` of the
-    /// result lists the indices of the spans visiting partition `k`, in
-    /// ascending input order.
-    pub fn assign(&self, spans: impl IntoIterator<Item = (f64, f64)>) -> Vec<Vec<usize>> {
-        let mut out: Vec<Vec<usize>> = Vec::with_capacity(self.parts());
-        out.resize_with(self.parts(), Vec::new);
-        for (j, (lo, hi)) in spans.into_iter().enumerate() {
-            for k in self.overlapping(lo, hi) {
-                out[k].push(j);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -211,8 +194,8 @@ mod tests {
 
     #[test]
     fn overlapping_matches_the_scalar_predicate() {
-        // The closed-form range must agree with the O(parts) predicate the
-        // batch layer used before the refactor, for every span.
+        // The closed-form range must agree with the O(parts) predicate,
+        // for every span.
         let f = KeyFences::from_inner(vec![1.0, 5.0, 5.0, 9.0]);
         let m = f.parts();
         let probes = [-2.0, 0.0, 1.0, 3.0, 5.0, 7.0, 9.0, 12.0];
@@ -320,13 +303,6 @@ mod tests {
             KeyFences::equi_depth_sampled(&keys, 1, 10),
             KeyFences::single()
         );
-    }
-
-    #[test]
-    fn assign_lists_queries_in_order() {
-        let f = KeyFences::from_inner(vec![10.0]);
-        let assigned = f.assign([(0.0, 3.0), (5.0, 15.0), (12.0, 13.0), (9.0, 9.5)]);
-        assert_eq!(assigned, vec![vec![0, 1, 3], vec![1, 2]]);
     }
 
     #[test]

@@ -68,11 +68,11 @@ use slice::Slice;
 use std::fmt;
 use std::ops::Range;
 
-/// A worker thread panicked mid-batch and the engine refused to keep
-/// serving: the slice hierarchy (or a partition of it) may be in an
-/// undefined intermediate state, so every answer after the panic would be
-/// untrustworthy. The engine never degrades into silently wrong results:
-/// until [`Quasii::repair`] re-validates or rebuilds it,
+/// A query panicked mid-batch and the engine refused to keep serving: the
+/// slice hierarchy may be in an undefined intermediate state, so every
+/// answer after the panic would be untrustworthy. The engine never
+/// degrades into silently wrong results: until [`Quasii::repair`]
+/// re-validates or rebuilds it,
 /// [`Quasii::try_execute_batch`] returns this, its panicking wrappers
 /// (`execute_batch`, `SpatialIndex::query`) panic with the same message,
 /// and [`Quasii::read`] answers nothing.
@@ -242,16 +242,6 @@ impl<const D: usize> Quasii<D> {
     /// the initial whole-dataset slice `s0`.
     fn ensure_init(&mut self) {
         if self.initialized {
-            // An initialized index over a non-empty dataset always has a
-            // root list — except when a worker panicked mid-batch, after
-            // `execute_batch` detached the top level and before it was
-            // reassembled. Fail loudly instead of answering every later
-            // query with silently empty results.
-            assert!(
-                self.data.is_empty() || !self.root.is_empty(),
-                "QUASII index poisoned: a previous execute_batch panicked \
-                 while the slice hierarchy was detached"
-            );
             return;
         }
         self.initialized = true;
@@ -419,7 +409,7 @@ impl<const D: usize> Quasii<D> {
     }
 
     /// Recovers a poisoned engine. If every structural invariant still
-    /// holds (and the hierarchy is attached), the panic struck before any
+    /// holds, the panic struck before any
     /// reorganization went inconsistent: the poison marker is cleared and
     /// all adaptive state survives ([`RepairOutcome::Revalidated`]).
     /// Otherwise the engine is **rebuilt from its record multiset**
@@ -431,11 +421,9 @@ impl<const D: usize> Quasii<D> {
         if self.poisoned.is_none() {
             return RepairOutcome::Clean;
         }
-        let attached = self.data.is_empty() || !self.root.is_empty();
         // `validate` walks whatever state the panic left behind; treat a
         // panic inside it as just another invariant violation.
         let intact = self.initialized
-            && attached
             && std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.validate().is_ok()))
                 .unwrap_or(false);
         if intact {

@@ -36,10 +36,9 @@ impl QuasiiStats {
         self.cracks > 0 || self.slices_created > 0
     }
 
-    /// Accumulates `other` into `self`. Used by batch execution to fold
-    /// per-worker counters back into the engine's totals; addition is
-    /// order-independent, so the merged stats do not depend on worker
-    /// scheduling or thread count.
+    /// Accumulates `other` into `self`. A sharded deployment folds its
+    /// shards' counters this way; addition is order-independent, so the
+    /// total does not depend on the order the shards are visited in.
     pub fn merge(&mut self, other: &QuasiiStats) {
         self.queries += other.queries;
         self.cracks += other.cracks;

@@ -87,20 +87,13 @@ pub enum Phase {
     /// The `&self` shared-read pool over the sealed arenas: an engine's,
     /// or a sharded deployment's read of its converged queries.
     SealedRead,
-    /// The partitioned adaptive (`&mut`) crack phase.
+    /// The adaptive (`&mut`) crack phase, one query at a time.
     Crack,
-    /// Partition reassembly: slice runs reattached, hits concatenated.
-    Merge,
 }
 
 impl Phase {
     /// All phases, in execution order (also the registry storage order).
-    pub const ALL: [Phase; 4] = [
-        Phase::Classify,
-        Phase::SealedRead,
-        Phase::Crack,
-        Phase::Merge,
-    ];
+    pub const ALL: [Phase; 3] = [Phase::Classify, Phase::SealedRead, Phase::Crack];
 
     /// The label value used in exports.
     pub fn name(self) -> &'static str {
@@ -108,7 +101,6 @@ impl Phase {
             Phase::Classify => "classify",
             Phase::SealedRead => "sealed_read",
             Phase::Crack => "crack",
-            Phase::Merge => "merge",
         }
     }
 }

@@ -18,12 +18,8 @@ use std::fmt::Write as _;
 
 /// Per-phase batch span latencies, indexed by [`Phase`] order. A sharded
 /// deployment books its read phase as [`Phase::SealedRead`] too.
-pub static BATCH_PHASE_SECONDS: [Histogram; 4] = [
-    Histogram::new(),
-    Histogram::new(),
-    Histogram::new(),
-    Histogram::new(),
-];
+pub static BATCH_PHASE_SECONDS: [Histogram; 3] =
+    [Histogram::new(), Histogram::new(), Histogram::new()];
 
 /// The phase histogram for `p`.
 pub fn batch_phase(p: Phase) -> &'static Histogram {
@@ -204,13 +200,6 @@ pub static DEFS: &[Def] = &[
         labels: "phase=\"crack\"",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&BATCH_PHASE_SECONDS[Phase::Crack as usize]),
-    },
-    Def {
-        name: "quasii_batch_phase_seconds",
-        help: "Batch execution span per phase, an engine's or a sharded deployment's (its read phase)",
-        labels: "phase=\"merge\"",
-        unit: Unit::Seconds,
-        metric: Metric::Histogram(&BATCH_PHASE_SECONDS[Phase::Merge as usize]),
     },
     Def {
         name: "quasii_batches_total",

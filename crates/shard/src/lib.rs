@@ -9,9 +9,8 @@
 //!
 //! * **Planning** — one upfront pass samples record assignment keys along
 //!   the first cracked dimension (dimension 0, the same key every engine
-//!   cracks first) and picks `K − 1` equi-depth boundary fences via the
-//!   [`KeyFences`] machinery shared with the intra-engine batch partitioner.
-//!   Each shard owns the records whose key falls in its fence range; its
+//!   cracks first) and picks `K − 1` equi-depth boundary fences
+//!   ([`KeyFences`]). Each shard owns the records whose key falls in its fence range; its
 //!   *interior* stays adaptively cracked per the paper — only the shard
 //!   boundaries come from a static sort-then-partition planning pass.
 //! * **Routing** — a query visits exactly the shards whose fence ranges
@@ -32,16 +31,18 @@
 //!   query on the process-wide parked-worker pool
 //!   ([`quasii_common::pool`]; at most [`ShardConfig::shard_threads`]
 //!   threads), and is skipped when no query is readable. The **writer**
-//!   takes the rest with two-level parallelism: one job per visited shard
-//!   (at most `shard_threads` threads), each running its sub-batch through
-//!   [`Quasii::try_execute_batch`], which opens its own job list on the
-//!   same pool (at most [`QuasiiConfig::threads`] threads). A shard job
-//!   works on its own nested list instead of waiting for a worker, so
-//!   however the two knobs are set the process computes on no more threads
-//!   than the host has CPUs, and no thread is created per batch. A
-//!   converged query never enters the writer; the writer's engines sweep
-//!   for new seals before they classify, so a query the read phase left
-//!   them is decided there exactly as if the whole batch had come.
+//!   takes the rest: one job per visited shard (at most `shard_threads`
+//!   threads), each running its sub-batch through
+//!   [`Quasii::try_execute_batch`]. This is the one way cracks run in
+//!   parallel: an engine cracks one query at a time on the thread that
+//!   runs its job. No thread is created per batch. A converged query never
+//!   enters the writer; the writer's engines sweep for new seals before
+//!   they classify, so a query the read phase left them is decided there
+//!   exactly as if the whole batch had come. The only pool scope that
+//!   still nests is such an engine's own read phase inside its shard job
+//!   (at most [`QuasiiConfig::threads`] threads): a shard job works on its
+//!   nested list instead of waiting for a worker, so the process computes
+//!   on no more threads than the host has CPUs.
 //!
 //! ## Determinism
 //!
@@ -49,8 +50,8 @@
 //! identical for every shard-thread count, engine-thread count and batch
 //! size**: routing depends only on the fences and the global extent (both
 //! fixed at construction), so each shard always sees the same query
-//! subsequence in the same order, and the engine's batch path is itself
-//! deterministic (see `quasii::Quasii::execute_batch`). A query the read
+//! subsequence in the same order, and the engine runs its crack queries
+//! in that order (see `quasii::Quasii::execute_batch`). A query the read
 //! phase answers is one the shard's engine would have read too (sweeps
 //! only add seals), and reads change no structure.
 //!
@@ -142,8 +143,8 @@ pub struct ShardConfig {
     /// (stride-subsampled deterministically, no RNG).
     pub sample_cap: usize,
     /// Configuration handed to every per-shard engine; its
-    /// [`threads`](QuasiiConfig::threads) field is the *inner* level of the
-    /// two-level parallelism.
+    /// [`threads`](QuasiiConfig::threads) field caps the engine's own read
+    /// phase, which runs nested inside the shard's writer job.
     pub inner: QuasiiConfig,
 }
 

@@ -17,7 +17,8 @@
 //! * [`quasii_mosaic::Mosaic`] — the incremental octree adapted from Space
 //!   Odyssey;
 //! * [`quasii_shard::ShardedQuasii`] — the multi-instance shard router
-//!   (two-level parallel scale-out on top of the paper's engine);
+//!   (parallel scale-out on top of the paper's engine: cracks run in
+//!   parallel one shard per job);
 //! * [`quasii_server`] — the HTTP query service: a converged `GET /query`
 //!   is a read under a shared guard and never enters admission; a query
 //!   that needs the writer is grouped by the admission controller onto the

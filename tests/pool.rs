@@ -25,9 +25,9 @@ fn a_thousand_sharded_batches_create_no_thread() {
     let data = uniform_boxes_in::<3>(6_000, 1_000.0, 41);
     let universe = Aabb::new([0.0; 3], [1_000.0; 3]);
     let queries = workload::uniform(&universe, 16 * 1_000, 1e-3, 42).queries;
-    // Default thread knobs at both levels, two shards: a fresh engine, so
-    // the batches go through the partitioned crack phase first and the
-    // sealed read phase once the shards have converged.
+    // Default thread knobs, two shards: a fresh deployment, so the batches
+    // go through the shard writer jobs first and the sealed read phase
+    // once the shards have converged.
     let mut index = ShardedQuasii::new(data, ShardConfig::default().with_shards(2));
     // The first parallel batch may start the pool; that is not per batch.
     index.execute_batch(&queries[..16]);
