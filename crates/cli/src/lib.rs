@@ -18,7 +18,7 @@ use quasii::{AssignBy, QuasiiConfig, SimdPolicy};
 use quasii_common::dataset;
 use quasii_common::geom::{max_extents, mbb_of, Aabb, Record};
 use quasii_common::{io as qio, workload};
-use quasii_shard::ShardConfig;
+use quasii_shard::{ShardConfig, ShardedQuasii};
 use run::{bench, recover_snapshot, report_fsx_counters, serve, snapshot, verify_file};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub enum Source {
     /// Built from this dataset file (`--data`).
     Data(String),
-    /// Revived from this snapshot file (`--warm-start`).
+    /// Revived from the deployment whose manifest this is (`--warm-start`).
     WarmStart(String),
 }
 
@@ -81,15 +81,16 @@ impl WorkloadOpts {
     }
 }
 
-/// The ENGINE option group: how a QUASII index is built from a dataset.
-/// Shared by `bench`, `snapshot` (which does not read `--seal`) and
-/// `serve`; holds defaults wherever the index is not built from `--data`.
+/// The ENGINE option group: how a QUASII deployment is built from a
+/// dataset. Shared by `bench`, `snapshot` (which does not read `--seal`)
+/// and `serve`; holds defaults wherever the index is not built from
+/// `--data`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineOpts {
     /// Worker cap of each parallel phase — shard jobs, sealed reads
     /// (0 = machine parallelism).
     pub threads: usize,
-    /// Shard count; 0 = unsharded single engine.
+    /// Shard count; 0 and 1 both mean one shard.
     pub shards: usize,
     /// Slice assignment coordinate (paper footnote 1).
     pub assign_by: AssignBy,
@@ -103,23 +104,22 @@ pub struct EngineOpts {
 const ENGINE_OPTIONS: [&str; 5] = ["threads", "shards", "assign-by", "seal", "simd"];
 
 impl EngineOpts {
-    /// The single engine these options describe.
-    fn config(&self) -> QuasiiConfig {
-        QuasiiConfig::default()
+    /// The deployment these options describe, built over `records`:
+    /// `shards` engines (0 and 1 both mean one, and are recorded as one)
+    /// behind the key-range router, `--threads` capping the shard jobs and
+    /// each engine's sealed reads. `bench --data`, `snapshot` and `serve
+    /// --data` all build here.
+    fn build(&self, records: Vec<Record<3>>) -> ShardedQuasii<3> {
+        let inner = QuasiiConfig::default()
             .with_threads(self.threads)
             .with_assign_by(self.assign_by)
             .with_seal(self.seal)
-            .with_simd(self.simd)
-    }
-
-    /// The deployment of `shards` such engines (0 and 1 both mean one
-    /// shard; `--threads` caps the shard jobs and each engine's sealed
-    /// reads).
-    fn sharded(&self) -> ShardConfig {
-        ShardConfig::default()
-            .with_shards(self.shards)
+            .with_simd(self.simd);
+        let cfg = ShardConfig::default()
+            .with_shards(self.shards.max(1))
             .with_shard_threads(self.threads)
-            .with_inner(self.config())
+            .with_inner(inner);
+        ShardedQuasii::new(records, cfg)
     }
 }
 
@@ -144,8 +144,8 @@ pub enum Command {
     },
     /// Run a workload against one index.
     Bench {
-        /// Dataset to build the index from, or snapshot to revive it from
-        /// (quasii only).
+        /// Dataset to build the index from, or deployment manifest to
+        /// revive it from (quasii only).
         source: Source,
         /// Index name: scan|rtree|grid|sfc|sfcracker|mosaic|quasii.
         index: String,
@@ -159,12 +159,12 @@ pub enum Command {
         /// fan-out table afterwards (`--metrics`, no value needed).
         metrics: bool,
     },
-    /// Warm a QUASII index on a workload and persist it as one snapshot
-    /// file (plain engine or, with `--shards K`, a sharded deployment).
+    /// Warm a QUASII deployment on a workload and persist it as a
+    /// manifest plus one part file per shard.
     Snapshot {
         /// Dataset path.
         data: String,
-        /// Output snapshot path.
+        /// Manifest path; the parts are written beside it.
         out: String,
         /// Warm-up queries before the snapshot is taken.
         workload: WorkloadOpts,
@@ -176,7 +176,7 @@ pub enum Command {
         /// (`crash@OP[:SEED]` or `transient@COUNT`).
         fault: Option<String>,
     },
-    /// Load a snapshot, shard manifest (+ parts), or dataset file with the
+    /// Load a deployment manifest (+ parts) or a dataset file with the
     /// loader that will serve it.
     Verify {
         /// File to verify.
@@ -193,7 +193,7 @@ pub enum Command {
     },
     /// Serve queries over HTTP with admission batching (`quasii-server`).
     Serve {
-        /// Dataset for a cold start, or sharded snapshot to revive.
+        /// Dataset for a cold start, or deployment manifest to revive.
         source: Source,
         /// Listen address (`host:port`; port 0 picks an ephemeral port).
         addr: String,
@@ -467,15 +467,15 @@ ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
 
   --data FILE       3-d dataset; the extension picks the format (.csv text,
                     anything else .qsd binary)
-  --warm-start SNAP revive the index `snapshot` wrote instead of cracking
-                    from --data (`serve` takes a sharded snapshot only)
+  --warm-start SNAP revive the deployment whose manifest `snapshot` wrote
+                    at SNAP instead of cracking from --data
   --pattern         skewed is a Zipf hot-region workload (shard imbalance)
   --batch N         run the workload N queries at a time through the batch
                     path (0 = one by one)
   --threads N       workers per parallel phase: shard jobs, sealed reads
                     (0 = machine parallelism)
   --shards K        K engines behind a key-range router, results in
-                    ascending-id order (0 = one engine; `serve`: one shard)
+                    ascending-id order (0 and 1 = one shard)
   --assign-by       slice assignment coordinate (paper footnote 1)
   --seal false      keep the adaptive machinery on every query (the sealed
                     read path's reference configuration)
@@ -483,12 +483,12 @@ ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
                     detection; an ISA the host lacks is an error)
   --metrics         print the metrics registry's table after the run
   --finalize true   fully crack the index instead of warming it on WORKLOAD
-  --out SNAP        one checksummed file; with --shards K a manifest at SNAP
-                    plus SNAP.g<G>.part<k> per shard, manifest renamed last
+  --out SNAP        a manifest at SNAP plus SNAP.g<G>.part<k> per shard,
+                    parts written first, manifest renamed last
   --fault SPEC      crash@OP[:SEED] kills the write at its OP-th store
                     operation, transient@COUNT fails the first COUNT
-  verify            loads a snapshot, a manifest and its parts, or a .qsd
-                    with the loader that will serve it; exit 2 on corruption
+  verify            loads a manifest and its parts, or a .qsd, with the
+                    loader that will serve it; exit 2 on corruption
   recover           quarantines corrupt shards, re-cracks them from --data
                     and commits a new generation; without --data, reports
   serve             GET /query?lo=a,b,c&hi=d,e,f | POST /batch (one

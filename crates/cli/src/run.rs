@@ -1,9 +1,9 @@
 //! The command bodies behind [`execute`](crate::execute).
 
 use crate::{load, EngineOpts, Source, WorkloadOpts};
-use quasii::{Quasii, SimdPolicy};
+use quasii::SimdPolicy;
 use quasii_common::fault::{parse_fault_spec, FaultStore};
-use quasii_common::fsx::{self, FsStore, SnapshotStore};
+use quasii_common::fsx::{FsStore, SnapshotStore};
 use quasii_common::geom::{mbb_of, Aabb};
 use quasii_common::index::SpatialIndex;
 use quasii_common::io as qio;
@@ -65,11 +65,43 @@ fn report<I: SpatialIndex<3>>(
     index
 }
 
-/// [`report`], then one line for the sealed read path's end state (the
-/// quasii variants).
-fn report_quasii<I: SpatialIndex<3>>(index: I, build_secs: f64, queries: &[Aabb<3>], batch: usize) {
+/// [`report`], then one line for the sealed read path's end state.
+fn report_quasii(index: ShardedQuasii<3>, build_secs: f64, queries: &[Aabb<3>], batch: usize) {
     let index = report(index, build_secs, queries, batch);
     println!("sealed fraction after run: {:.3}", index.sealed_fraction());
+}
+
+/// Refuses anything but a deployment manifest where `--warm-start` or
+/// `verify` reads one. A bare engine snapshot (one part file) gets its own
+/// error naming the manifest.
+fn expect_manifest(path: &str, bytes: &[u8]) -> Result<(), String> {
+    if bytes.starts_with(&MANIFEST_MAGIC) {
+        Ok(())
+    } else if bytes.starts_with(&quasii::snapshot::MAGIC) {
+        Err(format!(
+            "'{path}' is one engine's part file, not a deployment: pass the manifest \
+             `quasii snapshot` wrote at --out (its parts are <manifest>.g<G>.part<k>)"
+        ))
+    } else {
+        Err(format!(
+            "'{path}' is not a deployment manifest (expected a {:?} header)",
+            String::from_utf8_lossy(&MANIFEST_MAGIC)
+        ))
+    }
+}
+
+/// `--warm-start`: revives the deployment whose manifest is at `snap`, its
+/// shards loaded on parallel workers. The snapshot fixes layout and
+/// configuration; the engines re-resolve the default dispatch policy
+/// (which honors the `QUASII_SIMD` environment override). Returns the load
+/// time with the deployment.
+fn warm_start(snap: &str) -> Result<(f64, ShardedQuasii<3>), String> {
+    let bytes = std::fs::read(snap).map_err(|e| format!("cannot read '{snap}': {e}"))?;
+    expect_manifest(snap, &bytes)?;
+    report_simd(SimdPolicy::default());
+    let (secs, idx) = timed(|| ShardedQuasii::<3>::from_snapshot_files(&FsStore, Path::new(snap)));
+    let idx = idx.map_err(|e| format!("cannot load '{snap}': {e}"))?;
+    Ok((secs, idx))
 }
 
 /// `quasii bench`.
@@ -98,36 +130,22 @@ pub(crate) fn bench(
     Ok(())
 }
 
-/// `bench --warm-start`: the snapshot fixes layout and configuration, and a
-/// revived engine re-resolves the default dispatch policy (which honors the
-/// `QUASII_SIMD` environment override).
+/// `bench --warm-start`: revive the deployment, then run the workload over
+/// the records' universe.
 fn bench_warm(snap: &str, workload: &WorkloadOpts, batch: usize) -> Result<(), String> {
-    report_simd(SimdPolicy::default());
-    let bytes = std::fs::read(snap).map_err(|e| format!("cannot read '{snap}': {e}"))?;
-    println!("warm start: {} snapshot bytes from {snap}", bytes.len());
-    if bytes.starts_with(&MANIFEST_MAGIC) {
-        // Per-shard loads run on parallel workers.
-        let (b, idx) = timed(|| ShardedQuasii::<3>::from_snapshot_files(&FsStore, Path::new(snap)));
-        let idx = idx.map_err(|e| format!("cannot load '{snap}': {e}"))?;
-        let mut universe = Aabb::empty();
-        for e in idx.engines() {
-            if !e.data().is_empty() {
-                universe.expand(&mbb_of(e.data()));
-            }
+    let (b, idx) = warm_start(snap)?;
+    let mut universe = Aabb::empty();
+    for e in idx.engines() {
+        if !e.data().is_empty() {
+            universe.expand(&mbb_of(e.data()));
         }
-        println!(
-            "shards: {} engines revived, sealed fraction {:.3}",
-            idx.shard_count(),
-            idx.sealed_fraction()
-        );
-        report_quasii(idx, b, &workload.build(&universe).queries, batch);
-    } else {
-        let (b, idx) = timed(|| Quasii::<3>::from_snapshot(bytes));
-        let idx = idx.map_err(|e| format!("cannot load '{snap}': {e}"))?;
-        println!("sealed fraction at load: {:.3}", idx.sealed_fraction());
-        let w = workload.build(&mbb_of(idx.data()));
-        report_quasii(idx, b, &w.queries, batch);
     }
+    println!(
+        "shards: {} engines revived, sealed fraction {:.3}",
+        idx.shard_count(),
+        idx.sealed_fraction()
+    );
+    report_quasii(idx, b, &workload.build(&universe).queries, batch);
     Ok(())
 }
 
@@ -167,19 +185,14 @@ fn bench_cold(
             let (b, i) = timed(|| Mosaic::with_defaults(records));
             report(i, b, &w.queries, batch);
         }
-        "quasii" if engine.shards > 0 => {
+        "quasii" => {
             report_simd(engine.simd);
-            let (b, i) = timed(|| ShardedQuasii::new(records, engine.sharded()));
+            let (b, i) = timed(|| engine.build(records));
             let per_shard: Vec<usize> = i.snapshots().iter().map(|s| s.records).collect();
             println!(
                 "shards: {} engines, records per shard {per_shard:?}",
-                engine.shards
+                i.shard_count()
             );
-            report_quasii(i, b, &w.queries, batch);
-        }
-        "quasii" => {
-            report_simd(engine.simd);
-            let (b, i) = timed(|| Quasii::new(records, engine.config()));
             report_quasii(i, b, &w.queries, batch);
         }
         other => return Err(format!("unknown index '{other}'")),
@@ -187,10 +200,11 @@ fn bench_cold(
     Ok(())
 }
 
-/// `quasii snapshot`: warm (or fully crack) an index, seal it, and commit
-/// it through the crash-safe atomic-replace protocol; `--fault` wraps the
-/// store in a deterministic fault injector so the protocol can be
-/// exercised from the command line.
+/// `quasii snapshot`: warm (or fully crack) a deployment, seal it, and
+/// commit its manifest plus one part per shard through the crash-safe
+/// protocol (parts first, manifest renamed last); `--fault` wraps the store
+/// in a deterministic fault injector so the protocol can be exercised from
+/// the command line.
 pub(crate) fn snapshot(
     data: &str,
     out: &str,
@@ -208,44 +222,23 @@ pub(crate) fn snapshot(
     };
     let records = load(data)?;
     let w = workload.build(&mbb_of(&records));
-    let out_path = Path::new(out);
-    if engine.shards > 0 {
-        let mut idx = ShardedQuasii::new(records, engine.sharded());
-        if finalize {
-            idx.finalize();
-        } else {
-            idx.execute_batch(&w.queries);
-        }
-        idx.seal();
-        let frac = idx.sealed_fraction();
-        let gen = idx
-            .write_snapshot_files(store.as_ref(), out_path)
-            .map_err(|e| format!("snapshot: {e}"))?;
-        println!(
-            "committed generation {gen} ({} shards, {} part files + manifest, \
-             sealed fraction {frac:.3}) to {out}",
-            idx.shard_count(),
-            idx.shard_count()
-        );
+    let mut idx = engine.build(records);
+    if finalize {
+        idx.finalize();
     } else {
-        let mut idx = Quasii::new(records, engine.config());
-        if finalize {
-            idx.finalize();
-        } else {
-            for q in &w.queries {
-                idx.query_collect(q);
-            }
-        }
-        idx.seal();
-        let frac = idx.sealed_fraction();
-        let bytes = idx.write_snapshot().map_err(|e| format!("snapshot: {e}"))?;
-        fsx::write_atomic(store.as_ref(), out_path, &bytes)
-            .map_err(|e| format!("cannot write '{out}': {e}"))?;
-        println!(
-            "wrote {} snapshot bytes (1 engine, sealed fraction {frac:.3}) to {out}",
-            bytes.len()
-        );
+        idx.execute_batch(&w.queries);
     }
+    idx.seal();
+    let frac = idx.sealed_fraction();
+    let gen = idx
+        .write_snapshot_files(store.as_ref(), Path::new(out))
+        .map_err(|e| format!("snapshot: {e}"))?;
+    println!(
+        "committed generation {gen} ({} shards, {} part files + manifest, \
+         sealed fraction {frac:.3}) to {out}",
+        idx.shard_count(),
+        idx.shard_count()
+    );
     Ok(())
 }
 
@@ -286,56 +279,34 @@ fn report_health(report: &RecoveryReport) {
     }
 }
 
-/// `quasii verify`: the file is read by the loader that will read it when
-/// it is served (picked by magic), so what passes here loads there. Returns
-/// `Err` (exit code 2) on any corruption so scripts can gate on it.
+/// `quasii verify`: a manifest is read by the loader `recover` uses, shard
+/// by shard, and a `.qsd` by the dataset reader, so what passes here loads
+/// there. Returns `Err` (exit code 2) on any corruption so scripts can gate
+/// on it.
 pub(crate) fn verify_file(path: &str) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    if bytes.starts_with(&MANIFEST_MAGIC) {
-        let rec =
-            Recovery::<3>::load(&FsStore, Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        let report = rec.report();
-        report_health(report);
-        if !report.is_complete() {
-            return Err(format!(
-                "{} of {} shards failed verification (recover can quarantine and rebuild them \
-                 from the source dataset)",
-                report.quarantined().len(),
-                report.shards.len()
-            ));
-        }
-        Ok(())
-    } else if bytes.starts_with(&quasii::snapshot::MAGIC) {
-        let (len, word) = (bytes.len(), quasii::snapshot::header_word(&bytes));
-        let idx = Quasii::<3>::from_snapshot(bytes).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "engine snapshot: {len} bytes, {} records, {} slices ({} root), {} sealed regions \
-             ({} arena bytes, sealed fraction {:.3}), checksum {:#018x} ok",
-            idx.len(),
-            idx.slice_count(),
-            idx.level_profile()[0],
-            idx.sealed_regions(),
-            idx.seal_bytes(),
-            idx.sealed_fraction(),
-            word.expect("a loaded snapshot has a header word"),
-        );
-        Ok(())
-    } else if bytes.starts_with(qio::QSD_MAGIC) {
+    if bytes.starts_with(qio::QSD_MAGIC) {
         let records = qio::decode_qsd::<3>(&bytes).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "qsd dataset: {} records, {} bytes",
             records.len(),
             bytes.len()
         );
-        Ok(())
-    } else {
-        Err(format!(
-            "'{path}' is not a recognized QUASII file (expected a {:?}, {:?} or {:?} header)",
-            String::from_utf8_lossy(&quasii::snapshot::MAGIC),
-            String::from_utf8_lossy(&MANIFEST_MAGIC),
-            String::from_utf8_lossy(qio::QSD_MAGIC),
-        ))
+        return Ok(());
     }
+    expect_manifest(path, &bytes)?;
+    let rec = Recovery::<3>::load(&FsStore, Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    let report = rec.report();
+    report_health(report);
+    if !report.is_complete() {
+        return Err(format!(
+            "{} of {} shards failed verification (recover can quarantine and rebuild them \
+             from the source dataset)",
+            report.quarantined().len(),
+            report.shards.len()
+        ));
+    }
+    Ok(())
 }
 
 /// `quasii recover` — per-shard health report, rebuild of quarantined
@@ -383,21 +354,10 @@ pub(crate) fn serve(
     obs::registry::reset();
     obs::set_enabled(true);
     let deployment = match source {
-        Source::WarmStart(snap) => {
-            let bytes = std::fs::read(&snap).map_err(|e| format!("cannot read '{snap}': {e}"))?;
-            if !bytes.starts_with(&MANIFEST_MAGIC) {
-                return Err(format!(
-                    "'{snap}' is not a sharded snapshot (serve fronts a sharded deployment; \
-                     write one with `quasii snapshot --shards K`)"
-                ));
-            }
-            report_simd(SimdPolicy::default());
-            ShardedQuasii::<3>::from_snapshot_files(&FsStore, Path::new(&snap))
-                .map_err(|e| format!("cannot load '{snap}': {e}"))?
-        }
+        Source::WarmStart(snap) => warm_start(&snap)?.1,
         Source::Data(data) => {
             report_simd(engine.simd);
-            ShardedQuasii::new(load(&data)?, engine.sharded())
+            engine.build(load(&data)?)
         }
     };
     let records: usize = deployment.engines().iter().map(|e| e.data().len()).sum();

@@ -6,7 +6,7 @@ fn args(s: &str) -> Vec<String> {
     s.split_whitespace().map(str::to_string).collect()
 }
 
-/// Threads and shards 0 (auto, unsharded), the paper's lower coordinate,
+/// Threads and shards 0 (auto, one shard), the paper's lower coordinate,
 /// sealing on, dispatch auto.
 fn default_engine() -> EngineOpts {
     EngineOpts {
@@ -335,16 +335,15 @@ fn snapshot_and_warm_start_round_trip() {
     );
     const WORKLOAD: &str = "--queries 30 --volume 1e-4 --pattern clustered --seed 12";
     run(&format!("generate --out {data_s} --n 2000 --seed 11")).unwrap();
-    // Single engine: snapshot after a query warm-up, then warm-start.
+    // One-shard deployment: snapshot after a query warm-up, then
+    // warm-start.
     run(&format!(
         "snapshot --data {data_s} --out {single_s} {WORKLOAD}"
     ))
     .unwrap();
     run(&format!("verify --path {single_s}")).unwrap();
     run(&format!("bench --warm-start {single_s} {WORKLOAD}")).unwrap();
-    // Sharded deployment: finalize, then warm-start through the batch
-    // path (the manifest self-identifies via its magic and names its
-    // part files).
+    // Three shards: finalize, then warm-start through the batch path.
     run(&format!(
         "snapshot --data {data_s} --out {sharded_s} --shards 3 --finalize true {WORKLOAD}"
     ))
@@ -353,19 +352,69 @@ fn snapshot_and_warm_start_round_trip() {
         "bench --warm-start {sharded_s} --batch 8 {WORKLOAD}"
     ))
     .unwrap();
-    // A corrupt snapshot file fails loudly, not with a panic, in the
-    // run that would serve it and in `verify` alike.
+    // A torn part fails loudly, not with a panic, in the run that would
+    // serve it and in `verify` alike; so does a torn manifest.
+    let part = part_path(&single, 1, 0);
+    let bytes = std::fs::read(&part).unwrap();
+    std::fs::write(&part, &bytes[..bytes.len() / 2]).unwrap();
+    let err = run(&format!("bench --warm-start {single_s} {WORKLOAD}")).unwrap_err();
+    assert!(err.contains("cannot load"), "{err}");
+    let err = run(&format!("verify --path {single_s}")).unwrap_err();
+    assert!(
+        err.starts_with("1 of 1 shards failed verification"),
+        "{err}"
+    );
     let bytes = std::fs::read(&single).unwrap();
     std::fs::write(&single, &bytes[..bytes.len() / 2]).unwrap();
     assert!(run(&format!("bench --warm-start {single_s} {WORKLOAD}")).is_err());
-    let err = run(&format!("verify --path {single_s}")).unwrap_err();
-    assert!(err.contains("buffer holds"), "{err}");
+    assert!(run(&format!("verify --path {single_s}")).is_err());
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&single).ok();
+    std::fs::remove_file(&part).ok();
     std::fs::remove_file(&sharded).ok();
     for k in 0..3 {
         std::fs::remove_file(part_path(&sharded, 1, k)).ok();
     }
+}
+
+#[test]
+fn one_deployment_shape_without_shards() {
+    let dir = std::env::temp_dir().join(format!("quasii-one-shape-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("d.qsd").to_string_lossy().to_string();
+    let snap = dir.join("deploy.qsnap");
+    let snap_s = snap.to_string_lossy().to_string();
+    const WORKLOAD: &str = "--queries 20 --seed 5";
+    run(&format!("generate --out {data} --n 1500 --seed 4")).unwrap();
+    // `snapshot` without `--shards` commits a manifest and one part, which
+    // every reader of a deployment accepts.
+    run(&format!("snapshot --data {data} --out {snap_s} {WORKLOAD}")).unwrap();
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
+        .filter(|name| name.starts_with("deploy"))
+        .collect();
+    assert_eq!(files.len(), 2, "{files:?}");
+    let part = part_path(&snap, 1, 0);
+    assert!(part.exists(), "{files:?}");
+    run(&format!("verify --path {snap_s}")).unwrap();
+    run(&format!("bench --warm-start {snap_s} {WORKLOAD}")).unwrap();
+    run(&format!("recover --snapshot {snap_s}")).unwrap();
+    // The part alone is a bare engine snapshot: `bench --warm-start`,
+    // `serve --warm-start` and `verify` each refuse it with one error that
+    // points at the manifest.
+    let part_s = part.to_string_lossy().to_string();
+    let expect = format!("'{part_s}' is one engine's part file, not a deployment");
+    for cmdline in [
+        format!("bench --warm-start {part_s} {WORKLOAD}"),
+        format!("serve --warm-start {part_s} --addr 127.0.0.1:0"),
+        format!("verify --path {part_s}"),
+    ] {
+        let err = run(&cmdline).unwrap_err();
+        assert!(err.starts_with(&expect), "{cmdline}: {err}");
+        assert!(err.contains("manifest"), "{cmdline}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -45,18 +45,6 @@ impl<const D: usize> Aabb<D> {
         Self { lo: p, hi: p }
     }
 
-    /// Builds a box from its center and per-dimension *full* side lengths.
-    #[inline]
-    pub fn from_center_sides(center: [f64; D], sides: [f64; D]) -> Self {
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for k in 0..D {
-            lo[k] = center[k] - sides[k] * 0.5;
-            hi[k] = center[k] + sides[k] * 0.5;
-        }
-        Self::new(lo, hi)
-    }
-
     /// The "empty" box: identity for [`expand`](Self::expand)/[`union`](Self::union).
     #[inline]
     pub fn empty() -> Self {
@@ -116,22 +104,10 @@ impl<const D: usize> Aabb<D> {
         ok
     }
 
-    /// Interval intersection restricted to a single dimension.
-    #[inline(always)]
-    pub fn intersects_dim(&self, other: &Self, dim: usize) -> bool {
-        self.lo[dim] <= other.hi[dim] && self.hi[dim] >= other.lo[dim]
-    }
-
     /// Whether `self` fully contains `other` (closed intervals).
     #[inline]
     pub fn contains(&self, other: &Self) -> bool {
         (0..D).all(|k| self.lo[k] <= other.lo[k] && self.hi[k] >= other.hi[k])
-    }
-
-    /// Whether the point `p` lies inside the (closed) box.
-    #[inline]
-    pub fn contains_point(&self, p: &[f64; D]) -> bool {
-        (0..D).all(|k| self.lo[k] <= p[k] && p[k] <= self.hi[k])
     }
 
     /// Grows `self` (in place) to cover `other`.
@@ -197,16 +173,6 @@ impl<const D: usize> Aabb<D> {
         for k in 0..D {
             out.lo[k] -= delta[k];
             out.hi[k] += delta[k];
-        }
-        out
-    }
-
-    /// Query-extension helper (§5.2): enlarges only the *lower* side, used
-    /// because objects are assigned to partitions by their lower coordinate.
-    pub fn extended_low(&self, delta: &[f64; D]) -> Self {
-        let mut out = *self;
-        for k in 0..D {
-            out.lo[k] -= delta[k];
         }
         out
     }
@@ -324,23 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn intersects_dim_is_per_axis() {
-        let a = b2([0.0, 0.0], [1.0, 1.0]);
-        let b = b2([0.5, 5.0], [2.0, 6.0]);
-        assert!(a.intersects_dim(&b, 0));
-        assert!(!a.intersects_dim(&b, 1));
-        assert!(!a.intersects(&b));
-    }
-
-    #[test]
-    fn contains_and_contains_point() {
+    fn contains_is_closed_and_reflexive() {
         let a = b2([0.0, 0.0], [4.0, 4.0]);
         let b = b2([1.0, 1.0], [2.0, 2.0]);
         assert!(a.contains(&b));
         assert!(!b.contains(&a));
         assert!(a.contains(&a), "containment is reflexive");
-        assert!(a.contains_point(&[0.0, 4.0]));
-        assert!(!a.contains_point(&[-0.1, 2.0]));
     }
 
     #[test]
@@ -381,17 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn from_center_sides_round_trips() {
-        let a = Aabb::from_center_sides([5.0, 5.0], [2.0, 4.0]);
-        assert_eq!(a, b2([4.0, 3.0], [6.0, 7.0]));
-        assert_eq!(a.center(), [5.0, 5.0]);
-    }
-
-    #[test]
-    fn inflated_and_extended_low() {
+    fn inflated_grows_both_sides() {
         let a = b2([1.0, 1.0], [2.0, 2.0]);
         assert_eq!(a.inflated(&[0.5, 1.0]), b2([0.5, 0.0], [2.5, 3.0]));
-        assert_eq!(a.extended_low(&[0.5, 1.0]), b2([0.5, 0.0], [2.0, 2.0]));
     }
 
     #[test]

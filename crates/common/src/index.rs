@@ -2,7 +2,6 @@
 //! result-verification helpers used by tests and the benchmark harness.
 
 use crate::geom::{Aabb, Record};
-use crate::snapshot::SnapshotError;
 
 /// A (possibly incremental) main-memory spatial index over a fixed dataset.
 ///
@@ -13,6 +12,12 @@ use crate::snapshot::SnapshotError;
 ///
 /// Results are appended to `out` as dataset ids, in unspecified order and
 /// with no duplicates.
+///
+/// The trait holds what every approach in the paper's comparison answers:
+/// range queries, one by one or in a batch, and the sizes the memory
+/// comparisons read. Snapshots and the sealed fraction belong to QUASII
+/// alone and are inherent methods of `quasii::Quasii` and
+/// `quasii_shard::ShardedQuasii`.
 pub trait SpatialIndex<const D: usize> {
     /// Short human-readable name used in benchmark tables ("R-Tree", …).
     fn name(&self) -> &'static str;
@@ -48,35 +53,6 @@ pub trait SpatialIndex<const D: usize> {
     /// indexes are "sealed" from construction and incremental indexes
     /// without a sealed read path simply keep adapting.
     fn seal(&mut self) {}
-
-    /// Fraction of records currently answered through a sealed read path —
-    /// the convergence signal a service layer's rebalancer reads. Indexes
-    /// without an incremental→sealed lifecycle report `0.0`.
-    fn sealed_fraction(&self) -> f64 {
-        0.0
-    }
-
-    /// Serializes the index into a single position-independent snapshot
-    /// buffer that [`SpatialIndex::from_snapshot`] can revive without
-    /// re-cracking (see `quasii::snapshot` for the format). Takes `&mut
-    /// self` so incremental indexes may seal converged regions first. The
-    /// default reports the index as unsupported — static baselines rebuild
-    /// from data files instead.
-    fn write_snapshot(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        Err(SnapshotError::Unsupported(self.name()))
-    }
-
-    /// Revives an index from a buffer produced by
-    /// [`SpatialIndex::write_snapshot`]. The contract is strict: the
-    /// reloaded index answers every query byte-identically (ids, stats,
-    /// record permutation) to the writer at snapshot time. Malformed
-    /// buffers return an `Err`, never panic.
-    fn from_snapshot(_bytes: Vec<u8>) -> Result<Self, SnapshotError>
-    where
-        Self: Sized,
-    {
-        Err(SnapshotError::Unsupported("this index type"))
-    }
 
     /// Convenience wrapper allocating a fresh result vector.
     fn query_collect(&mut self, query: &Aabb<D>) -> Vec<u64> {

@@ -372,11 +372,6 @@ impl<const D: usize> Quasii<D> {
         &self.data
     }
 
-    /// Consumes the index, returning the reorganized data.
-    pub fn into_data(self) -> Vec<Record<D>> {
-        self.data
-    }
-
     /// Checks every structural invariant of the slice hierarchy; returns a
     /// description of the first violation, if any. Used heavily by tests.
     pub fn validate(&self) -> Result<(), String> {
@@ -466,12 +461,6 @@ impl<const D: usize> Quasii<D> {
     /// shape — see [`SealStats`].
     pub fn seal_stats(&self) -> SealStats {
         SealStats::from_group(&self.seal_stats)
-    }
-
-    /// Number of currently sealed regions (converged top-level slices with
-    /// a live arena).
-    pub fn sealed_regions(&self) -> usize {
-        self.seals.len()
     }
 
     /// Records currently covered by sealed regions.
@@ -757,18 +746,6 @@ impl<const D: usize> SpatialIndex<D> for Quasii<D> {
     fn seal(&mut self) {
         Quasii::seal(self);
     }
-
-    fn sealed_fraction(&self) -> f64 {
-        Quasii::sealed_fraction(self)
-    }
-
-    fn write_snapshot(&mut self) -> Result<Vec<u8>, snapshot::SnapshotError> {
-        Quasii::write_snapshot(self)
-    }
-
-    fn from_snapshot(bytes: Vec<u8>) -> Result<Self, snapshot::SnapshotError> {
-        Quasii::from_snapshot(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -1007,7 +984,7 @@ mod tests {
     }
 
     #[test]
-    fn data_round_trip_preserves_multiset() {
+    fn cracking_preserves_the_record_multiset() {
         let data = uniform_boxes_in::<2>(300, 100.0, 41);
         let mut ids: Vec<u64> = data.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -1016,7 +993,5 @@ mod tests {
         let mut got: Vec<u64> = idx.data().iter().map(|r| r.id).collect();
         got.sort_unstable();
         assert_eq!(ids, got, "cracking must permute, never lose records");
-        let back = idx.into_data();
-        assert_eq!(back.len(), 300);
     }
 }

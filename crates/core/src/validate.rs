@@ -21,7 +21,8 @@
 //! 9. every sealed region (see `crate::seal`) mirrors a converged top-level
 //!    slice exactly: matching data range, level-by-level SoA metadata equal
 //!    to the slice subtree, and record columns equal to the data array; the
-//!    cached sealed-record count equals the regions' total.
+//!    cached sealed-record count equals the regions' total, and the seal
+//!    counter the number of regions (a seal is permanent).
 
 use crate::config::AssignBy;
 use crate::crack::key_of;
@@ -58,6 +59,11 @@ fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
             "sealed-record count {} but the regions hold {sealed}",
             index.sealed_records()
         ));
+    }
+    // Seals are permanent, so every seal counted is one live region.
+    let (seals, regions) = (index.seal_stats().seals, index.seal_regions().len());
+    if seals != regions as u64 {
+        return Err(format!("{seals} seals counted but {regions} live regions"));
     }
     let mut prev_end = 0usize;
     for (k, region) in index.seal_regions().iter().enumerate() {

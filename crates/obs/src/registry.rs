@@ -60,10 +60,6 @@ pub static SHARD_BATCHES_TOTAL: Counter = Counter::new();
 pub static SHARD_RECORDS: GaugeVec = GaugeVec::new();
 /// Sealed fraction per shard (label: shard index).
 pub static SHARD_SEALED_FRACTION: GaugeVec = GaugeVec::new();
-/// Queries served by a degraded deployment.
-pub static DEGRADED_QUERIES_TOTAL: Counter = Counter::new();
-/// Degraded queries whose answer was missing at least one shard.
-pub static DEGRADED_PARTIAL_TOTAL: Counter = Counter::new();
 
 // ---------------------------------------------------------------------
 // Query service (crates/server)
@@ -291,20 +287,6 @@ pub static DEFS: &[Def] = &[
         labels: "shard",
         unit: Unit::Count,
         metric: Metric::GaugeVec(&SHARD_SEALED_FRACTION),
-    },
-    Def {
-        name: "quasii_degraded_queries_total",
-        help: "Queries served by a degraded deployment",
-        labels: "",
-        unit: Unit::Count,
-        metric: Metric::Counter(&DEGRADED_QUERIES_TOTAL),
-    },
-    Def {
-        name: "quasii_degraded_partial_total",
-        help: "Degraded queries missing at least one shard",
-        labels: "",
-        unit: Unit::Count,
-        metric: Metric::Counter(&DEGRADED_PARTIAL_TOTAL),
     },
     Def {
         name: "quasii_server_request_seconds",

@@ -110,7 +110,7 @@ mod order;
 pub mod recovery;
 
 pub use manifest::{part_path, MANIFEST_MAGIC, MANIFEST_VERSION};
-pub use recovery::{Coverage, DegradedQuasii, Recovery, RecoveryReport, ShardHealth, ShardStatus};
+pub use recovery::{Recovery, RecoveryReport, ShardHealth, ShardStatus};
 
 use order::{merge_sorted, sort_ids};
 use quasii::crack::key_of;
@@ -812,10 +812,6 @@ impl<const D: usize> SpatialIndex<D> for ShardedQuasii<D> {
     fn seal(&mut self) {
         ShardedQuasii::seal(self);
     }
-
-    fn sealed_fraction(&self) -> f64 {
-        ShardedQuasii::sealed_fraction(self)
-    }
 }
 
 #[cfg(test)]
@@ -1309,7 +1305,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_quarantines_rebuilds_and_serves_degraded() {
+    fn recovery_quarantines_then_rebuilds() {
         let data = uniform_boxes_in::<3>(2_500, 600.0, 120);
         let (mut idx, queries) = warmed_deployment();
         let store = MemStore::new();
@@ -1332,25 +1328,6 @@ mod tests {
             rec.into_full().is_err(),
             "into_full refuses while shards are quarantined"
         );
-
-        // Degraded mode serves the healthy subset and labels partial
-        // answers per query.
-        let mut deg = Recovery::<3>::load(&store, path).unwrap().into_degraded();
-        let mut any_partial = false;
-        let mut any_exact = false;
-        for q in &queries {
-            let (hits, coverage) = deg.query_partial(q);
-            let truth = brute_force(&data, q);
-            if coverage.is_complete() {
-                any_exact = true;
-                assert_eq!(hits, truth, "complete-coverage answers are exact");
-            } else {
-                any_partial = true;
-                assert_eq!(coverage.missing, vec![1]);
-                assert!(hits.iter().all(|id| truth.contains(id)));
-            }
-        }
-        assert!(any_partial && any_exact, "workload exercises both labels");
 
         // Rebuild from source records restores full byte-identity with a
         // cold-cracked deployment.

@@ -16,7 +16,7 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"QSIISHRD";
 /// **any** layout change, mirroring the engine snapshot's policy).
 /// Version 2 added the snapshot **generation** counter and the inner engine
 /// configuration, so durable multi-file commits can name their part files
-/// and degraded-mode recovery can rebuild shards with zero healthy engines.
+/// and recovery can rebuild shards with zero healthy engines.
 /// Version 3 binds each part by its header word (see the module docs) and
 /// moved both checksums to `checksum64`.
 pub const MANIFEST_VERSION: u32 = 3;

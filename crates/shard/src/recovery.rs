@@ -1,36 +1,27 @@
-//! Degraded-mode recovery for sharded deployments.
+//! Recovery of a damaged sharded deployment, behind `quasii recover`.
 //!
 //! The ordinary load path ([`ShardedQuasii::from_snapshot_files`]) is
-//! all-or-nothing: one corrupt part fails the whole load. This module is
-//! the fault-tolerant alternative: [`Recovery::load`] validates the
-//! manifest and then each part **independently**, quarantining the shards
-//! that fail (with the reason) instead of aborting. A recovery then goes
-//! one of two ways:
-//!
-//! * **Rebuild** — [`Recovery::rebuild`] re-cracks the quarantined shards
-//!   from the source records (the paper's recovery posture: the index is
-//!   a cheap function of the data), after which [`Recovery::into_full`]
-//!   re-validates every router invariant and hands back a fully serving
-//!   [`ShardedQuasii`]. Rebuilt shards start cold and answer
-//!   byte-identically to a cold-cracked deployment (sharded results are
-//!   canonical ascending-id vectors, independent of crack state).
-//! * **Serve degraded** — [`Recovery::into_degraded`] serves the healthy
-//!   subset immediately: every query reports per-query [`Coverage`] (the
-//!   quarantined shards it *would* have visited), so callers distinguish
-//!   "no hits" from "hits possibly missing" instead of silently reading
-//!   partial answers as complete ones.
+//! all-or-nothing: one corrupt part fails the whole load. [`Recovery::load`]
+//! validates the manifest and then each part **independently**,
+//! quarantining the shards that fail (with the reason) instead of aborting;
+//! [`Recovery::report`] is the per-shard health `quasii verify` prints.
+//! [`Recovery::rebuild`] then re-cracks the quarantined shards from the
+//! source records (the paper's recovery posture: the index is a cheap
+//! function of the data), after which [`Recovery::into_full`] re-validates
+//! every router invariant and hands back a fully serving [`ShardedQuasii`].
+//! Rebuilt shards start cold and answer byte-identically to a cold-cracked
+//! deployment (sharded results are canonical ascending-id vectors,
+//! independent of crack state). A deployment with a quarantined shard is
+//! never served.
 
 use crate::manifest::{load_shard, parse_manifest, part_path, Manifest};
-use crate::order::sort_ids;
 use crate::ShardedQuasii;
 use quasii::crack::key_of;
 use quasii::snapshot::SnapshotError;
 use quasii::{KeyFences, Quasii};
 use quasii_common::fsx::SnapshotStore;
-use quasii_common::geom::{Aabb, Record};
-use quasii_common::index::SpatialIndex;
+use quasii_common::geom::Record;
 use quasii_common::snapshot::corrupt;
-use quasii_obs as obs;
 use std::path::Path;
 
 /// Health of one shard after [`Recovery::load`].
@@ -102,9 +93,8 @@ impl RecoveryReport {
 }
 
 /// A partially loaded sharded deployment: the manifest plus every shard
-/// that survived validation. See the module docs for the two exits
-/// ([`rebuild`](Self::rebuild) + [`into_full`](Self::into_full), or
-/// [`into_degraded`](Self::into_degraded)).
+/// that survived validation. See the module docs for the one exit,
+/// [`rebuild`](Self::rebuild) then [`into_full`](Self::into_full).
 pub struct Recovery<const D: usize> {
     manifest: Manifest,
     fences: KeyFences,
@@ -229,8 +219,7 @@ impl<const D: usize> Recovery<D> {
         let quarantined = self.report.quarantined();
         if !quarantined.is_empty() {
             return Err(corrupt(format!(
-                "shards {quarantined:?} are still quarantined; rebuild() them from source data \
-                 or serve the healthy subset via into_degraded()"
+                "shards {quarantined:?} are still quarantined; rebuild() them from source data"
             )));
         }
         let engines: Vec<Quasii<D>> = self
@@ -243,85 +232,5 @@ impl<const D: usize> Recovery<D> {
             .validate()
             .map_err(|e| corrupt(format!("post-recovery validation: {e}")))?;
         Ok(deployment)
-    }
-
-    /// Serves the healthy subset immediately, without source data. Every
-    /// query reports which quarantined shards it would have visited (see
-    /// [`DegradedQuasii::query_partial`]), so partial answers are always
-    /// labeled as such.
-    pub fn into_degraded(self) -> DegradedQuasii<D> {
-        let (ext_low0, ext_high0) = (self.manifest.ext_low0, self.manifest.ext_high0);
-        DegradedQuasii {
-            engines: self.engines,
-            fences: self.fences,
-            ext_low0,
-            ext_high0,
-            report: self.report,
-        }
-    }
-}
-
-/// Which quarantined shards a query could not consult.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Coverage {
-    /// Quarantined shards the router would have visited — empty means the
-    /// answer is exact despite the degraded deployment.
-    pub missing: Vec<usize>,
-}
-
-impl Coverage {
-    /// `true` when the answer consulted every shard it needed: the result
-    /// is exact, not partial.
-    pub fn is_complete(&self) -> bool {
-        self.missing.is_empty()
-    }
-}
-
-/// A degraded deployment serving only its healthy shards. Answers are
-/// exact over the shards consulted; each query's [`Coverage`] lists the
-/// quarantined shards it could not consult, so "possibly incomplete" is
-/// explicit per query — queries whose key span avoids every quarantined
-/// shard are exact and labeled as such.
-pub struct DegradedQuasii<const D: usize> {
-    engines: Vec<Option<Quasii<D>>>,
-    fences: KeyFences,
-    ext_low0: f64,
-    ext_high0: f64,
-    report: RecoveryReport,
-}
-
-impl<const D: usize> DegradedQuasii<D> {
-    /// The load-time health report this deployment was built from.
-    pub fn report(&self) -> &RecoveryReport {
-        &self.report
-    }
-
-    /// Fraction of the deployment's records in serving shards.
-    pub fn coverage_fraction(&self) -> f64 {
-        self.report.coverage_fraction()
-    }
-
-    /// Runs one range query over the healthy shards: hits in canonical
-    /// ascending-id order, plus the quarantined shards the router routed
-    /// to but could not consult.
-    pub fn query_partial(&mut self, query: &Aabb<D>) -> (Vec<u64>, Coverage) {
-        let lo = query.lo[0] - self.ext_low0;
-        let hi = query.hi[0] + self.ext_high0;
-        let mut hits = Vec::new();
-        let mut missing = Vec::new();
-        for k in self.fences.overlapping(lo, hi) {
-            match &mut self.engines[k] {
-                Some(engine) => engine.query(query, &mut hits),
-                None => missing.push(k),
-            }
-        }
-        sort_ids(&mut hits);
-        if obs::enabled() {
-            obs::registry::DEGRADED_QUERIES_TOTAL.inc();
-            if !missing.is_empty() {
-                obs::registry::DEGRADED_PARTIAL_TOTAL.inc();
-            }
-        }
-        (hits, Coverage { missing })
     }
 }

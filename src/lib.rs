@@ -50,8 +50,5 @@ pub mod prelude {
     pub use quasii_rtree::RTree;
     pub use quasii_server::{ServeConfig, ServerHandle};
     pub use quasii_sfc::{SfCracker, SfcIndex};
-    pub use quasii_shard::{
-        Coverage, DegradedQuasii, Recovery, RecoveryReport, ShardConfig, ShardSnapshot,
-        ShardedQuasii,
-    };
+    pub use quasii_shard::{Recovery, RecoveryReport, ShardConfig, ShardSnapshot, ShardedQuasii};
 }

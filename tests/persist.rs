@@ -83,7 +83,7 @@ proptest! {
         prop_assert_eq!(reloaded.stats(), writer.stats(), "work counters");
         prop_assert_eq!(reloaded.seal_stats(), writer.seal_stats(), "seal counters");
         prop_assert_eq!(
-            reloaded.sealed_regions(), writer.sealed_regions(), "region count"
+            reloaded.sealed_records(), writer.sealed_records(), "sealed records"
         );
         reloaded
             .validate()

@@ -7,11 +7,10 @@
 //!   panic, or a silently wrong engine. Single-file engine snapshots and
 //!   multi-file sharded commits (parts first, manifest rename as the
 //!   single commit point) are both covered.
-//! * **Degraded-mode recovery** — corrupting any one shard part
+//! * **Quarantine and rebuild** — corrupting any one shard part
 //!   (truncation, bit flip, deletion) quarantines exactly that shard;
 //!   rebuilding it from source records restores answers byte-identical to
-//!   a cold-cracked deployment, and the degraded path labels every
-//!   partial answer with the shards it could not consult.
+//!   a cold-cracked deployment.
 //! * **Transient errors** — bounded retry absorbs short transient bursts
 //!   and surfaces exhaustion as a clean error with the old state intact.
 //! * **Worker panics** — a panic inside a shard's batch worker poisons
@@ -180,7 +179,7 @@ proptest! {
     /// Quarantine → rebuild: corrupting any single part (truncation, bit
     /// flip, deletion) quarantines exactly that shard; rebuilding from the
     /// source records restores answers byte-identical to a cold-cracked
-    /// deployment, and degraded mode labels partial answers per query.
+    /// deployment.
     #[test]
     fn quarantine_rebuild_restores_byte_identity(
         data in dataset3(500),
@@ -220,20 +219,7 @@ proptest! {
         let mut rec = Recovery::<3>::load(&mem, path).expect("manifest intact");
         prop_assert_eq!(rec.report().quarantined(), vec![victim]);
 
-        // Degraded service first: exact answers where coverage is
-        // complete, labeled subsets where it is not.
-        let mut deg = Recovery::<3>::load(&mem, path).unwrap().into_degraded();
-        for q in &queries {
-            let (hits, cov) = deg.query_partial(q);
-            let truth = brute_force(&data, q);
-            if cov.is_complete() {
-                prop_assert_eq!(&hits, &truth);
-            } else {
-                prop_assert!(hits.iter().all(|id| truth.contains(id)));
-            }
-        }
-
-        // Then the full rebuild: byte-identical to a cold-cracked oracle.
+        // The full rebuild: byte-identical to a cold-cracked oracle.
         prop_assert_eq!(rec.rebuild(&data).expect("rebuild"), 1);
         let mut full = rec.into_full().expect("complete after rebuild");
         let mut oracle = ShardedQuasii::new(data.clone(), cfg);
