@@ -21,7 +21,7 @@ use quasii_cracking::{CrackEngine, CrackerColumn};
 use quasii_rtree::{DynamicRTree, RTree};
 
 /// Runs all ablations.
-pub fn run_exp(h: &mut Harness) {
+pub(crate) fn run_exp(h: &mut Harness) {
     tau_sweep(h);
     assignment_modes(h);
     str_vs_insertion(h);

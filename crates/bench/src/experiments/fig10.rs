@@ -26,7 +26,7 @@ fn window(s: &RunSeries, range: std::ops::Range<usize>) -> RunSeries {
 }
 
 /// Runs Fig. 10.
-pub fn run(h: &mut Harness) {
+pub(crate) fn run(h: &mut Harness) {
     println!("\n=== Fig 10: uniform workload (0.1% selectivity) ===");
     let data = h.uniform_data();
     let universe = mbb_of(&data);

@@ -14,7 +14,7 @@ use quasii_common::geom::mbb_of;
 use quasii_common::workload;
 
 /// Runs Fig. 11.
-pub fn run_exp(h: &mut Harness) {
+pub(crate) fn run_exp(h: &mut Harness) {
     println!("\n=== Fig 11: scalability (n and 2n objects) ===");
     let n = h.scale.uniform_n;
     let n_queries = h.scale.uniform_queries;

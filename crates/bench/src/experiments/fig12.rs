@@ -14,7 +14,7 @@ use quasii_common::geom::mbb_of;
 use quasii_common::workload;
 
 /// Runs Fig. 12.
-pub fn run_exp(h: &mut Harness) {
+pub(crate) fn run_exp(h: &mut Harness) {
     println!("\n=== Fig 12: impact of query selectivity ===");
     let data = h.uniform_data();
     let universe = mbb_of(&data);

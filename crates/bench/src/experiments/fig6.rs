@@ -17,7 +17,7 @@ use quasii_grid::{sweep_partitions, Assignment, UniformGrid};
 use quasii_rtree::RTree;
 
 /// Runs Fig. 6a.
-pub fn run_a(h: &mut Harness) {
+pub(crate) fn run_a(h: &mut Harness) {
     println!("\n=== Fig 6a: impact of the data-assignment strategy ===");
     let data = h.neuro_data();
     let universe = mbb_of(&data);
@@ -63,7 +63,7 @@ pub fn run_a(h: &mut Harness) {
 }
 
 /// Runs Fig. 6b.
-pub fn run_b(h: &mut Harness) {
+pub(crate) fn run_b(h: &mut Harness) {
     println!("\n=== Fig 6b: grid configuration sensitivity ===");
     let n = h.scale.neuro_n;
     let neuro = h.neuro_data();
@@ -122,9 +122,4 @@ pub fn run_b(h: &mut Harness) {
         "(paper: best config is distribution-dependent — 100/dim uniform vs 220/dim neuro — \
          and the off-diagonal entries deteriorate)"
     );
-}
-
-/// Convenience for tests: total query seconds of a series.
-pub fn query_seconds(s: &quasii_common::measure::RunSeries) -> f64 {
-    s.query_secs.iter().sum()
 }

@@ -32,7 +32,7 @@ fn panel(title: &str, series: &[&RunSeries], cumulative: bool) {
 }
 
 /// Runs Fig. 7 (convergence of each category).
-pub fn run_fig7(h: &mut Harness) {
+pub(crate) fn run_fig7(h: &mut Harness) {
     h.ensure_neuro();
     let run = h.neuro();
     println!("\n=== Fig 7: convergence to the static counterpart (per-query seconds) ===");
@@ -85,7 +85,7 @@ pub fn run_fig7(h: &mut Harness) {
 }
 
 /// Runs Fig. 8 (cumulative time including build).
-pub fn run_fig8(h: &mut Harness) {
+pub(crate) fn run_fig8(h: &mut Harness) {
     h.ensure_neuro();
     let run = h.neuro();
     println!("\n=== Fig 8: cumulative time, build included (seconds) ===");
@@ -139,7 +139,7 @@ pub fn run_fig8(h: &mut Harness) {
 }
 
 /// Runs Fig. 9 (incremental approaches cross-compared).
-pub fn run_fig9(h: &mut Harness) {
+pub(crate) fn run_fig9(h: &mut Harness) {
     h.ensure_neuro();
     let run = h.neuro();
     println!("\n=== Fig 9a: incremental approaches, per-query seconds ===");

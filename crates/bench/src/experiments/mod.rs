@@ -2,13 +2,13 @@
 //! neuroscience-workload run (Figs. 7, 8 and 9 analyze the same execution
 //! from different angles, exactly like the paper).
 
-pub mod ablation;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig6;
-pub mod fig7_9;
-pub mod summary;
+pub(crate) mod ablation;
+pub(crate) mod fig10;
+pub(crate) mod fig11;
+pub(crate) mod fig12;
+pub(crate) mod fig6;
+pub(crate) mod fig7_9;
+pub(crate) mod summary;
 
 use crate::runner::Approach;
 use crate::scale::Scale;
@@ -24,15 +24,15 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 ];
 
 /// Seed of the neuroscience-like dataset generator.
-pub const NEURO_DATA_SEED: u64 = 42;
+pub(crate) const NEURO_DATA_SEED: u64 = 42;
 /// Seed of the uniform synthetic dataset generator.
-pub const UNIFORM_DATA_SEED: u64 = 43;
+pub(crate) const UNIFORM_DATA_SEED: u64 = 43;
 /// Seed of the clustered neuro query workload.
-pub const NEURO_WORKLOAD_SEED: u64 = 7;
+pub(crate) const NEURO_WORKLOAD_SEED: u64 = 7;
 
 /// The shared clustered-neuroscience execution (dataset §6.1, 5 clusters ×
 /// 100 queries, qvol 10⁻² %), with one series per approach.
-pub struct NeuroRun {
+pub(crate) struct NeuroRun {
     /// The dataset the run used.
     pub data: Vec<Record<3>>,
     /// The query sequence.
@@ -44,7 +44,7 @@ pub struct NeuroRun {
 }
 
 /// Order of approaches inside [`NeuroRun::series`].
-pub fn neuro_approaches(grid_parts: usize) -> Vec<Approach> {
+pub(crate) fn neuro_approaches(grid_parts: usize) -> Vec<Approach> {
     vec![
         Approach::Scan,
         Approach::Sfc,
@@ -58,7 +58,7 @@ pub fn neuro_approaches(grid_parts: usize) -> Vec<Approach> {
 
 /// Grid partitions-per-dimension heuristic: ≈ cell count ~ n for uniform
 /// data, finer for skew (mirrors the paper's sweep outcomes: 100 vs 220).
-pub fn grid_parts_for(n: usize, skewed: bool) -> usize {
+pub(crate) fn grid_parts_for(n: usize, skewed: bool) -> usize {
     let base = (n as f64).cbrt().round() as usize;
     let p = if skewed { base * 2 } else { base };
     p.clamp(8, 256)
@@ -84,23 +84,23 @@ impl Harness {
     }
 
     /// The neuroscience-like dataset at the current scale.
-    pub fn neuro_data(&self) -> Vec<Record<3>> {
+    pub(crate) fn neuro_data(&self) -> Vec<Record<3>> {
         dataset::neuro_like::<3>(self.scale.neuro_n, NEURO_DATA_SEED)
     }
 
     /// The uniform synthetic dataset at the current scale.
-    pub fn uniform_data(&self) -> Vec<Record<3>> {
+    pub(crate) fn uniform_data(&self) -> Vec<Record<3>> {
         dataset::uniform_boxes::<3>(self.scale.uniform_n, UNIFORM_DATA_SEED)
     }
 
     /// Read access to the cached neuro execution (call
     /// [`ensure_neuro`](Self::ensure_neuro) first).
-    pub fn neuro(&self) -> &NeuroRun {
+    pub(crate) fn neuro(&self) -> &NeuroRun {
         self.neuro.as_ref().expect("ensure_neuro must run first")
     }
 
     /// Runs the clustered-neuro execution unless already cached.
-    pub fn ensure_neuro(&mut self) {
+    pub(crate) fn ensure_neuro(&mut self) {
         if self.neuro.is_none() {
             eprintln!(
                 "[setup] neuro-like dataset: {} objects, {} clustered queries (qvol 0.01%)",
@@ -155,7 +155,7 @@ impl Harness {
 
 /// Cross-checks that every approach returned identical result cardinalities
 /// — a full end-to-end correctness gate embedded in the harness itself.
-pub fn verify_agreement(series: &[RunSeries]) {
+pub(crate) fn verify_agreement(series: &[RunSeries]) {
     let Some(first) = series.first() else { return };
     for s in &series[1..] {
         assert_eq!(
@@ -172,12 +172,12 @@ pub fn verify_agreement(series: &[RunSeries]) {
 }
 
 /// Finds a series of the neuro run by name.
-pub fn series<'a>(run: &'a NeuroRun, name: &str) -> &'a RunSeries {
+pub(crate) fn series<'a>(run: &'a NeuroRun, name: &str) -> &'a RunSeries {
     find_series(&run.series, name)
 }
 
 /// Finds a series by name (panics if missing — ids are internal).
-pub fn find_series<'a>(series: &'a [RunSeries], name: &str) -> &'a RunSeries {
+pub(crate) fn find_series<'a>(series: &'a [RunSeries], name: &str) -> &'a RunSeries {
     series
         .iter()
         .find(|s| s.name == name)

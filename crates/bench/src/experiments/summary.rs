@@ -46,7 +46,7 @@ fn band_names() -> [String; 5] {
 /// Which of the five bands hold for one pass of the neuro run (`series` needs
 /// the QUASII, R-Tree and Grid series), a dataset of `n` records and the
 /// number of records QUASII's first query cracked.
-pub fn bands_held(series: &[RunSeries], first_query_cracked: u64, n: usize) -> [bool; 5] {
+pub(crate) fn bands_held(series: &[RunSeries], first_query_cracked: u64, n: usize) -> [bool; 5] {
     let quasii = find_series(series, "QUASII");
     let rtree = find_series(series, "R-Tree");
     let grid = find_series(series, "Grid");
@@ -78,7 +78,7 @@ fn records_cracked(run: &NeuroRun) -> (u64, u64) {
 }
 
 /// Prints the headline comparison table, then checks the paper's shape.
-pub fn run(h: &mut Harness) -> Result<(), String> {
+pub(crate) fn run(h: &mut Harness) -> Result<(), String> {
     h.ensure_neuro();
     let run = h.neuro();
     println!("\n=== Summary: headline numbers (clustered neuro workload) ===");

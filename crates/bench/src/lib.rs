@@ -16,7 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod runner;
+pub(crate) mod runner;
 pub mod scale;
 
 use std::fs;
@@ -34,7 +34,7 @@ impl OutputDir {
     }
 
     /// Writes one named CSV file.
-    pub fn write_csv(&self, name: &str, content: &str) -> std::io::Result<()> {
+    pub(crate) fn write_csv(&self, name: &str, content: &str) -> std::io::Result<()> {
         fs::write(self.0.join(name), content)
     }
 }

@@ -13,7 +13,7 @@ use quasii_sfc::{SfCracker, SfcIndex};
 
 /// The approaches of §6.1, with their paper configurations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Approach {
+pub(crate) enum Approach {
     /// Full scan per query.
     Scan,
     /// STR-bulkloaded R-Tree, capacity 60.
@@ -34,7 +34,7 @@ pub enum Approach {
 
 impl Approach {
     /// Display name (matches each index's `SpatialIndex::name`).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Approach::Scan => "Scan",
             Approach::RTree => "R-Tree",
@@ -46,21 +46,13 @@ impl Approach {
             Approach::Quasii => "QUASII",
         }
     }
-
-    /// Whether the approach pays an up-front build step.
-    pub fn is_static(&self) -> bool {
-        matches!(
-            self,
-            Approach::RTree | Approach::Grid(_) | Approach::GridReplication(_) | Approach::Sfc
-        )
-    }
 }
 
 /// Builds the approach (timing the build) and executes `queries`.
 ///
 /// The dataset is cloned per run so every approach starts from the identical
 /// physical order — incremental indexes reorder their copy.
-pub fn run<const D: usize>(
+pub(crate) fn run<const D: usize>(
     approach: Approach,
     data: &[Record<D>],
     queries: &[Aabb<D>],
@@ -106,7 +98,7 @@ pub fn run<const D: usize>(
 }
 
 /// Runs several approaches over the same workload.
-pub fn run_all<const D: usize>(
+pub(crate) fn run_all<const D: usize>(
     approaches: &[Approach],
     data: &[Record<D>],
     queries: &[Aabb<D>],
@@ -154,7 +146,10 @@ mod tests {
         }
         // Static approaches have non-zero build (except Scan's trivial clone).
         for (a, s) in approaches.iter().zip(&series) {
-            if a.is_static() {
+            if matches!(
+                a,
+                Approach::RTree | Approach::Grid(_) | Approach::GridReplication(_) | Approach::Sfc
+            ) {
                 assert!(s.build_secs > 0.0, "{} should have build time", s.name);
             }
         }

@@ -34,7 +34,7 @@ impl Scale {
     };
 
     /// Small preset for CI and local smoke runs (seconds).
-    pub const SMALL: Scale = Scale {
+    pub(crate) const SMALL: Scale = Scale {
         name: "small",
         neuro_n: 60_000,
         uniform_n: 80_000,
@@ -54,7 +54,7 @@ impl Scale {
     };
 
     /// Closest to the paper that a laptop tolerates.
-    pub const FULL: Scale = Scale {
+    pub(crate) const FULL: Scale = Scale {
         name: "full",
         neuro_n: 4_000_000,
         uniform_n: 4_000_000,
@@ -75,7 +75,7 @@ impl Scale {
     }
 
     /// Clustered workload length.
-    pub fn clustered_queries(&self) -> usize {
+    pub(crate) fn clustered_queries(&self) -> usize {
         self.clusters * self.per_cluster
     }
 }

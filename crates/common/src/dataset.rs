@@ -85,7 +85,7 @@ pub fn uniform_boxes_in<const D: usize>(n: usize, side: f64, seed: u64) -> Vec<R
 
 /// Parameters of the neuroscience-like clustered dataset.
 #[derive(Clone, Debug)]
-pub struct NeuroParams {
+pub(crate) struct NeuroParams {
     /// Universe side length (paper's brain sample is a small dense volume).
     pub universe_side: f64,
     /// Number of density clusters (brain regions).
@@ -121,7 +121,11 @@ pub fn neuro_like<const D: usize>(n: usize, seed: u64) -> Vec<Record<D>> {
 }
 
 /// [`neuro_like`] with explicit parameters.
-pub fn neuro_like_with<const D: usize>(n: usize, seed: u64, p: &NeuroParams) -> Vec<Record<D>> {
+pub(crate) fn neuro_like_with<const D: usize>(
+    n: usize,
+    seed: u64,
+    p: &NeuroParams,
+) -> Vec<Record<D>> {
     assert!(p.clusters > 0, "need at least one cluster");
     let mut rng = StdRng::seed_from_u64(seed);
     let side = p.universe_side;

@@ -27,16 +27,16 @@ use std::sync::Mutex;
 
 /// SplitMix64: tiny, seedable, good enough to pick crash outcomes.
 #[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
+pub(crate) struct SplitMix64(u64);
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self(seed)
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -45,7 +45,7 @@ impl SplitMix64 {
     }
 
     /// Uniform value in `0..bound` (`0` when `bound == 0`).
-    pub fn below(&mut self, bound: usize) -> usize {
+    pub(crate) fn below(&mut self, bound: usize) -> usize {
         if bound == 0 {
             0
         } else {
@@ -54,7 +54,7 @@ impl SplitMix64 {
     }
 
     /// A seeded coin flip.
-    pub fn flip(&mut self) -> bool {
+    pub(crate) fn flip(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
 }
@@ -249,12 +249,6 @@ pub struct FaultStore<S> {
 }
 
 impl<S: SnapshotStore> FaultStore<S> {
-    /// Wraps `inner` with no faults — useful to count the syscalls of a
-    /// protocol before running the crash matrix over `0..ops()`.
-    pub fn counting(inner: S) -> Self {
-        Self::new(inner, FaultPlan::default())
-    }
-
     /// Wraps `inner` with the given plan.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
         Self {
@@ -268,18 +262,8 @@ impl<S: SnapshotStore> FaultStore<S> {
     }
 
     /// Operations observed so far (including failed ones).
-    pub fn ops(&self) -> u64 {
+    pub(crate) fn ops(&self) -> u64 {
         self.state.lock().expect("FaultStore lock poisoned").ops
-    }
-
-    /// Whether the simulated crash has triggered.
-    pub fn crashed(&self) -> bool {
-        self.state.lock().expect("FaultStore lock poisoned").crashed
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 
     /// Consumes the wrapper, returning the wrapped store.
@@ -473,7 +457,7 @@ mod tests {
 
     #[test]
     fn fault_store_counts_ops_and_crashes_at_point() {
-        let store = FaultStore::counting(MemStore::new());
+        let store = FaultStore::new(MemStore::new(), FaultPlan::default());
         write_atomic_with(&store, &p("/d/x"), b"abc", RetryPolicy::NONE).unwrap();
         let total = store.ops();
         assert!(total >= 4, "write+sync+rename+syncdir, got {total}");
@@ -489,7 +473,7 @@ mod tests {
             );
             let r = write_atomic_with(&store, &p("/d/x"), b"abcdef", RetryPolicy::NONE);
             assert!(r.is_err(), "crash at op {k} must fail the write");
-            assert!(store.crashed());
+            assert!(store.state.lock().unwrap().crashed);
         }
     }
 
@@ -505,7 +489,7 @@ mod tests {
             },
         );
         write_atomic_with(&store, &p("/d/x"), b"ok", RetryPolicy::FAST).unwrap();
-        assert_eq!(store.inner().read_file(&p("/d/x")).unwrap(), b"ok");
+        assert_eq!(store.inner.read_file(&p("/d/x")).unwrap(), b"ok");
 
         // 9 transient failures, 3 attempts per op: the first op exhausts.
         let store = FaultStore::new(
@@ -518,7 +502,7 @@ mod tests {
         );
         let r = write_atomic_with(&store, &p("/d/x"), b"no", RetryPolicy::FAST);
         assert!(r.is_err());
-        assert!(!store.inner().exists(&p("/d/x")));
+        assert!(!store.inner.exists(&p("/d/x")));
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl RetryPolicy {
 }
 
 /// Whether an I/O error is worth retrying.
-pub fn is_transient(e: &io::Error) -> bool {
+pub(crate) fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -183,7 +183,7 @@ pub fn is_transient(e: &io::Error) -> bool {
 /// same directory as `path`. Deterministic so fault-injection runs replay
 /// identically; a stale temp from a crashed writer is simply truncated and
 /// reused by the next write.
-pub fn temp_path(path: &Path) -> PathBuf {
+pub(crate) fn temp_path(path: &Path) -> PathBuf {
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())

@@ -54,15 +54,6 @@ impl<const D: usize> Aabb<D> {
         }
     }
 
-    /// The box covering all of space; identity for intersection tests.
-    #[inline]
-    pub fn universe() -> Self {
-        Self {
-            lo: [f64::NEG_INFINITY; D],
-            hi: [f64::INFINITY; D],
-        }
-    }
-
     /// Whether this box holds no points (any inverted dimension).
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -276,7 +267,7 @@ mod tests {
             b2([0.5, 0.5], [1.5, 1.5]),
             Aabb::point([2.0, 2.0]),
             Aabb::empty(),
-            Aabb::universe(),
+            Aabb::new([f64::NEG_INFINITY; 2], [f64::INFINITY; 2]),
         ];
         for a in &boxes {
             for b in &boxes {
@@ -309,7 +300,7 @@ mod tests {
 
     #[test]
     fn universe_intersects_everything() {
-        let u = Aabb::<3>::universe();
+        let u = Aabb::new([f64::NEG_INFINITY; 3], [f64::INFINITY; 3]);
         let b = Aabb::new([1.0; 3], [2.0; 3]);
         assert!(u.intersects(&b));
         assert!(u.contains(&b));

@@ -21,7 +21,7 @@ const MAGIC: &[u8; 4] = QSD_MAGIC;
 const QSD_HEADER: usize = 16;
 
 /// Serializes a dataset into the binary `.qsd` byte layout.
-pub fn encode_qsd<const D: usize>(data: &[Record<D>]) -> Vec<u8> {
+pub(crate) fn encode_qsd<const D: usize>(data: &[Record<D>]) -> Vec<u8> {
     let rec_bytes = 2 * D * 8 + 8;
     let mut out = Vec::with_capacity(QSD_HEADER + data.len() * rec_bytes);
     out.extend_from_slice(MAGIC);
@@ -101,7 +101,7 @@ pub fn write_qsd<const D: usize>(path: impl AsRef<Path>, data: &[Record<D>]) -> 
 
 /// [`write_qsd`] through an explicit [`SnapshotStore`] (fault injection,
 /// in-memory tests).
-pub fn write_qsd_to<S: SnapshotStore + ?Sized, const D: usize>(
+pub(crate) fn write_qsd_to<S: SnapshotStore + ?Sized, const D: usize>(
     store: &S,
     path: &Path,
     data: &[Record<D>],

@@ -35,7 +35,3 @@ pub mod pool;
 pub mod scan;
 pub mod snapshot;
 pub mod workload;
-
-pub use geom::{Aabb, Record};
-pub use index::SpatialIndex;
-pub use snapshot::SnapshotError;

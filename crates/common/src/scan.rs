@@ -16,11 +16,6 @@ impl<const D: usize> Scan<D> {
     pub fn new(data: Vec<Record<D>>) -> Self {
         Self { data }
     }
-
-    /// Read access to the wrapped data.
-    pub fn data(&self) -> &[Record<D>] {
-        &self.data
-    }
 }
 
 impl<const D: usize> SpatialIndex<D> for Scan<D> {

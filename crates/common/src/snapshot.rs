@@ -207,7 +207,7 @@ const CHECKSUM_FROM: usize = 24;
 
 /// How much a [`Writer`] or a loader lets pile up before the sum takes it:
 /// small enough to still sit in cache, large enough to amortise the call.
-pub const HASH_BLOCK: usize = 64 * 1024;
+pub(crate) const HASH_BLOCK: usize = 64 * 1024;
 
 /// Twice glibc's ceiling for its dynamic mmap threshold
 /// (`DEFAULT_MMAP_THRESHOLD_MAX`, 32 MiB on 64-bit), which is the largest
@@ -418,7 +418,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let rest = self.b.len().saturating_sub(self.pos);
         if n > rest {
             return Err(corrupt(format!(
@@ -432,7 +432,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
@@ -484,7 +484,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A [`section`](Self::section) cut into runs of whole entries of
-    /// about [`HASH_BLOCK`] bytes, each with the offset it ends at: what a
+    /// about `HASH_BLOCK` bytes, each with the offset it ends at: what a
     /// loader walks to hand every run to a [`Verifier`] right before it
     /// decodes it.
     pub fn blocks(

@@ -28,20 +28,8 @@ pub struct QueryWorkload<const D: usize> {
     pub queries: Vec<Aabb<D>>,
 }
 
-impl<const D: usize> QueryWorkload<D> {
-    /// Number of queries.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Whether the workload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-}
-
 /// Side length of a cubic query occupying `volume_frac` of `universe`.
-pub fn query_side<const D: usize>(universe: &Aabb<D>, volume_frac: f64) -> f64 {
+pub(crate) fn query_side<const D: usize>(universe: &Aabb<D>, volume_frac: f64) -> f64 {
     (universe.volume() * volume_frac).powf(1.0 / D as f64)
 }
 
@@ -205,7 +193,7 @@ mod tests {
     fn clustered_layout() {
         let u = universe::<3>(10_000.0);
         let w = clustered(&u, 5, 100, 1e-4, 42);
-        assert_eq!(w.len(), 500);
+        assert_eq!(w.queries.len(), 500);
         assert!(w.queries.iter().all(|q| u.contains(q) && q.is_valid()));
         // Queries within one cluster must be much closer to each other than
         // two random cluster centers: compare mean pairwise distance of the
@@ -250,7 +238,7 @@ mod tests {
     fn uniform_queries_cover_space() {
         let u = universe::<2>(1_000.0);
         let w = uniform(&u, 400, 1e-3, 3);
-        assert_eq!(w.len(), 400);
+        assert_eq!(w.queries.len(), 400);
         assert!(w.queries.iter().all(|q| u.contains(q)));
         // Rough coverage check: queries land in all four quadrants.
         let mut quadrants = [false; 4];
@@ -266,7 +254,7 @@ mod tests {
     fn skewed_concentrates_on_the_hot_region() {
         let u = universe::<3>(10_000.0);
         let w = skewed(&u, 4, 400, 1e-6, 1.1, 9);
-        assert_eq!(w.len(), 400);
+        assert_eq!(w.queries.len(), 400);
         assert_eq!(w.name, "skewed");
         assert!(w.queries.iter().all(|q| u.contains(q) && q.is_valid()));
         // Greedily bucket queries by proximity (regions are far apart
@@ -285,7 +273,8 @@ mod tests {
                 None => buckets.push((c, 1)),
             }
         }
-        let max_share = buckets.iter().map(|&(_, c)| c).max().unwrap_or(0) as f64 / w.len() as f64;
+        let max_share =
+            buckets.iter().map(|&(_, c)| c).max().unwrap_or(0) as f64 / w.queries.len() as f64;
         assert!(
             max_share > 0.35,
             "hot region should absorb well over a uniform share, got {max_share}"

@@ -32,15 +32,6 @@ impl AssignBy {
             _ => None,
         }
     }
-
-    /// The CLI/harness spelling ([`parse`](Self::parse) inverse).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Lower => "lower",
-            Self::Center => "center",
-            Self::Upper => "upper",
-        }
-    }
 }
 
 /// Tuning knobs of [`crate::Quasii`].
@@ -151,7 +142,7 @@ impl QuasiiConfig {
 /// Paper Eq. 1: the number of cuts per dimension needed for `⌈n/τ⌉` final
 /// partitions is `r = ⌈(n/τ)^(1/d)⌉`; thresholds grow geometrically upwards:
 /// `τ_{l-1} = r · τ_l`.
-pub fn tau_schedule<const D: usize>(n: usize, tau: usize) -> [usize; D] {
+pub(crate) fn tau_schedule<const D: usize>(n: usize, tau: usize) -> [usize; D] {
     let tau = tau.max(1);
     let partitions = n.div_ceil(tau).max(1);
     let r = (partitions as f64).powf(1.0 / D as f64).ceil() as usize;
@@ -229,8 +220,12 @@ mod tests {
 
     #[test]
     fn assign_by_parse_round_trips() {
-        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-            assert_eq!(AssignBy::parse(mode.name()), Some(mode));
+        for (name, mode) in [
+            ("lower", AssignBy::Lower),
+            ("center", AssignBy::Center),
+            ("upper", AssignBy::Upper),
+        ] {
+            assert_eq!(AssignBy::parse(name), Some(mode));
         }
         assert_eq!(AssignBy::parse("sideways"), None);
     }

@@ -15,7 +15,7 @@
 //! ([`crack_two_keyed_measured`]), three-way
 //! ([`crack_three_keyed_measured`]) and the rank-based fallback
 //! ([`crack_median_keyed_measured`]). Each scans two narrow,
-//! cache-resident columns maintained by [`crate::keys::KeyColumn`] — the
+//! cache-resident columns maintained by `KeyColumn` — the
 //! **assignment-key column** (`keys[i] == key_of(&recs[i], dim, mode)`) it
 //! compares against the pivot, and the companion upper-bound column
 //! (`his[i] == recs[i].mbb.hi[dim]`) it folds bounding information from —

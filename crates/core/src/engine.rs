@@ -40,7 +40,7 @@ pub(crate) struct Runtime<const D: usize> {
 }
 
 impl<const D: usize> Runtime<D> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             stats: QuasiiStats::default(),
         }
@@ -64,21 +64,21 @@ pub(crate) struct Cols<'a, const D: usize> {
 
 impl<'a, const D: usize> Cols<'a, D> {
     /// Wraps three equally long columns.
-    pub fn new(data: &'a mut [Record<D>], keys: &'a mut [f64], his: &'a mut [f64]) -> Self {
+    pub(crate) fn new(data: &'a mut [Record<D>], keys: &'a mut [f64], his: &'a mut [f64]) -> Self {
         debug_assert!(data.len() == keys.len() && data.len() == his.len());
         Self { data, keys, his }
     }
 
     /// The records of `s`.
     #[inline]
-    pub fn records(&self, s: &Slice<D>) -> &[Record<D>] {
+    pub(crate) fn records(&self, s: &Slice<D>) -> &[Record<D>] {
         &self.data[s.begin..s.end]
     }
 
     /// The `(keys, his, records)` triple of `s`, in crack-kernel argument
     /// order.
     #[inline]
-    pub fn range_mut(&mut self, s: &Slice<D>) -> (&mut [f64], &mut [f64], &mut [Record<D>]) {
+    pub(crate) fn range_mut(&mut self, s: &Slice<D>) -> (&mut [f64], &mut [f64], &mut [Record<D>]) {
         let r = s.begin..s.end;
         (
             &mut self.keys[r.clone()],

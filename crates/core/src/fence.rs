@@ -16,7 +16,7 @@ use std::ops::Range;
 ///
 /// [`from_inner`](Self::from_inner) stays permissive — duplicate inner
 /// fences yield empty partitions. The *planners*
-/// ([`equi_depth`](Self::equi_depth) and its sampled variant) dedupe their
+/// (`equi_depth` and its sampled variant) dedupe their
 /// quantiles instead: a repeated quantile used to become a permanently
 /// empty shard (every key ties on the fence and falls to its right), so a
 /// degenerate sample now collapses the partition count rather than
@@ -57,7 +57,7 @@ impl KeyFences {
     /// every duplicate would have been a permanently empty partition, so
     /// the planned count shrinks instead; a fully degenerate sample
     /// collapses to [`single`](Self::single).
-    pub fn equi_depth(sorted_keys: &[f64], parts: usize) -> Self {
+    pub(crate) fn equi_depth(sorted_keys: &[f64], parts: usize) -> Self {
         debug_assert!(
             sorted_keys
                 .windows(2)
@@ -85,7 +85,7 @@ impl KeyFences {
     /// Plans `parts` equi-depth partitions straight from an (unsorted)
     /// assignment-key column: deterministic stride subsample capped at
     /// `sample_cap` keys (no RNG), sorted, then quantile fences via
-    /// [`equi_depth`](Self::equi_depth). This is how the shard router plans
+    /// `equi_depth`. This is how the shard router plans
     /// boundaries from the key column its partition pass builds anyway.
     pub fn equi_depth_sampled(keys: &[f64], parts: usize, sample_cap: usize) -> Self {
         if parts <= 1 || keys.is_empty() {

@@ -74,14 +74,14 @@ pub fn rekey<const D: usize>(
 /// enclosing slice is currently cracked on (see the module docs for the
 /// exact invariant).
 #[derive(Clone, Debug, Default)]
-pub struct KeyColumn {
+pub(crate) struct KeyColumn {
     keys: Vec<f64>,
     his: Vec<f64>,
 }
 
 impl KeyColumn {
     /// An empty column (built lazily at first-query initialization).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             keys: Vec::new(),
             his: Vec::new(),
@@ -89,33 +89,28 @@ impl KeyColumn {
     }
 
     /// Number of cached entries (equals the record count once built).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len()
     }
 
-    /// Whether the column holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// Whether both columns are built for an `n`-record dataset.
-    pub fn is_built(&self, n: usize) -> bool {
+    pub(crate) fn is_built(&self, n: usize) -> bool {
         self.keys.len() == n && self.his.len() == n
     }
 
     /// Read access to the assignment-key column.
-    pub fn keys(&self) -> &[f64] {
+    pub(crate) fn keys(&self) -> &[f64] {
         &self.keys
     }
 
     /// Read access to the upper-bound column.
-    pub fn his(&self) -> &[f64] {
+    pub(crate) fn his(&self) -> &[f64] {
         &self.his
     }
 
     /// Mutable access to both columns (the engine slices disjoint `&mut`
     /// windows off these, mirroring the data-array windows).
-    pub fn as_mut_slices(&mut self) -> (&mut [f64], &mut [f64]) {
+    pub(crate) fn as_mut_slices(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.keys, &mut self.his)
     }
 
@@ -124,7 +119,7 @@ impl KeyColumn {
     /// `keys`, when given, is a precomputed dimension-0 assignment-key
     /// column adopted verbatim (the shard router builds one as a byproduct
     /// of its partition pass).
-    pub fn build_level0<const D: usize>(
+    pub(crate) fn build_level0<const D: usize>(
         &mut self,
         data: &[Record<D>],
         mode: AssignBy,
@@ -161,7 +156,7 @@ impl KeyColumn {
     }
 
     /// Heap bytes held by both columns (16 bytes per record once built).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         (self.keys.capacity() + self.his.capacity()) * std::mem::size_of::<f64>()
     }
 }
@@ -187,7 +182,7 @@ mod tests {
             (AssignBy::Upper, [3.0, 9.0]),
         ] {
             let mut col = KeyColumn::new();
-            assert!(col.is_empty());
+            assert_eq!(col.len(), 0);
             assert!(!col.is_built(2));
             col.build_level0(&data, mode, None);
             assert_eq!(col.keys(), &want);

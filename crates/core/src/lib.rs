@@ -35,7 +35,7 @@ mod batch;
 mod config;
 pub mod crack;
 mod engine;
-pub mod fence;
+pub(crate) mod fence;
 pub mod keys;
 mod persist;
 mod seal;
@@ -49,17 +49,17 @@ mod validate;
 /// [`Quasii::write_snapshot`] / [`Quasii::from_snapshot`], the one reader
 /// of the format, for the API).
 pub mod snapshot {
-    pub use crate::persist::{FORMAT_VERSION, MAGIC};
+    pub use crate::persist::MAGIC;
     pub use quasii_common::snapshot::{header_word, SnapshotError};
 }
 
-pub use config::{tau_schedule, AssignBy, QuasiiConfig};
+pub use config::{AssignBy, QuasiiConfig};
 pub use fence::KeyFences;
-pub use keys::KeyColumn;
 pub use simd::{SimdLevel, SimdPolicy};
 pub use stats::{QuasiiStats, SealStats};
 
 use engine::{Env, Runtime};
+use keys::KeyColumn;
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_obs as obs;
@@ -296,11 +296,6 @@ impl<const D: usize> Quasii<D> {
         stats
     }
 
-    /// The configuration this index was built with.
-    pub fn config(&self) -> &QuasiiConfig {
-        &self.cfg
-    }
-
     /// Total number of slices currently in the hierarchy.
     pub fn slice_count(&self) -> usize {
         self.root.iter().map(Slice::count).sum()
@@ -345,28 +340,6 @@ impl<const D: usize> Quasii<D> {
         acc
     }
 
-    /// Histogram of bottom-level slice sizes in power-of-two buckets
-    /// (`bucket i` counts slices with `2^i <= len < 2^(i+1)`; bucket 0 also
-    /// takes singletons). Used by the ablation bench to show τ compliance.
-    pub fn leaf_size_histogram(&self) -> Vec<usize> {
-        fn walk<const D: usize>(slices: &[Slice<D>], hist: &mut Vec<usize>) {
-            for s in slices {
-                if s.level + 1 == D && s.children.is_empty() {
-                    let bucket = usize::BITS as usize - 1 - s.len().leading_zeros() as usize;
-                    if hist.len() <= bucket {
-                        hist.resize(bucket + 1, 0);
-                    }
-                    hist[bucket] += 1;
-                } else {
-                    walk(&s.children, hist);
-                }
-            }
-        }
-        let mut hist = Vec::new();
-        walk(&self.root, &mut hist);
-        hist
-    }
-
     /// Read access to the (physically reorganized) data array.
     pub fn data(&self) -> &[Record<D>] {
         &self.data
@@ -389,7 +362,7 @@ impl<const D: usize> Quasii<D> {
     }
 
     /// The structured poison error, if any.
-    pub fn poison_error(&self) -> Option<EnginePoisoned> {
+    pub(crate) fn poison_error(&self) -> Option<EnginePoisoned> {
         self.poisoned
             .clone()
             .map(|detail| EnginePoisoned { detail })
@@ -755,6 +728,23 @@ mod tests {
     use quasii_common::index::assert_matches_brute_force;
     use quasii_common::workload;
 
+    /// Histogram of bottom-level slice sizes in power-of-two buckets
+    /// (`bucket i` counts slices with `2^i <= len < 2^(i+1)`; bucket 0 also
+    /// takes singletons).
+    fn leaf_size_histogram<const D: usize>(slices: &[Slice<D>], hist: &mut Vec<usize>) {
+        for s in slices {
+            if s.level + 1 == D && s.children.is_empty() {
+                let bucket = usize::BITS as usize - 1 - s.len().leading_zeros() as usize;
+                if hist.len() <= bucket {
+                    hist.resize(bucket + 1, 0);
+                }
+                hist[bucket] += 1;
+            } else {
+                leaf_size_histogram(&s.children, hist);
+            }
+        }
+    }
+
     fn check_queries<const D: usize>(data: Vec<Record<D>>, queries: &[Aabb<D>], tau: usize) {
         let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(tau));
         for q in queries {
@@ -902,7 +892,7 @@ mod tests {
         let tau = idx.tau_levels();
         assert_eq!(tau[2], 60);
         assert!(tau[0] >= tau[1] && tau[1] >= tau[2]);
-        assert_eq!(idx.config().tau, 60);
+        assert_eq!(idx.cfg.tau, 60);
     }
 
     #[test]
@@ -928,7 +918,8 @@ mod tests {
         // The hierarchy has exactly D levels of slices and τ-bounded leaves.
         let profile = idx.level_profile();
         assert!(profile.iter().all(|&c| c > 0), "{profile:?}");
-        let hist = idx.leaf_size_histogram();
+        let mut hist = Vec::new();
+        leaf_size_histogram(&idx.root, &mut hist);
         assert!(!hist.is_empty());
         // No bottom slice above τ = 32 (bucket 6 would be 64..127).
         assert!(hist.len() <= 6, "leaf sizes exceed τ: {hist:?}");

@@ -123,7 +123,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub const FORMAT_VERSION: u32 = 3;
+pub(crate) const FORMAT_VERSION: u32 = 3;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -158,7 +158,7 @@ enum Storage {
 
 impl AlignedBytes {
     /// Zero-filled storage for `len` bytes.
-    pub fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         Self {
             storage: Storage::Words(vec![0u64; len.div_ceil(8)].into_boxed_slice()),
             len,
@@ -168,7 +168,7 @@ impl AlignedBytes {
     /// Aligned copy of `bytes` (for callers that only hold a borrow —
     /// owned buffers should prefer [`AlignedBytes::from_vec`]).
     #[cfg(test)]
-    pub fn copy_from(bytes: &[u8]) -> Self {
+    pub(crate) fn copy_from(bytes: &[u8]) -> Self {
         let mut ab = Self::zeroed(bytes.len());
         ab.as_bytes_mut().copy_from_slice(bytes);
         ab
@@ -179,7 +179,7 @@ impl AlignedBytes {
     /// any buffer large enough to matter — and falls back to one aligned
     /// copy otherwise. Snapshot loads of real (multi-MiB) buffers take the
     /// zero-copy path; the copy fallback keeps correctness unconditional.
-    pub fn from_vec(bytes: Vec<u8>) -> Self {
+    pub(crate) fn from_vec(bytes: Vec<u8>) -> Self {
         let len = bytes.len();
         if (bytes.as_ptr() as usize).is_multiple_of(8) {
             Self {
@@ -194,12 +194,12 @@ impl AlignedBytes {
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// The bytes, starting 8-aligned.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match &self.storage {
             Storage::Words(words) => {
                 debug_assert!(self.len <= words.len() * 8);
@@ -216,7 +216,7 @@ impl AlignedBytes {
     }
 
     /// Mutable view of the bytes.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8] {
         match &mut self.storage {
             Storage::Words(words) => {
                 debug_assert!(self.len <= words.len() * 8);

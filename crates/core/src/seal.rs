@@ -219,7 +219,7 @@ impl<const D: usize> SealedRegion<D> {
     /// not converged (some slice unrefined, or a refined non-bottom slice
     /// without materialized children — its first visit would still mutate
     /// the tree) or is too large for the `u32` arena offsets.
-    pub fn build(root: &Slice<D>, data: &[Record<D>]) -> Option<Self> {
+    pub(crate) fn build(root: &Slice<D>, data: &[Record<D>]) -> Option<Self> {
         if !root.subtree_converged() || root.len() > u32::MAX as usize {
             return None;
         }
@@ -313,7 +313,7 @@ impl<const D: usize> SealedRegion<D> {
     /// arbitrary input: alignment, exact length, and every node's
     /// record/child ranges are validated *before* any column is read, so a
     /// malformed blob yields `Err`, never a panic or out-of-bounds view.
-    pub fn from_blob(
+    pub(crate) fn from_blob(
         begin: usize,
         end: usize,
         buf: Arc<AlignedBytes>,
@@ -390,7 +390,7 @@ impl<const D: usize> SealedRegion<D> {
 
     /// The raw blob bytes — what the snapshot writer copies verbatim (the
     /// blob is position-independent, see the module docs).
-    pub fn blob(&self) -> &[u8] {
+    pub(crate) fn blob(&self) -> &[u8] {
         &self.buf.as_bytes()[self.base..self.base + self.blob_len]
     }
 
@@ -403,17 +403,20 @@ impl<const D: usize> SealedRegion<D> {
     fn f64s(&self, rel: usize, n: usize) -> &[f64] {
         let off = self.base + rel;
         debug_assert!(off.is_multiple_of(8) && off + n * 8 <= self.buf.len());
+        // SAFETY: `from_blob` proved `off` 8-aligned and `off + n * 8` inside
+        // the buffer, which is immutable while `self` borrows it, and every
+        // bit pattern is a valid `f64`.
         unsafe { std::slice::from_raw_parts(self.buf.as_bytes().as_ptr().add(off).cast(), n) }
     }
 
     /// Number of tree levels below the region root (`D - 1`; `0` at D = 1).
-    pub fn level_count(&self) -> usize {
+    pub(crate) fn level_count(&self) -> usize {
         self.levels.len()
     }
 
     /// The minimum-key binary-search column of arena level `l` (absolute
     /// tree level `l + 1`).
-    pub fn key_lo(&self, l: usize) -> &[f64] {
+    pub(crate) fn key_lo(&self, l: usize) -> &[f64] {
         let lv = &self.levels[l];
         self.f64s(lv.key_lo, lv.len)
     }
@@ -421,11 +424,14 @@ impl<const D: usize> SealedRegion<D> {
     /// The packed node payloads of arena level `l`, aligned with
     /// [`key_lo`](Self::key_lo). Same soundness argument as [`Self::f64s`]:
     /// `NodeMeta` is `repr(C)`, 8-aligned, padding-free, any-bit-valid.
-    pub fn meta(&self, l: usize) -> &[NodeMeta<D>] {
+    pub(crate) fn meta(&self, l: usize) -> &[NodeMeta<D>] {
         debug_assert_eq!(std::mem::size_of::<NodeMeta<D>>(), 16 + 16 * D);
         let lv = &self.levels[l];
         let off = self.base + lv.meta;
         debug_assert!(off.is_multiple_of(8) && off + lv.len * (16 + 16 * D) <= self.buf.len());
+        // SAFETY: `from_blob` proved this level's `lv.len` payloads 8-aligned
+        // and inside the immutable buffer; `NodeMeta` is `repr(C)`, 8-aligned,
+        // padding-free and valid for every bit pattern.
         unsafe { std::slice::from_raw_parts(self.buf.as_bytes().as_ptr().add(off).cast(), lv.len) }
     }
 
@@ -433,15 +439,18 @@ impl<const D: usize> SealedRegion<D> {
     /// `u32` (ids are positions in the original dataset, so they fit for
     /// any dataset under 2³² records; a region holding a larger id is
     /// simply never sealed).
-    pub fn ids(&self) -> &[u32] {
+    pub(crate) fn ids(&self) -> &[u32] {
         let off = self.base + self.ids;
         let n = self.end - self.begin;
         debug_assert!(off.is_multiple_of(4) && off + n * 4 <= self.buf.len());
+        // SAFETY: `from_blob` proved the id section 8-aligned and exactly
+        // `n` `u32`s long inside the immutable buffer, and every bit pattern
+        // is a valid `u32`.
         unsafe { std::slice::from_raw_parts(self.buf.as_bytes().as_ptr().add(off).cast(), n) }
     }
 
     /// Record MBB lower corners of dimension `d`.
-    pub fn rec_lo(&self, d: usize) -> &[f64] {
+    pub(crate) fn rec_lo(&self, d: usize) -> &[f64] {
         let m = self.end - self.begin;
         self.f64s(self.rec_lo + d * m * 8, m)
     }
@@ -452,13 +461,13 @@ impl<const D: usize> SealedRegion<D> {
     /// `rec_hi >= q.lo ⇔ -rec_hi <= -q.lo` — so every bottom-level lane
     /// pass is the same `lane[p] <= bound` loop (negation is exact for
     /// every non-NaN float, so the truth table is unchanged).
-    pub fn rec_nhi(&self, d: usize) -> &[f64] {
+    pub(crate) fn rec_nhi(&self, d: usize) -> &[f64] {
         let m = self.end - self.begin;
         self.f64s(self.rec_nhi + d * m * 8, m)
     }
 
     /// Number of records covered.
-    pub fn records(&self) -> usize {
+    pub(crate) fn records(&self) -> usize {
         self.end - self.begin
     }
 
@@ -466,7 +475,7 @@ impl<const D: usize> SealedRegion<D> {
     /// table). Reloaded regions share one snapshot buffer; each still
     /// reports its own blob span, so the sum over regions stays the
     /// arena-payload total, not the buffer size times the region count.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.blob_len + self.levels.capacity() * std::mem::size_of::<LevelView>()
     }
 
@@ -474,7 +483,7 @@ impl<const D: usize> SealedRegion<D> {
     /// region root's bounding box, so the whole subtree qualifies — one
     /// contiguous copy instead of a per-leaf walk). Returns the objects
     /// "tested" (all of them — the bbox proof decided each record's test).
-    pub fn emit_all(&self, out: &mut Vec<u64>) -> u64 {
+    pub(crate) fn emit_all(&self, out: &mut Vec<u64>) -> u64 {
         let ids = self.ids();
         out.extend(ids.iter().map(|&id| id as u64));
         ids.len() as u64
@@ -489,7 +498,13 @@ impl<const D: usize> SealedRegion<D> {
     /// [`emit_all`](Self::emit_all) when `q` contains the root box).
     /// `level` selects the lane-test kernel generation (see
     /// [`crate::simd`]); results are identical for every level.
-    pub fn run(&self, q: &Aabb<D>, qe: &Aabb<D>, out: &mut Vec<u64>, level: SimdLevel) -> u64 {
+    pub(crate) fn run(
+        &self,
+        q: &Aabb<D>,
+        qe: &Aabb<D>,
+        out: &mut Vec<u64>,
+        level: SimdLevel,
+    ) -> u64 {
         if self.levels.is_empty() {
             // D == 1: the region root is the bottom level.
             self.scan_range(0, self.records(), q, [true; D], [true; D], out, level)

@@ -223,12 +223,17 @@ pub fn scan_emit<const K: usize>(
     out: &mut [u64],
 ) -> usize {
     for lane in &lanes {
-        debug_assert_eq!(lane.len(), ids.len());
+        assert_eq!(lane.len(), ids.len());
     }
-    debug_assert!(out.len() >= ids.len());
+    assert!(out.len() >= ids.len());
     match level.clamp_to_host() {
+        // SAFETY: `clamp_to_host` keeps `Avx2` only on a host that reports
+        // it, and every lane and `out` hold `ids.len()` elements (asserted
+        // above), which is all the kernel reads and writes.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { scan_emit_avx2::<K>(ids, lanes, bounds, out) },
+        // SAFETY: SSE2 is in the `x86_64` baseline, and the lane lengths
+        // are asserted above.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse2 => unsafe { scan_emit_sse2::<K>(ids, lanes, bounds, out) },
         _ => scan_emit_scalar::<K>(ids, lanes, bounds, out),
@@ -365,8 +370,12 @@ pub fn collect_bottom<const D: usize>(
 ) -> usize {
     debug_assert!(out.len() >= recs.len());
     match level.clamp_to_host() {
+        // SAFETY: `clamp_to_host` keeps `Avx2` only on a host that reports
+        // it, and the guard is the kernel's `D`; it loads inside each record
+        // and stores through bounds-checked indexing.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if D == 3 => unsafe { collect_bottom3_avx2(recs, q, out) },
+        // SAFETY: as above, for the `D == 2` kernel.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if D == 2 => unsafe { collect_bottom2_avx2(recs, q, out) },
         _ => collect_bottom_scalar(recs, q, out),

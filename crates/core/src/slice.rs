@@ -10,7 +10,7 @@ use quasii_common::geom::{Aabb, Record};
 
 /// One node of QUASII's d-level hierarchy.
 #[derive(Clone, Debug)]
-pub struct Slice<const D: usize> {
+pub(crate) struct Slice<const D: usize> {
     /// Level = the dimension this slice was partitioned on (0-based).
     pub level: usize,
     /// First index (inclusive) into the data array.
@@ -53,20 +53,20 @@ pub struct Slice<const D: usize> {
 impl<const D: usize> Slice<D> {
     /// Number of objects in the slice.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.begin
     }
 
     /// Whether the slice covers no objects.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.begin == self.end
     }
 
     /// Builds the initial whole-dataset slice (the paper's `s0`): level 0,
     /// exact dataset MBB (measured by the caller), unrefined unless the
     /// dataset already fits τ.
-    pub fn root(n: usize, data_bounds: Aabb<D>, tau0: usize) -> Self {
+    pub(crate) fn root(n: usize, data_bounds: Aabb<D>, tau0: usize) -> Self {
         Self {
             level: 0,
             begin: 0,
@@ -86,7 +86,7 @@ impl<const D: usize> Slice<D> {
     /// Creates the "default child" of a refined slice (paper Alg. 1 line 15):
     /// a single slice one level down spanning the same range. The parent is
     /// refined, so its `bbox` is exact and is inherited verbatim.
-    pub fn default_child(&self, tau_child: usize) -> Self {
+    pub(crate) fn default_child(&self, tau_child: usize) -> Self {
         debug_assert!(self.refined, "default children hang off refined slices");
         debug_assert!(self.level + 1 < D, "bottom level has no children");
         let l = self.level + 1;
@@ -109,7 +109,7 @@ impl<const D: usize> Slice<D> {
     /// Exact MBB of the slice's objects, `records` (the slice's own range
     /// of the data array, resolved by the caller's window); used when a
     /// slice becomes refined.
-    pub fn measure_exact(&mut self, records: &[Record<D>]) {
+    pub(crate) fn measure_exact(&mut self, records: &[Record<D>]) {
         debug_assert_eq!(records.len(), self.len());
         let mut mbb = Aabb::empty();
         for r in records {
@@ -119,7 +119,7 @@ impl<const D: usize> Slice<D> {
     }
 
     /// Recursive count of slices in this subtree (including `self`).
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         1 + self.children.iter().map(Slice::count).sum::<usize>()
     }
 
@@ -132,7 +132,7 @@ impl<const D: usize> Slice<D> {
     /// non-bottom slice *without* children is not converged: its first
     /// visit still creates the default child (and may crack it, e.g. after
     /// a force-refinement above τ).
-    pub fn subtree_converged(&self) -> bool {
+    pub(crate) fn subtree_converged(&self) -> bool {
         if !self.refined {
             return false;
         }
@@ -143,7 +143,7 @@ impl<const D: usize> Slice<D> {
     }
 
     /// Approximate heap bytes of this subtree's structure.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.children.capacity() * std::mem::size_of::<Slice<D>>()
             + self.children.iter().map(Slice::heap_bytes).sum::<usize>()
     }

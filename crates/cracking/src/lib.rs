@@ -59,7 +59,7 @@ pub struct CrackerColumn {
 
 impl CrackerColumn {
     /// Wraps a column; O(1) — no sorting happens up front.
-    pub fn new(items: Vec<(f64, u64)>, engine: CrackEngine) -> Self {
+    pub(crate) fn new(items: Vec<(f64, u64)>, engine: CrackEngine) -> Self {
         Self {
             items,
             bounds: Vec::new(),
@@ -78,24 +78,9 @@ impl CrackerColumn {
         Self::new(items, engine)
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the column is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Work counters so far.
     pub fn stats(&self) -> CrackStats {
         self.stats
-    }
-
-    /// Number of crack boundaries (pieces − 1).
-    pub fn crack_count(&self) -> usize {
-        self.bounds.len()
     }
 
     /// Size of the largest uncracked piece — the metric stochastic cracking
@@ -125,7 +110,8 @@ impl CrackerColumn {
     }
 
     /// Allocating wrapper around [`range_query`](Self::range_query).
-    pub fn range_query_collect(&mut self, lo: f64, hi: f64) -> Vec<u64> {
+    #[cfg(test)]
+    fn range_query_collect(&mut self, lo: f64, hi: f64) -> Vec<u64> {
         let mut out = Vec::new();
         self.range_query(lo, hi, &mut out);
         out
@@ -175,7 +161,8 @@ impl CrackerColumn {
     }
 
     /// Verifies the cracker invariant: each boundary separates the keys.
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    fn validate(&self) -> Result<(), String> {
         let mut prev_pos = 0usize;
         let mut prev_val = f64::NEG_INFINITY;
         for &(v, p) in &self.bounds {
@@ -273,7 +260,7 @@ mod tests {
             assert_eq!(got, brute(&keys, lo, hi));
             col.validate().unwrap();
         }
-        assert!(col.crack_count() > 100);
+        assert!(col.bounds.len() > 100);
     }
 
     #[test]
@@ -354,7 +341,7 @@ mod tests {
     #[test]
     fn empty_column() {
         let mut col = CrackerColumn::new(Vec::new(), CrackEngine::Standard);
-        assert!(col.is_empty());
+        assert!(col.items.is_empty());
         assert!(col.range_query_collect(0.0, 1.0).is_empty());
         assert_eq!(col.largest_piece(), 0);
     }

@@ -107,18 +107,9 @@ impl<const D: usize> UniformGrid<D> {
         }
     }
 
-    /// Partitions per dimension.
-    pub fn partitions(&self) -> usize {
-        self.parts
-    }
-
-    /// The assignment strategy in use.
-    pub fn assignment(&self) -> Assignment {
-        self.assignment
-    }
-
     /// Total stored entries (> `len()` under replication).
-    pub fn stored_entries(&self) -> usize {
+    #[cfg(test)]
+    fn stored_entries(&self) -> usize {
         self.cells.iter().map(Vec::len).sum()
     }
 
@@ -180,7 +171,8 @@ impl<const D: usize> UniformGrid<D> {
     }
 
     /// Checks that every object is retrievable and cell assignment is sound.
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    fn validate(&self) -> Result<(), String> {
         let stored = self.stored_entries();
         match self.assignment {
             Assignment::QueryExtension => {

@@ -87,14 +87,6 @@ impl<const D: usize> Mosaic<D> {
         self.stats
     }
 
-    /// Number of partitions (leaves) currently in the tree.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.kind, MKind::Leaf { .. }))
-            .count()
-    }
-
     fn ensure_init(&mut self) {
         if self.root.is_some() || self.data.is_empty() {
             return;
@@ -297,6 +289,14 @@ mod tests {
     use quasii_common::index::assert_matches_brute_force;
     use quasii_common::workload;
 
+    /// Number of partitions (leaves) currently in the tree.
+    fn leaf_count<const D: usize>(m: &Mosaic<D>) -> usize {
+        m.nodes
+            .iter()
+            .filter(|n| matches!(n.kind, MKind::Leaf { .. }))
+            .count()
+    }
+
     #[test]
     fn correct_over_workload_with_validation() {
         let data = uniform_boxes_in::<3>(3_000, 1_000.0, 1);
@@ -318,7 +318,7 @@ mod tests {
         m.query_collect(&q);
         // First query: root split exactly once, children not resplit.
         assert_eq!(m.stats().splits, 1, "one level per query");
-        let after_first = m.leaf_count();
+        let after_first = leaf_count(&m);
         assert_eq!(after_first, 4, "2^D children");
         m.query_collect(&q);
         // Second query: only query-overlapping children split.
@@ -373,9 +373,9 @@ mod tests {
         // split cascade near the queried corner, leaf count stays far below
         // a full grid at depth 10 (which would be 4^10 leaves).
         assert!(
-            m.leaf_count() < 2_000,
+            leaf_count(&m) < 2_000,
             "leaves {} — refinement must stay local",
-            m.leaf_count()
+            leaf_count(&m)
         );
         m.validate().unwrap();
     }
@@ -408,6 +408,6 @@ mod tests {
             m.nodes.iter().all(|n| n.depth <= 3),
             "max_depth must bound the tree"
         );
-        assert_eq!(m.leaf_count(), 64, "full grid at depth 3 in 2-d");
+        assert_eq!(leaf_count(&m), 64, "full grid at depth 3 in 2-d");
     }
 }

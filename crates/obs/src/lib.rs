@@ -2,8 +2,8 @@
 //!
 //! Two pieces, both `std`-only (the vendored-shim policy — no crates.io):
 //!
-//! * **Metrics** ([`metrics`]) — atomics-backed [`Counter`]s, [`Gauge`]s
-//!   and fixed log-bucket latency [`Histogram`]s (p50/p90/p99/max). A
+//! * **Metrics** (`metrics`) — atomics-backed `Counter`s, `Gauge`s
+//!   and fixed log-bucket latency `Histogram`s (p50/p90/p99/max). A
 //!   histogram is striped across a fixed set of per-thread shards and
 //!   merged on read, so concurrent workers never contend on a bucket.
 //!   [`CounterGroup`] is the shared snapshot/merge idiom the engine's
@@ -32,10 +32,10 @@
 //! `QuasiiStats`). The workspace `tests/obs.rs` suite proptests exactly
 //! that across thread counts × batch shapes × seal on/off.
 
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod registry;
 
-pub use metrics::{Counter, CounterGroup, Gauge, GaugeVec, Histogram, HistogramSnapshot};
+pub use metrics::CounterGroup;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -56,7 +56,7 @@ pub fn enabled() -> bool {
 }
 
 /// Starts a latency measurement: `Some(now)` when metrics are enabled,
-/// `None` (free) otherwise. Pair with [`Histogram::observe_since`].
+/// `None` (free) otherwise. Pair with `Histogram::observe_since`.
 #[inline]
 pub fn start() -> Option<Instant> {
     if enabled() {
@@ -79,7 +79,8 @@ pub fn finish_phase(t: Option<Instant>, phase: Phase) {
     registry::batch_phase(phase).observe_since(t);
 }
 
-/// The batch execution phases the engine reports spans for.
+/// The batch execution phases the engine reports spans for, in execution
+/// order (also the registry storage order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Classifying each query of a batch as sealed-read vs crack work.
@@ -91,23 +92,9 @@ pub enum Phase {
     Crack,
 }
 
-impl Phase {
-    /// All phases, in execution order (also the registry storage order).
-    pub const ALL: [Phase; 3] = [Phase::Classify, Phase::SealedRead, Phase::Crack];
-
-    /// The label value used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Classify => "classify",
-            Phase::SealedRead => "sealed_read",
-            Phase::Crack => "crack",
-        }
-    }
-}
-
 /// The query-service endpoints (`crates/server`) the registry keeps
-/// per-endpoint request latency histograms for — the same fixed-enum
-/// indexing idiom as [`Phase`].
+/// per-endpoint request latency histograms for, in registry storage order
+/// — the same fixed-enum indexing idiom as [`Phase`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Endpoint {
     /// `GET /query` — one range query per request.
@@ -122,30 +109,6 @@ pub enum Endpoint {
     Admin,
     /// Anything else (404s and unknown methods).
     Other,
-}
-
-impl Endpoint {
-    /// All endpoints, in registry storage order.
-    pub const ALL: [Endpoint; 6] = [
-        Endpoint::Query,
-        Endpoint::Batch,
-        Endpoint::Snapshots,
-        Endpoint::Metrics,
-        Endpoint::Admin,
-        Endpoint::Other,
-    ];
-
-    /// The label value used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::Query => "query",
-            Endpoint::Batch => "batch",
-            Endpoint::Snapshots => "snapshots",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Admin => "admin",
-            Endpoint::Other => "other",
-        }
-    }
 }
 
 /// The stages of one `/query` or `/batch` request inside `crates/server`,

@@ -14,7 +14,7 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A zeroed counter.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
@@ -36,7 +36,7 @@ impl Counter {
     }
 
     /// Zeroes the counter (tests and experiment isolation).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.0.store(0, Ordering::Relaxed);
     }
 }
@@ -47,7 +47,7 @@ pub struct Gauge(AtomicU64);
 
 impl Gauge {
     /// A gauge at `0.0`.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
@@ -62,7 +62,7 @@ impl Gauge {
     }
 
     /// Resets to `0.0`.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.set(0.0);
     }
 }
@@ -77,7 +77,7 @@ pub struct GaugeVec {
 
 impl GaugeVec {
     /// An empty family.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             slots: Mutex::new(BTreeMap::new()),
         }
@@ -95,7 +95,7 @@ impl GaugeVec {
     }
 
     /// All `(label, level)` pairs, in label order.
-    pub fn snapshot(&self) -> Vec<(String, f64)> {
+    pub(crate) fn snapshot(&self) -> Vec<(String, f64)> {
         self.slots
             .lock()
             .expect("GaugeVec lock poisoned")
@@ -105,7 +105,7 @@ impl GaugeVec {
     }
 
     /// Drops every label.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.slots.lock().expect("GaugeVec lock poisoned").clear();
     }
 }
@@ -151,7 +151,7 @@ impl<const N: usize> CounterGroup<N> {
 
     /// Adds `n` to cell `i`.
     #[inline]
-    pub fn add(&self, i: usize, n: u64) {
+    pub(crate) fn add(&self, i: usize, n: u64) {
         self.counts[i].fetch_add(n, Ordering::Relaxed);
     }
 
@@ -189,22 +189,22 @@ impl<const N: usize> Default for CounterGroup<N> {
 /// Histogram stripes: concurrent observers from different threads land on
 /// different stripes (assigned round-robin at first observation), so the
 /// hot path never contends on a shared cache line.
-pub const STRIPES: usize = 8;
+pub(crate) const STRIPES: usize = 8;
 
 /// Log₂ buckets. Bucket `0` holds the value `0`; bucket `b ≥ 1` holds
 /// values in `[2^(b-1), 2^b)`; the top bucket absorbs everything larger.
 /// 44 buckets cover `1ns .. ~1.2h` when values are nanoseconds.
-pub const BUCKETS: usize = 44;
+pub(crate) const BUCKETS: usize = 44;
 
 /// The bucket index a value lands in.
 #[inline]
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     ((u64::BITS - v.leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
 /// The exclusive upper bound of bucket `b` (`u64::MAX` for the top
 /// bucket, which is unbounded).
-pub fn bucket_upper(b: usize) -> u64 {
+pub(crate) fn bucket_upper(b: usize) -> u64 {
     if b >= BUCKETS - 1 {
         u64::MAX
     } else {
@@ -252,7 +252,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             stripes: [const { Stripe::new() }; STRIPES],
         }
@@ -290,7 +290,7 @@ impl Histogram {
     }
 
     /// Zeroes every stripe.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for s in &self.stripes {
             for cell in &s.counts {
                 cell.store(0, Ordering::Relaxed);
@@ -336,7 +336,7 @@ impl HistogramSnapshot {
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) by linear interpolation
     /// inside the bucket holding the target rank; `0` when empty. The top
     /// bucket (unbounded) reports [`Self::max`] instead of interpolating.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -361,15 +361,6 @@ impl HistogramSnapshot {
             cum += c;
         }
         self.max
-    }
-
-    /// Mean sample value (`0.0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 }
 

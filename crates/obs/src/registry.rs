@@ -18,11 +18,11 @@ use std::fmt::Write as _;
 
 /// Per-phase batch span latencies, indexed by [`Phase`] order. A sharded
 /// deployment books its read phase as [`Phase::SealedRead`] too.
-pub static BATCH_PHASE_SECONDS: [Histogram; 3] =
+pub(crate) static BATCH_PHASE_SECONDS: [Histogram; 3] =
     [Histogram::new(), Histogram::new(), Histogram::new()];
 
 /// The phase histogram for `p`.
-pub fn batch_phase(p: Phase) -> &'static Histogram {
+pub(crate) fn batch_phase(p: Phase) -> &'static Histogram {
     &BATCH_PHASE_SECONDS[p as usize]
 }
 
@@ -67,7 +67,7 @@ pub static SHARD_SEALED_FRACTION: GaugeVec = GaugeVec::new();
 
 /// Per-endpoint request latency (parse → response written), indexed by
 /// [`Endpoint`] order.
-pub static SERVER_REQUEST_SECONDS: [Histogram; 6] = [
+pub(crate) static SERVER_REQUEST_SECONDS: [Histogram; 6] = [
     Histogram::new(),
     Histogram::new(),
     Histogram::new(),
@@ -84,7 +84,7 @@ pub fn server_request(e: Endpoint) -> &'static Histogram {
 /// Where a `/query` or `/batch` request spends its time, indexed by
 /// [`Stage`] order; one sample per request and stage it passes (a `/query`
 /// answered by a read is not admitted, so it has no `queue` sample).
-pub static SERVER_STAGE_SECONDS: [Histogram; 4] = [
+pub(crate) static SERVER_STAGE_SECONDS: [Histogram; 4] = [
     Histogram::new(),
     Histogram::new(),
     Histogram::new(),
@@ -138,7 +138,7 @@ pub static FSX_FAULT_OPS_TOTAL: Counter = Counter::new();
 pub static FSX_INJECTED_FAULTS_TOTAL: Counter = Counter::new();
 
 /// What a registry entry points at.
-pub enum Metric {
+pub(crate) enum Metric {
     /// A monotone counter.
     Counter(&'static Counter),
     /// A point-in-time level.
@@ -151,7 +151,7 @@ pub enum Metric {
 
 /// The unit histogram samples are recorded in (drives export scaling).
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
+pub(crate) enum Unit {
     /// Dimensionless counts (exported raw).
     Count,
     /// Nanoseconds (exported as seconds).
@@ -159,7 +159,7 @@ pub enum Unit {
 }
 
 /// One registry row: a metric plus its export identity.
-pub struct Def {
+pub(crate) struct Def {
     /// Metric family name (Prometheus conventions).
     pub name: &'static str,
     /// One-line help string.
@@ -175,7 +175,7 @@ pub struct Def {
 
 /// Every metric the suite exposes, grouped by family (exporters rely on
 /// same-family rows being adjacent).
-pub static DEFS: &[Def] = &[
+pub(crate) static DEFS: &[Def] = &[
     Def {
         name: "quasii_batch_phase_seconds",
         help: "Batch execution span per phase, an engine's or a sharded deployment's (its read phase)",

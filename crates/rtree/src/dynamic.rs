@@ -33,7 +33,7 @@ pub struct DynamicRTree<const D: usize> {
 
 impl<const D: usize> DynamicRTree<D> {
     /// Creates an empty tree with the given node capacity (min fill = 40 %).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(2);
         let root = DNode {
             bbox: Aabb::empty(),
@@ -61,7 +61,7 @@ impl<const D: usize> DynamicRTree<D> {
     }
 
     /// Inserts one record.
-    pub fn insert(&mut self, r: Record<D>) {
+    pub(crate) fn insert(&mut self, r: Record<D>) {
         self.len += 1;
         let leaf = self.choose_leaf(r.mbb);
         if let DKind::Leaf { records } = &mut self.nodes[leaf as usize].kind {
@@ -219,7 +219,8 @@ impl<const D: usize> DynamicRTree<D> {
     }
 
     /// Tree height (root = 1).
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    fn height(&self) -> usize {
         let mut h = 1;
         let mut cur = self.root;
         loop {
@@ -234,7 +235,8 @@ impl<const D: usize> DynamicRTree<D> {
     }
 
     /// Structural validation (bbox containment, capacity, count).
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    fn validate(&self) -> Result<(), String> {
         let mut count = 0usize;
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {

@@ -13,7 +13,7 @@
 
 #![warn(missing_docs)]
 
-pub mod dynamic;
+pub(crate) mod dynamic;
 pub mod str_pack;
 
 pub use dynamic::DynamicRTree;
@@ -42,12 +42,11 @@ pub struct RTree<const D: usize> {
     nodes: Vec<Node<D>>,
     root: Option<u32>,
     len: usize,
-    capacity: usize,
 }
 
 impl<const D: usize> RTree<D> {
     /// The node capacity used throughout the paper's evaluation.
-    pub const PAPER_CAPACITY: usize = 60;
+    pub(crate) const PAPER_CAPACITY: usize = 60;
 
     /// Bulk-loads the dataset with STR (full recursive sorts — this *is* the
     /// pre-processing step whose cost the incremental approaches avoid).
@@ -60,7 +59,6 @@ impl<const D: usize> RTree<D> {
                 nodes,
                 root: None,
                 len,
-                capacity,
             };
         }
 
@@ -105,12 +103,7 @@ impl<const D: usize> RTree<D> {
         }
 
         let root = Some(level[0]);
-        Self {
-            nodes,
-            root,
-            len,
-            capacity,
-        }
+        Self { nodes, root, len }
     }
 
     /// Bulk load with the paper's capacity (60).
@@ -118,13 +111,9 @@ impl<const D: usize> RTree<D> {
         Self::bulk_load(data, Self::PAPER_CAPACITY)
     }
 
-    /// Node capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Tree height (root = 1); 0 for an empty tree.
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    fn height(&self) -> usize {
         let mut h = 0;
         let mut cur = self.root;
         while let Some(id) = cur {
@@ -135,11 +124,6 @@ impl<const D: usize> RTree<D> {
             };
         }
         h
-    }
-
-    /// Total number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Range query returning ids plus the number of objects *tested* for
@@ -172,9 +156,10 @@ impl<const D: usize> RTree<D> {
         tested
     }
 
-    /// Checks structural invariants: child boxes contained in parents, leaf
-    /// sizes within capacity, record count preserved.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Checks structural invariants: child boxes contained in parents, node
+    /// sizes within `capacity`, record count preserved.
+    #[cfg(test)]
+    fn validate(&self, capacity: usize) -> Result<(), String> {
         let Some(root) = self.root else {
             return if self.len == 0 {
                 Ok(())
@@ -191,7 +176,7 @@ impl<const D: usize> RTree<D> {
                     if children.is_empty() {
                         return Err(format!("inner node {id} has no children"));
                     }
-                    if children.len() > self.capacity {
+                    if children.len() > capacity {
                         return Err(format!("inner node {id} over capacity"));
                     }
                     for &c in children {
@@ -202,7 +187,7 @@ impl<const D: usize> RTree<D> {
                     }
                 }
                 NodeKind::Leaf { records } => {
-                    if records.len() > self.capacity {
+                    if records.len() > capacity {
                         return Err(format!("leaf {id} over capacity"));
                     }
                     for r in records {
@@ -260,7 +245,7 @@ mod tests {
     fn str_tree_is_correct_on_random_queries() {
         let data = uniform_boxes_in::<3>(5_000, 1_000.0, 1);
         let mut t = RTree::bulk_load(data.clone(), 32);
-        t.validate().unwrap();
+        t.validate(32).unwrap();
         let u = Aabb::new([0.0; 3], [1_000.0; 3]);
         for q in &workload::uniform(&u, 50, 1e-3, 2).queries {
             let got = t.query_collect(q);
@@ -275,19 +260,19 @@ mod tests {
         // 4096/16 = 256 leaves; with 16-ary packing: 256 -> 16 -> 1: height 3.
         assert_eq!(t.height(), 3, "STR should pack tightly");
         let leaves = 4_096usize.div_ceil(16);
-        assert!(t.node_count() <= leaves * 2, "nodes {}", t.node_count());
+        assert!(t.nodes.len() <= leaves * 2, "nodes {}", t.nodes.len());
     }
 
     #[test]
     fn empty_and_tiny_trees() {
         let mut t = RTree::<3>::bulk_load(Vec::new(), 60);
-        t.validate().unwrap();
+        t.validate(60).unwrap();
         assert_eq!(t.height(), 0);
         assert!(t.query_collect(&Aabb::new([0.0; 3], [1.0; 3])).is_empty());
 
         let one = vec![Record::new(7, Aabb::new([1.0; 3], [2.0; 3]))];
         let mut t = RTree::bulk_load(one, 60);
-        t.validate().unwrap();
+        t.validate(60).unwrap();
         assert_eq!(t.height(), 1);
         assert_eq!(t.query_collect(&Aabb::new([0.0; 3], [3.0; 3])), vec![7]);
         assert_eq!(t.len(), 1);
@@ -311,7 +296,7 @@ mod tests {
     fn handles_identical_boxes() {
         let data = degenerate::identical::<2>(500);
         let mut t = RTree::bulk_load(data.clone(), 10);
-        t.validate().unwrap();
+        t.validate(10).unwrap();
         let q = Aabb::new([5.5; 2], [5.6; 2]);
         assert_eq!(t.query_collect(&q).len(), 500);
         let miss = Aabb::new([10.0; 2], [11.0; 2]);

@@ -31,7 +31,7 @@ pub(crate) type Exec<'a> = &'a dyn Fn(&[&[Aabb<3>]]) -> GroupReply;
 
 /// Why a submission was refused at the gate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Rejection {
+pub(crate) enum Rejection {
     /// The bounded submission queue is full (backpressure → 503).
     Overloaded,
     /// The server is shutting down and admits no new work (→ 503).

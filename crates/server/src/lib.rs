@@ -65,8 +65,7 @@
 
 mod admission;
 
-pub use admission::Rejection;
-use admission::{Admission, GroupReply};
+use admission::{Admission, GroupReply, Rejection};
 use minihttp::{read_request, Limits, Request, Response};
 use quasii_common::geom::{mbb_of, Aabb};
 use quasii_obs as obs;

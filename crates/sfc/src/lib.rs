@@ -2,7 +2,7 @@
 //!
 //! One-dimensional-transform indexes from the QUASII paper:
 //!
-//! * [`zorder`] — the Z-order curve substrate: encoding, the Tropf–Herzog
+//! * `zorder` — the Z-order curve substrate: encoding, the Tropf–Herzog
 //!   LITMAX/BIGMIN jump, and decomposition of box queries into Z-intervals
 //!   fully contained in the query (§3.1's false-positive optimization);
 //! * [`SfcIndex`] — the static baseline: full Z-transform + sort upfront,
@@ -13,10 +13,10 @@
 
 #![warn(missing_docs)]
 
-pub mod sfc_index;
-pub mod sfcracker;
-pub mod zorder;
+pub(crate) mod sfc_index;
+pub(crate) mod sfcracker;
+pub(crate) mod zorder;
 
 pub use sfc_index::SfcIndex;
-pub use sfcracker::{SfCracker, SfCrackerStats};
-pub use zorder::{default_bits, ZGrid};
+pub use sfcracker::SfCracker;
+pub use zorder::ZGrid;

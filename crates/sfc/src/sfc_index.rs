@@ -55,20 +55,15 @@ impl<const D: usize> SfcIndex<D> {
     }
 
     /// Paper configuration: 10 bits/dim in 3-d, interval cap 256 (matching
-    /// [`crate::SfCracker::DEFAULT_MAX_RANGES`], so the static and the
+    /// `SfCracker::DEFAULT_MAX_RANGES`, so the static and the
     /// incremental variants answer queries with identical decompositions).
     pub fn build_default(data: Vec<Record<D>>) -> Self {
         Self::build(data, default_bits(D), 256)
     }
 
-    /// The underlying Z-grid.
-    pub fn grid(&self) -> &ZGrid<D> {
-        &self.grid
-    }
-
     /// Query returning the number of candidates tested (false-positive
     /// analysis for EXPERIMENTS.md).
-    pub fn query_counting(&self, query: &Aabb<D>, out: &mut Vec<u64>) -> usize {
+    pub(crate) fn query_counting(&self, query: &Aabb<D>, out: &mut Vec<u64>) -> usize {
         if self.data.is_empty() {
             return 0;
         }

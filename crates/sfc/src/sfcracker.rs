@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 /// Work counters for SFCracker (mirrors `QuasiiStats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SfCrackerStats {
+pub(crate) struct SfCrackerStats {
     /// Queries executed.
     pub queries: u64,
     /// Crack operations (one per new interval boundary).
@@ -62,7 +62,7 @@ impl<const D: usize> SfCracker<D> {
     /// average of 197 tightly covering intervals per query; capping at 256
     /// bounds per-query crack work while the exact-intersection filter keeps
     /// results correct.
-    pub const DEFAULT_MAX_RANGES: usize = 256;
+    pub(crate) const DEFAULT_MAX_RANGES: usize = 256;
 
     /// Paper configuration (10 bits/dim in 3-d, interval cap 256).
     pub fn with_default_bits(data: Vec<Record<D>>) -> Self {
@@ -70,7 +70,8 @@ impl<const D: usize> SfCracker<D> {
     }
 
     /// Work counters so far.
-    pub fn stats(&self) -> SfCrackerStats {
+    #[cfg(test)]
+    fn stats(&self) -> SfCrackerStats {
         self.stats
     }
 

@@ -10,7 +10,7 @@ use quasii_common::geom::Aabb;
 
 /// Paper-faithful bits/dimension: 10 for 3-d (30-bit codes), capped so the
 /// full code always fits in a `u64` with room to spare.
-pub const fn default_bits(d: usize) -> u32 {
+pub(crate) const fn default_bits(d: usize) -> u32 {
     let b = 32 / d as u32;
     if b > 16 {
         16
@@ -49,23 +49,13 @@ impl<const D: usize> ZGrid<D> {
         }
     }
 
-    /// Paper configuration over `universe` (10 bits/dim in 3-d).
-    pub fn with_default_bits(universe: Aabb<D>) -> Self {
-        Self::new(universe, default_bits(D))
-    }
-
-    /// Bits per dimension.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Total bits in a code.
-    pub fn code_bits(&self) -> u32 {
+    pub(crate) fn code_bits(&self) -> u32 {
         self.bits * D as u32
     }
 
     /// Largest valid code.
-    pub fn max_code(&self) -> u64 {
+    pub(crate) fn max_code(&self) -> u64 {
         (1u64 << self.code_bits()) - 1
     }
 

@@ -107,10 +107,10 @@
 
 mod manifest;
 mod order;
-pub mod recovery;
+pub(crate) mod recovery;
 
-pub use manifest::{part_path, MANIFEST_MAGIC, MANIFEST_VERSION};
-pub use recovery::{Recovery, RecoveryReport, ShardHealth, ShardStatus};
+pub use manifest::{part_path, MANIFEST_MAGIC};
+pub use recovery::{Recovery, RecoveryReport, ShardStatus};
 
 use order::{merge_sorted, sort_ids};
 use quasii::crack::key_of;
@@ -483,7 +483,7 @@ impl<const D: usize> ShardedQuasii<D> {
     }
 
     /// The poison marker as a structured error, if set.
-    pub fn poison_error(&self) -> Option<EnginePoisoned> {
+    pub(crate) fn poison_error(&self) -> Option<EnginePoisoned> {
         self.poisoned
             .clone()
             .map(|detail| EnginePoisoned { detail })

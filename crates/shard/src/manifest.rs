@@ -19,7 +19,7 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"QSIISHRD";
 /// and recovery can rebuild shards with zero healthy engines.
 /// Version 3 binds each part by its header word (see the module docs) and
 /// moved both checksums to `checksum64`.
-pub const MANIFEST_VERSION: u32 = 3;
+pub(crate) const MANIFEST_VERSION: u32 = 3;
 
 impl<const D: usize> ShardedQuasii<D> {
     /// Serializes the deployment as a **manifest** plus **one buffer per

@@ -1,9 +1,9 @@
 //! # quasii-suite
 //!
 //! Umbrella crate for the QUASII reproduction (Pavlovic et al., EDBT 2018).
-//! It re-exports every crate in the workspace so that the examples and
-//! integration tests (and downstream experiments) can depend on a single
-//! package.
+//! It holds the [`prelude`] the examples and integration tests import; code
+//! that needs more names a workspace crate directly (the root package depends
+//! on each of them).
 //!
 //! The interesting entry points:
 //!
@@ -24,16 +24,6 @@
 //!   that needs the writer is grouped by the admission controller onto the
 //!   batch path;
 //! * [`quasii_common`] — geometry, datasets, workloads, measurement.
-
-pub use quasii;
-pub use quasii_common;
-pub use quasii_grid;
-pub use quasii_mosaic;
-pub use quasii_obs;
-pub use quasii_rtree;
-pub use quasii_server;
-pub use quasii_sfc;
-pub use quasii_shard;
 
 /// Convenience prelude used by the examples.
 pub mod prelude {

@@ -10,8 +10,8 @@
 //! make a decision, which is exactly the property under test.
 
 use proptest::prelude::*;
+use quasii_obs as obs;
 use quasii_suite::prelude::*;
-use quasii_suite::quasii_obs as obs;
 
 /// Serializes tests that flip the global metrics switch.
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -43,8 +43,8 @@ fn dataset3(max: usize) -> impl Strategy<Value = Vec<Record<3>>> {
 type RunFingerprint = (
     Vec<Vec<u64>>,
     Vec<u64>,
-    quasii_suite::quasii::QuasiiStats,
-    quasii_suite::quasii::SealStats,
+    quasii::QuasiiStats,
+    quasii::SealStats,
 );
 
 fn run_engine(

@@ -6,7 +6,6 @@
 use quasii_common::dataset;
 use quasii_common::index::canonical_results;
 use quasii_suite::prelude::*;
-use quasii_suite::{quasii_obs, quasii_server};
 
 const DATA_N: usize = 2_500;
 const DATA_SEED: u64 = 141;
