@@ -21,6 +21,11 @@
 //!    converged, so nothing cracks it. Cracks run in parallel only across
 //!    engines: `quasii-shard` runs one writer job per shard.
 //!
+//! A batch whose crack phase created or refined a slice then seals every
+//! root slice it converged, before it returns: between writes every
+//! converged root slice is sealed, so the next batch, and any
+//! [`Quasii::read`] before it, classifies against current seals.
+//!
 //! Splitting a batch into the two phases is result- and state-transparent:
 //! sealed regions are immutable (a converged subtree never reorganizes), so
 //! the reads commute with the cracks, and the sealed traversal reproduces
@@ -156,7 +161,6 @@ impl<const D: usize> Quasii<D> {
         }
         let trap = self.panic_trap.take();
         self.ensure_init();
-        self.try_seal();
         if queries.is_empty() {
             return Ok(());
         }
@@ -165,19 +169,25 @@ impl<const D: usize> Quasii<D> {
 
         // Classify each query (`sealed_window`): every candidate sealed →
         // the shared-read phase; anything else → the crack phase, its
-        // window marked dirty for the next sweep. Classification is stable
-        // across the whole batch because the sealed phase mutates nothing
-        // and the crack phase runs after it (cracks only ever split
-        // unconverged slices, so a sealed query's window can never gain an
-        // unsealed candidate mid-batch).
+        // window's data span folded into `lo..hi`, the one span the crack
+        // phase can reorganize (cracks split slices in place, so the span
+        // holds whatever they make of it; it stays empty until a window
+        // does not). Classification is stable across the whole batch
+        // because the sealed phase mutates nothing and the crack phase runs
+        // after it (cracks only ever split unconverged slices, so a sealed
+        // query's window can never gain an unsealed candidate mid-batch).
         let span = obs::start();
         let mut sealed_jobs: Vec<usize> = Vec::new();
         let mut crack_jobs: Vec<usize> = Vec::new();
+        let (mut lo, mut hi) = (usize::MAX, 0);
         for (j, qe) in extended.iter().enumerate() {
             match self.sealed_window(qe) {
                 Ok(_) => sealed_jobs.push(j),
                 Err(window) => {
-                    self.mark_seal_dirty(window);
+                    if !window.is_empty() {
+                        lo = lo.min(self.root[window.start].begin);
+                        hi = hi.max(self.root[window.end - 1].end);
+                    }
                     crack_jobs.push(j);
                 }
             }
@@ -223,12 +233,19 @@ impl<const D: usize> Quasii<D> {
         }
 
         // Phase 2 — the adaptive `&mut` path for everything else, one query
-        // at a time in batch order.
+        // at a time in batch order. A slice converges only by being created
+        // or refined, so when neither count moved nothing new can seal;
+        // otherwise the batch seals what it converged before it returns.
         let span = obs::start();
+        let structure = |s: &crate::QuasiiStats| s.slices_created + s.slices_refined;
+        let before = structure(&self.rt.stats);
         for &j in &crack_jobs {
             self.run_one_caught(j, trap, &queries[j], &extended[j], &mut results[j])?;
         }
         finish_phase(span, obs::Phase::Crack);
+        if structure(&self.rt.stats) != before {
+            self.seal_converged(lo..hi);
+        }
         Ok(())
     }
 
@@ -398,8 +415,7 @@ mod tests {
             degenerate::identical::<2>(600),
             degenerate::shared_lower::<2>(600),
         ] {
-            let mut cfg = QuasiiConfig::with_tau(8).with_threads(4);
-            cfg.max_artificial_depth = 16;
+            let cfg = QuasiiConfig::with_tau(8).with_threads(4);
             let queries = [
                 Aabb::new([0.0; 2], [700.0; 2]),
                 Aabb::new([5.0; 2], [6.0; 2]),

@@ -1,6 +1,7 @@
 //! QUASII configuration and the τ threshold schedule (paper §5.1, Eq. 1).
 
 use crate::simd::SimdPolicy;
+use quasii_common::snapshot::{corrupt, SnapshotError};
 
 /// Which representative coordinate assigns an object to a slice.
 ///
@@ -23,6 +24,26 @@ pub enum AssignBy {
 }
 
 impl AssignBy {
+    /// The mode's word in the engine snapshot and the shard manifest.
+    pub fn code(self) -> u64 {
+        match self {
+            Self::Lower => 0,
+            Self::Center => 1,
+            Self::Upper => 2,
+        }
+    }
+
+    /// Inverse of [`code`](Self::code); an unknown word is a corrupt
+    /// snapshot or manifest.
+    pub fn from_code(v: u64) -> Result<Self, SnapshotError> {
+        match v {
+            0 => Ok(Self::Lower),
+            1 => Ok(Self::Center),
+            2 => Ok(Self::Upper),
+            other => Err(corrupt(format!("unknown assignment mode {other}"))),
+        }
+    }
+
     /// Parses the CLI/harness spelling (`lower` | `center` | `upper`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -38,9 +59,9 @@ impl AssignBy {
 ///
 /// The paper stresses that QUASII "has only one configuration parameter, a
 /// size threshold τ" — [`tau`](Self::tau). The remaining fields are the
-/// footnote-1 assignment choice and robustness guards absent from the paper
-/// (needed for adversarial inputs, e.g. millions of identical lower
-/// coordinates, where midpoint splits can never separate objects).
+/// footnote-1 assignment choice and three execution choices absent from
+/// the paper (read-phase threads, sealing, SIMD kernels), none of which
+/// changes a result.
 #[derive(Clone, Debug)]
 pub struct QuasiiConfig {
     /// Maximum number of objects in a fully refined slice at the *finest*
@@ -49,9 +70,6 @@ pub struct QuasiiConfig {
     pub tau: usize,
     /// Representative coordinate for slice assignment (paper: lower).
     pub assign_by: AssignBy,
-    /// Upper bound on recursive artificial (midpoint) splits per slice.
-    /// Guards against non-separable value distributions.
-    pub max_artificial_depth: usize,
     /// Most threads the read phase of one [`crate::Quasii::execute_batch`]
     /// runs on (its sealed queries): `0` (the default) resolves to the
     /// host's parallelism, `1` answers them on the calling thread and never
@@ -80,7 +98,6 @@ impl Default for QuasiiConfig {
         Self {
             tau: 60,
             assign_by: AssignBy::Lower,
-            max_artificial_depth: 64,
             threads: 0,
             seal: true,
             simd: SimdPolicy::Auto,
@@ -228,5 +245,16 @@ mod tests {
             assert_eq!(AssignBy::parse(name), Some(mode));
         }
         assert_eq!(AssignBy::parse("sideways"), None);
+    }
+
+    #[test]
+    fn assign_by_codes_round_trip() {
+        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
+            assert_eq!(AssignBy::from_code(mode.code()).ok(), Some(mode));
+        }
+        assert!(matches!(
+            AssignBy::from_code(3),
+            Err(SnapshotError::Corrupt(why)) if why == "unknown assignment mode 3"
+        ));
     }
 }

@@ -19,14 +19,17 @@ use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use quasii_common::geom::{Aabb, Record};
 
+/// Upper bound on recursive artificial (midpoint) splits per slice: a
+/// guard against value distributions no split can separate, past which the
+/// slice is force-refined. Not a tuning knob, so not in `QuasiiConfig`.
+const MAX_ARTIFICIAL_DEPTH: usize = 64;
+
 /// Immutable per-index parameters.
 pub(crate) struct Env<const D: usize> {
     /// τ thresholds per level (Eq. 1 schedule).
     pub tau: [usize; D],
     /// Assignment coordinate (paper default: lower).
     pub mode: AssignBy,
-    /// Recursion guard for artificial refinement.
-    pub max_artificial_depth: usize,
     /// Kernel generation for the streaming test kernels (bottom-level
     /// collect, sealed lane tests), resolved once at engine construction
     /// (see [`crate::simd`]).
@@ -213,7 +216,7 @@ fn artificial<const D: usize>(
         out.push(s);
         return;
     }
-    if depth >= env.max_artificial_depth {
+    if depth >= MAX_ARTIFICIAL_DEPTH {
         out.push(force_refine(cols, s, rt));
         return;
     }

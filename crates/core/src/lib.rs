@@ -134,34 +134,23 @@ pub struct Quasii<const D: usize> {
     /// Sealed arenas over converged top-level slices, sorted by `begin`,
     /// disjoint, each covering exactly one root slice's range (see
     /// [`seal`]). A seal is permanent: its root slice has converged, so no
-    /// later query reorganizes it.
+    /// later query reorganizes it. Between writes every converged root
+    /// slice is sealed: the write that converges one seals it.
     seals: Vec<SealedRegion<D>>,
-    /// Structure fingerprint (`slices_created + slices_refined`) at the
-    /// last seal sweep; [`u64::MAX`] (the initial state) forces the first.
-    seal_stamp: u64,
-    /// Seal lifecycle counters ([`SealStats`] cells), held in the shared
-    /// registry group type so batch workers and snapshot restore use the
-    /// same snapshot/merge idiom as the global metrics.
-    seal_stats: obs::CounterGroup<{ SealStats::CELLS }>,
+    /// Queries answered through [`read`](Self::read) with every candidate
+    /// sealed ([`SealStats::sealed_queries`]): an atomic sum, so concurrent
+    /// readers book through `&self`.
+    sealed_queries: obs::CounterGroup<1>,
     /// The work of [`read`](Self::read), `[queries, objects tested]`: atomic
     /// sums, so concurrent readers book through `&self`. [`stats`](Self::stats)
     /// adds them to `rt.stats`; a snapshot writes the sum and a load starts
     /// them at 0.
     reads: obs::CounterGroup<2>,
-    /// Cached sum of sealed region lengths, written by `try_seal` only
-    /// (`validate()` checks it): the fully-sealed steady state is detected
-    /// with one integer compare per query.
+    /// Cached sum of sealed region lengths, written by
+    /// [`seal_converged`](Self::seal_converged) only (`validate()` checks
+    /// it): the fully-sealed steady state is detected with one integer
+    /// compare per query.
     sealed_record_count: usize,
-    /// Data-space spans whose slices may have newly converged since the
-    /// last sweep — every crack-path query records its candidate window
-    /// here, and [`try_seal`](Self::try_seal) rechecks only unsealed root
-    /// slices overlapping a recorded span: structural change is confined
-    /// to the windows of the queries that caused it, so the sweep never
-    /// re-walks untouched subtrees. Capped; overflow collapses into one
-    /// covering span.
-    seal_dirty: Vec<(usize, usize)>,
-    /// Forces the next sweep to recheck every root slice (initial state).
-    seal_dirty_all: bool,
     /// Set when a batch worker panicked: the hierarchy may be mid-crack
     /// inconsistent, so the engine refuses to answer (structured
     /// [`EnginePoisoned`], never a silent wrong result) until
@@ -189,7 +178,6 @@ impl<const D: usize> Quasii<D> {
             env: Env {
                 tau,
                 mode: cfg.assign_by,
-                max_artificial_depth: cfg.max_artificial_depth,
                 simd,
             },
             rt: Runtime::new(),
@@ -200,12 +188,9 @@ impl<const D: usize> Quasii<D> {
             initialized: false,
             precomputed_keys: None,
             seals: Vec::new(),
-            seal_stamp: u64::MAX,
-            seal_stats: obs::CounterGroup::new(),
+            sealed_queries: obs::CounterGroup::new(),
             reads: obs::CounterGroup::new(),
             sealed_record_count: 0,
-            seal_dirty: Vec::new(),
-            seal_dirty_all: true,
             poisoned: None,
             panic_trap: None,
         }
@@ -239,7 +224,8 @@ impl<const D: usize> Quasii<D> {
     /// the per-dimension maximum object extent (needed for query extension),
     /// the dimension-0 assignment-key column (unless adopted precomputed
     /// via [`with_precomputed_keys`](Self::with_precomputed_keys)), then
-    /// the initial whole-dataset slice `s0`.
+    /// the initial whole-dataset slice `s0`, sealed at once if it has
+    /// already converged.
     fn ensure_init(&mut self) {
         if self.initialized {
             return;
@@ -280,6 +266,7 @@ impl<const D: usize> Quasii<D> {
         }
         let root = Slice::root(self.data.len(), bounds, self.env.tau[0]);
         self.root.push(root);
+        self.seal_converged(0..self.data.len());
     }
 
     /// The per-level τ thresholds in effect (Eq. 1 schedule).
@@ -378,8 +365,9 @@ impl<const D: usize> Quasii<D> {
 
     /// Recovers a poisoned engine. If every structural invariant still
     /// holds, the panic struck before any
-    /// reorganization went inconsistent: the poison marker is cleared and
-    /// all adaptive state survives ([`RepairOutcome::Revalidated`]).
+    /// reorganization went inconsistent: the poison marker is cleared, all
+    /// adaptive state survives, and whatever the failed batch converged
+    /// before the panic is sealed ([`RepairOutcome::Revalidated`]).
     /// Otherwise the engine is **rebuilt from its record multiset**
     /// ([`RepairOutcome::Rebuilt`]) — cracks only permute records in
     /// place, so the data itself survives any mid-crack panic, and a
@@ -396,6 +384,7 @@ impl<const D: usize> Quasii<D> {
                 .unwrap_or(false);
         if intact {
             self.poisoned = None;
+            self.seal_converged(0..self.data.len());
             return RepairOutcome::Revalidated;
         }
         let data = std::mem::take(&mut self.data);
@@ -420,20 +409,25 @@ impl<const D: usize> Quasii<D> {
 
     /// Compacts every converged top-level slice into a sealed arena (a
     /// no-op for slices already sealed or not yet converged, and with
-    /// [`QuasiiConfig::seal`] disabled). Runs automatically at the start of
-    /// every query and batch; calling it explicitly after a warm-up (or
-    /// [`finalize`](Self::finalize)) moves the sealing cost out of the next
-    /// query's latency. Initializes a fresh index first.
+    /// [`QuasiiConfig::seal`] disabled). Every write already seals what it
+    /// converged before it returns, so on an initialized engine this finds
+    /// nothing new; on a fresh one it initializes first, which is the one
+    /// place it can matter.
     pub fn seal(&mut self) {
         self.ensure_init();
-        self.try_seal();
+        self.seal_converged(0..self.data.len());
     }
 
     /// Seal lifecycle counters (regions sealed, queries served fully
-    /// sealed). Unlike [`stats`](Self::stats) these depend on batching
-    /// shape — see [`SealStats`].
+    /// sealed). Unlike [`stats`](Self::stats), `sealed_queries` depends on
+    /// batching shape — see [`SealStats`].
     pub fn seal_stats(&self) -> SealStats {
-        SealStats::from_group(&self.seal_stats)
+        let [sealed_queries] = self.sealed_queries.snapshot();
+        SealStats {
+            seals: self.seals.len() as u64,
+            unseals: 0,
+            sealed_queries,
+        }
     }
 
     /// Records currently covered by sealed regions.
@@ -461,21 +455,16 @@ impl<const D: usize> Quasii<D> {
                 .sum::<usize>()
     }
 
-    /// Sweeps the root list and seals newly converged top-level slices.
-    /// Skipped outright when the structure fingerprint is unchanged since
-    /// the last sweep, so the converged steady state pays one integer
-    /// compare per call.
-    pub(crate) fn try_seal(&mut self) {
-        if !self.cfg.seal || self.data.is_empty() {
+    /// Seals every converged, not yet sealed root slice that overlaps the
+    /// data span `span`. Every write calls it over the span its crack
+    /// queries could reorganize, so between writes every converged root
+    /// slice is sealed and [`read`](Self::read) sees it at once.
+    pub(crate) fn seal_converged(&mut self, span: Range<usize>) {
+        if !self.cfg.seal || span.is_empty() {
             return;
         }
-        let stamp = self.rt.stats.slices_created + self.rt.stats.slices_refined;
-        if self.seal_stamp == stamp {
-            return;
-        }
-        self.seal_stamp = stamp;
-        let span = obs::start();
-        let seals_before = self.seal_stats.get(SealStats::SEALS);
+        let timer = obs::start();
+        let before = self.seals.len();
         let mut kept = std::mem::take(&mut self.seals).into_iter().peekable();
         let mut out: Vec<SealedRegion<D>> = Vec::new();
         for s in &self.root {
@@ -485,57 +474,17 @@ impl<const D: usize> Quasii<D> {
             if let Some(region) = kept.next_if(|r| r.begin == s.begin) {
                 debug_assert_eq!(region.end, s.end, "a sealed root slice changed its range");
                 out.push(region);
-                continue;
-            }
-            // Only slices inside a dirty span can have changed convergence
-            // state since the last sweep; everything else stays skipped
-            // without walking its subtree.
-            let dirty = self.seal_dirty_all
-                || self
-                    .seal_dirty
-                    .iter()
-                    .any(|&(lo, hi)| s.begin < hi && s.end > lo);
-            if !dirty {
-                continue;
-            }
-            if let Some(region) = SealedRegion::build(s, &self.data) {
-                self.seal_stats.inc(SealStats::SEALS);
-                out.push(region);
+            } else if s.begin < span.end && s.end > span.start {
+                out.extend(SealedRegion::build(s, &self.data));
             }
         }
         debug_assert!(kept.next().is_none(), "a seal matches no root slice");
-        self.seal_dirty.clear();
-        self.seal_dirty_all = false;
         self.sealed_record_count = out.iter().map(SealedRegion::records).sum();
         self.seals = out;
-        let swept = self.seal_stats.get(SealStats::SEALS) - seals_before;
         if obs::enabled() {
             obs::registry::SEAL_SWEEPS_TOTAL.inc();
-            obs::registry::SEALS_TOTAL.add(swept);
-            obs::registry::SEAL_SWEEP_SECONDS.observe_since(span);
-        }
-    }
-
-    /// Records the root-slice window a crack-path query is about to visit:
-    /// the only slices it can reorganize, and so newly converge (see the
-    /// `seal_dirty` field).
-    pub(crate) fn mark_seal_dirty(&mut self, window: Range<usize>) {
-        const CAP: usize = 8;
-        if self.seal_dirty_all || window.is_empty() {
-            return;
-        }
-        let lo = self.root[window.start].begin;
-        let hi = self.root[window.end - 1].end;
-        if self.seal_dirty.len() >= CAP {
-            let cover = self
-                .seal_dirty
-                .drain(..)
-                .fold((lo, hi), |(alo, ahi), (blo, bhi)| {
-                    (alo.min(blo), ahi.max(bhi))
-                });
-            self.seal_dirty.push(cover);
-        } else {
-            self.seal_dirty.push((lo, hi));
+            obs::registry::SEALS_TOTAL.add((self.seals.len() - before) as u64);
+            obs::registry::SEAL_SWEEP_SECONDS.observe_since(timer);
         }
     }
 
@@ -545,9 +494,9 @@ impl<const D: usize> Quasii<D> {
     /// first slice whose minimum key exceeds the extended upper bound. `Ok`
     /// carries that window when every candidate is sealed
     /// ([`read`](Self::read) answers it over `&self`); `Err` carries the
-    /// window the crack path will visit, the one to
-    /// [`mark_seal_dirty`](Self::mark_seal_dirty), and is empty with
-    /// sealing off or no root list yet. In the fully converged steady state
+    /// window the crack path will visit, the only root slices it can
+    /// reorganize and so newly converge, and is empty with sealing off or
+    /// no root list yet. In the fully converged steady state
     /// the decision is one integer compare.
     pub(crate) fn sealed_window(&self, qe: &Aabb<D>) -> Result<Range<usize>, Range<usize>> {
         if !self.cfg.seal || self.root.is_empty() {
@@ -586,7 +535,8 @@ impl<const D: usize> Quasii<D> {
     /// `false` with nothing appended and nothing booked when the query
     /// needs the writer ([`try_execute_batch`](Self::try_execute_batch)): a
     /// candidate not sealed yet, sealing off, a fresh or a poisoned engine.
-    /// A read does not sweep for new seals; the next write does.
+    /// The write that converged a slice sealed it, so a read never waits
+    /// for a later write to see a seal.
     #[must_use]
     pub fn read(&self, q: &Aabb<D>, out: &mut Vec<u64>) -> bool {
         if self.poisoned.is_some() {
@@ -622,7 +572,7 @@ impl<const D: usize> Quasii<D> {
             }
         }
         self.reads.merge(&[1, tested]);
-        self.seal_stats.inc(SealStats::SEALED_QUERIES);
+        self.sealed_queries.inc(0);
         if obs::enabled() {
             obs::registry::QUERIES_TOTAL.inc();
             obs::registry::SEALED_QUERIES_TOTAL.inc();
@@ -667,11 +617,11 @@ impl<const D: usize> Quasii<D> {
 
     /// Serializes the whole engine — record permutation, key columns,
     /// slice-tree skeleton, every sealed arena, and all deterministic state
-    /// — into one versioned, checksummed, 8-aligned buffer. Initializes and
-    /// sweeps first, so the snapshot captures the post-sweep state; the
-    /// reloaded engine ([`from_snapshot`](Self::from_snapshot)) answers
-    /// every query **byte-identically** (ids, stats, permutation) to this
-    /// one. Fails only on big-endian hosts (the format is little-endian).
+    /// — into one versioned, checksummed, 8-aligned buffer. Initializes a
+    /// fresh engine first; the reloaded engine
+    /// ([`from_snapshot`](Self::from_snapshot)) answers every query
+    /// **byte-identically** (ids, stats, permutation) to this one. Fails
+    /// only on big-endian hosts (the format is little-endian).
     pub fn write_snapshot(&mut self) -> Result<Vec<u8>, snapshot::SnapshotError> {
         persist::write(self)
     }

@@ -13,7 +13,7 @@
 //! permutation) to the writer — the warm-start contract `tests/persist.rs`
 //! enforces property-based.
 //!
-//! # Buffer layout (format version 3)
+//! # Buffer layout (format version 4)
 //!
 //! All scalars little-endian; every section a multiple of 8 bytes, so each
 //! section (and in particular every region blob) starts 8-aligned. The
@@ -22,7 +22,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "QSIISNAP"
-//!      8     4  format version (u32, currently 3)
+//!      8     4  format version (u32, currently 4)
 //!     12     4  dimensionality D (u32)
 //!     16     8  checksum64 of bytes[24..]  (the "header word")
 //!     24     8  total buffer length in bytes
@@ -51,16 +51,11 @@
 //!
 //! ```text
 //! u64 n                      record count
-//! u64 flags                  bit 0 initialized (always 1), bit 1 seal_dirty_all
-//! u64 ×5                     config: tau, assign_by (0|1|2), max_artificial_depth,
-//!                            threads, seal (0|1)
+//! u64 ×4                     config: tau, assign_by (0|1|2), threads, seal (0|1)
 //! u64 ×10                    QuasiiStats (deterministic work counters)
-//! u64 ×3                     SealStats: seals, unseals (retired: written 0,
-//!                            ignored on load), sealed_queries
-//! u64                        seal_stamp
+//! u64                        SealStats::sealed_queries
 //! f64 ×2D                    ext_low, ext_high (query extension amounts)
 //! f64 ×2D                    data_bounds lo, hi
-//! u64 + pairs                seal-dirty spans: count, then (lo, hi) each
 //! u64 s                      stored rows: the records outside every seal
 //! s × (u64 + 2D f64)         those records in permuted order, span after
 //!                            span: id, mbb lo, mbb hi
@@ -80,6 +75,12 @@
 //! (`hi = -nhi` is exact), and leaves its key windows zero (every sealed
 //! slice is refined, and `crate::keys` speaks only for unrefined ones).
 //!
+//! Each fact is stored once. The seal count is the region table's length,
+//! and a written engine is always initialized. Every write leaves the seals
+//! current, so there is no pending seal work to record. The one fixed
+//! engine constant (`engine`'s artificial-split depth) is not stored, so a
+//! forged buffer cannot set it.
+//!
 //! # Versioning policy
 //!
 //! The format version is bumped on **any** layout change — there are no
@@ -87,9 +88,14 @@
 //! zero-copy and a silent misread would corrupt query results rather than
 //! fail loudly. A reader accepts exactly [`FORMAT_VERSION`]; anything else
 //! is [`SnapshotError::WrongVersion`], and callers re-crack from data
-//! instead. Scalars are defined little-endian: big-endian hosts get
-//! [`SnapshotError::Unsupported`] from both `write` and `load` (live
-//! indexing is unaffected — only the persistent form is LE-pinned).
+//! instead. Version 4 dropped from version 3 the flags word (its one
+//! meaningful bit was always set), `max_artificial_depth`, the seal and
+//! retired unseal counters, the seal stamp and the dirty-span section (a
+//! count, then a pair per span): six words on a snapshot without dirty
+//! spans. Every other byte kept its order. Scalars are defined
+//! little-endian: big-endian hosts get [`SnapshotError::Unsupported`] from
+//! both `write` and `load` (live indexing is unaffected — only the
+//! persistent form is LE-pinned).
 //!
 //! # Totality
 //!
@@ -123,7 +129,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub(crate) const FORMAT_VERSION: u32 = 3;
+pub(crate) const FORMAT_VERSION: u32 = 4;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -241,23 +247,6 @@ impl std::fmt::Debug for AlignedBytes {
 // Write path
 // ---------------------------------------------------------------------
 
-fn encode_assign(mode: AssignBy) -> u64 {
-    match mode {
-        AssignBy::Lower => 0,
-        AssignBy::Center => 1,
-        AssignBy::Upper => 2,
-    }
-}
-
-fn decode_assign(v: u64) -> Result<AssignBy, SnapshotError> {
-    match v {
-        0 => Ok(AssignBy::Lower),
-        1 => Ok(AssignBy::Center),
-        2 => Ok(AssignBy::Upper),
-        other => Err(corrupt(format!("unknown assignment mode {other}"))),
-    }
-}
-
 fn write_slice<const D: usize>(w: &mut Writer, s: &Slice<D>) {
     w.u64(s.level as u64);
     w.u64(s.begin as u64);
@@ -300,9 +289,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
             "a poisoned engine (a worker panicked mid-batch; call repair() first)",
         ));
     }
-    // Initialize and sweep first: a snapshot captures the post-sweep state.
     idx.ensure_init();
-    idx.try_seal();
 
     let n = idx.data.len();
     debug_assert!(idx.keys.is_built(n), "`write` runs after `ensure_init`");
@@ -314,8 +301,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     let slice_bytes = (8 + 2 * D) * 8;
     let blob_bytes: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
     let total = FRAME_LEN
-        + (21 + 4 * D) * 8 // scalars up to the bounds
-        + 8 + idx.seal_dirty.len() * 16
+        + (16 + 4 * D) * 8 // scalars up to the bounds
         + 8 + stored * (record_bytes + 16)
         + 8 + idx.slice_count() * slice_bytes
         + 8 + idx.seals.len() * 32
@@ -324,10 +310,8 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     let reserved = w.capacity();
 
     w.u64(n as u64);
-    w.u64(u64::from(idx.initialized) | (u64::from(idx.seal_dirty_all) << 1));
     w.u64(idx.cfg.tau as u64);
-    w.u64(encode_assign(idx.cfg.assign_by));
-    w.u64(idx.cfg.max_artificial_depth as u64);
+    w.u64(idx.cfg.assign_by.code());
     w.u64(idx.cfg.threads as u64);
     w.u64(u64::from(idx.cfg.seal));
     let st = idx.stats();
@@ -345,11 +329,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     ] {
         w.u64(v);
     }
-    let [seals, sealed_queries] = idx.seal_stats.snapshot();
-    for v in [seals, 0, sealed_queries] {
-        w.u64(v);
-    }
-    w.u64(idx.seal_stamp);
+    w.u64(idx.seal_stats().sealed_queries);
     for d in 0..D {
         w.f64(idx.ext_low[d]);
     }
@@ -361,11 +341,6 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     }
     for d in 0..D {
         w.f64(idx.data_bounds.hi[d]);
-    }
-    w.u64(idx.seal_dirty.len() as u64);
-    for &(lo, hi) in &idx.seal_dirty {
-        w.u64(lo as u64);
-        w.u64(hi as u64);
     }
 
     // The records outside the seals, in the engine's current (cracked)
@@ -556,15 +531,9 @@ fn decode<const D: usize>(
     let mut r = Reader::new(buf.as_bytes(), FRAME_LEN);
 
     let n = r.index("record count")?;
-    let flags = r.u64()?;
-    if flags & 1 == 0 || flags > 0b11 {
-        return Err(corrupt(format!("unknown snapshot flags {flags:#x}")));
-    }
-    let seal_dirty_all = flags & 2 != 0;
     let cfg = QuasiiConfig {
         tau: r.index("tau")?,
-        assign_by: decode_assign(r.u64()?)?,
-        max_artificial_depth: r.index("max_artificial_depth")?,
+        assign_by: AssignBy::from_code(r.u64()?)?,
         threads: r.index("threads")?,
         seal: r.flag("seal flag")?,
         // The SIMD policy is a host property, not index state: a snapshot
@@ -588,10 +557,7 @@ fn decode<const D: usize>(
     ] {
         *slot = r.u64()?;
     }
-    let seals = r.u64()?;
-    r.u64()?; // the retired unseals word
-    let seal_cells = [seals, r.u64()?];
-    let seal_stamp = r.u64()?;
+    let sealed_queries = r.u64()?;
     let mut ext_low = [0.0; D];
     let mut ext_high = [0.0; D];
     for v in &mut ext_low {
@@ -609,13 +575,6 @@ fn decode<const D: usize>(
         *v = r.f64()?;
     }
     let data_bounds = Aabb { lo: b_lo, hi: b_hi };
-    let dirty_count = r.index("dirty-span count")?;
-    let mut seal_dirty = Vec::new();
-    for _ in 0..dirty_count {
-        let lo = r.index("dirty span lo")?;
-        let hi = r.index("dirty span hi")?;
-        seal_dirty.push((lo, hi));
-    }
 
     // Bulk-decode the stored rows and their key columns: one bounds check
     // for the whole section, then fixed-stride entries — per-scalar
@@ -766,7 +725,6 @@ fn decode<const D: usize>(
         env: Env {
             tau: config::tau_schedule::<D>(n, cfg.tau),
             mode: cfg.assign_by,
-            max_artificial_depth: cfg.max_artificial_depth,
             simd: cfg.simd.resolve(),
         },
         rt,
@@ -777,12 +735,9 @@ fn decode<const D: usize>(
         initialized: true,
         precomputed_keys: None,
         seals,
-        seal_stamp,
-        seal_stats: quasii_obs::CounterGroup::from_snapshot(seal_cells),
+        sealed_queries: quasii_obs::CounterGroup::from_snapshot([sealed_queries]),
         reads: quasii_obs::CounterGroup::new(),
         sealed_record_count,
-        seal_dirty,
-        seal_dirty_all,
         poisoned: None,
         panic_trap: None,
     })
@@ -892,7 +847,7 @@ mod tests {
         // last byte (the decoder never looks at it).
         for (at, byte) in [
             (FRAME_LEN + 7, 0x7f),
-            (FRAME_LEN + 24, 9),
+            (FRAME_LEN + 16, 9),
             (snap.len() - 1, 0xa5),
         ] {
             let mut bad = snap.clone();
@@ -906,10 +861,10 @@ mod tests {
         }
     }
 
-    /// Offset of the stored-row count: the frame, the scalars up to the
-    /// bounds, then the seal-dirty spans.
-    fn stored_at<const D: usize>(idx: &Quasii<D>) -> usize {
-        FRAME_LEN + (21 + 4 * D) * 8 + 8 + 16 * idx.seal_dirty.len()
+    /// Offset of the stored-row count: the frame, then the scalars up to
+    /// the bounds.
+    fn stored_at<const D: usize>() -> usize {
+        FRAME_LEN + (16 + 4 * D) * 8
     }
 
     fn word(bytes: &[u8], at: usize) -> u64 {
@@ -924,7 +879,7 @@ mod tests {
     /// the layout names.
     fn expected_len<const D: usize>(idx: &Quasii<D>, stored: usize) -> usize {
         let blobs: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
-        stored_at(idx)
+        stored_at::<D>()
             + 8
             + stored * (8 + 16 * D + 16)
             + 8
@@ -960,7 +915,7 @@ mod tests {
         let sealed = idx.sealed_records();
         assert!(idx.seals[0].begin > 0 && idx.seals.last().unwrap().end < n);
         assert!(sealed > 0 && sealed < n);
-        assert_eq!(word(&snap, stored_at(&idx)), (n - sealed) as u64);
+        assert_eq!(word(&snap, stored_at::<3>()), (n - sealed) as u64);
         assert_eq!(snap.len(), expected_len(&idx, n - sealed));
 
         let mut re = Quasii::<3>::from_snapshot(snap.clone()).expect("load");
@@ -981,7 +936,7 @@ mod tests {
         idx.finalize();
         let snap = idx.write_snapshot().expect("write");
         assert_eq!(idx.sealed_fraction(), 1.0);
-        assert_eq!(word(&snap, stored_at(&idx)), 0);
+        assert_eq!(word(&snap, stored_at::<2>()), 0);
         assert_eq!(snap.len(), expected_len(&idx, 0));
         let mut re = Quasii::<2>::from_snapshot(snap.clone()).expect("load");
         assert_eq!(re.data(), idx.data());
@@ -996,7 +951,7 @@ mod tests {
         let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
         idx.finalize();
         let snap = idx.write_snapshot().expect("write");
-        let at = stored_at(&idx);
+        let at = stored_at::<2>();
 
         // More stored rows than records.
         let mut bad = snap.clone();

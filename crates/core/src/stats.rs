@@ -57,42 +57,25 @@ impl QuasiiStats {
 ///
 /// Kept **separate** from [`QuasiiStats`] on purpose: the deterministic
 /// work counters are bit-for-bit identical across thread counts, batch
-/// sizes and shard layouts, while seal counts depend on *when* sweeps run
-/// — a sweep runs once per call, so three chained batches may seal a
-/// region, and answer queries sealed, sooner than one big batch. Comparing
+/// sizes and shard layouts. [`seals`](Self::seals) is the number of sealed
+/// regions, which every write leaves current; only
+/// [`sealed_queries`](Self::sealed_queries) depends on how queries are
+/// batched — a query is answered sealed when its batch was classified
+/// after the write that sealed its slices, so three chained batches may
+/// answer queries sealed sooner than one big batch. Comparing
 /// `QuasiiStats` across execution shapes stays meaningful; seal counters
 /// are observability, not part of the determinism contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SealStats {
-    /// Regions compacted into sealed arenas. A seal is permanent, so each
-    /// region counts once in its life and this equals the number of
-    /// sealed regions.
+    /// Sealed regions. A seal is permanent, so each region counts once in
+    /// its life.
     pub seals: u64,
     /// Always 0: nothing unseals a region. Kept so that code building a
-    /// `SealStats` by field name still compiles; a snapshot writes its
-    /// word as 0 and a load ignores it.
+    /// `SealStats` by field name still compiles.
     pub unseals: u64,
     /// Queries answered entirely through sealed regions (no `&mut` state
     /// touched beyond counters).
     pub sealed_queries: u64,
-}
-
-impl SealStats {
-    /// Cell order inside the engine's [`quasii_obs::CounterGroup`] backing
-    /// store (the snapshot/merge idiom shared with the shard router).
-    pub(crate) const SEALS: usize = 0;
-    pub(crate) const SEALED_QUERIES: usize = 1;
-    pub(crate) const CELLS: usize = 2;
-
-    /// One consistent snapshot of the engine's seal-lifecycle group.
-    pub(crate) fn from_group(g: &quasii_obs::CounterGroup<{ Self::CELLS }>) -> Self {
-        let [seals, sealed_queries] = g.snapshot();
-        Self {
-            seals,
-            unseals: 0,
-            sealed_queries,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,8 +135,5 @@ mod tests {
     fn seal_stats_default_is_idle() {
         let s = SealStats::default();
         assert_eq!((s.seals, s.unseals, s.sealed_queries), (0, 0, 0));
-        let g = quasii_obs::CounterGroup::from_snapshot([3, 5]);
-        let s = SealStats::from_group(&g);
-        assert_eq!((s.seals, s.unseals, s.sealed_queries), (3, 0, 5));
     }
 }

@@ -60,11 +60,6 @@ fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
             index.sealed_records()
         ));
     }
-    // Seals are permanent, so every seal counted is one live region.
-    let (seals, regions) = (index.seal_stats().seals, index.seal_regions().len());
-    if seals != regions as u64 {
-        return Err(format!("{seals} seals counted but {regions} live regions"));
-    }
     let mut prev_end = 0usize;
     for (k, region) in index.seal_regions().iter().enumerate() {
         if region.begin < prev_end {

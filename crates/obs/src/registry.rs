@@ -37,9 +37,9 @@ pub static SEALED_QUERIES_TOTAL: Counter = Counter::new();
 pub static CRACKS_TOTAL: Counter = Counter::new();
 /// Records moved by crack kernels (mirrors `QuasiiStats::records_cracked`).
 pub static RECORDS_CRACKED_TOTAL: Counter = Counter::new();
-/// Seal-sweep latencies (`try_seal` with work to do).
+/// Seal-pass latencies (a write that changed the tree, init, repair, `seal()`).
 pub static SEAL_SWEEP_SECONDS: Histogram = Histogram::new();
-/// Seal sweeps that actually walked the root list.
+/// Seal passes over the root list (the same passes).
 pub static SEAL_SWEEPS_TOTAL: Counter = Counter::new();
 /// Regions sealed (each once: a seal is permanent).
 pub static SEALS_TOTAL: Counter = Counter::new();
@@ -234,14 +234,14 @@ pub(crate) static DEFS: &[Def] = &[
     },
     Def {
         name: "quasii_seal_sweep_seconds",
-        help: "Seal sweep latency (sweeps with work to do)",
+        help: "Seal pass latency (a write that changed the tree, init, repair, seal())",
         labels: "",
         unit: Unit::Seconds,
         metric: Metric::Histogram(&SEAL_SWEEP_SECONDS),
     },
     Def {
         name: "quasii_seal_sweeps_total",
-        help: "Seal sweeps that walked the root list",
+        help: "Seal passes (a write that changed the tree, init, repair, seal())",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&SEAL_SWEEPS_TOTAL),

@@ -36,13 +36,13 @@
 //!   [`Quasii::try_execute_batch`]. This is the one way cracks run in
 //!   parallel: an engine cracks one query at a time on the thread that
 //!   runs its job. No thread is created per batch. A converged query never
-//!   enters the writer; the writer's engines sweep for new seals before
-//!   they classify, so a query the read phase left them is decided there
-//!   exactly as if the whole batch had come. The only pool scope that
-//!   still nests is such an engine's own read phase inside its shard job
-//!   (at most [`QuasiiConfig::threads`] threads): a shard job works on its
-//!   nested list instead of waiting for a worker, so the process computes
-//!   on no more threads than the host has CPUs.
+//!   enters the writer. Every write leaves its engines' seals current, so
+//!   an engine classifies a query the read phase left it exactly as the
+//!   read phase did, as if the whole batch had come. The only pool scope
+//!   that still nests is such an engine's own read phase inside its shard
+//!   job (at most [`QuasiiConfig::threads`] threads): a shard job works on
+//!   its nested list instead of waiting for a worker, so the process
+//!   computes on no more threads than the host has CPUs.
 //!
 //! ## Determinism
 //!
@@ -52,8 +52,8 @@
 //! fixed at construction), so each shard always sees the same query
 //! subsequence in the same order, and the engine runs its crack queries
 //! in that order (see `quasii::Quasii::execute_batch`). A query the read
-//! phase answers is one the shard's engine would have read too (sweeps
-//! only add seals), and reads change no structure.
+//! phase answers is one the shard's engine would have read too (both see
+//! the seals the last write left), and reads change no structure.
 //!
 //! ## Persistence
 //!
@@ -123,6 +123,29 @@ use quasii_common::pool;
 use quasii_obs as obs;
 use std::ops::Range;
 
+/// Most keys the boundary planner samples (stride-subsampled
+/// deterministically, no RNG): a fixed constant of the build, not a knob,
+/// so neither a config nor a manifest carries it.
+const SAMPLE_CAP: usize = 4096;
+
+/// Routes `(record, dimension-0 key)` pairs to the shards whose fence
+/// ranges own their keys, keeping their relative order: one
+/// `(records, keys)` pair per fence range, in shard order. The one
+/// partition pass of a deployment, shared by [`ShardedQuasii::new`] and
+/// [`Recovery::rebuild`].
+pub(crate) fn partition<const D: usize>(
+    fences: &KeyFences,
+    keyed: impl IntoIterator<Item = (Record<D>, f64)>,
+) -> Vec<(Vec<Record<D>>, Vec<f64>)> {
+    let mut parts = vec![(Vec::new(), Vec::new()); fences.parts()];
+    for (r, k) in keyed {
+        let (records, keys) = &mut parts[fences.owner_of(k)];
+        records.push(r);
+        keys.push(k);
+    }
+    parts
+}
+
 /// Tuning knobs of [`ShardedQuasii`].
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
@@ -139,9 +162,6 @@ pub struct ShardConfig {
     /// phase's jobs sequentially in order. Results are identical for every
     /// value.
     pub shard_threads: usize,
-    /// Upper bound on the number of keys the boundary planner samples
-    /// (stride-subsampled deterministically, no RNG).
-    pub sample_cap: usize,
     /// Configuration handed to every per-shard engine; its
     /// [`threads`](QuasiiConfig::threads) field caps the engine's own read
     /// phase, which runs nested inside the shard's writer job.
@@ -153,7 +173,6 @@ impl Default for ShardConfig {
         Self {
             shards: 1,
             shard_threads: 0,
-            sample_cap: 4096,
             inner: QuasiiConfig::default(),
         }
     }
@@ -313,20 +332,10 @@ impl<const D: usize> ShardedQuasii<D> {
         let fences = if cfg.shards <= 1 {
             KeyFences::single()
         } else {
-            KeyFences::equi_depth_sampled(&all_keys, cfg.shards, cfg.sample_cap)
+            KeyFences::equi_depth_sampled(&all_keys, cfg.shards, SAMPLE_CAP)
         };
-        let mut parts: Vec<Vec<Record<D>>> = Vec::with_capacity(fences.parts());
-        parts.resize_with(fences.parts(), Vec::new);
-        let mut part_keys: Vec<Vec<f64>> = Vec::with_capacity(fences.parts());
-        part_keys.resize_with(fences.parts(), Vec::new);
-        for (r, k) in data.into_iter().zip(all_keys) {
-            let owner = fences.owner_of(k);
-            parts[owner].push(r);
-            part_keys[owner].push(k);
-        }
-        let shards = parts
+        let shards = partition(&fences, data.into_iter().zip(all_keys))
             .into_iter()
-            .zip(part_keys)
             .map(|(p, k)| Quasii::with_precomputed_keys(p, k, cfg.inner.clone()))
             .collect();
         Self {
@@ -427,9 +436,8 @@ impl<const D: usize> ShardedQuasii<D> {
     }
 
     /// Seals every shard's converged top-level slices (see
-    /// [`Quasii::seal`]): after a warm-up — or [`finalize`](Self::finalize)
-    /// — this moves every shard onto the shared-read path up front instead
-    /// of at its next query.
+    /// [`Quasii::seal`]). Every write already leaves its shards' seals
+    /// current, so this only initializes shards no query has reached yet.
     pub fn seal(&mut self) {
         self.map_shards(Quasii::seal);
     }
@@ -974,10 +982,9 @@ mod tests {
     #[test]
     fn degenerate_keys_collapse_into_one_shard() {
         let data = degenerate::identical::<2>(600);
-        let mut cfg = ShardConfig::default()
+        let cfg = ShardConfig::default()
             .with_shards(5)
             .with_inner(QuasiiConfig::with_tau(8));
-        cfg.inner.max_artificial_depth = 16;
         let mut idx = ShardedQuasii::new(data.clone(), cfg);
         assert_eq!(
             idx.shard_count(),
@@ -1194,6 +1201,23 @@ mod tests {
         assert_eq!(out, expect);
         assert_eq!(idx.router_stats().queries, router.queries + 1);
         assert_eq!(idx.router_stats().shard_visits, router.shard_visits + 1);
+    }
+
+    #[test]
+    fn a_converging_write_is_readable_without_another_write() {
+        // A batch of slabs over shard 0's low keys, across the whole y, z
+        // extent, converges the root slices it covers; the write seals
+        // them before it returns, so a query inside reads at once.
+        let (data, mut idx) = two_shards(&[]);
+        let slab = Aabb::new([0.0; 3], [100.0, 601.0, 601.0]);
+        assert_eq!(route(&idx, &slab), 0..1);
+        idx.execute_batch(&[slab; 4]);
+        let inside = Aabb::new([30.0; 3], [60.0; 3]);
+        assert_eq!(route(&idx, &inside), 0..1);
+        let mut out = Vec::new();
+        assert!(idx.read(&inside, &mut out), "no write in between");
+        assert_eq!(out, brute_force(&data, &inside));
+        assert!(idx.engines()[0].seal_stats().seals > 0);
     }
 
     #[test]

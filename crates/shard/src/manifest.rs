@@ -19,7 +19,9 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"QSIISHRD";
 /// and recovery can rebuild shards with zero healthy engines.
 /// Version 3 binds each part by its header word (see the module docs) and
 /// moved both checksums to `checksum64`.
-pub(crate) const MANIFEST_VERSION: u32 = 3;
+/// Version 4 dropped the planner's sample cap and the engines'
+/// artificial-split depth, both fixed constants of the build.
+pub(crate) const MANIFEST_VERSION: u32 = 4;
 
 impl<const D: usize> ShardedQuasii<D> {
     /// Serializes the deployment as a **manifest** plus **one buffer per
@@ -31,9 +33,6 @@ impl<const D: usize> ShardedQuasii<D> {
     /// most `shard_threads` threads, as they are loaded; the first error in
     /// shard order is returned, so it is the same for every thread count,
     /// and so are the bytes. The manifest is written after all the parts.
-    ///
-    /// Like the engine's `write_snapshot`, this sweeps pending seal work
-    /// first, so a snapshot captures the post-sweep state.
     pub fn write_snapshot_parts(&mut self) -> Result<(Vec<u8>, Vec<Vec<u8>>), SnapshotError> {
         if self.is_poisoned() {
             return Err(SnapshotError::Unsupported(
@@ -51,10 +50,8 @@ impl<const D: usize> ShardedQuasii<D> {
             self.shards.len() as u64,
             self.cfg.shards as u64,
             self.cfg.shard_threads as u64,
-            self.cfg.sample_cap as u64,
             self.cfg.inner.tau as u64,
-            assign_code(self.cfg.inner.assign_by),
-            self.cfg.inner.max_artificial_depth as u64,
+            self.cfg.inner.assign_by.code(),
             self.cfg.inner.threads as u64,
             self.cfg.inner.seal as u64,
         ] {
@@ -130,7 +127,6 @@ impl<const D: usize> ShardedQuasii<D> {
             cfg: ShardConfig {
                 shards: m.requested_shards,
                 shard_threads: m.shard_threads,
-                sample_cap: m.sample_cap,
                 inner: m.inner,
             },
             ext_low0: m.ext_low0,
@@ -216,24 +212,6 @@ pub fn part_path(path: &Path, generation: u64, shard: usize) -> PathBuf {
     path.with_file_name(format!("{name}.g{generation}.part{shard}"))
 }
 
-/// Manifest encoding of [`AssignBy`] (mirrors the engine snapshot's).
-fn assign_code(mode: AssignBy) -> u64 {
-    match mode {
-        AssignBy::Lower => 0,
-        AssignBy::Center => 1,
-        AssignBy::Upper => 2,
-    }
-}
-
-fn assign_from_code(v: u64) -> Result<AssignBy, SnapshotError> {
-    match v {
-        0 => Ok(AssignBy::Lower),
-        1 => Ok(AssignBy::Center),
-        2 => Ok(AssignBy::Upper),
-        other => Err(corrupt(format!("unknown assignment mode {other}"))),
-    }
-}
-
 /// Binds one shard buffer to its manifest entry
 /// `(record count, length, header word)` and revives its engine — the
 /// per-shard unit of work the parallel load path fans out. The entry is
@@ -274,7 +252,6 @@ pub(crate) struct Manifest {
     pub(crate) generation: u64,
     pub(crate) requested_shards: usize,
     pub(crate) shard_threads: usize,
-    pub(crate) sample_cap: usize,
     pub(crate) inner: QuasiiConfig,
     pub(crate) ext_low0: f64,
     pub(crate) ext_high0: f64,
@@ -325,11 +302,9 @@ pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), Snapsh
     }
     let requested_shards = r.index("requested shard count")?;
     let shard_threads = r.index("shard threads")?;
-    let sample_cap = r.index("sample cap")?;
     let inner = QuasiiConfig {
         tau: r.index("tau")?,
-        assign_by: assign_from_code(r.u64()?)?,
-        max_artificial_depth: r.index("max artificial depth")?,
+        assign_by: AssignBy::from_code(r.u64()?)?,
         threads: r.index("inner threads")?,
         seal: r.flag("seal flag")?,
         // SIMD dispatch is a host property, never persisted: re-resolve on
@@ -371,7 +346,6 @@ pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), Snapsh
             generation,
             requested_shards,
             shard_threads,
-            sample_cap,
             inner,
             ext_low0,
             ext_high0,
@@ -400,7 +374,7 @@ mod tests {
         assert_eq!(re.router_stats(), idx.router_stats());
         assert_eq!(re.stats(), idx.stats());
         assert_eq!(re.config().shards, idx.config().shards);
-        assert_eq!(re.config().sample_cap, idx.config().sample_cap);
+        assert_eq!(re.config().shard_threads, idx.config().shard_threads);
         for (a, b) in re.engines().iter().zip(idx.engines()) {
             assert_eq!(a.data(), b.data(), "per-shard permutation");
         }
@@ -416,8 +390,8 @@ mod tests {
 
     #[test]
     fn part_bytes_do_not_depend_on_the_thread_count() {
-        // A finalized shard has converged but not been swept since, so each
-        // write job seals its whole shard before it writes.
+        // `finalize` is a write, so each shard job seals its whole shard
+        // before it returns; the parts then store sealed arenas only.
         for finalize in [false, true] {
             let what = if finalize { "finalized" } else { "warmed" };
             let written: Vec<_> = [1, 2, 4]
@@ -426,14 +400,11 @@ mod tests {
                     let (mut idx, _) = warmed_deployment();
                     idx.cfg.shard_threads = threads;
                     if finalize {
+                        let before = idx.sealed_fraction();
                         idx.finalize();
-                    }
-                    let before = idx.sealed_fraction();
-                    let parts = idx.write_snapshot_parts().expect("write parts");
-                    if finalize {
                         assert!(before < 1.0 && idx.sealed_fraction() == 1.0);
                     }
-                    parts
+                    idx.write_snapshot_parts().expect("write parts")
                 })
                 .collect();
             let (manifest, parts) = &written[0];
@@ -643,10 +614,8 @@ mod tests {
             huge,     // shard count
             huge,     // requested shards
             1,        // shard threads
-            4096,     // sample cap
             60,       // tau
             0,        // assign mode
-            64,       // max artificial depth
             0,        // inner threads
             1,        // seal
             0,        // ext_low0

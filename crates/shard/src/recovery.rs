@@ -15,7 +15,7 @@
 //! never served.
 
 use crate::manifest::{load_shard, parse_manifest, part_path, Manifest};
-use crate::ShardedQuasii;
+use crate::{partition, ShardedQuasii};
 use quasii::crack::key_of;
 use quasii::snapshot::SnapshotError;
 use quasii::{KeyFences, Quasii};
@@ -173,18 +173,9 @@ impl<const D: usize> Recovery<D> {
             )));
         }
         let mode = self.manifest.inner.assign_by;
-        let parts_n = self.fences.parts();
-        let mut parts: Vec<Vec<Record<D>>> = Vec::with_capacity(parts_n);
-        parts.resize_with(parts_n, Vec::new);
-        let mut part_keys: Vec<Vec<f64>> = Vec::with_capacity(parts_n);
-        part_keys.resize_with(parts_n, Vec::new);
-        for r in records {
-            let k = key_of(r, 0, mode);
-            let owner = self.fences.owner_of(k);
-            parts[owner].push(*r);
-            part_keys[owner].push(k);
-        }
-        for (k, part) in parts.iter().enumerate() {
+        let keyed = records.iter().map(|r| (*r, key_of(r, 0, mode)));
+        let parts = partition(&self.fences, keyed);
+        for (k, (part, _)) in parts.iter().enumerate() {
             if part.len() != self.manifest.shards[k].0 {
                 return Err(corrupt(format!(
                     "source data routes {} records to shard {k}, manifest says {} — \
@@ -195,7 +186,7 @@ impl<const D: usize> Recovery<D> {
             }
         }
         let mut rebuilt = 0;
-        for (k, (part, keys)) in parts.into_iter().zip(part_keys).enumerate() {
+        for (k, (part, keys)) in parts.into_iter().enumerate() {
             if !matches!(self.report.shards[k].status, ShardStatus::Quarantined(_)) {
                 continue;
             }

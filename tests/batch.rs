@@ -111,10 +111,10 @@ fn larger_fixed_workload_is_deterministic_across_thread_counts() {
     }
 }
 
-/// Where an engine snapshot records `QuasiiConfig::threads`: the sixth word
-/// after the frame (`n`, flags, tau, assign_by, max_artificial_depth,
-/// threads; see `quasii::snapshot`).
-const THREADS_WORD: usize = quasii_common::snapshot::FRAME_LEN + 5 * 8;
+/// Where an engine snapshot records `QuasiiConfig::threads`: the fourth
+/// word after the frame (`n`, tau, assign_by, threads; see
+/// `quasii::snapshot`).
+const THREADS_WORD: usize = quasii_common::snapshot::FRAME_LEN + 3 * 8;
 
 /// Runs `first` then `second` on a fresh engine at `threads` and returns
 /// its snapshot with the two words that name the thread count blanked: the

@@ -297,7 +297,17 @@ fn worker_panics_poison_then_repair_restores_byte_identity() {
 
     for (shard, query_index) in [(0, 0), (1, 2), (2, 5)] {
         let mut idx = ShardedQuasii::new(data.clone(), cfg.clone());
-        idx.execute_batch(&queries[..8]);
+        // A short warm-up: every write seals what it converged, and a trap
+        // in a converged shard waits (see `inject_panic_at`), so each
+        // trapped shard must still have crack work past `query_index`.
+        idx.execute_batch(&queries[..6]);
+        let engine = &idx.engines()[shard];
+        assert!(engine.sealed_fraction() < 1.0, "shard {shard} converged");
+        let unreadable = queries.iter().filter(|q| !engine.can_read(q)).count();
+        assert!(
+            unreadable > query_index,
+            "shard {shard}: {unreadable} crack queries"
+        );
         idx.inject_panic_at(shard, query_index);
         let err = idx
             .try_execute_batch(&queries)

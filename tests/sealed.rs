@@ -84,8 +84,8 @@ proptest! {
                     &got, want,
                     "ids diverged at query {:?}, read first: {}", q, read_first
                 );
-                // `validate` also checks that every seal counted is one
-                // live region: no region is sealed more than once.
+                // `validate` also checks that the seals are disjoint, each
+                // one root slice's range: no region is sealed more than once.
                 idx.validate().map_err(|e| {
                     TestCaseError::fail(format!("invariants: {e}"))
                 })?;
@@ -117,7 +117,7 @@ proptest! {
             let mut got: Vec<Vec<u64>> = Vec::new();
             for batch in queries.chunks(chunk) {
                 got.extend(idx.execute_batch(batch));
-                // Also: every seal counted is one live region.
+                // Also: the seals are disjoint, each one root slice's range.
                 idx.validate().map_err(|e| {
                     TestCaseError::fail(format!("invariants at threads={threads}: {e}"))
                 })?;
@@ -212,6 +212,47 @@ fn a_spanning_crack_query_keeps_its_seals() {
     idx.validate().unwrap();
 }
 
+/// Every write leaves the seals current: right after a batch that
+/// converges slices, a single query and `finalize`, an explicit `seal()`
+/// finds nothing new, and a read inside a converged region needs no write
+/// in between.
+#[test]
+fn seals_are_current_after_every_write() {
+    let data = dataset::uniform_boxes_in::<3>(6_000, 1_000.0, 211);
+    let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(8));
+    let seal_finds_nothing = |idx: &mut Quasii<3>, after: &str| {
+        let (seals, fraction) = (idx.seal_stats().seals, idx.sealed_fraction());
+        idx.seal();
+        assert_eq!(idx.seal_stats().seals, seals, "seal() after {after}");
+        assert_eq!(idx.sealed_fraction(), fraction, "seal() after {after}");
+        idx.validate().unwrap();
+    };
+
+    // A batch of slabs over the low keys, across the whole y, z extent.
+    let slab = Aabb::new([0.0; 3], [250.0, 1_001.0, 1_001.0]);
+    for (q, hits) in [slab; 4].iter().zip(idx.execute_batch(&[slab; 4])) {
+        assert_matches_brute_force(&data, q, &hits);
+    }
+    seal_finds_nothing(&mut idx, "a converging batch");
+    assert!(idx.seal_stats().seals > 0, "the batch converged slices");
+    let inside = Aabb::new([60.0; 3], [120.0; 3]);
+    let mut out = Vec::new();
+    assert!(
+        idx.read(&inside, &mut out),
+        "the batch sealed what it converged"
+    );
+    assert_matches_brute_force(&data, &inside, &out);
+
+    // A single query spanning sealed and unsealed key ranges.
+    let spanning = Aabb::new([0.0; 3], [900.0, 400.0, 400.0]);
+    assert_matches_brute_force(&data, &spanning, &idx.query_collect(&spanning));
+    seal_finds_nothing(&mut idx, "a single query");
+
+    idx.finalize();
+    assert_eq!(idx.sealed_fraction(), 1.0, "finalize seals everything");
+    seal_finds_nothing(&mut idx, "finalize");
+}
+
 /// Degenerate: a dataset at or below τ₀ refines at the root immediately;
 /// the first query materializes the default-child chain, after which the
 /// whole index seals as a single region.
@@ -243,8 +284,7 @@ fn forced_refine_datasets_seal_above_tau() {
         Aabb::new([0.0; 3], [700.0; 3]),
         Aabb::new([5.5; 3], [5.6; 3]),
     ];
-    let mut cfg = QuasiiConfig::with_tau(10);
-    cfg.max_artificial_depth = 16;
+    let cfg = QuasiiConfig::with_tau(10);
 
     let mut orc = Quasii::new(data.clone(), cfg.clone().with_seal(false));
     let expect: Vec<Vec<u64>> = queries.iter().map(|q| orc.query_collect(q)).collect();

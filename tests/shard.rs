@@ -200,10 +200,9 @@ fn degenerate_single_shard_ownership() {
     ];
     let reference = canonical_reference(&data, &queries, 8);
     for shards in SHARD_COUNTS {
-        let mut cfg = ShardConfig::default()
+        let cfg = ShardConfig::default()
             .with_shards(shards)
             .with_inner(QuasiiConfig::with_tau(8));
-        cfg.inner.max_artificial_depth = 16;
         let mut idx = ShardedQuasii::new(data.clone(), cfg);
         let populated: Vec<usize> = idx
             .snapshots()
