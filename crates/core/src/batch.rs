@@ -3,36 +3,43 @@
 //! [`Quasii::try_execute_batch`] is the engine's one `&mut` write: every
 //! other entry point that may crack (`execute_batch`, `SpatialIndex::query`
 //! as a one-query batch answering into the caller's buffer, `finalize`)
-//! wraps it. It classifies every query once (`Quasii::sealed_window`, the
-//! same call [`Quasii::read`] makes) and runs the batch in **two phases**:
+//! wraps it. It classifies every query once (`Quasii::readable_window`, the
+//! same test [`Quasii::read`] makes) and runs the batch in **two phases**:
 //!
-//! 1. **Shared-read phase** — queries whose whole §5.2 candidate window is
-//!    covered by sealed arenas (see [`crate::seal`]) are pure reads: a pool
-//!    map of [`Quasii::read`], one job per query over a shared `&self`,
-//!    handed to the process-wide worker pool ([`quasii_common::pool`]): the
+//! 1. **Shared-read phase** — queries that crack nothing (no slice on
+//!    their path would be cracked or grow a default child) are pure reads:
+//!    a pool map of the `&self` read, one job per query over a shared
+//!    `&self`, each reading its sealed root slices from their arenas (see
+//!    [`crate::seal`]) and the rest from the live slice tree. The jobs go
+//!    to the process-wide worker pool ([`quasii_common::pool`]): the
 //!    calling thread claims jobs off an atomic cursor, up to `threads − 1`
 //!    idle pool workers join it, and every job writes into its own slot.
 //!    With `threads = 1` the jobs run inline without touching the pool. In
 //!    the converged regime this phase is the entire batch.
 //! 2. **Crack phase** — everything else runs through the adaptive `&mut`
 //!    machinery of [`crate::engine`], one query at a time in batch order on
-//!    the calling thread, like the paper's Algorithm 1. A sealed slice such
-//!    a query reaches is read through the tree and stays sealed: it has
-//!    converged, so nothing cracks it. Cracks run in parallel only across
-//!    engines: `quasii-shard` runs one writer job per shard.
+//!    the calling thread, like the paper's Algorithm 1. A converged slice
+//!    such a query reaches is read by the same live descent the read phase
+//!    uses, and a sealed one stays sealed: nothing cracks it. Cracks run in
+//!    parallel only across engines: `quasii-shard` runs one writer job per
+//!    shard.
 //!
 //! A batch whose crack phase created or refined a slice then seals every
 //! root slice it converged, before it returns: between writes every
 //! converged root slice is sealed, so the next batch, and any
-//! [`Quasii::read`] before it, classifies against current seals.
+//! [`Quasii::read`] before it, reads arenas wherever they can exist.
 //!
 //! Splitting a batch into the two phases is result- and state-transparent:
-//! sealed regions are immutable (a converged subtree never reorganizes), so
-//! the reads commute with the cracks, and the sealed traversal reproduces
-//! the engine's own visit order operation for operation. Results, the final
-//! hierarchy, the data permutation and the stats are therefore bit-for-bit
-//! identical for every thread count and however the queries are split into
-//! batches.
+//! a readable query's path holds no node a crack changes. A crack only
+//! splits an unrefined slice or gives a refined, childless one its default
+//! child, and the readable path holds neither. A slice the read skipped
+//! (by the key window or its bounding box) stays skipped once split: its
+//! pieces' boxes lie inside its box and their keys inside its key range.
+//! So the reads commute with the cracks, and both the arena and the live
+//! read descent reproduce the writer's visit order operation for operation.
+//! Results, the final hierarchy, the data permutation and the stats are
+//! therefore bit-for-bit identical for every thread count and however the
+//! queries are split into batches.
 
 use crate::engine;
 use crate::{EnginePoisoned, Quasii};
@@ -40,6 +47,7 @@ use obs::finish_phase;
 use quasii_common::geom::Aabb;
 use quasii_common::pool::{self, panic_message};
 use quasii_obs as obs;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The one-shot test trap: panics when the worker reaches the trapped
@@ -62,8 +70,8 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// Executes a batch of range queries — sealed reads in parallel, cracks
-    /// in batch order — and returns one id vector per query (in `queries`
+    /// Executes a batch of range queries — reads in parallel, cracks in
+    /// batch order — and returns one id vector per query (in `queries`
     /// order).
     ///
     /// Results, the final hierarchy and the stats counters are bit-for-bit
@@ -167,22 +175,22 @@ impl<const D: usize> Quasii<D> {
         let threads = self.effective_threads();
         let extended: Vec<Aabb<D>> = queries.iter().map(|q| self.extend_query(q)).collect();
 
-        // Classify each query (`sealed_window`): every candidate sealed →
-        // the shared-read phase; anything else → the crack phase, its
-        // window's data span folded into `lo..hi`, the one span the crack
-        // phase can reorganize (cracks split slices in place, so the span
-        // holds whatever they make of it; it stays empty until a window
-        // does not). Classification is stable across the whole batch
-        // because the sealed phase mutates nothing and the crack phase runs
-        // after it (cracks only ever split unconverged slices, so a sealed
-        // query's window can never gain an unsealed candidate mid-batch).
+        // Classify each query (`readable_window`): cracks nothing → the
+        // shared-read phase, with its root window; anything else → the
+        // crack phase, its window's data span folded into `lo..hi`, the one
+        // span the crack phase can reorganize (cracks split slices in place,
+        // so the span holds whatever they make of it; it stays empty until
+        // a window does not). Classification is stable across the whole
+        // batch because the read phase mutates nothing and the crack phase
+        // runs after it (see the module docs for why a crack never reaches
+        // a readable query's path).
         let span = obs::start();
-        let mut sealed_jobs: Vec<usize> = Vec::new();
+        let mut read_jobs: Vec<(usize, Range<usize>)> = Vec::new();
         let mut crack_jobs: Vec<usize> = Vec::new();
         let (mut lo, mut hi) = (usize::MAX, 0);
         for (j, qe) in extended.iter().enumerate() {
-            match self.sealed_window(qe) {
-                Ok(_) => sealed_jobs.push(j),
+            match self.readable_window(&queries[j], qe) {
+                Ok(window) => read_jobs.push((j, window)),
                 Err(window) => {
                     if !window.is_empty() {
                         lo = lo.min(self.root[window.start].begin);
@@ -194,35 +202,34 @@ impl<const D: usize> Quasii<D> {
         }
         finish_phase(span, obs::Phase::Classify);
 
-        // Phase 1 — a pool map of `read` over the sealed queries: one job
-        // per query over `&self`, each appending to its own result slot
-        // (taken out for the phase).
-        // Reads commute with the crack phase below: sealed regions are
-        // immutable, and a crack query that reaches one only reads it.
-        if !sealed_jobs.is_empty() {
+        // Phase 1 — a pool map of the `&self` read over the readable
+        // queries, on the windows classification approved: one job per
+        // query, each appending to its own result slot (taken out for the
+        // phase). Reads commute with the crack phase below: no crack
+        // reaches a node a readable query visits.
+        if !read_jobs.is_empty() {
             let span = obs::start();
-            let mut slots: Vec<Vec<u64>> = sealed_jobs
+            let mut slots: Vec<Vec<u64>> = read_jobs
                 .iter()
-                .map(|&j| std::mem::take(&mut results[j]))
+                .map(|&(j, _)| std::mem::take(&mut results[j]))
                 .collect();
             let this: &Quasii<D> = self;
             let failed = pool::for_each_mut(&mut slots, threads, |t, out| {
-                let j = sealed_jobs[t];
-                trap_check(trap, j);
-                let answered = this.read(&queries[j], out);
-                debug_assert!(answered, "query {j} was classified sealed");
+                let (j, window) = &read_jobs[t];
+                trap_check(trap, *j);
+                this.read_window(&queries[*j], &extended[*j], window.clone(), out);
             });
-            for (&j, out) in sealed_jobs.iter().zip(slots) {
+            for (&(j, _), out) in read_jobs.iter().zip(slots) {
                 results[j] = out;
             }
             finish_phase(span, obs::Phase::SealedRead);
             if let Err(p) = failed {
-                // The sealed phase mutates nothing, so the structure is
+                // The read phase mutates nothing, so the structure is
                 // intact — but the batch's results are incomplete, so the
                 // engine still refuses to pretend it answered (repair()
                 // will revalidate).
                 self.poison(format!(
-                    "worker panic during sealed batch phase: {}",
+                    "worker panic during batch read phase: {}",
                     p.message
                 ));
                 return Err(self.poison_error().expect("poison just set"));
@@ -250,9 +257,9 @@ impl<const D: usize> Quasii<D> {
     }
 
     /// Runs one crack-path query (Algorithm 1 over the whole slice tree,
-    /// cracking as it goes; sealed slices it reaches are read through the
-    /// tree and left unchanged) on the calling thread under `catch_unwind`;
-    /// a panic poisons the engine and surfaces as `Err`.
+    /// cracking as it goes; converged slices it reaches are read through
+    /// the tree and left unchanged) on the calling thread under
+    /// `catch_unwind`; a panic poisons the engine and surfaces as `Err`.
     fn run_one_caught(
         &mut self,
         j: usize,

@@ -18,6 +18,7 @@ use crate::simd::{self, SimdLevel};
 use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use quasii_common::geom::{Aabb, Record};
+use std::ops::Range;
 
 /// Upper bound on recursive artificial (midpoint) splits per slice: a
 /// guard against value distributions no split can separate, past which the
@@ -78,6 +79,12 @@ impl<'a, const D: usize> Cols<'a, D> {
         &self.data[s.begin..s.end]
     }
 
+    /// The whole record column.
+    #[inline]
+    fn data(&self) -> &[Record<D>] {
+        self.data
+    }
+
     /// The `(keys, his, records)` triple of `s`, in crack-kernel argument
     /// order.
     #[inline]
@@ -103,6 +110,7 @@ fn placeholder<const D: usize>() -> Slice<D> {
         key_lo: 0.0,
         refined: true,
         keys_fresh: true,
+        converged: false,
         children: Vec::new(),
     }
 }
@@ -147,11 +155,13 @@ fn make_sub<const D: usize>(
         // Crack kernels permute the column pair in lockstep, so every crack
         // output range still caches its own-level keys and upper bounds.
         keys_fresh: true,
+        converged: false,
         children: Vec::new(),
     };
     if s.len() <= env.tau[dim] {
         s.measure_exact(cols.records(&s));
         s.refined = true;
+        s.converged = dim + 1 == D;
     } else {
         s.bbox.lo[dim] = db.min_lo;
         s.bbox.hi[dim] = db.max_hi;
@@ -169,6 +179,7 @@ fn force_refine<const D: usize>(
 ) -> Slice<D> {
     s.measure_exact(cols.records(&s));
     s.refined = true;
+    s.converged = s.level + 1 == D;
     rt.stats.forced_refinements += 1;
     rt.stats.slices_refined += 1;
     s
@@ -328,8 +339,10 @@ pub(crate) fn refine<const D: usize>(
     out
 }
 
-/// Visits one query-overlapping slice: scans it at the bottom level or
-/// recurses into its children (materializing the default child first).
+/// Visits one query-overlapping refined slice: a converged one through the
+/// read descent ([`read_slice`]), anything else by recursing into its
+/// children (materializing the default child first). The visit that
+/// leaves every child converged marks the slice converged.
 fn descend<const D: usize>(
     cols: &mut Cols<'_, D>,
     s: &mut Slice<D>,
@@ -339,23 +352,12 @@ fn descend<const D: usize>(
     rt: &mut Runtime<D>,
     out: &mut Vec<u64>,
 ) {
-    if s.level + 1 == D {
-        // Bottom level: test the actual objects against the original query.
-        // Predicated collect — every id is written, the write cursor
-        // advances by the (branch-free) intersection result, and the
-        // over-provisioned tail is truncated: the converged fast path pays
-        // no unpredictable branch per record and exactly one reservation.
-        // `collect_bottom` dispatches to the batched AABB kernel (one
-        // vector compare pair per record at D == 2/3) or the scalar
-        // branchless loop, with identical emissions either way.
-        let seg = cols.records(s);
-        rt.stats.objects_tested += seg.len() as u64;
-        let start = out.len();
-        out.resize(start + seg.len(), 0);
-        let w = simd::collect_bottom(env.simd, seg, q, &mut out[start..]);
-        out.truncate(start + w);
+    debug_assert!(s.refined, "only refined slices are descended");
+    if s.converged {
+        rt.stats.objects_tested += read_slice(cols.data(), s, q, qe, env.simd, out);
         return;
     }
+    debug_assert!(s.level + 1 < D, "a refined bottom-level slice is converged");
     if s.children.is_empty() {
         let child = s.default_child(env.tau[s.level + 1]);
         rt.note_slice(&child);
@@ -363,6 +365,80 @@ fn descend<const D: usize>(
         s.children.push(child);
     }
     query_level(cols, &mut s.children, q, qe, env, rt, out);
+    s.converged = s.children.iter().all(|c| c.converged);
+}
+
+/// The candidate window of a sibling list (all one level, sorted by
+/// minimum assignment key) for the extended query `qe`: the §5.2 "extended
+/// binary search". The slice *before* the partition point may still
+/// straddle `qe.lo` (its keys end somewhere below the next slice's
+/// minimum), so the window steps one back; it ends before the first slice
+/// whose minimum key exceeds `qe.hi`, past which no key can qualify.
+pub(crate) fn window<const D: usize>(slices: &[Slice<D>], qe: &Aabb<D>) -> Range<usize> {
+    let Some(first) = slices.first() else {
+        return 0..0;
+    };
+    let dim = first.level;
+    let start = slices
+        .partition_point(|s| s.key_lo < qe.lo[dim])
+        .saturating_sub(1);
+    start..start + slices[start..].partition_point(|s| s.key_lo <= qe.hi[dim])
+}
+
+/// The slices of a sibling list that a query visits: its [`window`],
+/// minus those whose bounding box misses `q`.
+fn visited<'a, const D: usize>(
+    slices: &'a [Slice<D>],
+    q: &'a Aabb<D>,
+    qe: &Aabb<D>,
+) -> impl Iterator<Item = &'a Slice<D>> {
+    slices[window(slices, qe)]
+        .iter()
+        .filter(move |s| q.intersects(&s.bbox))
+}
+
+/// Whether a query that visits `s` cracks nothing and creates nothing at
+/// or below it: `s` has converged, or it is refined with children and every
+/// child the query visits passes the same test. An unrefined slice fails
+/// (the query cracks it), and so does a refined, childless non-bottom one
+/// (the query grows its default child).
+pub(crate) fn cracks_nothing<const D: usize>(s: &Slice<D>, q: &Aabb<D>, qe: &Aabb<D>) -> bool {
+    s.converged
+        || (s.refined
+            && !s.children.is_empty()
+            && visited(&s.children, q, qe).all(|c| cracks_nothing(c, q, qe)))
+}
+
+/// The live read descent: answers `q` below a visited slice `s` that
+/// [`cracks_nothing`], over the shared tree and the data array `data`,
+/// appending ids in the order `query_level` would and returning the objects
+/// tested. It reproduces the level loop's probe, break and bounding-box
+/// skip, and tests the records of each bottom-level slice it reaches with
+/// the predicated [`simd::collect_bottom`]: every id is written, the write
+/// cursor advances by the branch-free intersection result, and the
+/// over-provisioned tail is truncated.
+pub(crate) fn read_slice<const D: usize>(
+    data: &[Record<D>],
+    s: &Slice<D>,
+    q: &Aabb<D>,
+    qe: &Aabb<D>,
+    simd: SimdLevel,
+    out: &mut Vec<u64>,
+) -> u64 {
+    if s.children.is_empty() {
+        debug_assert!(s.level + 1 == D, "a readable path ends at the bottom level");
+        let seg = &data[s.begin..s.end];
+        let start = out.len();
+        out.resize(start + seg.len(), 0);
+        let w = simd::collect_bottom(simd, seg, q, &mut out[start..]);
+        out.truncate(start + w);
+        return seg.len() as u64;
+    }
+    let mut tested = 0;
+    for c in visited(&s.children, q, qe) {
+        tested += read_slice(data, c, q, qe, simd, out);
+    }
+    tested
 }
 
 /// Algorithm 1: processes one level's slice list depth-first, refining
@@ -382,28 +458,15 @@ pub(crate) fn query_level<const D: usize>(
     rt: &mut Runtime<D>,
     out: &mut Vec<u64>,
 ) {
-    if slices.is_empty() {
-        return;
-    }
-    let dim = slices[0].level;
-    debug_assert!(slices.iter().all(|s| s.level == dim));
-
-    // Binary search (§5.2's "extended binary search"): sibling lists are
-    // sorted by minimum assignment key. The slice *before* the partition
-    // point may still straddle qe.lo (its keys end somewhere below the next
-    // slice's minimum), so step one back.
-    let start = slices
-        .partition_point(|s| s.key_lo < qe.lo[dim])
-        .saturating_sub(1);
+    debug_assert!(slices.windows(2).all(|w| w[0].level == w[1].level));
 
     // Allocated lazily on the first refinement: in the fully converged
     // regime every overlapping slice takes the `descend` fast path below and
     // steady-state queries perform no allocation besides the result vector.
+    // The loop swaps a placeholder in only at the index it is on, so the
+    // window computed up front stays the one it walks.
     let mut replacements: Option<Vec<(usize, Vec<Slice<D>>)>> = None;
-    for i in start..slices.len() {
-        if slices[i].key_lo > qe.hi[dim] {
-            break; // sorted by key: nothing further can hold a qualifying key
-        }
+    for i in window(slices, qe) {
         if !q.intersects(&slices[i].bbox) {
             continue;
         }

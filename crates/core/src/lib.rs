@@ -137,9 +137,8 @@ pub struct Quasii<const D: usize> {
     /// later query reorganizes it. Between writes every converged root
     /// slice is sealed: the write that converges one seals it.
     seals: Vec<SealedRegion<D>>,
-    /// Queries answered through [`read`](Self::read) with every candidate
-    /// sealed ([`SealStats::sealed_queries`]): an atomic sum, so concurrent
-    /// readers book through `&self`.
+    /// Queries answered over `&self` ([`SealStats::sealed_queries`]): an
+    /// atomic sum, so concurrent readers book through `&self`.
     sealed_queries: obs::CounterGroup<1>,
     /// The work of [`read`](Self::read), `[queries, objects tested]`: atomic
     /// sums, so concurrent readers book through `&self`. [`stats`](Self::stats)
@@ -488,87 +487,123 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// The one place an extended query is decided sealed or crack, over
-    /// the root-slice candidate window `query_level` would iterate: the
-    /// §5.2 partition-point probe with the "step one back" rule, up to the
-    /// first slice whose minimum key exceeds the extended upper bound. `Ok`
-    /// carries that window when every candidate is sealed
-    /// ([`read`](Self::read) answers it over `&self`); `Err` carries the
-    /// window the crack path will visit, the only root slices it can
-    /// reorganize and so newly converge, and is empty with sealing off or
-    /// no root list yet. In the fully converged steady state
-    /// the decision is one integer compare.
-    pub(crate) fn sealed_window(&self, qe: &Aabb<D>) -> Result<Range<usize>, Range<usize>> {
+    /// The one place a query is decided read or write. Over the root-slice
+    /// candidate window `query_level` would iterate ([`engine::window`]),
+    /// `Ok` carries that window when the query cracks nothing and creates
+    /// nothing: every candidate is skipped by its bounding box or passes
+    /// [`engine::cracks_nothing`] (a sealed one has converged, so it
+    /// passes). [`read`](Self::read) then answers it over `&self`. `Err`
+    /// carries the window the writer will visit, the only root slices it
+    /// can reorganize and so newly converge; it is empty with no root list
+    /// yet. With sealing off nothing is readable: that configuration is the
+    /// pure writer, the reference every read is checked against. In the
+    /// fully sealed steady state the decision is one integer compare.
+    pub(crate) fn readable_window(
+        &self,
+        q: &Aabb<D>,
+        qe: &Aabb<D>,
+    ) -> Result<Range<usize>, Range<usize>> {
+        let cand = engine::window(&self.root, qe);
         if !self.cfg.seal || self.root.is_empty() {
-            return Err(0..0);
+            return Err(cand);
         }
-        let start = self
-            .root
-            .partition_point(|s| s.key_lo < qe.lo[0])
-            .saturating_sub(1);
-        let end = start + self.root[start..].partition_point(|s| s.key_lo <= qe.hi[0]);
-        let cand = start..end;
-        let sealed = self.sealed_record_count == self.data.len()
-            || cand.clone().all(|i| {
-                let begin = self.root[i].begin;
-                self.seals.binary_search_by_key(&begin, |r| r.begin).is_ok()
-            });
-        if sealed {
+        let readable = self.sealed_record_count == self.data.len()
+            || self.root[cand.clone()]
+                .iter()
+                .all(|s| !q.intersects(&s.bbox) || engine::cracks_nothing(s, q, qe));
+        if readable {
             Ok(cand)
         } else {
             Err(cand)
         }
     }
 
-    /// Whether [`read`](Self::read) would answer `q`: the same test it
+    /// Whether [`read`](Self::read) would answer `q`: no slice on its path
+    /// would be cracked or grow a default child. The same test `read`
     /// makes, booking nothing. A caller that must read several engines all
-    /// or none (`ShardedQuasii::read`) asks each one first.
+    /// or none (`ShardedQuasii::read`) asks each one first, then reads each
+    /// through [`read_decided`](Self::read_decided).
     pub fn can_read(&self, q: &Aabb<D>) -> bool {
-        self.poisoned.is_none() && self.sealed_window(&self.extend_query(q)).is_ok()
+        self.poisoned.is_none() && self.readable_window(q, &self.extend_query(q)).is_ok()
     }
 
-    /// The `&self` read seam: answers `q` when every root-slice candidate
-    /// of its extended window is sealed, appending its ids to `out` exactly
-    /// as [`SpatialIndex::query`] would and booking the work (`queries`,
-    /// `objects_tested`, `sealed_queries`, the registry counters) as atomic
-    /// sums, so any number of threads may read one engine at once. Returns
-    /// `false` with nothing appended and nothing booked when the query
-    /// needs the writer ([`try_execute_batch`](Self::try_execute_batch)): a
-    /// candidate not sealed yet, sealing off, a fresh or a poisoned engine.
-    /// The write that converged a slice sealed it, so a read never waits
-    /// for a later write to see a seal.
+    /// The `&self` read seam: answers `q` when no slice on its path would
+    /// be cracked or grow a default child ([`can_read`](Self::can_read)),
+    /// appending its ids to `out` exactly as [`SpatialIndex::query`] would
+    /// and booking the work (`queries`, `objects_tested`, `sealed_queries`,
+    /// the registry counters) as atomic sums, so any number of threads may
+    /// read one engine at once. A sealed root slice is read from its arena,
+    /// any other from the live slice tree. Returns `false` with nothing
+    /// appended and nothing booked when the query needs the writer
+    /// ([`try_execute_batch`](Self::try_execute_batch)): a slice on its
+    /// path still cracks, sealing off, a fresh or a poisoned engine.
     #[must_use]
     pub fn read(&self, q: &Aabb<D>, out: &mut Vec<u64>) -> bool {
         if self.poisoned.is_some() {
             return false;
         }
         let qe = self.extend_query(q);
-        let Ok(cand) = self.sealed_window(&qe) else {
+        let Ok(cand) = self.readable_window(q, &qe) else {
             return false;
         };
-        // Reproduces `query_level`'s root-level loop (bounding-box skip
-        // included) and descends through the arenas. Seals are sorted by
-        // range like the root list, so one binary search positions a cursor
-        // that then advances in lockstep with the ascending candidates.
+        self.read_window(q, &qe, cand, out);
+        true
+    }
+
+    /// [`read`](Self::read) for a caller that found [`can_read`](Self::can_read)
+    /// true under the borrow it reads with, so the test is not made twice.
+    /// Reading a query that cannot be read still appends exactly its ids,
+    /// but in an order and with a tested count the writer would not
+    /// produce; debug builds assert the test instead.
+    pub fn read_decided(&self, q: &Aabb<D>, out: &mut Vec<u64>) {
+        debug_assert!(
+            self.can_read(q),
+            "read_decided of a query that needs the writer"
+        );
+        let qe = self.extend_query(q);
+        self.read_window(q, &qe, engine::window(&self.root, &qe), out);
+    }
+
+    /// The body of every `&self` read, over the root candidate window
+    /// `cand` that [`readable_window`](Self::readable_window) approved.
+    /// Reproduces `query_level`'s root-level loop (bounding-box skip
+    /// included) and reads each visited root slice through its arena when
+    /// it is sealed and through the live read descent
+    /// ([`engine::read_slice`]) otherwise. Seals are sorted by range like
+    /// the root list, so one binary search positions a cursor that then
+    /// advances in lockstep with the ascending candidates.
+    pub(crate) fn read_window(
+        &self,
+        q: &Aabb<D>,
+        qe: &Aabb<D>,
+        cand: Range<usize>,
+        out: &mut Vec<u64>,
+    ) {
         let mut tested = 0;
-        let first_begin = self.root[cand.start].begin;
-        let mut cursor = self.seals.partition_point(|r| r.begin < first_begin);
+        let first_begin = self.root.get(cand.start).map_or(0, |s| s.begin);
+        let mut seals = self.seals[self.seals.partition_point(|r| r.begin < first_begin)..]
+            .iter()
+            .peekable();
         for s in &self.root[cand] {
-            while self.seals[cursor].begin < s.begin {
-                cursor += 1;
-            }
-            let region = &self.seals[cursor];
-            debug_assert_eq!((region.begin, region.end), (s.begin, s.end));
+            // Every seal covers one root slice, so the cursor is either on
+            // this candidate's seal or past it.
+            let region = seals.next_if(|r| r.begin == s.begin);
             if !q.intersects(&s.bbox) {
                 continue;
             }
-            if q.contains(&s.bbox) {
-                // The whole region qualifies: one contiguous id copy (see
-                // `SealedRegion::walk` for why this equals the full
-                // descent's output and tested count).
-                tested += region.emit_all(out);
-            } else {
-                tested += region.run(q, &qe, out, self.env.simd);
+            match region {
+                Some(region) => {
+                    debug_assert_eq!((region.begin, region.end), (s.begin, s.end));
+                    if q.contains(&s.bbox) {
+                        // The whole region qualifies: one contiguous id copy
+                        // (see `SealedRegion::walk` for why this equals the
+                        // full descent's output and tested count).
+                        tested += region.emit_all(out);
+                    } else {
+                        tested += region.run(q, qe, out, self.env.simd);
+                    }
+                }
+                None => tested += engine::read_slice(&self.data, s, q, qe, self.env.simd, out),
             }
         }
         self.reads.merge(&[1, tested]);
@@ -577,7 +612,6 @@ impl<const D: usize> Quasii<D> {
             obs::registry::QUERIES_TOTAL.inc();
             obs::registry::SEALED_QUERIES_TOTAL.inc();
         }
-        true
     }
 
     /// Query extension (§5.2): reorganization must consider the query grown

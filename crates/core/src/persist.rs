@@ -454,6 +454,11 @@ fn read_slice<const D: usize>(
             )));
         }
     }
+    let refined = flags & 1 != 0;
+    // The cached convergence flag is derived, not stored: refined, and at
+    // the bottom level or over children that all converged.
+    let converged = refined
+        && (level + 1 == D || (!children.is_empty() && children.iter().all(|c| c.converged)));
     Ok(Slice {
         level,
         begin,
@@ -462,8 +467,9 @@ fn read_slice<const D: usize>(
         cut_lo,
         cut_hi,
         key_lo,
-        refined: flags & 1 != 0,
+        refined,
         keys_fresh: flags & 2 != 0,
+        converged,
         children,
     })
 }
@@ -658,12 +664,18 @@ fn decode<const D: usize>(
         while root_cursor < root.len() && root[root_cursor].begin < begin {
             root_cursor += 1;
         }
-        if root
+        let Some(slice) = root
             .get(root_cursor)
-            .is_none_or(|s| s.begin != begin || s.end != end)
-        {
+            .filter(|s| s.begin == begin && s.end == end)
+        else {
             return Err(corrupt(format!(
                 "region {k} covers {begin}..{end}, which matches no top-level slice"
+            )));
+        };
+        // A seal is permanent only over a slice no query can crack.
+        if !slice.converged {
+            return Err(corrupt(format!(
+                "region {k} covers {begin}..{end}, an unconverged top-level slice"
             )));
         }
         root_cursor += 1;
@@ -983,6 +995,27 @@ mod tests {
         let mut bad = snap;
         put_word(&mut bad, FRAME_LEN, 1 << 60);
         forged_reason::<2>(bad);
+    }
+
+    /// A seal is permanent only over a converged root slice: a forged
+    /// skeleton that unrefines a sealed slice is refused by name.
+    #[test]
+    fn a_seal_over_an_unconverged_slice_is_named_corrupt() {
+        let data = uniform_boxes_in::<2>(500, 50.0, 13);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
+        idx.finalize();
+        let snap = idx.write_snapshot().expect("write");
+        let at = stored_at::<2>();
+        assert_eq!(word(&snap, at), 0, "fully sealed: no stored rows");
+        // The first root slice's flags word: after the stored-row count,
+        // the root count, and the slice's level, begin and end.
+        let flags_at = at + 8 + 8 + 3 * 8;
+        let flags = word(&snap, flags_at);
+        assert_eq!(flags & 1, 1, "a sealed root slice is refined");
+        let mut bad = snap;
+        put_word(&mut bad, flags_at, flags & !1);
+        let why = forged_reason::<2>(bad);
+        assert!(why.contains("an unconverged top-level slice"), "{why}");
     }
 
     #[test]

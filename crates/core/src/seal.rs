@@ -220,7 +220,7 @@ impl<const D: usize> SealedRegion<D> {
     /// without materialized children — its first visit would still mutate
     /// the tree) or is too large for the `u32` arena offsets.
     pub(crate) fn build(root: &Slice<D>, data: &[Record<D>]) -> Option<Self> {
-        if !root.subtree_converged() || root.len() > u32::MAX as usize {
+        if !root.converged || root.len() > u32::MAX as usize {
             return None;
         }
         if data[root.begin..root.end]

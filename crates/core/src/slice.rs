@@ -45,6 +45,11 @@ pub(crate) struct Slice<const D: usize> {
     /// `refine` cracks from): once refined, descendants re-key sub-ranges
     /// for deeper dimensions and this flag is never consulted again.
     pub keys_fresh: bool,
+    /// Cached [`subtree_converged`](Self::subtree_converged): set when a
+    /// refined bottom-level slice is created, and for a refined non-bottom
+    /// slice by the query that converges its last child. Never cleared: a
+    /// converged subtree never reorganizes.
+    pub converged: bool,
     /// Sub-slices at `level + 1`, sorted by `begin`, partitioning
     /// `begin..end`. Only ever non-empty on refined slices.
     pub children: Vec<Slice<D>>,
@@ -79,6 +84,7 @@ impl<const D: usize> Slice<D> {
             // First-query initialization builds the dimension-0 column in
             // the same pass that measures `data_bounds`.
             keys_fresh: true,
+            converged: n <= tau0 && D == 1,
             children: Vec::new(),
         }
     }
@@ -90,6 +96,7 @@ impl<const D: usize> Slice<D> {
         debug_assert!(self.refined, "default children hang off refined slices");
         debug_assert!(self.level + 1 < D, "bottom level has no children");
         let l = self.level + 1;
+        let refined = self.len() <= tau_child;
         Self {
             level: l,
             begin: self.begin,
@@ -98,10 +105,11 @@ impl<const D: usize> Slice<D> {
             cut_lo: self.bbox.lo[l],
             cut_hi: self.bbox.hi[l],
             key_lo: f64::NEG_INFINITY,
-            refined: self.len() <= tau_child,
+            refined,
             // The range was last keyed for the parent's level; the child's
             // first crack re-keys it for level `l` (lazy per-level rebuild).
             keys_fresh: false,
+            converged: refined && l + 1 == D,
             children: Vec::new(),
         }
     }
@@ -132,6 +140,10 @@ impl<const D: usize> Slice<D> {
     /// non-bottom slice *without* children is not converged: its first
     /// visit still creates the default child (and may crack it, e.g. after
     /// a force-refinement above τ).
+    ///
+    /// Walks the subtree; the engine reads the cached
+    /// [`converged`](Self::converged) flag instead, and `validate` checks
+    /// the two agree.
     pub(crate) fn subtree_converged(&self) -> bool {
         if !self.refined {
             return false;
@@ -163,6 +175,11 @@ mod tests {
         assert_eq!((s.cut_lo, s.cut_hi), (0.0, 10.0));
         let tiny = Slice::<2>::root(10, b, 60);
         assert!(tiny.refined);
+        assert!(
+            !tiny.converged,
+            "refined above the bottom level, no children yet"
+        );
+        assert!(Slice::<1>::root(10, Aabb::new([0.0], [1.0]), 60).converged);
     }
 
     #[test]
@@ -177,8 +194,11 @@ mod tests {
         assert_eq!((child.cut_lo, child.cut_hi), (5.0, 25.0));
         assert!(!child.refined, "50 > τ_child = 10");
         assert!(!child.keys_fresh, "range was keyed for the parent's level");
+        assert!(!child.converged);
         let small_child = parent.default_child(60);
         assert!(small_child.refined);
+        assert!(small_child.converged, "a refined bottom-level slice");
+        assert_eq!(small_child.converged, small_child.subtree_converged());
     }
 
     #[test]

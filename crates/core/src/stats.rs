@@ -60,11 +60,11 @@ impl QuasiiStats {
 /// sizes and shard layouts. [`seals`](Self::seals) is the number of sealed
 /// regions, which every write leaves current; only
 /// [`sealed_queries`](Self::sealed_queries) depends on how queries are
-/// batched — a query is answered sealed when its batch was classified
-/// after the write that sealed its slices, so three chained batches may
-/// answer queries sealed sooner than one big batch. Comparing
-/// `QuasiiStats` across execution shapes stays meaningful; seal counters
-/// are observability, not part of the determinism contract.
+/// batched — a query is read when its batch was classified after the write
+/// that converged its path, so three chained batches may read queries
+/// sooner than one big batch. Comparing `QuasiiStats` across execution
+/// shapes stays meaningful; seal counters are observability, not part of
+/// the determinism contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SealStats {
     /// Sealed regions. A seal is permanent, so each region counts once in
@@ -73,8 +73,10 @@ pub struct SealStats {
     /// Always 0: nothing unseals a region. Kept so that code building a
     /// `SealStats` by field name still compiles.
     pub unseals: u64,
-    /// Queries answered entirely through sealed regions (no `&mut` state
-    /// touched beyond counters).
+    /// Queries answered over `&self`, reading no `&mut` state: every
+    /// [`Quasii::read`](crate::Quasii::read), from sealed arenas and from the
+    /// live slice tree alike. The name predates live reads and is kept
+    /// for the code and metrics that read it.
     pub sealed_queries: u64,
 }
 

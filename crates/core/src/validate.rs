@@ -21,8 +21,8 @@
 //! 9. every sealed region (see `crate::seal`) mirrors a converged top-level
 //!    slice exactly: matching data range, level-by-level SoA metadata equal
 //!    to the slice subtree, and record columns equal to the data array; the
-//!    cached sealed-record count equals the regions' total, and the seal
-//!    counter the number of regions (a seal is permanent).
+//!    cached sealed-record count equals the regions' total;
+//! 10. every slice's cached `converged` flag equals `subtree_converged()`.
 
 use crate::config::AssignBy;
 use crate::crack::key_of;
@@ -49,8 +49,9 @@ pub(crate) fn validate<const D: usize>(index: &Quasii<D>) -> Result<(), String> 
 }
 
 /// Invariant 9: every sealed arena is an exact compaction of a converged
-/// top-level slice, and the cached sealed-record count the fully-sealed
-/// fast path trusts is their total.
+/// top-level slice (`check_level` has already checked its flag against its
+/// subtree), and the cached sealed-record count the fully-sealed fast path
+/// trusts is their total.
 fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
     let (data, _, roots, _, _) = index.raw_parts();
     let sealed: usize = index.seal_regions().iter().map(|r| r.records()).sum();
@@ -78,7 +79,7 @@ fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
                 region.begin, region.end
             ));
         };
-        if !root.subtree_converged() {
+        if !root.converged {
             return Err(format!(
                 "seal {k} covers an unconverged top-level slice {}..{}",
                 region.begin, region.end
@@ -278,6 +279,21 @@ fn check_level<const D: usize>(
             }
         }
 
+        // The cached convergence flag (invariant 10).
+        if s.converged != s.subtree_converged() {
+            return Err(format!(
+                "slice {i} at level {level} ({}..{}): converged flag {} but the subtree {}",
+                s.begin,
+                s.end,
+                s.converged,
+                if s.converged {
+                    "has not converged"
+                } else {
+                    "has converged"
+                }
+            ));
+        }
+
         if !s.children.is_empty() {
             if !s.refined {
                 return Err(format!("unrefined slice {i} at level {level} has children"));
@@ -301,4 +317,43 @@ fn check_level<const D: usize>(
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Quasii, QuasiiConfig};
+    use quasii_common::dataset::uniform_boxes_in;
+    use quasii_common::geom::Aabb;
+    use quasii_common::index::SpatialIndex;
+
+    /// A convergence flag that disagrees with its subtree is named by
+    /// level, sibling index and range, whichever way it is wrong.
+    #[test]
+    fn a_flipped_convergence_flag_is_named() {
+        let data = uniform_boxes_in::<3>(3_000, 1_000.0, 61);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
+        idx.query_collect(&Aabb::new([0.0; 3], [300.0, 1_001.0, 1_001.0]));
+        idx.query_collect(&Aabb::new([500.0; 3], [560.0; 3]));
+        idx.validate().unwrap();
+        for want in [true, false] {
+            let (i, parent) = idx
+                .root
+                .iter()
+                .enumerate()
+                .find(|(_, s)| s.children.iter().any(|c| c.converged == want))
+                .expect("both flag values occur below the root");
+            let (j, child) = parent
+                .children
+                .iter()
+                .enumerate()
+                .find(|(_, c)| c.converged == want)
+                .expect("just found");
+            let name = format!("slice {j} at level 1 ({}..{})", child.begin, child.end);
+            idx.root[i].children[j].converged = !want;
+            let err = idx.validate().expect_err("a flipped flag is a violation");
+            assert!(err.contains(&name), "{err} does not name {name}");
+            idx.root[i].children[j].converged = want;
+            idx.validate().unwrap();
+        }
+    }
 }

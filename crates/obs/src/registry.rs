@@ -31,7 +31,8 @@ pub(crate) fn batch_phase(p: Phase) -> &'static Histogram {
 pub static BATCHES_TOTAL: Counter = Counter::new();
 /// Queries answered, `read` included.
 pub static QUERIES_TOTAL: Counter = Counter::new();
-/// Queries answered entirely through sealed arenas.
+/// Queries answered over `&self` (read, not written): from sealed arenas
+/// and from the live slice tree. The name predates live reads.
 pub static SEALED_QUERIES_TOTAL: Counter = Counter::new();
 /// Crack-kernel invocations (mirrors `QuasiiStats::cracks`).
 pub static CRACKS_TOTAL: Counter = Counter::new();
@@ -213,7 +214,7 @@ pub(crate) static DEFS: &[Def] = &[
     },
     Def {
         name: "quasii_sealed_queries_total",
-        help: "Queries answered entirely through sealed arenas",
+        help: "Queries answered by a shared read, from sealed arenas or the live slice tree",
         labels: "",
         unit: Unit::Count,
         metric: Metric::Counter(&SEALED_QUERIES_TOTAL),

@@ -1,8 +1,8 @@
 //! The query service layer: an HTTP/1.1 server (over the vendored
 //! [`minihttp`] shim) fronting a [`ShardedQuasii`] deployment held in one
-//! `RwLock`. Quokka's rule (one writer, reads first): a converged query is
-//! **read** under a shared guard, and whatever needs the writer goes
-//! through **admission batching**, whose leader is the single writer.
+//! `RwLock`. Quokka's rule (one writer, reads first): a query that cracks
+//! nothing is **read** under a shared guard, and whatever needs the writer
+//! goes through **admission batching**, whose leader is the single writer.
 //! Either way a request runs on the connection thread that parsed it;
 //! there is no dispatcher thread to hand it to.
 //!

@@ -19,8 +19,10 @@
 //!   maximum object extent so no shard holding a qualifying record is ever
 //!   skipped).
 //! * **The `&self` read** — [`ShardedQuasii::read`] answers one query
-//!   through [`Quasii::read`] on every shard it routes to, all or nothing:
-//!   if one of them needs a crack it returns `false` having booked nothing,
+//!   when [`Quasii::can_read`] holds on every shard it routes to, and then
+//!   reads each through [`Quasii::read_decided`], which does not repeat
+//!   the test. All or nothing: if one shard would crack it, it returns
+//!   `false` having booked nothing,
 //!   and the caller writes through [`ShardedQuasii::try_execute_batch`].
 //!   Any number of threads may read one deployment at once (the service
 //!   does, under a shared lock guard).
@@ -35,14 +37,17 @@
 //!   threads), each running its sub-batch through
 //!   [`Quasii::try_execute_batch`]. This is the one way cracks run in
 //!   parallel: an engine cracks one query at a time on the thread that
-//!   runs its job. No thread is created per batch. A converged query never
-//!   enters the writer. Every write leaves its engines' seals current, so
-//!   an engine classifies a query the read phase left it exactly as the
-//!   read phase did, as if the whole batch had come. The only pool scope
-//!   that still nests is such an engine's own read phase inside its shard
-//!   job (at most [`QuasiiConfig::threads`] threads): a shard job works on
-//!   its nested list instead of waiting for a worker, so the process
-//!   computes on no more threads than the host has CPUs.
+//!   runs its job. No thread is created per batch. A query that cracks
+//!   nothing on any shard of its route never enters the writer; one that
+//!   cracks on some shard goes to the writer of every shard on its route,
+//!   and a shard engine on whose part it cracks nothing reads it in the
+//!   engine's own read phase. Reads change no structure, so an engine
+//!   classifies each query exactly as it would have had the whole batch
+//!   come to it alone. The only pool scope that still nests is such an
+//!   engine's own read phase inside its shard job (at most
+//!   [`QuasiiConfig::threads`] threads): a shard job works on its nested
+//!   list instead of waiting for a worker, so the process computes on no
+//!   more threads than the host has CPUs.
 //!
 //! ## Determinism
 //!
@@ -52,8 +57,9 @@
 //! fixed at construction), so each shard always sees the same query
 //! subsequence in the same order, and the engine runs its crack queries
 //! in that order (see `quasii::Quasii::execute_batch`). A query the read
-//! phase answers is one the shard's engine would have read too (both see
-//! the seals the last write left), and reads change no structure.
+//! phase answers is one the shard's engine would have read too (both make
+//! the same test on the state the last write left), and reads change no
+//! structure.
 //!
 //! ## Persistence
 //!
@@ -575,14 +581,14 @@ impl<const D: usize> ShardedQuasii<D> {
     }
 
     /// The body of [`read`](Self::read) once [`route`](Self::route) said
-    /// `Ok(route)`: reads every shard of `route` into `out`, puts the
+    /// `Ok(route)`: reads every shard of `route` into `out` through
+    /// [`Quasii::read_decided`], which does not repeat the test, puts the
     /// appended ids into canonical order and books the router counters and
     /// one fan-out observation.
     fn read_routed(&self, q: &Aabb<D>, route: Range<usize>, out: &mut Vec<u64>) {
         let start = out.len();
         for s in &self.shards[route.clone()] {
-            let answered = s.read(q, out);
-            debug_assert!(answered, "a shard that can read reads");
+            s.read_decided(q, out);
         }
         // The shards are disjoint: one sort equals sorting each run and
         // merging them.

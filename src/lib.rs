@@ -19,10 +19,10 @@
 //! * [`quasii_shard::ShardedQuasii`] — the multi-instance shard router
 //!   (parallel scale-out on top of the paper's engine: cracks run in
 //!   parallel one shard per job);
-//! * [`quasii_server`] — the HTTP query service: a converged `GET /query`
-//!   is a read under a shared guard and never enters admission; a query
-//!   that needs the writer is grouped by the admission controller onto the
-//!   batch path;
+//! * [`quasii_server`] — the HTTP query service: a `GET /query` that
+//!   cracks nothing is a read under a shared guard and never enters
+//!   admission; a query that needs the writer is grouped by the admission
+//!   controller onto the batch path;
 //! * [`quasii_common`] — geometry, datasets, workloads, measurement.
 
 /// Convenience prelude used by the examples.
