@@ -5,7 +5,7 @@
 //! [`SealedRegion`] borrows the one snapshot buffer; no per-column
 //! allocation).
 //!
-//! The point (see ROADMAP "Persistent, ABI-stable index snapshots"): QUASII
+//! The point (see README "Snapshots & warm start"): QUASII
 //! pays its build cost incrementally through queries, so a restart used to
 //! throw that investment away. [`Quasii::write_snapshot`] captures the
 //! converged investment; [`Quasii::from_snapshot`] restores an engine that
@@ -103,7 +103,9 @@
 //! dimensionality are checked up front, every subsequent read is
 //! bounds-checked, the slice tree is re-validated to exactly partition the
 //! dataset (which bounds recursion at `D` and every index at `n`), and each
-//! region blob re-runs `SealedRegion::from_blob`'s structural checks. `n`
+//! region blob re-runs `SealedRegion::from_blob`'s structural checks and
+//! must mirror the skeleton's subtree node for node (`validate`'s
+//! invariant 9, node half: key, range, box and children per level). `n`
 //! is proven by the stored rows plus the regions' records (`s ≤ n` before
 //! the rows are read, `s + Σ == n` before anything is sized by `n`). The
 //! decoder works beside the sum, so it sees bytes before they are vouched
@@ -117,6 +119,7 @@ use crate::engine::{Env, Runtime};
 use crate::keys::KeyColumn;
 use crate::seal::SealedRegion;
 use crate::slice::Slice;
+use crate::validate;
 use crate::{config, Quasii, QuasiiConfig, QuasiiStats};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::snapshot::{
@@ -681,6 +684,10 @@ fn decode<const D: usize>(
         root_cursor += 1;
         let region = SealedRegion::from_blob(begin, end, Arc::clone(buf), off, len)
             .map_err(|e| corrupt(format!("region {k}: {e}")))?;
+        // The arena and the skeleton store the subtree twice; a read trusts
+        // the arena, a crack beside it the skeleton, so they must agree.
+        validate::check_region_nodes(&region, slice)
+            .map_err(|e| corrupt(format!("region {k}, {e}")))?;
         seals.push(region);
     }
     if expected_off != buf.len() {
@@ -1016,6 +1023,27 @@ mod tests {
         put_word(&mut bad, flags_at, flags & !1);
         let why = forged_reason::<2>(bad);
         assert!(why.contains("an unconverged top-level slice"), "{why}");
+    }
+
+    /// A snapshot stores a sealed subtree twice, in the skeleton and in the
+    /// arena: a forged arena node whose box disagrees with its slice would
+    /// answer slab queries wrong, so it is refused by region, level and node.
+    #[test]
+    fn a_region_that_diverges_from_its_slice_is_named_corrupt() {
+        let data = uniform_boxes_in::<2>(2_000, 100.0, 21);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
+        idx.finalize();
+        let snap = idx.write_snapshot().expect("write");
+        let region = &idx.seals[0];
+        let blobs: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
+        // The first arena node's `bb_lo[0]`, the first word of its metadata.
+        let node = region.meta(0).as_ptr() as usize - region.blob().as_ptr() as usize;
+        let at = snap.len() - blobs + node;
+        assert_eq!(f64::from_bits(word(&snap, at)), region.meta(0)[0].bb_lo[0]);
+        let mut bad = snap;
+        put_word(&mut bad, at, 1e9f64.to_bits());
+        let why = forged_reason::<2>(bad);
+        assert!(why.contains("region 0, level 0, node 0:"), "{why}");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! warm-up of cracking queries every slice reaches its level's τ and queries
 //! become pure reads. The adaptive machinery is pure overhead from then on —
 //! heap-scattered [`Slice`] nodes behind `children: Vec<Slice>` (a `Slice<3>`
-//! is well over a cache line), `&mut` access that forces batch parallelism
-//! onto disjoint partitions, and a bottom-level scan striding 56-byte
+//! is well over a cache line) and a bottom-level scan striding 56-byte
 //! records for a test that only consumes `2 × D` coordinates.
 //!
 //! A [`SealedRegion`] compacts one **converged top-level slice**'s subtree

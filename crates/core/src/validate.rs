@@ -1,6 +1,7 @@
 //! Structural invariant checking for the slice hierarchy. Not used on the
 //! query path; tests and property tests call [`validate`] after every
-//! operation to catch corruption early.
+//! operation to catch corruption early, and every snapshot load runs
+//! invariant 9's metadata half ([`check_region_nodes`]).
 //!
 //! Checked invariants:
 //!
@@ -27,6 +28,7 @@
 use crate::config::AssignBy;
 use crate::crack::key_of;
 use crate::keys::KeyColumn;
+use crate::seal::SealedRegion;
 use crate::slice::Slice;
 use crate::Quasii;
 use quasii_common::geom::{Aabb, Record};
@@ -106,55 +108,59 @@ fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
                 }
             }
         }
-        // Level arrays mirror the subtree, breadth-first.
-        let mut frontier: Vec<&Slice<D>> = root.children.iter().collect();
-        for li in 0..region.level_count() {
-            let key_lo = region.key_lo(li);
-            let meta = region.meta(li);
-            if key_lo.len() != frontier.len() {
-                return Err(format!(
-                    "seal {k}, level {li}: {} arena nodes vs {} slices",
-                    key_lo.len(),
-                    frontier.len()
-                ));
-            }
-            let mut next: Vec<&Slice<D>> = Vec::new();
-            let bottom = li + 2 == D;
-            for (i, s) in frontier.iter().enumerate() {
-                let node = &meta[i];
-                let (b, e) = (node.begin as usize, node.end as usize);
-                if key_lo[i] != s.key_lo || b != s.begin - region.begin || e != s.end - region.begin
-                {
-                    return Err(format!(
-                        "seal {k}, level {li}, node {i}: metadata diverges from slice"
-                    ));
-                }
-                if node.bb_lo != s.bbox.lo || node.bb_hi != s.bbox.hi {
-                    return Err(format!(
-                        "seal {k}, level {li}, node {i}: bbox diverges from slice"
-                    ));
-                }
-                if !bottom {
-                    let child_start = next.len() as u32;
-                    next.extend(s.children.iter());
-                    if node.child_start != child_start || node.child_end != next.len() as u32 {
-                        return Err(format!(
-                            "seal {k}, level {li}, node {i}: child range diverges"
-                        ));
-                    }
-                } else if node.child_start != 0 || node.child_end != 0 {
-                    return Err(format!(
-                        "seal {k}, level {li}, node {i}: bottom node claims children"
-                    ));
-                }
-            }
-            frontier = next;
-        }
-        if !frontier.is_empty() {
+        check_region_nodes(region, root).map_err(|e| format!("seal {k}, {e}"))?;
+    }
+    Ok(())
+}
+
+/// Invariant 9's node half: `region`'s arena mirrors the subtree of the
+/// top-level slice `root` breadth-first, level by level: per node the same
+/// `key_lo`, record range, bounding box and child range. A snapshot stores
+/// every sealed subtree twice, in the skeleton and in the arena, so
+/// `persist::decode` runs this too; the record-column half stays in
+/// [`check_seals`], since the loader rebuilds those rows from the arena.
+pub(crate) fn check_region_nodes<const D: usize>(
+    region: &SealedRegion<D>,
+    root: &Slice<D>,
+) -> Result<(), String> {
+    let mut frontier: Vec<&Slice<D>> = root.children.iter().collect();
+    for li in 0..region.level_count() {
+        let key_lo = region.key_lo(li);
+        let meta = region.meta(li);
+        if key_lo.len() != frontier.len() {
             return Err(format!(
-                "seal {k}: slice tree has more levels than the arena"
+                "level {li}: {} arena nodes vs {} slices",
+                key_lo.len(),
+                frontier.len()
             ));
         }
+        let mut next: Vec<&Slice<D>> = Vec::new();
+        let bottom = li + 2 == D;
+        for (i, s) in frontier.iter().enumerate() {
+            let node = &meta[i];
+            let (b, e) = (node.begin as usize, node.end as usize);
+            if key_lo[i] != s.key_lo || b != s.begin - region.begin || e != s.end - region.begin {
+                return Err(format!(
+                    "level {li}, node {i}: metadata diverges from slice"
+                ));
+            }
+            if node.bb_lo != s.bbox.lo || node.bb_hi != s.bbox.hi {
+                return Err(format!("level {li}, node {i}: bbox diverges from slice"));
+            }
+            if !bottom {
+                let child_start = next.len() as u32;
+                next.extend(s.children.iter());
+                if node.child_start != child_start || node.child_end != next.len() as u32 {
+                    return Err(format!("level {li}, node {i}: child range diverges"));
+                }
+            } else if node.child_start != 0 || node.child_end != 0 {
+                return Err(format!("level {li}, node {i}: bottom node claims children"));
+            }
+        }
+        frontier = next;
+    }
+    if !frontier.is_empty() {
+        return Err("the slice tree has more levels than the arena".into());
     }
     Ok(())
 }
