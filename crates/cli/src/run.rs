@@ -136,9 +136,7 @@ fn bench_warm(snap: &str, workload: &WorkloadOpts, batch: usize) -> Result<(), S
     let (b, idx) = warm_start(snap)?;
     let mut universe = Aabb::empty();
     for e in idx.engines() {
-        if !e.data().is_empty() {
-            universe.expand(&mbb_of(e.data()));
-        }
+        universe.expand(&e.data_bounds());
     }
     println!(
         "shards: {} engines revived, sealed fraction {:.3}",
@@ -360,7 +358,7 @@ pub(crate) fn serve(
             engine.build(load(&data)?)
         }
     };
-    let records: usize = deployment.engines().iter().map(|e| e.data().len()).sum();
+    let records = deployment.len();
     let shard_count = deployment.shard_count();
     let handle =
         quasii_server::start(deployment, addr, cfg.clone()).map_err(|e| format!("serve: {e}"))?;

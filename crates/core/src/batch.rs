@@ -337,8 +337,8 @@ mod tests {
                 "work counters diverged at threads={threads}"
             );
             assert_eq!(
-                ids(idx.data()),
-                ids(seq.data()),
+                ids(&idx.records()),
+                ids(&seq.records()),
                 "data permutation diverged at threads={threads}"
             );
         }

@@ -44,7 +44,10 @@
 //! The columns under a sealed region are **unspecified**: every slice
 //! there is refined, so the invariant says nothing about them, and no
 //! crack ever reads them again. A snapshot does not store them, and the
-//! loader leaves them zero (see `crate::persist`).
+//! loader of a partially sealed engine leaves them zero (see
+//! `crate::persist`). At sealed fraction 1 there are no columns at all:
+//! the write that seals the last root slice drops both, and a load of a
+//! part that stores no rows never builds them.
 
 use crate::config::AssignBy;
 use crate::crack::key_of;

@@ -60,7 +60,7 @@ pub use stats::{QuasiiStats, SealStats};
 
 use engine::{Env, Runtime};
 use keys::KeyColumn;
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::{mbb_of, Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_obs as obs;
 use seal::SealedRegion;
@@ -112,10 +112,17 @@ pub enum RepairOutcome {
 /// The QUASII index. Generic over the dimensionality `D` (the paper
 /// evaluates `D = 3`; its worked example is `D = 2`).
 pub struct Quasii<const D: usize> {
+    /// The record count, fixed for the engine's life.
+    n: usize,
+    /// The rows in their cracked permutation: `n` of them while some record
+    /// is unsealed, none once every record is. The write that seals the
+    /// last root slice drops them with the key columns, and a load of a
+    /// part that stores no rows allocates neither: the arenas are then the
+    /// one copy of every record ([`records`](Self::records)).
     data: Vec<Record<D>>,
     /// Cache-resident assignment-key + upper-bound column pair, permuted in
     /// lockstep with `data` by every crack kernel (see [`keys`] for the
-    /// invariant).
+    /// invariant); empty exactly when `data` is.
     keys: KeyColumn,
     root: Vec<Slice<D>>,
     env: Env<D>,
@@ -171,6 +178,7 @@ impl<const D: usize> Quasii<D> {
             obs::registry::SIMD_LEVEL.set(simd.name(), 1.0);
         }
         Self {
+            n: data.len(),
             data,
             keys: KeyColumn::new(),
             root: Vec::new(),
@@ -230,7 +238,7 @@ impl<const D: usize> Quasii<D> {
             return;
         }
         self.initialized = true;
-        if self.data.is_empty() {
+        if self.n == 0 {
             return;
         }
         let mut bounds = Aabb::empty();
@@ -263,9 +271,9 @@ impl<const D: usize> Quasii<D> {
             self.ext_low[k] = low;
             self.ext_high[k] = high;
         }
-        let root = Slice::root(self.data.len(), bounds, self.env.tau[0]);
+        let root = Slice::root(self.n, bounds, self.env.tau[0]);
         self.root.push(root);
-        self.seal_converged(0..self.data.len());
+        self.seal_converged(0..self.n);
     }
 
     /// The per-level τ thresholds in effect (Eq. 1 schedule).
@@ -294,11 +302,11 @@ impl<const D: usize> Quasii<D> {
     /// paper's incremental process converges to.
     pub fn finalize(&mut self) {
         self.ensure_init();
-        if self.data.is_empty() {
+        if self.n == 0 {
             return;
         }
         let everything = self.data_bounds;
-        let mut sink = Vec::with_capacity(self.data.len());
+        let mut sink = Vec::with_capacity(self.n);
         // Count as internal work, not as a user query: the query may have
         // been booked as a read, so fold the read cells in before restoring.
         let queries = self.stats().queries;
@@ -308,7 +316,7 @@ impl<const D: usize> Quasii<D> {
             ..self.stats()
         };
         self.reads.reset();
-        debug_assert_eq!(sink.len(), self.data.len());
+        debug_assert_eq!(sink.len(), self.n);
     }
 
     /// Number of slices per level — shows how breadth grows while depth
@@ -326,9 +334,32 @@ impl<const D: usize> Quasii<D> {
         acc
     }
 
-    /// Read access to the (physically reorganized) data array.
-    pub fn data(&self) -> &[Record<D>] {
-        &self.data
+    /// Every record in the engine's (physically reorganized) permutation,
+    /// in data-array order: the rows while some record is unsealed, the
+    /// arenas' records once none is. A copy, since a fully sealed engine
+    /// keeps no rows.
+    pub fn records(&self) -> Vec<Record<D>> {
+        // While any row exists every row does, those under seals included,
+        // and each equals its arena's record (`validate`'s invariant 9).
+        if self.data.len() == self.n {
+            return self.data.clone();
+        }
+        let mut out = Vec::with_capacity(self.n);
+        for region in &self.seals {
+            region.push_records(&mut out);
+        }
+        out
+    }
+
+    /// The bounding box of every record (empty for an empty dataset): the
+    /// one first-query initialization stores (a snapshot keeps it), or a
+    /// pass over the rows before then.
+    pub fn data_bounds(&self) -> Aabb<D> {
+        if self.initialized {
+            self.data_bounds
+        } else {
+            mbb_of(&self.data)
+        }
     }
 
     /// Checks every structural invariant of the slice hierarchy; returns a
@@ -369,9 +400,10 @@ impl<const D: usize> Quasii<D> {
     /// before the panic is sealed ([`RepairOutcome::Revalidated`]).
     /// Otherwise the engine is **rebuilt from its record multiset**
     /// ([`RepairOutcome::Rebuilt`]) — cracks only permute records in
-    /// place, so the data itself survives any mid-crack panic, and a
-    /// cracking engine re-grows its index from raw data by design; crack
-    /// progress and work counters are discarded.
+    /// place, so the data itself survives any mid-crack panic (a fully
+    /// sealed engine takes its records from its arenas), and a cracking
+    /// engine re-grows its index from raw data by design; crack progress
+    /// and work counters are discarded.
     pub fn repair(&mut self) -> RepairOutcome {
         if self.poisoned.is_none() {
             return RepairOutcome::Clean;
@@ -383,10 +415,16 @@ impl<const D: usize> Quasii<D> {
                 .unwrap_or(false);
         if intact {
             self.poisoned = None;
-            self.seal_converged(0..self.data.len());
+            self.seal_converged(0..self.n);
             return RepairOutcome::Revalidated;
         }
-        let data = std::mem::take(&mut self.data);
+        // Cracks only permute rows, so the rows still hold the multiset; a
+        // fully sealed engine has none, and its arenas never change.
+        let data = if self.data.is_empty() {
+            self.records()
+        } else {
+            std::mem::take(&mut self.data)
+        };
         let cfg = self.cfg.clone();
         *self = Quasii::new(data, cfg);
         RepairOutcome::Rebuilt
@@ -414,7 +452,7 @@ impl<const D: usize> Quasii<D> {
     /// place it can matter.
     pub fn seal(&mut self) {
         self.ensure_init();
-        self.seal_converged(0..self.data.len());
+        self.seal_converged(0..self.n);
     }
 
     /// Seal lifecycle counters (regions sealed, queries served fully
@@ -437,10 +475,10 @@ impl<const D: usize> Quasii<D> {
     /// Fraction of the dataset answered through the sealed read path
     /// (`0.0` for an empty dataset).
     pub fn sealed_fraction(&self) -> f64 {
-        if self.data.is_empty() {
+        if self.n == 0 {
             0.0
         } else {
-            self.sealed_records() as f64 / self.data.len() as f64
+            self.sealed_records() as f64 / self.n as f64
         }
     }
 
@@ -457,7 +495,9 @@ impl<const D: usize> Quasii<D> {
     /// Seals every converged, not yet sealed root slice that overlaps the
     /// data span `span`. Every write calls it over the span its crack
     /// queries could reorganize, so between writes every converged root
-    /// slice is sealed and [`read`](Self::read) sees it at once.
+    /// slice is sealed and [`read`](Self::read) sees it at once. The sweep
+    /// that seals the last root slice drops the rows and the key columns:
+    /// a fully sealed engine reads only arenas and never cracks again.
     pub(crate) fn seal_converged(&mut self, span: Range<usize>) {
         if !self.cfg.seal || span.is_empty() {
             return;
@@ -480,6 +520,10 @@ impl<const D: usize> Quasii<D> {
         debug_assert!(kept.next().is_none(), "a seal matches no root slice");
         self.sealed_record_count = out.iter().map(SealedRegion::records).sum();
         self.seals = out;
+        if self.sealed_record_count == self.n {
+            self.data = Vec::new();
+            self.keys = KeyColumn::new();
+        }
         if obs::enabled() {
             obs::registry::SEAL_SWEEPS_TOTAL.inc();
             obs::registry::SEALS_TOTAL.add((self.seals.len() - before) as u64);
@@ -507,7 +551,7 @@ impl<const D: usize> Quasii<D> {
         if !self.cfg.seal || self.root.is_empty() {
             return Err(cand);
         }
-        let readable = self.sealed_record_count == self.data.len()
+        let readable = self.sealed_record_count == self.n
             || self.root[cand.clone()]
                 .iter()
                 .all(|s| !q.intersects(&s.bbox) || engine::cracks_nothing(s, q, qe));
@@ -690,7 +734,7 @@ impl<const D: usize> SpatialIndex<D> for Quasii<D> {
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        self.n
     }
 
     fn index_bytes(&self) -> usize {
@@ -958,6 +1002,45 @@ mod tests {
         assert_matches_brute_force(&data, &q, &got);
     }
 
+    /// The write that seals the last root slice drops the rows and both key
+    /// columns, and so does a load of the part it writes; the arenas then
+    /// hold the same records in the same order as the rows of an engine
+    /// that never seals.
+    #[test]
+    fn a_fully_sealed_engine_keeps_no_rows_and_no_key_columns() {
+        let data = uniform_boxes_in::<3>(4_000, 1_000.0, 57);
+        let n = data.len();
+        let cfg = QuasiiConfig::with_tau(16);
+        let mut rows = Quasii::new(data.clone(), cfg.clone().with_seal(false));
+        rows.finalize();
+        let mut idx = Quasii::new(data, cfg);
+        idx.finalize();
+        assert_eq!(idx.sealed_fraction(), 1.0);
+        assert_eq!(rows.data.len(), n);
+        assert_eq!(
+            rows.keys.heap_bytes(),
+            16 * n,
+            "the columns held 16 B a record"
+        );
+        assert!(idx.data.is_empty() && idx.keys.heap_bytes() == 0);
+        assert_eq!(
+            idx.index_bytes(),
+            rows.index_bytes() - 16 * n + idx.seal_bytes(),
+            "the same tree, the arenas, and no key columns"
+        );
+        assert_eq!(idx.records(), rows.records(), "the row permutation");
+        idx.validate().unwrap();
+
+        let mut re = Quasii::<3>::from_snapshot(idx.write_snapshot().unwrap()).unwrap();
+        assert!(re.data.capacity() == 0 && re.keys.heap_bytes() == 0);
+        assert_eq!(re.len(), n);
+        assert_eq!(re.data_bounds(), idx.data_bounds());
+        assert_eq!(re.records(), rows.records());
+        re.validate().unwrap();
+        let q = Aabb::new([100.0; 3], [300.0; 3]);
+        assert_eq!(re.query_collect(&q), rows.query_collect(&q));
+    }
+
     #[test]
     fn cracking_preserves_the_record_multiset() {
         let data = uniform_boxes_in::<2>(300, 100.0, 41);
@@ -965,7 +1048,7 @@ mod tests {
         ids.sort_unstable();
         let mut idx = Quasii::with_default_config(data);
         idx.query_collect(&Aabb::new([20.0; 2], [50.0; 2]));
-        let mut got: Vec<u64> = idx.data().iter().map(|r| r.id).collect();
+        let mut got: Vec<u64> = idx.records().iter().map(|r| r.id).collect();
         got.sort_unstable();
         assert_eq!(ids, got, "cracking must permute, never lose records");
     }

@@ -41,7 +41,9 @@
 //! block ([`Writer`]); the loader hashes each block of the record and key
 //! sections right before it decodes it ([`Verifier`]), and each region blob
 //! (the slice tree and region table before the first) right before it
-//! rebuilds the blob's rows. A block is then read from memory
+//! rebuilds the blob's rows (a fully sealed part rebuilds none: the sum
+//! reads its blobs at the end, and no other load step reads their record
+//! columns). A block is then read from memory
 //! once, and the sum runs at the speed of its multiplies whatever the
 //! memory system is doing: a separate 64 MB pass read at half that speed
 //! and was the part of a restart that differed most from one run to the
@@ -70,10 +72,14 @@
 //!                            position-independent layout of `crate::seal`
 //! ```
 //!
-//! A sealed record is stored once, as its arena (a seal is permanent): the
-//! loader rebuilds its row from the blob's id and MBB columns, bit for bit
-//! (`hi = -nhi` is exact), and leaves its key windows zero (every sealed
-//! slice is refined, and `crate::keys` speaks only for unrefined ones).
+//! A sealed record is stored once, as its arena (a seal is permanent). For
+//! a partially sealed part the loader rebuilds its row from the blob's id
+//! and MBB columns, bit for bit (`hi = -nhi` is exact), and leaves its key
+//! windows zero (every sealed slice is refined, and `crate::keys` speaks
+//! only for unrefined ones). A part that stores no rows beside its seals is
+//! fully sealed: its engine keeps no rows and no key columns, exactly as
+//! the writer did, so the loader allocates neither. It still hashes every
+//! blob and checks each against the skeleton.
 //!
 //! Each fact is stored once. The seal count is the region table's length,
 //! and a written engine is always initialized. Every write leaves the seals
@@ -294,8 +300,11 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     }
     idx.ensure_init();
 
-    let n = idx.data.len();
-    debug_assert!(idx.keys.is_built(n), "`write` runs after `ensure_init`");
+    let n = idx.n;
+    debug_assert!(
+        idx.keys.is_built(idx.data.len()),
+        "`write` runs after `ensure_init`"
+    );
     let stored = n - idx.sealed_record_count;
     // The layout is determined before the first byte is written, so the
     // buffer is sized exactly and never reallocates (a 64 MB `Vec` that
@@ -351,18 +360,20 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     // their arenas, is what makes the reloaded permutation byte-identical.
     // Three appends into reserved space per record: the section is bound
     // by first-touch page faults of the fresh buffer, and a zero-filling
-    // reserve would touch it twice.
+    // reserve would touch it twice. A fully sealed engine holds no rows, and
+    // every span it leaves is empty.
     w.u64(stored as u64);
-    for span in unsealed(&idx.seals, n) {
-        for r in &idx.data[span] {
+    let spans: Vec<Range<usize>> = unsealed(&idx.seals, n).filter(|s| !s.is_empty()).collect();
+    for span in &spans {
+        for r in &idx.data[span.clone()] {
             w.bytes(&r.id.to_le_bytes());
             w.bytes(r.mbb.lo.map(f64::to_le_bytes).as_flattened());
             w.bytes(r.mbb.hi.map(f64::to_le_bytes).as_flattened());
         }
     }
     for column in [idx.keys.keys(), idx.keys.his()] {
-        for span in unsealed(&idx.seals, n) {
-            w.f64s(&column[span]);
+        for span in &spans {
+            w.f64s(&column[span.clone()]);
         }
     }
 
@@ -475,19 +486,6 @@ fn read_slice<const D: usize>(
         converged,
         children,
     })
-}
-
-/// Appends `region`'s records, rebuilt from its arena columns (re-sliced to
-/// the record count, so the transpose runs free of bounds checks).
-fn push_rows<const D: usize>(region: &SealedRegion<D>, data: &mut Vec<Record<D>>) {
-    let m = region.records();
-    let ids = &region.ids()[..m];
-    let lo: [&[f64]; D] = std::array::from_fn(|d| &region.rec_lo(d)[..m]);
-    let nhi: [&[f64]; D] = std::array::from_fn(|d| &region.rec_nhi(d)[..m]);
-    data.extend((0..m).map(|p| {
-        let (lo, hi) = (lo.map(|c| c[p]), nhi.map(|c| -c[p]));
-        Record::new(u64::from(ids[p]), Aabb { lo, hi })
-    }));
 }
 
 /// Reads the frame of an engine snapshot, which must span the whole
@@ -708,9 +706,13 @@ fn decode<const D: usize>(
     }
 
     // The data array, span after span: stored rows between the seals, each
-    // seal's rows rebuilt from its arena (without seals, no copy at all).
+    // seal's rows rebuilt from its arena (without seals, no copy at all). A
+    // part that stores no rows is fully sealed (or empty): its engine keeps
+    // no rows and no key columns, and the sum hashes the blobs at the end.
     let (data, keys) = if seals.is_empty() {
         (rows, KeyColumn::from_raw(ks, hs))
+    } else if stored == 0 {
+        (Vec::new(), KeyColumn::new())
     } else {
         // A mapping of its own, faulted in fresh by every load whatever the
         // heap holds, so a load costs the same from one run to the next,
@@ -730,7 +732,7 @@ fn decode<const D: usize>(
                 // Hash the blob right before its columns are read.
                 blob_end += region.blob().len();
                 sum.advance(blob_end);
-                push_rows(region, &mut data);
+                region.push_records(&mut data);
             }
         }
         (data, KeyColumn::from_raw(keys, his))
@@ -738,6 +740,7 @@ fn decode<const D: usize>(
     let mut rt = Runtime::new();
     rt.stats = stats;
     Ok(Quasii {
+        n,
         data,
         keys,
         root,
@@ -782,7 +785,7 @@ mod tests {
         let mut re = Quasii::<3>::from_snapshot(snap).expect("load");
         assert_eq!(re.stats(), idx.stats());
         assert_eq!(re.seal_stats(), idx.seal_stats());
-        assert_eq!(re.data(), idx.data(), "permutation is byte-identical");
+        assert_eq!(re.records(), idx.records(), "permutation is byte-identical");
         re.validate().expect("reloaded invariants");
         for q in &queries {
             assert_eq!(re.query_collect(q), idx.query_collect(q), "query {q:?}");
@@ -938,7 +941,7 @@ mod tests {
         assert_eq!(snap.len(), expected_len(&idx, n - sealed));
 
         let mut re = Quasii::<3>::from_snapshot(snap.clone()).expect("load");
-        assert_eq!(re.data(), idx.data(), "permutation is byte-identical");
+        assert_eq!(re.records(), idx.records(), "permutation is byte-identical");
         assert_eq!(re.sealed_records(), sealed);
         re.validate().expect("reloaded invariants");
         assert_eq!(re.write_snapshot().expect("rewrite"), snap);
@@ -958,7 +961,7 @@ mod tests {
         assert_eq!(word(&snap, stored_at::<2>()), 0);
         assert_eq!(snap.len(), expected_len(&idx, 0));
         let mut re = Quasii::<2>::from_snapshot(snap.clone()).expect("load");
-        assert_eq!(re.data(), idx.data());
+        assert_eq!(re.records(), idx.records());
         re.validate().expect("reloaded invariants");
         assert_eq!(re.write_snapshot().expect("rewrite"), snap);
     }

@@ -55,12 +55,16 @@
 //! The arena is a **self-contained copy** — it borrows nothing from the
 //! data array or the slice tree, so sealed regions can be read through
 //! `&self` from any number of threads while unrelated parts of the index
-//! crack on. The slice tree stays in place as the source of truth (cracking
-//! a region is impossible once converged, but the tree still serves
-//! `validate`, `level_profile`, introspection and a crack-path query that
-//! spans sealed and unsealed slices, which reads the sealed ones through
-//! the tree). A seal is permanent: a converged subtree never goes stale,
-//! so nothing ever unseals it.
+//! crack on. A seal is permanent: a converged subtree never goes stale,
+//! so nothing ever unseals it. The slice tree stays in place as the
+//! skeleton: cracking a region is impossible once converged, but the tree
+//! still serves `validate`, `level_profile`, the root candidate window of
+//! every read, and a crack-path query that spans sealed and unsealed
+//! slices, which reads the sealed ones through the tree and the rows
+//! under it. Those rows, and the key columns, live only while some record is
+//! unsealed: once every root slice is sealed no crack can run, the engine
+//! drops both, and the arenas are the one copy of every record (see
+//! `Quasii::records`).
 //!
 //! [`SealedRegion::run`] reproduces, operation for operation, the traversal
 //! the engine's `query_level`/`descend` would perform over the same
@@ -468,6 +472,21 @@ impl<const D: usize> SealedRegion<D> {
     /// Number of records covered.
     pub(crate) fn records(&self) -> usize {
         self.end - self.begin
+    }
+
+    /// Appends the region's records in region order, rebuilt from its id
+    /// and MBB columns bit for bit (`hi = -nhi` is exact). The columns are
+    /// re-sliced to the record count, so the transpose runs free of bounds
+    /// checks.
+    pub(crate) fn push_records(&self, out: &mut Vec<Record<D>>) {
+        let m = self.records();
+        let ids = &self.ids()[..m];
+        let lo: [&[f64]; D] = std::array::from_fn(|d| &self.rec_lo(d)[..m]);
+        let nhi: [&[f64]; D] = std::array::from_fn(|d| &self.rec_nhi(d)[..m]);
+        out.extend((0..m).map(|p| {
+            let (lo, hi) = (lo.map(|c| c[p]), nhi.map(|c| -c[p]));
+            Record::new(u64::from(ids[p]), Aabb { lo, hi })
+        }));
     }
 
     /// Bytes reachable from this region (the blob plus the level-view

@@ -23,7 +23,14 @@
 //!    slice exactly: matching data range, level-by-level SoA metadata equal
 //!    to the slice subtree, and record columns equal to the data array; the
 //!    cached sealed-record count equals the regions' total;
-//! 10. every slice's cached `converged` flag equals `subtree_converged()`.
+//! 10. every slice's cached `converged` flag equals `subtree_converged()`;
+//! 11. the rows and the key columns exist exactly while some record is
+//!     unsealed: `n` of each then, none once every record is sealed.
+//!
+//! A fully sealed engine keeps no rows, so its checks read the records
+//! from its arenas ([`Quasii::records`]): invariants 3 to 5 then hold the
+//! slice tree against the arenas' records, and 9's record half is met by
+//! construction.
 
 use crate::config::AssignBy;
 use crate::crack::key_of;
@@ -32,30 +39,16 @@ use crate::seal::SealedRegion;
 use crate::slice::Slice;
 use crate::Quasii;
 use quasii_common::geom::{Aabb, Record};
+use std::borrow::Cow;
 
 /// Runs all checks; `Err` describes the first violation.
 pub(crate) fn validate<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
-    let (data, cols, roots, tau, mode) = index.raw_parts();
+    let (rows, cols, roots, tau, mode) = index.raw_parts();
     if roots.is_empty() {
         return Ok(()); // pre-initialization or empty dataset
     }
-    if !cols.is_built(data.len()) {
-        return Err(format!(
-            "column pair holds {} entries for {} records",
-            cols.len(),
-            data.len()
-        ));
-    }
-    check_level(data, cols, roots, 0, 0, data.len(), tau, mode)?;
-    check_seals(index)
-}
-
-/// Invariant 9: every sealed arena is an exact compaction of a converged
-/// top-level slice (`check_level` has already checked its flag against its
-/// subtree), and the cached sealed-record count the fully-sealed fast path
-/// trusts is their total.
-fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
-    let (data, _, roots, _, _) = index.raw_parts();
+    // The cached sealed-record count the fully-sealed fast path trusts is
+    // the regions' total (invariant 9), and it decides invariant 11.
     let sealed: usize = index.seal_regions().iter().map(|r| r.records()).sum();
     if index.sealed_records() != sealed {
         return Err(format!(
@@ -63,6 +56,30 @@ fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
             index.sealed_records()
         ));
     }
+    let n = index.n;
+    let fully_sealed = sealed == n;
+    let want = if fully_sealed { 0 } else { n };
+    if rows.len() != want || !cols.is_built(want) {
+        return Err(format!(
+            "{} rows and {} key-column entries for {n} records, {sealed} of them sealed",
+            rows.len(),
+            cols.len()
+        ));
+    }
+    let records = if fully_sealed {
+        Cow::Owned(index.records())
+    } else {
+        Cow::Borrowed(rows)
+    };
+    check_level(&records, cols, roots, 0, 0, n, tau, mode)?;
+    check_seals(index, &records)
+}
+
+/// Invariant 9: every sealed arena is an exact compaction of a converged
+/// top-level slice (`check_level` has already checked its flag against its
+/// subtree) whose records equal `data`'s over its range.
+fn check_seals<const D: usize>(index: &Quasii<D>, data: &[Record<D>]) -> Result<(), String> {
+    let roots = index.raw_parts().2;
     let mut prev_end = 0usize;
     for (k, region) in index.seal_regions().iter().enumerate() {
         if region.begin < prev_end {
@@ -118,7 +135,7 @@ fn check_seals<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
 /// `key_lo`, record range, bounding box and child range. A snapshot stores
 /// every sealed subtree twice, in the skeleton and in the arena, so
 /// `persist::decode` runs this too; the record-column half stays in
-/// [`check_seals`], since the loader rebuilds those rows from the arena.
+/// [`check_seals`], since the loader takes those records from the arena.
 pub(crate) fn check_region_nodes<const D: usize>(
     region: &SealedRegion<D>,
     root: &Slice<D>,
@@ -270,8 +287,14 @@ fn check_level<const D: usize>(
         // sub-ranges for deeper dimensions, and the engine never consults
         // it there — `refine` only ever runs on unrefined slices.)
         if s.keys_fresh && !s.refined {
-            let keys = &cols.keys()[s.begin..s.end];
-            let his = &cols.his()[s.begin..s.end];
+            let (Some(keys), Some(his)) = (
+                cols.keys().get(s.begin..s.end),
+                cols.his().get(s.begin..s.end),
+            ) else {
+                return Err(format!(
+                    "unrefined slice {i} at level {level} claims key columns the engine lacks"
+                ));
+            };
             for (idx, ((k, h), r)) in keys.iter().zip(his).zip(seg).enumerate() {
                 let want_k = key_of(r, level, mode);
                 let want_h = r.mbb.hi[level];

@@ -67,7 +67,8 @@ mod admission;
 
 use admission::{Admission, GroupReply, Rejection};
 use minihttp::{read_request, Limits, Request, Response};
-use quasii_common::geom::{mbb_of, Aabb};
+use quasii_common::geom::Aabb;
+use quasii_common::index::SpatialIndex;
 use quasii_obs as obs;
 use quasii_obs::registry::server_stage;
 use quasii_obs::Stage;
@@ -216,13 +217,10 @@ pub fn start(
         .map_err(|e| format!("local_addr: {e}"))?;
 
     let mut universe = Aabb::empty();
-    let mut records = 0usize;
     for e in engine.engines() {
-        records += e.data().len();
-        if !e.data().is_empty() {
-            universe.expand(&mbb_of(e.data()));
-        }
+        universe.expand(&e.data_bounds());
     }
+    let records = engine.len();
 
     let shared = Arc::new(Shared {
         poisoned: AtomicBool::new(engine.is_poisoned()),

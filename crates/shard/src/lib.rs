@@ -406,7 +406,7 @@ impl<const D: usize> ShardedQuasii<D> {
                     shard: k,
                     key_lo,
                     key_hi,
-                    records: s.data().len(),
+                    records: s.len(),
                     slices: s.slice_count(),
                     level_profile: s.level_profile(),
                     stats: s.stats(),
@@ -452,7 +452,7 @@ impl<const D: usize> ShardedQuasii<D> {
     /// sealed read paths (`0.0` when empty) — the aggregate convergence
     /// signal; [`snapshots`](Self::snapshots) has the per-shard breakdown.
     pub fn sealed_fraction(&self) -> f64 {
-        let total: usize = self.shards.iter().map(|s| s.data().len()).sum();
+        let total: usize = self.shards.iter().map(Quasii::len).sum();
         if total == 0 {
             return 0.0;
         }
@@ -476,7 +476,7 @@ impl<const D: usize> ShardedQuasii<D> {
         for (k, s) in self.shards.iter().enumerate() {
             s.validate().map_err(|e| format!("shard {k}: {e}"))?;
             let (lo, hi) = self.fences.range(k);
-            for r in s.data() {
+            for r in &s.records() {
                 let key = key_of(r, 0, mode);
                 if !(lo <= key && key < hi) {
                     return Err(format!(
@@ -816,7 +816,7 @@ impl<const D: usize> SpatialIndex<D> for ShardedQuasii<D> {
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.data().len()).sum()
+        self.shards.iter().map(Quasii::len).sum()
     }
 
     fn index_bytes(&self) -> usize {
@@ -940,7 +940,7 @@ mod tests {
                 let orders: Vec<Vec<u64>> = idx
                     .engines()
                     .iter()
-                    .map(|s| s.data().iter().map(|r| r.id).collect())
+                    .map(|s| s.records().iter().map(|r| r.id).collect())
                     .collect();
                 let stats = idx.stats();
                 match &baseline {

@@ -5,6 +5,7 @@ use crate::{RouterStats, ShardConfig, ShardedQuasii};
 use quasii::snapshot::{header_word, SnapshotError};
 use quasii::{AssignBy, KeyFences, Quasii, QuasiiConfig};
 use quasii_common::fsx::{self, SnapshotStore};
+use quasii_common::index::SpatialIndex;
 use quasii_common::pool;
 use quasii_common::snapshot::{corrupt, Frame, Reader, Writer, FRAME_LEN};
 use quasii_obs as obs;
@@ -66,7 +67,7 @@ impl<const D: usize> ShardedQuasii<D> {
         m.u64(inner.len() as u64);
         m.f64s(inner);
         for (s, buf) in self.shards.iter().zip(&shard_bufs) {
-            m.u64(s.data().len() as u64);
+            m.u64(s.len() as u64);
             m.u64(buf.len() as u64);
             m.u64(header_word(buf).expect("an engine snapshot starts with a frame"));
         }
@@ -236,10 +237,10 @@ pub(crate) fn load_shard<const D: usize>(
         SnapshotError::Corrupt(msg) => corrupt(format!("shard {k}: {msg}")),
         other => other,
     })?;
-    if engine.data().len() != records {
+    if engine.len() != records {
         return Err(corrupt(format!(
             "shard {k} holds {} records, manifest says {records}",
-            engine.data().len()
+            engine.len()
         )));
     }
     Ok(engine)
@@ -376,7 +377,7 @@ mod tests {
         assert_eq!(re.config().shards, idx.config().shards);
         assert_eq!(re.config().shard_threads, idx.config().shard_threads);
         for (a, b) in re.engines().iter().zip(idx.engines()) {
-            assert_eq!(a.data(), b.data(), "per-shard permutation");
+            assert_eq!(a.records(), b.records(), "per-shard permutation");
         }
         re.validate().expect("reloaded invariants");
         assert_eq!(
@@ -502,7 +503,7 @@ mod tests {
         for (&(records, len, word), (buf, engine)) in
             m.shards.iter().zip(bufs.iter().zip(idx.engines()))
         {
-            assert_eq!((records, len), (engine.data().len(), buf.len()));
+            assert_eq!((records, len), (engine.len(), buf.len()));
             assert_eq!(
                 Some(word),
                 header_word(buf),

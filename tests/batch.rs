@@ -80,7 +80,7 @@ proptest! {
             let mut results = idx.execute_batch(first);
             results.extend(idx.execute_batch(second));
             idx.validate().map_err(TestCaseError::fail)?;
-            let order: Vec<u64> = idx.data().iter().map(|r| r.id).collect();
+            let order: Vec<u64> = idx.records().iter().map(|r| r.id).collect();
             runs.push((results, order, idx.stats()));
         }
         let (r1, o1, s1) = &runs[0];

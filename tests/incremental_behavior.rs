@@ -87,7 +87,7 @@ fn quasii_physical_reorg_preserves_the_record_multiset() {
     for q in &workload::clustered(&u, 3, 15, 1e-3, 8).queries {
         idx.query_collect(q);
     }
-    let mut after: Vec<u64> = idx.data().iter().map(|r| r.id).collect();
+    let mut after: Vec<u64> = idx.records().iter().map(|r| r.id).collect();
     after.sort_unstable();
     assert_eq!(ids, after);
 }

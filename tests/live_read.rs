@@ -164,8 +164,8 @@ proptest! {
             }
             prop_assert_eq!(batched.stats(), single.stats());
             prop_assert_eq!(batched.stats(), writer.stats());
-            prop_assert_eq!(ids(batched.data()), ids(writer.data()));
-            prop_assert_eq!(ids(single.data()), ids(writer.data()));
+            prop_assert_eq!(ids(&batched.records()), ids(&writer.records()));
+            prop_assert_eq!(ids(&single.records()), ids(&writer.records()));
             batched.validate().map_err(|e| TestCaseError::fail(format!("batched: {e}")))?;
 
             // Reads between the batches: the next batch's queries.
@@ -189,6 +189,6 @@ proptest! {
                 prop_assert_eq!(batched.stats(), after);
             }
         }
-        prop_assert_eq!(ids(batched.data()), ids(writer.data()));
+        prop_assert_eq!(ids(&batched.records()), ids(&writer.records()));
     }
 }

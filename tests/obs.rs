@@ -68,7 +68,7 @@ fn run_engine(
             results.extend(idx.execute_batch(chunk));
         }
     }
-    let perm: Vec<u64> = idx.data().iter().map(|r| r.id).collect();
+    let perm: Vec<u64> = idx.records().iter().map(|r| r.id).collect();
     (results, perm, idx.stats(), idx.seal_stats())
 }
 

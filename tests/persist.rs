@@ -79,7 +79,7 @@ proptest! {
         let mut reloaded = Quasii::<3>::from_snapshot(snap.clone()).map_err(|e| {
             TestCaseError::fail(format!("from_snapshot: {e}"))
         })?;
-        prop_assert_eq!(ids(reloaded.data()), ids(writer.data()), "permutation");
+        prop_assert_eq!(ids(&reloaded.records()), ids(&writer.records()), "permutation");
         prop_assert_eq!(reloaded.stats(), writer.stats(), "work counters");
         prop_assert_eq!(reloaded.seal_stats(), writer.seal_stats(), "seal counters");
         prop_assert_eq!(
@@ -112,6 +112,39 @@ proptest! {
             TestCaseError::fail(format!("re-write (reloaded): {e}"))
         })?;
         prop_assert_eq!(again_w, again_r, "snapshot bytes diverged");
+    }
+
+    /// A reload holds the writer's records, boxes bit for bit, in the
+    /// writer's order, whether its arenas hold some records (rows stored
+    /// beside them) or all of them (no rows stored or rebuilt); both equal
+    /// the rows of the same history run with sealing off.
+    #[test]
+    fn a_reload_holds_the_writers_records(
+        data in dataset3(700),
+        queries in queries3(12),
+        tau in 2usize..24,
+        finalize in (0u8..2).prop_map(|v| v == 1),
+    ) {
+        let cfg = QuasiiConfig::with_tau(tau);
+        let mut rows = Quasii::new(data.clone(), cfg.clone().with_seal(false));
+        let mut writer = Quasii::new(data, cfg);
+        for idx in [&mut rows, &mut writer] {
+            let _ = idx.execute_batch(&queries);
+            if finalize {
+                idx.finalize();
+            }
+        }
+        if finalize {
+            prop_assert_eq!(writer.sealed_fraction(), 1.0);
+        }
+        let snap = writer.write_snapshot().map_err(|e| {
+            TestCaseError::fail(format!("write_snapshot: {e}"))
+        })?;
+        let reloaded = Quasii::<3>::from_snapshot(snap).map_err(|e| {
+            TestCaseError::fail(format!("from_snapshot: {e}"))
+        })?;
+        prop_assert_eq!(reloaded.records(), writer.records(), "reload");
+        prop_assert_eq!(writer.records(), rows.records(), "sealing off");
     }
 
     /// Totality: arbitrary single-byte corruption and arbitrary truncation

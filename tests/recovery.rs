@@ -15,7 +15,8 @@
 //!   and surfaces exhaustion as a clean error with the old state intact.
 //! * **Worker panics** — a panic inside a shard's batch worker poisons
 //!   the deployment (structured error, never a partial result) and
-//!   `repair()` restores byte-identical answers.
+//!   `repair()` restores byte-identical answers; a fully sealed engine
+//!   that no longer validates is rebuilt from its arenas' records.
 //!
 //! Deep CI runs widen the case budget via `PROPTEST_CASES`.
 
@@ -64,7 +65,7 @@ fn fingerprint(idx: &ShardedQuasii<3>) -> (u64, quasii_shard::RouterStats, Vec<V
         idx.router_stats(),
         idx.engines()
             .iter()
-            .map(|e| e.data().iter().map(|r| r.id).collect())
+            .map(|e| e.records().iter().map(|r| r.id).collect())
             .collect(),
     )
 }
@@ -326,4 +327,84 @@ fn worker_panics_poison_then_repair_restores_byte_identity() {
             "injection at shard {shard} query {query_index}"
         );
     }
+}
+
+/// A fully sealed engine keeps no rows, so a repair that must rebuild it
+/// takes the record multiset from its arenas. The engine is a reload of a
+/// part whose arena moves one record's lower x below its slices' boxes:
+/// the loader holds the arena's nodes to the skeleton, not its records to
+/// the nodes, so `validate` is the first check to see it.
+#[test]
+fn a_poisoned_fully_sealed_engine_is_rebuilt_from_its_arenas() {
+    let data: Vec<Record<3>> = (0..2_000u64)
+        .map(|i| {
+            let v = (i * 7_919 % 2_000) as f64 / 8.0 + 0.37;
+            let w = (i * 104_729 % 2_000) as f64 / 8.0 + 0.11;
+            let z = (v + w) / 2.0 + 0.013;
+            Record::new(i, Aabb::new([v, w, z], [v + 2.5, w + 1.5, z + 3.0]))
+        })
+        .collect();
+    let queries: Vec<Aabb<3>> = (0..16)
+        .map(|i| {
+            let v = (i * 17 % 240) as f64;
+            Aabb::new([v - 60.0, v, v], [v + 25.0; 3])
+        })
+        .collect();
+    let cfg = QuasiiConfig::with_tau(16);
+    let mut writer = Quasii::new(data, cfg.clone());
+    writer.finalize();
+    assert_eq!(writer.sealed_fraction(), 1.0);
+    let mut snap = writer.write_snapshot().expect("write");
+
+    // A record's lower x whose bits occur once in the part: in its arena's
+    // column, and in no box of the skeleton or the arena's nodes.
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let at = writer
+        .records()
+        .iter()
+        .find_map(|r| {
+            let bits = r.mbb.lo[0].to_bits();
+            let mut hits = (0..snap.len() / 8)
+                .map(|k| 8 * k)
+                .filter(|&at| word(&snap, at) == bits);
+            match (hits.next(), hits.next()) {
+                (Some(at), None) => Some(at),
+                _ => None,
+            }
+        })
+        .expect("some lower x is not a box edge");
+    snap[at..at + 8].copy_from_slice(&(-50.0f64).to_le_bytes());
+    let sum = quasii_common::snapshot::checksum64(&snap[24..]);
+    snap[16..24].copy_from_slice(&sum.to_le_bytes());
+
+    let mut idx = Quasii::<3>::from_snapshot(snap).expect("the loader checks nodes, not records");
+    assert_eq!(idx.sealed_fraction(), 1.0);
+    assert!(idx.validate().is_err(), "a record leaves its slices' boxes");
+    let held = idx.records();
+    assert!(held.iter().any(|r| r.mbb.lo[0] == -50.0));
+
+    idx.inject_panic_at(0);
+    assert!(
+        idx.try_execute_batch(&queries).is_err(),
+        "the read phase panics"
+    );
+    assert_eq!(idx.repair(), RepairOutcome::Rebuilt);
+    idx.validate().expect("the rebuilt engine validates");
+
+    let sorted = |mut v: Vec<Record<3>>| {
+        v.sort_by_key(|r| r.id);
+        v
+    };
+    assert_eq!(sorted(idx.records()), sorted(held.clone()), "the multiset");
+    let mut fresh = Quasii::new(held.clone(), cfg);
+    let got = idx.execute_batch(&queries);
+    assert_eq!(
+        got,
+        fresh.execute_batch(&queries),
+        "a fresh build's answers"
+    );
+    for (q, hits) in queries.iter().zip(&got) {
+        assert_matches_brute_force(&held, q, hits);
+    }
+    assert_eq!(sorted(idx.records()), sorted(fresh.records()));
 }

@@ -94,7 +94,7 @@ proptest! {
                 idx.stats(), orc.stats(),
                 "work counters diverged, read first: {}", read_first
             );
-            prop_assert_eq!(ids(idx.data()), ids(orc.data()), "permutation diverged");
+            prop_assert_eq!(ids(&idx.records()), ids(&orc.records()), "permutation diverged");
         }
     }
 
@@ -125,8 +125,8 @@ proptest! {
             prop_assert_eq!(&got, &expect, "ids diverged at threads={}", threads);
             prop_assert_eq!(idx.stats(), orc.stats(), "stats at threads={}", threads);
             prop_assert_eq!(
-                ids(idx.data()),
-                ids(orc.data()),
+                ids(&idx.records()),
+                ids(&orc.records()),
                 "permutation at threads={}", threads
             );
         }

@@ -95,7 +95,7 @@ proptest! {
             let orders: Vec<Vec<u64>> = idx
                 .engines()
                 .iter()
-                .map(|s| s.data().iter().map(|r| r.id).collect())
+                .map(|s| s.records().iter().map(|r| r.id).collect())
                 .collect();
             runs.push((results, orders, idx.stats(), idx.router_stats()));
         }
@@ -167,7 +167,7 @@ fn fixed_workload_full_sweep_is_byte_identical() {
                     let orders: Vec<Vec<u64>> = idx
                         .engines()
                         .iter()
-                        .map(|s| s.data().iter().map(|r| r.id).collect())
+                        .map(|s| s.records().iter().map(|r| r.id).collect())
                         .collect();
                     match &per_shard_state {
                         None => per_shard_state = Some((orders, idx.stats())),
