@@ -87,7 +87,10 @@ step_deep_shard() { deep shard 256; }
 step_deep_keyed_kernels() { deep keyed_kernels 256; }
 # Vector kernels equal the forced-scalar oracle: results, work, snapshot bytes.
 step_deep_simd() { deep simd 128; }
-# The sealed read path equals the sealing-disabled engine.
+# The engine runs the paper's algorithm: answers, permutation and work
+# counters equal the reference QUASII's, driven four ways.
+step_deep_reference() { deep reference_agreement 1024 --release; }
+# The sealed read path equals the reference engine.
 step_deep_sealed() { deep sealed 128; }
 # A query `can_read` approves is one the writer would not crack.
 step_deep_live_read() { deep live_read 256; }

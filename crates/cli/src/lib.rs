@@ -82,9 +82,8 @@ impl WorkloadOpts {
 }
 
 /// The ENGINE option group: how a QUASII deployment is built from a
-/// dataset. Shared by `bench`, `snapshot` (which does not read `--seal`)
-/// and `serve`; holds defaults wherever the index is not built from
-/// `--data`.
+/// dataset. Shared by `bench`, `snapshot` and `serve`; holds defaults
+/// wherever the index is not built from `--data`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineOpts {
     /// Worker cap of each parallel phase — shard jobs, sealed reads
@@ -94,14 +93,12 @@ pub struct EngineOpts {
     pub shards: usize,
     /// Slice assignment coordinate (paper footnote 1).
     pub assign_by: AssignBy,
-    /// Whether converged regions compact into sealed arenas.
-    pub seal: bool,
     /// SIMD kernel dispatch policy (a host property, never persisted).
     pub simd: SimdPolicy,
 }
 
 /// The option names of the ENGINE group.
-const ENGINE_OPTIONS: [&str; 5] = ["threads", "shards", "assign-by", "seal", "simd"];
+const ENGINE_OPTIONS: [&str; 4] = ["threads", "shards", "assign-by", "simd"];
 
 impl EngineOpts {
     /// The deployment these options describe, built over `records`:
@@ -113,7 +110,6 @@ impl EngineOpts {
         let inner = QuasiiConfig::default()
             .with_threads(self.threads)
             .with_assign_by(self.assign_by)
-            .with_seal(self.seal)
             .with_simd(self.simd);
         let cfg = ShardConfig::default()
             .with_shards(self.shards.max(1))
@@ -168,7 +164,7 @@ pub enum Command {
         out: String,
         /// Warm-up queries before the snapshot is taken.
         workload: WorkloadOpts,
-        /// How the QUASII index is built (`seal` is always on).
+        /// How the QUASII index is built.
         engine: EngineOpts,
         /// Fully crack the index instead of warming it with queries.
         finalize: bool,
@@ -302,9 +298,8 @@ impl<'a> Given<'a> {
         })
     }
 
-    /// The ENGINE group; `snapshot` passes `reads_seal = false` and always
-    /// seals, so `snapshot --seal` stays an unknown option.
-    fn engine(&mut self, reads_seal: bool) -> Result<EngineOpts, String> {
+    /// The ENGINE group.
+    fn engine(&mut self) -> Result<EngineOpts, String> {
         Ok(EngineOpts {
             threads: self.num("threads", 0)?,
             shards: self.num("shards", 0)?,
@@ -314,7 +309,6 @@ impl<'a> Given<'a> {
                 AssignBy::parse,
                 "lower|center|upper",
             )?,
-            seal: !reads_seal || self.flag("seal", true)?,
             simd: self.get("simd").map_or(Ok(SimdPolicy::Auto), parse_simd)?,
         })
     }
@@ -391,7 +385,7 @@ fn parse_census(args: &[String]) -> Result<(Command, BTreeSet<&'static str>), St
             if matches!(source, Source::WarmStart(_)) && index != "quasii" {
                 return Err("--warm-start requires --index quasii".to_string());
             }
-            let engine = g.engine(true)?;
+            let engine = g.engine()?;
             g.engine_options_take_effect(&index, &source)?;
             Command::Bench {
                 source,
@@ -406,7 +400,7 @@ fn parse_census(args: &[String]) -> Result<(Command, BTreeSet<&'static str>), St
             data: g.required("data")?,
             out: g.required("out")?,
             workload: g.workload()?,
-            engine: g.engine(false)?,
+            engine: g.engine()?,
             finalize: g.flag("finalize", false)?,
             fault: g.get("fault").map(str::to_string),
         },
@@ -419,7 +413,7 @@ fn parse_census(args: &[String]) -> Result<(Command, BTreeSet<&'static str>), St
         },
         "serve" => {
             let source = g.source("serve")?;
-            let engine = g.engine(true)?;
+            let engine = g.engine()?;
             g.engine_options_take_effect("quasii", &source)?;
             Command::Serve {
                 source,
@@ -449,7 +443,7 @@ USAGE:
   quasii bench    (--data FILE [ENGINE] | --warm-start SNAP) [WORKLOAD]
                   [--index scan|rtree|grid|sfc|sfcracker|mosaic|quasii]
                   [--batch N] [--metrics]
-  quasii snapshot --data FILE --out SNAP [WORKLOAD] [ENGINE but --seal]
+  quasii snapshot --data FILE --out SNAP [WORKLOAD] [ENGINE]
                   [--finalize true|false] [--fault SPEC]
   quasii verify   --path FILE
   quasii recover  --snapshot SNAP [--data FILE]
@@ -459,7 +453,7 @@ USAGE:
 WORKLOAD: [--queries N] [--volume FRAC] [--seed S]
           [--pattern uniform|clustered|skewed]
 ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
-          [--seal true|false] [--simd auto|scalar|sse2|avx2]
+          [--simd auto|scalar|sse2|avx2]
   ENGINE options say how a QUASII index is built from --data. Given with
   another --index, or beside --warm-start (the snapshot fixes layout and
   configuration), they are errors, not ignored. Answers are byte-identical
@@ -477,8 +471,6 @@ ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
   --shards K        K engines behind a key-range router, results in
                     ascending-id order (0 and 1 = one shard)
   --assign-by       slice assignment coordinate (paper footnote 1)
-  --seal false      keep the adaptive machinery on every query (the sealed
-                    read path's reference configuration)
   --simd            kernel generation (auto = QUASII_SIMD, then CPU
                     detection; an ISA the host lacks is an error)
   --metrics         print the metrics registry's table after the run

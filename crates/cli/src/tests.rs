@@ -7,13 +7,12 @@ fn args(s: &str) -> Vec<String> {
 }
 
 /// Threads and shards 0 (auto, one shard), the paper's lower coordinate,
-/// sealing on, dispatch auto.
+/// dispatch auto.
 fn default_engine() -> EngineOpts {
     EngineOpts {
         threads: 0,
         shards: 0,
         assign_by: AssignBy::Lower,
-        seal: true,
         simd: SimdPolicy::Auto,
     }
 }
@@ -77,13 +76,10 @@ fn parse_bench_full() {
         threads: 2,
         shards: 4,
         assign_by: AssignBy::Center,
-        seal: false,
         simd: SimdPolicy::Scalar,
     };
     assert_eq!(
-        bench(
-            "--shards 4 --threads 2 --pattern skewed --assign-by center --seal false --simd scalar"
-        ),
+        bench("--shards 4 --threads 2 --pattern skewed --assign-by center --simd scalar"),
         expected("quasii", &skewed, 0, &tuned, false)
     );
     // `--metrics` is a bare flag that also takes an explicit value.
@@ -106,7 +102,6 @@ fn options_are_validated_by_parse_before_any_file_or_socket() {
     for (cmdline, fragment) in [
         // Typed values are checked where they enter.
         ("bench --data d --assign-by sideways", "--assign-by"),
-        ("bench --data d --seal sideways", "--seal 'sideways' (true|"),
         ("bench --data d --simd mmx", "unknown --simd 'mmx'"),
         ("bench --data d --pattern zigzag", "--pattern 'zigzag'"),
         ("bench --data d --metrics maybe", "--metrics"),
@@ -114,8 +109,6 @@ fn options_are_validated_by_parse_before_any_file_or_socket() {
         ("snapshot --data d --out s --simd mmx", "--simd"),
         ("snapshot --data d --out s --pattern zigzag", "--pattern"),
         ("snapshot --data d --out s --finalize maybe", "--finalize"),
-        ("snapshot --data d --out s --seal true", "unknown option"),
-        ("serve --data d --seal sideways", "--seal"),
         ("serve --data d --assign-by sideways", "--assign-by"),
         // Exactly one source, and only QUASII has snapshots.
         ("bench", "bench needs exactly one of --data or"),
@@ -130,6 +123,24 @@ fn options_are_validated_by_parse_before_any_file_or_socket() {
         let err = err_of(cmdline);
         assert!(err.contains(fragment), "{cmdline}: {err}");
     }
+    // An engine always seals what converges: `--seal` is an option of no
+    // command.
+    for cmdline in [
+        "generate --out x",
+        "info --data d",
+        "bench --data d",
+        "bench --warm-start s",
+        "snapshot --data d --out s",
+        "verify --path p",
+        "recover --snapshot s",
+        "serve --data d",
+        "serve --warm-start s",
+    ] {
+        for value in ["true", "false"] {
+            let err = err_of(&format!("{cmdline} --seal {value}"));
+            assert!(err.contains("unknown option --seal"), "{cmdline}: {err}");
+        }
+    }
     // The one rule, for every ENGINE option: given where it cannot take
     // effect, at its default value or another, is an error with one
     // message.
@@ -140,8 +151,6 @@ fn options_are_validated_by_parse_before_any_file_or_socket() {
         "shards 2",
         "assign-by lower",
         "assign-by center",
-        "seal true",
-        "seal false",
         "simd auto",
         "simd scalar",
     ] {
@@ -264,8 +273,8 @@ fn option_census() {
         ("info --data d", "data"),
         (
             "bench --data d",
-            "assign-by batch data index metrics pattern queries seal seed shards simd threads \
-             volume warm-start",
+            "assign-by batch data index metrics pattern queries seed shards simd threads volume \
+             warm-start",
         ),
         (
             "snapshot --data d --out s",
@@ -275,7 +284,7 @@ fn option_census() {
         ("recover --snapshot s", "data snapshot"),
         (
             "serve --data d",
-            "addr assign-by data queue-cap seal shards simd threads warm-start",
+            "addr assign-by data queue-cap shards simd threads warm-start",
         ),
     ];
     let mut pairs = 0;
@@ -287,7 +296,7 @@ fn option_census() {
         pairs += options.len();
         union.extend(options);
     }
-    assert_eq!(pairs, 43);
+    assert_eq!(pairs, 41);
     let option_name = |t: &'static str| {
         let end = t.find(|c: char| !c.is_ascii_lowercase() && c != '-');
         &t[..end.unwrap_or(t.len())]
@@ -506,8 +515,6 @@ fn end_to_end_generate_info_bench() {
     }
     // Batch path: batches of 8, sealed reads on up to 2 workers.
     bench("--batch 8 --threads 2 --assign-by center").unwrap();
-    // Sealing disabled: the reference (pure adaptive) configuration.
-    bench("--seal false").unwrap();
     // Sharded path on the skewed (hot-region) workload, with
     // the metrics table printed after it.
     bench("--pattern skewed --batch 8 --threads 2 --shards 3 --metrics").unwrap();

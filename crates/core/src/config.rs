@@ -59,9 +59,9 @@ impl AssignBy {
 ///
 /// The paper stresses that QUASII "has only one configuration parameter, a
 /// size threshold τ" — [`tau`](Self::tau). The remaining fields are the
-/// footnote-1 assignment choice and three execution choices absent from
-/// the paper (read-phase threads, sealing, SIMD kernels), none of which
-/// changes a result.
+/// footnote-1 assignment choice and two execution choices absent from the
+/// paper (read-phase threads, SIMD kernels), neither of which changes a
+/// result.
 #[derive(Clone, Debug)]
 pub struct QuasiiConfig {
     /// Maximum number of objects in a fully refined slice at the *finest*
@@ -79,12 +79,6 @@ pub struct QuasiiConfig {
     /// they run in parallel only across the engines of a `quasii-shard`
     /// deployment. Results are bit-for-bit identical for every value.
     pub threads: usize,
-    /// Whether converged top-level slices are compacted into **sealed**
-    /// arenas answered through the shared-read path (default: `true`; see
-    /// `crate::seal`). Disabling it keeps the adaptive `&mut` machinery on
-    /// every query — the configuration the sealed path is benchmarked and
-    /// property-tested against (results are identical either way).
-    pub seal: bool,
     /// Kernel-generation policy for the SIMD column kernels (see
     /// [`crate::simd`]). `Auto` (the default) honors the `QUASII_SIMD`
     /// environment override, then runtime CPU detection; forcing
@@ -99,7 +93,6 @@ impl Default for QuasiiConfig {
             tau: 60,
             assign_by: AssignBy::Lower,
             threads: 0,
-            seal: true,
             simd: SimdPolicy::Auto,
         }
     }
@@ -134,14 +127,6 @@ impl QuasiiConfig {
     /// constructor).
     pub fn with_assign_by(mut self, assign_by: AssignBy) -> Self {
         self.assign_by = assign_by;
-        self
-    }
-
-    /// Returns `self` with the sealed read path enabled or disabled
-    /// (chainable). `with_seal(false)` is the reference configuration the
-    /// sealed path is verified against.
-    pub fn with_seal(mut self, seal: bool) -> Self {
-        self.seal = seal;
         self
     }
 
@@ -219,9 +204,7 @@ mod tests {
         let c = QuasiiConfig::default();
         assert_eq!(c.tau, 60);
         assert_eq!(c.threads, 0, "0 = auto (available parallelism)");
-        assert!(c.seal, "sealed read path is on by default");
         assert_eq!(c.simd, SimdPolicy::Auto, "kernel dispatch defaults to auto");
-        assert!(!QuasiiConfig::default().with_seal(false).seal);
         assert_eq!(
             QuasiiConfig::default().with_simd(SimdPolicy::Scalar).simd,
             SimdPolicy::Scalar

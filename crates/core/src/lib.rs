@@ -445,11 +445,10 @@ impl<const D: usize> Quasii<D> {
     // -----------------------------------------------------------------
 
     /// Compacts every converged top-level slice into a sealed arena (a
-    /// no-op for slices already sealed or not yet converged, and with
-    /// [`QuasiiConfig::seal`] disabled). Every write already seals what it
-    /// converged before it returns, so on an initialized engine this finds
-    /// nothing new; on a fresh one it initializes first, which is the one
-    /// place it can matter.
+    /// no-op for slices already sealed or not yet converged). Every write
+    /// already seals what it converged before it returns, so on an
+    /// initialized engine this finds nothing new; on a fresh one it
+    /// initializes first, which is the one place it can matter.
     pub fn seal(&mut self) {
         self.ensure_init();
         self.seal_converged(0..self.n);
@@ -499,7 +498,7 @@ impl<const D: usize> Quasii<D> {
     /// that seals the last root slice drops the rows and the key columns:
     /// a fully sealed engine reads only arenas and never cracks again.
     pub(crate) fn seal_converged(&mut self, span: Range<usize>) {
-        if !self.cfg.seal || span.is_empty() {
+        if span.is_empty() {
             return;
         }
         let timer = obs::start();
@@ -539,16 +538,15 @@ impl<const D: usize> Quasii<D> {
     /// passes). [`read`](Self::read) then answers it over `&self`. `Err`
     /// carries the window the writer will visit, the only root slices it
     /// can reorganize and so newly converge; it is empty with no root list
-    /// yet. With sealing off nothing is readable: that configuration is the
-    /// pure writer, the reference every read is checked against. In the
-    /// fully sealed steady state the decision is one integer compare.
+    /// yet. In the fully sealed steady state the decision is one integer
+    /// compare.
     pub(crate) fn readable_window(
         &self,
         q: &Aabb<D>,
         qe: &Aabb<D>,
     ) -> Result<Range<usize>, Range<usize>> {
         let cand = engine::window(&self.root, qe);
-        if !self.cfg.seal || self.root.is_empty() {
+        if self.root.is_empty() {
             return Err(cand);
         }
         let readable = self.sealed_record_count == self.n
@@ -580,7 +578,7 @@ impl<const D: usize> Quasii<D> {
     /// any other from the live slice tree. Returns `false` with nothing
     /// appended and nothing booked when the query needs the writer
     /// ([`try_execute_batch`](Self::try_execute_batch)): a slice on its
-    /// path still cracks, sealing off, a fresh or a poisoned engine.
+    /// path still cracks, or the engine is fresh or poisoned.
     #[must_use]
     pub fn read(&self, q: &Aabb<D>, out: &mut Vec<u64>) -> bool {
         if self.poisoned.is_some() {
@@ -1003,42 +1001,46 @@ mod tests {
     }
 
     /// The write that seals the last root slice drops the rows and both key
-    /// columns, and so does a load of the part it writes; the arenas then
-    /// hold the same records in the same order as the rows of an engine
-    /// that never seals.
+    /// columns, and so does a load of the part it writes: what is left is
+    /// the tree and the arenas, and the permutation the arenas hold reads
+    /// through the tree as the rows did.
     #[test]
     fn a_fully_sealed_engine_keeps_no_rows_and_no_key_columns() {
         let data = uniform_boxes_in::<3>(4_000, 1_000.0, 57);
         let n = data.len();
-        let cfg = QuasiiConfig::with_tau(16);
-        let mut rows = Quasii::new(data.clone(), cfg.clone().with_seal(false));
-        rows.finalize();
-        let mut idx = Quasii::new(data, cfg);
-        idx.finalize();
-        assert_eq!(idx.sealed_fraction(), 1.0);
-        assert_eq!(rows.data.len(), n);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
+        idx.seal();
+        assert_eq!(idx.sealed_fraction(), 0.0);
+        assert_eq!(idx.data.len(), n);
         assert_eq!(
-            rows.keys.heap_bytes(),
+            idx.keys.heap_bytes(),
             16 * n,
             "the columns held 16 B a record"
         );
+        idx.finalize();
+        assert_eq!(idx.sealed_fraction(), 1.0);
         assert!(idx.data.is_empty() && idx.keys.heap_bytes() == 0);
+        let tree = idx.root.capacity() * std::mem::size_of::<Slice<3>>()
+            + idx.root.iter().map(Slice::heap_bytes).sum::<usize>();
         assert_eq!(
             idx.index_bytes(),
-            rows.index_bytes() - 16 * n + idx.seal_bytes(),
+            tree + idx.seal_bytes(),
             "the same tree, the arenas, and no key columns"
         );
-        assert_eq!(idx.records(), rows.records(), "the row permutation");
+        let rows = idx.records();
         idx.validate().unwrap();
 
         let mut re = Quasii::<3>::from_snapshot(idx.write_snapshot().unwrap()).unwrap();
         assert!(re.data.capacity() == 0 && re.keys.heap_bytes() == 0);
         assert_eq!(re.len(), n);
         assert_eq!(re.data_bounds(), idx.data_bounds());
-        assert_eq!(re.records(), rows.records());
+        assert_eq!(re.records(), rows);
         re.validate().unwrap();
         let q = Aabb::new([100.0; 3], [300.0; 3]);
-        assert_eq!(re.query_collect(&q), rows.query_collect(&q));
+        assert_eq!(
+            re.query_collect(&q),
+            seal::tests::read_live(&idx, &rows, &q).0
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! permutation) to the writer — the warm-start contract `tests/persist.rs`
 //! enforces property-based.
 //!
-//! # Buffer layout (format version 4)
+//! # Buffer layout (format version 5)
 //!
 //! All scalars little-endian; every section a multiple of 8 bytes, so each
 //! section (and in particular every region blob) starts 8-aligned. The
@@ -22,7 +22,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "QSIISNAP"
-//!      8     4  format version (u32, currently 4)
+//!      8     4  format version (u32, currently 5)
 //!     12     4  dimensionality D (u32)
 //!     16     8  checksum64 of bytes[24..]  (the "header word")
 //!     24     8  total buffer length in bytes
@@ -53,7 +53,7 @@
 //!
 //! ```text
 //! u64 n                      record count
-//! u64 ×4                     config: tau, assign_by (0|1|2), threads, seal (0|1)
+//! u64 ×3                     config: tau, assign_by (0|1|2), threads
 //! u64 ×10                    QuasiiStats (deterministic work counters)
 //! u64                        SealStats::sealed_queries
 //! f64 ×2D                    ext_low, ext_high (query extension amounts)
@@ -98,10 +98,11 @@
 //! meaningful bit was always set), `max_artificial_depth`, the seal and
 //! retired unseal counters, the seal stamp and the dirty-span section (a
 //! count, then a pair per span): six words on a snapshot without dirty
-//! spans. Every other byte kept its order. Scalars are defined
-//! little-endian: big-endian hosts get [`SnapshotError::Unsupported`] from
-//! both `write` and `load` (live indexing is unaffected — only the
-//! persistent form is LE-pinned).
+//! spans. Version 5 dropped the config word that said whether the engine
+//! sealed (8 bytes): an engine always seals what converges. Every other
+//! byte kept its order. Scalars are defined little-endian: big-endian
+//! hosts get [`SnapshotError::Unsupported`] from both `write` and `load`
+//! (live indexing is unaffected — only the persistent form is LE-pinned).
 //!
 //! # Totality
 //!
@@ -138,7 +139,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub(crate) const FORMAT_VERSION: u32 = 4;
+pub(crate) const FORMAT_VERSION: u32 = 5;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -313,7 +314,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     let slice_bytes = (8 + 2 * D) * 8;
     let blob_bytes: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
     let total = FRAME_LEN
-        + (16 + 4 * D) * 8 // scalars up to the bounds
+        + (15 + 4 * D) * 8 // scalars up to the bounds
         + 8 + stored * (record_bytes + 16)
         + 8 + idx.slice_count() * slice_bytes
         + 8 + idx.seals.len() * 32
@@ -325,7 +326,6 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     w.u64(idx.cfg.tau as u64);
     w.u64(idx.cfg.assign_by.code());
     w.u64(idx.cfg.threads as u64);
-    w.u64(u64::from(idx.cfg.seal));
     let st = idx.stats();
     for v in [
         st.queries,
@@ -542,7 +542,6 @@ fn decode<const D: usize>(
         tau: r.index("tau")?,
         assign_by: AssignBy::from_code(r.u64()?)?,
         threads: r.index("threads")?,
-        seal: r.flag("seal flag")?,
         // The SIMD policy is a host property, not index state: a snapshot
         // written on an AVX2 host must dispatch scalar on a host without
         // it (results are identical either way), so it is never persisted
@@ -693,9 +692,6 @@ fn decode<const D: usize>(
             "buffer holds {} bytes, sections account for {expected_off}",
             buf.len()
         )));
-    }
-    if !cfg.seal && !seals.is_empty() {
-        return Err(corrupt("sealed regions present with sealing disabled"));
     }
     // `stored ≤ n` holds; the regions must hold exactly the other records.
     let sealed_record_count: usize = seals.iter().map(SealedRegion::records).sum();
@@ -886,7 +882,7 @@ mod tests {
     /// Offset of the stored-row count: the frame, then the scalars up to
     /// the bounds.
     fn stored_at<const D: usize>() -> usize {
-        FRAME_LEN + (16 + 4 * D) * 8
+        FRAME_LEN + (15 + 4 * D) * 8
     }
 
     fn word(bytes: &[u8], at: usize) -> u64 {

@@ -70,8 +70,9 @@
 //! the engine's `query_level`/`descend` would perform over the same
 //! converged subtree — same partition-point probe, same "step one back"
 //! rule, same break/skip conditions, same bottom-level scan order — so its
-//! output is **byte-identical** to the unsealed engine's (`tests/sealed.rs`
-//! proves it property-based, with the sealing-disabled engine as oracle).
+//! output is **byte-identical** to the live read's (`tests/sealed.rs`
+//! proves it property-based, with the reference QUASII of `tests/reference`
+//! as oracle).
 
 use crate::persist::AlignedBytes;
 use crate::simd::{self, SimdLevel};
@@ -767,23 +768,45 @@ impl<const D: usize> SealedRegion<D> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::engine;
     use crate::{Quasii, QuasiiConfig};
     use quasii_common::dataset::uniform_boxes_in;
     use quasii_common::index::SpatialIndex;
 
-    /// Finalizes a small index and seals by hand, comparing the arena
-    /// traversal against the engine's own answers.
+    /// Answers `q` through the live read descent over `idx`'s skeleton and
+    /// `rows`, its permutation ([`Quasii::records`]): the reads of an
+    /// engine that kept those rows and built no arena. Returns the ids and
+    /// the objects tested; every root slice `q` visits must have converged.
+    pub(crate) fn read_live<const D: usize>(
+        idx: &Quasii<D>,
+        rows: &[Record<D>],
+        q: &Aabb<D>,
+    ) -> (Vec<u64>, u64) {
+        let qe = idx.extend_query(q);
+        let (mut out, mut tested) = (Vec::new(), 0);
+        for s in &idx.root[engine::window(&idx.root, &qe)] {
+            if q.intersects(&s.bbox) {
+                tested += engine::read_slice(rows, s, q, &qe, idx.env.simd, &mut out);
+            }
+        }
+        (out, tested)
+    }
+
+    /// Arenas built by hand from a finalized engine's skeleton and
+    /// permutation answer as the live read descent over the same two, and
+    /// as the engine itself.
     #[test]
     fn build_and_run_match_engine() {
         let data = uniform_boxes_in::<3>(2_000, 100.0, 5);
-        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(8).with_seal(false));
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(8));
         idx.finalize();
-        let (arr, _, roots, _, _) = idx.raw_parts();
-        let regions: Vec<SealedRegion<3>> = roots
+        let rows = idx.records();
+        let regions: Vec<SealedRegion<3>> = idx
+            .root
             .iter()
-            .map(|s| SealedRegion::build(s, arr).expect("finalized trees seal"))
+            .map(|s| SealedRegion::build(s, &rows).expect("finalized trees seal"))
             .collect();
         assert_eq!(
             regions.iter().map(SealedRegion::records).sum::<usize>(),
@@ -801,21 +824,20 @@ mod tests {
             Aabb::new([200.0; 3], [300.0; 3]),
         ];
         for q in &queries {
-            let expect = idx.query_collect(q);
+            let (live, live_tested) = read_live(&idx, &rows, q);
             let qe = idx.extend_query(q);
-            let mut got = Vec::new();
-            let (arr2, _, roots, _, _) = idx.raw_parts();
-            for (s, r) in roots.iter().zip(&regions) {
+            let (mut got, mut tested) = (Vec::new(), 0);
+            for (s, r) in idx.root.iter().zip(&regions) {
                 assert_eq!((s.begin, s.end), (r.begin, r.end));
                 if s.key_lo > qe.hi[0] {
                     break;
                 }
                 if q.intersects(&s.bbox) {
-                    r.run(q, &qe, &mut got, SimdLevel::detect());
+                    tested += r.run(q, &qe, &mut got, SimdLevel::detect());
                 }
             }
-            let _ = arr2;
-            assert_eq!(got, expect, "query {q:?}");
+            assert_eq!((&got, tested), (&live, live_tested), "query {q:?}");
+            assert_eq!(got, idx.query_collect(q), "query {q:?}");
         }
     }
 
@@ -825,10 +847,9 @@ mod tests {
     #[test]
     fn blob_reparses_at_a_shifted_base() {
         let data = uniform_boxes_in::<3>(500, 50.0, 11);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8).with_seal(false));
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
         idx.finalize();
-        let (arr, _, roots, _, _) = idx.raw_parts();
-        let r = SealedRegion::build(&roots[0], arr).expect("finalized trees seal");
+        let r = SealedRegion::build(&idx.root[0], &idx.records()).expect("finalized trees seal");
         let blob = r.blob();
         let shift = 64usize;
         let mut shifted = AlignedBytes::zeroed(shift + blob.len());
@@ -850,10 +871,9 @@ mod tests {
     #[test]
     fn truncated_blobs_are_rejected() {
         let data = uniform_boxes_in::<2>(200, 20.0, 3);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8).with_seal(false));
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
         idx.finalize();
-        let (arr, _, roots, _, _) = idx.raw_parts();
-        let r = SealedRegion::build(&roots[0], arr).expect("finalized trees seal");
+        let r = SealedRegion::build(&idx.root[0], &idx.records()).expect("finalized trees seal");
         let blob = r.blob().to_vec();
         for cut in [0, 8, 15, 16, blob.len() / 2, blob.len() - 1] {
             let buf = Arc::new(AlignedBytes::copy_from(&blob[..cut]));
@@ -870,74 +890,80 @@ mod tests {
     #[test]
     fn unconverged_subtrees_refuse_to_seal() {
         let data = uniform_boxes_in::<3>(2_000, 100.0, 6);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8).with_seal(false));
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
         // One tiny corner query leaves most of the tree unrefined.
         idx.query_collect(&Aabb::new([0.0; 3], [5.0; 3]));
-        let (arr, _, roots, _, _) = idx.raw_parts();
+        let rows = idx.records();
         assert!(
-            roots.iter().any(|s| SealedRegion::build(s, arr).is_none()),
+            idx.root
+                .iter()
+                .any(|s| SealedRegion::build(s, &rows).is_none()),
             "a single corner query must not converge every top-level slice"
         );
     }
+
+    /// The arena read against the live read descent over the same
+    /// finalized engine (its skeleton and permutation), one thread, 1 M
+    /// records, 2 000 uniform queries of volume 1e-3; prints the medians
+    /// and minima of nine rounds. Run with
+    /// `cargo test --release -p quasii --lib profile_sealed_vs_unsealed -- --ignored --nocapture`.
     #[test]
     #[ignore]
     fn profile_sealed_vs_unsealed() {
-        use quasii_common::geom::mbb_of;
         use std::time::Instant;
         let n = 1_000_000;
         let data = uniform_boxes_in::<3>(n, 10_000.0, 7);
-        let universe = mbb_of(&data);
-        let mut queries = Vec::new();
-        {
-            let side = (universe.extent(0) * universe.extent(1) * universe.extent(2) * 1e-3).cbrt();
-            let mut x = 123456789u64;
-            let mut rnd = || {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (x >> 11) as f64 / (1u64 << 53) as f64
-            };
-            for _ in 0..2000 {
-                let lo = [
-                    rnd() * (10_000.0 - side),
-                    rnd() * (10_000.0 - side),
-                    rnd() * (10_000.0 - side),
-                ];
-                queries.push(Aabb::new(lo, [lo[0] + side, lo[1] + side, lo[2] + side]));
-            }
-        }
-        let mut sealed = Quasii::new(data.clone(), QuasiiConfig::default().with_threads(1));
-        sealed.finalize();
-        sealed.seal();
-        let mut unsealed = Quasii::new(
-            data.clone(),
-            QuasiiConfig::default().with_threads(1).with_seal(false),
-        );
-        unsealed.finalize();
+        let side = (10_000.0f64.powi(3) * 1e-3).cbrt();
+        let mut x = 123456789u64;
+        let mut rnd = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 11) as f64 / (1u64 << 53) as f64 * (10_000.0 - side)
+        };
+        let queries: Vec<Aabb<3>> = (0..2000)
+            .map(|_| {
+                let lo = [rnd(), rnd(), rnd()];
+                Aabb::new(lo, lo.map(|v| v + side))
+            })
+            .collect();
+        let mut idx = Quasii::new(data, QuasiiConfig::default().with_threads(1));
+        idx.finalize();
+        assert_eq!(idx.sealed_fraction(), 1.0);
+        let rows = idx.records();
+        let arena = |q: &Aabb<3>| {
+            let mut out = Vec::new();
+            assert!(idx.read(q, &mut out));
+            out.len()
+        };
+        let live = |q: &Aabb<3>| read_live(&idx, &rows, q).0.len();
         for q in queries.iter().take(400) {
-            let _ = sealed.query_collect(q);
-            let _ = unsealed.query_collect(q);
+            assert_eq!(arena(q), live(q));
         }
-        let mut tu_all = Vec::new();
-        let mut ts_all = Vec::new();
+        let time = |f: &dyn Fn(&Aabb<3>) -> usize| {
+            let t = Instant::now();
+            let hits: usize = queries.iter().map(f).sum();
+            (t.elapsed().as_secs_f64(), hits)
+        };
+        let (mut ta, mut tl) = (Vec::new(), Vec::new());
         for _ in 0..9 {
-            let t = Instant::now();
-            let mut h = 0usize;
-            for q in &queries {
-                h += unsealed.query_collect(q).len();
-            }
-            tu_all.push(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            let mut h2 = 0usize;
-            for q in &queries {
-                h2 += sealed.query_collect(q).len();
-            }
-            ts_all.push(t.elapsed().as_secs_f64());
-            assert_eq!(h, h2);
+            let (t, live_hits) = time(&live);
+            tl.push(t);
+            let (t, arena_hits) = time(&arena);
+            ta.push(t);
+            assert_eq!(live_hits, arena_hits);
         }
-        tu_all.sort_by(f64::total_cmp);
-        ts_all.sort_by(f64::total_cmp);
-        println!("rep unsealed med {:.1}ms min {:.1}ms | sealed med {:.1}ms min {:.1}ms | ratio(med) {:.2} ratio(min) {:.2}",
-        tu_all[4]*1e3, tu_all[0]*1e3, ts_all[4]*1e3, ts_all[0]*1e3, tu_all[4]/ts_all[4], tu_all[0]/ts_all[0]);
+        ta.sort_by(f64::total_cmp);
+        tl.sort_by(f64::total_cmp);
+        println!(
+            "live med {:.1} ms min {:.1} ms | arena med {:.1} ms min {:.1} ms | \
+             live/arena med {:.2} min {:.2}",
+            tl[4] * 1e3,
+            tl[0] * 1e3,
+            ta[4] * 1e3,
+            ta[0] * 1e3,
+            tl[4] / ta[4],
+            tl[0] / ta[0]
+        );
     }
 }

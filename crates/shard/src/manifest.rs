@@ -20,9 +20,10 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"QSIISHRD";
 /// and recovery can rebuild shards with zero healthy engines.
 /// Version 3 binds each part by its header word (see the module docs) and
 /// moved both checksums to `checksum64`.
-/// Version 4 dropped the planner's sample cap and the engines'
-/// artificial-split depth, both fixed constants of the build.
-pub(crate) const MANIFEST_VERSION: u32 = 4;
+/// Versions 4 and 5 dropped words that no longer vary: the planner's sample
+/// cap and the engines' artificial-split depth (4), and whether the engines
+/// seal (5: an engine always seals what converges).
+pub(crate) const MANIFEST_VERSION: u32 = 5;
 
 impl<const D: usize> ShardedQuasii<D> {
     /// Serializes the deployment as a **manifest** plus **one buffer per
@@ -54,7 +55,6 @@ impl<const D: usize> ShardedQuasii<D> {
             self.cfg.inner.tau as u64,
             self.cfg.inner.assign_by.code(),
             self.cfg.inner.threads as u64,
-            self.cfg.inner.seal as u64,
         ] {
             m.u64(v);
         }
@@ -307,7 +307,6 @@ pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), Snapsh
         tau: r.index("tau")?,
         assign_by: AssignBy::from_code(r.u64()?)?,
         threads: r.index("inner threads")?,
-        seal: r.flag("seal flag")?,
         // SIMD dispatch is a host property, never persisted: re-resolve on
         // the loading host (see `quasii::simd`).
         simd: quasii::SimdPolicy::default(),
@@ -618,7 +617,6 @@ mod tests {
             60,       // tau
             0,        // assign mode
             0,        // inner threads
-            1,        // seal
             0,        // ext_low0
             0,        // ext_high0
             0,        // router queries

@@ -3,14 +3,18 @@
 //! per node on the query's path (no node cracked, no default child grown),
 //! so a query under a converged level-1 subtree reads even while its root
 //! slice is still cracking elsewhere. Whenever `can_read` says yes, the
-//! writer would have changed nothing and answered the same ids in the same
-//! order; and batches that mix such reads with cracks stay bit-for-bit
+//! reference QUASII of `tests/reference`, run through the same history,
+//! changes nothing when it runs the query and answers the same ids in the
+//! same order; and batches that mix such reads with cracks stay bit-for-bit
 //! equal to one-by-one execution.
+
+mod reference;
 
 use proptest::prelude::*;
 use quasii::{AssignBy, QuasiiConfig, QuasiiStats};
 use quasii_common::index::{assert_matches_brute_force, brute_force};
 use quasii_suite::prelude::*;
+use reference::{algorithmic, ids, Reference};
 
 /// The counters a crack or a new slice moves; a read leaves every one.
 fn structure(s: &QuasiiStats) -> [u64; 8] {
@@ -26,10 +30,6 @@ fn structure(s: &QuasiiStats) -> [u64; 8] {
     ]
 }
 
-fn ids(data: &[Record<3>]) -> Vec<u64> {
-    data.iter().map(|r| r.id).collect()
-}
-
 /// One query cracks a band that is narrow on dimension 1 but spans the
 /// whole of dimensions 0 and 2: every level-1 slice inside the band
 /// converges, and every root slice keeps unrefined level-1 slices outside
@@ -43,10 +43,9 @@ fn a_converged_level_one_subtree_reads_below_an_unconverged_root() {
     let cfg = QuasiiConfig::with_tau(8);
 
     let mut idx = Quasii::new(data.clone(), cfg.clone());
-    let mut writer = Quasii::new(data.clone(), cfg.clone().with_seal(false));
-    for engine in [&mut idx, &mut writer] {
-        assert_matches_brute_force(&data, &band, &engine.query_collect(&band));
-    }
+    let mut writer = Reference::new(data.clone(), &cfg);
+    assert_matches_brute_force(&data, &band, &idx.query_collect(&band));
+    assert_matches_brute_force(&data, &band, &writer.query(&band));
     assert_eq!(idx.sealed_records(), 0, "no root slice has converged");
 
     assert!(idx.can_read(&probe), "nothing on the probe's path cracks");
@@ -68,13 +67,14 @@ fn a_converged_level_one_subtree_reads_below_an_unconverged_root() {
     assert_matches_brute_force(&data, &probe, &got);
 
     let writer_before = writer.stats();
-    assert_eq!(
-        writer.query_collect(&probe),
-        got,
-        "the writer's ids, in order"
-    );
+    assert_eq!(writer.query(&probe), got, "the writer's ids, in order");
     assert_eq!(structure(&writer.stats()), structure(&writer_before));
-    assert_eq!(writer.stats(), after, "the same work as the writer");
+    assert_eq!(
+        algorithmic(after),
+        writer.stats(),
+        "the same work as the writer"
+    );
+    assert_eq!(ids(&idx.records()), ids(writer.records()));
     idx.validate().unwrap();
 
     // The deployment reads it too, on a shard whose root has not converged.
@@ -127,14 +127,15 @@ fn arb_mode() -> impl Strategy<Value = AssignBy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Clustered batches on three engines with one history: `batched`
-    /// (sealing on, two threads, whole batches), `single` (sealing on, one
-    /// query at a time) and `writer` (sealing off: every query through the
-    /// crack path). After each batch, every query of the next cluster is
+    /// Clustered batches on two engines and the reference with one
+    /// history: `batched` (two threads, whole batches), `single` (one query
+    /// at a time) and `writer` (the reference: every query through
+    /// Algorithm 1). After each batch, every query of the next cluster is
     /// probed: where `batched` says it can read, its read is answered and
     /// the writer answers the same query; the writer's structural counters
     /// must not move and its ids must equal the read's. Results,
-    /// permutation and `QuasiiStats` must agree on all three throughout.
+    /// permutation and the algorithmic counters must agree on all three
+    /// throughout.
     #[test]
     fn a_readable_query_is_one_the_writer_would_not_crack(
         data in dataset3(900),
@@ -152,7 +153,7 @@ proptest! {
         let cfg = QuasiiConfig::with_tau(tau).with_assign_by(mode);
         let mut batched = Quasii::new(data.clone(), cfg.clone().with_threads(2));
         let mut single = Quasii::new(data.clone(), cfg.clone().with_threads(1));
-        let mut writer = Quasii::new(data.clone(), cfg.with_threads(1).with_seal(false));
+        let mut writer = Reference::new(data.clone(), &cfg);
 
         let chunks: Vec<&[Aabb<3>]> = queries.chunks(chunk).collect();
         for (k, batch) in chunks.iter().enumerate() {
@@ -160,12 +161,12 @@ proptest! {
             for (q, hits) in batch.iter().zip(&got) {
                 let one = single.query_collect(q);
                 prop_assert_eq!(hits, &one, "batched vs one by one at {:?}", q);
-                prop_assert_eq!(&writer.query_collect(q), hits, "writer at {:?}", q);
+                prop_assert_eq!(&writer.query(q), hits, "writer at {:?}", q);
             }
             prop_assert_eq!(batched.stats(), single.stats());
-            prop_assert_eq!(batched.stats(), writer.stats());
-            prop_assert_eq!(ids(&batched.records()), ids(&writer.records()));
-            prop_assert_eq!(ids(&single.records()), ids(&writer.records()));
+            prop_assert_eq!(algorithmic(batched.stats()), writer.stats());
+            prop_assert_eq!(ids(&batched.records()), ids(writer.records()));
+            prop_assert_eq!(ids(&single.records()), ids(writer.records()));
             batched.validate().map_err(|e| TestCaseError::fail(format!("batched: {e}")))?;
 
             // Reads between the batches: the next batch's queries.
@@ -178,7 +179,7 @@ proptest! {
                 prop_assert!(batched.read(q, &mut read));
                 prop_assert!(single.read(q, &mut Vec::new()));
                 let before = writer.stats();
-                let written = writer.query_collect(q);
+                let written = writer.query(q);
                 let after = writer.stats();
                 prop_assert_eq!(
                     structure(&after), structure(&before),
@@ -186,9 +187,9 @@ proptest! {
                 );
                 prop_assert_eq!(&written, &read, "read vs writer at {:?}", q);
                 assert_matches_brute_force(&data, q, &read);
-                prop_assert_eq!(batched.stats(), after);
+                prop_assert_eq!(algorithmic(batched.stats()), after);
             }
         }
-        prop_assert_eq!(ids(&batched.records()), ids(&writer.records()));
+        prop_assert_eq!(ids(&batched.records()), ids(writer.records()));
     }
 }

@@ -2,8 +2,7 @@
 //! never change anything an engine computes — result vectors (in engine
 //! visit order), the record permutation, `QuasiiStats` and `SealStats` are
 //! compared for equality between a disabled and an enabled run of the
-//! identical configuration, across thread counts × batch shapes × seal
-//! on/off.
+//! identical configuration, across thread counts × batch shapes.
 //!
 //! The obs flag is process-global, so every test that toggles it holds
 //! [`OBS_LOCK`]; the engines themselves never *read* observability state to
@@ -50,13 +49,10 @@ type RunFingerprint = (
 fn run_engine(
     data: &[Record<3>],
     queries: &[Aabb<3>],
-    seal: bool,
     threads: usize,
     batch: usize,
 ) -> RunFingerprint {
-    let cfg = QuasiiConfig::with_tau(6)
-        .with_seal(seal)
-        .with_threads(threads);
+    let cfg = QuasiiConfig::with_tau(6).with_threads(threads);
     let mut idx = Quasii::new(data.to_vec(), cfg);
     let mut results: Vec<Vec<u64>> = Vec::new();
     if batch == 0 {
@@ -79,18 +75,16 @@ proptest! {
     fn metrics_never_change_results(
         data in dataset3(140),
         queries in prop::collection::vec(arb_box3(), 1..16),
-        seal_bit in 0u8..2,
         threads in 1usize..3,
         batch in 0usize..5,
     ) {
-        let seal = seal_bit == 1;
         let _g = OBS_LOCK.lock().unwrap();
         obs::set_enabled(false);
-        let off = run_engine(&data, &queries, seal, threads, batch);
+        let off = run_engine(&data, &queries, threads, batch);
 
         obs::registry::reset();
         obs::set_enabled(true);
-        let on = run_engine(&data, &queries, seal, threads, batch);
+        let on = run_engine(&data, &queries, threads, batch);
         obs::set_enabled(false);
 
         prop_assert_eq!(off, on);

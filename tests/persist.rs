@@ -5,13 +5,18 @@
 //! work counters, same sealed regions — and `from_snapshot` must be total:
 //! any corruption (bit flips, truncation, wrong version/dimensionality,
 //! swapped shard buffers) yields `Err`, never a panic and never a silently
-//! wrong engine. Deep CI runs widen the case budget via `PROPTEST_CASES`.
+//! wrong engine. A writer's records, and so its reload's, are the
+//! permutation the reference QUASII of `tests/reference` leaves. Deep CI
+//! runs widen the case budget via `PROPTEST_CASES`.
+
+mod reference;
 
 use proptest::prelude::*;
 use quasii::snapshot::SnapshotError;
 use quasii::{Quasii, QuasiiConfig};
 use quasii_shard::{ShardConfig, ShardedQuasii};
 use quasii_suite::prelude::*;
+use reference::Reference;
 
 fn arb_box3() -> impl Strategy<Value = Aabb<3>> {
     (
@@ -117,7 +122,7 @@ proptest! {
     /// A reload holds the writer's records, boxes bit for bit, in the
     /// writer's order, whether its arenas hold some records (rows stored
     /// beside them) or all of them (no rows stored or rebuilt); both equal
-    /// the rows of the same history run with sealing off.
+    /// the records of the reference run through the same history.
     #[test]
     fn a_reload_holds_the_writers_records(
         data in dataset3(700),
@@ -126,15 +131,15 @@ proptest! {
         finalize in (0u8..2).prop_map(|v| v == 1),
     ) {
         let cfg = QuasiiConfig::with_tau(tau);
-        let mut rows = Quasii::new(data.clone(), cfg.clone().with_seal(false));
+        let mut rows = Reference::new(data.clone(), &cfg);
         let mut writer = Quasii::new(data, cfg);
-        for idx in [&mut rows, &mut writer] {
-            let _ = idx.execute_batch(&queries);
-            if finalize {
-                idx.finalize();
-            }
+        let _ = writer.execute_batch(&queries);
+        for q in &queries {
+            rows.query(q);
         }
         if finalize {
+            writer.finalize();
+            rows.finalize();
             prop_assert_eq!(writer.sealed_fraction(), 1.0);
         }
         let snap = writer.write_snapshot().map_err(|e| {
@@ -144,7 +149,7 @@ proptest! {
             TestCaseError::fail(format!("from_snapshot: {e}"))
         })?;
         prop_assert_eq!(reloaded.records(), writer.records(), "reload");
-        prop_assert_eq!(writer.records(), rows.records(), "sealing off");
+        prop_assert_eq!(writer.records(), rows.records(), "the reference");
     }
 
     /// Totality: arbitrary single-byte corruption and arbitrary truncation

@@ -1,18 +1,21 @@
 //! Property-based coverage for the **sealed read path**: for arbitrary
-//! datasets and query mixes, the sealing engine must be byte-identical to
-//! the sealing-disabled engine (the adaptive machinery as the oracle) —
-//! same ids in the same order, same deterministic work counters, same data
-//! permutation — across single queries, batches, thread counts and the
-//! trait-object path, while regions seal underneath — each exactly once:
-//! a seal is permanent, and a crack-path query that spans a sealed region
-//! reads it through the tree — and the index is validated after every
-//! step.
+//! datasets and query mixes, the sealing engine must agree with the
+//! reference QUASII of `tests/reference` (the paper's algorithm with no
+//! arena, as the oracle) — same ids in the same order, same algorithmic
+//! work counters, same data permutation — across single queries, batches,
+//! thread counts and the trait-object path, while regions seal underneath
+//! — each exactly once: a seal is permanent, and a crack-path query that
+//! spans a sealed region reads it through the tree — and the index is
+//! validated after every step.
+
+mod reference;
 
 use proptest::prelude::*;
 use quasii::{QuasiiConfig, SealStats};
 use quasii_common::dataset::degenerate;
 use quasii_common::index::{assert_matches_brute_force, brute_force};
 use quasii_suite::prelude::*;
+use reference::{algorithmic, ids, Reference, Shards};
 
 fn arb_box3() -> impl Strategy<Value = Aabb<3>> {
     (
@@ -44,16 +47,11 @@ fn queries3(max: usize) -> impl Strategy<Value = Vec<Aabb<3>>> {
     prop::collection::vec(q, 1..max)
 }
 
-/// The oracle: sealing disabled, sequential, one query at a time.
-fn oracle(data: &[Record<3>], queries: &[Aabb<3>], tau: usize) -> (Vec<Vec<u64>>, Quasii<3>) {
-    let cfg = QuasiiConfig::with_tau(tau).with_threads(1).with_seal(false);
-    let mut idx = Quasii::new(data.to_vec(), cfg);
-    let results = queries.iter().map(|q| idx.query_collect(q)).collect();
-    (results, idx)
-}
-
-fn ids(data: &[Record<3>]) -> Vec<u64> {
-    data.iter().map(|r| r.id).collect()
+/// The oracle: the reference engine, one query at a time.
+fn oracle(data: &[Record<3>], queries: &[Aabb<3>], tau: usize) -> (Vec<Vec<u64>>, Reference<3>) {
+    let mut orc = Reference::new(data.to_vec(), &QuasiiConfig::with_tau(tau));
+    let results = queries.iter().map(|q| orc.query(q)).collect();
+    (results, orc)
 }
 
 proptest! {
@@ -91,10 +89,10 @@ proptest! {
                 })?;
             }
             prop_assert_eq!(
-                idx.stats(), orc.stats(),
+                algorithmic(idx.stats()), orc.stats(),
                 "work counters diverged, read first: {}", read_first
             );
-            prop_assert_eq!(ids(&idx.records()), ids(&orc.records()), "permutation diverged");
+            prop_assert_eq!(ids(&idx.records()), ids(orc.records()), "permutation diverged");
         }
     }
 
@@ -123,10 +121,10 @@ proptest! {
                 })?;
             }
             prop_assert_eq!(&got, &expect, "ids diverged at threads={}", threads);
-            prop_assert_eq!(idx.stats(), orc.stats(), "stats at threads={}", threads);
+            prop_assert_eq!(algorithmic(idx.stats()), orc.stats(), "stats at threads={}", threads);
             prop_assert_eq!(
                 ids(&idx.records()),
-                ids(&orc.records()),
+                ids(orc.records()),
                 "permutation at threads={}", threads
             );
         }
@@ -275,7 +273,7 @@ fn all_refined_at_root_seals_after_first_query() {
 /// Degenerate: value-indivisible keys can never be cracked to τ — slices
 /// are force-refined *above* τ. The structure still converges (forced
 /// refinement is terminal), so it must seal, with results and stats equal
-/// to the unsealed oracle.
+/// to the reference's.
 #[test]
 fn forced_refine_datasets_seal_above_tau() {
     let data = degenerate::identical::<3>(1_200);
@@ -286,13 +284,14 @@ fn forced_refine_datasets_seal_above_tau() {
     ];
     let cfg = QuasiiConfig::with_tau(10);
 
-    let mut orc = Quasii::new(data.clone(), cfg.clone().with_seal(false));
-    let expect: Vec<Vec<u64>> = queries.iter().map(|q| orc.query_collect(q)).collect();
+    let mut orc = Reference::new(data.clone(), &cfg);
+    let expect: Vec<Vec<u64>> = queries.iter().map(|q| orc.query(q)).collect();
 
     let mut idx = Quasii::new(data.clone(), cfg);
     let got: Vec<Vec<u64>> = queries.iter().map(|q| idx.query_collect(q)).collect();
     assert_eq!(got, expect);
-    assert_eq!(idx.stats(), orc.stats());
+    assert_eq!(algorithmic(idx.stats()), orc.stats());
+    assert_eq!(ids(&idx.records()), ids(orc.records()));
     assert!(idx.stats().forced_refinements > 0, "guard must have fired");
 
     idx.seal();
@@ -348,30 +347,32 @@ fn trait_object_path_exposes_sealing() {
 }
 
 /// `read` is the `&self` seam: on a finalized, sealed engine four threads
-/// share one `&engine`, every read answers, the answers are the
-/// sealing-disabled oracle's query by query and in order, and the atomic
-/// booking sums to the stats of the same queries answered one by one.
+/// share one `&engine`, every read answers, the answers are the reference
+/// engine's query by query and in order, and the atomic booking sums to the
+/// stats of the same queries answered one by one.
 #[test]
 fn concurrent_reads_equal_the_sequential_engine() {
     let data = dataset::uniform_boxes_in::<3>(5_000, 800.0, 216);
     let universe = Aabb::new([0.0; 3], [800.0; 3]);
     let queries = workload::uniform(&universe, 64, 1e-3, 217).queries;
-    let sealed = |seal: bool| {
-        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12).with_seal(seal));
+    let cfg = QuasiiConfig::with_tau(12);
+    let sealed = || {
+        let mut idx = Quasii::new(data.clone(), cfg.clone());
         idx.finalize();
         idx.seal();
         idx
     };
 
-    let mut orc = sealed(false);
-    let expect: Vec<Vec<u64>> = queries.iter().map(|q| orc.query_collect(q)).collect();
-    let mut sequential = sealed(true);
+    let mut orc = Reference::new(data.clone(), &cfg);
+    orc.finalize();
+    let expect: Vec<Vec<u64>> = queries.iter().map(|q| orc.query(q)).collect();
+    let mut sequential = sealed();
     for q in &queries {
         sequential.query_collect(q);
     }
 
     const READERS: usize = 4;
-    let engine = sealed(true);
+    let engine = sealed();
     let start = std::sync::Barrier::new(READERS);
     let answers: Vec<Vec<(usize, Vec<u64>)>> = std::thread::scope(|s| {
         let readers: Vec<_> = (0..READERS)
@@ -401,7 +402,7 @@ fn concurrent_reads_equal_the_sequential_engine() {
     }
     assert_eq!(got, expect);
     assert_eq!(engine.stats(), sequential.stats());
-    assert_eq!(engine.stats(), orc.stats());
+    assert_eq!(algorithmic(engine.stats()), orc.stats());
     assert_eq!(engine.seal_stats(), sequential.seal_stats());
 }
 
@@ -431,35 +432,38 @@ fn read_refuses_fresh_and_poisoned_engines() {
     refuses(&idx);
 }
 
-/// Sealing must be invisible to the sharded router: sealed and unsealed
-/// deployments produce byte-identical canonical results and stats for the
-/// same history.
+/// Sealing must be invisible to the sharded router: each shard of a
+/// deployment answers, permutes and counts as a reference fed the queries
+/// its router sends it, while cracking and once fully sealed, so the
+/// canonical results are the references'.
 #[test]
 fn sharded_sealed_equals_sharded_unsealed() {
     let data = dataset::uniform_boxes_in::<3>(4_000, 800.0, 214);
     let universe = Aabb::new([0.0; 3], [800.0; 3]);
     let queries = workload::uniform(&universe, 60, 1e-3, 215).queries;
-    let mk = |seal: bool| {
-        ShardConfig::default()
-            .with_shards(3)
-            .with_shard_threads(2)
-            .with_inner(QuasiiConfig::with_tau(12).with_threads(2).with_seal(seal))
+    let cfg = ShardConfig::default()
+        .with_shards(3)
+        .with_shard_threads(2)
+        .with_inner(QuasiiConfig::with_tau(12).with_threads(2));
+    let mut sealed = ShardedQuasii::new(data.clone(), cfg);
+    let mut plain = Shards::of(&sealed);
+    let agree = |sealed: &mut ShardedQuasii<3>, plain: &mut Shards<3>| {
+        for batch in queries.chunks(16) {
+            let want: Vec<Vec<u64>> = batch.iter().map(|q| plain.query(q)).collect();
+            assert_eq!(sealed.execute_batch(batch), want);
+        }
+        assert_eq!(algorithmic(sealed.stats()), plain.stats());
+        let permutations: Vec<Vec<u64>> =
+            sealed.engines().iter().map(|e| ids(&e.records())).collect();
+        assert_eq!(permutations, plain.ids());
     };
-    let mut sealed = ShardedQuasii::new(data.clone(), mk(true));
-    let mut plain = ShardedQuasii::new(data.clone(), mk(false));
-    for batch in queries.chunks(16) {
-        assert_eq!(sealed.execute_batch(batch), plain.execute_batch(batch));
-    }
-    assert_eq!(sealed.stats(), plain.stats());
+    agree(&mut sealed, &mut plain);
 
     // Converged regime: every shard fully seals, batches keep matching.
     sealed.finalize();
     plain.finalize();
     sealed.seal();
     assert_eq!(sealed.sealed_fraction(), 1.0);
-    for batch in queries.chunks(16) {
-        assert_eq!(sealed.execute_batch(batch), plain.execute_batch(batch));
-    }
-    assert_eq!(sealed.stats(), plain.stats());
+    agree(&mut sealed, &mut plain);
     sealed.validate().unwrap();
 }

@@ -43,18 +43,11 @@ fn arb_mode() -> impl Strategy<Value = AssignBy> {
 }
 
 /// One engine per policy, identical in every other respect.
-fn pair(
-    data: &[Record<3>],
-    tau: usize,
-    mode: AssignBy,
-    threads: usize,
-    seal: bool,
-) -> (Quasii<3>, Quasii<3>) {
+fn pair(data: &[Record<3>], tau: usize, mode: AssignBy, threads: usize) -> (Quasii<3>, Quasii<3>) {
     let cfg = |simd: SimdPolicy| {
         QuasiiConfig::with_tau(tau)
             .with_assign_by(mode)
             .with_threads(threads)
-            .with_seal(seal)
             .with_simd(simd)
     };
     (
@@ -95,7 +88,7 @@ fn assert_lockstep(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The main lattice: threads × seal × assign mode × batch shape ×
+    /// The main lattice: threads × assign mode × batch shape ×
     /// segment size (including non-lane-multiple sizes and τ small enough
     /// to force deep refinement).
     #[test]
@@ -105,7 +98,6 @@ proptest! {
         tau in 2usize..24,
         mode in arb_mode(),
         threads in 1usize..3,
-        seal in (0usize..2).prop_map(|i| i == 1),
         batch in 1usize..9,
         queries in prop::collection::vec(
             (0.0..90.0f64, 0.0..90.0f64, 0.0..90.0f64, 1.0..40.0f64),
@@ -117,7 +109,7 @@ proptest! {
             .iter()
             .map(|&(x, y, z, w)| Aabb::new([x, y, z], [x + w, y + w, z + w]))
             .collect();
-        let (mut scalar, mut vector) = pair(&data, tau, mode, threads, seal);
+        let (mut scalar, mut vector) = pair(&data, tau, mode, threads);
         assert_lockstep(&mut scalar, &mut vector, &qs, batch)?;
     }
 
@@ -141,7 +133,7 @@ proptest! {
             .iter()
             .map(|&(x, y, z, w)| Aabb::new([x, y, z], [x + w, y + w, z + w]))
             .collect();
-        let (mut scalar, mut vector) = pair(&data, 8, mode, threads, true);
+        let (mut scalar, mut vector) = pair(&data, 8, mode, threads);
         for idx in [&mut scalar, &mut vector] {
             idx.finalize();
             idx.seal();
@@ -171,15 +163,13 @@ fn degenerate_all_equal_records_stay_identical() {
         Aabb::new([10.0; 3], [20.0; 3]), // miss above
     ];
     for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-        for seal in [false, true] {
-            let (mut scalar, mut vector) = pair(&data, 4, mode, 1, seal);
-            for q in &qs {
-                assert_eq!(scalar.query_collect(q), vector.query_collect(q));
-            }
-            assert_eq!(scalar.stats(), vector.stats());
-            scalar.validate().unwrap();
-            vector.validate().unwrap();
+        let (mut scalar, mut vector) = pair(&data, 4, mode, 1);
+        for q in &qs {
+            assert_eq!(scalar.query_collect(q), vector.query_collect(q));
         }
+        assert_eq!(scalar.stats(), vector.stats());
+        scalar.validate().unwrap();
+        vector.validate().unwrap();
     }
 }
 
@@ -223,7 +213,7 @@ fn snapshots_cross_isa_boundaries() {
         dataset::uniform_boxes_in::<3>(500, 100.0, 11),
         signed_zero_boxes(),
     ] {
-        let (mut scalar, mut vector) = pair(&data, 8, AssignBy::Lower, 1, true);
+        let (mut scalar, mut vector) = pair(&data, 8, AssignBy::Lower, 1);
         for idx in [&mut scalar, &mut vector] {
             let _ = idx.execute_batch(&qs);
         }
