@@ -19,8 +19,9 @@
 //! 2. **Crack phase** — everything else runs through the adaptive `&mut`
 //!    machinery of [`crate::engine`], one query at a time in batch order on
 //!    the calling thread, like the paper's Algorithm 1. A converged slice
-//!    such a query reaches is read by the same live descent the read phase
-//!    uses, and a sealed one stays sealed: nothing cracks it. Cracks run in
+//!    such a query reaches is read by the same `engine::read_slice` the
+//!    read phase uses (from its arena when sealed), and a sealed one stays
+//!    sealed: nothing cracks it. Cracks run in
 //!    parallel only across engines: `quasii-shard` runs one writer job per
 //!    shard.
 //!
@@ -257,8 +258,8 @@ impl<const D: usize> Quasii<D> {
     }
 
     /// Runs one crack-path query (Algorithm 1 over the whole slice tree,
-    /// cracking as it goes; converged slices it reaches are read through
-    /// the tree and left unchanged) on the calling thread under
+    /// cracking as it goes; converged slices it reaches are read, sealed
+    /// ones from their arenas, and left unchanged) on the calling thread under
     /// `catch_unwind`; a panic poisons the engine and surfaces as `Err`.
     fn run_one_caught(
         &mut self,

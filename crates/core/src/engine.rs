@@ -112,6 +112,7 @@ fn placeholder<const D: usize>() -> Slice<D> {
         keys_fresh: true,
         converged: false,
         children: Vec::new(),
+        sealed: None,
     }
 }
 
@@ -142,9 +143,9 @@ fn make_sub<const D: usize>(
     env: &Env<D>,
     rt: &mut Runtime<D>,
 ) -> Slice<D> {
-    let dim = parent.level;
+    let dim = parent.dim();
     let mut s = Slice {
-        level: dim,
+        level: parent.level,
         begin,
         end,
         bbox: parent.bbox,
@@ -157,6 +158,7 @@ fn make_sub<const D: usize>(
         keys_fresh: true,
         converged: false,
         children: Vec::new(),
+        sealed: None,
     };
     if s.len() <= env.tau[dim] {
         s.measure_exact(cols.records(&s));
@@ -179,7 +181,7 @@ fn force_refine<const D: usize>(
 ) -> Slice<D> {
     s.measure_exact(cols.records(&s));
     s.refined = true;
-    s.converged = s.level + 1 == D;
+    s.converged = s.dim() + 1 == D;
     rt.stats.forced_refinements += 1;
     rt.stats.slices_refined += 1;
     s
@@ -196,7 +198,7 @@ fn ensure_keys<const D: usize>(
 ) {
     if !s.keys_fresh {
         let (keys, his, data) = cols.range_mut(s);
-        rekey(keys, his, data, s.level, env.mode);
+        rekey(keys, his, data, s.dim(), env.mode);
         s.keys_fresh = true;
         rt.stats.rekeys += 1;
         rt.stats.records_rekeyed += s.len() as u64;
@@ -222,7 +224,7 @@ fn artificial<const D: usize>(
     if s.is_empty() {
         return;
     }
-    let dim = s.level;
+    let dim = s.dim();
     if s.refined || qe.lo[dim] > s.bbox.hi[dim] || qe.hi[dim] < s.bbox.lo[dim] {
         out.push(s);
         return;
@@ -281,7 +283,7 @@ pub(crate) fn refine<const D: usize>(
         "refine() must not be called on refined slices (query_level guards)"
     );
     ensure_keys(cols, &mut s, env, rt);
-    let dim = s.level;
+    let dim = s.dim();
     let (cl, ch) = (s.cut_lo, s.cut_hi);
     let (ql, qu) = (qe.lo[dim], qe.hi[dim]);
     let inside_l = ql > cl && ql < ch;
@@ -339,10 +341,10 @@ pub(crate) fn refine<const D: usize>(
     out
 }
 
-/// Visits one query-overlapping refined slice: a converged one through the
-/// read descent ([`read_slice`]), anything else by recursing into its
-/// children (materializing the default child first). The visit that
-/// leaves every child converged marks the slice converged.
+/// Visits one query-overlapping refined slice: a converged one through
+/// [`read_slice`] (from its arena when it is sealed), anything else by
+/// recursing into its children (materializing the default child first).
+/// The visit that leaves every child converged marks the slice converged.
 fn descend<const D: usize>(
     cols: &mut Cols<'_, D>,
     s: &mut Slice<D>,
@@ -357,9 +359,9 @@ fn descend<const D: usize>(
         rt.stats.objects_tested += read_slice(cols.data(), s, q, qe, env.simd, out);
         return;
     }
-    debug_assert!(s.level + 1 < D, "a refined bottom-level slice is converged");
+    debug_assert!(s.dim() + 1 < D, "a refined bottom-level slice is converged");
     if s.children.is_empty() {
-        let child = s.default_child(env.tau[s.level + 1]);
+        let child = s.default_child(env.tau[s.dim() + 1]);
         rt.note_slice(&child);
         rt.stats.default_children += 1;
         s.children.push(child);
@@ -378,7 +380,7 @@ pub(crate) fn window<const D: usize>(slices: &[Slice<D>], qe: &Aabb<D>) -> Range
     let Some(first) = slices.first() else {
         return 0..0;
     };
-    let dim = first.level;
+    let dim = first.dim();
     let start = slices
         .partition_point(|s| s.key_lo < qe.lo[dim])
         .saturating_sub(1);
@@ -409,14 +411,17 @@ pub(crate) fn cracks_nothing<const D: usize>(s: &Slice<D>, q: &Aabb<D>, qe: &Aab
             && visited(&s.children, q, qe).all(|c| cracks_nothing(c, q, qe)))
 }
 
-/// The live read descent: answers `q` below a visited slice `s` that
-/// [`cracks_nothing`], over the shared tree and the data array `data`,
-/// appending ids in the order `query_level` would and returning the objects
-/// tested. It reproduces the level loop's probe, break and bounding-box
-/// skip, and tests the records of each bottom-level slice it reaches with
-/// the predicated [`simd::collect_bottom`]: every id is written, the write
-/// cursor advances by the branch-free intersection result, and the
-/// over-provisioned tail is truncated.
+/// The one read of a converged slice: answers `q` below a visited slice
+/// `s` that [`cracks_nothing`], appending ids in the order `query_level`
+/// would and returning the objects tested. A sealed slice is read from its
+/// arena, with one contiguous id copy when `q` contains its box (see
+/// `SealedRegion::walk` for why that equals the full descent's output and
+/// tested count). Any other takes the live descent over the shared tree
+/// and the data array `data`: it reproduces the level loop's probe, break
+/// and bounding-box skip, and tests the records of each bottom-level slice
+/// it reaches with the predicated [`simd::collect_bottom`]: every id is
+/// written, the write cursor advances by the branch-free intersection
+/// result, and the over-provisioned tail is truncated.
 pub(crate) fn read_slice<const D: usize>(
     data: &[Record<D>],
     s: &Slice<D>,
@@ -425,8 +430,15 @@ pub(crate) fn read_slice<const D: usize>(
     simd: SimdLevel,
     out: &mut Vec<u64>,
 ) -> u64 {
+    if let Some(region) = &s.sealed {
+        return if q.contains(&s.bbox) {
+            region.emit_all(out)
+        } else {
+            region.run(q, qe, out, simd)
+        };
+    }
     if s.children.is_empty() {
-        debug_assert!(s.level + 1 == D, "a readable path ends at the bottom level");
+        debug_assert!(s.dim() + 1 == D, "a readable path ends at the bottom level");
         let seg = &data[s.begin..s.end];
         let start = out.len();
         out.resize(start + seg.len(), 0);

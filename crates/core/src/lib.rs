@@ -138,12 +138,6 @@ pub struct Quasii<const D: usize> {
     /// [`with_precomputed_keys`](Self::with_precomputed_keys), adopted at
     /// first-query initialization.
     precomputed_keys: Option<Vec<f64>>,
-    /// Sealed arenas over converged top-level slices, sorted by `begin`,
-    /// disjoint, each covering exactly one root slice's range (see
-    /// [`seal`]). A seal is permanent: its root slice has converged, so no
-    /// later query reorganizes it. Between writes every converged root
-    /// slice is sealed: the write that converges one seals it.
-    seals: Vec<SealedRegion<D>>,
     /// Queries answered over `&self` ([`SealStats::sealed_queries`]): an
     /// atomic sum, so concurrent readers book through `&self`.
     sealed_queries: obs::CounterGroup<1>,
@@ -152,7 +146,7 @@ pub struct Quasii<const D: usize> {
     /// adds them to `rt.stats`; a snapshot writes the sum and a load starts
     /// them at 0.
     reads: obs::CounterGroup<2>,
-    /// Cached sum of sealed region lengths, written by
+    /// Cached sum of the sealed root slices' lengths, written by
     /// [`seal_converged`](Self::seal_converged) only (`validate()` checks
     /// it): the fully-sealed steady state is detected with one integer
     /// compare per query.
@@ -194,7 +188,6 @@ impl<const D: usize> Quasii<D> {
             data_bounds: Aabb::empty(),
             initialized: false,
             precomputed_keys: None,
-            seals: Vec::new(),
             sealed_queries: obs::CounterGroup::new(),
             reads: obs::CounterGroup::new(),
             sealed_record_count: 0,
@@ -290,9 +283,10 @@ impl<const D: usize> Quasii<D> {
         stats
     }
 
-    /// Total number of slices currently in the hierarchy.
+    /// Total number of slices currently in the hierarchy, the nodes of
+    /// every sealed slice's arena included.
     pub fn slice_count(&self) -> usize {
-        self.root.iter().map(Slice::count).sum()
+        self.level_profile().iter().sum()
     }
 
     /// Completes the incremental build: refines every slice down to τ, as if
@@ -321,11 +315,17 @@ impl<const D: usize> Quasii<D> {
 
     /// Number of slices per level — shows how breadth grows while depth
     /// stays fixed at `D` (§5.1: "the number of levels … does not depend on
-    /// the size of the dataset").
+    /// the size of the dataset"). A sealed slice's arena nodes count at
+    /// their levels.
     pub fn level_profile(&self) -> [usize; D] {
         fn walk<const D: usize>(slices: &[Slice<D>], acc: &mut [usize; D]) {
             for s in slices {
-                acc[s.level] += 1;
+                acc[s.dim()] += 1;
+                if let Some(region) = &s.sealed {
+                    for (l, n) in region.level_sizes().enumerate() {
+                        acc[s.dim() + 1 + l] += n;
+                    }
+                }
                 walk(&s.children, acc);
             }
         }
@@ -345,7 +345,7 @@ impl<const D: usize> Quasii<D> {
             return self.data.clone();
         }
         let mut out = Vec::with_capacity(self.n);
-        for region in &self.seals {
+        for region in self.arenas() {
             region.push_records(&mut out);
         }
         out
@@ -460,7 +460,7 @@ impl<const D: usize> Quasii<D> {
     pub fn seal_stats(&self) -> SealStats {
         let [sealed_queries] = self.sealed_queries.snapshot();
         SealStats {
-            seals: self.seals.len() as u64,
+            seals: self.arenas().count() as u64,
             unseals: 0,
             sealed_queries,
         }
@@ -483,49 +483,49 @@ impl<const D: usize> Quasii<D> {
 
     /// Heap bytes held by the sealed arenas.
     pub fn seal_bytes(&self) -> usize {
-        self.seals.capacity() * std::mem::size_of::<SealedRegion<D>>()
-            + self
-                .seals
-                .iter()
-                .map(SealedRegion::heap_bytes)
-                .sum::<usize>()
+        self.arenas()
+            .map(|r| std::mem::size_of::<SealedRegion<D>>() + r.heap_bytes())
+            .sum()
+    }
+
+    /// The arenas of the sealed root slices, in data order (see [`seal`]).
+    pub(crate) fn arenas(&self) -> impl Iterator<Item = &SealedRegion<D>> {
+        self.root.iter().filter_map(|s| s.sealed.as_deref())
     }
 
     /// Seals every converged, not yet sealed root slice that overlaps the
-    /// data span `span`. Every write calls it over the span its crack
-    /// queries could reorganize, so between writes every converged root
-    /// slice is sealed and [`read`](Self::read) sees it at once. The sweep
-    /// that seals the last root slice drops the rows and the key columns:
-    /// a fully sealed engine reads only arenas and never cracks again.
+    /// data span `span`: the slice takes its subtree's arena in place of
+    /// its children. Every write calls it over the span its crack queries
+    /// could reorganize, so between writes every converged root slice is
+    /// sealed and [`read`](Self::read) sees it at once. A seal is
+    /// permanent: its slice has converged, so no later query reorganizes
+    /// it. The sweep that seals the last root slice drops the rows and the
+    /// key columns: a fully sealed engine reads only arenas and never
+    /// cracks again.
     pub(crate) fn seal_converged(&mut self, span: Range<usize>) {
         if span.is_empty() {
             return;
         }
         let timer = obs::start();
-        let before = self.seals.len();
-        let mut kept = std::mem::take(&mut self.seals).into_iter().peekable();
-        let mut out: Vec<SealedRegion<D>> = Vec::new();
-        for s in &self.root {
-            // A sealed root slice has converged, so no query splits it: its
-            // seal is kept as it is, and the two sorted lists advance in
-            // lockstep.
-            if let Some(region) = kept.next_if(|r| r.begin == s.begin) {
-                debug_assert_eq!(region.end, s.end, "a sealed root slice changed its range");
-                out.push(region);
-            } else if s.begin < span.end && s.end > span.start {
-                out.extend(SealedRegion::build(s, &self.data));
+        let mut sealed = 0;
+        for s in &mut self.root {
+            if s.sealed.is_some() || s.begin >= span.end || s.end <= span.start {
+                continue;
+            }
+            if let Some(region) = SealedRegion::build(s, &self.data) {
+                self.sealed_record_count += region.records();
+                s.sealed = Some(Box::new(region));
+                s.children = Vec::new();
+                sealed += 1;
             }
         }
-        debug_assert!(kept.next().is_none(), "a seal matches no root slice");
-        self.sealed_record_count = out.iter().map(SealedRegion::records).sum();
-        self.seals = out;
         if self.sealed_record_count == self.n {
             self.data = Vec::new();
             self.keys = KeyColumn::new();
         }
         if obs::enabled() {
             obs::registry::SEAL_SWEEPS_TOTAL.inc();
-            obs::registry::SEALS_TOTAL.add((self.seals.len() - before) as u64);
+            obs::registry::SEALS_TOTAL.add(sealed);
             obs::registry::SEAL_SWEEP_SECONDS.observe_since(timer);
         }
     }
@@ -609,11 +609,9 @@ impl<const D: usize> Quasii<D> {
     /// The body of every `&self` read, over the root candidate window
     /// `cand` that [`readable_window`](Self::readable_window) approved.
     /// Reproduces `query_level`'s root-level loop (bounding-box skip
-    /// included) and reads each visited root slice through its arena when
-    /// it is sealed and through the live read descent
-    /// ([`engine::read_slice`]) otherwise. Seals are sorted by range like
-    /// the root list, so one binary search positions a cursor that then
-    /// advances in lockstep with the ascending candidates.
+    /// included) and reads each visited root slice with
+    /// [`engine::read_slice`]: from its arena when it is sealed, through
+    /// the live tree otherwise.
     pub(crate) fn read_window(
         &self,
         q: &Aabb<D>,
@@ -622,30 +620,9 @@ impl<const D: usize> Quasii<D> {
         out: &mut Vec<u64>,
     ) {
         let mut tested = 0;
-        let first_begin = self.root.get(cand.start).map_or(0, |s| s.begin);
-        let mut seals = self.seals[self.seals.partition_point(|r| r.begin < first_begin)..]
-            .iter()
-            .peekable();
         for s in &self.root[cand] {
-            // Every seal covers one root slice, so the cursor is either on
-            // this candidate's seal or past it.
-            let region = seals.next_if(|r| r.begin == s.begin);
-            if !q.intersects(&s.bbox) {
-                continue;
-            }
-            match region {
-                Some(region) => {
-                    debug_assert_eq!((region.begin, region.end), (s.begin, s.end));
-                    if q.contains(&s.bbox) {
-                        // The whole region qualifies: one contiguous id copy
-                        // (see `SealedRegion::walk` for why this equals the
-                        // full descent's output and tested count).
-                        tested += region.emit_all(out);
-                    } else {
-                        tested += region.run(q, qe, out, self.env.simd);
-                    }
-                }
-                None => tested += engine::read_slice(&self.data, s, q, qe, self.env.simd, out),
+            if q.intersects(&s.bbox) {
+                tested += engine::read_slice(&self.data, s, q, qe, self.env.simd, out);
             }
         }
         self.reads.merge(&[1, tested]);
@@ -669,31 +646,15 @@ impl<const D: usize> Quasii<D> {
         qe
     }
 
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn raw_parts(
-        &self,
-    ) -> (&[Record<D>], &KeyColumn, &[Slice<D>], &[usize; D], AssignBy) {
-        (
-            &self.data,
-            &self.keys,
-            &self.root,
-            &self.env.tau,
-            self.cfg.assign_by,
-        )
-    }
-
-    /// Read access to the sealed regions (validation and tests).
-    pub(crate) fn seal_regions(&self) -> &[SealedRegion<D>] {
-        &self.seals
-    }
-
     // -----------------------------------------------------------------
     // Snapshots (see the `persist` module for the format).
     // -----------------------------------------------------------------
 
-    /// Serializes the whole engine — record permutation, key columns,
-    /// slice-tree skeleton, every sealed arena, and all deterministic state
-    /// — into one versioned, checksummed, 8-aligned buffer. Initializes a
+    /// Serializes the whole engine — the rows outside the seals and their
+    /// key columns, the slice tree down to the sealed slices, each sealed
+    /// slice's arena (the one copy of its subtree and its records), and all
+    /// deterministic state — into one versioned, checksummed, 8-aligned
+    /// buffer. Initializes a
     /// fresh engine first; the reloaded engine
     /// ([`from_snapshot`](Self::from_snapshot)) answers every query
     /// **byte-identically** (ids, stats, permutation) to this one. Fails
@@ -759,12 +720,14 @@ mod tests {
     /// takes singletons).
     fn leaf_size_histogram<const D: usize>(slices: &[Slice<D>], hist: &mut Vec<usize>) {
         for s in slices {
-            if s.level + 1 == D && s.children.is_empty() {
+            if s.dim() + 1 == D && s.children.is_empty() {
                 let bucket = usize::BITS as usize - 1 - s.len().leading_zeros() as usize;
                 if hist.len() <= bucket {
                     hist.resize(bucket + 1, 0);
                 }
                 hist[bucket] += 1;
+            } else if let Some(region) = &s.sealed {
+                leaf_size_histogram(&region.slices(s.begin), hist);
             } else {
                 leaf_size_histogram(&s.children, hist);
             }
@@ -1002,12 +965,14 @@ mod tests {
 
     /// The write that seals the last root slice drops the rows and both key
     /// columns, and so does a load of the part it writes: what is left is
-    /// the tree and the arenas, and the permutation the arenas hold reads
-    /// through the tree as the rows did.
+    /// the root slices, each owning the arena of its subtree, and the
+    /// permutation the arenas hold reads as the rows of an unsealed tree
+    /// did.
     #[test]
     fn a_fully_sealed_engine_keeps_no_rows_and_no_key_columns() {
         let data = uniform_boxes_in::<3>(4_000, 1_000.0, 57);
         let n = data.len();
+        let live = seal::tests::unsealed(data.clone(), 16, None);
         let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
         idx.seal();
         assert_eq!(idx.sealed_fraction(), 0.0);
@@ -1020,14 +985,21 @@ mod tests {
         idx.finalize();
         assert_eq!(idx.sealed_fraction(), 1.0);
         assert!(idx.data.is_empty() && idx.keys.heap_bytes() == 0);
+        assert!(idx
+            .root
+            .iter()
+            .all(|s| s.sealed.is_some() && s.children.is_empty()));
         let tree = idx.root.capacity() * std::mem::size_of::<Slice<3>>()
             + idx.root.iter().map(Slice::heap_bytes).sum::<usize>();
         assert_eq!(
             idx.index_bytes(),
             tree + idx.seal_bytes(),
-            "the same tree, the arenas, and no key columns"
+            "the root slices, the arenas, and no key columns"
         );
         let rows = idx.records();
+        assert_eq!(rows, live.data);
+        assert_eq!(idx.slice_count(), live.slice_count());
+        assert_eq!(idx.level_profile(), live.level_profile());
         idx.validate().unwrap();
 
         let mut re = Quasii::<3>::from_snapshot(idx.write_snapshot().unwrap()).unwrap();
@@ -1037,10 +1009,7 @@ mod tests {
         assert_eq!(re.records(), rows);
         re.validate().unwrap();
         let q = Aabb::new([100.0; 3], [300.0; 3]);
-        assert_eq!(
-            re.query_collect(&q),
-            seal::tests::read_live(&idx, &rows, &q).0
-        );
+        assert_eq!(re.query_collect(&q), seal::tests::read_live(&live, &q).0);
     }
 
     #[test]

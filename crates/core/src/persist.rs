@@ -1,6 +1,6 @@
-//! Single-buffer index **snapshots**: the whole engine state — record
-//! permutation, key columns, slice-tree skeleton, and every sealed arena —
-//! serialized into one versioned, checksummed, 8-byte-aligned buffer, and
+//! Single-buffer index **snapshots**: the whole engine state — the rows
+//! outside the seals and their key columns, the slice tree down to the
+//! sealed slices, and each sealed slice's arena — serialized into one versioned, checksummed, 8-byte-aligned buffer, and
 //! revived from it with the sealed columns **zero-copy** (every reloaded
 //! [`SealedRegion`] borrows the one snapshot buffer; no per-column
 //! allocation).
@@ -13,7 +13,7 @@
 //! permutation) to the writer — the warm-start contract `tests/persist.rs`
 //! enforces property-based.
 //!
-//! # Buffer layout (format version 5)
+//! # Buffer layout (format version 6)
 //!
 //! All scalars little-endian; every section a multiple of 8 bytes, so each
 //! section (and in particular every region blob) starts 8-aligned. The
@@ -22,7 +22,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "QSIISNAP"
-//!      8     4  format version (u32, currently 5)
+//!      8     4  format version (u32, currently 6)
 //!     12     4  dimensionality D (u32)
 //!     16     8  checksum64 of bytes[24..]  (the "header word")
 //!     24     8  total buffer length in bytes
@@ -59,27 +59,35 @@
 //! f64 ×2D                    ext_low, ext_high (query extension amounts)
 //! f64 ×2D                    data_bounds lo, hi
 //! u64 s                      stored rows: the records outside every seal
-//! s × (u64 + 2D f64)         those records in permuted order, span after
-//!                            span: id, mbb lo, mbb hi
+//! s × (u64 + 2D f64)         those records in permuted order, unsealed
+//!                            root slice after unsealed root slice: id,
+//!                            mbb lo, mbb hi
 //! 2s f64                     their key columns: keys[s], then his[s]
-//! u64 + tree                 slice-tree skeleton: root count, then pre-order
-//!                            nodes (level, begin, end, flags[refined,
-//!                            keys_fresh], cut_lo, cut_hi, key_lo, bbox lo/hi,
-//!                            child count, children…)
+//! u64 + tree                 slice tree: root count, then pre-order nodes
+//!                            (level, begin, end, flags[refined, keys_fresh,
+//!                            sealed], cut_lo, cut_hi, key_lo, bbox lo/hi,
+//!                            child count, children…); a sealed node stores
+//!                            no children
 //! u64 + table                sealed regions: count, then per region
-//!                            (begin, end, blob offset, blob length)
+//!                            (blob offset, blob length)
 //! blobs                      region blobs, back-to-back, 8-aligned, in the
 //!                            position-independent layout of `crate::seal`
 //! ```
 //!
-//! A sealed record is stored once, as its arena (a seal is permanent). For
-//! a partially sealed part the loader rebuilds its row from the blob's id
-//! and MBB columns, bit for bit (`hi = -nhi` is exact), and leaves its key
-//! windows zero (every sealed slice is refined, and `crate::keys` speaks
-//! only for unrefined ones). A part that stores no rows beside its seals is
-//! fully sealed: its engine keeps no rows and no key columns, exactly as
-//! the writer did, so the loader allocates neither. It still hashes every
-//! blob and checks each against the skeleton.
+//! A sealed subtree is stored once, as its arena: the region table's
+//! entries attach to the sealed nodes in pre-order, one each, and take
+//! their record range from their node. Only a refined level-0 node may be
+//! sealed, and the two counts must match. The cached convergence flag is
+//! not stored but derived: refined, and at the bottom level, sealed, or
+//! over children that all converged. A sealed record is stored once too,
+//! in its arena (a seal is permanent). For a partially sealed part the
+//! loader rebuilds its row from the blob's id and MBB columns, bit for bit
+//! (`hi = -nhi` is exact), and leaves its key windows zero (every sealed
+//! slice is refined, and `crate::keys` speaks only for unrefined ones). A
+//! part that stores no rows beside its seals is fully sealed: its engine
+//! keeps no rows and no key columns, exactly as the writer did, so the
+//! loader allocates neither. It still hashes every blob, and holds each to
+//! its partition rules.
 //!
 //! Each fact is stored once. The seal count is the region table's length,
 //! and a written engine is always initialized. Every write leaves the seals
@@ -99,8 +107,11 @@
 //! retired unseal counters, the seal stamp and the dirty-span section (a
 //! count, then a pair per span): six words on a snapshot without dirty
 //! spans. Version 5 dropped the config word that said whether the engine
-//! sealed (8 bytes): an engine always seals what converges. Every other
-//! byte kept its order. Scalars are defined little-endian: big-endian
+//! sealed (8 bytes): an engine always seals what converges. Version 6
+//! stores no slice below a sealed one (its arena is the one copy of that
+//! subtree): a node's flags gain bit 2, `sealed`, and each region table
+//! entry drops its `begin` and `end` (16 bytes a region), which its sealed
+//! node holds. Every other byte kept its order. Scalars are defined little-endian: big-endian
 //! hosts get [`SnapshotError::Unsupported`] from both `write` and `load`
 //! (live indexing is unaffected — only the persistent form is LE-pinned).
 //!
@@ -110,9 +121,11 @@
 //! dimensionality are checked up front, every subsequent read is
 //! bounds-checked, the slice tree is re-validated to exactly partition the
 //! dataset (which bounds recursion at `D` and every index at `n`), and each
-//! region blob re-runs `SealedRegion::from_blob`'s structural checks and
-//! must mirror the skeleton's subtree node for node (`validate`'s
-//! invariant 9, node half: key, range, box and children per level). `n`
+//! region blob re-runs `SealedRegion::from_blob`'s checks: the same
+//! partition rules on the arena's nodes (each level contiguous in record
+//! space, each node's children covering exactly its records, child ranges
+//! tiling the next level in order), so a malformed arena is a named
+//! `Corrupt` error before anything reads it. `n`
 //! is proven by the stored rows plus the regions' records (`s ≤ n` before
 //! the rows are read, `s + Σ == n` before anything is sized by `n`). The
 //! decoder works beside the sum, so it sees bytes before they are vouched
@@ -126,7 +139,6 @@ use crate::engine::{Env, Runtime};
 use crate::keys::KeyColumn;
 use crate::seal::SealedRegion;
 use crate::slice::Slice;
-use crate::validate;
 use crate::{config, Quasii, QuasiiConfig, QuasiiStats};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::snapshot::{
@@ -139,7 +151,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub(crate) const FORMAT_VERSION: u32 = 5;
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -261,7 +273,7 @@ fn write_slice<const D: usize>(w: &mut Writer, s: &Slice<D>) {
     w.u64(s.level as u64);
     w.u64(s.begin as u64);
     w.u64(s.end as u64);
-    w.u64(u64::from(s.refined) | (u64::from(s.keys_fresh) << 1));
+    w.u64(u64::from(s.refined) | u64::from(s.keys_fresh) << 1 | u64::from(s.sealed.is_some()) << 2);
     w.f64(s.cut_lo);
     w.f64(s.cut_hi);
     w.f64(s.key_lo);
@@ -275,19 +287,6 @@ fn write_slice<const D: usize>(w: &mut Writer, s: &Slice<D>) {
     for c in &s.children {
         write_slice(w, c);
     }
-}
-
-/// The spans of `0..n` before, between and after the seals, in order
-/// (`seals` is sorted by `begin`); any of them may be empty.
-fn unsealed<const D: usize>(
-    seals: &[SealedRegion<D>],
-    n: usize,
-) -> impl Iterator<Item = Range<usize>> + '_ {
-    let begins = seals.iter().map(|r| r.begin).chain([n]);
-    std::iter::once(0)
-        .chain(seals.iter().map(|r| r.end))
-        .zip(begins)
-        .map(|(a, b)| a..b)
 }
 
 pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, SnapshotError> {
@@ -312,12 +311,13 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     // outgrows its reserve copies the whole snapshot once more).
     let record_bytes = (1 + 2 * D) * 8;
     let slice_bytes = (8 + 2 * D) * 8;
-    let blob_bytes: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
+    let regions = idx.arenas().count();
+    let blob_bytes: usize = idx.arenas().map(|r| r.blob().len()).sum();
     let total = FRAME_LEN
         + (15 + 4 * D) * 8 // scalars up to the bounds
         + 8 + stored * (record_bytes + 16)
-        + 8 + idx.slice_count() * slice_bytes
-        + 8 + idx.seals.len() * 32
+        + 8 + idx.root.iter().map(Slice::count).sum::<usize>() * slice_bytes
+        + 8 + regions * 16
         + blob_bytes;
     let mut w = Writer::framed(&MAGIC, FORMAT_VERSION, D as u32, total);
     let reserved = w.capacity();
@@ -361,9 +361,14 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     // Three appends into reserved space per record: the section is bound
     // by first-touch page faults of the fresh buffer, and a zero-filling
     // reserve would touch it twice. A fully sealed engine holds no rows, and
-    // every span it leaves is empty.
+    // has no unsealed root slice.
     w.u64(stored as u64);
-    let spans: Vec<Range<usize>> = unsealed(&idx.seals, n).filter(|s| !s.is_empty()).collect();
+    let spans: Vec<Range<usize>> = idx
+        .root
+        .iter()
+        .filter(|s| s.sealed.is_none())
+        .map(|s| s.begin..s.end)
+        .collect();
     for span in &spans {
         for r in &idx.data[span.clone()] {
             w.bytes(&r.id.to_le_bytes());
@@ -377,25 +382,24 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
         }
     }
 
-    // Slice-tree skeleton, pre-order — enough to revive the unsealed
-    // remainder (and the source of truth the sealed regions mirror).
+    // The slice tree, pre-order, down to the sealed slices: a sealed
+    // slice's subtree is its arena, stored once, below.
     w.u64(idx.root.len() as u64);
     for s in &idx.root {
         write_slice(&mut w, s);
     }
 
-    // Region table + blobs. Blob offsets are absolute and computed before
-    // the blobs are appended (table size is known).
-    w.u64(idx.seals.len() as u64);
-    let mut blob_off = w.pos() + idx.seals.len() * 32;
-    for r in &idx.seals {
-        w.u64(r.begin as u64);
-        w.u64(r.end as u64);
+    // Region table + blobs, one region per sealed slice in pre-order. Blob
+    // offsets are absolute and computed before the blobs are appended
+    // (table size is known).
+    w.u64(regions as u64);
+    let mut blob_off = w.pos() + regions * 16;
+    for r in idx.arenas() {
         w.u64(blob_off as u64);
         w.u64(r.blob().len() as u64);
         blob_off += r.blob().len();
     }
-    for r in &idx.seals {
+    for r in idx.arenas() {
         debug_assert_eq!(w.pos() % 8, 0, "region blobs start 8-aligned");
         w.bytes(r.blob());
     }
@@ -410,16 +414,17 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
 // ---------------------------------------------------------------------
 
 /// Reads one pre-order slice whose range must start at `*cursor` and stay
-/// within `end`; advances the cursor past it. Level/partition validation
-/// here is what bounds the recursion (children are one level deeper, and
-/// levels stop at `D - 1`) and every later engine-side index (all ranges
-/// nest inside `0..n`).
+/// within `end`; advances the cursor past it, and returns it with whether
+/// it is sealed (its arena is attached from the region table). Level and
+/// partition validation here is what bounds the recursion (children are
+/// one level deeper, and levels stop at `D - 1`) and every later
+/// engine-side index (all ranges nest inside `0..n`).
 fn read_slice<const D: usize>(
     r: &mut Reader,
     level: usize,
     cursor: &mut usize,
     end: usize,
-) -> Result<Slice<D>, SnapshotError> {
+) -> Result<(Slice<D>, bool), SnapshotError> {
     let got_level = r.index("slice level")?;
     if got_level != level {
         return Err(corrupt(format!(
@@ -436,8 +441,15 @@ fn read_slice<const D: usize>(
     }
     *cursor = s_end;
     let flags = r.u64()?;
-    if flags > 0b11 {
+    if flags > 0b111 {
         return Err(corrupt(format!("unknown slice flags {flags:#x}")));
+    }
+    let (refined, sealed) = (flags & 1 != 0, flags & 4 != 0);
+    if sealed && (level != 0 || !refined) {
+        return Err(corrupt(format!(
+            "slice {begin}..{s_end} at level {level} is sealed, \
+             but only a refined level-0 slice can be"
+        )));
     }
     let cut_lo = r.f64()?;
     let cut_hi = r.f64()?;
@@ -453,6 +465,11 @@ fn read_slice<const D: usize>(
     let child_count = r.index("child count")?;
     let mut children = Vec::new();
     if child_count > 0 {
+        if sealed {
+            return Err(corrupt(format!(
+                "sealed slice {begin}..{s_end} claims {child_count} children"
+            )));
+        }
         if level + 1 >= D {
             return Err(corrupt(format!(
                 "bottom-level slice claims {child_count} children"
@@ -460,7 +477,7 @@ fn read_slice<const D: usize>(
         }
         let mut child_cursor = begin;
         for _ in 0..child_count {
-            children.push(read_slice(r, level + 1, &mut child_cursor, s_end)?);
+            children.push(read_slice(r, level + 1, &mut child_cursor, s_end)?.0);
         }
         if child_cursor != s_end {
             return Err(corrupt(format!(
@@ -468,13 +485,14 @@ fn read_slice<const D: usize>(
             )));
         }
     }
-    let refined = flags & 1 != 0;
     // The cached convergence flag is derived, not stored: refined, and at
-    // the bottom level or over children that all converged.
+    // the bottom level, sealed, or over children that all converged.
     let converged = refined
-        && (level + 1 == D || (!children.is_empty() && children.iter().all(|c| c.converged)));
-    Ok(Slice {
-        level,
+        && (level + 1 == D
+            || sealed
+            || (!children.is_empty() && children.iter().all(|c| c.converged)));
+    let slice = Slice {
+        level: level as u32,
         begin,
         end: s_end,
         bbox: Aabb { lo, hi },
@@ -485,7 +503,9 @@ fn read_slice<const D: usize>(
         keys_fresh: flags & 2 != 0,
         converged,
         children,
-    })
+        sealed: None,
+    };
+    Ok((slice, sealed))
 }
 
 /// Reads the frame of an engine snapshot, which must span the whole
@@ -623,9 +643,14 @@ fn decode<const D: usize>(
 
     let root_count = r.index("root-slice count")?;
     let mut root = Vec::new();
+    let mut sealed = Vec::new();
     let mut cursor = 0usize;
-    for _ in 0..root_count {
-        root.push(read_slice::<D>(&mut r, 0, &mut cursor, n)?);
+    for i in 0..root_count {
+        let (slice, is_sealed) = read_slice::<D>(&mut r, 0, &mut cursor, n)?;
+        if is_sealed {
+            sealed.push(i);
+        }
+        root.push(slice);
     }
     if cursor != n {
         return Err(corrupt(format!(
@@ -633,21 +658,22 @@ fn decode<const D: usize>(
         )));
     }
 
-    // Region table, then revive each blob as a borrow of `buf`. The writer
-    // lays blobs back-to-back right after the table; enforcing that exactly
-    // (offsets sequential, last blob ending at the buffer end) means no
-    // byte of the buffer is unaccounted for.
+    // Region table, then revive each blob as a borrow of `buf` and hand it
+    // to its sealed slice, in pre-order. The writer lays blobs back-to-back
+    // right after the table; enforcing that exactly (offsets sequential,
+    // last blob ending at the buffer end) means no byte of the buffer is
+    // unaccounted for.
     let region_count = r.index("region count")?;
-    let table_end = region_count
-        .checked_mul(32)
-        .and_then(|t| t.checked_add(r.pos()))
-        .ok_or_else(|| corrupt("region table overflow"))?;
+    if region_count != sealed.len() {
+        return Err(corrupt(format!(
+            "{region_count} regions for {} sealed slices",
+            sealed.len()
+        )));
+    }
+    let table_end = r.pos() + region_count * 16;
     let mut expected_off = table_end;
-    let mut seals: Vec<SealedRegion<D>> = Vec::new();
-    let mut root_cursor = 0usize;
-    for k in 0..region_count {
-        let begin = r.index("region begin")?;
-        let end = r.index("region end")?;
+    let mut sealed_record_count = 0;
+    for (k, &i) in sealed.iter().enumerate() {
         let off = r.index("region blob offset")?;
         let len = r.index("region blob length")?;
         if off != expected_off {
@@ -658,34 +684,11 @@ fn decode<const D: usize>(
         expected_off = off
             .checked_add(len)
             .ok_or_else(|| corrupt("region blob overflow"))?;
-        // Every seal must mirror a top-level slice (the sealed query path's
-        // cursor merge relies on it). Both lists are sorted, so one forward
-        // scan matches them up.
-        while root_cursor < root.len() && root[root_cursor].begin < begin {
-            root_cursor += 1;
-        }
-        let Some(slice) = root
-            .get(root_cursor)
-            .filter(|s| s.begin == begin && s.end == end)
-        else {
-            return Err(corrupt(format!(
-                "region {k} covers {begin}..{end}, which matches no top-level slice"
-            )));
-        };
-        // A seal is permanent only over a slice no query can crack.
-        if !slice.converged {
-            return Err(corrupt(format!(
-                "region {k} covers {begin}..{end}, an unconverged top-level slice"
-            )));
-        }
-        root_cursor += 1;
-        let region = SealedRegion::from_blob(begin, end, Arc::clone(buf), off, len)
+        let s = &mut root[i];
+        let region = SealedRegion::from_blob(s.len(), Arc::clone(buf), off, len)
             .map_err(|e| corrupt(format!("region {k}: {e}")))?;
-        // The arena and the skeleton store the subtree twice; a read trusts
-        // the arena, a crack beside it the skeleton, so they must agree.
-        validate::check_region_nodes(&region, slice)
-            .map_err(|e| corrupt(format!("region {k}, {e}")))?;
-        seals.push(region);
+        sealed_record_count += region.records();
+        s.sealed = Some(Box::new(region));
     }
     if expected_off != buf.len() {
         return Err(corrupt(format!(
@@ -694,18 +697,18 @@ fn decode<const D: usize>(
         )));
     }
     // `stored ≤ n` holds; the regions must hold exactly the other records.
-    let sealed_record_count: usize = seals.iter().map(SealedRegion::records).sum();
     if n - stored != sealed_record_count {
         return Err(corrupt(format!(
             "{stored} stored rows and {sealed_record_count} sealed records for {n} records"
         )));
     }
 
-    // The data array, span after span: stored rows between the seals, each
-    // seal's rows rebuilt from its arena (without seals, no copy at all). A
-    // part that stores no rows is fully sealed (or empty): its engine keeps
-    // no rows and no key columns, and the sum hashes the blobs at the end.
-    let (data, keys) = if seals.is_empty() {
+    // The data array, root slice after root slice: an unsealed one's stored
+    // rows, a sealed one's rows rebuilt from its arena (without seals, no
+    // copy at all). A part that stores no rows is fully sealed (or empty):
+    // its engine keeps no rows and no key columns, and the sum hashes the
+    // blobs at the end.
+    let (data, keys) = if sealed.is_empty() {
         (rows, KeyColumn::from_raw(ks, hs))
     } else if stored == 0 {
         (Vec::new(), KeyColumn::new())
@@ -717,18 +720,18 @@ fn decode<const D: usize>(
         // Key windows under a seal stay zero pages nobody touches.
         let (mut keys, mut his) = (vec![0.0; n], vec![0.0; n]);
         let (mut at, mut blob_end) = (0, table_end);
-        let regions = seals.iter().map(Some).chain([None]);
-        for (span, region) in unsealed(&seals, n).zip(regions) {
-            let next = at + span.len();
-            data.extend_from_slice(&rows[at..next]);
-            keys[span.clone()].copy_from_slice(&ks[at..next]);
-            his[span].copy_from_slice(&hs[at..next]);
-            at = next;
-            if let Some(region) = region {
+        for s in &root {
+            if let Some(region) = &s.sealed {
                 // Hash the blob right before its columns are read.
                 blob_end += region.blob().len();
                 sum.advance(blob_end);
                 region.push_records(&mut data);
+            } else {
+                let next = at + s.len();
+                data.extend_from_slice(&rows[at..next]);
+                keys[s.begin..s.end].copy_from_slice(&ks[at..next]);
+                his[s.begin..s.end].copy_from_slice(&hs[at..next]);
+                at = next;
             }
         }
         (data, KeyColumn::from_raw(keys, his))
@@ -752,7 +755,6 @@ fn decode<const D: usize>(
         data_bounds,
         initialized: true,
         precomputed_keys: None,
-        seals,
         sealed_queries: quasii_obs::CounterGroup::from_snapshot([sealed_queries]),
         reads: quasii_obs::CounterGroup::new(),
         sealed_record_count,
@@ -893,17 +895,46 @@ mod tests {
         bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 
+    /// Bytes of one stored slice.
+    fn slice_bytes<const D: usize>() -> usize {
+        (8 + 2 * D) * 8
+    }
+
+    /// The slices a part stores, in its pre-order: the tree down to the
+    /// sealed slices, none below them.
+    fn stored_slices<const D: usize>(idx: &Quasii<D>) -> Vec<&Slice<D>> {
+        fn walk<'a, const D: usize>(s: &'a Slice<D>, out: &mut Vec<&'a Slice<D>>) {
+            out.push(s);
+            s.children.iter().for_each(|c| walk(c, out));
+        }
+        let mut out = Vec::new();
+        idx.root.iter().for_each(|s| walk(s, &mut out));
+        out
+    }
+
+    /// Offset of the slice tree's root count: after the stored rows and
+    /// their key columns.
+    fn tree_at<const D: usize>(snap: &[u8]) -> usize {
+        let stored = word(snap, stored_at::<D>()) as usize;
+        stored_at::<D>() + 8 + stored * (8 + 16 * D + 16)
+    }
+
+    /// Offset of the `j`-th stored slice, in pre-order.
+    fn node_at<const D: usize>(snap: &[u8], j: usize) -> usize {
+        tree_at::<D>(snap) + 8 + j * slice_bytes::<D>()
+    }
+
     /// The length of a snapshot that stores `stored` rows, from the parts
     /// the layout names.
     fn expected_len<const D: usize>(idx: &Quasii<D>, stored: usize) -> usize {
-        let blobs: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
+        let blobs: usize = idx.arenas().map(|r| r.blob().len()).sum();
         stored_at::<D>()
             + 8
             + stored * (8 + 16 * D + 16)
             + 8
-            + idx.slice_count() * (8 + 2 * D) * 8
+            + stored_slices(idx).len() * slice_bytes::<D>()
             + 8
-            + idx.seals.len() * 32
+            + idx.arenas().count() * 16
             + blobs
     }
 
@@ -931,7 +962,8 @@ mod tests {
         idx.query_collect(&Aabb::new([200.0, -1.0, -1.0], [260.0, 501.0, 501.0]));
         let snap = idx.write_snapshot().expect("write");
         let sealed = idx.sealed_records();
-        assert!(idx.seals[0].begin > 0 && idx.seals.last().unwrap().end < n);
+        let sealed_slices: Vec<_> = idx.root.iter().filter(|s| s.sealed.is_some()).collect();
+        assert!(sealed_slices[0].begin > 0 && sealed_slices.last().unwrap().end < n);
         assert!(sealed > 0 && sealed < n);
         assert_eq!(word(&snap, stored_at::<3>()), (n - sealed) as u64);
         assert_eq!(snap.len(), expected_len(&idx, n - sealed));
@@ -956,7 +988,13 @@ mod tests {
         assert_eq!(idx.sealed_fraction(), 1.0);
         assert_eq!(word(&snap, stored_at::<2>()), 0);
         assert_eq!(snap.len(), expected_len(&idx, 0));
+        // The part stores the root slices and no slice below them; their
+        // arenas hold the rest of the slices `slice_count` counts.
+        assert_eq!(stored_slices(&idx).len(), idx.root.len());
+        assert!(idx.slice_count() > 2 * idx.root.len());
         let mut re = Quasii::<2>::from_snapshot(snap.clone()).expect("load");
+        assert_eq!(re.slice_count(), idx.slice_count());
+        assert_eq!(re.level_profile(), idx.level_profile());
         assert_eq!(re.records(), idx.records());
         re.validate().expect("reloaded invariants");
         assert_eq!(re.write_snapshot().expect("rewrite"), snap);
@@ -986,10 +1024,11 @@ mod tests {
         bad.extend_from_slice(&snap[at + 8..]);
         let len = bad.len();
         put_word(&mut bad, 24, len as u64);
-        let blobs: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
-        let table = len - blobs - 32 * idx.seals.len();
-        for k in 0..idx.seals.len() {
-            let off = table + 32 * k + 16;
+        let blobs: usize = idx.arenas().map(|r| r.blob().len()).sum();
+        let regions = idx.arenas().count();
+        let table = len - blobs - 16 * regions;
+        for k in 0..regions {
+            let off = table + 16 * k;
             let moved = word(&bad, off) + row as u64;
             put_word(&mut bad, off, moved);
         }
@@ -1003,46 +1042,107 @@ mod tests {
         forged_reason::<2>(bad);
     }
 
-    /// A seal is permanent only over a converged root slice: a forged
-    /// skeleton that unrefines a sealed slice is refused by name.
-    #[test]
-    fn a_seal_over_an_unconverged_slice_is_named_corrupt() {
-        let data = uniform_boxes_in::<2>(500, 50.0, 13);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
-        idx.finalize();
-        let snap = idx.write_snapshot().expect("write");
-        let at = stored_at::<2>();
-        assert_eq!(word(&snap, at), 0, "fully sealed: no stored rows");
-        // The first root slice's flags word: after the stored-row count,
-        // the root count, and the slice's level, begin and end.
-        let flags_at = at + 8 + 8 + 3 * 8;
-        let flags = word(&snap, flags_at);
-        assert_eq!(flags & 1, 1, "a sealed root slice is refined");
-        let mut bad = snap;
-        put_word(&mut bad, flags_at, flags & !1);
-        let why = forged_reason::<2>(bad);
-        assert!(why.contains("an unconverged top-level slice"), "{why}");
-    }
-
-    /// A snapshot stores a sealed subtree twice, in the skeleton and in the
-    /// arena: a forged arena node whose box disagrees with its slice would
-    /// answer slab queries wrong, so it is refused by region, level and node.
-    #[test]
-    fn a_region_that_diverges_from_its_slice_is_named_corrupt() {
+    /// A finalized 2-d engine and its part: every root slice sealed.
+    fn sealed_part() -> (Quasii<2>, Vec<u8>) {
         let data = uniform_boxes_in::<2>(2_000, 100.0, 21);
         let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
         idx.finalize();
         let snap = idx.write_snapshot().expect("write");
-        let region = &idx.seals[0];
-        let blobs: usize = idx.seals.iter().map(|r| r.blob().len()).sum();
-        // The first arena node's `bb_lo[0]`, the first word of its metadata.
+        assert_eq!(
+            word(&snap, stored_at::<2>()),
+            0,
+            "fully sealed: no stored rows"
+        );
+        (idx, snap)
+    }
+
+    /// An arena is held to the partition rules a stored slice tree is: a
+    /// node whose child range no longer covers its records is refused by
+    /// region, level and node before anything reads it.
+    #[test]
+    fn a_child_range_that_breaks_its_parents_partition_is_named_corrupt() {
+        // Three levels, so an arena's level-1 nodes have children.
+        let data = uniform_boxes_in::<3>(2_000, 100.0, 21);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
+        idx.finalize();
+        let snap = idx.write_snapshot().expect("write");
+        let region = idx.arenas().next().expect("a seal");
+        let blobs: usize = idx.arenas().map(|r| r.blob().len()).sum();
+        // The first arena node's `child_start`, after its box and records.
         let node = region.meta(0).as_ptr() as usize - region.blob().as_ptr() as usize;
-        let at = snap.len() - blobs + node;
-        assert_eq!(f64::from_bits(word(&snap, at)), region.meta(0)[0].bb_lo[0]);
+        let at = snap.len() - blobs + node + 16 * 3 + 8;
+        assert_eq!(u32::from_le_bytes(snap[at..at + 4].try_into().unwrap()), 0);
         let mut bad = snap;
-        put_word(&mut bad, at, 1e9f64.to_bits());
+        bad[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        let why = forged_reason::<3>(bad);
+        assert!(
+            why.contains("region 0: level 0 node 0: records 0..") && why.contains("children 1.."),
+            "{why}"
+        );
+    }
+
+    /// Only a refined level-0 slice can be sealed: the `sealed` flag on an
+    /// unrefined root slice, or on a level-1 slice, is refused by name.
+    #[test]
+    fn a_sealed_flag_off_a_refined_root_slice_is_named_corrupt() {
+        let (_, snap) = sealed_part();
+        let flags_at = node_at::<2>(&snap, 0) + 3 * 8;
+        let flags = word(&snap, flags_at);
+        assert_eq!(flags & 0b101, 0b101, "a refined, sealed root slice");
+        let mut bad = snap;
+        put_word(&mut bad, flags_at, flags & !1);
         let why = forged_reason::<2>(bad);
-        assert!(why.contains("region 0, level 0, node 0:"), "{why}");
+        assert!(
+            why.contains("at level 0 is sealed, but only a refined level-0 slice can be"),
+            "{why}"
+        );
+
+        // One query leaves refined root slices with level-1 children.
+        let data = uniform_boxes_in::<3>(3_000, 500.0, 42);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
+        idx.query_collect(&Aabb::new([100.0; 3], [300.0; 3]));
+        let snap = idx.write_snapshot().expect("write");
+        let j = stored_slices(&idx)
+            .iter()
+            .position(|s| s.level == 1)
+            .expect("a stored level-1 slice");
+        let flags_at = node_at::<3>(&snap, j) + 3 * 8;
+        let mut bad = snap.clone();
+        put_word(&mut bad, flags_at, word(&snap, flags_at) | 4);
+        let why = forged_reason::<3>(bad);
+        assert!(why.contains("at level 1 is sealed"), "{why}");
+    }
+
+    /// A sealed slice's subtree is its arena: a stored sealed slice that
+    /// claims children is refused by name.
+    #[test]
+    fn a_sealed_slice_that_claims_children_is_named_corrupt() {
+        let (idx, snap) = sealed_part();
+        let s = &idx.root[0];
+        let count_at = node_at::<2>(&snap, 0) + slice_bytes::<2>() - 8;
+        assert_eq!(word(&snap, count_at), 0);
+        let mut bad = snap;
+        put_word(&mut bad, count_at, 1);
+        let why = forged_reason::<2>(bad);
+        let name = format!("sealed slice {}..{} claims 1 children", s.begin, s.end);
+        assert!(why.contains(&name), "{why}");
+    }
+
+    /// Regions attach to the sealed slices in pre-order, one each: a region
+    /// count that differs from the sealed-slice count is refused by name.
+    #[test]
+    fn a_region_count_that_differs_from_the_sealed_slices_is_named_corrupt() {
+        let (idx, snap) = sealed_part();
+        let sealed = idx.arenas().count();
+        let at = node_at::<2>(&snap, stored_slices(&idx).len());
+        assert_eq!(word(&snap, at), sealed as u64);
+        for forged in [sealed - 1, sealed + 1] {
+            let mut bad = snap.clone();
+            put_word(&mut bad, at, forged as u64);
+            let why = forged_reason::<2>(bad);
+            let name = format!("{forged} regions for {sealed} sealed slices");
+            assert!(why.contains(&name), "{why}");
+        }
     }
 
     #[test]

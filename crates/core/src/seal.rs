@@ -9,7 +9,8 @@
 //! records for a test that only consumes `2 × D` coordinates.
 //!
 //! A [`SealedRegion`] compacts one **converged top-level slice**'s subtree
-//! into a flat arena:
+//! into a flat arena, which the slice then owns in place of its children
+//! (`Slice::sealed`):
 //!
 //! * per level, sibling metadata split for its two access patterns — a
 //!   `key_lo[]` column for the extended binary search of §5.2 (an 8-byte
@@ -49,22 +50,22 @@
 //! host-endian in memory (live sealing must work on any host), and the
 //! persist layer pins the *on-disk* format to little-endian by refusing to
 //! write or load on big-endian hosts. `from_blob` is total: it validates
-//! alignment, exact length, and every node's record/child ranges before
-//! the first unsafe cast, returning `Err` on any malformed input.
+//! alignment, exact length, and the partition the nodes' record and child
+//! ranges must form before the first unsafe cast, returning `Err` on any
+//! malformed input.
 //!
 //! The arena is a **self-contained copy** — it borrows nothing from the
 //! data array or the slice tree, so sealed regions can be read through
 //! `&self` from any number of threads while unrelated parts of the index
 //! crack on. A seal is permanent: a converged subtree never goes stale,
-//! so nothing ever unseals it. The slice tree stays in place as the
-//! skeleton: cracking a region is impossible once converged, but the tree
-//! still serves `validate`, `level_profile`, the root candidate window of
-//! every read, and a crack-path query that spans sealed and unsealed
-//! slices, which reads the sealed ones through the tree and the rows
-//! under it. Those rows, and the key columns, live only while some record is
-//! unsealed: once every root slice is sealed no crack can run, the engine
-//! drops both, and the arenas are the one copy of every record (see
-//! `Quasii::records`).
+//! so nothing ever unseals it. Sealing drops the slice's children: the
+//! arena is the one copy of the subtree, in memory and in a snapshot. The
+//! sealed slice stays in the root list, where every read's candidate
+//! window finds it, and `engine::read_slice` reads it from the arena on
+//! the `&self` read and the crack path alike. The rows under a seal, and
+//! their key columns, live only while some record is unsealed: once every
+//! root slice is sealed no crack can run, the engine drops both, and the
+//! arenas are the one copy of every record (see `Quasii::records`).
 //!
 //! [`SealedRegion::run`] reproduces, operation for operation, the traversal
 //! the engine's `query_level`/`descend` would perform over the same
@@ -79,6 +80,7 @@ use crate::simd::{self, SimdLevel};
 use crate::slice::Slice;
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::snapshot::Reader;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-node payload of one arena level: everything the candidate loop
@@ -198,10 +200,9 @@ const SCAN_CHUNK: usize = 64;
 /// level-view table is copied.
 #[derive(Clone, Debug)]
 pub(crate) struct SealedRegion<const D: usize> {
-    /// First data-array index covered (the sealed root slice's `begin`).
-    pub begin: usize,
-    /// Past-the-end data-array index covered.
-    pub end: usize,
+    /// Records covered: its sealed slice's length (the slice holds the
+    /// range).
+    m: usize,
     /// The backing buffer — either this region's private blob (live
     /// sealing) or a whole snapshot shared by every reloaded region.
     buf: Arc<AlignedBytes>,
@@ -224,6 +225,7 @@ impl<const D: usize> SealedRegion<D> {
     /// without materialized children — its first visit would still mutate
     /// the tree) or is too large for the `u32` arena offsets.
     pub(crate) fn build(root: &Slice<D>, data: &[Record<D>]) -> Option<Self> {
+        debug_assert!(root.sealed.is_none(), "a sealed slice is its arena");
         if !root.converged || root.len() > u32::MAX as usize {
             return None;
         }
@@ -233,11 +235,11 @@ impl<const D: usize> SealedRegion<D> {
         {
             return None; // id column would not narrow — leave unsealed
         }
-        let (begin, end) = (root.begin, root.end);
+        let begin = root.begin;
         let mut tmp: Vec<(Vec<f64>, Vec<NodeMeta<D>>)> = Vec::with_capacity(D.saturating_sub(1));
         let mut frontier: Vec<&Slice<D>> = root.children.iter().collect();
         while !frontier.is_empty() {
-            let bottom = frontier[0].level + 1 == D;
+            let bottom = frontier[0].dim() + 1 == D;
             let mut key_lo = Vec::with_capacity(frontier.len());
             let mut meta = Vec::with_capacity(frontier.len());
             let mut next: Vec<&Slice<D>> = Vec::new();
@@ -259,7 +261,7 @@ impl<const D: usize> SealedRegion<D> {
             tmp.push((key_lo, meta));
             frontier = next;
         }
-        let m = end - begin;
+        let m = root.len();
         let counts: Vec<u64> = tmp.iter().map(|(k, _)| k.len() as u64).collect();
         let layout =
             BlobLayout::compute::<D>(m as u64, &counts).expect("live arena sizes fit in memory");
@@ -290,7 +292,7 @@ impl<const D: usize> SealedRegion<D> {
                 put_u32(bytes, &mut o, nm.child_end);
             }
         }
-        let seg = &data[begin..end];
+        let seg = &data[begin..root.end];
         let mut o = layout.ids;
         for r in seg {
             put_u32(bytes, &mut o, r.id as u32);
@@ -306,20 +308,20 @@ impl<const D: usize> SealedRegion<D> {
             }
         }
         let len = layout.len;
-        Some(
-            Self::from_blob(begin, end, Arc::new(blob), 0, len)
-                .expect("freshly built seal blob parses"),
-        )
+        Some(Self::from_blob(m, Arc::new(blob), 0, len).expect("freshly built seal blob parses"))
     }
 
-    /// Revives a region from `len` blob bytes at `base` inside `buf` —
-    /// zero-copy: the region's columns stay borrows of `buf`. Total over
-    /// arbitrary input: alignment, exact length, and every node's
-    /// record/child ranges are validated *before* any column is read, so a
-    /// malformed blob yields `Err`, never a panic or out-of-bounds view.
+    /// Revives the region of a slice of `records` records from `len` blob
+    /// bytes at `base` inside `buf` — zero-copy: the region's columns stay
+    /// borrows of `buf`. Total over arbitrary input: alignment and exact
+    /// length are validated *before* any column is read, then the partition
+    /// rules a stored slice tree is held to (non-empty nodes, each level
+    /// contiguous in record space, children covering exactly their parent's
+    /// range and tiling the next level in order). A malformed blob yields
+    /// `Err`, never a panic, an out-of-bounds view or a subtree that is not
+    /// a partition.
     pub(crate) fn from_blob(
-        begin: usize,
-        end: usize,
+        records: usize,
         buf: Arc<AlignedBytes>,
         base: usize,
         len: usize,
@@ -337,9 +339,9 @@ impl<const D: usize> SealedRegion<D> {
         let short = |_| format!("blob of {len} bytes is shorter than its header");
         let m = header.u64().map_err(short)?;
         let l = header.u64().map_err(short)?;
-        if end < begin || (end - begin) as u64 != m {
+        if records as u64 != m {
             return Err(format!(
-                "record count {m} does not match region {begin}..{end}"
+                "record count {m} does not match its slice's {records}"
             ));
         }
         if m > u32::MAX as u64 {
@@ -362,8 +364,7 @@ impl<const D: usize> SealedRegion<D> {
             ));
         }
         let region = Self {
-            begin,
-            end,
+            m: records,
             buf,
             base,
             blob_len: len,
@@ -372,21 +373,33 @@ impl<const D: usize> SealedRegion<D> {
             rec_lo: layout.rec_lo,
             rec_nhi: layout.rec_nhi,
         };
+        // Each level tiles `0..m` in record order, and each node's children
+        // are the next run of the next level and start where it starts (so
+        // they end where it ends); a bottom node claims none.
         for li in 0..l {
-            let next = if li + 1 < l { counts[li + 1] } else { 0 };
+            let kids = if li + 1 < l { region.meta(li + 1) } else { &[] };
+            let (mut at, mut next) = (0, 0);
             for (i, nm) in region.meta(li).iter().enumerate() {
-                if nm.begin > nm.end || nm.end as u64 > m {
+                let (cs, ce) = (nm.child_start as usize, nm.child_end as usize);
+                let tiles = if li + 1 == l {
+                    cs == 0 && ce == 0
+                } else {
+                    cs == next && cs < ce && ce <= kids.len() && kids[cs].begin == nm.begin
+                };
+                if nm.begin != at || nm.end <= nm.begin || u64::from(nm.end) > m || !tiles {
                     return Err(format!(
-                        "level {li} node {i}: record range {}..{} outside 0..{m}",
+                        "level {li} node {i}: records {}..{} and children {cs}..{ce} do not \
+                         continue the partition at record {at}, child {next}",
                         nm.begin, nm.end
                     ));
                 }
-                if nm.child_start > nm.child_end || nm.child_end as u64 > next {
-                    return Err(format!(
-                        "level {li} node {i}: child range {}..{} outside 0..{next}",
-                        nm.child_start, nm.child_end
-                    ));
-                }
+                (at, next) = (nm.end, ce);
+            }
+            if u64::from(at) != m || next != kids.len() {
+                return Err(format!(
+                    "level {li} covers records 0..{at} of {m} and children 0..{next} of {}",
+                    kids.len()
+                ));
             }
         }
         Ok(region)
@@ -413,9 +426,49 @@ impl<const D: usize> SealedRegion<D> {
         unsafe { std::slice::from_raw_parts(self.buf.as_bytes().as_ptr().add(off).cast(), n) }
     }
 
-    /// Number of tree levels below the region root (`D - 1`; `0` at D = 1).
-    pub(crate) fn level_count(&self) -> usize {
-        self.levels.len()
+    /// Node count of each arena level, from tree level 1 down.
+    pub(crate) fn level_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.levels.iter().map(|lv| lv.len)
+    }
+
+    /// The arena's nodes rebuilt as the slices below the region root, whose
+    /// range starts at `begin`, for `validate`. Each is refined and
+    /// converged; its cut interval, never read once refined, was not stored
+    /// and comes back unbounded.
+    pub(crate) fn slices(&self, begin: usize) -> Vec<Slice<D>> {
+        self.rebuild(begin, 0, 0..self.levels.first().map_or(0, |lv| lv.len))
+    }
+
+    /// Nodes `nodes` of arena level `l`, with their subtrees, as slices.
+    fn rebuild(&self, begin: usize, l: usize, nodes: Range<usize>) -> Vec<Slice<D>> {
+        let (key_lo, meta) = (self.key_lo(l), self.meta(l));
+        nodes
+            .map(|i| {
+                let nm = &meta[i];
+                let children = if l + 1 < self.levels.len() {
+                    self.rebuild(begin, l + 1, nm.child_start as usize..nm.child_end as usize)
+                } else {
+                    Vec::new()
+                };
+                Slice {
+                    level: (l + 1) as u32,
+                    begin: begin + nm.begin as usize,
+                    end: begin + nm.end as usize,
+                    bbox: Aabb {
+                        lo: nm.bb_lo,
+                        hi: nm.bb_hi,
+                    },
+                    cut_lo: f64::NEG_INFINITY,
+                    cut_hi: f64::INFINITY,
+                    key_lo: key_lo[i],
+                    refined: true,
+                    keys_fresh: false,
+                    converged: true,
+                    children,
+                    sealed: None,
+                }
+            })
+            .collect()
     }
 
     /// The minimum-key binary-search column of arena level `l` (absolute
@@ -439,13 +492,12 @@ impl<const D: usize> SealedRegion<D> {
         unsafe { std::slice::from_raw_parts(self.buf.as_bytes().as_ptr().add(off).cast(), lv.len) }
     }
 
-    /// Record ids over `begin..end`, region-relative order, narrowed to
-    /// `u32` (ids are positions in the original dataset, so they fit for
-    /// any dataset under 2³² records; a region holding a larger id is
-    /// simply never sealed).
+    /// Record ids in region order, narrowed to `u32` (ids are positions in
+    /// the original dataset, so they fit for any dataset under 2³² records;
+    /// a region holding a larger id is simply never sealed).
     pub(crate) fn ids(&self) -> &[u32] {
         let off = self.base + self.ids;
-        let n = self.end - self.begin;
+        let n = self.m;
         debug_assert!(off.is_multiple_of(4) && off + n * 4 <= self.buf.len());
         // SAFETY: `from_blob` proved the id section 8-aligned and exactly
         // `n` `u32`s long inside the immutable buffer, and every bit pattern
@@ -455,7 +507,7 @@ impl<const D: usize> SealedRegion<D> {
 
     /// Record MBB lower corners of dimension `d`.
     pub(crate) fn rec_lo(&self, d: usize) -> &[f64] {
-        let m = self.end - self.begin;
+        let m = self.m;
         self.f64s(self.rec_lo + d * m * 8, m)
     }
 
@@ -466,13 +518,13 @@ impl<const D: usize> SealedRegion<D> {
     /// pass is the same `lane[p] <= bound` loop (negation is exact for
     /// every non-NaN float, so the truth table is unchanged).
     pub(crate) fn rec_nhi(&self, d: usize) -> &[f64] {
-        let m = self.end - self.begin;
+        let m = self.m;
         self.f64s(self.rec_nhi + d * m * 8, m)
     }
 
     /// Number of records covered.
     pub(crate) fn records(&self) -> usize {
-        self.end - self.begin
+        self.m
     }
 
     /// Appends the region's records in region order, rebuilt from its id
@@ -775,38 +827,71 @@ pub(crate) mod tests {
     use quasii_common::dataset::uniform_boxes_in;
     use quasii_common::index::SpatialIndex;
 
-    /// Answers `q` through the live read descent over `idx`'s skeleton and
-    /// `rows`, its permutation ([`Quasii::records`]): the reads of an
-    /// engine that kept those rows and built no arena. Returns the ids and
+    /// An engine over `data` after one query, `q` or the whole universe,
+    /// driven through `engine::query_level` over its fresh root with no
+    /// seal after it: what converged keeps its live subtree, and the rows
+    /// stay. The whole universe leaves the tree and the permutation
+    /// `finalize` leaves, unsealed.
+    pub(crate) fn unsealed<const D: usize>(
+        data: Vec<Record<D>>,
+        tau: usize,
+        q: Option<Aabb<D>>,
+    ) -> Quasii<D> {
+        assert!(D > 1, "a one-level root converges, and seals, at init");
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(tau));
+        idx.ensure_init();
+        let q = q.unwrap_or(idx.data_bounds);
+        let qe = idx.extend_query(&q);
+        let (keys, his) = idx.keys.as_mut_slices();
+        let mut cols = engine::Cols::new(&mut idx.data, keys, his);
+        let env = &idx.env;
+        engine::query_level(
+            &mut cols,
+            &mut idx.root,
+            &q,
+            &qe,
+            env,
+            &mut idx.rt,
+            &mut Vec::new(),
+        );
+        assert!(idx.root.iter().all(|s| s.sealed.is_none()));
+        idx
+    }
+
+    /// Answers `q` through the live read descent over `idx`'s tree and
+    /// rows, as an engine that built no arena would. Returns the ids and
     /// the objects tested; every root slice `q` visits must have converged.
-    pub(crate) fn read_live<const D: usize>(
-        idx: &Quasii<D>,
-        rows: &[Record<D>],
-        q: &Aabb<D>,
-    ) -> (Vec<u64>, u64) {
+    pub(crate) fn read_live<const D: usize>(idx: &Quasii<D>, q: &Aabb<D>) -> (Vec<u64>, u64) {
         let qe = idx.extend_query(q);
         let (mut out, mut tested) = (Vec::new(), 0);
         for s in &idx.root[engine::window(&idx.root, &qe)] {
             if q.intersects(&s.bbox) {
-                tested += engine::read_slice(rows, s, q, &qe, idx.env.simd, &mut out);
+                assert!(s.converged && s.sealed.is_none());
+                tested += engine::read_slice(&idx.data, s, q, &qe, idx.env.simd, &mut out);
             }
         }
         (out, tested)
     }
 
-    /// Arenas built by hand from a finalized engine's skeleton and
+    /// The arena of `idx`'s first root slice, built by hand.
+    fn first_region<const D: usize>(idx: &Quasii<D>) -> SealedRegion<D> {
+        SealedRegion::build(&idx.root[0], &idx.data).expect("converged trees seal")
+    }
+
+    /// Arenas built by hand from an unsealed converged tree and its
     /// permutation answer as the live read descent over the same two, and
-    /// as the engine itself.
+    /// as a finalized engine over the same records.
     #[test]
     fn build_and_run_match_engine() {
         let data = uniform_boxes_in::<3>(2_000, 100.0, 5);
+        let live = unsealed(data.clone(), 8, None);
         let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(8));
         idx.finalize();
-        let rows = idx.records();
-        let regions: Vec<SealedRegion<3>> = idx
+        assert_eq!(idx.records(), live.data, "the permutation finalize leaves");
+        let regions: Vec<SealedRegion<3>> = live
             .root
             .iter()
-            .map(|s| SealedRegion::build(s, &rows).expect("finalized trees seal"))
+            .map(|s| SealedRegion::build(s, &live.data).expect("converged trees seal"))
             .collect();
         assert_eq!(
             regions.iter().map(SealedRegion::records).sum::<usize>(),
@@ -824,11 +909,11 @@ pub(crate) mod tests {
             Aabb::new([200.0; 3], [300.0; 3]),
         ];
         for q in &queries {
-            let (live, live_tested) = read_live(&idx, &rows, q);
-            let qe = idx.extend_query(q);
+            let (want, want_tested) = read_live(&live, q);
+            let qe = live.extend_query(q);
             let (mut got, mut tested) = (Vec::new(), 0);
-            for (s, r) in idx.root.iter().zip(&regions) {
-                assert_eq!((s.begin, s.end), (r.begin, r.end));
+            for (s, r) in live.root.iter().zip(&regions) {
+                assert_eq!(s.len(), r.records());
                 if s.key_lo > qe.hi[0] {
                     break;
                 }
@@ -836,7 +921,7 @@ pub(crate) mod tests {
                     tested += r.run(q, &qe, &mut got, SimdLevel::detect());
                 }
             }
-            assert_eq!((&got, tested), (&live, live_tested), "query {q:?}");
+            assert_eq!((&got, tested), (&want, want_tested), "query {q:?}");
             assert_eq!(got, idx.query_collect(q), "query {q:?}");
         }
     }
@@ -847,18 +932,16 @@ pub(crate) mod tests {
     #[test]
     fn blob_reparses_at_a_shifted_base() {
         let data = uniform_boxes_in::<3>(500, 50.0, 11);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
-        idx.finalize();
-        let r = SealedRegion::build(&idx.root[0], &idx.records()).expect("finalized trees seal");
+        let r = first_region(&unsealed(data, 8, None));
         let blob = r.blob();
         let shift = 64usize;
         let mut shifted = AlignedBytes::zeroed(shift + blob.len());
         shifted.as_bytes_mut()[shift..].copy_from_slice(blob);
-        let r2 = SealedRegion::<3>::from_blob(r.begin, r.end, Arc::new(shifted), shift, blob.len())
+        let r2 = SealedRegion::<3>::from_blob(r.records(), Arc::new(shifted), shift, blob.len())
             .expect("shifted blob parses");
         assert_eq!(r.ids(), r2.ids());
-        assert_eq!(r.level_count(), r2.level_count());
-        for l in 0..r.level_count() {
+        assert!(r.level_sizes().eq(r2.level_sizes()));
+        for l in 0..r.level_sizes().count() {
             assert_eq!(r.key_lo(l), r2.key_lo(l));
         }
         for d in 0..3 {
@@ -871,41 +954,37 @@ pub(crate) mod tests {
     #[test]
     fn truncated_blobs_are_rejected() {
         let data = uniform_boxes_in::<2>(200, 20.0, 3);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
-        idx.finalize();
-        let r = SealedRegion::build(&idx.root[0], &idx.records()).expect("finalized trees seal");
+        let r = first_region(&unsealed(data, 8, None));
         let blob = r.blob().to_vec();
         for cut in [0, 8, 15, 16, blob.len() / 2, blob.len() - 1] {
             let buf = Arc::new(AlignedBytes::copy_from(&blob[..cut]));
             assert!(
-                SealedRegion::<2>::from_blob(r.begin, r.end, buf, 0, cut).is_err(),
+                SealedRegion::<2>::from_blob(r.records(), buf, 0, cut).is_err(),
                 "truncation to {cut} bytes must not parse"
             );
         }
         // Wrong dimensionality: the level count no longer matches.
         let buf = Arc::new(AlignedBytes::copy_from(&blob));
-        assert!(SealedRegion::<3>::from_blob(r.begin, r.end, buf, 0, blob.len()).is_err());
+        assert!(SealedRegion::<3>::from_blob(r.records(), buf, 0, blob.len()).is_err());
     }
 
     #[test]
     fn unconverged_subtrees_refuse_to_seal() {
         let data = uniform_boxes_in::<3>(2_000, 100.0, 6);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
         // One tiny corner query leaves most of the tree unrefined.
-        idx.query_collect(&Aabb::new([0.0; 3], [5.0; 3]));
-        let rows = idx.records();
+        let idx = unsealed(data, 8, Some(Aabb::new([0.0; 3], [5.0; 3])));
         assert!(
             idx.root
                 .iter()
-                .any(|s| SealedRegion::build(s, &rows).is_none()),
+                .any(|s| SealedRegion::build(s, &idx.data).is_none()),
             "a single corner query must not converge every top-level slice"
         );
     }
 
     /// The arena read against the live read descent over the same
-    /// finalized engine (its skeleton and permutation), one thread, 1 M
-    /// records, 2 000 uniform queries of volume 1e-3; prints the medians
-    /// and minima of nine rounds. Run with
+    /// converged tree and permutation, one thread, 1 M records, 2 000
+    /// uniform queries of volume 1e-3; prints the medians and minima of
+    /// nine rounds. Run with
     /// `cargo test --release -p quasii --lib profile_sealed_vs_unsealed -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -927,16 +1006,16 @@ pub(crate) mod tests {
                 Aabb::new(lo, lo.map(|v| v + side))
             })
             .collect();
+        let live_idx = unsealed(data.clone(), QuasiiConfig::default().tau, None);
         let mut idx = Quasii::new(data, QuasiiConfig::default().with_threads(1));
         idx.finalize();
         assert_eq!(idx.sealed_fraction(), 1.0);
-        let rows = idx.records();
         let arena = |q: &Aabb<3>| {
             let mut out = Vec::new();
             assert!(idx.read(q, &mut out));
             out.len()
         };
-        let live = |q: &Aabb<3>| read_live(&idx, &rows, q).0.len();
+        let live = |q: &Aabb<3>| read_live(&live_idx, q).0.len();
         for q in queries.iter().take(400) {
             assert_eq!(arena(q), live(q));
         }

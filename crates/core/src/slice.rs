@@ -4,15 +4,19 @@
 //! reorganized) data array whose objects were partitioned on dimension `l`
 //! by their lower coordinate. Its four attributes from the paper map to
 //! fields here: level (`level`), minimum bounding box (`bbox`), data-array
-//! indices (`begin..end`), and sub-slice pointers (`children`).
+//! indices (`begin..end`), and sub-slice pointers (`children`), or, once
+//! the slice is sealed, the arena that holds its subtree (`sealed`).
 
+use crate::seal::SealedRegion;
 use quasii_common::geom::{Aabb, Record};
 
 /// One node of QUASII's d-level hierarchy.
 #[derive(Clone, Debug)]
 pub(crate) struct Slice<const D: usize> {
-    /// Level = the dimension this slice was partitioned on (0-based).
-    pub level: usize,
+    /// Level = the dimension this slice was partitioned on (0-based). A
+    /// `u32` beside the three flags, so that a `Slice<3>` stays 128 bytes
+    /// (two cache lines) with the `sealed` pointer in it.
+    pub level: u32,
     /// First index (inclusive) into the data array.
     pub begin: usize,
     /// Last index (exclusive) into the data array.
@@ -53,6 +57,11 @@ pub(crate) struct Slice<const D: usize> {
     /// Sub-slices at `level + 1`, sorted by `begin`, partitioning
     /// `begin..end`. Only ever non-empty on refined slices.
     pub children: Vec<Slice<D>>,
+    /// The arena that holds this slice's subtree once it is sealed (see
+    /// [`crate::seal`]), in place of `children`: only a converged level-0
+    /// slice is sealed, and a sealed slice has no children. The arena is
+    /// the one copy of the nodes below it.
+    pub sealed: Option<Box<SealedRegion<D>>>,
 }
 
 impl<const D: usize> Slice<D> {
@@ -60,6 +69,12 @@ impl<const D: usize> Slice<D> {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.end - self.begin
+    }
+
+    /// The level as an index: the dimension the slice was partitioned on.
+    #[inline]
+    pub(crate) fn dim(&self) -> usize {
+        self.level as usize
     }
 
     /// Whether the slice covers no objects.
@@ -86,6 +101,7 @@ impl<const D: usize> Slice<D> {
             keys_fresh: true,
             converged: n <= tau0 && D == 1,
             children: Vec::new(),
+            sealed: None,
         }
     }
 
@@ -94,11 +110,11 @@ impl<const D: usize> Slice<D> {
     /// refined, so its `bbox` is exact and is inherited verbatim.
     pub(crate) fn default_child(&self, tau_child: usize) -> Self {
         debug_assert!(self.refined, "default children hang off refined slices");
-        debug_assert!(self.level + 1 < D, "bottom level has no children");
-        let l = self.level + 1;
+        debug_assert!(self.dim() + 1 < D, "bottom level has no children");
+        let l = self.dim() + 1;
         let refined = self.len() <= tau_child;
         Self {
-            level: l,
+            level: self.level + 1,
             begin: self.begin,
             end: self.end,
             bbox: self.bbox,
@@ -111,6 +127,7 @@ impl<const D: usize> Slice<D> {
             keys_fresh: false,
             converged: refined && l + 1 == D,
             children: Vec::new(),
+            sealed: None,
         }
     }
 
@@ -126,7 +143,9 @@ impl<const D: usize> Slice<D> {
         self.bbox = mbb;
     }
 
-    /// Recursive count of slices in this subtree (including `self`).
+    /// Recursive count of the slices held as `Slice`s in this subtree
+    /// (including `self`): the nodes a snapshot stores. A sealed slice's
+    /// arena nodes are not among them (`Quasii::slice_count` counts them).
     pub(crate) fn count(&self) -> usize {
         1 + self.children.iter().map(Slice::count).sum::<usize>()
     }
@@ -136,10 +155,11 @@ impl<const D: usize> Slice<D> {
     /// materialized children. A query through a converged subtree performs
     /// no reorganization and materializes nothing — it is a pure read,
     /// which is exactly the condition under which the subtree can be
-    /// compacted into a sealed arena (see `crate::seal`). A refined
-    /// non-bottom slice *without* children is not converged: its first
-    /// visit still creates the default child (and may crack it, e.g. after
-    /// a force-refinement above τ).
+    /// compacted into a sealed arena (see `crate::seal`), so a refined
+    /// slice that holds an arena has converged. A refined non-bottom slice
+    /// with neither children nor an arena has not: its first visit still
+    /// creates the default child (and may crack it, e.g. after a
+    /// force-refinement above τ).
     ///
     /// Walks the subtree; the engine reads the cached
     /// [`converged`](Self::converged) flag instead, and `validate` checks
@@ -148,13 +168,14 @@ impl<const D: usize> Slice<D> {
         if !self.refined {
             return false;
         }
-        if self.level + 1 == D {
+        if self.dim() + 1 == D || self.sealed.is_some() {
             return true;
         }
         !self.children.is_empty() && self.children.iter().all(Self::subtree_converged)
     }
 
-    /// Approximate heap bytes of this subtree's structure.
+    /// Approximate heap bytes of this subtree's slices (a sealed slice's
+    /// arena is counted by `Quasii::seal_bytes`).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.children.capacity() * std::mem::size_of::<Slice<D>>()
             + self.children.iter().map(Slice::heap_bytes).sum::<usize>()
@@ -210,6 +231,11 @@ mod tests {
         let mut s = Slice::<2>::root(2, Aabb::new([0.0, 0.0], [100.0, 100.0]), 60);
         s.measure_exact(&data);
         assert_eq!(s.bbox, Aabb::new([2.0, 1.0], [5.0, 6.0]));
+    }
+
+    #[test]
+    fn a_three_dimensional_slice_is_two_cache_lines() {
+        assert_eq!(std::mem::size_of::<Slice<3>>(), 128);
     }
 
     #[test]

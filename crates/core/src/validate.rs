@@ -1,7 +1,9 @@
 //! Structural invariant checking for the slice hierarchy. Not used on the
 //! query path; tests and property tests call [`validate`] after every
-//! operation to catch corruption early, and every snapshot load runs
-//! invariant 9's metadata half ([`check_region_nodes`]).
+//! operation to catch corruption early. A snapshot load holds each arena
+//! to the partition rules of invariants 1, 2, 6 and 7 itself
+//! (`SealedRegion::from_blob`), so a malformed arena is refused by name
+//! before anything reads it.
 //!
 //! Checked invariants:
 //!
@@ -19,18 +21,19 @@
 //!    slice claims fresh columns (`keys_fresh`), `keys[i]` equals the
 //!    record's own-level assignment key and `his[i]` its own-level upper
 //!    coordinate over the slice's whole range (see `crate::keys`);
-//! 9. every sealed region (see `crate::seal`) mirrors a converged top-level
-//!    slice exactly: matching data range, level-by-level SoA metadata equal
-//!    to the slice subtree, and record columns equal to the data array; the
-//!    cached sealed-record count equals the regions' total;
+//! 9. every arena (see `crate::seal`) holds its sealed slice's records:
+//!    while some record is unsealed, the rows over the slice's range; the
+//!    cached sealed-record count equals the arenas' total;
 //! 10. every slice's cached `converged` flag equals `subtree_converged()`;
 //! 11. the rows and the key columns exist exactly while some record is
-//!     unsealed: `n` of each then, none once every record is sealed.
+//!     unsealed: `n` of each then, none once every record is sealed;
+//! 12. a sealed slice is at level 0, converged and childless.
 //!
-//! A fully sealed engine keeps no rows, so its checks read the records
-//! from its arenas ([`Quasii::records`]): invariants 3 to 5 then hold the
-//! slice tree against the arenas' records, and 9's record half is met by
-//! construction.
+//! A sealed slice's subtree is its arena, so the checks below it run on the
+//! arena's nodes, rebuilt as slices (`SealedRegion::slices`): invariants 3
+//! to 5, 7 and 10 hold there as anywhere. A fully sealed engine keeps no
+//! rows, so its checks read the records from its arenas
+//! ([`Quasii::records`]), and 9's record half is met by construction.
 
 use crate::config::AssignBy;
 use crate::crack::key_of;
@@ -43,13 +46,13 @@ use std::borrow::Cow;
 
 /// Runs all checks; `Err` describes the first violation.
 pub(crate) fn validate<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
-    let (rows, cols, roots, tau, mode) = index.raw_parts();
+    let (rows, cols, roots) = (&index.data, &index.keys, &index.root);
     if roots.is_empty() {
         return Ok(()); // pre-initialization or empty dataset
     }
     // The cached sealed-record count the fully-sealed fast path trusts is
-    // the regions' total (invariant 9), and it decides invariant 11.
-    let sealed: usize = index.seal_regions().iter().map(|r| r.records()).sum();
+    // the arenas' total (invariant 9), and it decides invariant 11.
+    let sealed: usize = index.arenas().map(SealedRegion::records).sum();
     if index.sealed_records() != sealed {
         return Err(format!(
             "sealed-record count {} but the regions hold {sealed}",
@@ -69,117 +72,10 @@ pub(crate) fn validate<const D: usize>(index: &Quasii<D>) -> Result<(), String> 
     let records = if fully_sealed {
         Cow::Owned(index.records())
     } else {
-        Cow::Borrowed(rows)
+        Cow::Borrowed(rows.as_slice())
     };
-    check_level(&records, cols, roots, 0, 0, n, tau, mode)?;
-    check_seals(index, &records)
-}
-
-/// Invariant 9: every sealed arena is an exact compaction of a converged
-/// top-level slice (`check_level` has already checked its flag against its
-/// subtree) whose records equal `data`'s over its range.
-fn check_seals<const D: usize>(index: &Quasii<D>, data: &[Record<D>]) -> Result<(), String> {
-    let roots = index.raw_parts().2;
-    let mut prev_end = 0usize;
-    for (k, region) in index.seal_regions().iter().enumerate() {
-        if region.begin < prev_end {
-            return Err(format!(
-                "seal {k} starts at {} inside the previous region (ends {prev_end})",
-                region.begin
-            ));
-        }
-        prev_end = region.end;
-        let Some(root) = roots
-            .iter()
-            .find(|s| s.begin == region.begin && s.end == region.end)
-        else {
-            return Err(format!(
-                "seal {k} covers {}..{} which matches no top-level slice",
-                region.begin, region.end
-            ));
-        };
-        if !root.converged {
-            return Err(format!(
-                "seal {k} covers an unconverged top-level slice {}..{}",
-                region.begin, region.end
-            ));
-        }
-        // Record columns mirror the data array.
-        let seg = &data[region.begin..region.end];
-        let ids = region.ids();
-        if ids.len() != seg.len() {
-            return Err(format!("seal {k}: id column length mismatch"));
-        }
-        for (p, r) in seg.iter().enumerate() {
-            if ids[p] as u64 != r.id {
-                return Err(format!(
-                    "seal {k}: id column diverges at position {p} ({} vs {})",
-                    ids[p], r.id
-                ));
-            }
-            for d in 0..D {
-                if region.rec_lo(d)[p] != r.mbb.lo[d] || region.rec_nhi(d)[p] != -r.mbb.hi[d] {
-                    return Err(format!(
-                        "seal {k}: MBB columns diverge at position {p}, dim {d}"
-                    ));
-                }
-            }
-        }
-        check_region_nodes(region, root).map_err(|e| format!("seal {k}, {e}"))?;
-    }
-    Ok(())
-}
-
-/// Invariant 9's node half: `region`'s arena mirrors the subtree of the
-/// top-level slice `root` breadth-first, level by level: per node the same
-/// `key_lo`, record range, bounding box and child range. A snapshot stores
-/// every sealed subtree twice, in the skeleton and in the arena, so
-/// `persist::decode` runs this too; the record-column half stays in
-/// [`check_seals`], since the loader takes those records from the arena.
-pub(crate) fn check_region_nodes<const D: usize>(
-    region: &SealedRegion<D>,
-    root: &Slice<D>,
-) -> Result<(), String> {
-    let mut frontier: Vec<&Slice<D>> = root.children.iter().collect();
-    for li in 0..region.level_count() {
-        let key_lo = region.key_lo(li);
-        let meta = region.meta(li);
-        if key_lo.len() != frontier.len() {
-            return Err(format!(
-                "level {li}: {} arena nodes vs {} slices",
-                key_lo.len(),
-                frontier.len()
-            ));
-        }
-        let mut next: Vec<&Slice<D>> = Vec::new();
-        let bottom = li + 2 == D;
-        for (i, s) in frontier.iter().enumerate() {
-            let node = &meta[i];
-            let (b, e) = (node.begin as usize, node.end as usize);
-            if key_lo[i] != s.key_lo || b != s.begin - region.begin || e != s.end - region.begin {
-                return Err(format!(
-                    "level {li}, node {i}: metadata diverges from slice"
-                ));
-            }
-            if node.bb_lo != s.bbox.lo || node.bb_hi != s.bbox.hi {
-                return Err(format!("level {li}, node {i}: bbox diverges from slice"));
-            }
-            if !bottom {
-                let child_start = next.len() as u32;
-                next.extend(s.children.iter());
-                if node.child_start != child_start || node.child_end != next.len() as u32 {
-                    return Err(format!("level {li}, node {i}: child range diverges"));
-                }
-            } else if node.child_start != 0 || node.child_end != 0 {
-                return Err(format!("level {li}, node {i}: bottom node claims children"));
-            }
-        }
-        frontier = next;
-    }
-    if !frontier.is_empty() {
-        return Err("the slice tree has more levels than the arena".into());
-    }
-    Ok(())
+    let (tau, mode) = (&index.env.tau, index.cfg.assign_by);
+    check_level(&records, cols, roots, 0, 0, n, tau, mode)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -200,7 +96,7 @@ fn check_level<const D: usize>(
     let mut prev_max_key = f64::NEG_INFINITY;
     let mut prev_key_lo = f64::NEG_INFINITY;
     for (i, s) in slices.iter().enumerate() {
-        if s.level != level {
+        if s.dim() != level {
             return Err(format!(
                 "slice {i}: level {} but list expects {level}",
                 s.level
@@ -323,6 +219,35 @@ fn check_level<const D: usize>(
             ));
         }
 
+        // A sealed slice's subtree is its arena (invariants 9 and 12).
+        if let Some(region) = &s.sealed {
+            let mut held = Vec::with_capacity(s.len());
+            region.push_records(&mut held);
+            if level != 0 || !s.converged || !s.children.is_empty() || held != seg {
+                return Err(format!(
+                    "sealed slice {i} at level {level} ({}..{}): converged {}, {} children, \
+                     arena records equal to the rows: {}",
+                    s.begin,
+                    s.end,
+                    s.converged,
+                    s.children.len(),
+                    held == seg
+                ));
+            }
+            if level + 1 < D {
+                check_level(
+                    data,
+                    cols,
+                    &region.slices(s.begin),
+                    level + 1,
+                    s.begin,
+                    s.end,
+                    tau,
+                    mode,
+                )?;
+            }
+        }
+
         if !s.children.is_empty() {
             if !s.refined {
                 return Err(format!("unrefined slice {i} at level {level} has children"));
@@ -361,7 +286,9 @@ mod tests {
     fn a_flipped_convergence_flag_is_named() {
         let data = uniform_boxes_in::<3>(3_000, 1_000.0, 61);
         let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
-        idx.query_collect(&Aabb::new([0.0; 3], [300.0, 1_001.0, 1_001.0]));
+        // Root slices over x ≤ 300 converge their children over y ≤ 300
+        // (every z queried) and leave the rest coarse, so they stay unsealed.
+        idx.query_collect(&Aabb::new([0.0, 0.0, -1.0], [300.0, 300.0, 1_001.0]));
         idx.query_collect(&Aabb::new([500.0; 3], [560.0; 3]));
         idx.validate().unwrap();
         for want in [true, false] {
@@ -384,5 +311,19 @@ mod tests {
             idx.root[i].children[j].converged = want;
             idx.validate().unwrap();
         }
+    }
+
+    /// A sealed slice's subtree is its arena: a sealed slice that also
+    /// holds children is named.
+    #[test]
+    fn a_sealed_slice_with_children_is_named() {
+        let data = uniform_boxes_in::<2>(500, 100.0, 62);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
+        idx.finalize();
+        idx.validate().unwrap();
+        let child = idx.root[0].default_child(8);
+        idx.root[0].children.push(child);
+        let err = idx.validate().expect_err("a sealed slice has no children");
+        assert!(err.contains("sealed slice 0 at level 0"), "{err}");
     }
 }

@@ -332,8 +332,8 @@ fn worker_panics_poison_then_repair_restores_byte_identity() {
 /// A fully sealed engine keeps no rows, so a repair that must rebuild it
 /// takes the record multiset from its arenas. The engine is a reload of a
 /// part whose arena moves one record's lower x below its slices' boxes:
-/// the loader holds the arena's nodes to the skeleton, not its records to
-/// the nodes, so `validate` is the first check to see it.
+/// the loader holds the arena's nodes to their partition rules, not its
+/// records to the nodes' boxes, so `validate` is the first check to see it.
 #[test]
 fn a_poisoned_fully_sealed_engine_is_rebuilt_from_its_arenas() {
     let data: Vec<Record<3>> = (0..2_000u64)
@@ -357,7 +357,7 @@ fn a_poisoned_fully_sealed_engine_is_rebuilt_from_its_arenas() {
     let mut snap = writer.write_snapshot().expect("write");
 
     // A record's lower x whose bits occur once in the part: in its arena's
-    // column, and in no box of the skeleton or the arena's nodes.
+    // column, and in no box of a root slice or an arena node.
     let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
     let at = writer
         .records()

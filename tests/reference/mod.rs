@@ -95,8 +95,9 @@ pub(crate) struct Reference<const D: usize> {
 
 impl<const D: usize> Reference<D> {
     /// The index over `data` with the τ and assignment coordinate of `cfg`,
-    /// before any query: one root slice over the whole dataset, refined
-    /// only if the dataset fits `τ_0`.
+    /// before any query: no slice yet. The first query starts from one root
+    /// slice over the whole dataset, refined only if the dataset fits
+    /// `τ_0` (the paper's design goal (i): no work before the first query).
     pub(crate) fn new(data: Vec<Record<D>>, cfg: &QuasiiConfig) -> Self {
         let (n, mode) = (data.len(), cfg.assign_by);
         let (bounds, ext) = (mbb_of(&data), max_extents(&data));
@@ -112,21 +113,8 @@ impl<const D: usize> Reference<D> {
             };
         }
         let tau = tau_schedule::<D>(n, cfg.tau);
-        let root = if n == 0 {
-            Vec::new()
-        } else {
-            vec![Slice {
-                level: 0,
-                range: 0..n,
-                bbox: bounds,
-                cut: (bounds.lo[0], bounds.hi[0]),
-                key_lo: f64::NEG_INFINITY,
-                refined: n <= tau[0],
-                children: Vec::new(),
-            }]
-        };
         Self {
-            root,
+            root: Vec::new(),
             work: Work {
                 data,
                 tau,
@@ -149,7 +137,7 @@ impl<const D: usize> Reference<D> {
     /// Refines every slice down to τ: one whole-universe query that is not
     /// counted as a query.
     pub(crate) fn finalize(&mut self) {
-        if !self.root.is_empty() {
+        if !self.work.data.is_empty() {
             let everything = self.bounds;
             self.run(&everything);
         }
@@ -160,6 +148,18 @@ impl<const D: usize> Reference<D> {
         for k in 0..D {
             qe.lo[k] -= self.ext_low[k];
             qe.hi[k] += self.ext_high[k];
+        }
+        let n = self.work.data.len();
+        if self.root.is_empty() && n > 0 {
+            self.root.push(Slice {
+                level: 0,
+                range: 0..n,
+                bbox: self.bounds,
+                cut: (self.bounds.lo[0], self.bounds.hi[0]),
+                key_lo: f64::NEG_INFINITY,
+                refined: n <= self.work.tau[0],
+                children: Vec::new(),
+            });
         }
         let mut out = Vec::new();
         self.work.query_level(&mut self.root, q, &qe, &mut out);
@@ -174,6 +174,19 @@ impl<const D: usize> Reference<D> {
     /// The work counters, `rekeys` and `records_rekeyed` always 0.
     pub(crate) fn stats(&self) -> QuasiiStats {
         self.work.stats
+    }
+
+    /// Number of slices per level (none before the first query).
+    pub(crate) fn level_profile(&self) -> [usize; D] {
+        fn walk<const D: usize>(slices: &[Slice<D>], acc: &mut [usize; D]) {
+            for s in slices {
+                acc[s.level] += 1;
+                walk(&s.children, acc);
+            }
+        }
+        let mut acc = [0; D];
+        walk(&self.root, &mut acc);
+        acc
     }
 
     /// The dimension-0 query extension, `(low, high)`.
@@ -437,5 +450,10 @@ impl<const D: usize> Shards<D> {
     /// Each shard's permutation, as ids.
     pub(crate) fn ids(&self) -> Vec<Vec<u64>> {
         self.shards.iter().map(|s| ids(s.records())).collect()
+    }
+
+    /// Each shard's slices per level.
+    pub(crate) fn level_profiles(&self) -> Vec<[usize; D]> {
+        self.shards.iter().map(Reference::level_profile).collect()
     }
 }

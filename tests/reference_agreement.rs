@@ -3,8 +3,9 @@
 //! included), every assignment coordinate, τ from
 //! 2 to 23 and mixed query sizes, the engine agrees with the reference
 //! QUASII of `tests/reference` after every step — the same ids in the same
-//! order, the same record permutation and the same algorithmic work
-//! counters. The engine is driven four ways: query by query, in batches of
+//! order, the same record permutation, the same algorithmic work
+//! counters and the same slices per level (a sealed slice's arena nodes
+//! counted, since the reference keeps every node as a slice). The engine is driven four ways: query by query, in batches of
 //! 16, read-then-write as the service does (`read` when `can_read`
 //! approves, else `query`), and as a 2-shard deployment, where each shard
 //! is checked against a reference of its own fed the queries its router
@@ -14,7 +15,7 @@
 mod reference;
 
 use proptest::prelude::*;
-use quasii::{AssignBy, QuasiiStats};
+use quasii::AssignBy;
 use quasii_common::dataset::degenerate;
 use quasii_suite::prelude::*;
 use reference::{algorithmic, ids, Reference, Shards};
@@ -103,16 +104,51 @@ enum Drive {
     ReadThenWrite,
 }
 
-/// Checks one engine step's answers, permutation and counters against the
-/// reference's.
+/// Checks one engine step's answers, permutation, counters and slices per
+/// level against the reference's.
 fn agree(
     what: &str,
-    got: (&[Vec<u64>], Vec<u64>, QuasiiStats),
-    want: (&[Vec<u64>], Vec<u64>, QuasiiStats),
+    got: (&[Vec<u64>], &Quasii<3>),
+    want: (&[Vec<u64>], &Reference<3>),
 ) -> Result<(), TestCaseError> {
+    let (idx, orc) = (got.1, want.1);
     prop_assert_eq!(got.0, want.0, "{}: answers", what);
-    prop_assert_eq!(got.1, want.1, "{}: permutation", what);
-    prop_assert_eq!(algorithmic(got.2), want.2, "{}: work counters", what);
+    prop_assert_eq!(
+        ids(&idx.records()),
+        ids(orc.records()),
+        "{}: permutation",
+        what
+    );
+    prop_assert_eq!(
+        algorithmic(idx.stats()),
+        orc.stats(),
+        "{}: work counters",
+        what
+    );
+    prop_assert_eq!(
+        idx.level_profile(),
+        orc.level_profile(),
+        "{}: level profile",
+        what
+    );
+    prop_assert_eq!(
+        idx.slice_count(),
+        orc.level_profile().iter().sum::<usize>(),
+        "{}: slice count",
+        what
+    );
+    Ok(())
+}
+
+/// Checks each shard's slices per level against its reference's.
+fn agree_shapes(what: &str, idx: &ShardedQuasii<3>, orc: &Shards<3>) -> Result<(), TestCaseError> {
+    let snaps = idx.snapshots();
+    let want = orc.level_profiles();
+    let profiles: Vec<[usize; 3]> = snaps.iter().map(|s| s.level_profile).collect();
+    prop_assert_eq!(&profiles, &want, "{}: level profiles", what);
+    let slices: Vec<usize> = snaps.iter().map(|s| s.slices).collect();
+    let want_slices: Vec<usize> = want.iter().map(|p| p.iter().sum()).collect();
+    prop_assert_eq!(slices, want_slices, "{}: slice counts", what);
     Ok(())
 }
 
@@ -149,8 +185,8 @@ fn run_single(
         let want: Vec<Vec<u64>> = chunk.iter().map(|q| orc.query(q)).collect();
         agree(
             &format!("{what}, {drive:?}, step {k}"),
-            (&got, ids(&idx.records()), idx.stats()),
-            (&want, ids(orc.records()), orc.stats()),
+            (&got, idx),
+            (&want, orc),
         )?;
     }
     Ok(())
@@ -180,8 +216,8 @@ proptest! {
             orc.finalize();
             agree(
                 &format!("{what}, {drive:?}, finalize"),
-                (&[], ids(&idx.records()), idx.stats()),
-                (&[], ids(orc.records()), orc.stats()),
+                (&[], &idx),
+                (&[], &orc),
             )?;
             prop_assert_eq!(idx.sealed_fraction(), 1.0);
             run_single(&mut idx, &mut orc, &queries, drive, &format!("{what}, converged"))?;
@@ -219,11 +255,13 @@ proptest! {
                     algorithmic(idx.stats()), orc.stats(),
                     "{}, {}, batch {}: work counters", what, round, k
                 );
+                agree_shapes(&format!("{what}, {round}, batch {k}"), &idx, &orc)?;
             }
             idx.finalize();
             orc.finalize();
             prop_assert_eq!(shard_ids(&idx), orc.ids(), "{}: permutations after finalize", what);
             prop_assert_eq!(algorithmic(idx.stats()), orc.stats(), "{}: counters after finalize", what);
+            agree_shapes(&format!("{what}, {round}, finalize"), &idx, &orc)?;
         }
         idx.validate().map_err(|e| TestCaseError::fail(format!("{what}: {e}")))?;
     }

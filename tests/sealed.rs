@@ -5,7 +5,7 @@
 //! work counters, same data permutation — across single queries, batches,
 //! thread counts and the trait-object path, while regions seal underneath
 //! — each exactly once: a seal is permanent, and a crack-path query that
-//! spans a sealed region reads it through the tree — and the index is
+//! spans a sealed region reads it from its arena — and the index is
 //! validated after every step.
 
 mod reference;
@@ -166,7 +166,7 @@ proptest! {
 /// A seal survives a crack-path query that spans it: converge the low-key
 /// slab of the key space, seal it, then span sealed + unsealed ranges with
 /// one query (which cracks the unsealed part and reads the sealed part
-/// through the tree), and converge the rest. (A top-level slice only
+/// from its arenas), and converge the rest. (A top-level slice only
 /// converges when its *whole* subtree is refined, so the warm-up covers the
 /// full extent of dimensions 1–2 and narrows only dimension 0 — tiny
 /// corner queries leave deep-dimension tails coarse forever, by design.)
