@@ -2,8 +2,10 @@
 //! cracking partitions (QUASII's inner loop), Z-order encoding + BIGMIN +
 //! interval decomposition (SFC/SFCracker), and STR tiling (R-Tree build).
 
+#[path = "../../../tests/reference/crack.rs"]
+mod reference;
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use quasii::crack::reference::{crack_three, crack_two};
 use quasii::crack::{crack_three_keyed_measured, crack_two_keyed_measured, key_of, DimBounds};
 use quasii::{AssignBy, Quasii, QuasiiConfig, SimdLevel, SimdPolicy};
 use quasii_common::dataset::uniform_boxes_in;
@@ -11,6 +13,7 @@ use quasii_common::geom::{Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_rtree::str_pack::str_tile;
 use quasii_sfc::ZGrid;
+use reference::{crack_three, crack_two};
 use std::hint::black_box;
 
 /// Builds the narrow column pair the keyed kernels crack (assignment keys +

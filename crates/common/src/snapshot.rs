@@ -18,9 +18,13 @@
 //!     24     8  total length in bytes
 //! ```
 //!
-//! Bytes `0..16` are checked by value, the header word is compared with
-//! what one pass over `24..total` computes, so no byte goes unchecked and
-//! the content is read once on each side. The pass can be taken in steps
+//! Bytes `0..16` are checked by value, and the header word is compared with
+//! what one pass over `24..end` computes. `end` is `total` for a buffer the
+//! word covers whole (the shard manifest). A format may end the header sum
+//! earlier, where the blocks that carry sums of their own begin, as long as
+//! those sums sit before `end` (the engine snapshot's region blobs, whose
+//! sums are its region table). Either way every byte is covered by exactly
+//! one sum and read once on each side. The pass can be taken in steps
 //! beside the code that writes or decodes the content (a [`Writer`] that
 //! was told its final length, a [`Verifier`]), so a large buffer need not
 //! cross the memory bus a second time for its sum.
@@ -117,9 +121,12 @@ fn lane_step(v: u64, w: u64) -> u64 {
         .wrapping_mul(P1)
 }
 
-/// The one checksum of every persistent form (engine snapshot, shard
-/// manifest, `quasii verify`): an integrity check against torn writes and
-/// bit rot, not an authenticity one.
+/// The one checksum of every persistent form (an engine snapshot's header
+/// and each of its region blobs, the shard manifest, `quasii verify`): an
+/// integrity check against torn writes and bit rot, not an authenticity
+/// one. A sealed region's blob never changes, so its sum is taken once and
+/// kept with the region: by the first write that stores it, or by the load
+/// that checked it against its table word.
 ///
 /// Four independent 64-bit lanes walk the input in 32-byte stripes, lane
 /// `i` taking little-endian word `i` of each stripe through the xxHash64
@@ -300,6 +307,9 @@ pub struct Writer {
     /// The sum over `buf[CHECKSUM_FROM..hashed]`.
     sum: Checksum,
     hashed: usize,
+    /// The header word, once [`end_sum`](Self::end_sum) has stopped the
+    /// sum: what follows is appended unhashed.
+    word: Option<u64>,
 }
 
 impl Writer {
@@ -322,6 +332,7 @@ impl Writer {
             total,
             sum: Checksum::new(),
             hashed: CHECKSUM_FROM,
+            word: None,
         }
     }
 
@@ -335,8 +346,10 @@ impl Writer {
         self.buf.capacity()
     }
 
-    /// Appends one `u64`.
+    /// Appends one `u64` (before [`end_sum`](Self::end_sum), as every
+    /// append but [`blob`](Self::blob) is).
     pub fn u64(&mut self, v: u64) {
+        debug_assert!(self.word.is_none(), "only blobs follow end_sum");
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -347,6 +360,7 @@ impl Writer {
 
     /// Appends raw bytes.
     pub fn bytes(&mut self, b: &[u8]) {
+        debug_assert!(self.word.is_none(), "only blobs follow end_sum");
         self.buf.extend_from_slice(b);
         self.hash_written();
     }
@@ -360,6 +374,37 @@ impl Writer {
             }
             self.hash_written();
         }
+    }
+
+    /// Ends the header sum here: the bytes from the length word to this
+    /// point are hashed, and what is appended after it with
+    /// [`blob`](Self::blob) is not. Each such block carries a sum of its
+    /// own, written before this point (an engine snapshot's region table),
+    /// so the header word still pins every byte.
+    ///
+    /// # Panics
+    ///
+    /// When no length was announced (the length word is the first byte the
+    /// sum covers), or when the sum has already ended.
+    pub fn end_sum(&mut self) {
+        assert!(
+            self.total != 0,
+            "the sum can end early only with an announced length"
+        );
+        assert!(self.word.is_none(), "the sum has already ended");
+        self.hash_stripes();
+        self.word = Some(self.sum.clone().finish(&self.buf[self.hashed..]));
+    }
+
+    /// Appends a block after [`end_sum`](Self::end_sum), unhashed: its sum
+    /// is the caller's, taken once and written before the end of the sum.
+    ///
+    /// # Panics
+    ///
+    /// When the sum has not ended.
+    pub fn blob(&mut self, b: &[u8]) {
+        assert!(self.word.is_some(), "blobs follow end_sum");
+        self.buf.extend_from_slice(b);
     }
 
     /// Lets the sum catch up once a block has piled up (only when the
@@ -378,9 +423,11 @@ impl Writer {
     }
 
     /// Closes a [`framed`](Self::framed) buffer: writes the length if it
-    /// was not known, hashes what the sum has not seen yet and writes the
-    /// header word. Every byte from the length on goes through the sum
-    /// exactly once: this is the one pass of the write side.
+    /// was not known, hashes what the sum has not seen yet (nothing, once
+    /// [`end_sum`](Self::end_sum) has stopped it) and writes the header
+    /// word. Every byte from the length to the end of the sum goes through
+    /// it exactly once: this is the one pass of the write side, and the
+    /// blobs after the end of the sum make none.
     ///
     /// # Panics
     ///
@@ -392,8 +439,13 @@ impl Writer {
         } else {
             assert_eq!(self.buf.len(), self.total, "the announced length");
         }
-        self.hash_stripes();
-        let word = self.sum.finish(&self.buf[self.hashed..]);
+        let word = match self.word {
+            Some(word) => word,
+            None => {
+                self.hash_stripes();
+                self.sum.finish(&self.buf[self.hashed..])
+            }
+        };
         self.buf[16..24].copy_from_slice(&word.to_le_bytes());
         self.buf
     }
@@ -531,7 +583,9 @@ pub fn header_word(bytes: &[u8]) -> Option<u64> {
 pub struct Frame {
     /// Dimensionality from the header.
     pub dims: u32,
-    /// The header word: [`checksum64`] of bytes `24..total`.
+    /// The header word: [`checksum64`] of bytes `24..end`, where `end` is
+    /// `total` or the end of the header of a format whose later blocks
+    /// carry sums of their own (see the module docs).
     pub checksum: u64,
     /// Total framed length; `FRAME_LEN <= total <= bytes.len()`.
     pub total: usize,
@@ -580,28 +634,33 @@ impl Frame {
         })
     }
 
-    /// The one pass the read side makes over the content, to be taken in
-    /// steps: over bytes `24..total` of the buffer this frame was read from.
-    pub fn verifier<'a>(&self, bytes: &'a [u8]) -> Verifier<'a> {
+    /// The one pass the read side makes over what the header word covers,
+    /// to be taken in steps: bytes `24..end` of the buffer this frame was
+    /// read from, where `end` (at most `total`, at least 24) is where the
+    /// format ends the header sum.
+    pub fn verifier<'a>(&self, bytes: &'a [u8], end: usize) -> Verifier<'a> {
         Verifier {
-            bytes: &bytes[..self.total],
+            bytes: &bytes[..end.clamp(CHECKSUM_FROM, self.total)],
             sum: Checksum::new(),
             hashed: CHECKSUM_FROM,
             expected: self.checksum,
         }
     }
 
-    /// The pass in one go: hashes bytes `24..total` and compares with the
-    /// header word.
+    /// The pass in one go over a buffer the header word covers whole:
+    /// hashes bytes `24..total` and compares with the header word.
     pub fn verify(&self, bytes: &[u8], what: &str) -> Result<(), SnapshotError> {
-        self.verifier(bytes).finish(what)
+        self.verifier(bytes, self.total).finish(what)
     }
 }
 
 /// [`Frame::verify`] in steps. A loader calls [`advance`](Self::advance)
 /// with the end of the block it decodes next, so the block is hashed and
 /// decoded while it sits in cache, and [`finish`](Self::finish) before it
-/// believes anything it decoded.
+/// believes anything it decoded. It covers what the header word covers; a
+/// block past that carries a sum of its own (an engine snapshot's region
+/// blob, whose [`checksum64`] sits in the region table), which its loader
+/// compares right before it reads the block.
 pub struct Verifier<'a> {
     bytes: &'a [u8],
     sum: Checksum,
@@ -834,7 +893,7 @@ mod tests {
         assert_eq!(frame.checksum, checksum64(&bytes[CHECKSUM_FROM..]));
         // Any stepping of the verifier, past-the-end steps included.
         for step in [1usize, 31, 32, 33, 4_096, HASH_BLOCK, usize::MAX / 2] {
-            let mut v = frame.verifier(&bytes);
+            let mut v = frame.verifier(&bytes, bytes.len());
             let mut upto = 0usize;
             while upto < bytes.len() {
                 upto = upto.saturating_add(step);
@@ -845,7 +904,7 @@ mod tests {
         }
         let mut flipped = bytes.clone();
         *flipped.last_mut().unwrap() ^= 1;
-        let mut v = frame.verifier(&flipped);
+        let mut v = frame.verifier(&flipped, flipped.len());
         v.advance(HASH_BLOCK);
         assert!(v.finish("test buffer").is_err());
     }
@@ -900,6 +959,48 @@ mod tests {
         assert_eq!(huge_range(usize::MAX - 10, OWN_FROM), None);
         let top = huge_range(usize::MAX - OWN_FROM, OWN_FROM).expect("no wrap");
         assert_eq!(top.end, usize::MAX - HUGE_PAGE + 1);
+    }
+
+    #[test]
+    fn a_sum_that_ends_early_covers_the_header_only() {
+        // A header of a few blocks, then blobs the header word leaves to
+        // sums of their own.
+        let header = pattern(2 * HASH_BLOCK + 77);
+        let blob = pattern(HASH_BLOCK + 5);
+        let end = FRAME_LEN + header.len();
+        let mut w = Writer::framed(b"QSIITEST", 7, 3, end + 2 * blob.len());
+        w.bytes(&header);
+        w.end_sum();
+        w.blob(&blob);
+        w.blob(&blob);
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), end + 2 * blob.len());
+        let frame = Frame::read(&bytes, b"QSIITEST", 7, "test buffer").expect("frame");
+        assert_eq!(frame.checksum, checksum64(&bytes[CHECKSUM_FROM..end]));
+        frame
+            .verifier(&bytes, end)
+            .finish("test buffer")
+            .expect("header");
+        assert!(
+            frame.verify(&bytes, "test buffer").is_err(),
+            "the whole buffer is not what it covers"
+        );
+        // A blob byte is outside the header word; a header byte is not.
+        let mut flipped = bytes.clone();
+        flipped[end + 3] ^= 1;
+        frame
+            .verifier(&flipped, end)
+            .finish("test buffer")
+            .expect("blob bytes are not covered");
+        flipped[end - 1] ^= 1;
+        assert!(frame.verifier(&flipped, end).finish("test buffer").is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "blobs follow end_sum")]
+    fn a_blob_before_the_end_of_the_sum_panics() {
+        let mut w = Writer::framed(b"QSIITEST", 7, 3, FRAME_LEN + 8);
+        w.blob(&[0; 8]);
     }
 
     #[test]

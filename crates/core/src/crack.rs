@@ -26,13 +26,13 @@
 //! refined slices, where the scan is cache-resident). Cf. Pirk et al.'s
 //! predicated "fancy scan" kernels.
 //!
-//! The oracle is [`reference`](mod@reference): record-streaming
-//! compare-and-swap kernels over the wide `Record<D>` array, recomputing
-//! [`key_of`] on every probe, followed by [`DimBounds::of`] on each output
-//! segment. Every keyed kernel produces **the same permutation and split
-//! points** as its counterpart there bit for bit, and value-equal
-//! measurements (min/max folds); `tests/keyed_kernels.rs` proves it
-//! property-based.
+//! The oracle lives outside this crate, in `tests/reference/crack.rs`:
+//! record-streaming compare-and-swap kernels over the wide `Record<D>`
+//! array, recomputing the assignment key on every probe, followed by
+//! [`DimBounds::of`] on each output segment. Every keyed kernel produces
+//! **the same permutation and split points** as its counterpart there bit
+//! for bit, and value-equal measurements (min/max folds);
+//! `tests/keyed_kernels.rs` proves it property-based.
 
 use crate::config::AssignBy;
 use quasii_common::geom::Record;
@@ -212,9 +212,9 @@ fn crack_two_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
 ///
 /// The scan compares only the 8-byte key column (a `Record<3>` is 56
 /// bytes); the wide records are touched only when a misplaced pair must
-/// swap. Produces bit-for-bit the same permutation and split point as
-/// [`reference::crack_two`]; the measurements equal [`DimBounds::of`] on
-/// each side.
+/// swap. Produces bit-for-bit the same permutation and split point as the
+/// record-streaming oracle's `crack_two`; the measurements equal
+/// [`DimBounds::of`] on each side.
 pub fn crack_two_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -306,8 +306,8 @@ fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
 /// `key > high`; returns the two split points `(p1, p2)` so the middle part
 /// is `p1..p2`, and the three output segments' [`DimBounds`], measured from
 /// the narrow columns during the pass. Identical permutation and split
-/// points to [`reference::crack_three`]; the measurements equal
-/// [`DimBounds::of`] on each segment.
+/// points to the record-streaming oracle's `crack_three`; the measurements
+/// equal [`DimBounds::of`] on each segment.
 pub fn crack_three_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -333,10 +333,10 @@ pub fn crack_three_keyed_measured<const D: usize>(
 /// during the partition pass. Returns the split point, which may be `0` or
 /// `recs.len()` when all keys are equal (caller must handle).
 ///
-/// The record selection runs the exact comparator of
-/// [`reference::crack_median`], so the permutation (and therefore the whole
-/// engine state) stays bit-for-bit identical to the record-streaming
-/// oracle. This path is rare (degenerate value distributions only), so the
+/// The record selection runs the exact comparator of the record-streaming
+/// oracle's `crack_median` (`tests/reference/crack.rs`), so the permutation
+/// (and therefore the whole engine state) stays bit-for-bit identical to
+/// it. This path is rare (degenerate value distributions only), so the
 /// extra re-keying scan does not matter.
 ///
 /// The measurements are only meaningful when `0 < split < recs.len()`; on a
@@ -368,145 +368,15 @@ pub fn crack_median_keyed_measured<const D: usize>(
     crack_two_keyed_measured(keys, his, recs, dim, mode, pivot)
 }
 
-/// The record-streaming kernels (pre-key-column), kept as the bit-for-bit
-/// oracle for the keyed kernels — with [`DimBounds::of`] on each output
-/// segment — and as the baseline side of the `benches/kernels.rs`
-/// keyed-vs-split-passes comparison. Not used on the engine's query path.
-pub mod reference {
-    use super::key_of;
-    use crate::config::AssignBy;
-    use quasii_common::geom::Record;
-
-    /// Two-way crack: reorders `seg` so records with `key < pivot` precede
-    /// the rest; returns the split point (first index of the `>= pivot`
-    /// part).
-    ///
-    /// Hoare-style two-pointer pass — the classic database-cracking kernel,
-    /// recomputing `key_of` on every probe.
-    pub fn crack_two<const D: usize>(
-        seg: &mut [Record<D>],
-        dim: usize,
-        mode: AssignBy,
-        pivot: f64,
-    ) -> usize {
-        let mut i = 0usize;
-        let mut j = seg.len();
-        loop {
-            while i < j && key_of(&seg[i], dim, mode) < pivot {
-                i += 1;
-            }
-            while i < j && key_of(&seg[j - 1], dim, mode) >= pivot {
-                j -= 1;
-            }
-            if i + 1 >= j {
-                break;
-            }
-            seg.swap(i, j - 1);
-            i += 1;
-            j -= 1;
-        }
-        i
-    }
-
-    /// Three-way crack (Dutch national flag): partitions `seg` into
-    /// `key < low` | `low <= key <= high` | `key > high`; returns the two
-    /// split points `(p1, p2)` so the middle part is `p1..p2`.
-    pub fn crack_three<const D: usize>(
-        seg: &mut [Record<D>],
-        dim: usize,
-        mode: AssignBy,
-        low: f64,
-        high: f64,
-    ) -> (usize, usize) {
-        debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
-        let mut lt = 0usize;
-        let mut i = 0usize;
-        let mut gt = seg.len();
-        while i < gt {
-            let v = key_of(&seg[i], dim, mode);
-            if v < low {
-                seg.swap(lt, i);
-                lt += 1;
-                i += 1;
-            } else if v > high {
-                gt -= 1;
-                seg.swap(i, gt);
-            } else {
-                i += 1;
-            }
-        }
-        (lt, gt)
-    }
-
-    /// Rank-based fallback split used when midpoint (value) splits cannot
-    /// separate a degenerate distribution: moves the median-by-key value
-    /// into place and partitions around it. Returns the split point, which
-    /// may be `0` or `seg.len()` when all keys are equal (caller must
-    /// handle).
-    pub fn crack_median<const D: usize>(
-        seg: &mut [Record<D>],
-        dim: usize,
-        mode: AssignBy,
-    ) -> usize {
-        if seg.len() < 2 {
-            return seg.len();
-        }
-        let mid = seg.len() / 2;
-        seg.select_nth_unstable_by(mid, |a, b| {
-            key_of(a, dim, mode)
-                .partial_cmp(&key_of(b, dim, mode))
-                .expect("coordinates are never NaN")
-        });
-        let pivot = key_of(&seg[mid], dim, mode);
-        // Partition strictly below the median value; if everything is equal
-        // to the pivot this yields 0 and the caller treats the slice as
-        // value-indivisible.
-        crack_two(seg, dim, mode, pivot)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::reference::{crack_median, crack_three, crack_two};
     use super::*;
-    use crate::keys::rekey;
     use quasii_common::geom::Aabb;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     const LOWER: AssignBy = AssignBy::Lower;
 
     fn rec1(lo: f64, hi: f64) -> Record<1> {
         Record::new(0, Aabb::new([lo], [hi]))
-    }
-
-    fn keys(seg: &[Record<1>]) -> Vec<f64> {
-        seg.iter().map(|r| r.mbb.lo[0]).collect()
-    }
-
-    fn random_segment(n: usize, seed: u64) -> Vec<Record<1>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|id| {
-                let lo: f64 = rng.random_range(0.0..100.0);
-                Record::new(
-                    id as u64,
-                    Aabb::new([lo], [lo + rng.random_range(0.0..5.0)]),
-                )
-            })
-            .collect()
-    }
-
-    /// Builds the column pair of a segment.
-    fn columns_of<const D: usize>(
-        seg: &[Record<D>],
-        dim: usize,
-        mode: AssignBy,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let mut k = vec![0.0; seg.len()];
-        let mut h = vec![0.0; seg.len()];
-        rekey(&mut k, &mut h, seg, dim, mode);
-        (k, h)
     }
 
     #[test]
@@ -515,127 +385,6 @@ mod tests {
         assert_eq!(key_of(&r, 0, AssignBy::Lower), 2.0);
         assert_eq!(key_of(&r, 0, AssignBy::Center), 4.0);
         assert_eq!(key_of(&r, 0, AssignBy::Upper), 6.0);
-    }
-
-    #[test]
-    fn two_way_partitions_correctly() {
-        let mut seg = random_segment(500, 1);
-        let before: Vec<u64> = {
-            let mut ids: Vec<u64> = seg.iter().map(|r| r.id).collect();
-            ids.sort_unstable();
-            ids
-        };
-        let p = crack_two(&mut seg, 0, LOWER, 50.0);
-        assert!(seg[..p].iter().all(|r| r.mbb.lo[0] < 50.0));
-        assert!(seg[p..].iter().all(|r| r.mbb.lo[0] >= 50.0));
-        // Permutation check: no record lost or duplicated.
-        let mut after: Vec<u64> = seg.iter().map(|r| r.id).collect();
-        after.sort_unstable();
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn two_way_respects_assignment_mode() {
-        let mut seg = vec![rec1(0.0, 10.0), rec1(4.0, 6.0), rec1(9.0, 9.5)];
-        // Centers: 5.0, 5.0, 9.25. Pivot 5.5 → two centers below.
-        let p = crack_two(&mut seg, 0, AssignBy::Center, 5.5);
-        assert_eq!(p, 2);
-        // Uppers: 10.0, 6.0, 9.5. Pivot 9.6 → one upper below (6.0), plus 9.5.
-        let mut seg = vec![rec1(0.0, 10.0), rec1(4.0, 6.0), rec1(9.0, 9.5)];
-        let p = crack_two(&mut seg, 0, AssignBy::Upper, 9.6);
-        assert_eq!(p, 2);
-    }
-
-    #[test]
-    fn two_way_extremes() {
-        let mut seg = random_segment(50, 2);
-        assert_eq!(crack_two(&mut seg, 0, LOWER, -1.0), 0);
-        assert_eq!(crack_two(&mut seg, 0, LOWER, 1000.0), 50);
-        let mut empty: Vec<Record<1>> = vec![];
-        assert_eq!(crack_two(&mut empty, 0, LOWER, 0.0), 0);
-        let mut one = vec![rec1(5.0, 6.0)];
-        assert_eq!(
-            crack_two(&mut one, 0, LOWER, 5.0),
-            0,
-            "pivot == key goes right"
-        );
-        assert_eq!(crack_two(&mut one, 0, LOWER, 5.1), 1);
-    }
-
-    #[test]
-    fn two_way_all_equal_keys() {
-        let mut seg: Vec<Record<1>> = (0..10).map(|_| rec1(7.0, 8.0)).collect();
-        assert_eq!(crack_two(&mut seg, 0, LOWER, 7.0), 0);
-        assert_eq!(crack_two(&mut seg, 0, LOWER, 7.5), 10);
-    }
-
-    #[test]
-    fn three_way_partitions_correctly() {
-        let mut seg = random_segment(1000, 3);
-        let (p1, p2) = crack_three(&mut seg, 0, LOWER, 25.0, 75.0);
-        assert!(seg[..p1].iter().all(|r| r.mbb.lo[0] < 25.0));
-        assert!(seg[p1..p2]
-            .iter()
-            .all(|r| (25.0..=75.0).contains(&r.mbb.lo[0])));
-        assert!(seg[p2..].iter().all(|r| r.mbb.lo[0] > 75.0));
-        // All three parts non-empty at this size with uniform keys.
-        assert!(p1 > 0 && p2 > p1 && p2 < seg.len());
-    }
-
-    #[test]
-    fn three_way_boundary_values_go_to_middle() {
-        let mut seg = vec![rec1(25.0, 26.0), rec1(75.0, 76.0), rec1(24.999, 25.0)];
-        let (p1, p2) = crack_three(&mut seg, 0, LOWER, 25.0, 75.0);
-        assert_eq!((p1, p2), (1, 3));
-        assert_eq!(keys(&seg)[0], 24.999);
-    }
-
-    #[test]
-    fn three_way_degenerate_ranges() {
-        let mut seg = random_segment(100, 4);
-        // low == high: middle contains exactly the records with that key.
-        let (p1, p2) = crack_three(&mut seg, 0, LOWER, 50.0, 50.0);
-        assert!(seg[p1..p2].iter().all(|r| r.mbb.lo[0] == 50.0));
-        // Range outside the data: everything in one side.
-        let (p1, p2) = crack_three(&mut seg, 0, LOWER, -10.0, -5.0);
-        assert_eq!((p1, p2), (0, 0));
-        let (p1, p2) = crack_three(&mut seg, 0, LOWER, 1e6, 2e6);
-        assert_eq!((p1, p2), (100, 100));
-    }
-
-    #[test]
-    fn three_way_preserves_multiset() {
-        let mut seg = random_segment(777, 5);
-        let mut before = keys(&seg);
-        before.sort_by(f64::total_cmp);
-        crack_three(&mut seg, 0, LOWER, 30.0, 60.0);
-        let mut after = keys(&seg);
-        after.sort_by(f64::total_cmp);
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn median_splits_non_degenerate_data() {
-        let mut seg = random_segment(101, 6);
-        let p = crack_median(&mut seg, 0, LOWER);
-        assert!(p > 0 && p < seg.len(), "median split must be interior");
-        let max_left = seg[..p]
-            .iter()
-            .map(|r| r.mbb.lo[0])
-            .fold(f64::NEG_INFINITY, f64::max);
-        let min_right = seg[p..]
-            .iter()
-            .map(|r| r.mbb.lo[0])
-            .fold(f64::INFINITY, f64::min);
-        assert!(max_left < min_right);
-        // Roughly balanced.
-        assert!(p >= seg.len() / 4 && p <= 3 * seg.len() / 4);
-    }
-
-    #[test]
-    fn median_on_all_equal_returns_degenerate_zero() {
-        let mut seg: Vec<Record<1>> = (0..9).map(|_| rec1(3.0, 4.0)).collect();
-        assert_eq!(crack_median(&mut seg, 0, LOWER), 0);
     }
 
     #[test]
@@ -650,135 +399,6 @@ mod tests {
         assert_eq!(c.min_key, 1.25);
         let e = DimBounds::of::<1>(&[], 0, LOWER);
         assert!(e.min_lo.is_infinite() && e.max_hi.is_infinite());
-    }
-
-    fn random_segment3(n: usize, seed: u64) -> Vec<Record<3>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|id| {
-                let mut lo = [0.0; 3];
-                let mut hi = [0.0; 3];
-                for k in 0..3 {
-                    lo[k] = rng.random_range(0.0..100.0);
-                    hi[k] = lo[k] + rng.random_range(0.0..8.0);
-                }
-                Record::new(id as u64, Aabb::new(lo, hi))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn cracks_work_on_higher_dims() {
-        let mut seg: Vec<Record<3>> = (0..200)
-            .map(|i| {
-                let v = (i as f64 * 7.3) % 50.0;
-                Record::new(i as u64, Aabb::new([0.0, v, 0.0], [1.0, v + 1.0, 1.0]))
-            })
-            .collect();
-        let p = crack_two(&mut seg, 1, LOWER, 25.0);
-        assert!(seg[..p].iter().all(|r| r.mbb.lo[1] < 25.0));
-        assert!(seg[p..].iter().all(|r| r.mbb.lo[1] >= 25.0));
-    }
-
-    // -- keyed kernels ≡ record-streaming oracle (spot checks; the deep
-    //    property suite lives in tests/keyed_kernels.rs) ------------------
-
-    /// Asserts the `(keys, his, recs)` triple is still in lockstep.
-    fn assert_columns_consistent<const D: usize>(
-        keys: &[f64],
-        his: &[f64],
-        recs: &[Record<D>],
-        dim: usize,
-        mode: AssignBy,
-    ) {
-        for ((k, h), r) in keys.iter().zip(his).zip(recs) {
-            assert_eq!(*k, key_of(r, dim, mode), "key column out of lockstep");
-            assert_eq!(*h, r.mbb.hi[dim], "upper-bound column out of lockstep");
-        }
-    }
-
-    #[test]
-    fn keyed_two_way_matches_reference() {
-        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-            for (seed, pivot) in [(31, 50.0), (32, 0.0), (33, 200.0), (34, 97.5)] {
-                for dim in [0usize, 2] {
-                    let mut keyed = random_segment3(501, seed);
-                    let mut plain = keyed.clone();
-                    // The second pass re-runs both on the partitioned input
-                    // to exercise the sorted edge case.
-                    for pass in 0..2 {
-                        let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
-                        let (p, l, r) = crack_two_keyed_measured(
-                            &mut ck, &mut ch, &mut keyed, dim, mode, pivot,
-                        );
-                        let p_ref = crack_two(&mut plain, dim, mode, pivot);
-                        let at = format!("mode {mode:?}, dim {dim}, pass {pass}");
-                        assert_eq!(p, p_ref, "split ({at})");
-                        assert_eq!(keyed, plain, "permutation ({at})");
-                        assert_eq!(l, DimBounds::of(&plain[..p], dim, mode), "left ({at})");
-                        assert_eq!(r, DimBounds::of(&plain[p..], dim, mode), "right ({at})");
-                        assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn keyed_three_way_matches_reference() {
-        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-            for (seed, lo, hi) in [(41, 25.0, 75.0), (42, 50.0, 50.0), (43, -5.0, -1.0)] {
-                let mut keyed = random_segment3(700, seed);
-                let mut plain = keyed.clone();
-                for pass in 0..2 {
-                    let (mut ck, mut ch) = columns_of(&keyed, 1, mode);
-                    let (p1, p2, m) =
-                        crack_three_keyed_measured(&mut ck, &mut ch, &mut keyed, 1, mode, lo, hi);
-                    let (r1, r2) = crack_three(&mut plain, 1, mode, lo, hi);
-                    assert_eq!((p1, p2), (r1, r2), "split ({mode:?}, pass {pass})");
-                    assert_eq!(keyed, plain, "permutation ({mode:?}, pass {pass})");
-                    for (got, seg) in m.iter().zip([&plain[..r1], &plain[r1..r2], &plain[r2..]]) {
-                        assert_eq!(*got, DimBounds::of(seg, 1, mode), "bounds ({mode:?})");
-                    }
-                    assert_columns_consistent(&ck, &ch, &keyed, 1, mode);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn keyed_median_matches_reference() {
-        for (mode, dim, n, seed) in [
-            (AssignBy::Lower, 0, 101, 51),
-            (AssignBy::Center, 0, 101, 51),
-            (AssignBy::Lower, 0, 137, 61),
-            (AssignBy::Center, 1, 137, 62),
-            (AssignBy::Upper, 2, 137, 63),
-        ] {
-            let mut keyed = random_segment3(n, seed);
-            let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
-            let mut plain = keyed.clone();
-            let (p, l, r) = crack_median_keyed_measured(&mut ck, &mut ch, &mut keyed, dim, mode);
-            let p_ref = crack_median(&mut plain, dim, mode);
-            assert_eq!(p, p_ref, "{mode:?}");
-            assert_eq!(keyed, plain, "{mode:?}: permutation diverged");
-            assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
-            assert!(0 < p && p < keyed.len(), "non-degenerate by construction");
-            assert_eq!(l, DimBounds::of(&keyed[..p], dim, mode), "{mode:?}");
-            assert_eq!(r, DimBounds::of(&keyed[p..], dim, mode), "{mode:?}");
-        }
-        // Degenerate: all equal → 0; tiny segments return their length
-        // (measurements are unspecified there and unread by the caller).
-        let mut same: Vec<Record<3>> = (0..9)
-            .map(|i| Record::new(i, Aabb::new([3.0; 3], [4.0; 3])))
-            .collect();
-        let (mut ck, mut ch) = columns_of(&same, 0, LOWER);
-        let (p, _, _) = crack_median_keyed_measured(&mut ck, &mut ch, &mut same, 0, LOWER);
-        assert_eq!(p, 0);
-        let mut one = vec![Record::new(0, Aabb::new([1.0; 3], [2.0; 3]))];
-        let (mut ck1, mut ch1) = columns_of(&one, 0, LOWER);
-        let (p, _, _) = crack_median_keyed_measured(&mut ck1, &mut ch1, &mut one, 0, LOWER);
-        assert_eq!(p, 1);
     }
 
     #[test]

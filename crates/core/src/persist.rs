@@ -13,7 +13,7 @@
 //! permutation) to the writer — the warm-start contract `tests/persist.rs`
 //! enforces property-based.
 //!
-//! # Buffer layout (format version 6)
+//! # Buffer layout (format version 7)
 //!
 //! All scalars little-endian; every section a multiple of 8 bytes, so each
 //! section (and in particular every region blob) starts 8-aligned. The
@@ -22,34 +22,17 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "QSIISNAP"
-//!      8     4  format version (u32, currently 6)
+//!      8     4  format version (u32, currently 7)
 //!     12     4  dimensionality D (u32)
-//!     16     8  checksum64 of bytes[24..]  (the "header word")
+//!     16     8  checksum64 of the header, bytes[24..first blob]
+//!                                           (the "header word")
 //!     24     8  total buffer length in bytes
 //! ```
 //!
-//! [`checksum64`](quasii_common::snapshot::checksum64) is four independent
-//! 64-bit lanes over 32-byte stripes, folded, with the tail bytes and the
-//! length mixed in last; a change confined to one stripe word or one tail
-//! byte (so every single-bit flip) changes it with certainty. Version 1
-//! carried byte-serial FNV-1a 64 in the same place; nothing else moved, so
-//! the format gained and lost no byte. The buffer is hashed **once** when
-//! written and once when loaded: a shard manifest binds a part by storing
-//! this header word (8 bytes copied, 8 bytes compared) instead of hashing
-//! the part again. Neither side makes a pass of its own for it: the writer
-//! announces the exact length, so the sum follows the encoder block by
-//! block ([`Writer`]); the loader hashes each block of the record and key
-//! sections right before it decodes it ([`Verifier`]), and each region blob
-//! (the slice tree and region table before the first) right before it
-//! rebuilds the blob's rows (a fully sealed part rebuilds none: the sum
-//! reads its blobs at the end, and no other load step reads their record
-//! columns). A block is then read from memory
-//! once, and the sum runs at the speed of its multiplies whatever the
-//! memory system is doing: a separate 64 MB pass read at half that speed
-//! and was the part of a restart that differed most from one run to the
-//! next.
-//!
-//! The frame is followed by the engine state, sequentially:
+//! The frame is followed by the engine state, sequentially: a small
+//! header, then the region blobs, each of which carries its own sum in the
+//! header's region table (bstree-file's "a metadata part followed by the
+//! data part"):
 //!
 //! ```text
 //! u64 n                      record count
@@ -69,10 +52,46 @@
 //!                            child count, children…); a sealed node stores
 //!                            no children
 //! u64 + table                sealed regions: count, then per region
-//!                            (blob offset, blob length)
-//! blobs                      region blobs, back-to-back, 8-aligned, in the
-//!                            position-independent layout of `crate::seal`
+//!                            (blob length, blob checksum64)
+//! ---------------------------- the header sum ends here
+//! blobs                      region blobs, back-to-back from the end of
+//!                            the table to the end of the buffer,
+//!                            8-aligned, in the position-independent layout
+//!                            of `crate::seal`
 //! ```
+//!
+//! # Sums
+//!
+//! [`checksum64`](quasii_common::snapshot::checksum64) is four independent
+//! 64-bit lanes over 32-byte stripes, folded, with the tail bytes and the
+//! length mixed in last; a change confined to one stripe word or one tail
+//! byte (so every single-bit flip) changes it with certainty. Every byte of
+//! a part is covered by exactly one sum: the header word covers the length
+//! word, the scalars, the stored rows and key columns, the slice tree and
+//! the region table; each blob is covered by its table entry. A shard
+//! manifest binds a part by storing its header word (8 bytes copied, 8
+//! bytes compared) instead of hashing the part again, and since the header
+//! word covers the table of blob sums, it pins every blob too.
+//!
+//! An arena never changes once it is built (a seal is permanent), so its
+//! sum is taken once and kept with it (`SealedRegion::sum`): a region built
+//! by a seal is hashed by the first write that stores it, a loaded one
+//! keeps the table word its load checked. A write therefore hashes only
+//! its header, and copies the blobs after it unhashed ([`Writer::blob`]);
+//! a restart that writes a converged deployment again hashes no arena.
+//! Nothing is hashed at seal time, so neither the crack path nor a
+//! finalize pays for sums.
+//!
+//! A load hashes each byte once, right before it decodes it, so a block is
+//! read from memory once: the header sum follows the decoder block by
+//! block through the record and key sections ([`Verifier`]), and each blob
+//! is hashed against its table word right before it is first read whole —
+//! before `SealedRegion::from_blob` parses it on a fully sealed part, and
+//! before its rows are rebuilt on a partially sealed one (`from_blob` reads
+//! only a blob's header and nodes). The sum runs at the speed of its
+//! multiplies whatever the memory system is doing: a separate 64 MB pass
+//! read at half that speed and was the part of a restart that differed most
+//! from one run to the next.
 //!
 //! A sealed subtree is stored once, as its arena: the region table's
 //! entries attach to the sealed nodes in pre-order, one each, and take
@@ -90,10 +109,11 @@
 //! its partition rules.
 //!
 //! Each fact is stored once. The seal count is the region table's length,
-//! and a written engine is always initialized. Every write leaves the seals
-//! current, so there is no pending seal work to record. The one fixed
-//! engine constant (`engine`'s artificial-split depth) is not stored, so a
-//! forged buffer cannot set it.
+//! a blob's offset is where the blob before it ends, and a written engine
+//! is always initialized. Every write leaves the seals current, so there
+//! is no pending seal work to record. The one fixed engine constant
+//! (`engine`'s artificial-split depth) is not stored, so a forged buffer
+//! cannot set it.
 //!
 //! # Versioning policy
 //!
@@ -111,9 +131,13 @@
 //! stores no slice below a sealed one (its arena is the one copy of that
 //! subtree): a node's flags gain bit 2, `sealed`, and each region table
 //! entry drops its `begin` and `end` (16 bytes a region), which its sealed
-//! node holds. Every other byte kept its order. Scalars are defined little-endian: big-endian
-//! hosts get [`SnapshotError::Unsupported`] from both `write` and `load`
-//! (live indexing is unaffected — only the persistent form is LE-pinned).
+//! node holds. Version 7 gives each blob a sum of its own: a region table
+//! entry is (length, sum) in place of (offset, length), and the header word
+//! stops where the first blob starts. A part has as many bytes as in
+//! version 6, and every other byte kept its order. Scalars are defined
+//! little-endian: big-endian hosts get [`SnapshotError::Unsupported`] from
+//! both `write` and `load` (live indexing is unaffected — only the
+//! persistent form is LE-pinned).
 //!
 //! # Totality
 //!
@@ -128,11 +152,17 @@
 //! `Corrupt` error before anything reads it. `n`
 //! is proven by the stored rows plus the regions' records (`s ≤ n` before
 //! the rows are read, `s + Σ == n` before anything is sized by `n`). The
-//! decoder works beside the sum, so it sees bytes before they are vouched
+//! decoder works beside the sums, so it sees bytes before they are vouched
 //! for; it sizes nothing by a count it has not checked against the buffer,
-//! its result is dropped unless the sum accepts the buffer, and the sum's
-//! verdict is the one reported ("checksum mismatch" for any damaged
-//! buffer, wherever the decoder stopped).
+//! its result is dropped unless the header sum accepts the header, and the
+//! sums' verdict is the one reported ("checksum mismatch" for any damaged
+//! buffer, wherever the decoder stopped). The header sum speaks first: the
+//! loader finds where it ends from the counts that lay the header out
+//! (stored rows, the tree's child counts, the region count) before any of
+//! them is judged, so it has a verdict on every buffer; a buffer whose
+//! counts run past its end has no table to end at, and its header sum runs
+//! to the end of the buffer. A damaged blob under an intact header reads
+//! "checksum mismatch in region k".
 
 use crate::config::AssignBy;
 use crate::engine::{Env, Runtime};
@@ -142,7 +172,7 @@ use crate::slice::Slice;
 use crate::{config, Quasii, QuasiiConfig, QuasiiStats};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::snapshot::{
-    corrupt, own_mapping, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN,
+    checksum64, corrupt, own_mapping, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -151,7 +181,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub(crate) const FORMAT_VERSION: u32 = 6;
+pub(crate) const FORMAT_VERSION: u32 = 7;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -309,14 +339,11 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     // The layout is determined before the first byte is written, so the
     // buffer is sized exactly and never reallocates (a 64 MB `Vec` that
     // outgrows its reserve copies the whole snapshot once more).
-    let record_bytes = (1 + 2 * D) * 8;
-    let slice_bytes = (8 + 2 * D) * 8;
     let regions = idx.arenas().count();
     let blob_bytes: usize = idx.arenas().map(|r| r.blob().len()).sum();
-    let total = FRAME_LEN
-        + (15 + 4 * D) * 8 // scalars up to the bounds
-        + 8 + stored * (record_bytes + 16)
-        + 8 + idx.root.iter().map(Slice::count).sum::<usize>() * slice_bytes
+    let total = stored_at::<D>() // the frame and the scalars up to the bounds
+        + 8 + stored * (record_bytes::<D>() + 16)
+        + 8 + idx.root.iter().map(Slice::count).sum::<usize>() * slice_bytes::<D>()
         + 8 + regions * 16
         + blob_bytes;
     let mut w = Writer::framed(&MAGIC, FORMAT_VERSION, D as u32, total);
@@ -389,19 +416,19 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
         write_slice(&mut w, s);
     }
 
-    // Region table + blobs, one region per sealed slice in pre-order. Blob
-    // offsets are absolute and computed before the blobs are appended
-    // (table size is known).
+    // The region table, one (blob length, blob sum) entry per sealed slice
+    // in pre-order, ends the header sum. Each blob after it is covered by
+    // its entry, and an arena's sum is taken once in its life, so the
+    // blobs are copied unhashed.
     w.u64(regions as u64);
-    let mut blob_off = w.pos() + regions * 16;
-    for r in idx.arenas() {
-        w.u64(blob_off as u64);
+    for r in idx.root.iter_mut().filter_map(|s| s.sealed.as_deref_mut()) {
         w.u64(r.blob().len() as u64);
-        blob_off += r.blob().len();
+        w.u64(r.sum());
     }
+    w.end_sum();
     for r in idx.arenas() {
         debug_assert_eq!(w.pos() % 8, 0, "region blobs start 8-aligned");
-        w.bytes(r.blob());
+        w.blob(r.blob());
     }
 
     debug_assert_eq!(w.pos(), total, "the layout was sized exactly");
@@ -412,6 +439,61 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
 // ---------------------------------------------------------------------
 // Load path
 // ---------------------------------------------------------------------
+
+/// Offset of the stored-row count: the frame, then the scalars up to the
+/// bounds.
+const fn stored_at<const D: usize>() -> usize {
+    FRAME_LEN + (15 + 4 * D) * 8
+}
+
+/// Bytes of one stored record: id, mbb lo, mbb hi.
+const fn record_bytes<const D: usize>() -> usize {
+    (1 + 2 * D) * 8
+}
+
+/// Bytes of one stored slice, its child count last.
+const fn slice_bytes<const D: usize>() -> usize {
+    (8 + 2 * D) * 8
+}
+
+/// Where the header sum ends: after the region table, which the buffer's
+/// own counts locate (the stored rows, the slice tree's child counts, the
+/// region count) before anything judges them, so that the sum has a verdict
+/// on every buffer whatever the decoder makes of it. A buffer whose counts
+/// run past its end locates no table, and its header sum runs to its end.
+fn header_end<const D: usize>(bytes: &[u8]) -> usize {
+    fn skip_slice<const D: usize>(r: &mut Reader, level: usize) -> Result<(), SnapshotError> {
+        r.section(1, slice_bytes::<D>() - 8, "slice")?;
+        let children = r.index("child count")?;
+        if children > 0 && level + 1 >= D {
+            return Err(corrupt("bottom-level children"));
+        }
+        (0..children).try_for_each(|_| skip_slice::<D>(r, level + 1))
+    }
+    let walk = || -> Result<usize, SnapshotError> {
+        let mut r = Reader::new(bytes, stored_at::<D>());
+        let stored = r.index("stored-row count")?;
+        r.section(stored, record_bytes::<D>() + 16, "stored rows and keys")?;
+        for _ in 0..r.index("root-slice count")? {
+            skip_slice::<D>(&mut r, 0)?;
+        }
+        let regions = r.index("region count")?;
+        r.section(regions, 16, "region table")?;
+        Ok(r.pos())
+    };
+    walk().unwrap_or(bytes.len())
+}
+
+/// Hashes region `k`'s blob against the sum its table entry gives it.
+fn check_blob(k: usize, blob: &[u8], word: u64) -> Result<(), SnapshotError> {
+    let actual = checksum64(blob);
+    if actual != word {
+        return Err(corrupt(format!(
+            "snapshot checksum mismatch in region {k}: table {word:#018x}, computed {actual:#018x}"
+        )));
+    }
+    Ok(())
+}
 
 /// Reads one pre-order slice whose range must start at `*cursor` and stay
 /// within `end`; advances the cursor past it, and returns it with whether
@@ -536,21 +618,22 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
     // allocator handed out a misaligned base, which it doesn't in
     // practice); every sealed column below borrows this buffer.
     let buf = Arc::new(AlignedBytes::from_vec(bytes));
-    // The sum is taken block by block beside the decoding (each block of
-    // the two big sections is hashed, then decoded while it is in cache),
-    // and its verdict comes first: whatever the decoder made of a damaged
-    // buffer, the caller hears "checksum mismatch", as if the pass had run
-    // up front. The decoder is total, so running it on unverified bytes
-    // costs time at worst.
-    let mut sum = frame.verifier(buf.as_bytes());
+    // The header sum is taken block by block beside the decoding (each
+    // block of the two big sections is hashed, then decoded while it is in
+    // cache), and its verdict comes first: whatever the decoder made of a
+    // damaged header, the caller hears "checksum mismatch", as if the pass
+    // had run up front. The decoder is total, so running it on unverified
+    // bytes costs time at worst; it checks each blob against its own sum.
+    let mut sum = frame.verifier(buf.as_bytes(), header_end::<D>(buf.as_bytes()));
     let decoded = decode(&buf, &mut sum);
     sum.finish("snapshot")?;
     decoded
 }
 
 /// Decodes the body of a snapshot whose frame [`load`] has read, advancing
-/// `sum` ahead of each block of the row and key sections and of each region
-/// blob. Its result means nothing until `sum` has accepted the buffer.
+/// `sum` ahead of each block of the row and key sections, and checking each
+/// region blob against its table entry before reading it whole. Its result
+/// means nothing until `sum` has accepted the header.
 fn decode<const D: usize>(
     buf: &Arc<AlignedBytes>,
     sum: &mut Verifier,
@@ -611,7 +694,7 @@ fn decode<const D: usize>(
     if stored > n {
         return Err(corrupt(format!("{stored} stored rows for {n} records")));
     }
-    let blocks = r.blocks(stored, (1 + 2 * D) * 8, "records")?;
+    let blocks = r.blocks(stored, record_bytes::<D>(), "records")?;
     let mut rows = Vec::with_capacity(stored);
     for (end, entries) in blocks {
         sum.advance(end);
@@ -659,10 +742,13 @@ fn decode<const D: usize>(
     }
 
     // Region table, then revive each blob as a borrow of `buf` and hand it
-    // to its sealed slice, in pre-order. The writer lays blobs back-to-back
-    // right after the table; enforcing that exactly (offsets sequential,
-    // last blob ending at the buffer end) means no byte of the buffer is
-    // unaccounted for.
+    // to its sealed slice, in pre-order. The blobs lie back-to-back from the
+    // end of the table, and the last must end at the buffer's end, so no
+    // byte of the buffer is unaccounted for. A fully sealed part hashes
+    // each blob right before `from_blob` parses it; a partially sealed one
+    // right before it rebuilds the blob's rows, below (`from_blob` reads
+    // only the blob's header and nodes, and a blob it refuses is hashed
+    // first, so damage still reads as a checksum mismatch).
     let region_count = r.index("region count")?;
     if region_count != sealed.len() {
         return Err(corrupt(format!(
@@ -670,29 +756,36 @@ fn decode<const D: usize>(
             sealed.len()
         )));
     }
-    let table_end = r.pos() + region_count * 16;
-    let mut expected_off = table_end;
+    let mut off = r.pos() + region_count * 16;
     let mut sealed_record_count = 0;
     for (k, &i) in sealed.iter().enumerate() {
-        let off = r.index("region blob offset")?;
         let len = r.index("region blob length")?;
-        if off != expected_off {
-            return Err(corrupt(format!(
-                "region {k} blob at {off}, expected {expected_off}"
-            )));
-        }
-        expected_off = off
+        let word = r.u64()?;
+        let blob = off
             .checked_add(len)
-            .ok_or_else(|| corrupt("region blob overflow"))?;
+            .and_then(|end| buf.as_bytes().get(off..end))
+            .ok_or_else(|| {
+                corrupt(format!(
+                    "region {k} blob {off}+{len} exceeds the {}-byte buffer",
+                    buf.len()
+                ))
+            })?;
+        if stored == 0 {
+            check_blob(k, blob, word)?;
+        }
         let s = &mut root[i];
-        let region = SealedRegion::from_blob(s.len(), Arc::clone(buf), off, len)
-            .map_err(|e| corrupt(format!("region {k}: {e}")))?;
+        let region = SealedRegion::from_blob(s.len(), Arc::clone(buf), off, len).map_err(|e| {
+            check_blob(k, blob, word)
+                .err()
+                .unwrap_or_else(|| corrupt(format!("region {k}: {e}")))
+        })?;
         sealed_record_count += region.records();
-        s.sealed = Some(Box::new(region));
+        s.sealed = Some(Box::new(region.with_sum(word)));
+        off += len;
     }
-    if expected_off != buf.len() {
+    if off != buf.len() {
         return Err(corrupt(format!(
-            "buffer holds {} bytes, sections account for {expected_off}",
+            "buffer holds {} bytes, sections account for {off}",
             buf.len()
         )));
     }
@@ -706,8 +799,8 @@ fn decode<const D: usize>(
     // The data array, root slice after root slice: an unsealed one's stored
     // rows, a sealed one's rows rebuilt from its arena (without seals, no
     // copy at all). A part that stores no rows is fully sealed (or empty):
-    // its engine keeps no rows and no key columns, and the sum hashes the
-    // blobs at the end.
+    // its engine keeps no rows and no key columns, and its blobs were
+    // hashed above.
     let (data, keys) = if sealed.is_empty() {
         (rows, KeyColumn::from_raw(ks, hs))
     } else if stored == 0 {
@@ -719,13 +812,14 @@ fn decode<const D: usize>(
         let mut data = own_mapping(n);
         // Key windows under a seal stay zero pages nobody touches.
         let (mut keys, mut his) = (vec![0.0; n], vec![0.0; n]);
-        let (mut at, mut blob_end) = (0, table_end);
-        for s in &root {
-            if let Some(region) = &s.sealed {
+        let (mut at, mut k) = (0, 0);
+        for s in &mut root {
+            if let Some(region) = s.sealed.as_deref_mut() {
                 // Hash the blob right before its columns are read.
-                blob_end += region.blob().len();
-                sum.advance(blob_end);
+                let word = region.sum();
+                check_blob(k, region.blob(), word)?;
                 region.push_records(&mut data);
+                k += 1;
             } else {
                 let next = at + s.len();
                 data.extend_from_slice(&rows[at..next]);
@@ -881,23 +975,12 @@ mod tests {
         }
     }
 
-    /// Offset of the stored-row count: the frame, then the scalars up to
-    /// the bounds.
-    fn stored_at<const D: usize>() -> usize {
-        FRAME_LEN + (15 + 4 * D) * 8
-    }
-
     fn word(bytes: &[u8], at: usize) -> u64 {
         u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
     }
 
     fn put_word(bytes: &mut [u8], at: usize, v: u64) {
         bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Bytes of one stored slice.
-    fn slice_bytes<const D: usize>() -> usize {
-        (8 + 2 * D) * 8
     }
 
     /// The slices a part stores, in its pre-order: the tree down to the
@@ -938,10 +1021,25 @@ mod tests {
             + blobs
     }
 
-    /// Loads a forged buffer whose checksum was recomputed, so the decoder,
-    /// not the sum, must name what is wrong with it.
+    /// Offset of the region table's first entry: the blobs end the buffer,
+    /// and the table ends where they start.
+    fn table_at<const D: usize>(idx: &Quasii<D>, snap: &[u8]) -> usize {
+        let blobs: usize = idx.arenas().map(|r| r.blob().len()).sum();
+        snap.len() - blobs - 16 * idx.arenas().count()
+    }
+
+    /// Offset of region `k`'s blob.
+    fn blob_at<const D: usize>(idx: &Quasii<D>, snap: &[u8], k: usize) -> usize {
+        let before: usize = idx.arenas().take(k).map(|r| r.blob().len()).sum();
+        table_at(idx, snap) + 16 * idx.arenas().count() + before
+    }
+
+    /// Loads a forged buffer whose header sum was recomputed over the
+    /// header as the loader delimits it (the frame's length word to the end
+    /// of the region table), so the decoder, not the sum, must name what is
+    /// wrong with it.
     fn forged_reason<const D: usize>(mut bytes: Vec<u8>) -> String {
-        let sum = quasii_common::snapshot::checksum64(&bytes[24..]);
+        let sum = checksum64(&bytes[24..header_end::<D>(&bytes)]);
         put_word(&mut bytes, 16, sum);
         match Quasii::<D>::from_snapshot(bytes) {
             Err(SnapshotError::Corrupt(why)) => {
@@ -1016,7 +1114,8 @@ mod tests {
         assert!(why.contains("stored rows for"), "{why}");
 
         // One stored row beside seals that already cover every record: the
-        // row, its two keys, and every offset behind them moved.
+        // row and its two keys (blob offsets are implied, so nothing else
+        // moves).
         let row = 8 + 16 * 2 + 16;
         let mut bad = snap[..at].to_vec();
         bad.extend_from_slice(&1u64.to_le_bytes());
@@ -1024,14 +1123,6 @@ mod tests {
         bad.extend_from_slice(&snap[at + 8..]);
         let len = bad.len();
         put_word(&mut bad, 24, len as u64);
-        let blobs: usize = idx.arenas().map(|r| r.blob().len()).sum();
-        let regions = idx.arenas().count();
-        let table = len - blobs - 16 * regions;
-        for k in 0..regions {
-            let off = table + 16 * k;
-            let moved = word(&bad, off) + row as u64;
-            put_word(&mut bad, off, moved);
-        }
         let why = forged_reason::<2>(bad);
         assert!(why.contains("sealed records for"), "{why}");
 
@@ -1067,13 +1158,16 @@ mod tests {
         idx.finalize();
         let snap = idx.write_snapshot().expect("write");
         let region = idx.arenas().next().expect("a seal");
-        let blobs: usize = idx.arenas().map(|r| r.blob().len()).sum();
         // The first arena node's `child_start`, after its box and records.
         let node = region.meta(0).as_ptr() as usize - region.blob().as_ptr() as usize;
-        let at = snap.len() - blobs + node + 16 * 3 + 8;
+        let blob = blob_at(&idx, &snap, 0);
+        let at = blob + node + 16 * 3 + 8;
         assert_eq!(u32::from_le_bytes(snap[at..at + 4].try_into().unwrap()), 0);
-        let mut bad = snap;
+        let mut bad = snap.clone();
         bad[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        // The blob's own sum, in its table entry, then the header's.
+        let sum = checksum64(&bad[blob..blob + region.blob().len()]);
+        put_word(&mut bad, table_at(&idx, &snap) + 8, sum);
         let why = forged_reason::<3>(bad);
         assert!(
             why.contains("region 0: level 0 node 0: records 0..") && why.contains("children 1.."),
@@ -1143,6 +1237,108 @@ mod tests {
             let name = format!("{forged} regions for {sealed} sealed slices");
             assert!(why.contains(&name), "{why}");
         }
+    }
+
+    /// A finalized 3-d engine with at least three seals, and its part.
+    fn three_region_part() -> (Quasii<3>, Vec<u8>) {
+        let data = uniform_boxes_in::<3>(3_000, 500.0, 42);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
+        idx.finalize();
+        let snap = idx.write_snapshot().expect("write");
+        assert!(idx.arenas().count() >= 3, "three regions at least");
+        (idx, snap)
+    }
+
+    /// The reason a damaged buffer is refused with.
+    fn corrupt_reason<const D: usize>(bytes: Vec<u8>) -> String {
+        match Quasii::<D>::from_snapshot(bytes) {
+            Err(SnapshotError::Corrupt(why)) => why,
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// Each blob is covered by its table entry, not by the header word: a
+    /// byte flipped inside region k's blob is a checksum mismatch that
+    /// names region k, and no other region's.
+    #[test]
+    fn a_damaged_blob_is_a_checksum_mismatch_that_names_its_region() {
+        let (idx, snap) = three_region_part();
+        let regions = idx.arenas().count();
+        for k in [0, 1, regions / 2, regions - 1] {
+            let len = idx.arenas().nth(k).unwrap().blob().len();
+            for at in [0, len / 2, len - 1] {
+                let mut bad = snap.clone();
+                bad[blob_at(&idx, &snap, k) + at] ^= 0x10;
+                let why = corrupt_reason::<3>(bad);
+                assert!(
+                    why.contains("checksum mismatch") && why.contains(&format!("in region {k}:")),
+                    "region {k}, byte {at}: {why}"
+                );
+            }
+        }
+        // The same on a partially sealed part, whose blobs are hashed right
+        // before their rows are rebuilt.
+        let data = uniform_boxes_in::<3>(3_000, 500.0, 42);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
+        idx.query_collect(&Aabb::new([200.0, -1.0, -1.0], [260.0, 501.0, 501.0]));
+        let snap = idx.write_snapshot().expect("write");
+        assert!(idx.sealed_records() < idx.len());
+        let last = idx.arenas().count() - 1;
+        let mut bad = snap.clone();
+        bad[blob_at(&idx, &snap, last) + 40] ^= 0x01;
+        let why = corrupt_reason::<3>(bad);
+        assert!(
+            why.contains(&format!("checksum mismatch in region {last}:")),
+            "{why}"
+        );
+    }
+
+    /// The region table is header: a flipped sum word or length word is
+    /// refused by the header sum, before any blob is judged by it.
+    #[test]
+    fn a_damaged_table_entry_is_caught_by_the_header_sum() {
+        let (idx, snap) = three_region_part();
+        let table = table_at(&idx, &snap);
+        for (what, at) in [("length", table + 16), ("sum", table + 16 + 8)] {
+            for bit in [0, 7, 63] {
+                let mut bad = snap.clone();
+                let v = word(&bad, at) ^ (1 << bit);
+                put_word(&mut bad, at, v);
+                let why = corrupt_reason::<3>(bad);
+                assert!(
+                    why.starts_with("snapshot checksum mismatch: header"),
+                    "{what} word, bit {bit}: {why}"
+                );
+            }
+        }
+    }
+
+    /// A region's sum is taken once: a built region's on the first write
+    /// that stores it, a loaded region's from its verified table entry.
+    #[test]
+    fn a_regions_sum_is_taken_once_and_is_its_table_word() {
+        let data = uniform_boxes_in::<3>(3_000, 500.0, 42);
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
+        idx.finalize();
+        assert!(
+            idx.arenas().all(|r| r.cached_sum().is_none()),
+            "no sum is taken at seal time"
+        );
+        let snap = idx.write_snapshot().expect("write");
+        let table = table_at(&idx, &snap);
+        for (k, r) in idx.arenas().enumerate() {
+            assert_eq!(r.cached_sum(), Some(checksum64(r.blob())), "region {k}");
+            assert_eq!(word(&snap, table + 16 * k + 8), checksum64(r.blob()));
+        }
+        let re = Quasii::<3>::from_snapshot(snap.clone()).expect("load");
+        for (k, r) in re.arenas().enumerate() {
+            assert_eq!(
+                r.cached_sum(),
+                Some(word(&snap, table + 16 * k + 8)),
+                "region {k}"
+            );
+        }
+        assert_eq!(idx.write_snapshot().expect("second write"), snap);
     }
 
     #[test]

@@ -79,7 +79,7 @@ use crate::persist::AlignedBytes;
 use crate::simd::{self, SimdLevel};
 use crate::slice::Slice;
 use quasii_common::geom::{Aabb, Record};
-use quasii_common::snapshot::Reader;
+use quasii_common::snapshot::{checksum64, Reader};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -217,6 +217,9 @@ pub(crate) struct SealedRegion<const D: usize> {
     ids: usize,
     rec_lo: usize,
     rec_nhi: usize,
+    /// The blob's `checksum64` once it is known (see [`sum`](Self::sum)).
+    /// Last, behind every field a read touches.
+    sum: Option<u64>,
 }
 
 impl<const D: usize> SealedRegion<D> {
@@ -372,6 +375,7 @@ impl<const D: usize> SealedRegion<D> {
             ids: layout.ids,
             rec_lo: layout.rec_lo,
             rec_nhi: layout.rec_nhi,
+            sum: None,
         };
         // Each level tiles `0..m` in record order, and each node's children
         // are the next run of the next level and start where it starts (so
@@ -409,6 +413,36 @@ impl<const D: usize> SealedRegion<D> {
     /// blob is position-independent, see the module docs).
     pub(crate) fn blob(&self) -> &[u8] {
         &self.buf.as_bytes()[self.base..self.base + self.blob_len]
+    }
+
+    /// The blob's `checksum64`, its entry in a snapshot's region table.
+    /// A seal is permanent, so the blob never changes and its sum is taken
+    /// once: a region built by a seal is hashed by the first snapshot write
+    /// that stores it, and a loaded one arrives with the table word its
+    /// load checked it against ([`with_sum`](Self::with_sum)). Nothing is
+    /// hashed at seal time.
+    pub(crate) fn sum(&mut self) -> u64 {
+        match self.sum {
+            Some(sum) => sum,
+            None => {
+                let sum = checksum64(self.blob());
+                self.sum = Some(sum);
+                sum
+            }
+        }
+    }
+
+    /// This region with its blob's sum known: the table word its load
+    /// checks the blob against (a load that finds them different fails).
+    pub(crate) fn with_sum(mut self, sum: u64) -> Self {
+        self.sum = Some(sum);
+        self
+    }
+
+    /// The sum [`sum`](Self::sum) would return without hashing, if known.
+    #[cfg(test)]
+    pub(crate) fn cached_sum(&self) -> Option<u64> {
+        self.sum
     }
 
     /// Casts `n` f64s at blob-relative offset `rel`.

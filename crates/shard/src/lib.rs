@@ -68,9 +68,10 @@
 //! checksummed **manifest** binding them together: fences, router extension,
 //! router counters, and a per-shard `(record count, length, header word)`
 //! table. The header word is the part's own checksum field (bytes `16..24`
-//! of the part, covering everything after it), so binding a part costs 8
-//! bytes copied on write and 8 compared on load; the engine's load is the
-//! one pass over the part's content.
+//! of the part). It covers the part's header, which ends with a table of
+//! sums, one for each region blob after it, so it pins every byte of the
+//! part; binding a part costs 8 bytes copied on write and 8 compared on
+//! load, and the engine's load is the one pass over the part's content.
 //! [`ShardedQuasii::write_snapshot_parts`] /
 //! [`ShardedQuasii::from_snapshot_parts`] expose the parts in memory — the
 //! migration seam (shard buffers can live on different nodes) — and

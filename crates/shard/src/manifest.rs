@@ -217,8 +217,10 @@ pub fn part_path(path: &Path, generation: u64, shard: usize) -> PathBuf {
 /// `(record count, length, header word)` and revives its engine — the
 /// per-shard unit of work the parallel load path fans out. The entry is
 /// compared with the buffer's header word (8 bytes, no pass over the
-/// content); the engine's load then hashes the content against that same
-/// word, once, and value-checks the 16 bytes before it.
+/// content); the engine's load then hashes the part's header against that
+/// same word and each region blob against its sum in the header's region
+/// table, each byte once, and value-checks the 16 bytes before the word.
+/// Pinning the word pins the table of blob sums, and so every blob.
 pub(crate) fn load_shard<const D: usize>(
     k: usize,
     (records, len, word): (usize, usize, u64),
@@ -361,7 +363,10 @@ mod tests {
     use super::*;
     use crate::tests::warmed_deployment;
     use crate::Recovery;
+    use quasii_common::dataset::uniform_boxes_in;
     use quasii_common::fault::MemStore;
+    use quasii_common::geom::Aabb;
+    use quasii_common::workload;
 
     #[test]
     fn snapshot_parts_roundtrip_is_byte_identical() {
@@ -386,6 +391,46 @@ mod tests {
         );
         assert_eq!(re.stats(), idx.stats(), "work counters track in lockstep");
         assert_eq!(re.router_stats(), idx.router_stats());
+    }
+
+    /// An arena's sum is taken once, by whichever write or load first
+    /// meets it: a 2-shard deployment's parts are the same bytes on its
+    /// first write, on a second, on a write of its reload, and with one or
+    /// two shard threads, warmed (partly sealed) or finalized.
+    #[test]
+    fn parts_are_identical_across_rewrites_reloads_and_threads() {
+        let data = uniform_boxes_in::<3>(3_000, 600.0, 130);
+        let u = Aabb::new([0.0; 3], [600.0; 3]);
+        let queries = workload::uniform(&u, 30, 1e-2, 131).queries;
+        for finalize in [false, true] {
+            let mut written = Vec::new();
+            for threads in [1, 2] {
+                let cfg = ShardConfig::default()
+                    .with_shards(2)
+                    .with_shard_threads(threads)
+                    .with_inner(QuasiiConfig::with_tau(16));
+                let mut idx = ShardedQuasii::new(data.clone(), cfg);
+                idx.execute_batch(&queries);
+                if finalize {
+                    idx.finalize();
+                }
+                assert!(idx.sealed_fraction() > 0.0 && (idx.sealed_fraction() == 1.0) == finalize);
+                let first = idx.write_snapshot_parts().expect("first write");
+                let second = idx.write_snapshot_parts().expect("second write");
+                let mut re = ShardedQuasii::<3>::from_snapshot_parts(&first.0, first.1.clone())
+                    .expect("reload");
+                let rewritten = re.write_snapshot_parts().expect("write of the reload");
+                let what = format!("finalize {finalize}, {threads} threads");
+                assert_eq!(second.1, first.1, "{what}: second write");
+                assert_eq!(rewritten.1, first.1, "{what}: write of the reload");
+                assert_eq!(rewritten.0, first.0, "{what}: manifest of the reload");
+                written.push(first.1);
+            }
+            assert_eq!(
+                written[0], written[1],
+                "finalize {finalize}: 1 and 2 threads"
+            );
+        }
     }
 
     #[test]

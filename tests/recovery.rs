@@ -374,7 +374,26 @@ fn a_poisoned_fully_sealed_engine_is_rebuilt_from_its_arenas() {
         })
         .expect("some lower x is not a box edge");
     snap[at..at + 8].copy_from_slice(&(-50.0f64).to_le_bytes());
-    let sum = quasii_common::snapshot::checksum64(&snap[24..]);
+    // Each region blob is covered by the sum in its (length, sum) table
+    // entry, and the header word covers bytes 24 up to the end of that
+    // table. A fully sealed part's header is the scalars, no stored rows,
+    // the root slices and the table: re-sum the blob that holds the byte,
+    // then the header.
+    let sum_of = quasii_common::snapshot::checksum64;
+    let tree = 32 + (15 + 4 * 3) * 8 + 8;
+    let table = tree + 8 + word(&snap, tree) as usize * (8 + 2 * 3) * 8 + 8;
+    let header_end = table + 16 * word(&snap, table - 8) as usize;
+    let mut blob = header_end;
+    for entry in (table..header_end).step_by(16) {
+        let len = word(&snap, entry) as usize;
+        if (blob..blob + len).contains(&at) {
+            let sum = sum_of(&snap[blob..blob + len]);
+            snap[entry + 8..entry + 16].copy_from_slice(&sum.to_le_bytes());
+        }
+        blob += len;
+    }
+    assert_eq!(blob, snap.len(), "the blobs end the part");
+    let sum = sum_of(&snap[24..header_end]);
     snap[16..24].copy_from_slice(&sum.to_le_bytes());
 
     let mut idx = Quasii::<3>::from_snapshot(snap).expect("the loader checks nodes, not records");

@@ -5,7 +5,8 @@
 //!
 //! It is the algorithm with nothing else: one `Vec<Record<D>>` cracked in
 //! place by the classic database-cracking kernels (Idreos et al., CIDR
-//! 2007; `quasii::crack::reference`), a recursive slice tree, and the
+//! 2007; [`crack`], which shares no code with the engine), a recursive
+//! slice tree, and the
 //! assignment key recomputed on every probe. There are no key columns,
 //! arenas, seals, batches or threads. The Eq. 1 τ schedule, the §5.2 query
 //! extension and candidate window, artificial refinement with its median
@@ -20,7 +21,9 @@
 // Each suite that includes this module uses part of it.
 #![allow(dead_code)]
 
-use quasii::crack::reference::{crack_median, crack_three, crack_two};
+mod crack;
+
+use crack::{crack_median, crack_three, crack_two};
 use quasii::crack::DimBounds;
 use quasii::{AssignBy, QuasiiConfig, QuasiiStats};
 use quasii_common::geom::{max_extents, mbb_of, Aabb, Record};
