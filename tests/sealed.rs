@@ -467,3 +467,58 @@ fn sharded_sealed_equals_sharded_unsealed() {
     agree(&mut sealed, &mut plain);
     sealed.validate().unwrap();
 }
+
+/// An arena narrows ids to `u32`, so a root slice that holds an id of 2³²
+/// or more is never sealed: it keeps its live rows, which keep the id
+/// whole. Records in the slab `x < 150` carry such ids. An engine and a
+/// 2-shard deployment answer as brute force before and after `finalize` +
+/// `seal`, the slab's root slices stay unsealed while the others seal, and
+/// a snapshot round trip answers byte-identically.
+#[test]
+fn ids_above_u32_keep_their_root_slices_unsealed() {
+    let mut data = dataset::uniform_boxes_in::<3>(3_000, 1_000.0, 216);
+    for r in data.iter_mut().filter(|r| r.mbb.lo[0] < 150.0) {
+        r.id += 1 << 32;
+    }
+    let wide = data.iter().filter(|r| r.id > u64::from(u32::MAX)).count();
+    assert!(wide > 0 && wide < data.len());
+    let universe = Aabb::new([0.0; 3], [1_000.0; 3]);
+    let mut queries = workload::uniform(&universe, 30, 1e-2, 217).queries;
+    queries.push(Aabb::new([0.0; 3], [200.0, 1_000.0, 1_000.0]));
+    let check = |got: &[Vec<u64>]| {
+        for (q, hits) in queries.iter().zip(got) {
+            assert_matches_brute_force(&data, q, hits);
+        }
+        assert!(got.iter().flatten().any(|&id| id > u64::from(u32::MAX)));
+    };
+
+    let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12));
+    check(&idx.execute_batch(&queries));
+    idx.finalize();
+    idx.seal();
+    assert!(idx.sealed_fraction() > 0.0 && idx.sealed_fraction() < 1.0);
+    assert!(idx.sealed_records() <= data.len() - wide);
+    let answers = idx.execute_batch(&queries);
+    check(&answers);
+    idx.validate().unwrap();
+    let mut re = Quasii::<3>::from_snapshot(idx.write_snapshot().unwrap()).unwrap();
+    assert_eq!(re.execute_batch(&queries), answers);
+    assert_eq!(ids(&re.records()), ids(&idx.records()));
+    re.validate().unwrap();
+
+    let cfg = ShardConfig::default()
+        .with_shards(2)
+        .with_inner(QuasiiConfig::with_tau(12));
+    let mut dep = ShardedQuasii::new(data.clone(), cfg);
+    check(&dep.execute_batch(&queries));
+    dep.finalize();
+    dep.seal();
+    assert!(dep.sealed_fraction() > 0.0 && dep.sealed_fraction() < 1.0);
+    let answers = dep.execute_batch(&queries);
+    check(&answers);
+    dep.validate().unwrap();
+    let (manifest, parts) = dep.write_snapshot_parts().unwrap();
+    let mut re = ShardedQuasii::<3>::from_snapshot_parts(&manifest, parts).unwrap();
+    assert_eq!(re.execute_batch(&queries), answers);
+    re.validate().unwrap();
+}
