@@ -6,7 +6,10 @@
 mod reference;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use quasii::crack::{crack_three_keyed_measured, crack_two_keyed_measured, key_of, DimBounds};
+use quasii::crack::{
+    crack_median_keyed_measured, crack_three_keyed_measured, crack_two_keyed_measured, DimBounds,
+    LanesMut,
+};
 use quasii::{AssignBy, Quasii, QuasiiConfig, SimdLevel, SimdPolicy};
 use quasii_common::dataset::uniform_boxes_in;
 use quasii_common::geom::{Aabb, Record};
@@ -16,42 +19,106 @@ use quasii_sfc::ZGrid;
 use reference::{crack_three, crack_two};
 use std::hint::black_box;
 
-/// Builds the narrow column pair the keyed kernels crack (assignment keys +
-/// crack-dimension upper bounds). Cloned per iteration together with the
-/// records — the engine maintains the columns incrementally, so per-crack
-/// cost excludes this build.
-fn columns_of(data: &[Record<3>], mode: AssignBy) -> (Vec<f64>, Vec<f64>) {
-    (
-        data.iter().map(|r| key_of(r, 0, mode)).collect(),
-        data.iter().map(|r| r.mbb.hi[0]).collect(),
-    )
+/// Records as the lanes the engine cracks: ids, and per dimension the
+/// lower corners and the negated upper corners. Cloned per iteration
+/// (untimed) — the engine keeps its records as lanes, so a crack costs
+/// only its pass.
+#[derive(Clone)]
+struct Lanes {
+    ids: Vec<u64>,
+    lo: [Vec<f64>; 3],
+    nhi: [Vec<f64>; 3],
+}
+
+impl Lanes {
+    fn of(data: &[Record<3>]) -> Self {
+        Self {
+            ids: data.iter().map(|r| r.id).collect(),
+            lo: std::array::from_fn(|d| data.iter().map(|r| r.mbb.lo[d]).collect()),
+            nhi: std::array::from_fn(|d| data.iter().map(|r| -r.mbb.hi[d]).collect()),
+        }
+    }
+
+    fn view(&mut self) -> LanesMut<'_, 3> {
+        LanesMut {
+            ids: &mut self.ids,
+            lo: self.lo.each_mut().map(Vec::as_mut_slice),
+            nhi: self.nhi.each_mut().map(Vec::as_mut_slice),
+        }
+    }
+}
+
+/// The engine's three crack kernels (crack + measure what `make_sub`
+/// consumes) at three segment sizes: 620 records (about the mean records
+/// per crack of a traced `shift_mixed`), 16 k and 1 M, each at a median
+/// pivot (two-way; the keyed kernels' worst case, ≈ 50 % of records move),
+/// over the middle 40 % of the key range (three-way) and through the
+/// rank-based fallback (median, which gathers its segment into records,
+/// selects, and scatters back). Divide a time by the segment size for ns
+/// per record.
+fn bench_crack_sizes(c: &mut Criterion) {
+    const MODE: AssignBy = AssignBy::Lower;
+    let mut g = c.benchmark_group("crack_lanes");
+    for (n, samples) in [(620, 400), (16_384, 60), (1_000_000, 10)] {
+        let lanes = Lanes::of(&uniform_boxes_in::<3>(n, 10_000.0, 4));
+        g.sample_size(samples);
+        g.bench_function(&format!("two_way_{n}"), |b| {
+            b.iter_batched_ref(
+                || lanes.clone(),
+                |l| black_box(crack_two_keyed_measured(l.view(), 0, MODE, 5_000.0)),
+                BatchSize::LargeInput,
+            )
+        });
+        g.bench_function(&format!("three_way_{n}"), |b| {
+            b.iter_batched_ref(
+                || lanes.clone(),
+                |l| {
+                    black_box(crack_three_keyed_measured(
+                        l.view(),
+                        0,
+                        MODE,
+                        3_000.0,
+                        7_000.0,
+                    ))
+                },
+                BatchSize::LargeInput,
+            )
+        });
+        g.bench_function(&format!("median_{n}"), |b| {
+            b.iter_batched_ref(
+                || lanes.clone(),
+                |l| black_box(crack_median_keyed_measured(l.view(), 0, MODE)),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
 }
 
 /// The engine's crack kernels against their oracle on the hot-path
 /// operation (crack + measure what `make_sub` consumes) at 1M records:
 /// "split passes" is the record-streaming partition followed by one
-/// `DimBounds::of` pass per output segment, "keyed" the engine kernels —
-/// narrow-column scans measuring the crack-dimension bounds in-pass, records
-/// touched only to swap misplaced pairs (both 1M output segments stay above
-/// τ, so `DimBounds` is exactly what the engine consumes for them; at-most-τ
-/// segments additionally get a small cache-resident exact-MBB scan in
-/// `make_sub`).
+/// `DimBounds::of` pass per output segment, "lanes" the engine kernels —
+/// scans of the crack dimension's `lo` and negated-`hi` lanes measuring the
+/// crack-dimension bounds in-pass, the other lanes touched only to swap
+/// misplaced records (both 1M output segments stay above τ, so `DimBounds`
+/// is exactly what the engine consumes for them; at-most-τ segments
+/// additionally get a small cache-resident exact-MBB scan in `make_sub`).
 ///
 /// Two-way runs at two pivot selectivities and two assignment modes: the
 /// median pivot maximizes misplaced pairs (≈50% of records must physically
-/// move — the keyed kernels' worst case), the 10%-quantile pivot is closer
-/// to the engine's converged regime, and under `Center` assignment
-/// `key_of` costs an add + multiply per record-streaming probe (the keyed
-/// kernel additionally folds `lo[dim]` from the records in this mode).
+/// move), the 10%-quantile pivot is closer to the engine's converged
+/// regime, and under `Center` assignment the key costs an add + multiply
+/// per probe on both sides.
 fn bench_cracks(c: &mut Criterion) {
     let data = uniform_boxes_in::<3>(1_000_000, 10_000.0, 4);
+    let lanes = Lanes::of(&data);
     let mut g = c.benchmark_group("crack_1m");
     for (suffix, mode, pivot) in [
         ("", AssignBy::Lower, 5_000.0),
         ("_skewed_pivot", AssignBy::Lower, 1_000.0),
         ("_center", AssignBy::Center, 5_000.0),
     ] {
-        let (keys, his) = columns_of(&data, mode);
         g.bench_function(&format!("two_way_split_passes{suffix}"), |b| {
             b.iter_batched_ref(
                 || data.clone(),
@@ -64,16 +131,15 @@ fn bench_cracks(c: &mut Criterion) {
                 BatchSize::LargeInput,
             )
         });
-        g.bench_function(&format!("two_way_keyed{suffix}"), |b| {
+        g.bench_function(&format!("two_way_lanes{suffix}"), |b| {
             b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, mode, pivot)),
+                || lanes.clone(),
+                |l| black_box(crack_two_keyed_measured(l.view(), 0, mode, pivot)),
                 BatchSize::LargeInput,
             )
         });
     }
     const MODE: AssignBy = AssignBy::Lower;
-    let (keys, his) = columns_of(&data, MODE);
     g.bench_function("three_way_split_passes", |b| {
         b.iter_batched_ref(
             || data.clone(),
@@ -87,12 +153,16 @@ fn bench_cracks(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("three_way_keyed", |b| {
+    g.bench_function("three_way_lanes", |b| {
         b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| {
+            || lanes.clone(),
+            |l| {
                 black_box(crack_three_keyed_measured(
-                    k, h, d, 0, MODE, 3_000.0, 7_000.0,
+                    l.view(),
+                    0,
+                    MODE,
+                    3_000.0,
+                    7_000.0,
                 ))
             },
             BatchSize::LargeInput,
@@ -101,15 +171,16 @@ fn bench_cracks(c: &mut Criterion) {
     g.finish();
 }
 
-/// The streaming test kernels in isolation at 1M rows, scalar vs vector:
-/// `scan_emit` (the sealed arena's fused lane test + id emit, 3 active
-/// lanes ≈ a 3-D range query's per-dimension bounds) and `collect_bottom`
-/// (the unsealed bottom-level batched AABB intersect). No engine walk
-/// around them — these are the pure kernel generations.
+/// `scan_emit` in isolation at 1M rows, scalar vs vector: the fused lane
+/// test + id emit of every bottom-level scan, 3 active lanes ≈ a 3-D range
+/// query's per-dimension bounds, over the arena's `u32` ids and the live
+/// engine's `u64` ids. No engine walk around it — these are the pure
+/// kernel generations.
 fn bench_simd_scan_kernels(c: &mut Criterion) {
     const N: usize = 1_000_000;
     let data = uniform_boxes_in::<3>(N, 10_000.0, 4);
     let ids: Vec<u32> = (0..N as u32).collect();
+    let wide: Vec<u64> = (0..N as u64).collect();
     // One synthetic lane per dimension (uniform lows), each bound keeping
     // ~60 % — a combined ~22 % emit rate, mixing dense and sparse mask
     // patterns.
@@ -117,7 +188,6 @@ fn bench_simd_scan_kernels(c: &mut Criterion) {
         .map(|d| data.iter().map(|r| r.mbb.lo[d]).collect())
         .collect();
     let bounds = [6_000.0f64; 3];
-    let q = Aabb::new([2_000.0; 3], [7_000.0; 3]);
     let mut out = vec![0u64; N];
     let mut g = c.benchmark_group("scan_1m_simd");
     for (name, level) in [
@@ -126,7 +196,7 @@ fn bench_simd_scan_kernels(c: &mut Criterion) {
     ] {
         g.bench_function(&format!("scan_emit3_{name}"), |b| {
             b.iter(|| {
-                black_box(quasii::simd::scan_emit::<3>(
+                black_box(quasii::simd::scan_emit::<_, 3>(
                     level,
                     &ids,
                     [&lanes[0], &lanes[1], &lanes[2]],
@@ -135,8 +205,16 @@ fn bench_simd_scan_kernels(c: &mut Criterion) {
                 ))
             })
         });
-        g.bench_function(&format!("collect_bottom_{name}"), |b| {
-            b.iter(|| black_box(quasii::simd::collect_bottom(level, &data, &q, &mut out)))
+        g.bench_function(&format!("scan_emit3_u64_{name}"), |b| {
+            b.iter(|| {
+                black_box(quasii::simd::scan_emit::<_, 3>(
+                    level,
+                    &wide,
+                    [&lanes[0], &lanes[1], &lanes[2]],
+                    bounds,
+                    &mut out,
+                ))
+            })
         });
     }
     g.finish();
@@ -144,8 +222,7 @@ fn bench_simd_scan_kernels(c: &mut Criterion) {
 
 /// Converged sealed reads at 1M, scalar vs vector lane tests: the index is
 /// warmed to convergence once per policy, then boundary-crossing queries
-/// stream the sealed columns through `scan_emit` (plus the batched AABB
-/// intersect on the fallback path).
+/// stream the sealed lanes through `scan_emit`.
 fn bench_simd_sealed_reads(c: &mut Criterion) {
     let data = uniform_boxes_in::<3>(1_000_000, 10_000.0, 4);
     let queries: Vec<Aabb<3>> = (0..64)
@@ -220,6 +297,6 @@ fn bench_str(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_cracks, bench_simd_scan_kernels, bench_simd_sealed_reads, bench_zorder, bench_str
+    targets = bench_crack_sizes, bench_cracks, bench_simd_scan_kernels, bench_simd_sealed_reads, bench_zorder, bench_str
 }
 criterion_main!(kernels);

@@ -272,10 +272,8 @@ impl<const D: usize> Quasii<D> {
         let r = catch_unwind(AssertUnwindSafe(|| {
             trap_check(trap, j);
             self.rt.stats.queries += 1;
-            let (keys, his) = self.keys.as_mut_slices();
-            let mut cols = engine::Cols::new(&mut self.data, keys, his);
             engine::query_level(
-                &mut cols,
+                &mut self.data,
                 &mut self.root,
                 q,
                 qe,

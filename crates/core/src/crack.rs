@@ -8,33 +8,34 @@
 //! the center/upper corner per the paper's footnote 1 (see
 //! [`crate::AssignBy`]).
 //!
-//! # One kernel per crack shape
+//! # One kernel per crack shape, over the record lanes
 //!
-//! The engine cracks with three keyed kernels, one per crack shape — the
-//! partition primitives of Idreos et al.'s cracker column: two-way
-//! ([`crack_two_keyed_measured`]), three-way
+//! The engine keeps its records as lanes in the sealed arena's
+//! convention ([`LanesMut`]): an id lane, and per dimension a `lo` lane
+//! and a negated-`hi` lane. It cracks them with three kernels, one per
+//! crack shape — the partition primitives of Idreos et al.'s cracker
+//! column: two-way ([`crack_two_keyed_measured`]), three-way
 //! ([`crack_three_keyed_measured`]) and the rank-based fallback
-//! ([`crack_median_keyed_measured`]). Each scans two narrow,
-//! cache-resident columns maintained by `KeyColumn` — the
-//! **assignment-key column** (`keys[i] == key_of(&recs[i], dim, mode)`) it
-//! compares against the pivot, and the companion upper-bound column
-//! (`his[i] == recs[i].mbb.hi[dim]`) it folds bounding information from —
-//! and touches the wide records **only to swap misplaced pairs**. During
-//! the pass it measures exactly what the engine consumes per output
-//! segment: a [`DimBounds`] on the crack dimension (the engine lazily
-//! computes an exact MBB only for the at-most-τ-sized segments that become
-//! refined slices, where the scan is cache-resident). Cf. Pirk et al.'s
-//! predicated "fancy scan" kernels.
+//! ([`crack_median_keyed_measured`]). Each scans the crack dimension's two
+//! lanes and reads the assignment key from them — `lo` for `Lower`,
+//! `-nhi` for `Upper`, `0.5 * (lo - nhi)` for `Center`, bit for bit what
+//! [`key_of`] gives, since negation is exact — and touches the other lanes
+//! **only to swap misplaced records**. During the pass it measures exactly
+//! what the engine consumes per output segment: a [`DimBounds`] on the
+//! crack dimension (the engine computes an exact MBB only for the
+//! at-most-τ-sized segments that become refined slices, where the scan is
+//! cache-resident). Cf. Pirk et al.'s predicated "fancy scan" kernels.
 //!
 //! The oracle lives outside this crate, in `tests/reference/crack.rs`:
 //! record-streaming compare-and-swap kernels over the wide `Record<D>`
 //! array, recomputing the assignment key on every probe, followed by
-//! [`DimBounds::of`] on each output segment. Every keyed kernel produces
+//! [`DimBounds::of`] on each output segment. Every kernel here produces
 //! **the same permutation and split points** as its counterpart there bit
 //! for bit, and value-equal measurements (min/max folds);
 //! `tests/keyed_kernels.rs` proves it property-based.
 
 use crate::config::AssignBy;
+use crate::simd::LaneView;
 use quasii_common::geom::Record;
 
 /// The representative (assignment) coordinate of `r` on `dim`.
@@ -47,11 +48,90 @@ pub fn key_of<const D: usize>(r: &Record<D>, dim: usize, mode: AssignBy) -> f64 
     }
 }
 
+/// Calls `$kernel` with [`key_of`] as read from a record's `lo` and
+/// negated `hi` on the crack dimension (`lo - nhi == lo + hi` and
+/// `-nhi == hi` exactly): a closure per mode, so each mode compiles its
+/// own loop and no record pays a branch on the mode.
+macro_rules! with_key {
+    ($mode:expr, $kernel:ident($($arg:expr),*)) => {
+        match $mode {
+            AssignBy::Lower => $kernel($($arg,)* |lo: f64, _: f64| lo),
+            AssignBy::Center => $kernel($($arg,)* |lo: f64, nhi: f64| 0.5 * (lo - nhi)),
+            AssignBy::Upper => $kernel($($arg,)* |_: f64, nhi: f64| -nhi),
+        }
+    };
+}
+
+/// A segment of records as mutable lanes in the sealed arena's
+/// convention: `ids[i]` is record `i`'s id, `lo[d][i]` its lower corner
+/// and `nhi[d][i]` its upper corner negated on dimension `d`. Every lane
+/// holds the same number of records, and a crack permutes them in
+/// lockstep.
+pub struct LanesMut<'a, const D: usize> {
+    /// Record ids.
+    pub ids: &'a mut [u64],
+    /// Lower corners, one lane per dimension.
+    pub lo: [&'a mut [f64]; D],
+    /// Upper corners negated, one lane per dimension.
+    pub nhi: [&'a mut [f64]; D],
+}
+
+impl<const D: usize> LanesMut<'_, D> {
+    /// Number of records.
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The same lanes, each cut to the id lane's length: a kernel's swaps
+    /// then index lanes whose length the optimizer knows.
+    fn trimmed(self) -> Self {
+        let n = self.ids.len();
+        Self {
+            ids: self.ids,
+            lo: self.lo.map(|l| &mut l[..n]),
+            nhi: self.nhi.map(|l| &mut l[..n]),
+        }
+    }
+
+    /// Swaps records `i` and `j` in every lane.
+    #[inline(always)]
+    fn swap(&mut self, i: usize, j: usize) {
+        self.ids.swap(i, j);
+        for d in 0..D {
+            self.lo[d].swap(i, j);
+            self.nhi[d].swap(i, j);
+        }
+    }
+
+    /// The records, gathered from the lanes in one pass.
+    fn records(&self) -> Vec<Record<D>> {
+        let view = LaneView {
+            ids: &*self.ids,
+            lo: self.lo.each_ref().map(|l| &**l),
+            nhi: self.nhi.each_ref().map(|l| &**l),
+        };
+        let mut recs = Vec::with_capacity(self.len());
+        view.push_records(0..self.len(), &mut recs);
+        recs
+    }
+
+    /// Writes `recs` back into the lanes in one pass.
+    fn scatter(&mut self, recs: &[Record<D>]) {
+        for (i, r) in recs.iter().enumerate() {
+            self.ids[i] = r.id;
+            for d in 0..D {
+                self.lo[d][i] = r.mbb.lo[d];
+                self.nhi[d][i] = -r.mbb.hi[d];
+            }
+        }
+    }
+}
+
 /// Per-dimension measurements of a record segment: the assignment-key
 /// minimum (drives the sorted slice lists) and the actual spatial interval
 /// (drives slice MBBs). This is exactly what the engine needs per crack
-/// output segment that stays *unrefined* — the keyed kernels measure it
-/// from the narrow columns during the partition pass.
+/// output segment that stays *unrefined* — the kernels measure it from the
+/// crack dimension's lanes during the partition pass.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DimBounds {
     /// Minimum assignment key over the segment (`+inf` when empty).
@@ -72,31 +152,8 @@ impl DimBounds {
         }
     }
 
-    /// Folds one element's assignment key and upper bound in. Kept
-    /// `inline(always)` and only ever called on fixed named locals so the
-    /// accumulator stays in registers (an index-selected destination would
-    /// force it into memory).
-    #[inline(always)]
-    fn fold_key_hi(&mut self, k: f64, h: f64) {
-        if k < self.min_key {
-            self.min_key = k;
-        }
-        if h > self.max_hi {
-            self.max_hi = h;
-        }
-    }
-
-    /// Folds one element's lower bound in (only needed by `Center`/`Upper`
-    /// assignment, where the key is not the lower bound).
-    #[inline(always)]
-    fn fold_lo(&mut self, lo: f64) {
-        if lo < self.min_lo {
-            self.min_lo = lo;
-        }
-    }
-
     /// Measures a segment with a record-streaming scan: the oracle for the
-    /// keyed kernels' in-pass measurements.
+    /// kernels' in-pass measurements.
     pub fn of<const D: usize>(seg: &[Record<D>], dim: usize, mode: AssignBy) -> Self {
         let mut b = Self::empty();
         for r in seg {
@@ -115,257 +172,235 @@ impl DimBounds {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Keyed kernels — the engine's hot path. All of them operate on a
-// `(keys, his, recs)` triple in lockstep: on entry `keys[i]` must equal
-// `key_of(&recs[i], dim, mode)` and `his[i]` must equal
-// `recs[i].mbb.hi[dim]` for the dimension being cracked, and the kernels
-// preserve that correspondence (every record swap swaps the matching
-// column entries).
-// ---------------------------------------------------------------------------
-
-/// Whether `min lo[dim]` must be folded from the records: in `Lower` mode
-/// the assignment key *is* `lo[dim]`, so the minimum key doubles as the
-/// minimum lower bound and untouched records are never read at all.
-#[inline(always)]
-fn folds_lo(mode: AssignBy) -> bool {
-    mode != AssignBy::Lower
+/// The in-pass accumulator of a [`DimBounds`]: the upper corner folds as
+/// the minimum negated `hi`, negated once at the end (the first record
+/// with the greatest `hi` is the first with the least `-hi`, so the result
+/// is bit for bit the `max_hi` fold).
+#[derive(Clone, Copy)]
+struct Fold {
+    min_key: f64,
+    min_lo: f64,
+    min_nhi: f64,
 }
 
-/// The one place a measuring kernel touches a record's MBB: folds
-/// `recs[idx].mbb.lo[dim]` into `b` when the assignment mode requires it
-/// (`Center`/`Upper`, where the key is not the lower bound). Compiles to
-/// nothing when `!FOLD_LO`.
-#[inline(always)]
-fn fold_lo_at<const D: usize, const FOLD_LO: bool>(
-    b: &mut DimBounds,
-    recs: &[Record<D>],
-    idx: usize,
-    dim: usize,
-) {
-    if FOLD_LO {
-        b.fold_lo(recs[idx].mbb.lo[dim]);
+impl Fold {
+    fn new() -> Self {
+        Self {
+            min_key: f64::INFINITY,
+            min_lo: f64::INFINITY,
+            min_nhi: f64::INFINITY,
+        }
+    }
+
+    /// Folds one record's key, lower corner and negated upper corner in.
+    /// Kept `inline(always)` and only ever called on fixed named locals so
+    /// the accumulator stays in registers (an index-selected destination
+    /// would force it into memory).
+    #[inline(always)]
+    fn fold(&mut self, k: f64, lo: f64, nhi: f64) {
+        if k < self.min_key {
+            self.min_key = k;
+        }
+        if lo < self.min_lo {
+            self.min_lo = lo;
+        }
+        if nhi < self.min_nhi {
+            self.min_nhi = nhi;
+        }
+    }
+
+    fn bounds(self) -> DimBounds {
+        DimBounds {
+            min_key: self.min_key,
+            min_lo: self.min_lo,
+            max_hi: -self.min_nhi,
+        }
     }
 }
 
-/// The body of [`crack_two_keyed_measured`]: min key and max upper bound
-/// come straight from the narrow columns (`FOLD_LO` additionally folds
-/// `lo[dim]` from the records, needed for `Center`/`Upper` assignment
-/// where the key is not the lower bound).
-fn crack_two_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
+/// Two-way crack: reorders the lanes so records with `key < pivot` precede
+/// the rest; returns the split point (first index of the `>= pivot` part)
+/// and both output segments' [`DimBounds`], measured from the crack
+/// dimension's lanes during the pass.
+///
+/// The scan reads only the crack dimension's `lo` and `nhi` lanes; the
+/// other lanes are touched only when a misplaced pair must swap. Produces
+/// bit-for-bit the same permutation and split point as the
+/// record-streaming oracle's `crack_two`; the measurements equal
+/// [`DimBounds::of`] on each side.
+pub fn crack_two_keyed_measured<const D: usize>(
+    lanes: LanesMut<'_, D>,
     dim: usize,
+    mode: AssignBy,
     pivot: f64,
 ) -> (usize, DimBounds, DimBounds) {
-    let mut left = DimBounds::empty();
-    let mut right = DimBounds::empty();
+    with_key!(mode, crack_two(lanes.trimmed(), dim, pivot))
+}
+
+/// The body of [`crack_two_keyed_measured`], with the mode's key.
+fn crack_two<const D: usize>(
+    mut lanes: LanesMut<'_, D>,
+    dim: usize,
+    pivot: f64,
+    key: impl Fn(f64, f64) -> f64,
+) -> (usize, DimBounds, DimBounds) {
+    let mut left = Fold::new();
+    let mut right = Fold::new();
     let mut i = 0usize;
-    let mut j = keys.len();
+    let mut j = lanes.len();
     loop {
-        // Scans run over zipped subslice iterators so the narrow-column
-        // loads carry no per-element bounds check.
-        for (&k, &h) in keys[i..j].iter().zip(his[i..j].iter()) {
+        // Scans run over zipped subslice iterators so the lane loads carry
+        // no per-element bounds check.
+        let (lo, nhi) = (&lanes.lo[dim][i..j], &lanes.nhi[dim][i..j]);
+        for (&l, &nh) in lo.iter().zip(nhi) {
+            let k = key(l, nh);
             if k >= pivot {
                 break;
             }
-            left.fold_key_hi(k, h);
-            fold_lo_at::<D, FOLD_LO>(&mut left, recs, i, dim);
+            left.fold(k, l, nh);
             i += 1;
         }
-        for (&k, &h) in keys[i..j].iter().zip(his[i..j].iter()).rev() {
+        let (lo, nhi) = (&lanes.lo[dim][i..j], &lanes.nhi[dim][i..j]);
+        for (&l, &nh) in lo.iter().zip(nhi).rev() {
+            let k = key(l, nh);
             if k < pivot {
                 break;
             }
-            right.fold_key_hi(k, h);
-            fold_lo_at::<D, FOLD_LO>(&mut right, recs, j - 1, dim);
+            right.fold(k, l, nh);
             j -= 1;
         }
         if i + 1 >= j {
             break;
         }
-        // Misplaced pair: recs[i] ends right, recs[j-1] ends left — fold
-        // each into its final side, then swap the triple.
-        right.fold_key_hi(keys[i], his[i]);
-        left.fold_key_hi(keys[j - 1], his[j - 1]);
-        fold_lo_at::<D, FOLD_LO>(&mut right, recs, i, dim);
-        fold_lo_at::<D, FOLD_LO>(&mut left, recs, j - 1, dim);
-        keys.swap(i, j - 1);
-        his.swap(i, j - 1);
-        recs.swap(i, j - 1);
+        // Misplaced pair: record i ends right, record j-1 ends left — fold
+        // each into its final side, then swap them.
+        let (l, nh) = (lanes.lo[dim][i], lanes.nhi[dim][i]);
+        right.fold(key(l, nh), l, nh);
+        let (l, nh) = (lanes.lo[dim][j - 1], lanes.nhi[dim][j - 1]);
+        left.fold(key(l, nh), l, nh);
+        lanes.swap(i, j - 1);
         i += 1;
         j -= 1;
     }
-    if !FOLD_LO {
-        // Lower assignment: the key is the lower bound.
-        left.min_lo = left.min_key;
-        right.min_lo = right.min_key;
-    }
-    (i, left, right)
+    (i, left.bounds(), right.bounds())
 }
 
-/// Two-way keyed crack: reorders the `(keys, his, recs)` triple in lockstep
-/// so entries with `key < pivot` precede the rest; returns the split point
-/// (first index of the `>= pivot` part) and both output segments'
-/// [`DimBounds`], measured from the narrow columns during the pass.
-///
-/// The scan compares only the 8-byte key column (a `Record<3>` is 56
-/// bytes); the wide records are touched only when a misplaced pair must
-/// swap. Produces bit-for-bit the same permutation and split point as the
-/// record-streaming oracle's `crack_two`; the measurements equal
-/// [`DimBounds::of`] on each side.
-pub fn crack_two_keyed_measured<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
+/// Three-way crack (Dutch national flag): partitions the lanes into
+/// `key < low` | `low <= key <= high` | `key > high`; returns the two
+/// split points `(p1, p2)` so the middle part is `p1..p2`, and the three
+/// output segments' [`DimBounds`], measured from the crack dimension's
+/// lanes during the pass. Identical permutation and split points to the
+/// record-streaming oracle's `crack_three`; the measurements equal
+/// [`DimBounds::of`] on each segment.
+pub fn crack_three_keyed_measured<const D: usize>(
+    lanes: LanesMut<'_, D>,
     dim: usize,
     mode: AssignBy,
-    pivot: f64,
-) -> (usize, DimBounds, DimBounds) {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    if folds_lo(mode) {
-        crack_two_keyed_measured_impl::<D, true>(keys, his, recs, dim, pivot)
-    } else {
-        crack_two_keyed_measured_impl::<D, false>(keys, his, recs, dim, pivot)
-    }
+    low: f64,
+    high: f64,
+) -> (usize, usize, [DimBounds; 3]) {
+    debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
+    with_key!(mode, crack_three(lanes.trimmed(), dim, low, high))
 }
 
-/// The body of [`crack_three_keyed_measured`].
-fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
+/// The body of [`crack_three_keyed_measured`], with the mode's key.
+fn crack_three<const D: usize>(
+    mut lanes: LanesMut<'_, D>,
     dim: usize,
     low: f64,
     high: f64,
+    key: impl Fn(f64, f64) -> f64,
 ) -> (usize, usize, [DimBounds; 3]) {
     // Three scalar accumulator sets with a fixed destination per branch arm
     // (an index-selected `m[region]` fold would force the accumulators into
     // memory instead of registers).
-    let mut m0 = DimBounds::empty();
-    let mut m1 = DimBounds::empty();
-    let mut m2 = DimBounds::empty();
+    let mut m0 = Fold::new();
+    let mut m1 = Fold::new();
+    let mut m2 = Fold::new();
     let mut lt = 0usize;
     let mut i = 0usize;
-    let mut gt = keys.len();
+    let mut gt = lanes.len();
     while i < gt {
-        // Fast-forward over a run of middle-class elements (no swap, fixed
+        // Fast-forward over a run of middle-class records (no swap, fixed
         // fold destination) — the dominant class once a segment converges.
         // The zipped subslice iterators carry no per-element bounds check
-        // on the narrow-column loads.
-        for (&k, &h) in keys[i..gt].iter().zip(his[i..gt].iter()) {
+        // on the lane loads.
+        let (lo, nhi) = (&lanes.lo[dim][i..gt], &lanes.nhi[dim][i..gt]);
+        for (&l, &nh) in lo.iter().zip(nhi) {
+            let k = key(l, nh);
             if k < low || k > high {
                 break;
             }
-            m1.fold_key_hi(k, h);
-            fold_lo_at::<D, FOLD_LO>(&mut m1, recs, i, dim);
+            m1.fold(k, l, nh);
             i += 1;
         }
         if i >= gt {
             break;
         }
-        let v = keys[i];
+        let (l, nh) = (lanes.lo[dim][i], lanes.nhi[dim][i]);
+        let v = key(l, nh);
         if v < low {
-            m0.fold_key_hi(v, his[i]);
-            fold_lo_at::<D, FOLD_LO>(&mut m0, recs, i, dim);
-            // Self-swaps (lt == i: no mid/high element seen yet) are no-ops
-            // in the reference kernel too; skipping them saves the record
+            m0.fold(v, l, nh);
+            // Self-swaps (lt == i: no mid/high record seen yet) are no-ops
+            // in the reference kernel too; skipping them saves the lane
             // traffic on already-ordered prefixes without changing the
             // permutation.
             if lt != i {
-                keys.swap(lt, i);
-                his.swap(lt, i);
-                recs.swap(lt, i);
+                lanes.swap(lt, i);
             }
             lt += 1;
             i += 1;
         } else {
-            // The fast-forward loop stopped on a non-middle element, so
+            // The fast-forward loop stopped on a non-middle record, so
             // here v > high.
             debug_assert!(v > high);
-            m2.fold_key_hi(v, his[i]);
-            fold_lo_at::<D, FOLD_LO>(&mut m2, recs, i, dim);
+            m2.fold(v, l, nh);
             gt -= 1;
-            keys.swap(i, gt);
-            his.swap(i, gt);
-            recs.swap(i, gt);
+            lanes.swap(i, gt);
         }
     }
-    let mut m = [m0, m1, m2];
-    if !FOLD_LO {
-        for b in &mut m {
-            b.min_lo = b.min_key;
-        }
-    }
-    (lt, gt, m)
-}
-
-/// Three-way keyed crack (Dutch national flag): partitions the
-/// `(keys, his, recs)` triple into `key < low` | `low <= key <= high` |
-/// `key > high`; returns the two split points `(p1, p2)` so the middle part
-/// is `p1..p2`, and the three output segments' [`DimBounds`], measured from
-/// the narrow columns during the pass. Identical permutation and split
-/// points to the record-streaming oracle's `crack_three`; the measurements
-/// equal [`DimBounds::of`] on each segment.
-pub fn crack_three_keyed_measured<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    dim: usize,
-    mode: AssignBy,
-    low: f64,
-    high: f64,
-) -> (usize, usize, [DimBounds; 3]) {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
-    if folds_lo(mode) {
-        crack_three_keyed_measured_impl::<D, true>(keys, his, recs, dim, low, high)
-    } else {
-        crack_three_keyed_measured_impl::<D, false>(keys, his, recs, dim, low, high)
-    }
+    (lt, gt, [m0.bounds(), m1.bounds(), m2.bounds()])
 }
 
 /// Rank-based fallback split used when midpoint (value) splits cannot
 /// separate a degenerate distribution: moves the median-by-key record into
-/// place, rebuilds both columns for the permuted segment, and partitions
-/// around the median key, measuring both output segments' [`DimBounds`]
-/// during the partition pass. Returns the split point, which may be `0` or
-/// `recs.len()` when all keys are equal (caller must handle).
+/// place and partitions around the median key, measuring both output
+/// segments' [`DimBounds`] during the partition pass. Returns the split
+/// point, which may be `0` or the segment length when all keys are equal
+/// (caller must handle).
 ///
-/// The record selection runs the exact comparator of the record-streaming
-/// oracle's `crack_median` (`tests/reference/crack.rs`), so the permutation
-/// (and therefore the whole engine state) stays bit-for-bit identical to
-/// it. This path is rare (degenerate value distributions only), so the
-/// extra re-keying scan does not matter.
+/// The selection gathers the segment into records and runs the exact
+/// `select_nth_unstable_by` comparator of the record-streaming oracle's
+/// `crack_median` (`tests/reference/crack.rs`) on them, then scatters them
+/// back, so the permutation (and therefore the whole engine state) stays
+/// bit-for-bit identical to it. This path is rare (degenerate value
+/// distributions only), so the round trip through records does not matter.
 ///
-/// The measurements are only meaningful when `0 < split < recs.len()`; on a
-/// degenerate (value-indivisible or sub-2-element) segment the caller
+/// The measurements are only meaningful when `0 < split < len`; on a
+/// degenerate (value-indivisible or sub-2-record) segment the caller
 /// force-refines and never reads them.
 pub fn crack_median_keyed_measured<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
+    lanes: LanesMut<'_, D>,
     dim: usize,
     mode: AssignBy,
 ) -> (usize, DimBounds, DimBounds) {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    if recs.len() < 2 {
-        return (recs.len(), DimBounds::empty(), DimBounds::empty());
+    let n = lanes.len();
+    if n < 2 {
+        return (n, DimBounds::empty(), DimBounds::empty());
     }
-    let mid = recs.len() / 2;
+    let mid = n / 2;
+    let mut lanes = lanes.trimmed();
+    let mut recs = lanes.records();
     recs.select_nth_unstable_by(mid, |a, b| {
         key_of(a, dim, mode)
             .partial_cmp(&key_of(b, dim, mode))
             .expect("coordinates are never NaN")
     });
-    // The selection permuted the records without the columns: re-key.
-    crate::keys::rekey(keys, his, recs, dim, mode);
-    let pivot = keys[mid];
+    lanes.scatter(&recs);
     // Partition strictly below the median value; if everything is equal to
     // the pivot this yields 0 and the caller treats the slice as
     // value-indivisible.
-    crack_two_keyed_measured(keys, his, recs, dim, mode, pivot)
+    crack_two_keyed_measured(lanes, dim, mode, key_of(&recs[mid], dim, mode))
 }
 
 #[cfg(test)]
@@ -403,17 +438,18 @@ mod tests {
 
     #[test]
     fn keyed_kernels_handle_empty_segments() {
-        let mut keys: Vec<f64> = vec![];
-        let mut his: Vec<f64> = vec![];
-        let mut recs: Vec<Record<3>> = vec![];
-        let (p, l, r) = crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 1.0);
+        let lanes = || LanesMut::<3> {
+            ids: &mut [],
+            lo: [&mut [], &mut [], &mut []],
+            nhi: [&mut [], &mut [], &mut []],
+        };
+        let (p, l, r) = crack_two_keyed_measured(lanes(), 0, LOWER, 1.0);
         assert_eq!(p, 0);
         assert_eq!((l, r), (DimBounds::empty(), DimBounds::empty()));
-        let (p1, p2, m) =
-            crack_three_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 0.0, 1.0);
+        let (p1, p2, m) = crack_three_keyed_measured(lanes(), 0, LOWER, 0.0, 1.0);
         assert_eq!((p1, p2), (0, 0));
         assert!(m.iter().all(|x| *x == DimBounds::empty()));
-        let (p, l, r) = crack_median_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER);
+        let (p, l, r) = crack_median_keyed_measured(lanes(), 0, LOWER);
         assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
     }
 }

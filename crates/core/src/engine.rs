@@ -3,21 +3,22 @@
 //! query extension (§5.2).
 //!
 //! Everything here operates on split borrows of the [`crate::Quasii`]
-//! fields: the data array **and its narrow column pair** (assignment keys +
-//! upper bounds, see [`crate::keys`]) are reorganized in place, in
-//! lockstep, while the slice hierarchy is rebuilt around them. Slices keep
-//! data-array indices for their whole life; every function here reaches
-//! the three columns through one [`Cols`], which borrows the whole arrays.
+//! fields: the records, held as [`Lanes`] in the sealed arena's
+//! convention (an id lane, and per dimension a `lo` lane and a negated-`hi`
+//! lane), are reorganized in place while the slice hierarchy is rebuilt
+//! around them. Slices keep data-array indices for their whole life; a
+//! slice's `begin..end` indexes every lane.
 
 use crate::config::AssignBy;
 use crate::crack::{
     crack_median_keyed_measured, crack_three_keyed_measured, crack_two_keyed_measured, DimBounds,
+    LanesMut,
 };
-use crate::keys::rekey;
-use crate::simd::{self, SimdLevel};
+use crate::simd::{LaneId, LaneView, SimdLevel};
 use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use quasii_common::geom::{Aabb, Record};
+use quasii_common::snapshot::own_mapping;
 use std::ops::Range;
 
 /// Upper bound on recursive artificial (midpoint) splits per slice: a
@@ -31,9 +32,9 @@ pub(crate) struct Env<const D: usize> {
     pub tau: [usize; D],
     /// Assignment coordinate (paper default: lower).
     pub mode: AssignBy,
-    /// Kernel generation for the streaming test kernels (bottom-level
-    /// collect, sealed lane tests), resolved once at engine construction
-    /// (see [`crate::simd`]).
+    /// Kernel generation for the streaming lane tests (bottom-level scans,
+    /// live and sealed), resolved once at engine construction (see
+    /// [`crate::simd`]).
     pub simd: SimdLevel,
 }
 
@@ -58,43 +59,124 @@ impl<const D: usize> Runtime<D> {
     }
 }
 
-/// The three parallel columns (records, assignment keys, upper bounds),
-/// borrowed whole; a slice's `begin..end` indexes all three.
-pub(crate) struct Cols<'a, const D: usize> {
-    data: &'a mut [Record<D>],
-    keys: &'a mut [f64],
-    his: &'a mut [f64],
+/// The live records as lanes, in data-array order: `ids[i]` is record
+/// `i`'s id, and per dimension `d` one lane holds every record's lower
+/// corner and one its upper corner negated — the sealed arena's layout,
+/// with the id kept whole (`u64`). The `2 × D` coordinate lanes share one
+/// buffer (`lo[0..D]`, then negated `hi[0..D]`), a mapping of its own
+/// advised for huge pages once it is large enough
+/// ([`own_mapping`]), so writing a million records' lanes faults in
+/// about two dozen pages instead of twelve thousand.
+pub(crate) struct Lanes<const D: usize> {
+    ids: Vec<u64>,
+    coords: Vec<f64>,
 }
 
-impl<'a, const D: usize> Cols<'a, D> {
-    /// Wraps three equally long columns.
-    pub(crate) fn new(data: &'a mut [Record<D>], keys: &'a mut [f64], his: &'a mut [f64]) -> Self {
-        debug_assert!(data.len() == keys.len() && data.len() == his.len());
-        Self { data, keys, his }
+impl<const D: usize> Lanes<D> {
+    /// No records, no allocation.
+    pub(crate) fn new() -> Self {
+        Self {
+            ids: Vec::new(),
+            coords: Vec::new(),
+        }
     }
 
-    /// The records of `s`.
-    #[inline]
-    pub(crate) fn records(&self, s: &Slice<D>) -> &[Record<D>] {
-        &self.data[s.begin..s.end]
+    /// `n` records, every lane zero.
+    pub(crate) fn zeroed(n: usize) -> Self {
+        let mut coords = own_mapping(2 * D * n);
+        coords.resize(2 * D * n, 0.0);
+        Self {
+            ids: vec![0; n],
+            coords,
+        }
     }
 
-    /// The whole record column.
-    #[inline]
-    fn data(&self) -> &[Record<D>] {
-        self.data
+    /// The lanes a snapshot stores: the ids, and every coordinate lane one
+    /// after the other, `ids.len()` values each.
+    pub(crate) fn from_parts(ids: Vec<u64>, coords: Vec<f64>) -> Self {
+        debug_assert_eq!(coords.len(), 2 * D * ids.len());
+        Self { ids, coords }
     }
 
-    /// The `(keys, his, records)` triple of `s`, in crack-kernel argument
-    /// order.
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Writes `r` as record `i`.
     #[inline]
-    pub(crate) fn range_mut(&mut self, s: &Slice<D>) -> (&mut [f64], &mut [f64], &mut [Record<D>]) {
-        let r = s.begin..s.end;
-        (
-            &mut self.keys[r.clone()],
-            &mut self.his[r.clone()],
-            &mut self.data[r],
-        )
+    pub(crate) fn set(&mut self, i: usize, r: &Record<D>) {
+        let n = self.len();
+        self.ids[i] = r.id;
+        for d in 0..D {
+            self.coords[d * n + i] = r.mbb.lo[d];
+            self.coords[(D + d) * n + i] = -r.mbb.hi[d];
+        }
+    }
+
+    /// Copies the records `span` of `from` to positions `at..`, ids
+    /// widened.
+    pub(crate) fn copy_from<I: LaneId>(
+        &mut self,
+        at: usize,
+        from: &LaneView<'_, I, D>,
+        span: Range<usize>,
+    ) {
+        let to = at..at + span.len();
+        for (id, &f) in self.ids[to.clone()].iter_mut().zip(&from.ids[span.clone()]) {
+            *id = f.widen();
+        }
+        let n = self.len();
+        for (k, lane) in from.lo.iter().chain(&from.nhi).enumerate() {
+            self.coords[k * n..(k + 1) * n][to.clone()].copy_from_slice(&lane[span.clone()]);
+        }
+    }
+
+    /// The exact MBB of the records of `span`, folded record by record as
+    /// `Aabb::expand` folds records (the `2 × D` folds of a record are
+    /// independent, so they overlap).
+    pub(crate) fn mbb(&self, span: Range<usize>) -> Aabb<D> {
+        let view = self.view();
+        let lo: [&[f64]; D] = view.lo.map(|l| &l[span.clone()]);
+        let nhi: [&[f64]; D] = view.nhi.map(|l| &l[span.clone()]);
+        let mut mbb = Aabb::empty();
+        for i in 0..span.len() {
+            for d in 0..D {
+                if lo[d][i] < mbb.lo[d] {
+                    mbb.lo[d] = lo[d][i];
+                }
+                if -nhi[d][i] > mbb.hi[d] {
+                    mbb.hi[d] = -nhi[d][i];
+                }
+            }
+        }
+        mbb
+    }
+
+    /// The lanes of `span`, for a crack kernel.
+    pub(crate) fn segment_mut(&mut self, span: Range<usize>) -> LanesMut<'_, D> {
+        let n = self.len();
+        let mut rest = self.coords.as_mut_slice();
+        let mut next = || {
+            let (lane, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            &mut lane[span.clone()]
+        };
+        LanesMut {
+            lo: std::array::from_fn(|_| next()),
+            nhi: std::array::from_fn(|_| next()),
+            ids: &mut self.ids[span],
+        }
+    }
+
+    /// Every lane, for a scan, a seal or a snapshot.
+    pub(crate) fn view(&self) -> LaneView<'_, u64, D> {
+        let n = self.len();
+        LaneView {
+            ids: &self.ids,
+            lo: std::array::from_fn(|d| &self.coords[d * n..(d + 1) * n]),
+            nhi: std::array::from_fn(|d| &self.coords[(D + d) * n..(D + d + 1) * n]),
+        }
     }
 }
 
@@ -109,7 +191,6 @@ fn placeholder<const D: usize>() -> Slice<D> {
         cut_hi: 0.0,
         key_lo: 0.0,
         refined: true,
-        keys_fresh: true,
         converged: false,
         children: Vec::new(),
         sealed: None,
@@ -133,7 +214,7 @@ fn record_crack<const D: usize>(rt: &mut Runtime<D>, records: u64) {
 /// the crack dimension (§5.1).
 #[allow(clippy::too_many_arguments)]
 fn make_sub<const D: usize>(
-    cols: &Cols<'_, D>,
+    lanes: &Lanes<D>,
     parent: &Slice<D>,
     begin: usize,
     end: usize,
@@ -153,15 +234,12 @@ fn make_sub<const D: usize>(
         cut_hi,
         key_lo: db.min_key,
         refined: false,
-        // Crack kernels permute the column pair in lockstep, so every crack
-        // output range still caches its own-level keys and upper bounds.
-        keys_fresh: true,
         converged: false,
         children: Vec::new(),
         sealed: None,
     };
     if s.len() <= env.tau[dim] {
-        s.measure_exact(cols.records(&s));
+        s.bbox = lanes.mbb(s.begin..s.end);
         s.refined = true;
         s.converged = dim + 1 == D;
     } else {
@@ -175,11 +253,11 @@ fn make_sub<const D: usize>(
 /// Finalizes a slice that cannot be split further (value-indivisible
 /// assignment keys): exact MBB, marked refined even though it exceeds τ.
 fn force_refine<const D: usize>(
-    cols: &Cols<'_, D>,
+    lanes: &Lanes<D>,
     mut s: Slice<D>,
     rt: &mut Runtime<D>,
 ) -> Slice<D> {
-    s.measure_exact(cols.records(&s));
+    s.bbox = lanes.mbb(s.begin..s.end);
     s.refined = true;
     s.converged = s.dim() + 1 == D;
     rt.stats.forced_refinements += 1;
@@ -187,33 +265,12 @@ fn force_refine<const D: usize>(
     s
 }
 
-/// Re-keys a slice's range for its own level unless the columns already
-/// cache it — the lazy per-level rebuild of the column pair (root slices
-/// and crack outputs are born fresh; only default children pay this).
-fn ensure_keys<const D: usize>(
-    cols: &mut Cols<'_, D>,
-    s: &mut Slice<D>,
-    env: &Env<D>,
-    rt: &mut Runtime<D>,
-) {
-    if !s.keys_fresh {
-        let (keys, his, data) = cols.range_mut(s);
-        rekey(keys, his, data, s.dim(), env.mode);
-        s.keys_fresh = true;
-        rt.stats.rekeys += 1;
-        rt.stats.records_rekeyed += s.len() as u64;
-    }
-}
-
 /// Artificial refinement (§5.2): recursive midpoint two-way cracks until
 /// every *query-overlapping* piece satisfies τ; non-overlapping pieces stay
 /// coarse for later queries. Falls back to a rank (median) split, then to
 /// force-refinement, on degenerate value distributions.
-///
-/// `s` must have fresh keys (its callers guarantee it: `refine` re-keys
-/// before cracking and every `make_sub` output is born fresh).
 fn artificial<const D: usize>(
-    cols: &mut Cols<'_, D>,
+    lanes: &mut Lanes<D>,
     s: Slice<D>,
     qe: &Aabb<D>,
     env: &Env<D>,
@@ -230,39 +287,39 @@ fn artificial<const D: usize>(
         return;
     }
     if depth >= MAX_ARTIFICIAL_DEPTH {
-        out.push(force_refine(cols, s, rt));
+        out.push(force_refine(lanes, s, rt));
         return;
     }
-    debug_assert!(s.keys_fresh, "artificial() requires fresh columns");
     // Midpoint of the actual value interval (intersection of the cut range
     // with the measured bounds keeps the midpoint meaningful even when the
     // cut range is much wider than the data).
     let lo = s.bbox.lo[dim].max(s.cut_lo);
     let hi = s.bbox.hi[dim].min(s.cut_hi);
     let mid = 0.5 * (lo + hi);
-    let (kseg, hseg, seg) = cols.range_mut(&s);
-    let seg_len = seg.len() as u64;
-    let (mut split, mut lm, mut rm) = crack_two_keyed_measured(kseg, hseg, seg, dim, env.mode, mid);
+    let seg_len = s.len();
+    let (mut split, mut lm, mut rm) =
+        crack_two_keyed_measured(lanes.segment_mut(s.begin..s.end), dim, env.mode, mid);
     let mut split_value = mid;
-    if split == 0 || split == seg.len() {
+    if split == 0 || split == seg_len {
         // Midpoint failed to separate — rank-based fallback (rare: only on
         // degenerate value distributions). The measuring kernel returns
         // both halves' bounds from its final partition pass, so no
         // re-scan of the halves is needed here either.
-        let (msplit, mlm, mrm) = crack_median_keyed_measured(kseg, hseg, seg, dim, env.mode);
-        if msplit == 0 || msplit == seg.len() {
-            out.push(force_refine(cols, s, rt));
+        let (msplit, mlm, mrm) =
+            crack_median_keyed_measured(lanes.segment_mut(s.begin..s.end), dim, env.mode);
+        if msplit == 0 || msplit == seg_len {
+            out.push(force_refine(lanes, s, rt));
             return;
         }
         (split, lm, rm) = (msplit, mlm, mrm);
         split_value = rm.min_key;
     }
-    record_crack(rt, seg_len);
+    record_crack(rt, seg_len as u64);
     let m = s.begin + split;
-    let left = make_sub(cols, &s, s.begin, m, s.cut_lo, split_value, &lm, env, rt);
-    let right = make_sub(cols, &s, m, s.end, split_value, s.cut_hi, &rm, env, rt);
-    artificial(cols, left, qe, env, rt, out, depth + 1);
-    artificial(cols, right, qe, env, rt, out, depth + 1);
+    let left = make_sub(lanes, &s, s.begin, m, s.cut_lo, split_value, &lm, env, rt);
+    let right = make_sub(lanes, &s, m, s.end, split_value, s.cut_hi, &rm, env, rt);
+    artificial(lanes, left, qe, env, rt, out, depth + 1);
+    artificial(lanes, right, qe, env, rt, out, depth + 1);
 }
 
 /// Algorithm 2: refines `s` on its own dimension against the (extended)
@@ -272,8 +329,8 @@ fn artificial<const D: usize>(
 /// slices in place without ever calling `refine` (so the old
 /// refined-early-return `vec![s]` allocation is gone from this path).
 pub(crate) fn refine<const D: usize>(
-    cols: &mut Cols<'_, D>,
-    mut s: Slice<D>,
+    lanes: &mut Lanes<D>,
+    s: Slice<D>,
     qe: &Aabb<D>,
     env: &Env<D>,
     rt: &mut Runtime<D>,
@@ -282,7 +339,6 @@ pub(crate) fn refine<const D: usize>(
         !s.refined,
         "refine() must not be called on refined slices (query_level guards)"
     );
-    ensure_keys(cols, &mut s, env, rt);
     let dim = s.dim();
     let (cl, ch) = (s.cut_lo, s.cut_hi);
     let (ql, qu) = (qe.lo[dim], qe.hi[dim]);
@@ -294,33 +350,33 @@ pub(crate) fn refine<const D: usize>(
     match (inside_l, inside_u) {
         (true, true) => {
             // Both query bounds inside the slice: three-way slicing.
-            let (keys, his, data) = cols.range_mut(&s);
-            let (p1, p2, m) = crack_three_keyed_measured(keys, his, data, dim, env.mode, ql, qu);
+            let seg = lanes.segment_mut(s.begin..s.end);
+            let (p1, p2, m) = crack_three_keyed_measured(seg, dim, env.mode, ql, qu);
             record_crack(rt, seg_len);
             let (b, m1, m2, e) = (s.begin, s.begin + p1, s.begin + p2, s.end);
-            primary.push(make_sub(cols, &s, b, m1, cl, ql, &m[0], env, rt));
-            primary.push(make_sub(cols, &s, m1, m2, ql, qu, &m[1], env, rt));
-            primary.push(make_sub(cols, &s, m2, e, qu, ch, &m[2], env, rt));
+            primary.push(make_sub(lanes, &s, b, m1, cl, ql, &m[0], env, rt));
+            primary.push(make_sub(lanes, &s, m1, m2, ql, qu, &m[1], env, rt));
+            primary.push(make_sub(lanes, &s, m2, e, qu, ch, &m[2], env, rt));
         }
         (true, false) => {
             // Only the lower bound cuts the slice: two-way at ql.
-            let (keys, his, data) = cols.range_mut(&s);
-            let (p, lm, rm) = crack_two_keyed_measured(keys, his, data, dim, env.mode, ql);
+            let seg = lanes.segment_mut(s.begin..s.end);
+            let (p, lm, rm) = crack_two_keyed_measured(seg, dim, env.mode, ql);
             record_crack(rt, seg_len);
             let m = s.begin + p;
-            primary.push(make_sub(cols, &s, s.begin, m, cl, ql, &lm, env, rt));
-            primary.push(make_sub(cols, &s, m, s.end, ql, ch, &rm, env, rt));
+            primary.push(make_sub(lanes, &s, s.begin, m, cl, ql, &lm, env, rt));
+            primary.push(make_sub(lanes, &s, m, s.end, ql, ch, &rm, env, rt));
         }
         (false, true) => {
             // Only the upper bound cuts the slice: two-way keeping
             // `key <= qu` on the left (pivot just above qu).
             let pivot = qu.next_up();
-            let (keys, his, data) = cols.range_mut(&s);
-            let (p, lm, rm) = crack_two_keyed_measured(keys, his, data, dim, env.mode, pivot);
+            let seg = lanes.segment_mut(s.begin..s.end);
+            let (p, lm, rm) = crack_two_keyed_measured(seg, dim, env.mode, pivot);
             record_crack(rt, seg_len);
             let m = s.begin + p;
-            primary.push(make_sub(cols, &s, s.begin, m, cl, qu, &lm, env, rt));
-            primary.push(make_sub(cols, &s, m, s.end, qu, ch, &rm, env, rt));
+            primary.push(make_sub(lanes, &s, s.begin, m, cl, qu, &lm, env, rt));
+            primary.push(make_sub(lanes, &s, m, s.end, qu, ch, &rm, env, rt));
         }
         (false, false) => {
             // The query covers the slice on this dimension: only artificial
@@ -336,7 +392,7 @@ pub(crate) fn refine<const D: usize>(
         }
         // Paper Alg. 2 lines 8–13: pieces still above τ that overlap the
         // query get artificial refinement; others stay coarse.
-        artificial(cols, p, qe, env, rt, &mut out, 0);
+        artificial(lanes, p, qe, env, rt, &mut out, 0);
     }
     out
 }
@@ -346,7 +402,7 @@ pub(crate) fn refine<const D: usize>(
 /// recursing into its children (materializing the default child first).
 /// The visit that leaves every child converged marks the slice converged.
 fn descend<const D: usize>(
-    cols: &mut Cols<'_, D>,
+    lanes: &mut Lanes<D>,
     s: &mut Slice<D>,
     q: &Aabb<D>,
     qe: &Aabb<D>,
@@ -356,7 +412,7 @@ fn descend<const D: usize>(
 ) {
     debug_assert!(s.refined, "only refined slices are descended");
     if s.converged {
-        rt.stats.objects_tested += read_slice(cols.data(), s, q, qe, env.simd, out);
+        rt.stats.objects_tested += read_slice(&lanes.view(), s, q, qe, env.simd, out);
         return;
     }
     debug_assert!(s.dim() + 1 < D, "a refined bottom-level slice is converged");
@@ -366,7 +422,7 @@ fn descend<const D: usize>(
         rt.stats.default_children += 1;
         s.children.push(child);
     }
-    query_level(cols, &mut s.children, q, qe, env, rt, out);
+    query_level(lanes, &mut s.children, q, qe, env, rt, out);
     s.converged = s.children.iter().all(|c| c.converged);
 }
 
@@ -417,13 +473,13 @@ pub(crate) fn cracks_nothing<const D: usize>(s: &Slice<D>, q: &Aabb<D>, qe: &Aab
 /// arena, with one contiguous id copy when `q` contains its box (see
 /// `SealedRegion::walk` for why that equals the full descent's output and
 /// tested count). Any other takes the live descent over the shared tree
-/// and the data array `data`: it reproduces the level loop's probe, break
-/// and bounding-box skip, and tests the records of each bottom-level slice
-/// it reaches with the predicated [`simd::collect_bottom`]: every id is
-/// written, the write cursor advances by the branch-free intersection
-/// result, and the over-provisioned tail is truncated.
+/// and the live lanes: it reproduces the level loop's probe, break and
+/// bounding-box skip, and scans the records of each bottom-level slice it
+/// reaches with the arena's lane scan ([`LaneView::scan`]), testing only
+/// the lanes the slice's box leaves undecided (the box holds every record
+/// of the slice, so a bound the box keeps inside `q` holds for each).
 pub(crate) fn read_slice<const D: usize>(
-    data: &[Record<D>],
+    lanes: &LaneView<'_, u64, D>,
     s: &Slice<D>,
     q: &Aabb<D>,
     qe: &Aabb<D>,
@@ -439,16 +495,13 @@ pub(crate) fn read_slice<const D: usize>(
     }
     if s.children.is_empty() {
         debug_assert!(s.dim() + 1 == D, "a readable path ends at the bottom level");
-        let seg = &data[s.begin..s.end];
-        let start = out.len();
-        out.resize(start + seg.len(), 0);
-        let w = simd::collect_bottom(simd, seg, q, &mut out[start..]);
-        out.truncate(start + w);
-        return seg.len() as u64;
+        let test_lo = std::array::from_fn(|d| s.bbox.hi[d] > q.hi[d]);
+        let test_hi = std::array::from_fn(|d| s.bbox.lo[d] < q.lo[d]);
+        return lanes.scan(s.begin, s.end, q, test_lo, test_hi, out, simd);
     }
     let mut tested = 0;
     for c in visited(&s.children, q, qe) {
-        tested += read_slice(data, c, q, qe, simd, out);
+        tested += read_slice(lanes, c, q, qe, simd, out);
     }
     tested
 }
@@ -462,7 +515,7 @@ pub(crate) fn read_slice<const D: usize>(
 /// every assignment key of a potentially qualifying object lies inside
 /// `[qe.lo, qe.hi]` on each dimension.
 pub(crate) fn query_level<const D: usize>(
-    cols: &mut Cols<'_, D>,
+    lanes: &mut Lanes<D>,
     slices: &mut Vec<Slice<D>>,
     q: &Aabb<D>,
     qe: &Aabb<D>,
@@ -485,14 +538,14 @@ pub(crate) fn query_level<const D: usize>(
         if slices[i].refined {
             // Fast path for the converged regime: descend in place, no
             // replacement bookkeeping, no allocation.
-            descend(cols, &mut slices[i], q, qe, env, rt, out);
+            descend(lanes, &mut slices[i], q, qe, env, rt, out);
             continue;
         }
         let s = std::mem::replace(&mut slices[i], placeholder());
-        let mut subs = refine(cols, s, qe, env, rt);
+        let mut subs = refine(lanes, s, qe, env, rt);
         for sub in subs.iter_mut() {
             if q.intersects(&sub.bbox) {
-                descend(cols, sub, q, qe, env, rt, out);
+                descend(lanes, sub, q, qe, env, rt, out);
             }
         }
         replacements.get_or_insert_with(Vec::new).push((i, subs));
@@ -525,5 +578,40 @@ pub(crate) fn query_level<const D: usize>(
             }
             *slices = merged;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records go into the lanes and come back bit for bit, and a span's
+    /// box is the exact MBB of its records.
+    #[test]
+    fn lanes_hold_records_and_measure_their_boxes() {
+        let data = [
+            Record::new(0, Aabb::new([2.0, 2.0], [3.0, 3.0])),
+            Record::new(1 << 40, Aabb::new([4.0, 1.0], [5.0, 6.0])),
+            Record::new(2, Aabb::new([-1.0, 0.0], [0.0, -0.0])),
+        ];
+        let mut lanes = Lanes::<2>::zeroed(data.len());
+        data.iter().enumerate().for_each(|(i, r)| lanes.set(i, r));
+        assert_eq!(lanes.len(), 3);
+        let mut back = Vec::new();
+        lanes.view().push_records(0..3, &mut back);
+        assert_eq!(back, data);
+        assert_eq!(lanes.mbb(0..2), Aabb::new([2.0, 1.0], [5.0, 6.0]));
+        assert_eq!(lanes.mbb(0..3), quasii_common::geom::mbb_of(&data));
+        assert_eq!(lanes.view().ids, &[0, 1 << 40, 2]);
+        let mut copy = Lanes::<2>::zeroed(4);
+        copy.copy_from(1, &lanes.view(), 1..3);
+        let mut some = Vec::new();
+        copy.view().push_records(1..3, &mut some);
+        assert_eq!(some, data[1..]);
+        let seg = copy.segment_mut(1..4);
+        seg.ids[0] = 7;
+        seg.nhi[1][2] = 0.5;
+        assert_eq!(copy.view().ids, &[0, 7, 2, 0]);
+        assert_eq!(copy.view().nhi[1], &[0.0, -6.0, 0.0, 0.5]);
     }
 }

@@ -36,7 +36,6 @@ mod config;
 pub mod crack;
 mod engine;
 pub(crate) mod fence;
-pub mod keys;
 mod persist;
 mod seal;
 pub mod simd;
@@ -58,8 +57,7 @@ pub use fence::KeyFences;
 pub use simd::{SimdLevel, SimdPolicy};
 pub use stats::{QuasiiStats, SealStats};
 
-use engine::{Env, Runtime};
-use keys::KeyColumn;
+use engine::{Env, Lanes, Runtime};
 use quasii_common::geom::{mbb_of, Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_obs as obs;
@@ -114,16 +112,18 @@ pub enum RepairOutcome {
 pub struct Quasii<const D: usize> {
     /// The record count, fixed for the engine's life.
     n: usize,
-    /// The rows in their cracked permutation: `n` of them while some record
-    /// is unsealed, none once every record is. The write that seals the
-    /// last root slice drops them with the key columns, and a load of a
-    /// part that stores no rows allocates neither: the arenas are then the
-    /// one copy of every record ([`records`](Self::records)).
-    data: Vec<Record<D>>,
-    /// Cache-resident assignment-key + upper-bound column pair, permuted in
-    /// lockstep with `data` by every crack kernel (see [`keys`] for the
-    /// invariant); empty exactly when `data` is.
-    keys: KeyColumn,
+    /// The caller's records, as [`new`](Self::new) received them, until
+    /// first-query initialization transposes them into `data`; empty after.
+    input: Vec<Record<D>>,
+    /// The records in their cracked permutation, as lanes in the sealed
+    /// arena's layout (an id lane, and per dimension a `lo` lane and a
+    /// negated-`hi` lane; see [`engine::Lanes`]): `n` of them from
+    /// first-query initialization on while some record is unsealed, none
+    /// once every record is. The write that seals the last root slice drops
+    /// them, and a load of a part that stores no rows allocates none: the
+    /// arenas are then the one copy of every record
+    /// ([`records`](Self::records)).
+    data: Lanes<D>,
     root: Vec<Slice<D>>,
     env: Env<D>,
     rt: Runtime<D>,
@@ -134,10 +134,6 @@ pub struct Quasii<const D: usize> {
     ext_high: [f64; D],
     data_bounds: Aabb<D>,
     initialized: bool,
-    /// Dimension-0 key column handed in by
-    /// [`with_precomputed_keys`](Self::with_precomputed_keys), adopted at
-    /// first-query initialization.
-    precomputed_keys: Option<Vec<f64>>,
     /// Queries answered over `&self` ([`SealStats::sealed_queries`]): an
     /// atomic sum, so concurrent readers book through `&self`.
     sealed_queries: obs::CounterGroup<1>,
@@ -173,8 +169,8 @@ impl<const D: usize> Quasii<D> {
         }
         Self {
             n: data.len(),
-            data,
-            keys: KeyColumn::new(),
+            input: data,
+            data: Lanes::new(),
             root: Vec::new(),
             env: Env {
                 tau,
@@ -187,7 +183,6 @@ impl<const D: usize> Quasii<D> {
             ext_high: [0.0; D],
             data_bounds: Aabb::empty(),
             initialized: false,
-            precomputed_keys: None,
             sealed_queries: obs::CounterGroup::new(),
             reads: obs::CounterGroup::new(),
             sealed_record_count: 0,
@@ -201,31 +196,11 @@ impl<const D: usize> Quasii<D> {
         Self::new(data, QuasiiConfig::default())
     }
 
-    /// Same as [`Quasii::new`], adopting a precomputed **dimension-0
-    /// assignment-key column** instead of rebuilding it at first-query
-    /// initialization (the companion upper-bound column is still built
-    /// then, during the mandatory extent scan). The caller guarantees
-    /// `keys[i] == crack::key_of(&data[i], 0, cfg.assign_by)` for every `i`
-    /// — the sharded router builds the column as a byproduct of its
-    /// partition pass and hands each shard its sub-column this way.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at first-query initialization) when
-    /// `keys.len() != data.len()`; debug builds additionally verify every
-    /// cached key.
-    pub fn with_precomputed_keys(data: Vec<Record<D>>, keys: Vec<f64>, cfg: QuasiiConfig) -> Self {
-        let mut idx = Self::new(data, cfg);
-        idx.precomputed_keys = Some(keys);
-        idx
-    }
-
     /// First-query initialization: one pass computing the dataset MBB and
-    /// the per-dimension maximum object extent (needed for query extension),
-    /// the dimension-0 assignment-key column (unless adopted precomputed
-    /// via [`with_precomputed_keys`](Self::with_precomputed_keys)), then
-    /// the initial whole-dataset slice `s0`, sealed at once if it has
-    /// already converged.
+    /// the per-dimension maximum object extent (needed for query extension)
+    /// that transposes the caller's records into lanes, whose vector it
+    /// then drops; then the initial whole-dataset slice `s0`, sealed at
+    /// once if it has already converged.
     fn ensure_init(&mut self) {
         if self.initialized {
             return;
@@ -236,7 +211,8 @@ impl<const D: usize> Quasii<D> {
         }
         let mut bounds = Aabb::empty();
         let mut ext = [0.0; D];
-        for r in &self.data {
+        let mut lanes = Lanes::zeroed(self.n);
+        for (i, r) in std::mem::take(&mut self.input).iter().enumerate() {
             bounds.expand(&r.mbb);
             for k in 0..D {
                 let e = r.mbb.hi[k] - r.mbb.lo[k];
@@ -244,13 +220,10 @@ impl<const D: usize> Quasii<D> {
                     ext[k] = e;
                 }
             }
+            lanes.set(i, r);
         }
+        self.data = lanes;
         self.data_bounds = bounds;
-        // The root slice starts at level 0 with fresh columns: cache every
-        // record's dimension-0 assignment key and upper bound now (adopting
-        // a precomputed key column when one was handed in at construction).
-        self.keys
-            .build_level0(&self.data, self.cfg.assign_by, self.precomputed_keys.take());
         // Extension direction follows the assignment coordinate: a
         // qualifying object's key can precede the query start by at most the
         // part of the object lying *after* the key, and follow the query end
@@ -335,30 +308,36 @@ impl<const D: usize> Quasii<D> {
     }
 
     /// Every record in the engine's (physically reorganized) permutation,
-    /// in data-array order: the rows while some record is unsealed, the
-    /// arenas' records once none is. A copy, since a fully sealed engine
-    /// keeps no rows.
+    /// in data-array order, gathered from the live lanes while some record
+    /// is unsealed and from the arenas once none is (the caller's records
+    /// as given before the first query). A copy, since the engine keeps no
+    /// `Record` rows.
     pub fn records(&self) -> Vec<Record<D>> {
-        // While any row exists every row does, those under seals included,
-        // and each equals its arena's record (`validate`'s invariant 9).
-        if self.data.len() == self.n {
-            return self.data.clone();
+        if !self.initialized {
+            return self.input.clone();
         }
         let mut out = Vec::with_capacity(self.n);
-        for region in self.arenas() {
-            region.push_records(&mut out);
+        // While any live lane exists every record has one, those under
+        // seals included, and each equals its arena's (`validate`'s
+        // invariant 8).
+        if self.data.len() == self.n {
+            self.data.view().push_records(0..self.n, &mut out);
+        } else {
+            for region in self.arenas() {
+                region.lanes().push_records(0..region.records(), &mut out);
+            }
         }
         out
     }
 
     /// The bounding box of every record (empty for an empty dataset): the
     /// one first-query initialization stores (a snapshot keeps it), or a
-    /// pass over the rows before then.
+    /// pass over the caller's records before then.
     pub fn data_bounds(&self) -> Aabb<D> {
         if self.initialized {
             self.data_bounds
         } else {
-            mbb_of(&self.data)
+            mbb_of(&self.input)
         }
     }
 
@@ -418,15 +397,10 @@ impl<const D: usize> Quasii<D> {
             self.seal_converged(0..self.n);
             return RepairOutcome::Revalidated;
         }
-        // Cracks only permute rows, so the rows still hold the multiset; a
+        // Cracks only permute the lanes, so they still hold the multiset; a
         // fully sealed engine has none, and its arenas never change.
-        let data = if self.data.is_empty() {
-            self.records()
-        } else {
-            std::mem::take(&mut self.data)
-        };
         let cfg = self.cfg.clone();
-        *self = Quasii::new(data, cfg);
+        *self = Quasii::new(self.records(), cfg);
         RepairOutcome::Rebuilt
     }
 
@@ -499,9 +473,8 @@ impl<const D: usize> Quasii<D> {
     /// could reorganize, so between writes every converged root slice is
     /// sealed and [`read`](Self::read) sees it at once. A seal is
     /// permanent: its slice has converged, so no later query reorganizes
-    /// it. The sweep that seals the last root slice drops the rows and the
-    /// key columns: a fully sealed engine reads only arenas and never
-    /// cracks again.
+    /// it. The sweep that seals the last root slice drops the live lanes: a
+    /// fully sealed engine reads only arenas and never cracks again.
     pub(crate) fn seal_converged(&mut self, span: Range<usize>) {
         if span.is_empty() {
             return;
@@ -520,8 +493,7 @@ impl<const D: usize> Quasii<D> {
             }
         }
         if self.sealed_record_count == self.n {
-            self.data = Vec::new();
-            self.keys = KeyColumn::new();
+            self.data = Lanes::new();
         }
         if obs::enabled() {
             obs::registry::SEAL_SWEEPS_TOTAL.inc();
@@ -619,10 +591,10 @@ impl<const D: usize> Quasii<D> {
         cand: Range<usize>,
         out: &mut Vec<u64>,
     ) {
-        let mut tested = 0;
+        let (mut tested, lanes) = (0, self.data.view());
         for s in &self.root[cand] {
             if q.intersects(&s.bbox) {
-                tested += engine::read_slice(&self.data, s, q, qe, self.env.simd, out);
+                tested += engine::read_slice(&lanes, s, q, qe, self.env.simd, out);
             }
         }
         self.reads.merge(&[1, tested]);
@@ -650,8 +622,8 @@ impl<const D: usize> Quasii<D> {
     // Snapshots (see the `persist` module for the format).
     // -----------------------------------------------------------------
 
-    /// Serializes the whole engine — the rows outside the seals and their
-    /// key columns, the slice tree down to the sealed slices, each sealed
+    /// Serializes the whole engine — the lanes of the records outside the
+    /// seals, the slice tree down to the sealed slices, each sealed
     /// slice's arena (the one copy of its subtree and its records), and all
     /// deterministic state — into one versioned, checksummed, 8-aligned
     /// buffer. Initializes a
@@ -699,7 +671,6 @@ impl<const D: usize> SpatialIndex<D> for Quasii<D> {
     fn index_bytes(&self) -> usize {
         self.root.capacity() * std::mem::size_of::<Slice<D>>()
             + self.root.iter().map(Slice::heap_bytes).sum::<usize>()
-            + self.keys.heap_bytes()
             + self.seal_bytes()
     }
 
@@ -963,13 +934,12 @@ mod tests {
         assert_matches_brute_force(&data, &q, &got);
     }
 
-    /// The write that seals the last root slice drops the rows and both key
-    /// columns, and so does a load of the part it writes: what is left is
-    /// the root slices, each owning the arena of its subtree, and the
-    /// permutation the arenas hold reads as the rows of an unsealed tree
-    /// did.
+    /// The write that seals the last root slice drops the live lanes, and so
+    /// does a load of the part it writes: what is left is the root slices,
+    /// each owning the arena of its subtree, and the permutation the arenas
+    /// hold reads as the lanes of an unsealed tree did.
     #[test]
-    fn a_fully_sealed_engine_keeps_no_rows_and_no_key_columns() {
+    fn a_fully_sealed_engine_keeps_no_live_lanes() {
         let data = uniform_boxes_in::<3>(4_000, 1_000.0, 57);
         let n = data.len();
         let live = seal::tests::unsealed(data.clone(), 16, None);
@@ -977,14 +947,10 @@ mod tests {
         idx.seal();
         assert_eq!(idx.sealed_fraction(), 0.0);
         assert_eq!(idx.data.len(), n);
-        assert_eq!(
-            idx.keys.heap_bytes(),
-            16 * n,
-            "the columns held 16 B a record"
-        );
+        assert!(idx.input.capacity() == 0, "init dropped the caller's rows");
         idx.finalize();
         assert_eq!(idx.sealed_fraction(), 1.0);
-        assert!(idx.data.is_empty() && idx.keys.heap_bytes() == 0);
+        assert!(idx.data.len() == 0 && idx.data.view().nhi[2].is_empty());
         assert!(idx
             .root
             .iter()
@@ -994,16 +960,16 @@ mod tests {
         assert_eq!(
             idx.index_bytes(),
             tree + idx.seal_bytes(),
-            "the root slices, the arenas, and no key columns"
+            "the root slices and the arenas"
         );
         let rows = idx.records();
-        assert_eq!(rows, live.data);
+        assert_eq!(rows, live.records());
         assert_eq!(idx.slice_count(), live.slice_count());
         assert_eq!(idx.level_profile(), live.level_profile());
         idx.validate().unwrap();
 
         let mut re = Quasii::<3>::from_snapshot(idx.write_snapshot().unwrap()).unwrap();
-        assert!(re.data.capacity() == 0 && re.keys.heap_bytes() == 0);
+        assert!(re.data.len() == 0 && re.data.view().lo[0].is_empty());
         assert_eq!(re.len(), n);
         assert_eq!(re.data_bounds(), idx.data_bounds());
         assert_eq!(re.records(), rows);

@@ -1,6 +1,7 @@
-//! Single-buffer index **snapshots**: the whole engine state — the rows
-//! outside the seals and their key columns, the slice tree down to the
-//! sealed slices, and each sealed slice's arena — serialized into one versioned, checksummed, 8-byte-aligned buffer, and
+//! Single-buffer index **snapshots**: the whole engine state — the lanes
+//! of the records outside the seals, the slice tree down to the sealed
+//! slices, and each sealed slice's arena — serialized into one versioned,
+//! checksummed, 8-byte-aligned buffer, and
 //! revived from it with the sealed columns **zero-copy** (every reloaded
 //! [`SealedRegion`] borrows the one snapshot buffer; no per-column
 //! allocation).
@@ -13,7 +14,7 @@
 //! permutation) to the writer — the warm-start contract `tests/persist.rs`
 //! enforces property-based.
 //!
-//! # Buffer layout (format version 7)
+//! # Buffer layout (format version 8)
 //!
 //! All scalars little-endian; every section a multiple of 8 bytes, so each
 //! section (and in particular every region blob) starts 8-aligned. The
@@ -22,7 +23,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "QSIISNAP"
-//!      8     4  format version (u32, currently 7)
+//!      8     4  format version (u32, currently 8)
 //!     12     4  dimensionality D (u32)
 //!     16     8  checksum64 of the header, bytes[24..first blob]
 //!                                           (the "header word")
@@ -42,15 +43,15 @@
 //! f64 ×2D                    ext_low, ext_high (query extension amounts)
 //! f64 ×2D                    data_bounds lo, hi
 //! u64 s                      stored rows: the records outside every seal
-//! s × (u64 + 2D f64)         those records in permuted order, unsealed
-//!                            root slice after unsealed root slice: id,
-//!                            mbb lo, mbb hi
-//! 2s f64                     their key columns: keys[s], then his[s]
+//! s u64                      their id lane, in permuted order, unsealed
+//!                            root slice after unsealed root slice
+//! D × s f64                  their lo lanes, dimension after dimension
+//! D × s f64                  their negated-hi lanes, likewise
 //! u64 + tree                 slice tree: root count, then pre-order nodes
-//!                            (level, begin, end, flags[refined, keys_fresh,
-//!                            sealed], cut_lo, cut_hi, key_lo, bbox lo/hi,
-//!                            child count, children…); a sealed node stores
-//!                            no children
+//!                            (level, begin, end, flags[refined, sealed],
+//!                            cut_lo, cut_hi, key_lo, bbox lo/hi, child
+//!                            count, children…); a sealed node stores no
+//!                            children
 //! u64 + table                sealed regions: count, then per region
 //!                            (blob length, blob checksum64)
 //! ---------------------------- the header sum ends here
@@ -67,8 +68,8 @@
 //! length mixed in last; a change confined to one stripe word or one tail
 //! byte (so every single-bit flip) changes it with certainty. Every byte of
 //! a part is covered by exactly one sum: the header word covers the length
-//! word, the scalars, the stored rows and key columns, the slice tree and
-//! the region table; each blob is covered by its table entry. A shard
+//! word, the scalars, the stored lanes, the slice tree and the region
+//! table; each blob is covered by its table entry. A shard
 //! manifest binds a part by storing its header word (8 bytes copied, 8
 //! bytes compared) instead of hashing the part again, and since the header
 //! word covers the table of blob sums, it pins every blob too.
@@ -87,7 +88,7 @@
 //! block through the record and key sections ([`Verifier`]), and each blob
 //! is hashed against its table word right before it is first read whole —
 //! before `SealedRegion::from_blob` parses it on a fully sealed part, and
-//! before its rows are rebuilt on a partially sealed one (`from_blob` reads
+//! before its lanes are copied on a partially sealed one (`from_blob` reads
 //! only a blob's header and nodes). The sum runs at the speed of its
 //! multiplies whatever the memory system is doing: a separate 64 MB pass
 //! read at half that speed and was the part of a restart that differed most
@@ -100,13 +101,11 @@
 //! not stored but derived: refined, and at the bottom level, sealed, or
 //! over children that all converged. A sealed record is stored once too,
 //! in its arena (a seal is permanent). For a partially sealed part the
-//! loader rebuilds its row from the blob's id and MBB columns, bit for bit
-//! (`hi = -nhi` is exact), and leaves its key windows zero (every sealed
-//! slice is refined, and `crate::keys` speaks only for unrefined ones). A
+//! loader copies its live lanes from the blob's lanes, widening the ids. A
 //! part that stores no rows beside its seals is fully sealed: its engine
-//! keeps no rows and no key columns, exactly as the writer did, so the
-//! loader allocates neither. It still hashes every blob, and holds each to
-//! its partition rules.
+//! keeps no live lanes, exactly as the writer did, so the loader allocates
+//! none. It still hashes every blob, and holds each to its partition
+//! rules.
 //!
 //! Each fact is stored once. The seal count is the region table's length,
 //! a blob's offset is where the blob before it ends, and a written engine
@@ -134,7 +133,12 @@
 //! node holds. Version 7 gives each blob a sum of its own: a region table
 //! entry is (length, sum) in place of (offset, length), and the header word
 //! stops where the first blob starts. A part has as many bytes as in
-//! version 6, and every other byte kept its order. Scalars are defined
+//! version 6, and every other byte kept its order. Version 8 stores the
+//! records outside the seals as lanes (the id lane, then the `lo` lanes,
+//! then the negated-`hi` lanes) in place of records and two key columns,
+//! 16 bytes a stored record fewer, and a node's flags lose the key-column
+//! freshness bit (`sealed` moves to bit 1); a fully sealed part, which
+//! stores no rows, has as many bytes as in version 7. Scalars are defined
 //! little-endian: big-endian hosts get [`SnapshotError::Unsupported`] from
 //! both `write` and `load` (live indexing is unaffected — only the
 //! persistent form is LE-pinned).
@@ -165,14 +169,13 @@
 //! "checksum mismatch in region k".
 
 use crate::config::AssignBy;
-use crate::engine::{Env, Runtime};
-use crate::keys::KeyColumn;
+use crate::engine::{Env, Lanes, Runtime};
 use crate::seal::SealedRegion;
 use crate::slice::Slice;
 use crate::{config, Quasii, QuasiiConfig, QuasiiStats};
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::Aabb;
 use quasii_common::snapshot::{
-    checksum64, corrupt, own_mapping, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN,
+    checksum64, corrupt, Frame, Reader, SnapshotError, Verifier, Writer, FRAME_LEN,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -181,7 +184,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub(crate) const FORMAT_VERSION: u32 = 7;
+pub(crate) const FORMAT_VERSION: u32 = 8;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -303,7 +306,7 @@ fn write_slice<const D: usize>(w: &mut Writer, s: &Slice<D>) {
     w.u64(s.level as u64);
     w.u64(s.begin as u64);
     w.u64(s.end as u64);
-    w.u64(u64::from(s.refined) | u64::from(s.keys_fresh) << 1 | u64::from(s.sealed.is_some()) << 2);
+    w.u64(u64::from(s.refined) | u64::from(s.sealed.is_some()) << 1);
     w.f64(s.cut_lo);
     w.f64(s.cut_hi);
     w.f64(s.key_lo);
@@ -331,10 +334,6 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     idx.ensure_init();
 
     let n = idx.n;
-    debug_assert!(
-        idx.keys.is_built(idx.data.len()),
-        "`write` runs after `ensure_init`"
-    );
     let stored = n - idx.sealed_record_count;
     // The layout is determined before the first byte is written, so the
     // buffer is sized exactly and never reallocates (a 64 MB `Vec` that
@@ -342,7 +341,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     let regions = idx.arenas().count();
     let blob_bytes: usize = idx.arenas().map(|r| r.blob().len()).sum();
     let total = stored_at::<D>() // the frame and the scalars up to the bounds
-        + 8 + stored * (record_bytes::<D>() + 16)
+        + 8 + stored * record_bytes::<D>()
         + 8 + idx.root.iter().map(Slice::count).sum::<usize>() * slice_bytes::<D>()
         + 8 + regions * 16
         + blob_bytes;
@@ -382,13 +381,13 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
         w.f64(idx.data_bounds.hi[d]);
     }
 
-    // The records outside the seals, in the engine's current (cracked)
-    // permutation — reloading them verbatim, and the sealed ones from
-    // their arenas, is what makes the reloaded permutation byte-identical.
-    // Three appends into reserved space per record: the section is bound
-    // by first-touch page faults of the fresh buffer, and a zero-filling
-    // reserve would touch it twice. A fully sealed engine holds no rows, and
-    // has no unsealed root slice.
+    // The lanes of the records outside the seals, in the engine's current
+    // (cracked) permutation — reloading them verbatim, and the sealed ones
+    // from their arenas, is what makes the reloaded permutation
+    // byte-identical. Appends into reserved space: the section is bound by
+    // first-touch page faults of the fresh buffer, and a zero-filling
+    // reserve would touch it twice. A fully sealed engine holds no live
+    // lanes, and has no unsealed root slice.
     w.u64(stored as u64);
     let spans: Vec<Range<usize>> = idx
         .root
@@ -396,16 +395,15 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
         .filter(|s| s.sealed.is_none())
         .map(|s| s.begin..s.end)
         .collect();
+    let lanes = idx.data.view();
     for span in &spans {
-        for r in &idx.data[span.clone()] {
-            w.bytes(&r.id.to_le_bytes());
-            w.bytes(r.mbb.lo.map(f64::to_le_bytes).as_flattened());
-            w.bytes(r.mbb.hi.map(f64::to_le_bytes).as_flattened());
+        for id in &lanes.ids[span.clone()] {
+            w.bytes(&id.to_le_bytes());
         }
     }
-    for column in [idx.keys.keys(), idx.keys.his()] {
+    for lane in lanes.lo.iter().chain(&lanes.nhi) {
         for span in &spans {
-            w.f64s(&column[span.clone()]);
+            w.f64s(&lane[span.clone()]);
         }
     }
 
@@ -446,7 +444,8 @@ const fn stored_at<const D: usize>() -> usize {
     FRAME_LEN + (15 + 4 * D) * 8
 }
 
-/// Bytes of one stored record: id, mbb lo, mbb hi.
+/// Bytes of one stored record: its id and its `lo` and negated-`hi`
+/// lanes.
 const fn record_bytes<const D: usize>() -> usize {
     (1 + 2 * D) * 8
 }
@@ -473,7 +472,7 @@ fn header_end<const D: usize>(bytes: &[u8]) -> usize {
     let walk = || -> Result<usize, SnapshotError> {
         let mut r = Reader::new(bytes, stored_at::<D>());
         let stored = r.index("stored-row count")?;
-        r.section(stored, record_bytes::<D>() + 16, "stored rows and keys")?;
+        r.section(stored, record_bytes::<D>(), "stored rows")?;
         for _ in 0..r.index("root-slice count")? {
             skip_slice::<D>(&mut r, 0)?;
         }
@@ -523,10 +522,10 @@ fn read_slice<const D: usize>(
     }
     *cursor = s_end;
     let flags = r.u64()?;
-    if flags > 0b111 {
+    if flags > 0b11 {
         return Err(corrupt(format!("unknown slice flags {flags:#x}")));
     }
-    let (refined, sealed) = (flags & 1 != 0, flags & 4 != 0);
+    let (refined, sealed) = (flags & 1 != 0, flags & 2 != 0);
     if sealed && (level != 0 || !refined) {
         return Err(corrupt(format!(
             "slice {begin}..{s_end} at level {level} is sealed, \
@@ -582,7 +581,6 @@ fn read_slice<const D: usize>(
         cut_hi,
         key_lo,
         refined,
-        keys_fresh: flags & 2 != 0,
         converged,
         children,
         sealed: None,
@@ -631,7 +629,7 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
 }
 
 /// Decodes the body of a snapshot whose frame [`load`] has read, advancing
-/// `sum` ahead of each block of the row and key sections, and checking each
+/// `sum` ahead of each block of the lane sections, and checking each
 /// region blob against its table entry before reading it whole. Its result
 /// means nothing until `sum` has accepted the header.
 fn decode<const D: usize>(
@@ -685,44 +683,29 @@ fn decode<const D: usize>(
     }
     let data_bounds = Aabb { lo: b_lo, hi: b_hi };
 
-    // Bulk-decode the stored rows and their key columns: one bounds check
-    // for the whole section, then fixed-stride entries — per-scalar
-    // `Reader` calls are fine for headers but dominate load time at n ~ 10⁶.
-    // `blocks` succeeding also proves `stored` honest, so the reserves
-    // below are bounded by the buffer length.
+    // Bulk-decode the stored lanes: one bounds check per lane, then
+    // fixed-stride entries — per-scalar `Reader` calls are fine for headers
+    // but dominate load time at n ~ 10⁶. `blocks` succeeding also proves
+    // `stored` honest, so the reserves below are bounded by the buffer
+    // length.
     let stored = r.index("stored-row count")?;
     if stored > n {
         return Err(corrupt(format!("{stored} stored rows for {n} records")));
     }
-    let blocks = r.blocks(stored, record_bytes::<D>(), "records")?;
-    let mut rows = Vec::with_capacity(stored);
-    for (end, entries) in blocks {
-        sum.advance(end);
-        for c in entries {
-            let id = u64::from_le_bytes(c[..8].try_into().unwrap());
-            let mut lo = [0.0; D];
-            let mut hi = [0.0; D];
-            for (d, v) in lo.iter_mut().enumerate() {
-                *v = f64::from_le_bytes(c[8 + 8 * d..16 + 8 * d].try_into().unwrap());
-            }
-            for (d, v) in hi.iter_mut().enumerate() {
-                let at = 8 + 8 * (D + d);
-                *v = f64::from_le_bytes(c[at..at + 8].try_into().unwrap());
-            }
-            rows.push(Record::new(id, Aabb { lo, hi }));
-        }
-    }
-    let mut column = |what| -> Result<Vec<f64>, SnapshotError> {
-        let blocks = r.blocks(stored, 8, what)?;
-        let mut vs = Vec::with_capacity(stored);
+    let mut lane = |what, count| -> Result<Vec<u64>, SnapshotError> {
+        let blocks = r.blocks(count, 8, what)?;
+        let mut vs = Vec::with_capacity(count);
         for (end, entries) in blocks {
             sum.advance(end);
-            vs.extend(entries.map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))));
+            vs.extend(entries.map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))));
         }
         Ok(vs)
     };
-    let ks = column("keys")?;
-    let hs = column("key upper bounds")?;
+    let ids = lane("ids", stored)?;
+    // The coordinate lanes are stored as the live lanes hold them, one
+    // after the other; their words collect in place into `f64`s.
+    let coords = lane("coordinate lanes", 2 * D * stored)?;
+    let rows = Lanes::from_parts(ids, coords.into_iter().map(f64::from_bits).collect());
 
     let root_count = r.index("root-slice count")?;
     let mut root = Vec::new();
@@ -746,7 +729,7 @@ fn decode<const D: usize>(
     // end of the table, and the last must end at the buffer's end, so no
     // byte of the buffer is unaccounted for. A fully sealed part hashes
     // each blob right before `from_blob` parses it; a partially sealed one
-    // right before it rebuilds the blob's rows, below (`from_blob` reads
+    // right before it copies the blob's lanes, below (`from_blob` reads
     // only the blob's header and nodes, and a blob it refuses is hashed
     // first, so damage still reads as a checksum mismatch).
     let region_count = r.index("region count")?;
@@ -796,46 +779,44 @@ fn decode<const D: usize>(
         )));
     }
 
-    // The data array, root slice after root slice: an unsealed one's stored
-    // rows, a sealed one's rows rebuilt from its arena (without seals, no
-    // copy at all). A part that stores no rows is fully sealed (or empty):
-    // its engine keeps no rows and no key columns, and its blobs were
-    // hashed above.
-    let (data, keys) = if sealed.is_empty() {
-        (rows, KeyColumn::from_raw(ks, hs))
+    // The live lanes, root slice after root slice: an unsealed one's
+    // stored lanes, a sealed one's copied from its arena (without seals,
+    // no copy at all). A part that stores no rows is fully sealed (or
+    // empty): its engine keeps no live lanes, and its blobs were hashed
+    // above.
+    let data = if sealed.is_empty() {
+        rows
     } else if stored == 0 {
-        (Vec::new(), KeyColumn::new())
+        Lanes::new()
     } else {
-        // A mapping of its own, faulted in fresh by every load whatever the
-        // heap holds, so a load costs the same from one run to the next,
-        // and in huge pages where the kernel has them.
-        let mut data = own_mapping(n);
-        // Key windows under a seal stay zero pages nobody touches.
-        let (mut keys, mut his) = (vec![0.0; n], vec![0.0; n]);
+        // A coordinate buffer of its own once it is large, faulted in fresh
+        // by every load whatever the heap holds, so a load costs the same
+        // from one run to the next, and in huge pages where the kernel has
+        // them.
+        let mut data = Lanes::zeroed(n);
         let (mut at, mut k) = (0, 0);
+        let stored_lanes = rows.view();
         for s in &mut root {
+            let (begin, len) = (s.begin, s.len());
             if let Some(region) = s.sealed.as_deref_mut() {
-                // Hash the blob right before its columns are read.
+                // Hash the blob right before its lanes are read.
                 let word = region.sum();
                 check_blob(k, region.blob(), word)?;
-                region.push_records(&mut data);
+                data.copy_from(begin, &region.lanes(), 0..len);
                 k += 1;
             } else {
-                let next = at + s.len();
-                data.extend_from_slice(&rows[at..next]);
-                keys[s.begin..s.end].copy_from_slice(&ks[at..next]);
-                his[s.begin..s.end].copy_from_slice(&hs[at..next]);
-                at = next;
+                data.copy_from(begin, &stored_lanes, at..at + len);
+                at += len;
             }
         }
-        (data, KeyColumn::from_raw(keys, his))
+        data
     };
     let mut rt = Runtime::new();
     rt.stats = stats;
     Ok(Quasii {
         n,
+        input: Vec::new(),
         data,
-        keys,
         root,
         env: Env {
             tau: config::tau_schedule::<D>(n, cfg.tau),
@@ -848,7 +829,6 @@ fn decode<const D: usize>(
         ext_high,
         data_bounds,
         initialized: true,
-        precomputed_keys: None,
         sealed_queries: quasii_obs::CounterGroup::from_snapshot([sealed_queries]),
         reads: quasii_obs::CounterGroup::new(),
         sealed_record_count,
@@ -995,11 +975,10 @@ mod tests {
         out
     }
 
-    /// Offset of the slice tree's root count: after the stored rows and
-    /// their key columns.
+    /// Offset of the slice tree's root count: after the stored lanes.
     fn tree_at<const D: usize>(snap: &[u8]) -> usize {
         let stored = word(snap, stored_at::<D>()) as usize;
-        stored_at::<D>() + 8 + stored * (8 + 16 * D + 16)
+        stored_at::<D>() + 8 + stored * (8 + 16 * D)
     }
 
     /// Offset of the `j`-th stored slice, in pre-order.
@@ -1013,7 +992,7 @@ mod tests {
         let blobs: usize = idx.arenas().map(|r| r.blob().len()).sum();
         stored_at::<D>()
             + 8
-            + stored * (8 + 16 * D + 16)
+            + stored * (8 + 16 * D)
             + 8
             + stored_slices(idx).len() * slice_bytes::<D>()
             + 8
@@ -1113,10 +1092,10 @@ mod tests {
         let why = forged_reason::<2>(bad);
         assert!(why.contains("stored rows for"), "{why}");
 
-        // One stored row beside seals that already cover every record: the
-        // row and its two keys (blob offsets are implied, so nothing else
-        // moves).
-        let row = 8 + 16 * 2 + 16;
+        // One stored row beside seals that already cover every record: its
+        // id and its four coordinates (blob offsets are implied, so nothing
+        // else moves).
+        let row = 8 + 16 * 2;
         let mut bad = snap[..at].to_vec();
         bad.extend_from_slice(&1u64.to_le_bytes());
         bad.resize(bad.len() + row, 0);
@@ -1182,7 +1161,7 @@ mod tests {
         let (_, snap) = sealed_part();
         let flags_at = node_at::<2>(&snap, 0) + 3 * 8;
         let flags = word(&snap, flags_at);
-        assert_eq!(flags & 0b101, 0b101, "a refined, sealed root slice");
+        assert_eq!(flags, 0b11, "a refined, sealed root slice");
         let mut bad = snap;
         put_word(&mut bad, flags_at, flags & !1);
         let why = forged_reason::<2>(bad);
@@ -1202,7 +1181,7 @@ mod tests {
             .expect("a stored level-1 slice");
         let flags_at = node_at::<3>(&snap, j) + 3 * 8;
         let mut bad = snap.clone();
-        put_word(&mut bad, flags_at, word(&snap, flags_at) | 4);
+        put_word(&mut bad, flags_at, word(&snap, flags_at) | 2);
         let why = forged_reason::<3>(bad);
         assert!(why.contains("at level 1 is sealed"), "{why}");
     }
@@ -1277,7 +1256,7 @@ mod tests {
             }
         }
         // The same on a partially sealed part, whose blobs are hashed right
-        // before their rows are rebuilt.
+        // before their lanes are copied.
         let data = uniform_boxes_in::<3>(3_000, 500.0, 42);
         let mut idx = Quasii::new(data, QuasiiConfig::with_tau(16));
         idx.query_collect(&Aabb::new([200.0, -1.0, -1.0], [260.0, 501.0, 501.0]));

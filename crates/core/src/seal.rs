@@ -17,13 +17,13 @@
 //!   probe stride instead of a >100-byte `Slice` stride) and a packed
 //!   one-cache-line [`NodeMeta`] blob (record range, child range, bounding
 //!   box) for everything the candidate loop reads after a probe hits;
-//! * the bottom level's record MBBs split into per-dimension `lo[d][]` /
-//!   negated `hi[d][]` columns plus a narrowed `u32` id column, so the
-//!   final intersection filter streams one or two narrow lanes (cf. Pirk
-//!   et al., "Database Cracking: Fancy Scan, Not Poor Man's Sort!", DaMoN
-//!   2014) instead of striding 56-byte records — and the leaf's exact
-//!   bounding box decides most lane tests wholesale (see
-//!   [`SealedRegion::walk`]).
+//! * the records as lanes, the live engine's layout with the id narrowed:
+//!   a `u32` id lane and per-dimension `lo[d][]` / negated `hi[d][]`
+//!   lanes, so the final intersection filter streams one or two narrow
+//!   lanes (cf. Pirk et al., "Database Cracking: Fancy Scan, Not Poor
+//!   Man's Sort!", DaMoN 2014) — and the leaf's exact bounding box decides
+//!   most lane tests wholesale (see [`SealedRegion::walk`]). A seal copies
+//!   the slice's span of each live lane into its arena.
 //!
 //! # One blob per region — position independence
 //!
@@ -62,10 +62,10 @@
 //! arena is the one copy of the subtree, in memory and in a snapshot. The
 //! sealed slice stays in the root list, where every read's candidate
 //! window finds it, and `engine::read_slice` reads it from the arena on
-//! the `&self` read and the crack path alike. The rows under a seal, and
-//! their key columns, live only while some record is unsealed: once every
-//! root slice is sealed no crack can run, the engine drops both, and the
-//! arenas are the one copy of every record (see `Quasii::records`).
+//! the `&self` read and the crack path alike. The live lanes under a seal
+//! exist only while some record is unsealed: once every root slice is
+//! sealed no crack can run, the engine drops its lanes, and the arenas are
+//! the one copy of every record (see `Quasii::records`).
 //!
 //! [`SealedRegion::run`] reproduces, operation for operation, the traversal
 //! the engine's `query_level`/`descend` would perform over the same
@@ -75,10 +75,11 @@
 //! proves it property-based, with the reference QUASII of `tests/reference`
 //! as oracle).
 
+use crate::engine::Lanes;
 use crate::persist::AlignedBytes;
-use crate::simd::{self, SimdLevel};
+use crate::simd::{LaneView, SimdLevel};
 use crate::slice::Slice;
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::Aabb;
 use quasii_common::snapshot::{checksum64, Reader};
 use std::ops::Range;
 use std::sync::Arc;
@@ -187,11 +188,12 @@ fn put_f64(dst: &mut [u8], off: &mut usize, v: f64) {
     *off += 8;
 }
 
-/// Chunk size of the masked fallback scan (only reached at `D > 4`): each
-/// lane's compare pass runs at most this many contiguous elements before
-/// the mask is consumed — small enough to stay in L1, large enough to
-/// vectorize.
-const SCAN_CHUNK: usize = 64;
+/// A lane span, copied to `dst` from `off` on.
+fn put_f64s(dst: &mut [u8], off: usize, vs: &[f64]) {
+    for (to, v) in dst[off..off + vs.len() * 8].chunks_exact_mut(8).zip(vs) {
+        to.copy_from_slice(&v.to_ne_bytes());
+    }
+}
 
 /// One converged top-level slice, compacted into a flat arena (see the
 /// module docs for the blob layout and the byte-identity contract).
@@ -226,17 +228,19 @@ impl<const D: usize> SealedRegion<D> {
     /// Compacts `root`'s subtree, or returns `None` when the subtree has
     /// not converged (some slice unrefined, or a refined non-bottom slice
     /// without materialized children — its first visit would still mutate
-    /// the tree) or is too large for the `u32` arena offsets.
-    pub(crate) fn build(root: &Slice<D>, data: &[Record<D>]) -> Option<Self> {
+    /// the tree) or is too large for the `u32` arena offsets. The records
+    /// are the slice's span of the live `lanes`.
+    pub(crate) fn build(root: &Slice<D>, lanes: &Lanes<D>) -> Option<Self> {
         debug_assert!(root.sealed.is_none(), "a sealed slice is its arena");
         if !root.converged || root.len() > u32::MAX as usize {
             return None;
         }
-        if data[root.begin..root.end]
+        let (span, lanes) = (root.begin..root.end, lanes.view());
+        if lanes.ids[span.clone()]
             .iter()
-            .any(|r| r.id > u32::MAX as u64)
+            .any(|&id| id > u32::MAX as u64)
         {
-            return None; // id column would not narrow — leave unsealed
+            return None; // the id lane would not narrow — leave unsealed
         }
         let begin = root.begin;
         let mut tmp: Vec<(Vec<f64>, Vec<NodeMeta<D>>)> = Vec::with_capacity(D.saturating_sub(1));
@@ -295,20 +299,17 @@ impl<const D: usize> SealedRegion<D> {
                 put_u32(bytes, &mut o, nm.child_end);
             }
         }
-        let seg = &data[begin..root.end];
         let mut o = layout.ids;
-        for r in seg {
-            put_u32(bytes, &mut o, r.id as u32);
+        for &id in &lanes.ids[span.clone()] {
+            put_u32(bytes, &mut o, id as u32);
         }
         for d in 0..D {
-            let mut o = layout.rec_lo + d * m * 8;
-            for r in seg {
-                put_f64(bytes, &mut o, r.mbb.lo[d]);
-            }
-            let mut o = layout.rec_nhi + d * m * 8;
-            for r in seg {
-                put_f64(bytes, &mut o, -r.mbb.hi[d]);
-            }
+            put_f64s(bytes, layout.rec_lo + d * m * 8, &lanes.lo[d][span.clone()]);
+            put_f64s(
+                bytes,
+                layout.rec_nhi + d * m * 8,
+                &lanes.nhi[d][span.clone()],
+            );
         }
         let len = layout.len;
         Some(Self::from_blob(m, Arc::new(blob), 0, len).expect("freshly built seal blob parses"))
@@ -496,7 +497,6 @@ impl<const D: usize> SealedRegion<D> {
                     cut_hi: f64::INFINITY,
                     key_lo: key_lo[i],
                     refined: true,
-                    keys_fresh: false,
                     converged: true,
                     children,
                     sealed: None,
@@ -561,19 +561,14 @@ impl<const D: usize> SealedRegion<D> {
         self.m
     }
 
-    /// Appends the region's records in region order, rebuilt from its id
-    /// and MBB columns bit for bit (`hi = -nhi` is exact). The columns are
-    /// re-sliced to the record count, so the transpose runs free of bounds
-    /// checks.
-    pub(crate) fn push_records(&self, out: &mut Vec<Record<D>>) {
-        let m = self.records();
-        let ids = &self.ids()[..m];
-        let lo: [&[f64]; D] = std::array::from_fn(|d| &self.rec_lo(d)[..m]);
-        let nhi: [&[f64]; D] = std::array::from_fn(|d| &self.rec_nhi(d)[..m]);
-        out.extend((0..m).map(|p| {
-            let (lo, hi) = (lo.map(|c| c[p]), nhi.map(|c| -c[p]));
-            Record::new(u64::from(ids[p]), Aabb { lo, hi })
-        }));
+    /// The region's lanes: ids, `lo[d]` and negated `hi[d]`, in region
+    /// order.
+    pub(crate) fn lanes(&self) -> LaneView<'_, u32, D> {
+        LaneView {
+            ids: self.ids(),
+            lo: std::array::from_fn(|d| self.rec_lo(d)),
+            nhi: std::array::from_fn(|d| self.rec_nhi(d)),
+        }
     }
 
     /// Bytes reachable from this region (the blob plus the level-view
@@ -589,9 +584,8 @@ impl<const D: usize> SealedRegion<D> {
     /// contiguous copy instead of a per-leaf walk). Returns the objects
     /// "tested" (all of them — the bbox proof decided each record's test).
     pub(crate) fn emit_all(&self, out: &mut Vec<u64>) -> u64 {
-        let ids = self.ids();
-        out.extend(ids.iter().map(|&id| id as u64));
-        ids.len() as u64
+        self.lanes().emit(0, self.m, out);
+        self.m as u64
     }
 
     /// Answers `q` over the region, appending matching ids to `out` in
@@ -610,11 +604,12 @@ impl<const D: usize> SealedRegion<D> {
         out: &mut Vec<u64>,
         level: SimdLevel,
     ) -> u64 {
+        let lanes = self.lanes();
         if self.levels.is_empty() {
             // D == 1: the region root is the bottom level.
-            self.scan_range(0, self.records(), q, [true; D], [true; D], out, level)
+            lanes.scan(0, self.m, q, [true; D], [true; D], out, level)
         } else {
-            self.walk(0, 0, self.levels[0].len, q, qe, out, level)
+            self.walk(&lanes, 0, 0, self.levels[0].len, q, qe, out, level)
         }
     }
 
@@ -628,9 +623,11 @@ impl<const D: usize> SealedRegion<D> {
     /// and a record inside `q`'s interval on a dimension passes that
     /// dimension's intersection test by construction), which is exactly the
     /// id sequence, order, and tested count the full descent would produce.
+    /// `lanes` is the region's [`lanes`](Self::lanes).
     #[allow(clippy::too_many_arguments)]
     fn walk(
         &self,
+        lanes: &LaneView<'_, u32, D>,
         idx: usize,
         lo: usize,
         hi: usize,
@@ -680,7 +677,7 @@ impl<const D: usize> SealedRegion<D> {
             let (rb, re) = (node.begin as usize, node.end as usize);
             if bottom {
                 if !undecided {
-                    // Contained leaf: lane-test-free (scan_range's k == 0
+                    // Contained leaf: lane-test-free (`LaneView::scan`'s k == 0
                     // wholesale-copy path once the run flushes).
                     (test_lo, test_hi) = ([false; D], [false; D]);
                 }
@@ -690,166 +687,23 @@ impl<const D: usize> SealedRegion<D> {
                     }
                     _ => {
                         if let Some((pb, pe, plo, phi)) = run.take() {
-                            tested += self.scan_range(pb, pe, q, plo, phi, out, level);
+                            tested += lanes.scan(pb, pe, q, plo, phi, out, level);
                         }
                         run = Some((rb, re, test_lo, test_hi));
                     }
                 }
             } else if !undecided {
-                out.extend(self.ids()[rb..re].iter().map(|&id| id as u64));
+                lanes.emit(rb, re, out);
                 tested += (re - rb) as u64;
             } else {
                 let (clo, chi) = (node.child_start as usize, node.child_end as usize);
-                tested += self.walk(idx + 1, clo, chi, q, qe, out, level);
+                tested += self.walk(lanes, idx + 1, clo, chi, q, qe, out, level);
             }
         }
         if let Some((pb, pe, plo, phi)) = run {
-            tested += self.scan_range(pb, pe, q, plo, phi, out, level);
+            tested += lanes.scan(pb, pe, q, plo, phi, out, level);
         }
         tested
-    }
-
-    /// Bottom-level scan of records `b..e` (region-relative), testing only
-    /// the **undecided** lanes — the caller's bbox classification proves the
-    /// skipped lanes pass for every record, and the negated upper-bound
-    /// column makes every remaining test the uniform `lane[p] <= bound`.
-    /// Truth table and output order are identical to the engine's
-    /// per-record [`Aabb::intersects_branchless`] collect — this is its
-    /// "fancy scan" form: a boundary leaf usually crosses the query on one
-    /// or two dimensions, so the scan streams one or two narrow `f64`
-    /// lanes plus the id column instead of striding 56-byte records.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_range(
-        &self,
-        b: usize,
-        e: usize,
-        q: &Aabb<D>,
-        test_lo: [bool; D],
-        test_hi: [bool; D],
-        out: &mut Vec<u64>,
-        level: SimdLevel,
-    ) -> u64 {
-        let m = e - b;
-        // Gather the active lane tests in normalized `v <= bound` form.
-        // `2 × D` tests fit `MAX_LANES` for every practical dimensionality;
-        // beyond that the masked chunk loop below takes over.
-        const MAX_LANES: usize = 8;
-        let empty: &[f64] = &[];
-        let mut lanes: [&[f64]; MAX_LANES] = [empty; MAX_LANES];
-        let mut bounds = [0.0f64; MAX_LANES];
-        let mut k = 0usize;
-        let mut overflow = false;
-        for d in 0..D {
-            if test_lo[d] {
-                if k < MAX_LANES {
-                    lanes[k] = &self.rec_lo(d)[b..e];
-                    bounds[k] = q.hi[d];
-                    k += 1;
-                } else {
-                    overflow = true;
-                }
-            }
-            if test_hi[d] {
-                if k < MAX_LANES {
-                    lanes[k] = &self.rec_nhi(d)[b..e];
-                    bounds[k] = -q.lo[d];
-                    k += 1;
-                } else {
-                    overflow = true;
-                }
-            }
-        }
-        let all_ids = self.ids();
-        if k == 0 {
-            out.extend(all_ids[b..e].iter().map(|&id| id as u64));
-            return m as u64;
-        }
-        let start = out.len();
-        out.resize(start + m, 0);
-        let ids = &all_ids[b..e];
-        let mut w = start;
-        if overflow {
-            // More than MAX_LANES active tests (D > 4): masked chunk pass
-            // over every active lane.
-            let mut mask = [true; SCAN_CHUNK];
-            let mut base = 0usize;
-            while base < m {
-                let c = SCAN_CHUNK.min(m - base);
-                mask[..c].fill(true);
-                for d in 0..D {
-                    if test_lo[d] {
-                        let qhi = q.hi[d];
-                        let lane = &self.rec_lo(d)[b + base..b + base + c];
-                        for (mk, &v) in mask[..c].iter_mut().zip(lane) {
-                            *mk &= v <= qhi;
-                        }
-                    }
-                    if test_hi[d] {
-                        let nqlo = -q.lo[d];
-                        let lane = &self.rec_nhi(d)[b + base..b + base + c];
-                        for (mk, &v) in mask[..c].iter_mut().zip(lane) {
-                            *mk &= v <= nqlo;
-                        }
-                    }
-                }
-                for (j, &mk) in mask[..c].iter().enumerate() {
-                    out[w] = ids[base + j] as u64;
-                    w += mk as usize;
-                }
-                base += c;
-            }
-        } else {
-            // Fused lane tests for the common lane counts, dispatched through
-            // [`crate::simd::scan_emit`]: the vector kernels run the `v <=
-            // bound` compares four records wide, AND the masks across active
-            // lanes and left-pack the surviving ids; the scalar generation is
-            // the original predicated loop. Emission order is the id order
-            // either way, so the output is byte-identical across levels.
-            match k {
-                1 => {
-                    w = start
-                        + simd::scan_emit::<1>(
-                            level,
-                            ids,
-                            [lanes[0]],
-                            [bounds[0]],
-                            &mut out[start..],
-                        );
-                }
-                2 => {
-                    w = start
-                        + simd::scan_emit::<2>(
-                            level,
-                            ids,
-                            [lanes[0], lanes[1]],
-                            [bounds[0], bounds[1]],
-                            &mut out[start..],
-                        );
-                }
-                3 => {
-                    w = start
-                        + simd::scan_emit::<3>(
-                            level,
-                            ids,
-                            [lanes[0], lanes[1], lanes[2]],
-                            [bounds[0], bounds[1], bounds[2]],
-                            &mut out[start..],
-                        );
-                }
-                _ => {
-                    for (p, &id) in ids.iter().enumerate() {
-                        let mut ok = true;
-                        for t in 0..k {
-                            ok &= lanes[t][p] <= bounds[t];
-                        }
-                        out[w] = id as u64;
-                        w += ok as usize;
-                    }
-                }
-            }
-        }
-        out.truncate(w);
-        m as u64
     }
 }
 
@@ -859,12 +713,13 @@ pub(crate) mod tests {
     use crate::engine;
     use crate::{Quasii, QuasiiConfig};
     use quasii_common::dataset::uniform_boxes_in;
+    use quasii_common::geom::Record;
     use quasii_common::index::SpatialIndex;
 
     /// An engine over `data` after one query, `q` or the whole universe,
     /// driven through `engine::query_level` over its fresh root with no
-    /// seal after it: what converged keeps its live subtree, and the rows
-    /// stay. The whole universe leaves the tree and the permutation
+    /// seal after it: what converged keeps its live subtree, and the live
+    /// lanes stay. The whole universe leaves the tree and the permutation
     /// `finalize` leaves, unsealed.
     pub(crate) fn unsealed<const D: usize>(
         data: Vec<Record<D>>,
@@ -876,15 +731,12 @@ pub(crate) mod tests {
         idx.ensure_init();
         let q = q.unwrap_or(idx.data_bounds);
         let qe = idx.extend_query(&q);
-        let (keys, his) = idx.keys.as_mut_slices();
-        let mut cols = engine::Cols::new(&mut idx.data, keys, his);
-        let env = &idx.env;
         engine::query_level(
-            &mut cols,
+            &mut idx.data,
             &mut idx.root,
             &q,
             &qe,
-            env,
+            &idx.env,
             &mut idx.rt,
             &mut Vec::new(),
         );
@@ -893,7 +745,7 @@ pub(crate) mod tests {
     }
 
     /// Answers `q` through the live read descent over `idx`'s tree and
-    /// rows, as an engine that built no arena would. Returns the ids and
+    /// lanes, as an engine that built no arena would. Returns the ids and
     /// the objects tested; every root slice `q` visits must have converged.
     pub(crate) fn read_live<const D: usize>(idx: &Quasii<D>, q: &Aabb<D>) -> (Vec<u64>, u64) {
         let qe = idx.extend_query(q);
@@ -901,7 +753,7 @@ pub(crate) mod tests {
         for s in &idx.root[engine::window(&idx.root, &qe)] {
             if q.intersects(&s.bbox) {
                 assert!(s.converged && s.sealed.is_none());
-                tested += engine::read_slice(&idx.data, s, q, &qe, idx.env.simd, &mut out);
+                tested += engine::read_slice(&idx.data.view(), s, q, &qe, idx.env.simd, &mut out);
             }
         }
         (out, tested)
@@ -921,7 +773,11 @@ pub(crate) mod tests {
         let live = unsealed(data.clone(), 8, None);
         let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(8));
         idx.finalize();
-        assert_eq!(idx.records(), live.data, "the permutation finalize leaves");
+        assert_eq!(
+            idx.records(),
+            live.records(),
+            "the permutation finalize leaves"
+        );
         let regions: Vec<SealedRegion<3>> = live
             .root
             .iter()
@@ -1016,7 +872,7 @@ pub(crate) mod tests {
     }
 
     /// The arena read against the live read descent over the same
-    /// converged tree and permutation, one thread, 1 M records, 2 000
+    /// converged tree and lanes, one thread, 1 M records, 2 000
     /// uniform queries of volume 1e-3; prints the medians and minima of
     /// nine rounds. Run with
     /// `cargo test --release -p quasii --lib profile_sealed_vs_unsealed -- --ignored --nocapture`.

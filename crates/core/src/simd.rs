@@ -1,23 +1,19 @@
-//! Runtime-dispatched SIMD kernels for the streaming test paths.
+//! Runtime-dispatched SIMD kernels for the streaming test path, and the
+//! one bottom-level scan that uses them.
 //!
-//! PR 4/5 shaped the read-side hot loops into contiguous `f64`/`u32`
-//! column scans (the sealed arena's negated-upper `v <= bound` lane
-//! tests, the bottom-level MBB collect) so the hardware could chew them;
-//! this module vectorizes those scans explicitly with
-//! `core::arch::x86_64` intrinsics behind a one-time runtime-detected
-//! dispatch. The crack (partition) kernels are not here: a crack costs
-//! its partition scan and is bandwidth-bound, so they stay the scalar keyed
-//! kernels in [`crate::crack`].
-//!
-//! Two kernel families:
-//!
-//! - **Sealed lane tests** ([`scan_emit`]): the bottom-level
-//!   `rec_lo`/`rec_nhi` columns run 4-wide `v <= bound` compares, masks
-//!   are ANDed across active lanes, and ids are emitted by a
-//!   movemask-indexed left-packing permutation.
-//! - **Batched AABB intersect** ([`collect_bottom`]): the unsealed
-//!   bottom-level collect tests a whole `#[repr(C)]` [`Aabb`] per
-//!   compare pair instead of 2×D scalar compares.
+//! Records are lanes everywhere they are scanned — in a sealed arena
+//! (`crate::seal`) and in the live engine (`engine::Lanes`): an id lane,
+//! and per dimension a `lo` lane and a negated-`hi` lane. A bottom-level
+//! scan ([`LaneView::scan`]) tests only the lanes a slice's bounding box
+//! leaves undecided, each as a uniform `v <= bound` compare, and this
+//! module vectorizes that compare with `core::arch::x86_64` intrinsics
+//! behind a one-time runtime-detected dispatch ([`scan_emit`]): 4-wide
+//! (AVX2) or 2-wide (SSE2) compares, masks ANDed across the active lanes,
+//! and ids emitted by a movemask-indexed left-packing permutation. The id
+//! lane is the arena's narrowed `u32` or the live `u64` ([`LaneId`]), in
+//! the one kernel family. The crack (partition) kernels are not here: a
+//! crack costs its partition scan and is bandwidth-bound, so they stay the
+//! scalar kernels in [`crate::crack`].
 //!
 //! # Dispatch
 //!
@@ -36,15 +32,16 @@
 //! # Equivalence contract
 //!
 //! Every kernel here is a drop-in for a scalar twin that remains in the
-//! codebase as the bit-for-bit oracle: both families only compare and
-//! emit ids, so results, work counters and snapshot bytes are identical
-//! at every level.
+//! codebase as the bit-for-bit oracle: the kernels only compare and emit
+//! ids, so results, work counters and snapshot bytes are identical at
+//! every level.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 use std::sync::OnceLock;
 
 use quasii_common::geom::{Aabb, Record};
+use std::ops::Range;
 
 /// Config-level kernel-generation knob: how an engine picks the ISA its
 /// column kernels run on. `Auto` (the default) defers to the
@@ -176,8 +173,29 @@ impl SimdLevel {
 }
 
 // ---------------------------------------------------------------------------
-// Sealed bottom-level lane tests.
+// Bottom-level lane tests.
 // ---------------------------------------------------------------------------
+
+/// An element of an id lane: the sealed arena's narrowed `u32` or the live
+/// engine's `u64`. Scans emit every id widened to `u64`.
+pub trait LaneId: Copy {
+    /// The id as the engine reports it.
+    fn widen(self) -> u64;
+}
+
+impl LaneId for u32 {
+    #[inline(always)]
+    fn widen(self) -> u64 {
+        u64::from(self)
+    }
+}
+
+impl LaneId for u64 {
+    #[inline(always)]
+    fn widen(self) -> u64 {
+        self
+    }
+}
 
 /// Left-packing permutation LUT for [`scan_emit`]: `PACK_LUT[mask]`
 /// feeds `_mm256_permutevar8x32_epi32` to compact the 64-bit id lanes
@@ -206,18 +224,18 @@ const fn build_pack_lut() -> [[u32; 8]; 16] {
     lut
 }
 
-/// The sealed arena's bottom-level lane test: for each record position
-/// `i`, emits `ids[i]` (widened to `u64`) into `out` iff
-/// `lanes[k][i] <= bounds[k]` for every active lane `k`. Returns the
-/// number of ids written. `out` must be at least `ids.len()` long;
-/// positions past the returned count hold garbage.
+/// The bottom-level lane test: for each record position `i`, emits
+/// `ids[i]` (widened to `u64`) into `out` iff `lanes[k][i] <= bounds[k]`
+/// for every active lane `k`. Returns the number of ids written. `out`
+/// must be at least `ids.len()` long; positions past the returned count
+/// hold garbage.
 ///
-/// Lanes are the per-dimension `rec_lo` columns (tested against the
-/// query's upper corner) and negated `rec_nhi` columns (tested against
-/// the negated lower corner), so every test is a uniform `v <= bound`.
-pub fn scan_emit<const K: usize>(
+/// Lanes are the per-dimension `lo` lanes (tested against the query's
+/// upper corner) and negated `nhi` lanes (tested against the negated lower
+/// corner), so every test is a uniform `v <= bound`.
+pub fn scan_emit<I: LaneId, const K: usize>(
     level: SimdLevel,
-    ids: &[u32],
+    ids: &[I],
     lanes: [&[f64]; K],
     bounds: [f64; K],
     out: &mut [u64],
@@ -231,17 +249,17 @@ pub fn scan_emit<const K: usize>(
         // it, and every lane and `out` hold `ids.len()` elements (asserted
         // above), which is all the kernel reads and writes.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { scan_emit_avx2::<K>(ids, lanes, bounds, out) },
+        SimdLevel::Avx2 => unsafe { scan_emit_avx2::<I, K>(ids, lanes, bounds, out) },
         // SAFETY: SSE2 is in the `x86_64` baseline, and the lane lengths
         // are asserted above.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { scan_emit_sse2::<K>(ids, lanes, bounds, out) },
-        _ => scan_emit_scalar::<K>(ids, lanes, bounds, out),
+        SimdLevel::Sse2 => unsafe { scan_emit_sse2::<I, K>(ids, lanes, bounds, out) },
+        _ => scan_emit_scalar::<I, K>(ids, lanes, bounds, out),
     }
 }
 
-fn scan_emit_scalar<const K: usize>(
-    ids: &[u32],
+fn scan_emit_scalar<I: LaneId, const K: usize>(
+    ids: &[I],
     lanes: [&[f64]; K],
     bounds: [f64; K],
     out: &mut [u64],
@@ -252,7 +270,7 @@ fn scan_emit_scalar<const K: usize>(
         for (lane, &b) in lanes.iter().zip(bounds.iter()) {
             ok &= lane[i] <= b;
         }
-        out[w] = id as u64;
+        out[w] = id.widen();
         w += ok as usize;
     }
     w
@@ -261,11 +279,13 @@ fn scan_emit_scalar<const K: usize>(
 /// SAFETY: caller checked `avx2` and sized `out` to at least
 /// `ids.len()`. In the vector loop `w <= i` and `i + 4 <= m`, so the
 /// unconditional 32-byte store at `out[w..w + 4]` stays in bounds;
-/// lanes past the popcount advance are overwritten or truncated.
+/// lanes past the popcount advance are overwritten or truncated. The id
+/// load reads the four ids `ids[i..i + 4]`: 16 bytes of `u32`s or 32 of
+/// `u64`s (a `LaneId` is one of the two).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scan_emit_avx2<const K: usize>(
-    ids: &[u32],
+unsafe fn scan_emit_avx2<I: LaneId, const K: usize>(
+    ids: &[I],
     lanes: [&[f64]; K],
     bounds: [f64; K],
     out: &mut [u64],
@@ -287,7 +307,12 @@ unsafe fn scan_emit_avx2<const K: usize>(
             k += 1;
         }
         let mm = (_mm256_movemask_pd(mask) as usize) & 0xF;
-        let vid = _mm256_cvtepu32_epi64(_mm_loadu_si128(ids.as_ptr().add(i) as *const __m128i));
+        let at = ids.as_ptr().add(i);
+        let vid = if std::mem::size_of::<I>() == 4 {
+            _mm256_cvtepu32_epi64(_mm_loadu_si128(at as *const __m128i))
+        } else {
+            _mm256_loadu_si256(at as *const __m256i)
+        };
         let perm = _mm256_loadu_si256(PACK_LUT[mm].as_ptr() as *const __m256i);
         let packed = _mm256_permutevar8x32_epi32(vid, perm);
         _mm256_storeu_si256(out.as_mut_ptr().add(w) as *mut __m256i, packed);
@@ -299,7 +324,7 @@ unsafe fn scan_emit_avx2<const K: usize>(
         for (lane, &b) in lanes.iter().zip(bounds.iter()) {
             ok &= lane[i] <= b;
         }
-        out[w] = ids[i] as u64;
+        out[w] = ids[i].widen();
         w += ok as usize;
         i += 1;
     }
@@ -311,8 +336,8 @@ unsafe fn scan_emit_avx2<const K: usize>(
 /// bounds.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-unsafe fn scan_emit_sse2<const K: usize>(
-    ids: &[u32],
+unsafe fn scan_emit_sse2<I: LaneId, const K: usize>(
+    ids: &[I],
     lanes: [&[f64]; K],
     bounds: [f64; K],
     out: &mut [u64],
@@ -335,9 +360,9 @@ unsafe fn scan_emit_sse2<const K: usize>(
             k += 1;
         }
         let mm = _mm_movemask_pd(mask) as usize;
-        out[w] = ids[i] as u64;
+        out[w] = ids[i].widen();
         w += mm & 1;
-        out[w] = ids[i + 1] as u64;
+        out[w] = ids[i + 1].widen();
         w += (mm >> 1) & 1;
         i += 2;
     }
@@ -346,7 +371,7 @@ unsafe fn scan_emit_sse2<const K: usize>(
         for (lane, &b) in lanes.iter().zip(bounds.iter()) {
             ok &= lane[i] <= b;
         }
-        out[w] = ids[i] as u64;
+        out[w] = ids[i].widen();
         w += ok as usize;
         i += 1;
     }
@@ -354,108 +379,172 @@ unsafe fn scan_emit_sse2<const K: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// Batched AABB intersect for the unsealed bottom-level collect.
+// The bottom-level scan over record lanes.
 // ---------------------------------------------------------------------------
 
-/// Tests every record's MBB against `q` and emits intersecting ids into
-/// `out`, returning the number written. `out` must be at least
-/// `recs.len()` long; positions past the returned count hold garbage.
-/// Bit-for-bit equivalent to the scalar
-/// [`Aabb::intersects_branchless`] collect loop.
-pub fn collect_bottom<const D: usize>(
-    level: SimdLevel,
-    recs: &[Record<D>],
-    q: &Aabb<D>,
-    out: &mut [u64],
-) -> usize {
-    debug_assert!(out.len() >= recs.len());
-    match level.clamp_to_host() {
-        // SAFETY: `clamp_to_host` keeps `Avx2` only on a host that reports
-        // it, and the guard is the kernel's `D`; it loads inside each record
-        // and stores through bounds-checked indexing.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if D == 3 => unsafe { collect_bottom3_avx2(recs, q, out) },
-        // SAFETY: as above, for the `D == 2` kernel.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if D == 2 => unsafe { collect_bottom2_avx2(recs, q, out) },
-        _ => collect_bottom_scalar(recs, q, out),
-    }
+/// Chunk size of the masked fallback scan (only reached at `D > 4`): each
+/// lane's compare pass runs at most this many contiguous elements before
+/// the mask is consumed — small enough to stay in L1, large enough to
+/// vectorize.
+const SCAN_CHUNK: usize = 64;
+
+/// Records as read-only lanes: `ids[p]`, `lo[d][p]` and `nhi[d][p]` (the
+/// upper corner negated) of record `p`, every lane equally long. A sealed
+/// arena's lanes carry `u32` ids, the live engine's `u64` ids.
+pub(crate) struct LaneView<'a, I, const D: usize> {
+    pub(crate) ids: &'a [I],
+    pub(crate) lo: [&'a [f64]; D],
+    pub(crate) nhi: [&'a [f64]; D],
 }
 
-fn collect_bottom_scalar<const D: usize>(
-    recs: &[Record<D>],
-    q: &Aabb<D>,
-    out: &mut [u64],
-) -> usize {
-    let mut w = 0usize;
-    for r in recs {
-        out[w] = r.id;
-        w += r.mbb.intersects_branchless(q) as usize;
+impl<I: LaneId, const D: usize> LaneView<'_, I, D> {
+    /// Appends records `span`, gathered from the lanes bit for bit
+    /// (`hi = -nhi` is exact), ids widened.
+    pub(crate) fn push_records(&self, span: Range<usize>, out: &mut Vec<Record<D>>) {
+        out.extend(span.map(|i| {
+            let lo = std::array::from_fn(|d| self.lo[d][i]);
+            let hi = std::array::from_fn(|d| -self.nhi[d][i]);
+            Record::new(self.ids[i].widen(), Aabb { lo, hi })
+        }));
     }
-    w
-}
 
-/// SAFETY: caller checked `avx2` and `D == 3`. `Aabb` is `#[repr(C)]`,
-/// so `&r.mbb` is six contiguous `f64`s `[lo0, lo1, lo2, hi0, hi1,
-/// hi2]`; both unaligned loads (offsets 0 and 2, four lanes each) stay
-/// within those six. `out` is at least `recs.len()` long and `w` only
-/// advances past emitted ids, so the predicated stores are in bounds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn collect_bottom3_avx2<const D: usize>(
-    recs: &[Record<D>],
-    q: &Aabb<D>,
-    out: &mut [u64],
-) -> usize {
-    debug_assert_eq!(D, 3);
-    // va = [lo0, lo1, lo2, hi0] tested `<=` against [qhi0, qhi1, qhi2, +inf];
-    // vb = [lo2, hi0, hi1, hi2] tested `>=` against [-inf, qlo0, qlo1, qlo2].
-    // The padded lanes are always-true, so mask == 0xF iff all 2*D
-    // scalar comparisons of `intersects_branchless` hold.
-    let qa = _mm256_set_pd(f64::INFINITY, q.hi[2], q.hi[1], q.hi[0]);
-    let qb = _mm256_set_pd(q.lo[2], q.lo[1], q.lo[0], f64::NEG_INFINITY);
-    let mut w = 0usize;
-    for r in recs {
-        let p = &r.mbb as *const Aabb<D> as *const f64;
-        let va = _mm256_loadu_pd(p);
-        let vb = _mm256_loadu_pd(p.add(2));
-        let m = _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_LE_OQ>(va, qa),
-            _mm256_cmp_pd::<_CMP_GE_OQ>(vb, qb),
-        );
-        out[w] = r.id;
-        w += (_mm256_movemask_pd(m) == 0xF) as usize;
+    /// Appends the ids of records `b..e`.
+    pub(crate) fn emit(&self, b: usize, e: usize, out: &mut Vec<u64>) {
+        out.extend(self.ids[b..e].iter().map(|&id| id.widen()));
     }
-    w
-}
 
-/// SAFETY: caller checked `avx2` and `D == 2`. `Aabb` is `#[repr(C)]`,
-/// so `&r.mbb` is exactly the four `f64`s `[lo0, lo1, hi0, hi1]` one
-/// unaligned load covers. Store bounds as for the `D == 3` kernel.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn collect_bottom2_avx2<const D: usize>(
-    recs: &[Record<D>],
-    q: &Aabb<D>,
-    out: &mut [u64],
-) -> usize {
-    debug_assert_eq!(D, 2);
-    // v = [lo0, lo1, hi0, hi1]: the lo lanes test `<=` against the
-    // query his (hi lanes padded always-true), the hi lanes test `>=`
-    // against the query los (lo lanes padded always-true).
-    let qa = _mm256_set_pd(f64::INFINITY, f64::INFINITY, q.hi[1], q.hi[0]);
-    let qb = _mm256_set_pd(q.lo[1], q.lo[0], f64::NEG_INFINITY, f64::NEG_INFINITY);
-    let mut w = 0usize;
-    for r in recs {
-        let v = _mm256_loadu_pd(&r.mbb as *const Aabb<D> as *const f64);
-        let m = _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_LE_OQ>(v, qa),
-            _mm256_cmp_pd::<_CMP_GE_OQ>(v, qb),
-        );
-        out[w] = r.id;
-        w += (_mm256_movemask_pd(m) == 0xF) as usize;
+    /// Bottom-level scan of records `b..e`, appending the ids of those
+    /// that intersect `q` in record order and returning the records tested
+    /// (all of them). Only the **undecided** lanes are tested: the caller
+    /// proved, from a box holding every record of the run, that the lanes
+    /// it leaves out (`!test_lo[d]`, `!test_hi[d]`) pass for every record,
+    /// and the negated upper-bound lane makes every remaining test the
+    /// uniform `lane[p] <= bound`. The truth table is
+    /// [`Aabb::intersects_branchless`]'s: a boundary slice usually crosses
+    /// the query on one or two dimensions, so the scan streams one or two
+    /// `f64` lanes plus the ids instead of every coordinate of every
+    /// record.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scan(
+        &self,
+        b: usize,
+        e: usize,
+        q: &Aabb<D>,
+        test_lo: [bool; D],
+        test_hi: [bool; D],
+        out: &mut Vec<u64>,
+        level: SimdLevel,
+    ) -> u64 {
+        let m = e - b;
+        // Gather the active lane tests in normalized `v <= bound` form.
+        // `2 × D` tests fit `MAX_LANES` for every practical dimensionality;
+        // beyond that the masked chunk loop below takes over.
+        const MAX_LANES: usize = 8;
+        let empty: &[f64] = &[];
+        let mut lanes: [&[f64]; MAX_LANES] = [empty; MAX_LANES];
+        let mut bounds = [0.0f64; MAX_LANES];
+        let mut k = 0usize;
+        let mut overflow = false;
+        for d in 0..D {
+            if test_lo[d] {
+                if k < MAX_LANES {
+                    lanes[k] = &self.lo[d][b..e];
+                    bounds[k] = q.hi[d];
+                    k += 1;
+                } else {
+                    overflow = true;
+                }
+            }
+            if test_hi[d] {
+                if k < MAX_LANES {
+                    lanes[k] = &self.nhi[d][b..e];
+                    bounds[k] = -q.lo[d];
+                    k += 1;
+                } else {
+                    overflow = true;
+                }
+            }
+        }
+        if k == 0 {
+            self.emit(b, e, out);
+            return m as u64;
+        }
+        let start = out.len();
+        out.resize(start + m, 0);
+        let ids = &self.ids[b..e];
+        let mut w = start;
+        if overflow {
+            // More than MAX_LANES active tests (D > 4): masked chunk pass
+            // over every active lane.
+            let mut mask = [true; SCAN_CHUNK];
+            let mut base = 0usize;
+            while base < m {
+                let c = SCAN_CHUNK.min(m - base);
+                mask[..c].fill(true);
+                for d in 0..D {
+                    if test_lo[d] {
+                        let qhi = q.hi[d];
+                        let lane = &self.lo[d][b + base..b + base + c];
+                        for (mk, &v) in mask[..c].iter_mut().zip(lane) {
+                            *mk &= v <= qhi;
+                        }
+                    }
+                    if test_hi[d] {
+                        let nqlo = -q.lo[d];
+                        let lane = &self.nhi[d][b + base..b + base + c];
+                        for (mk, &v) in mask[..c].iter_mut().zip(lane) {
+                            *mk &= v <= nqlo;
+                        }
+                    }
+                }
+                for (j, &mk) in mask[..c].iter().enumerate() {
+                    out[w] = ids[base + j].widen();
+                    w += mk as usize;
+                }
+                base += c;
+            }
+        } else {
+            // Fused lane tests for the common lane counts, dispatched through
+            // [`scan_emit`]: the vector kernels run the `v <= bound` compares
+            // four records wide, AND the masks across active lanes and
+            // left-pack the surviving ids; the scalar generation is the
+            // predicated loop. Emission order is the id order either way, so
+            // the output is byte-identical across levels.
+            let dst = &mut out[start..];
+            w = start
+                + match k {
+                    1 => scan_emit::<I, 1>(level, ids, [lanes[0]], [bounds[0]], dst),
+                    2 => scan_emit::<I, 2>(
+                        level,
+                        ids,
+                        [lanes[0], lanes[1]],
+                        [bounds[0], bounds[1]],
+                        dst,
+                    ),
+                    3 => scan_emit::<I, 3>(
+                        level,
+                        ids,
+                        [lanes[0], lanes[1], lanes[2]],
+                        [bounds[0], bounds[1], bounds[2]],
+                        dst,
+                    ),
+                    _ => {
+                        let mut n = 0;
+                        for (p, &id) in ids.iter().enumerate() {
+                            let mut ok = true;
+                            for t in 0..k {
+                                ok &= lanes[t][p] <= bounds[t];
+                            }
+                            dst[n] = id.widen();
+                            n += ok as usize;
+                        }
+                        n
+                    }
+                };
+        }
+        out.truncate(w);
+        m as u64
     }
-    w
 }
 
 #[cfg(test)]
@@ -517,83 +606,35 @@ mod tests {
         // pass/fail mask, lengths cover unaligned remainders.
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 33] {
             let ids: Vec<u32> = (0..n as u32).map(|i| i * 7 + 3).collect();
+            let wide: Vec<u64> = ids.iter().map(|&id| u64::from(id) << 32 | 5).collect();
             let l0: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
             let l1: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
             let l2: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
             let mut want = vec![0u64; n];
             let mut got = vec![0u64; n];
             for lv in levels() {
-                let w1 = scan_emit::<1>(SimdLevel::Scalar, &ids, [&l0], [1.0], &mut want);
-                let g1 = scan_emit::<1>(lv, &ids, [&l0], [1.0], &mut got);
+                let w1 = scan_emit::<_, 1>(SimdLevel::Scalar, &ids, [&l0], [1.0], &mut want);
+                let g1 = scan_emit::<_, 1>(lv, &ids, [&l0], [1.0], &mut got);
                 assert_eq!((g1, &got[..g1]), (w1, &want[..w1]), "{lv:?} k=1 n={n}");
-                let w2 = scan_emit::<2>(SimdLevel::Scalar, &ids, [&l0, &l1], [1.0, 2.0], &mut want);
-                let g2 = scan_emit::<2>(lv, &ids, [&l0, &l1], [1.0, 2.0], &mut got);
+                let w2 =
+                    scan_emit::<_, 2>(SimdLevel::Scalar, &ids, [&l0, &l1], [1.0, 2.0], &mut want);
+                let g2 = scan_emit::<_, 2>(lv, &ids, [&l0, &l1], [1.0, 2.0], &mut got);
                 assert_eq!((g2, &got[..g2]), (w2, &want[..w2]), "{lv:?} k=2 n={n}");
-                let w3 = scan_emit::<3>(
+                let w3 = scan_emit::<_, 3>(
                     SimdLevel::Scalar,
                     &ids,
                     [&l0, &l1, &l2],
                     [1.0, 2.0, 4.0],
                     &mut want,
                 );
-                let g3 = scan_emit::<3>(lv, &ids, [&l0, &l1, &l2], [1.0, 2.0, 4.0], &mut got);
+                let g3 = scan_emit::<_, 3>(lv, &ids, [&l0, &l1, &l2], [1.0, 2.0, 4.0], &mut got);
                 assert_eq!((g3, &got[..g3]), (w3, &want[..w3]), "{lv:?} k=3 n={n}");
+                // The live engine's u64 ids: the same selection, ids whole.
+                let w = scan_emit(SimdLevel::Scalar, &ids, [&l0, &l1], [1.0, 2.0], &mut want);
+                let widened: Vec<u64> = want[..w].iter().map(|&id| id << 32 | 5).collect();
+                let g = scan_emit(lv, &wide, [&l0, &l1], [1.0, 2.0], &mut got);
+                assert_eq!((g, &got[..g]), (w, &widened[..]), "{lv:?} u64 ids n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn collect_bottom_matches_scalar_for_2d_and_3d() {
-        let q3 = Aabb::new([2.0, 3.0, 4.0], [8.0, 9.0, 10.0]);
-        let recs3: Vec<Record<3>> = (0..37)
-            .map(|i| {
-                let v = i as f64 * 0.4;
-                Record::new(
-                    i,
-                    Aabb::new([v, v * 0.9, v * 1.1], [v + 2.0, v + 1.0, v + 3.0]),
-                )
-            })
-            .collect();
-        let q2 = Aabb::new([2.0, 3.0], [8.0, 9.0]);
-        let recs2: Vec<Record<2>> = (0..37)
-            .map(|i| {
-                let v = i as f64 * 0.4;
-                Record::new(i, Aabb::new([v, v * 0.9], [v + 2.0, v + 1.0]))
-            })
-            .collect();
-        let mut want = vec![0u64; 37];
-        let mut got = vec![0u64; 37];
-        let w3 = collect_bottom(SimdLevel::Scalar, &recs3, &q3, &mut want);
-        assert!(w3 > 0, "3d fixture should have hits");
-        for lv in levels() {
-            let g = collect_bottom(lv, &recs3, &q3, &mut got);
-            assert_eq!((g, &got[..g]), (w3, &want[..w3]), "{lv:?} 3d");
-        }
-        let w2 = collect_bottom(SimdLevel::Scalar, &recs2, &q2, &mut want);
-        assert!(w2 > 0, "2d fixture should have hits");
-        for lv in levels() {
-            let g = collect_bottom(lv, &recs2, &q2, &mut got);
-            assert_eq!((g, &got[..g]), (w2, &want[..w2]), "{lv:?} 2d");
-        }
-    }
-
-    #[test]
-    fn collect_bottom_touching_edges_count_as_hits() {
-        // Closed-interval semantics: exact edge contact must match the
-        // scalar branchless test on every level.
-        let q = Aabb::new([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]);
-        let recs: Vec<Record<3>> = vec![
-            Record::new(0, Aabb::new([1.0, 0.5, 0.5], [2.0, 0.6, 0.6])),
-            Record::new(1, Aabb::new([-1.0, 0.0, 0.0], [0.0, 0.1, 0.1])),
-            Record::new(2, Aabb::new([1.0 + 1e-12, 0.5, 0.5], [2.0, 0.6, 0.6])),
-        ];
-        let mut want = vec![0u64; recs.len()];
-        let mut got = vec![0u64; recs.len()];
-        let w = collect_bottom(SimdLevel::Scalar, &recs, &q, &mut want);
-        assert_eq!(&want[..w], &[0, 1]);
-        for lv in levels() {
-            let g = collect_bottom(lv, &recs, &q, &mut got);
-            assert_eq!((g, &got[..g]), (w, &want[..w]), "{lv:?}");
         }
     }
 }

@@ -8,13 +8,13 @@
 //! the slice is sealed, the arena that holds its subtree (`sealed`).
 
 use crate::seal::SealedRegion;
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::Aabb;
 
 /// One node of QUASII's d-level hierarchy.
 #[derive(Clone, Debug)]
 pub(crate) struct Slice<const D: usize> {
     /// Level = the dimension this slice was partitioned on (0-based). A
-    /// `u32` beside the three flags, so that a `Slice<3>` stays 128 bytes
+    /// `u32` beside the two flags, so that a `Slice<3>` stays 128 bytes
     /// (two cache lines) with the `sealed` pointer in it.
     pub level: u32,
     /// First index (inclusive) into the data array.
@@ -38,17 +38,6 @@ pub(crate) struct Slice<const D: usize> {
     /// Whether the slice reached its level's τ (or was force-finalized on a
     /// value-indivisible distribution) and `bbox` is its exact MBB.
     pub refined: bool,
-    /// Whether the owning index's assignment-key column currently caches
-    /// this slice's **own-level** keys over `begin..end`
-    /// (`keys[i] == key_of(&data[i], level, mode)` — see [`crate::keys`]).
-    /// Slices created by a crack are born fresh (the kernels keep the column
-    /// in lockstep); default children span a range last keyed for their
-    /// parent's level and are re-keyed lazily before their first crack.
-    ///
-    /// Only meaningful while the slice is unrefined (the only state
-    /// `refine` cracks from): once refined, descendants re-key sub-ranges
-    /// for deeper dimensions and this flag is never consulted again.
-    pub keys_fresh: bool,
     /// Cached [`subtree_converged`](Self::subtree_converged): set when a
     /// refined bottom-level slice is created, and for a refined non-bottom
     /// slice by the query that converges its last child. Never cleared: a
@@ -96,9 +85,6 @@ impl<const D: usize> Slice<D> {
             cut_hi: data_bounds.hi[0],
             key_lo: f64::NEG_INFINITY,
             refined: n <= tau0,
-            // First-query initialization builds the dimension-0 column in
-            // the same pass that measures `data_bounds`.
-            keys_fresh: true,
             converged: n <= tau0 && D == 1,
             children: Vec::new(),
             sealed: None,
@@ -122,25 +108,10 @@ impl<const D: usize> Slice<D> {
             cut_hi: self.bbox.hi[l],
             key_lo: f64::NEG_INFINITY,
             refined,
-            // The range was last keyed for the parent's level; the child's
-            // first crack re-keys it for level `l` (lazy per-level rebuild).
-            keys_fresh: false,
             converged: refined && l + 1 == D,
             children: Vec::new(),
             sealed: None,
         }
-    }
-
-    /// Exact MBB of the slice's objects, `records` (the slice's own range
-    /// of the data array, resolved by the caller's window); used when a
-    /// slice becomes refined.
-    pub(crate) fn measure_exact(&mut self, records: &[Record<D>]) {
-        debug_assert_eq!(records.len(), self.len());
-        let mut mbb = Aabb::empty();
-        for r in records {
-            mbb.expand(&r.mbb);
-        }
-        self.bbox = mbb;
     }
 
     /// Recursive count of the slices held as `Slice`s in this subtree
@@ -192,7 +163,6 @@ mod tests {
         let s = Slice::<2>::root(100, b, 60);
         assert_eq!(s.len(), 100);
         assert!(!s.refined);
-        assert!(s.keys_fresh, "init builds the dim-0 column with the root");
         assert_eq!((s.cut_lo, s.cut_hi), (0.0, 10.0));
         let tiny = Slice::<2>::root(10, b, 60);
         assert!(tiny.refined);
@@ -214,23 +184,11 @@ mod tests {
         assert_eq!(child.bbox, b);
         assert_eq!((child.cut_lo, child.cut_hi), (5.0, 25.0));
         assert!(!child.refined, "50 > τ_child = 10");
-        assert!(!child.keys_fresh, "range was keyed for the parent's level");
         assert!(!child.converged);
         let small_child = parent.default_child(60);
         assert!(small_child.refined);
         assert!(small_child.converged, "a refined bottom-level slice");
         assert_eq!(small_child.converged, small_child.subtree_converged());
-    }
-
-    #[test]
-    fn measure_exact_shrinks_bbox() {
-        let data = vec![
-            Record::new(0, Aabb::new([2.0, 2.0], [3.0, 3.0])),
-            Record::new(1, Aabb::new([4.0, 1.0], [5.0, 6.0])),
-        ];
-        let mut s = Slice::<2>::root(2, Aabb::new([0.0, 0.0], [100.0, 100.0]), 60);
-        s.measure_exact(&data);
-        assert_eq!(s.bbox, Aabb::new([2.0, 1.0], [5.0, 6.0]));
     }
 
     #[test]

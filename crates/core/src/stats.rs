@@ -22,11 +22,12 @@ pub struct QuasiiStats {
     pub forced_refinements: u64,
     /// Objects tested for intersection at the bottom level.
     pub objects_tested: u64,
-    /// Lazy per-level rebuilds of the assignment-key column (one per
-    /// default child that gets cracked; root slices and crack outputs are
-    /// born with fresh keys — see `crate::keys`).
+    /// Always 0: the engine reads each record's assignment key from its
+    /// lanes and keeps no key column to rebuild. Kept while the frozen
+    /// benchmark reads it.
     pub rekeys: u64,
-    /// Total records re-keyed by those rebuilds.
+    /// Always 0, like [`rekeys`](Self::rekeys); kept while the frozen
+    /// benchmark reads it.
     pub records_rekeyed: u64,
 }
 

@@ -17,41 +17,37 @@
 //! 5. refined slices carry their *exact* MBB; unrefined slices exceed τ;
 //! 6. only refined slices have children;
 //! 7. no slice is empty;
-//! 8. the column pair is in lockstep with the data: wherever an unrefined
-//!    slice claims fresh columns (`keys_fresh`), `keys[i]` equals the
-//!    record's own-level assignment key and `his[i]` its own-level upper
-//!    coordinate over the slice's whole range (see `crate::keys`);
-//! 9. every arena (see `crate::seal`) holds its sealed slice's records:
-//!    while some record is unsealed, the rows over the slice's range; the
-//!    cached sealed-record count equals the arenas' total;
-//! 10. every slice's cached `converged` flag equals `subtree_converged()`;
-//! 11. the rows and the key columns exist exactly while some record is
-//!     unsealed: `n` of each then, none once every record is sealed;
-//! 12. a sealed slice is at level 0, converged and childless.
+//! 8. every arena (see `crate::seal`) holds its sealed slice's records:
+//!    while some record is unsealed, its id, `lo` and negated-`hi` lanes
+//!    equal the live lanes over the slice's range; the cached
+//!    sealed-record count equals the arenas' total;
+//! 9. every slice's cached `converged` flag equals `subtree_converged()`;
+//! 10. the live lanes exist exactly while some record is unsealed: `n`
+//!     records then, none once every record is sealed;
+//! 11. a sealed slice is at level 0, converged and childless.
 //!
 //! A sealed slice's subtree is its arena, so the checks below it run on the
 //! arena's nodes, rebuilt as slices (`SealedRegion::slices`): invariants 3
-//! to 5, 7 and 10 hold there as anywhere. A fully sealed engine keeps no
-//! rows, so its checks read the records from its arenas
-//! ([`Quasii::records`]), and 9's record half is met by construction.
+//! to 5, 7 and 9 hold there as anywhere. The checks read the records
+//! [`Quasii::records`] gathers: from the live lanes, or from the arenas of
+//! a fully sealed engine, where 8's lane half is met by construction.
 
 use crate::config::AssignBy;
 use crate::crack::key_of;
-use crate::keys::KeyColumn;
+use crate::engine::Lanes;
 use crate::seal::SealedRegion;
 use crate::slice::Slice;
 use crate::Quasii;
 use quasii_common::geom::{Aabb, Record};
-use std::borrow::Cow;
 
 /// Runs all checks; `Err` describes the first violation.
 pub(crate) fn validate<const D: usize>(index: &Quasii<D>) -> Result<(), String> {
-    let (rows, cols, roots) = (&index.data, &index.keys, &index.root);
+    let (lanes, roots) = (&index.data, &index.root);
     if roots.is_empty() {
         return Ok(()); // pre-initialization or empty dataset
     }
     // The cached sealed-record count the fully-sealed fast path trusts is
-    // the arenas' total (invariant 9), and it decides invariant 11.
+    // the arenas' total (invariant 8), and it decides invariant 10.
     let sealed: usize = index.arenas().map(SealedRegion::records).sum();
     if index.sealed_records() != sealed {
         return Err(format!(
@@ -62,26 +58,34 @@ pub(crate) fn validate<const D: usize>(index: &Quasii<D>) -> Result<(), String> 
     let n = index.n;
     let fully_sealed = sealed == n;
     let want = if fully_sealed { 0 } else { n };
-    if rows.len() != want || !cols.is_built(want) {
+    if lanes.len() != want {
         return Err(format!(
-            "{} rows and {} key-column entries for {n} records, {sealed} of them sealed",
-            rows.len(),
-            cols.len()
+            "{} live records for {n} records, {sealed} of them sealed",
+            lanes.len()
         ));
     }
-    let records = if fully_sealed {
-        Cow::Owned(index.records())
-    } else {
-        Cow::Borrowed(rows.as_slice())
-    };
     let (tau, mode) = (&index.env.tau, index.cfg.assign_by);
-    check_level(&records, cols, roots, 0, 0, n, tau, mode)
+    check_level(&index.records(), lanes, roots, 0, 0, n, tau, mode)
+}
+
+/// Whether `region`'s lanes equal the live `lanes` from `begin` on, ids
+/// widened (invariant 8).
+fn holds_live<const D: usize>(region: &SealedRegion<D>, lanes: &Lanes<D>, begin: usize) -> bool {
+    let (held, lanes) = (region.lanes(), lanes.view());
+    let span = begin..begin + region.records();
+    held.ids
+        .iter()
+        .map(|&id| u64::from(id))
+        .eq(lanes.ids[span.clone()].iter().copied())
+        && (0..D).all(|d| {
+            held.lo[d] == &lanes.lo[d][span.clone()] && held.nhi[d] == &lanes.nhi[d][span.clone()]
+        })
 }
 
 #[allow(clippy::too_many_arguments)]
 fn check_level<const D: usize>(
     data: &[Record<D>],
-    cols: &KeyColumn,
+    lanes: &Lanes<D>,
     slices: &[Slice<D>],
     level: usize,
     begin: usize,
@@ -177,34 +181,7 @@ fn check_level<const D: usize>(
             ));
         }
 
-        // Column lockstep (invariant 8): an *unrefined* fresh slice's range
-        // caches exactly its own-level assignment keys and upper bounds.
-        // (The flag is meaningless on refined slices: descendants re-key
-        // sub-ranges for deeper dimensions, and the engine never consults
-        // it there — `refine` only ever runs on unrefined slices.)
-        if s.keys_fresh && !s.refined {
-            let (Some(keys), Some(his)) = (
-                cols.keys().get(s.begin..s.end),
-                cols.his().get(s.begin..s.end),
-            ) else {
-                return Err(format!(
-                    "unrefined slice {i} at level {level} claims key columns the engine lacks"
-                ));
-            };
-            for (idx, ((k, h), r)) in keys.iter().zip(his).zip(seg).enumerate() {
-                let want_k = key_of(r, level, mode);
-                let want_h = r.mbb.hi[level];
-                if *k != want_k || *h != want_h {
-                    return Err(format!(
-                        "column pair out of lockstep at level {level}, slice {i}, \
-                         position {}: cached ({k}, {h}), expected ({want_k}, {want_h})",
-                        s.begin + idx
-                    ));
-                }
-            }
-        }
-
-        // The cached convergence flag (invariant 10).
+        // The cached convergence flag (invariant 9).
         if s.converged != s.subtree_converged() {
             return Err(format!(
                 "slice {i} at level {level} ({}..{}): converged flag {} but the subtree {}",
@@ -219,25 +196,23 @@ fn check_level<const D: usize>(
             ));
         }
 
-        // A sealed slice's subtree is its arena (invariants 9 and 12).
+        // A sealed slice's subtree is its arena (invariants 8 and 11).
         if let Some(region) = &s.sealed {
-            let mut held = Vec::with_capacity(s.len());
-            region.push_records(&mut held);
-            if level != 0 || !s.converged || !s.children.is_empty() || held != seg {
+            let held = lanes.len() == 0 || holds_live(region, lanes, s.begin);
+            if level != 0 || !s.converged || !s.children.is_empty() || !held {
                 return Err(format!(
                     "sealed slice {i} at level {level} ({}..{}): converged {}, {} children, \
-                     arena records equal to the rows: {}",
+                     arena lanes equal to the live lanes: {held}",
                     s.begin,
                     s.end,
                     s.converged,
                     s.children.len(),
-                    held == seg
                 ));
             }
             if level + 1 < D {
                 check_level(
                     data,
-                    cols,
+                    lanes,
                     &region.slices(s.begin),
                     level + 1,
                     s.begin,
@@ -254,7 +229,7 @@ fn check_level<const D: usize>(
             }
             check_level(
                 data,
-                cols,
+                lanes,
                 &s.children,
                 level + 1,
                 s.begin,

@@ -136,19 +136,16 @@ use std::ops::Range;
 const SAMPLE_CAP: usize = 4096;
 
 /// Routes `(record, dimension-0 key)` pairs to the shards whose fence
-/// ranges own their keys, keeping their relative order: one
-/// `(records, keys)` pair per fence range, in shard order. The one
-/// partition pass of a deployment, shared by [`ShardedQuasii::new`] and
-/// [`Recovery::rebuild`].
+/// ranges own their keys, keeping their relative order: one record vector
+/// per fence range, in shard order. The one partition pass of a
+/// deployment, shared by [`ShardedQuasii::new`] and [`Recovery::rebuild`].
 pub(crate) fn partition<const D: usize>(
     fences: &KeyFences,
     keyed: impl IntoIterator<Item = (Record<D>, f64)>,
-) -> Vec<(Vec<Record<D>>, Vec<f64>)> {
-    let mut parts = vec![(Vec::new(), Vec::new()); fences.parts()];
+) -> Vec<Vec<Record<D>>> {
+    let mut parts = vec![Vec::new(); fences.parts()];
     for (r, k) in keyed {
-        let (records, keys) = &mut parts[fences.owner_of(k)];
-        records.push(r);
-        keys.push(k);
+        parts[fences.owner_of(k)].push(r);
     }
     parts
 }
@@ -311,17 +308,16 @@ impl<const D: usize> ShardedQuasii<D> {
     /// Plans shard boundaries and splits `data` into `cfg.shards` owned
     /// partitions, each backed by its own [`Quasii`] engine.
     ///
-    /// Unlike [`Quasii::new`] this is **O(n)**: the planner builds the
-    /// dimension-0 **assignment-key column** (one `key_of` per record —
-    /// needed anyway to route records to shards), plans equi-depth fences
-    /// from a deterministic stride sample of that column
+    /// Unlike [`Quasii::new`] this is **O(n)**: the planner computes the
+    /// dimension-0 assignment key of every record (one `key_of` each, what
+    /// routes a record to its shard), plans equi-depth fences from a
+    /// deterministic stride sample of those keys
     /// ([`KeyFences::equi_depth_sampled`]), measures the global dimension-0
     /// extent (needed before the first query can be routed) and physically
-    /// partitions records *and keys* in lockstep. Each shard engine adopts
-    /// its sub-column via [`Quasii::with_precomputed_keys`], so no shard
-    /// ever recomputes a key the router already paid for. Records keep
-    /// their relative order within each shard, so a single-shard deployment
-    /// is byte-identical to the plain engine.
+    /// partitions the records. Each shard engine takes its records as
+    /// [`Quasii::new`] does, and lays them out as lanes at its first query.
+    /// Records keep their relative order within each shard, so a
+    /// single-shard deployment is byte-identical to the plain engine.
     pub fn new(data: Vec<Record<D>>, cfg: ShardConfig) -> Self {
         let mode = cfg.inner.assign_by;
         let mut ext0 = 0.0f64;
@@ -333,8 +329,8 @@ impl<const D: usize> ShardedQuasii<D> {
             AssignBy::Center => (ext0 * 0.5, ext0 * 0.5),
             AssignBy::Upper => (0.0, ext0),
         };
-        // The whole dataset's dimension-0 key column: routing consumes it
-        // here, and each shard inherits its slice of it below.
+        // The whole dataset's dimension-0 keys: the fences are planned from
+        // a sample of them, and each record is routed by its own.
         let all_keys: Vec<f64> = data.iter().map(|r| key_of(r, 0, mode)).collect();
         let fences = if cfg.shards <= 1 {
             KeyFences::single()
@@ -343,7 +339,7 @@ impl<const D: usize> ShardedQuasii<D> {
         };
         let shards = partition(&fences, data.into_iter().zip(all_keys))
             .into_iter()
-            .map(|(p, k)| Quasii::with_precomputed_keys(p, k, cfg.inner.clone()))
+            .map(|p| Quasii::new(p, cfg.inner.clone()))
             .collect();
         Self {
             shards,

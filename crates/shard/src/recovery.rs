@@ -175,7 +175,7 @@ impl<const D: usize> Recovery<D> {
         let mode = self.manifest.inner.assign_by;
         let keyed = records.iter().map(|r| (*r, key_of(r, 0, mode)));
         let parts = partition(&self.fences, keyed);
-        for (k, (part, _)) in parts.iter().enumerate() {
+        for (k, part) in parts.iter().enumerate() {
             if part.len() != self.manifest.shards[k].0 {
                 return Err(corrupt(format!(
                     "source data routes {} records to shard {k}, manifest says {} — \
@@ -186,11 +186,11 @@ impl<const D: usize> Recovery<D> {
             }
         }
         let mut rebuilt = 0;
-        for (k, (part, keys)) in parts.into_iter().enumerate() {
+        for (k, part) in parts.into_iter().enumerate() {
             if !matches!(self.report.shards[k].status, ShardStatus::Quarantined(_)) {
                 continue;
             }
-            let engine = Quasii::with_precomputed_keys(part, keys, self.manifest.inner.clone());
+            let engine = Quasii::new(part, self.manifest.inner.clone());
             engine
                 .validate()
                 .map_err(|e| corrupt(format!("rebuilt shard {k}: {e}")))?;

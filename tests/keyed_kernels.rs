@@ -1,14 +1,14 @@
-//! Property-based equivalence of the keyed crack kernels (narrow-column
-//! scans) against the record-streaming kernels they replaced, which are
-//! kept in `tests/reference/crack.rs` as the oracle (with its own
+//! Property-based equivalence of the engine's crack kernels (scans over the
+//! record lanes) against the record-streaming kernels they replaced, which
+//! are kept in `tests/reference/crack.rs` as the oracle (with its own
 //! assignment key, so the oracle shares no code with the engine), and
 //! deterministic checks of the oracle's own partitions.
 //!
 //! For arbitrary segments (including heavy key ties), arbitrary pivots and
-//! every [`AssignBy`] mode, the keyed kernels must reproduce the oracle's
-//! **split points and physical record order bit-for-bit**, measure each
-//! output segment as [`DimBounds::of`] does, and leave the `(keys, his)`
-//! column pair in lockstep with the permuted records. The engine-level
+//! every [`AssignBy`] mode, the lane kernels must reproduce the oracle's
+//! **split points and physical record order bit-for-bit** in every lane
+//! (the records gathered back from the lanes equal the oracle's), and
+//! measure each output segment as [`DimBounds::of`] does. The engine-level
 //! consequences (identical results, permutations and stats across
 //! threads/batches/shards) are covered by the existing suites in
 //! `tests/{batch,shard}.rs` — the kernels proven equivalent here are the
@@ -18,8 +18,7 @@
 mod reference;
 
 use proptest::prelude::*;
-use quasii::crack::{self, DimBounds};
-use quasii::keys::rekey;
+use quasii::crack::{self, DimBounds, LanesMut};
 use quasii::AssignBy;
 use quasii_suite::prelude::*;
 use rand::rngs::StdRng;
@@ -54,27 +53,42 @@ fn arb_mode() -> impl Strategy<Value = AssignBy> {
     })
 }
 
-/// Builds the `(keys, his)` column pair of a segment.
-fn columns_of(seg: &[Record<3>], dim: usize, mode: AssignBy) -> (Vec<f64>, Vec<f64>) {
-    let mut keys = vec![0.0; seg.len()];
-    let mut his = vec![0.0; seg.len()];
-    rekey(&mut keys, &mut his, seg, dim, mode);
-    (keys, his)
+/// A segment as the lanes the kernels crack: ids, and per dimension the
+/// lower corners and the negated upper corners.
+struct Lanes {
+    ids: Vec<u64>,
+    lo: [Vec<f64>; 3],
+    nhi: [Vec<f64>; 3],
 }
 
-/// Asserts the column pair still caches the permuted records' values.
-fn assert_lockstep(
-    keys: &[f64],
-    his: &[f64],
-    recs: &[Record<3>],
-    dim: usize,
-    mode: AssignBy,
-) -> Result<(), TestCaseError> {
-    for ((k, h), r) in keys.iter().zip(his).zip(recs) {
-        prop_assert_eq!(*k, key_of(r, dim, mode), "key column out of lockstep");
-        prop_assert_eq!(*h, r.mbb.hi[dim], "upper-bound column out of lockstep");
+impl Lanes {
+    fn of(seg: &[Record<3>]) -> Self {
+        Self {
+            ids: seg.iter().map(|r| r.id).collect(),
+            lo: std::array::from_fn(|d| seg.iter().map(|r| r.mbb.lo[d]).collect()),
+            nhi: std::array::from_fn(|d| seg.iter().map(|r| -r.mbb.hi[d]).collect()),
+        }
     }
-    Ok(())
+
+    /// The kernels' argument.
+    fn view(&mut self) -> LanesMut<'_, 3> {
+        LanesMut {
+            ids: &mut self.ids,
+            lo: self.lo.each_mut().map(Vec::as_mut_slice),
+            nhi: self.nhi.each_mut().map(Vec::as_mut_slice),
+        }
+    }
+
+    /// The records, gathered back from every lane.
+    fn records(&self) -> Vec<Record<3>> {
+        (0..self.ids.len())
+            .map(|i| {
+                let lo = std::array::from_fn(|d| self.lo[d][i]);
+                let hi = std::array::from_fn(|d| -self.nhi[d][i]);
+                Record::new(self.ids[i], Aabb { lo, hi })
+            })
+            .collect()
+    }
 }
 
 /// The exact MBB the engine lazily computes for an at-most-τ crack output
@@ -119,16 +133,14 @@ proptest! {
         let mut keyed = seg.clone();
         let mut plain = seg;
         for _ in 0..2 {
-            let (mut keys, mut his) = columns_of(&keyed, dim, mode);
-            let (p, l, r) = crack::crack_two_keyed_measured(
-                &mut keys, &mut his, &mut keyed, dim, mode, pivot,
-            );
+            let mut lanes = Lanes::of(&keyed);
+            let (p, l, r) = crack::crack_two_keyed_measured(lanes.view(), dim, mode, pivot);
+            keyed = lanes.records();
             let p_ref = crack_two(&mut plain, dim, mode, pivot);
             prop_assert_eq!(p, p_ref, "split point diverged");
             prop_assert_eq!(&keyed, &plain, "physical order diverged");
             assert_measured(l, &keyed[..p], dim, mode)?;
             assert_measured(r, &keyed[p..], dim, mode)?;
-            assert_lockstep(&keys, &his, &keyed, dim, mode)?;
         }
     }
 
@@ -146,17 +158,16 @@ proptest! {
         let mut keyed = seg.clone();
         let mut plain = seg;
         for _ in 0..2 {
-            let (mut keys, mut his) = columns_of(&keyed, dim, mode);
-            let (p1, p2, m) = crack::crack_three_keyed_measured(
-                &mut keys, &mut his, &mut keyed, dim, mode, low, high,
-            );
+            let mut lanes = Lanes::of(&keyed);
+            let (p1, p2, m) =
+                crack::crack_three_keyed_measured(lanes.view(), dim, mode, low, high);
+            keyed = lanes.records();
             let (r1, r2) = crack_three(&mut plain, dim, mode, low, high);
             prop_assert_eq!((p1, p2), (r1, r2), "split points diverged");
             prop_assert_eq!(&keyed, &plain, "physical order diverged");
             for (got, seg) in m.into_iter().zip([&keyed[..p1], &keyed[p1..p2], &keyed[p2..]]) {
                 assert_measured(got, seg, dim, mode)?;
             }
-            assert_lockstep(&keys, &his, &keyed, dim, mode)?;
         }
     }
 
@@ -165,18 +176,17 @@ proptest! {
     /// partitions) for split point and permutation, including the
     /// degenerate all-equal-keys outcome (split 0); both sides'
     /// measurements whenever the split is interior (the only case the
-    /// engine reads them); column lockstep.
+    /// engine reads them).
     #[test]
     fn median_keyed_equals_reference(
         seg in arb_segment(),
         mode in arb_mode(),
         dim in 0usize..3,
     ) {
-        let (mut keys, mut his) = columns_of(&seg, dim, mode);
-        let mut keyed = seg.clone();
+        let mut lanes = Lanes::of(&seg);
         let mut plain = seg;
-        let (p, l, r) =
-            crack::crack_median_keyed_measured(&mut keys, &mut his, &mut keyed, dim, mode);
+        let (p, l, r) = crack::crack_median_keyed_measured(lanes.view(), dim, mode);
+        let keyed = lanes.records();
         let p_ref = crack_median(&mut plain, dim, mode);
         prop_assert_eq!(p, p_ref);
         prop_assert_eq!(&keyed, &plain);
@@ -184,13 +194,11 @@ proptest! {
             assert_measured(l, &keyed[..p], dim, mode)?;
             assert_measured(r, &keyed[p..], dim, mode)?;
         }
-        assert_lockstep(&keys, &his, &keyed, dim, mode)?;
     }
 
-    /// Engine level: with the keyed kernels on the hot path, arbitrary
+    /// Engine level: with the lane kernels on the hot path, arbitrary
     /// query sequences still agree with brute force in every assignment
-    /// mode, and the full hierarchy (including the column-lockstep
-    /// invariant) validates after every query.
+    /// mode, and the full hierarchy validates after every query.
     #[test]
     fn engine_stays_correct_in_every_mode(
         seed in 0u64..1_000,
@@ -226,11 +234,10 @@ fn degenerate_all_equal_keys_segment() {
         .collect();
     for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
         for pivot in [6.0, key_of(&seg[0], 0, mode), 100.0] {
-            let (mut keys, mut his) = columns_of(&seg, 0, mode);
-            let mut keyed = seg.clone();
+            let mut lanes = Lanes::of(&seg);
             let mut plain = seg.clone();
-            let (p, l, r) =
-                crack::crack_two_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, pivot);
+            let (p, l, r) = crack::crack_two_keyed_measured(lanes.view(), 0, mode, pivot);
+            let keyed = lanes.records();
             let p_ref = crack_two(&mut plain, 0, mode, pivot);
             assert_eq!(p, p_ref);
             assert_eq!(keyed, plain);
@@ -238,39 +245,24 @@ fn degenerate_all_equal_keys_segment() {
             assert_measured(r, &keyed[p..], 0, mode).unwrap();
         }
         let k = key_of(&seg[0], 0, mode);
-        let (mut keys, mut his) = columns_of(&seg, 0, mode);
-        let mut keyed = seg.clone();
-        let (p1, p2, _) =
-            crack::crack_three_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, k, k);
+        let mut lanes = Lanes::of(&seg);
+        let (p1, p2, _) = crack::crack_three_keyed_measured(lanes.view(), 0, mode, k, k);
         assert_eq!((p1, p2), (0, 50), "middle swallows the identical keys");
-        let (p, _, _) =
-            crack::crack_median_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode);
+        let (p, _, _) = crack::crack_median_keyed_measured(lanes.view(), 0, mode);
         assert_eq!(p, 0, "value-indivisible segment");
     }
 }
 
 #[test]
 fn empty_segments_are_no_ops() {
-    let mut keys: Vec<f64> = vec![];
-    let mut his: Vec<f64> = vec![];
-    let mut recs: Vec<Record<3>> = vec![];
-    let (p, l, r) =
-        crack::crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower, 1.0);
+    let mut lanes = Lanes::of(&[]);
+    let (p, l, r) = crack::crack_two_keyed_measured(lanes.view(), 0, AssignBy::Lower, 1.0);
     assert_eq!(p, 0);
     assert_eq!((l, r), (DimBounds::empty(), DimBounds::empty()));
-    let (p1, p2, m) = crack::crack_three_keyed_measured(
-        &mut keys,
-        &mut his,
-        &mut recs,
-        0,
-        AssignBy::Lower,
-        0.0,
-        1.0,
-    );
+    let (p1, p2, m) = crack::crack_three_keyed_measured(lanes.view(), 0, AssignBy::Lower, 0.0, 1.0);
     assert_eq!((p1, p2), (0, 0));
     assert!(m.iter().all(|b| *b == DimBounds::empty()));
-    let (p, l, r) =
-        crack::crack_median_keyed_measured(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower);
+    let (p, l, r) = crack::crack_median_keyed_measured(lanes.view(), 0, AssignBy::Lower);
     assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
 }
 
@@ -448,20 +440,6 @@ fn cracks_work_on_higher_dims() {
     assert!(seg[p..].iter().all(|r| r.mbb.lo[1] >= 25.0));
 }
 
-/// Asserts the `(keys, his, recs)` triple is still in lockstep.
-fn assert_columns_consistent<const D: usize>(
-    keys: &[f64],
-    his: &[f64],
-    recs: &[Record<D>],
-    dim: usize,
-    mode: AssignBy,
-) {
-    for ((k, h), r) in keys.iter().zip(his).zip(recs) {
-        assert_eq!(*k, key_of(r, dim, mode), "key column out of lockstep");
-        assert_eq!(*h, r.mbb.hi[dim], "upper-bound column out of lockstep");
-    }
-}
-
 #[test]
 fn keyed_two_way_matches_reference() {
     for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
@@ -472,17 +450,15 @@ fn keyed_two_way_matches_reference() {
                 // The second pass re-runs both on the partitioned input
                 // to exercise the sorted edge case.
                 for pass in 0..2 {
-                    let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
-                    let (p, l, r) = crack::crack_two_keyed_measured(
-                        &mut ck, &mut ch, &mut keyed, dim, mode, pivot,
-                    );
+                    let mut lanes = Lanes::of(&keyed);
+                    let (p, l, r) = crack::crack_two_keyed_measured(lanes.view(), dim, mode, pivot);
+                    keyed = lanes.records();
                     let p_ref = crack_two(&mut plain, dim, mode, pivot);
                     let at = format!("mode {mode:?}, dim {dim}, pass {pass}");
                     assert_eq!(p, p_ref, "split ({at})");
                     assert_eq!(keyed, plain, "permutation ({at})");
                     assert_eq!(l, DimBounds::of(&plain[..p], dim, mode), "left ({at})");
                     assert_eq!(r, DimBounds::of(&plain[p..], dim, mode), "right ({at})");
-                    assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
                 }
             }
         }
@@ -496,17 +472,15 @@ fn keyed_three_way_matches_reference() {
             let mut keyed = random_segment3(700, seed);
             let mut plain = keyed.clone();
             for pass in 0..2 {
-                let (mut ck, mut ch) = columns_of(&keyed, 1, mode);
-                let (p1, p2, m) = crack::crack_three_keyed_measured(
-                    &mut ck, &mut ch, &mut keyed, 1, mode, lo, hi,
-                );
+                let mut lanes = Lanes::of(&keyed);
+                let (p1, p2, m) = crack::crack_three_keyed_measured(lanes.view(), 1, mode, lo, hi);
+                keyed = lanes.records();
                 let (r1, r2) = crack_three(&mut plain, 1, mode, lo, hi);
                 assert_eq!((p1, p2), (r1, r2), "split ({mode:?}, pass {pass})");
                 assert_eq!(keyed, plain, "permutation ({mode:?}, pass {pass})");
                 for (got, seg) in m.iter().zip([&plain[..r1], &plain[r1..r2], &plain[r2..]]) {
                     assert_eq!(*got, DimBounds::of(seg, 1, mode), "bounds ({mode:?})");
                 }
-                assert_columns_consistent(&ck, &ch, &keyed, 1, mode);
             }
         }
     }
@@ -521,28 +495,25 @@ fn keyed_median_matches_reference() {
         (AssignBy::Center, 1, 137, 62),
         (AssignBy::Upper, 2, 137, 63),
     ] {
-        let mut keyed = random_segment3(n, seed);
-        let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
-        let mut plain = keyed.clone();
-        let (p, l, r) = crack::crack_median_keyed_measured(&mut ck, &mut ch, &mut keyed, dim, mode);
+        let mut plain = random_segment3(n, seed);
+        let mut lanes = Lanes::of(&plain);
+        let (p, l, r) = crack::crack_median_keyed_measured(lanes.view(), dim, mode);
+        let keyed = lanes.records();
         let p_ref = crack_median(&mut plain, dim, mode);
         assert_eq!(p, p_ref, "{mode:?}");
         assert_eq!(keyed, plain, "{mode:?}: permutation diverged");
-        assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
         assert!(0 < p && p < keyed.len(), "non-degenerate by construction");
         assert_eq!(l, DimBounds::of(&keyed[..p], dim, mode), "{mode:?}");
         assert_eq!(r, DimBounds::of(&keyed[p..], dim, mode), "{mode:?}");
     }
     // Degenerate: all equal → 0; tiny segments return their length
     // (measurements are unspecified there and unread by the caller).
-    let mut same: Vec<Record<3>> = (0..9)
+    let same: Vec<Record<3>> = (0..9)
         .map(|i| Record::new(i, Aabb::new([3.0; 3], [4.0; 3])))
         .collect();
-    let (mut ck, mut ch) = columns_of(&same, 0, LOWER);
-    let (p, _, _) = crack::crack_median_keyed_measured(&mut ck, &mut ch, &mut same, 0, LOWER);
+    let (p, _, _) = crack::crack_median_keyed_measured(Lanes::of(&same).view(), 0, LOWER);
     assert_eq!(p, 0);
-    let mut one = vec![Record::new(0, Aabb::new([1.0; 3], [2.0; 3]))];
-    let (mut ck1, mut ch1) = columns_of(&one, 0, LOWER);
-    let (p, _, _) = crack::crack_median_keyed_measured(&mut ck1, &mut ch1, &mut one, 0, LOWER);
+    let one = vec![Record::new(0, Aabb::new([1.0; 3], [2.0; 3]))];
+    let (p, _, _) = crack::crack_median_keyed_measured(Lanes::of(&one).view(), 0, LOWER);
     assert_eq!(p, 1);
 }
