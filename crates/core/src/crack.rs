@@ -115,14 +115,13 @@ impl<const D: usize> LanesMut<'_, D> {
         recs
     }
 
-    /// Writes `recs` back into the lanes in one pass.
-    fn scatter(&mut self, recs: &[Record<D>]) {
-        for (i, r) in recs.iter().enumerate() {
-            self.ids[i] = r.id;
-            for d in 0..D {
-                self.lo[d][i] = r.mbb.lo[d];
-                self.nhi[d][i] = -r.mbb.hi[d];
-            }
+    /// Writes `r` as record `i`.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize, r: &Record<D>) {
+        self.ids[i] = r.id;
+        for d in 0..D {
+            self.lo[d][i] = r.mbb.lo[d];
+            self.nhi[d][i] = -r.mbb.hi[d];
         }
     }
 }
@@ -152,6 +151,23 @@ impl DimBounds {
         }
     }
 
+    /// Folds one record's key, lower corner and negated upper corner in.
+    /// Kept `inline(always)` and only ever called on fixed named locals so
+    /// the accumulator stays in registers (an index-selected destination
+    /// would force it into memory).
+    #[inline(always)]
+    fn fold(&mut self, k: f64, lo: f64, nhi: f64) {
+        if k < self.min_key {
+            self.min_key = k;
+        }
+        if lo < self.min_lo {
+            self.min_lo = lo;
+        }
+        if -nhi > self.max_hi {
+            self.max_hi = -nhi;
+        }
+    }
+
     /// Measures a segment with a record-streaming scan: the oracle for the
     /// kernels' in-pass measurements.
     pub fn of<const D: usize>(seg: &[Record<D>], dim: usize, mode: AssignBy) -> Self {
@@ -169,52 +185,6 @@ impl DimBounds {
             }
         }
         b
-    }
-}
-
-/// The in-pass accumulator of a [`DimBounds`]: the upper corner folds as
-/// the minimum negated `hi`, negated once at the end (the first record
-/// with the greatest `hi` is the first with the least `-hi`, so the result
-/// is bit for bit the `max_hi` fold).
-#[derive(Clone, Copy)]
-struct Fold {
-    min_key: f64,
-    min_lo: f64,
-    min_nhi: f64,
-}
-
-impl Fold {
-    fn new() -> Self {
-        Self {
-            min_key: f64::INFINITY,
-            min_lo: f64::INFINITY,
-            min_nhi: f64::INFINITY,
-        }
-    }
-
-    /// Folds one record's key, lower corner and negated upper corner in.
-    /// Kept `inline(always)` and only ever called on fixed named locals so
-    /// the accumulator stays in registers (an index-selected destination
-    /// would force it into memory).
-    #[inline(always)]
-    fn fold(&mut self, k: f64, lo: f64, nhi: f64) {
-        if k < self.min_key {
-            self.min_key = k;
-        }
-        if lo < self.min_lo {
-            self.min_lo = lo;
-        }
-        if nhi < self.min_nhi {
-            self.min_nhi = nhi;
-        }
-    }
-
-    fn bounds(self) -> DimBounds {
-        DimBounds {
-            min_key: self.min_key,
-            min_lo: self.min_lo,
-            max_hi: -self.min_nhi,
-        }
     }
 }
 
@@ -244,8 +214,8 @@ fn crack_two<const D: usize>(
     pivot: f64,
     key: impl Fn(f64, f64) -> f64,
 ) -> (usize, DimBounds, DimBounds) {
-    let mut left = Fold::new();
-    let mut right = Fold::new();
+    let mut left = DimBounds::empty();
+    let mut right = DimBounds::empty();
     let mut i = 0usize;
     let mut j = lanes.len();
     loop {
@@ -282,7 +252,7 @@ fn crack_two<const D: usize>(
         i += 1;
         j -= 1;
     }
-    (i, left.bounds(), right.bounds())
+    (i, left, right)
 }
 
 /// Three-way crack (Dutch national flag): partitions the lanes into
@@ -314,9 +284,9 @@ fn crack_three<const D: usize>(
     // Three scalar accumulator sets with a fixed destination per branch arm
     // (an index-selected `m[region]` fold would force the accumulators into
     // memory instead of registers).
-    let mut m0 = Fold::new();
-    let mut m1 = Fold::new();
-    let mut m2 = Fold::new();
+    let mut m0 = DimBounds::empty();
+    let mut m1 = DimBounds::empty();
+    let mut m2 = DimBounds::empty();
     let mut lt = 0usize;
     let mut i = 0usize;
     let mut gt = lanes.len();
@@ -359,7 +329,7 @@ fn crack_three<const D: usize>(
             lanes.swap(i, gt);
         }
     }
-    (lt, gt, [m0.bounds(), m1.bounds(), m2.bounds()])
+    (lt, gt, [m0, m1, m2])
 }
 
 /// Rank-based fallback split used when midpoint (value) splits cannot
@@ -396,7 +366,9 @@ pub fn crack_median_keyed_measured<const D: usize>(
             .partial_cmp(&key_of(b, dim, mode))
             .expect("coordinates are never NaN")
     });
-    lanes.scatter(&recs);
+    for (i, r) in recs.iter().enumerate() {
+        lanes.set(i, r);
+    }
     // Partition strictly below the median value; if everything is equal to
     // the pivot this yields 0 and the caller treats the slice as
     // value-indivisible.

@@ -17,7 +17,7 @@ use crate::crack::{
 use crate::simd::{LaneId, LaneView, SimdLevel};
 use crate::slice::Slice;
 use crate::stats::QuasiiStats;
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::Aabb;
 use quasii_common::snapshot::own_mapping;
 use std::ops::Range;
 
@@ -75,10 +75,7 @@ pub(crate) struct Lanes<const D: usize> {
 impl<const D: usize> Lanes<D> {
     /// No records, no allocation.
     pub(crate) fn new() -> Self {
-        Self {
-            ids: Vec::new(),
-            coords: Vec::new(),
-        }
+        Self::zeroed(0)
     }
 
     /// `n` records, every lane zero.
@@ -101,17 +98,6 @@ impl<const D: usize> Lanes<D> {
     /// Number of records.
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
-    }
-
-    /// Writes `r` as record `i`.
-    #[inline]
-    pub(crate) fn set(&mut self, i: usize, r: &Record<D>) {
-        let n = self.len();
-        self.ids[i] = r.id;
-        for d in 0..D {
-            self.coords[d * n + i] = r.mbb.lo[d];
-            self.coords[(D + d) * n + i] = -r.mbb.hi[d];
-        }
     }
 
     /// Copies the records `span` of `from` to positions `at..`, ids
@@ -584,6 +570,7 @@ pub(crate) fn query_level<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quasii_common::geom::Record;
 
     /// Records go into the lanes and come back bit for bit, and a span's
     /// box is the exact MBB of its records.
@@ -595,7 +582,8 @@ mod tests {
             Record::new(2, Aabb::new([-1.0, 0.0], [0.0, -0.0])),
         ];
         let mut lanes = Lanes::<2>::zeroed(data.len());
-        data.iter().enumerate().for_each(|(i, r)| lanes.set(i, r));
+        let mut all = lanes.segment_mut(0..3);
+        data.iter().enumerate().for_each(|(i, r)| all.set(i, r));
         assert_eq!(lanes.len(), 3);
         let mut back = Vec::new();
         lanes.view().push_records(0..3, &mut back);

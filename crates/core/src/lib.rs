@@ -212,6 +212,7 @@ impl<const D: usize> Quasii<D> {
         let mut bounds = Aabb::empty();
         let mut ext = [0.0; D];
         let mut lanes = Lanes::zeroed(self.n);
+        let mut all = lanes.segment_mut(0..self.n);
         for (i, r) in std::mem::take(&mut self.input).iter().enumerate() {
             bounds.expand(&r.mbb);
             for k in 0..D {
@@ -220,7 +221,7 @@ impl<const D: usize> Quasii<D> {
                     ext[k] = e;
                 }
             }
-            lanes.set(i, r);
+            all.set(i, r);
         }
         self.data = lanes;
         self.data_bounds = bounds;
