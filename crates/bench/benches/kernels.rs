@@ -8,45 +8,15 @@ mod reference;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use quasii::crack::{
     crack_median_keyed_measured, crack_three_keyed_measured, crack_two_keyed_measured, DimBounds,
-    LanesMut,
 };
 use quasii::{AssignBy, Quasii, QuasiiConfig, SimdLevel, SimdPolicy};
 use quasii_common::dataset::uniform_boxes_in;
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::Aabb;
 use quasii_common::index::SpatialIndex;
 use quasii_rtree::str_pack::str_tile;
 use quasii_sfc::ZGrid;
-use reference::{crack_three, crack_two};
+use reference::{crack_three, crack_two, Lanes};
 use std::hint::black_box;
-
-/// Records as the lanes the engine cracks: ids, and per dimension the
-/// lower corners and the negated upper corners. Cloned per iteration
-/// (untimed) — the engine keeps its records as lanes, so a crack costs
-/// only its pass.
-#[derive(Clone)]
-struct Lanes {
-    ids: Vec<u64>,
-    lo: [Vec<f64>; 3],
-    nhi: [Vec<f64>; 3],
-}
-
-impl Lanes {
-    fn of(data: &[Record<3>]) -> Self {
-        Self {
-            ids: data.iter().map(|r| r.id).collect(),
-            lo: std::array::from_fn(|d| data.iter().map(|r| r.mbb.lo[d]).collect()),
-            nhi: std::array::from_fn(|d| data.iter().map(|r| -r.mbb.hi[d]).collect()),
-        }
-    }
-
-    fn view(&mut self) -> LanesMut<'_, 3> {
-        LanesMut {
-            ids: &mut self.ids,
-            lo: self.lo.each_mut().map(Vec::as_mut_slice),
-            nhi: self.nhi.each_mut().map(Vec::as_mut_slice),
-        }
-    }
-}
 
 /// The engine's three crack kernels (crack + measure what `make_sub`
 /// consumes) at three segment sizes: 620 records (about the mean records

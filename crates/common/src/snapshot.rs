@@ -251,13 +251,34 @@ const HUGE_PAGE: usize = 2 << 20;
 /// pages off, or where the kernel has none, the pages stay 4 KiB. Smaller
 /// buffers come from the heap and are never advised.
 pub fn own_mapping<T>(len: usize) -> Vec<T> {
+    advised(Vec::with_capacity(own_room::<T>(len)))
+}
+
+/// [`own_mapping`] holding `len` default values, for a buffer written in
+/// place rather than appended to. A default of all zero bits (`0`, `0.0`)
+/// is not written: the vector is allocated zeroed, which a mapping of its
+/// own already is, so each page is first touched where the buffer is
+/// first written.
+pub fn own_zeroed_mapping<T: Clone + Default>(len: usize) -> Vec<T> {
+    let mut v = vec![T::default(); own_room::<T>(len)];
+    v.truncate(len);
+    advised(v)
+}
+
+/// The room [`own_mapping`] reserves for `len` elements of `T`.
+fn own_room<T>(len: usize) -> usize {
     let size = std::mem::size_of::<T>();
     if len.saturating_mul(size) < OWN_FROM {
-        return Vec::with_capacity(len);
+        len
+    } else {
+        len.max(OWN_MAPPING / size + 1)
     }
-    let cap = len.max(OWN_MAPPING / size + 1);
-    let v = Vec::with_capacity(cap);
-    if let Some(range) = huge_range(v.as_ptr() as usize, cap * size) {
+}
+
+/// `v`, its huge pages advised when it is a mapping of its own.
+fn advised<T>(v: Vec<T>) -> Vec<T> {
+    let bytes = v.capacity().saturating_mul(std::mem::size_of::<T>());
+    if let Some(range) = huge_range(v.as_ptr() as usize, bytes) {
         advise_huge_pages(range);
     }
     v
@@ -924,6 +945,10 @@ mod tests {
         let n = 500_000;
         assert!(own_mapping::<[u64; 7]>(n).capacity() * 56 > OWN_MAPPING);
         assert_eq!(own_mapping::<[u64; 7]>(2_000_000).capacity(), 2_000_000);
+        let zeroed = own_zeroed_mapping::<f64>(3 << 20);
+        assert_eq!(zeroed.len(), 3 << 20);
+        assert!(zeroed.capacity() * 8 > OWN_MAPPING && zeroed.iter().all(|&x| x == 0.0));
+        assert_eq!(own_zeroed_mapping::<u64>(5), vec![0; 5]);
         let big = Writer::framed(b"QSIITEST", 7, 3, 28 << 20);
         assert!(big.capacity() > OWN_MAPPING);
         assert_eq!(Writer::framed(b"QSIITEST", 7, 3, 0).capacity(), FRAME_LEN);

@@ -18,7 +18,7 @@ use crate::simd::{LaneId, LaneView, SimdLevel};
 use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use quasii_common::geom::Aabb;
-use quasii_common::snapshot::own_mapping;
+use quasii_common::snapshot::own_zeroed_mapping;
 use std::ops::Range;
 
 /// Upper bound on recursive artificial (midpoint) splits per slice: a
@@ -65,7 +65,7 @@ impl<const D: usize> Runtime<D> {
 /// with the id kept whole (`u64`). The `2 × D` coordinate lanes share one
 /// buffer (`lo[0..D]`, then negated `hi[0..D]`), a mapping of its own
 /// advised for huge pages once it is large enough
-/// ([`own_mapping`]), so writing a million records' lanes faults in
+/// ([`own_zeroed_mapping`]), so writing a million records' lanes faults in
 /// about two dozen pages instead of twelve thousand.
 pub(crate) struct Lanes<const D: usize> {
     ids: Vec<u64>,
@@ -78,13 +78,12 @@ impl<const D: usize> Lanes<D> {
         Self::zeroed(0)
     }
 
-    /// `n` records, every lane zero.
+    /// `n` records, every lane zero: allocated zeroed, so no page is
+    /// touched before the lanes are written.
     pub(crate) fn zeroed(n: usize) -> Self {
-        let mut coords = own_mapping(2 * D * n);
-        coords.resize(2 * D * n, 0.0);
         Self {
             ids: vec![0; n],
-            coords,
+            coords: own_zeroed_mapping(2 * D * n),
         }
     }
 
@@ -98,6 +97,12 @@ impl<const D: usize> Lanes<D> {
     /// Number of records.
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    /// The bytes the lanes hold allocated.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.ids.capacity() + self.coords.capacity()) * 8
     }
 
     /// Copies the records `span` of `from` to positions `at..`, ids

@@ -66,6 +66,10 @@ use slice::Slice;
 use std::fmt;
 use std::ops::Range;
 
+/// Records the first query transposes into lanes between two frees of the
+/// caller's rows (3.5 MiB of `Record<3>`): not a tuning knob.
+const INIT_BLOCK: usize = 1 << 16;
+
 /// A query panicked mid-batch and the engine refused to keep serving: the
 /// slice hierarchy may be in an undefined intermediate state, so every
 /// answer after the panic would be untrustworthy. The engine never
@@ -198,9 +202,9 @@ impl<const D: usize> Quasii<D> {
 
     /// First-query initialization: one pass computing the dataset MBB and
     /// the per-dimension maximum object extent (needed for query extension)
-    /// that transposes the caller's records into lanes, whose vector it
-    /// then drops; then the initial whole-dataset slice `s0`, sealed at
-    /// once if it has already converged.
+    /// that transposes the caller's records into lanes, freeing their
+    /// vector as it goes; then the initial whole-dataset slice `s0`, sealed
+    /// at once if it has already converged.
     fn ensure_init(&mut self) {
         if self.initialized {
             return;
@@ -213,15 +217,31 @@ impl<const D: usize> Quasii<D> {
         let mut ext = [0.0; D];
         let mut lanes = Lanes::zeroed(self.n);
         let mut all = lanes.segment_mut(0..self.n);
-        for (i, r) in std::mem::take(&mut self.input).iter().enumerate() {
-            bounds.expand(&r.mbb);
-            for k in 0..D {
-                let e = r.mbb.hi[k] - r.mbb.lo[k];
-                if e > ext[k] {
-                    ext[k] = e;
+        // Back to front, a block at a time, each block's rows freed once
+        // its lanes hold them (glibc shrinks a block in place, and unmaps a
+        // mapping's tail), so the rows and the lanes are never both whole.
+        // A tie goes to the earlier record (`<=`, `>=`), as it does in a
+        // front-to-back `Aabb::expand` fold: the bounds keep its ±0.
+        let mut input = std::mem::take(&mut self.input);
+        while !input.is_empty() {
+            let from = input.len().saturating_sub(INIT_BLOCK);
+            for (j, r) in input[from..].iter().enumerate().rev() {
+                for k in 0..D {
+                    if r.mbb.lo[k] <= bounds.lo[k] {
+                        bounds.lo[k] = r.mbb.lo[k];
+                    }
+                    if r.mbb.hi[k] >= bounds.hi[k] {
+                        bounds.hi[k] = r.mbb.hi[k];
+                    }
+                    let e = r.mbb.hi[k] - r.mbb.lo[k];
+                    if e > ext[k] {
+                        ext[k] = e;
+                    }
                 }
+                all.set(from + j, r);
             }
-            all.set(i, r);
+            input.truncate(from);
+            input.shrink_to_fit();
         }
         self.data = lanes;
         self.data_bounds = bounds;
@@ -935,6 +955,27 @@ mod tests {
         assert_matches_brute_force(&data, &q, &got);
     }
 
+    /// Initialization folds the records back to front, a block at a time;
+    /// its bounds are still bit for bit the front-to-back fold's, signed
+    /// zeros included, and its lanes are the records in order.
+    #[test]
+    fn init_transposes_blocks_and_keeps_the_forward_bounds() {
+        let mut data = uniform_boxes_in::<2>(INIT_BLOCK + 700, 100.0, 3);
+        // The earliest zero of each dimension has the other sign.
+        for (i, z) in [(5, -0.0), (INIT_BLOCK + 9, 0.0), (INIT_BLOCK + 600, 0.0)] {
+            data[i].mbb.lo = [z, -z];
+        }
+        let want = mbb_of(&data);
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::default());
+        idx.ensure_init();
+        let got = idx.data_bounds();
+        assert_eq!(got.lo.map(f64::to_bits), want.lo.map(f64::to_bits));
+        assert_eq!(got.hi.map(f64::to_bits), want.hi.map(f64::to_bits));
+        assert!(got.lo[0].is_sign_negative() && got.lo[1].is_sign_positive());
+        assert_eq!(idx.input.capacity(), 0);
+        assert_eq!(idx.records(), data);
+    }
+
     /// The write that seals the last root slice drops the live lanes, and so
     /// does a load of the part it writes: what is left is the root slices,
     /// each owning the arena of its subtree, and the permutation the arenas
@@ -951,7 +992,7 @@ mod tests {
         assert!(idx.input.capacity() == 0, "init dropped the caller's rows");
         idx.finalize();
         assert_eq!(idx.sealed_fraction(), 1.0);
-        assert!(idx.data.len() == 0 && idx.data.view().nhi[2].is_empty());
+        assert_eq!(idx.data.heap_bytes(), 0, "the last seal freed the lanes");
         assert!(idx
             .root
             .iter()
@@ -970,7 +1011,11 @@ mod tests {
         idx.validate().unwrap();
 
         let mut re = Quasii::<3>::from_snapshot(idx.write_snapshot().unwrap()).unwrap();
-        assert!(re.data.len() == 0 && re.data.view().lo[0].is_empty());
+        assert_eq!(
+            re.data.heap_bytes(),
+            0,
+            "a part that stores no rows allocates none"
+        );
         assert_eq!(re.len(), n);
         assert_eq!(re.data_bounds(), idx.data_bounds());
         assert_eq!(re.records(), rows);

@@ -18,12 +18,12 @@
 mod reference;
 
 use proptest::prelude::*;
-use quasii::crack::{self, DimBounds, LanesMut};
+use quasii::crack::{self, DimBounds};
 use quasii::AssignBy;
 use quasii_suite::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reference::{crack_median, crack_three, crack_two, key_of};
+use reference::{crack_median, crack_three, crack_two, key_of, Lanes};
 
 /// Segments with deliberately coarse coordinates so duplicate assignment
 /// keys (the Dutch-flag middle class, degenerate splits) appear often.
@@ -51,44 +51,6 @@ fn arb_mode() -> impl Strategy<Value = AssignBy> {
         1 => AssignBy::Center,
         _ => AssignBy::Upper,
     })
-}
-
-/// A segment as the lanes the kernels crack: ids, and per dimension the
-/// lower corners and the negated upper corners.
-struct Lanes {
-    ids: Vec<u64>,
-    lo: [Vec<f64>; 3],
-    nhi: [Vec<f64>; 3],
-}
-
-impl Lanes {
-    fn of(seg: &[Record<3>]) -> Self {
-        Self {
-            ids: seg.iter().map(|r| r.id).collect(),
-            lo: std::array::from_fn(|d| seg.iter().map(|r| r.mbb.lo[d]).collect()),
-            nhi: std::array::from_fn(|d| seg.iter().map(|r| -r.mbb.hi[d]).collect()),
-        }
-    }
-
-    /// The kernels' argument.
-    fn view(&mut self) -> LanesMut<'_, 3> {
-        LanesMut {
-            ids: &mut self.ids,
-            lo: self.lo.each_mut().map(Vec::as_mut_slice),
-            nhi: self.nhi.each_mut().map(Vec::as_mut_slice),
-        }
-    }
-
-    /// The records, gathered back from every lane.
-    fn records(&self) -> Vec<Record<3>> {
-        (0..self.ids.len())
-            .map(|i| {
-                let lo = std::array::from_fn(|d| self.lo[d][i]);
-                let hi = std::array::from_fn(|d| -self.nhi[d][i]);
-                Record::new(self.ids[i], Aabb { lo, hi })
-            })
-            .collect()
-    }
 }
 
 /// The exact MBB the engine lazily computes for an at-most-τ crack output

@@ -6,13 +6,15 @@
 //! QUASII (`tests/reference`), and the baseline side of the keyed-vs-split
 //! passes comparison in `crates/bench/benches/kernels.rs`, which include
 //! this file by `#[path]`. They share no code with the engine they check:
-//! even the assignment key is written out here again.
+//! even the assignment key is written out here again. [`Lanes`] is the
+//! harness side: it lays records out as the engine's kernels take them.
 
 // Each includer uses part of it.
 #![allow(dead_code)]
 
+use quasii::crack::LanesMut;
 use quasii::AssignBy;
-use quasii_common::geom::Record;
+use quasii_common::geom::{Aabb, Record};
 
 /// The representative (assignment) coordinate of `r` on `dim` (the paper's
 /// §5.1 lower corner, or its footnote 1's center or upper corner).
@@ -107,4 +109,43 @@ pub(crate) fn crack_median<const D: usize>(
     // the pivot this yields 0 and the caller treats the slice as
     // value-indivisible.
     crack_two(seg, dim, mode, pivot)
+}
+
+/// Records as the lanes the engine's kernels crack: ids, and per dimension
+/// the lower corners and the negated upper corners.
+#[derive(Clone)]
+pub(crate) struct Lanes {
+    ids: Vec<u64>,
+    lo: [Vec<f64>; 3],
+    nhi: [Vec<f64>; 3],
+}
+
+impl Lanes {
+    pub(crate) fn of(seg: &[Record<3>]) -> Self {
+        Self {
+            ids: seg.iter().map(|r| r.id).collect(),
+            lo: std::array::from_fn(|d| seg.iter().map(|r| r.mbb.lo[d]).collect()),
+            nhi: std::array::from_fn(|d| seg.iter().map(|r| -r.mbb.hi[d]).collect()),
+        }
+    }
+
+    /// The kernels' argument.
+    pub(crate) fn view(&mut self) -> LanesMut<'_, 3> {
+        LanesMut {
+            ids: &mut self.ids,
+            lo: self.lo.each_mut().map(Vec::as_mut_slice),
+            nhi: self.nhi.each_mut().map(Vec::as_mut_slice),
+        }
+    }
+
+    /// The records, gathered back from every lane.
+    pub(crate) fn records(&self) -> Vec<Record<3>> {
+        (0..self.ids.len())
+            .map(|i| {
+                let lo = std::array::from_fn(|d| self.lo[d][i]);
+                let hi = std::array::from_fn(|d| -self.nhi[d][i]);
+                Record::new(self.ids[i], Aabb { lo, hi })
+            })
+            .collect()
+    }
 }
