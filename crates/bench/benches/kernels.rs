@@ -206,10 +206,7 @@ fn bench_simd_sealed_reads(c: &mut Criterion) {
     // benchmark keep the medians stable run-to-run.
     g.sample_size(30);
     for (name, policy) in [("scalar", SimdPolicy::Scalar), ("vector", SimdPolicy::Auto)] {
-        let mut idx = Quasii::new(
-            data.clone(),
-            QuasiiConfig::default().with_threads(1).with_simd(policy),
-        );
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::default().with_simd(policy));
         idx.finalize();
         for q in &queries {
             black_box(idx.query_collect(q)); // warm: everything seals

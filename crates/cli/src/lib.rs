@@ -86,8 +86,8 @@ impl WorkloadOpts {
 /// wherever the index is not built from `--data`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineOpts {
-    /// Worker cap of each parallel phase — shard jobs, sealed reads
-    /// (0 = machine parallelism).
+    /// The deployment's `shard_threads`: worker cap of its read jobs and
+    /// its shard jobs (0 = machine parallelism).
     pub threads: usize,
     /// Shard count; 0 and 1 both mean one shard.
     pub shards: usize,
@@ -103,12 +103,11 @@ const ENGINE_OPTIONS: [&str; 4] = ["threads", "shards", "assign-by", "simd"];
 impl EngineOpts {
     /// The deployment these options describe, built over `records`:
     /// `shards` engines (0 and 1 both mean one, and are recorded as one)
-    /// behind the key-range router, `--threads` capping the shard jobs and
-    /// each engine's sealed reads. `bench --data`, `snapshot` and `serve
+    /// behind the key-range router, `--threads` capping the deployment's
+    /// read jobs and shard jobs. `bench --data`, `snapshot` and `serve
     /// --data` all build here.
     fn build(&self, records: Vec<Record<3>>) -> ShardedQuasii<3> {
         let inner = QuasiiConfig::default()
-            .with_threads(self.threads)
             .with_assign_by(self.assign_by)
             .with_simd(self.simd);
         let cfg = ShardConfig::default()
@@ -466,8 +465,8 @@ ENGINE:   [--threads N] [--shards K] [--assign-by lower|center|upper]
   --pattern         skewed is a Zipf hot-region workload (shard imbalance)
   --batch N         run the workload N queries at a time through the batch
                     path (0 = one by one)
-  --threads N       workers per parallel phase: shard jobs, sealed reads
-                    (0 = machine parallelism)
+  --threads N       workers per deployment phase: its read jobs, its shard
+                    jobs (0 = machine parallelism)
   --shards K        K engines behind a key-range router, results in
                     ascending-id order (0 and 1 = one shard)
   --assign-by       slice assignment coordinate (paper footnote 1)

@@ -314,9 +314,7 @@ fn serve_end_to_end_over_loopback() {
     let data_s = data.to_string_lossy().to_string();
     run(&format!("generate --out {data_s} --n 1500 --seed 31")).unwrap();
     let records = load(&data_s).unwrap();
-    let cfg = ShardConfig::default()
-        .with_shards(2)
-        .with_inner(QuasiiConfig::default().with_threads(1));
+    let cfg = ShardConfig::default().with_shards(2);
     let engine = ShardedQuasii::new(records, cfg);
     let handle =
         quasii_server::start(engine, "127.0.0.1:0", quasii_server::ServeConfig::default()).unwrap();

@@ -1,14 +1,14 @@
 //! The one process-wide pool of parked worker threads behind every
-//! parallel batch: engine phases, shard fan-out, shard loads.
+//! parallel phase of a sharded deployment; an engine batch opens none.
 //!
 //! The only primitive is a **scoped job list over an atomic cursor**
 //! ([`for_each_mut`]): the caller publishes `n` jobs and claims jobs itself;
 //! idle workers join by `fetch_add` on the same cursor. Completion is
 //! counted in *jobs*, not helpers, so a worker that wakes late finds the
-//! cursor exhausted and costs nothing. A job that opens a nested scope
-//! (shard job → engine batch) runs that scope's jobs itself instead of
-//! blocking on a worker, so nesting cannot deadlock: a thread only ever
-//! waits for jobs that are executing on another thread right now.
+//! cursor exhausted and costs nothing. A job that opens a nested scope runs
+//! that scope's jobs itself instead of blocking on a worker, so nesting
+//! cannot deadlock: a thread only ever waits for jobs that are executing on
+//! another thread right now.
 //!
 //! The pool is sized once, `available_parallelism() − 1` workers started on
 //! first parallel use, so with the caller the process never computes on
@@ -43,9 +43,8 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// The host's parallelism, resolved once per process (the standard library
-/// re-reads the cgroup files on every call): the pool's worker count plus
-/// the calling thread, and what a thread knob of `0` means.
-pub fn parallelism() -> usize {
+/// re-reads the cgroup files on every call): the workers plus the caller.
+fn parallelism() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }

@@ -4,26 +4,25 @@
 //! other entry point that may crack (`execute_batch`, `SpatialIndex::query`
 //! as a one-query batch answering into the caller's buffer, `finalize`)
 //! wraps it. It classifies every query once (`Quasii::readable_window`, the
-//! same test [`Quasii::read`] makes) and runs the batch in **two phases**:
+//! same test [`Quasii::read`] makes) and runs the batch in **two phases**,
+//! both on the calling thread:
 //!
-//! 1. **Shared-read phase** — queries that crack nothing (no slice on
-//!    their path would be cracked or grow a default child) are pure reads:
-//!    a pool map of the `&self` read, one job per query over a shared
-//!    `&self`, each reading its sealed root slices from their arenas (see
-//!    [`crate::seal`]) and the rest from the live slice tree. The jobs go
-//!    to the process-wide worker pool ([`quasii_common::pool`]): the
-//!    calling thread claims jobs off an atomic cursor, up to `threads − 1`
-//!    idle pool workers join it, and every job writes into its own slot.
-//!    With `threads = 1` the jobs run inline without touching the pool. In
-//!    the converged regime this phase is the entire batch.
+//! 1. **Read phase** — queries that crack nothing (no slice on their path
+//!    would be cracked or grow a default child) are pure reads: the `&self`
+//!    read of each, in batch order, straight into its result slot, reading
+//!    its sealed root slices from their arenas (see [`crate::seal`]) and
+//!    the rest from the live slice tree. In the converged regime this
+//!    phase is the entire batch.
 //! 2. **Crack phase** — everything else runs through the adaptive `&mut`
-//!    machinery of [`crate::engine`], one query at a time in batch order on
-//!    the calling thread, like the paper's Algorithm 1. A converged slice
-//!    such a query reaches is read by the same `engine::read_slice` the
-//!    read phase uses (from its arena when sealed), and a sealed one stays
-//!    sealed: nothing cracks it. Cracks run in
-//!    parallel only across engines: `quasii-shard` runs one writer job per
-//!    shard.
+//!    machinery of [`crate::engine`], one query at a time in batch order,
+//!    like the paper's Algorithm 1. A converged slice such a query reaches
+//!    is read by the same `engine::read_slice` the read phase uses (from
+//!    its arena when sealed), and a sealed one stays sealed: nothing
+//!    cracks it.
+//!
+//! An engine opens no pool scope. Batches run in parallel only across
+//! engines: `quasii-shard` runs one writer job per shard, and its own read
+//! phase answers the queries no shard would crack.
 //!
 //! A batch whose crack phase created or refined a slice then seals every
 //! root slice it converged, before it returns: between writes every
@@ -39,14 +38,14 @@
 //! So the reads commute with the cracks, and both the arena and the live
 //! read descent reproduce the writer's visit order operation for operation.
 //! Results, the final hierarchy, the data permutation and the stats are
-//! therefore bit-for-bit identical for every thread count and however the
-//! queries are split into batches.
+//! therefore bit-for-bit identical however the queries are split into
+//! batches.
 
 use crate::engine;
 use crate::{EnginePoisoned, Quasii};
 use obs::finish_phase;
 use quasii_common::geom::Aabb;
-use quasii_common::pool::{self, panic_message};
+use quasii_common::pool::panic_message;
 use quasii_obs as obs;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,25 +59,13 @@ fn trap_check(trap: Option<usize>, j: usize) {
 }
 
 impl<const D: usize> Quasii<D> {
-    /// The most threads a batch's read phase runs on: the
-    /// [`threads`](crate::QuasiiConfig::threads) knob, with `0` resolved to
-    /// the host's parallelism (read once per process, see
-    /// [`pool::parallelism`]).
-    fn effective_threads(&self) -> usize {
-        match self.cfg.threads {
-            0 => pool::parallelism(),
-            n => n,
-        }
-    }
-
-    /// Executes a batch of range queries — reads in parallel, cracks in
+    /// Executes a batch of range queries — reads first, then cracks in
     /// batch order — and returns one id vector per query (in `queries`
     /// order).
     ///
     /// Results, the final hierarchy and the stats counters are bit-for-bit
     /// identical to running the queries one by one through
-    /// [`SpatialIndex::query`], for every thread count (see the module
-    /// documentation for why).
+    /// [`SpatialIndex::query`] (see the module documentation for why).
     ///
     /// # Panics
     ///
@@ -100,7 +87,7 @@ impl<const D: usize> Quasii<D> {
     ///         Record::new(i, Aabb::new([v; 2], [v + 2.0; 2]))
     ///     })
     ///     .collect();
-    /// let mut index = Quasii::new(data, QuasiiConfig::default().with_threads(2));
+    /// let mut index = Quasii::new(data, QuasiiConfig::default());
     /// let batch = [
     ///     Aabb::new([10.0; 2], [30.0; 2]),
     ///     Aabb::new([200.0; 2], [220.0; 2]),
@@ -173,11 +160,10 @@ impl<const D: usize> Quasii<D> {
         if queries.is_empty() {
             return Ok(());
         }
-        let threads = self.effective_threads();
         let extended: Vec<Aabb<D>> = queries.iter().map(|q| self.extend_query(q)).collect();
 
         // Classify each query (`readable_window`): cracks nothing → the
-        // shared-read phase, with its root window; anything else → the
+        // read phase, with its root window; anything else → the
         // crack phase, its window's data span folded into `lo..hi`, the one
         // span the crack phase can reorganize (cracks split slices in place,
         // so the span holds whatever they make of it; it stays empty until
@@ -203,35 +189,27 @@ impl<const D: usize> Quasii<D> {
         }
         finish_phase(span, obs::Phase::Classify);
 
-        // Phase 1 — a pool map of the `&self` read over the readable
-        // queries, on the windows classification approved: one job per
-        // query, each appending to its own result slot (taken out for the
-        // phase). Reads commute with the crack phase below: no crack
+        // Phase 1 — the `&self` read of each readable query, in batch
+        // order, on the window classification approved, straight into its
+        // result slot. Reads commute with the crack phase below: no crack
         // reaches a node a readable query visits.
         if !read_jobs.is_empty() {
             let span = obs::start();
-            let mut slots: Vec<Vec<u64>> = read_jobs
-                .iter()
-                .map(|&(j, _)| std::mem::take(&mut results[j]))
-                .collect();
-            let this: &Quasii<D> = self;
-            let failed = pool::for_each_mut(&mut slots, threads, |t, out| {
-                let (j, window) = &read_jobs[t];
-                trap_check(trap, *j);
-                this.read_window(&queries[*j], &extended[*j], window.clone(), out);
-            });
-            for (&(j, _), out) in read_jobs.iter().zip(slots) {
-                results[j] = out;
-            }
+            let read = catch_unwind(AssertUnwindSafe(|| {
+                for (j, window) in read_jobs {
+                    trap_check(trap, j);
+                    self.read_window(&queries[j], &extended[j], window, &mut results[j]);
+                }
+            }));
             finish_phase(span, obs::Phase::SealedRead);
-            if let Err(p) = failed {
+            if let Err(payload) = read {
                 // The read phase mutates nothing, so the structure is
                 // intact — but the batch's results are incomplete, so the
                 // engine still refuses to pretend it answered (repair()
                 // will revalidate).
                 self.poison(format!(
-                    "worker panic during batch read phase: {}",
-                    p.message
+                    "panic during batch read phase: {}",
+                    panic_message(payload)
                 ));
                 return Err(self.poison_error().expect("poison just set"));
             }
@@ -308,7 +286,7 @@ mod tests {
         queries: &[Aabb<D>],
         cfg: &QuasiiConfig,
     ) -> (Vec<Vec<u64>>, Quasii<D>) {
-        let mut idx = Quasii::new(data.to_vec(), cfg.clone().with_threads(1));
+        let mut idx = Quasii::new(data.to_vec(), cfg.clone());
         let results = queries.iter().map(|q| idx.query_collect(q)).collect();
         (results, idx)
     }
@@ -318,29 +296,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_bit_for_bit_across_thread_counts() {
+    fn batch_matches_sequential_bit_for_bit() {
         let data = uniform_boxes_in::<3>(4_000, 1_000.0, 71);
         let u = Aabb::new([0.0; 3], [1_000.0; 3]);
         let queries = workload::uniform(&u, 60, 1e-3, 72).queries;
         let cfg = QuasiiConfig::with_tau(16);
         let (reference, seq) = sequential_reference(&data, &queries, &cfg);
-        for threads in [1, 2, 4, 8] {
-            let mut idx = Quasii::new(data.clone(), cfg.clone().with_threads(threads));
-            let got = idx.execute_batch(&queries);
-            assert_eq!(got, reference, "results diverged at threads={threads}");
-            idx.validate()
-                .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
-            assert_eq!(
-                idx.stats(),
-                seq.stats(),
-                "work counters diverged at threads={threads}"
-            );
-            assert_eq!(
-                ids(&idx.records()),
-                ids(&seq.records()),
-                "data permutation diverged at threads={threads}"
-            );
-        }
+        let mut idx = Quasii::new(data.clone(), cfg);
+        let got = idx.execute_batch(&queries);
+        assert_eq!(got, reference, "results diverged");
+        idx.validate().unwrap();
+        assert_eq!(idx.stats(), seq.stats(), "work counters diverged");
+        assert_eq!(
+            ids(&idx.records()),
+            ids(&seq.records()),
+            "data permutation diverged"
+        );
     }
 
     #[test]
@@ -348,7 +319,7 @@ mod tests {
         let data = uniform_boxes_in::<3>(2_500, 500.0, 73);
         let u = Aabb::new([0.0; 3], [500.0; 3]);
         let queries = workload::clustered(&u, 4, 10, 1e-3, 74).queries;
-        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12).with_threads(4));
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12));
         let got = idx.execute_batch(&queries);
         for (q, hits) in queries.iter().zip(&got) {
             assert_matches_brute_force(&data, q, hits);
@@ -371,7 +342,7 @@ mod tests {
             expect.push(seq.query_collect(q));
         }
 
-        let mut idx = Quasii::new(data, cfg.with_threads(3));
+        let mut idx = Quasii::new(data, cfg);
         let mut got = idx.execute_batch(batch);
         for q in later {
             got.push(idx.query_collect(q));
@@ -385,7 +356,7 @@ mod tests {
         let data = uniform_boxes_in::<2>(2_000, 400.0, 77);
         let u = Aabb::new([0.0; 2], [400.0; 2]);
         let queries = workload::uniform(&u, 48, 1e-3, 78).queries;
-        let cfg = QuasiiConfig::with_tau(10).with_threads(4);
+        let cfg = QuasiiConfig::with_tau(10);
 
         let mut one = Quasii::new(data.clone(), cfg.clone());
         let whole = one.execute_batch(&queries);
@@ -401,14 +372,14 @@ mod tests {
 
     #[test]
     fn empty_batch_empty_dataset_and_single_query() {
-        let mut empty = Quasii::<3>::new(Vec::new(), QuasiiConfig::default().with_threads(4));
+        let mut empty = Quasii::<3>::new(Vec::new(), QuasiiConfig::default());
         assert!(empty.execute_batch(&[]).is_empty());
         let q = Aabb::new([0.0; 3], [1.0; 3]);
         assert_eq!(empty.execute_batch(&[q]), vec![Vec::<u64>::new()]);
         empty.validate().unwrap();
 
         let data = uniform_boxes_in::<3>(500, 100.0, 79);
-        let mut idx = Quasii::new(data.clone(), QuasiiConfig::default().with_threads(4));
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::default());
         assert!(idx.execute_batch(&[]).is_empty());
         let q = Aabb::new([10.0; 3], [40.0; 3]);
         let got = idx.execute_batch(&[q]);
@@ -416,12 +387,12 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_datasets_survive_parallel_batches() {
+    fn degenerate_datasets_survive_batches() {
         for data in [
             degenerate::identical::<2>(600),
             degenerate::shared_lower::<2>(600),
         ] {
-            let cfg = QuasiiConfig::with_tau(8).with_threads(4);
+            let cfg = QuasiiConfig::with_tau(8);
             let queries = [
                 Aabb::new([0.0; 2], [700.0; 2]),
                 Aabb::new([5.0; 2], [6.0; 2]),
@@ -438,7 +409,7 @@ mod tests {
     fn query_batch_trait_method_routes_to_execute_batch() {
         let data = uniform_boxes_in::<3>(1_000, 200.0, 80);
         let queries = vec![Aabb::new([0.0; 3], [50.0; 3]); 3];
-        let mut idx = Quasii::new(data.clone(), QuasiiConfig::default().with_threads(2));
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::default());
         let got = idx.query_batch(&queries);
         assert_eq!(got.len(), 3);
         for (q, hits) in queries.iter().zip(&got) {
@@ -451,7 +422,7 @@ mod tests {
         let data = uniform_boxes_in::<3>(2_000, 500.0, 81);
         let u = Aabb::new([0.0; 3], [500.0; 3]);
         let queries = workload::uniform(&u, 20, 1e-3, 82).queries;
-        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12).with_threads(4));
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12));
         idx.execute_batch(&queries[..8]); // warm up: top level cracked open
 
         idx.inject_panic_at(3);
@@ -484,7 +455,7 @@ mod tests {
         let data = uniform_boxes_in::<3>(1_500, 400.0, 85);
         let u = Aabb::new([0.0; 3], [400.0; 3]);
         let queries = workload::uniform(&u, 10, 1e-3, 86).queries;
-        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12).with_threads(2));
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(12));
         idx.inject_panic_at(0);
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             idx.query_collect(&queries[0])
@@ -501,13 +472,5 @@ mod tests {
         for q in &queries {
             assert_matches_brute_force(&data, q, &idx.query_collect(q));
         }
-    }
-
-    #[test]
-    fn effective_threads_resolves_zero_to_parallelism() {
-        let idx = Quasii::<2>::new(Vec::new(), QuasiiConfig::default());
-        assert!(idx.effective_threads() >= 1);
-        let idx = Quasii::<2>::new(Vec::new(), QuasiiConfig::default().with_threads(7));
-        assert_eq!(idx.effective_threads(), 7);
     }
 }

@@ -59,9 +59,10 @@ impl AssignBy {
 ///
 /// The paper stresses that QUASII "has only one configuration parameter, a
 /// size threshold τ" — [`tau`](Self::tau). The remaining fields are the
-/// footnote-1 assignment choice and two execution choices absent from the
-/// paper (read-phase threads, SIMD kernels), neither of which changes a
-/// result.
+/// footnote-1 assignment choice and one execution choice absent from the
+/// paper (SIMD kernels), which changes no result. An engine has no thread
+/// knob: a batch runs on its calling thread, and a `quasii-shard`
+/// deployment runs its engines' batches in parallel.
 #[derive(Clone, Debug)]
 pub struct QuasiiConfig {
     /// Maximum number of objects in a fully refined slice at the *finest*
@@ -70,15 +71,6 @@ pub struct QuasiiConfig {
     pub tau: usize,
     /// Representative coordinate for slice assignment (paper: lower).
     pub assign_by: AssignBy,
-    /// Most threads the read phase of one [`crate::Quasii::execute_batch`]
-    /// runs on (its sealed queries): `0` (the default) resolves to the
-    /// host's parallelism, `1` answers them on the calling thread and never
-    /// touches the worker pool, `n > 1` lets up to `n − 1` idle workers of
-    /// the process-wide pool (`quasii_common::pool`) join the calling
-    /// thread. Cracks always run one query at a time on the calling thread;
-    /// they run in parallel only across the engines of a `quasii-shard`
-    /// deployment. Results are bit-for-bit identical for every value.
-    pub threads: usize,
     /// Kernel-generation policy for the SIMD column kernels (see
     /// [`crate::simd`]). `Auto` (the default) honors the `QUASII_SIMD`
     /// environment override, then runtime CPU detection; forcing
@@ -92,7 +84,6 @@ impl Default for QuasiiConfig {
         Self {
             tau: 60,
             assign_by: AssignBy::Lower,
-            threads: 0,
             simd: SimdPolicy::Auto,
         }
     }
@@ -115,10 +106,10 @@ impl QuasiiConfig {
         }
     }
 
-    /// Returns `self` with the read-phase thread cap set (chainable:
-    /// `QuasiiConfig::with_tau(60).with_threads(4)`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Returns `self` unchanged: an engine has no thread knob. Kept while
+    /// the frozen benchmark is its only caller.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -203,13 +194,11 @@ mod tests {
     fn default_config_matches_paper() {
         let c = QuasiiConfig::default();
         assert_eq!(c.tau, 60);
-        assert_eq!(c.threads, 0, "0 = auto (available parallelism)");
         assert_eq!(c.simd, SimdPolicy::Auto, "kernel dispatch defaults to auto");
         assert_eq!(
             QuasiiConfig::default().with_simd(SimdPolicy::Scalar).simd,
             SimdPolicy::Scalar
         );
-        assert_eq!(QuasiiConfig::with_tau(8).with_threads(4).threads, 4);
         assert_eq!(
             QuasiiConfig::default()
                 .with_assign_by(AssignBy::Upper)

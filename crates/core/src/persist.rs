@@ -14,7 +14,7 @@
 //! permutation) to the writer — the warm-start contract `tests/persist.rs`
 //! enforces property-based.
 //!
-//! # Buffer layout (format version 8)
+//! # Buffer layout (format version 9)
 //!
 //! All scalars little-endian; every section a multiple of 8 bytes, so each
 //! section (and in particular every region blob) starts 8-aligned. The
@@ -23,7 +23,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "QSIISNAP"
-//!      8     4  format version (u32, currently 8)
+//!      8     4  format version (u32, currently 9)
 //!     12     4  dimensionality D (u32)
 //!     16     8  checksum64 of the header, bytes[24..first blob]
 //!                                           (the "header word")
@@ -37,7 +37,7 @@
 //!
 //! ```text
 //! u64 n                      record count
-//! u64 ×3                     config: tau, assign_by (0|1|2), threads
+//! u64 ×2                     config: tau, assign_by (0|1|2)
 //! u64 ×10                    QuasiiStats (deterministic work counters)
 //! u64                        SealStats::sealed_queries
 //! f64 ×2D                    ext_low, ext_high (query extension amounts)
@@ -138,7 +138,9 @@
 //! then the negated-`hi` lanes) in place of records and two key columns,
 //! 16 bytes a stored record fewer, and a node's flags lose the key-column
 //! freshness bit (`sealed` moves to bit 1); a fully sealed part, which
-//! stores no rows, has as many bytes as in version 7. Scalars are defined
+//! stores no rows, has as many bytes as in version 7. Version 9 drops the
+//! config word that capped an engine's read-phase threads (8 bytes): an
+//! engine batch runs on its calling thread. Scalars are defined
 //! little-endian: big-endian hosts get [`SnapshotError::Unsupported`] from
 //! both `write` and `load` (live indexing is unaffected — only the
 //! persistent form is LE-pinned).
@@ -184,7 +186,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"QSIISNAP";
 /// The one format version this build writes and accepts (see the module
 /// docs for the bump-on-any-change policy).
-pub(crate) const FORMAT_VERSION: u32 = 8;
+pub(crate) const FORMAT_VERSION: u32 = 9;
 
 /// Guarantees the on-disk format: little-endian scalars. The sealed read
 /// path casts columns zero-copy, so a BE host cannot read (or produce) the
@@ -351,7 +353,6 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
     w.u64(n as u64);
     w.u64(idx.cfg.tau as u64);
     w.u64(idx.cfg.assign_by.code());
-    w.u64(idx.cfg.threads as u64);
     let st = idx.stats();
     for v in [
         st.queries,
@@ -441,7 +442,7 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
 /// Offset of the stored-row count: the frame, then the scalars up to the
 /// bounds.
 const fn stored_at<const D: usize>() -> usize {
-    FRAME_LEN + (15 + 4 * D) * 8
+    FRAME_LEN + (14 + 4 * D) * 8
 }
 
 /// Bytes of one stored record: its id and its `lo` and negated-`hi`
@@ -642,7 +643,6 @@ fn decode<const D: usize>(
     let cfg = QuasiiConfig {
         tau: r.index("tau")?,
         assign_by: AssignBy::from_code(r.u64()?)?,
-        threads: r.index("threads")?,
         // The SIMD policy is a host property, not index state: a snapshot
         // written on an AVX2 host must dispatch scalar on a host without
         // it (results are identical either way), so it is never persisted
@@ -1323,7 +1323,7 @@ mod tests {
     #[test]
     fn poisoned_engines_refuse_snapshots() {
         let data = uniform_boxes_in::<2>(300, 50.0, 63);
-        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8).with_threads(2));
+        let mut idx = Quasii::new(data, QuasiiConfig::with_tau(8));
         idx.inject_panic_at(0);
         let q = Aabb::new([0.0; 2], [50.0; 2]);
         assert!(idx.try_execute_batch(&[q]).is_err());

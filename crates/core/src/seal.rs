@@ -897,7 +897,7 @@ pub(crate) mod tests {
             })
             .collect();
         let live_idx = unsealed(data.clone(), QuasiiConfig::default().tau, None);
-        let mut idx = Quasii::new(data, QuasiiConfig::default().with_threads(1));
+        let mut idx = Quasii::new(data, QuasiiConfig::default());
         idx.finalize();
         assert_eq!(idx.sealed_fraction(), 1.0);
         let arena = |q: &Aabb<3>| {

@@ -1,9 +1,9 @@
-//! Cracks run one query at a time on the calling thread: a batch of crack
-//! queries on a fresh engine answers without the process-wide pool ever
-//! being started, whatever `threads` says (the knob caps only the read
-//! phase over sealed queries, and a fresh engine has none). This file holds
-//! a single test on purpose — the pool is started once per process, by
-//! whichever test first runs two jobs on more than one thread.
+//! An engine batch runs on its calling thread: cracking a fresh engine,
+//! finalizing it, and reading a batch of converged queries all answer
+//! without the process-wide pool ever being started. Parallelism belongs
+//! to a `quasii-shard` deployment, which runs one job per shard. This file
+//! holds a single test on purpose — the pool is started once per process,
+//! by whichever test first runs two jobs on more than one thread.
 
 #![cfg(target_os = "linux")]
 
@@ -25,19 +25,27 @@ fn thread_names() -> Vec<String> {
 }
 
 #[test]
-fn a_crack_batch_runs_inline_at_four_threads() {
+fn an_engine_never_starts_the_pool() {
     let data = uniform_boxes_in::<3>(4_000, 800.0, 61);
     let universe = Aabb::new([0.0; 3], [800.0; 3]);
     // A first query across the middle of dimension 0 splits the root list
-    // into runs of similar size, which an engine cracking partitions in
-    // parallel would hand to the pool; the rest are spread over the space.
-    let mut queries = vec![Aabb::new([380.0, 0.0, 0.0], [420.0, 800.0, 800.0])];
-    queries.extend(workload::uniform(&universe, 40, 1e-3, 62).queries);
-    let mut index = Quasii::new(data.clone(), QuasiiConfig::with_tau(16).with_threads(4));
-    let got = index.execute_batch(&queries);
+    // into runs of similar size; the rest are spread over the space.
+    let mut cracks = vec![Aabb::new([380.0, 0.0, 0.0], [420.0, 800.0, 800.0])];
+    cracks.extend(workload::uniform(&universe, 40, 1e-3, 62).queries);
+    let mut index = Quasii::new(data.clone(), QuasiiConfig::default());
+    let got = index.execute_batch(&cracks);
     assert!(index.stats().cracks > 0, "the batch cracked");
 
-    for (q, hits) in queries.iter().zip(&got) {
+    // Converged and sealed: every query of the next batch is a read.
+    index.finalize();
+    let reads = workload::uniform(&universe, 32, 1e-3, 63).queries;
+    assert!(reads.iter().all(|q| index.can_read(q)), "every query reads");
+    let before = index.seal_stats().sealed_queries;
+    let read = index.execute_batch(&reads);
+    let sealed = index.seal_stats().sealed_queries - before;
+    assert_eq!(sealed, reads.len() as u64, "the batch read every query");
+
+    for (q, hits) in cracks.iter().zip(&got).chain(reads.iter().zip(&read)) {
         assert_matches_brute_force(&data, q, hits);
     }
     let pool_threads: Vec<String> = thread_names()

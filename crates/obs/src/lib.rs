@@ -30,7 +30,7 @@
 //! branch on a metric value, so an instrumented engine answers
 //! every query byte-identically to a disabled one (ids, permutation,
 //! `QuasiiStats`). The workspace `tests/obs.rs` suite proptests exactly
-//! that across thread counts × batch shapes × seal on/off.
+//! that across batch shapes.
 
 pub(crate) mod metrics;
 pub mod registry;
@@ -85,8 +85,8 @@ pub fn finish_phase(t: Option<Instant>, phase: Phase) {
 pub enum Phase {
     /// Classifying each query of a batch as sealed-read vs crack work.
     Classify,
-    /// The `&self` shared-read pool over the sealed arenas: an engine's,
-    /// or a sharded deployment's read of its converged queries.
+    /// The `&self` read of the queries that crack nothing: an engine's,
+    /// on its calling thread, or a sharded deployment's, on the pool.
     SealedRead,
     /// The adaptive (`&mut`) crack phase, one query at a time.
     Crack,

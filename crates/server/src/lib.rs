@@ -645,7 +645,6 @@ fn snapshots_json(shared: &Shared) -> Response {
 mod tests {
     use super::*;
     use crate::admission::relock;
-    use quasii::QuasiiConfig;
     use quasii_common::dataset;
     use quasii_common::geom::Record;
     use quasii_common::index::brute_force;
@@ -655,9 +654,7 @@ mod tests {
 
     fn tiny_engine(n: usize, shards: usize) -> ShardedQuasii<3> {
         let data = dataset::uniform_boxes::<3>(n, 77);
-        let cfg = ShardConfig::default()
-            .with_shards(shards)
-            .with_inner(QuasiiConfig::default().with_threads(1));
+        let cfg = ShardConfig::default().with_shards(shards);
         ShardedQuasii::new(data, cfg)
     }
 

@@ -41,19 +41,16 @@
 //!   nothing on any shard of its route never enters the writer; one that
 //!   cracks on some shard goes to the writer of every shard on its route,
 //!   and a shard engine on whose part it cracks nothing reads it in the
-//!   engine's own read phase. Reads change no structure, so an engine
-//!   classifies each query exactly as it would have had the whole batch
-//!   come to it alone. The only pool scope that still nests is such an
-//!   engine's own read phase inside its shard job (at most
-//!   [`QuasiiConfig::threads`] threads): a shard job works on its nested
-//!   list instead of waiting for a worker, so the process computes on no
-//!   more threads than the host has CPUs.
+//!   engine's own read phase, on the thread of its shard job. Reads change
+//!   no structure, so an engine classifies each query exactly as it would
+//!   have had the whole batch come to it alone. No pool scope nests:
+//!   `shard_threads` is the one thread knob of a deployment, so the process
+//!   computes on no more threads than the host has CPUs.
 //!
 //! ## Determinism
 //!
 //! Per-shard state (data permutation, hierarchy, stats) is **bit-for-bit
-//! identical for every shard-thread count, engine-thread count and batch
-//! size**: routing depends only on the fences and the global extent (both
+//! identical for every shard-thread count and batch size**: routing depends only on the fences and the global extent (both
 //! fixed at construction), so each shard always sees the same query
 //! subsequence in the same order, and the engine runs its crack queries
 //! in that order (see `quasii::Quasii::execute_batch`). A query the read
@@ -162,13 +159,13 @@ pub struct ShardConfig {
     /// Most threads that run the jobs of one phase of
     /// [`ShardedQuasii::try_execute_batch`] at a time, handed to the pool
     /// as it is: the read phase's query jobs and the writer's shard jobs.
-    /// `0` (the default) means as many as the pool has, `1` runs each
-    /// phase's jobs sequentially in order. Results are identical for every
-    /// value.
+    /// The deployment's one thread knob; nothing inside a job opens a pool
+    /// scope of its own. `0` (the default) means as many as the pool has,
+    /// `1` runs each phase's jobs sequentially in order. Results are
+    /// identical for every value.
     pub shard_threads: usize,
-    /// Configuration handed to every per-shard engine; its
-    /// [`threads`](QuasiiConfig::threads) field caps the engine's own read
-    /// phase, which runs nested inside the shard's writer job.
+    /// Configuration handed to every per-shard engine. An engine has no
+    /// thread knob: its batch runs on the thread of its shard job.
     pub inner: QuasiiConfig,
 }
 
@@ -598,13 +595,13 @@ impl<const D: usize> ShardedQuasii<D> {
 
     /// Executes a batch of range queries across the shards — a read phase
     /// for the converged queries, then one pool job per shard the rest
-    /// visit, each shard's sub-batch through the engine's own
-    /// batch-parallel path — and returns one id vector per query (in
-    /// `queries` order, each in canonical ascending-id order).
+    /// visit, each shard's sub-batch through the engine's own batch path
+    /// — and returns one id vector per query (in `queries` order, each in
+    /// canonical ascending-id order).
     ///
     /// Results are byte-identical for every (shard count, shard-thread
-    /// count, engine-thread count, batch size) combination, and equal to
-    /// the canonicalized single-instance answer (see the module docs).
+    /// count, batch size) combination, and equal to the canonicalized
+    /// single-instance answer (see the module docs).
     pub fn execute_batch(&mut self, queries: &[Aabb<D>]) -> Vec<Vec<u64>> {
         match self.try_execute_batch(queries) {
             Ok(results) => results,
@@ -843,7 +840,7 @@ mod tests {
         queries: &[Aabb<D>],
         cfg: &QuasiiConfig,
     ) -> Vec<Vec<u64>> {
-        let mut idx = Quasii::new(data.to_vec(), cfg.clone().with_threads(1));
+        let mut idx = Quasii::new(data.to_vec(), cfg.clone());
         canonical_results(&mut idx, queries)
     }
 
@@ -927,26 +924,24 @@ mod tests {
         let queries = workload::clustered(&u, 3, 12, 1e-3, 104).queries;
         let mut baseline: Option<RunState> = None;
         for shard_threads in [1usize, 2, 4] {
-            for inner_threads in [1usize, 3] {
-                let cfg = ShardConfig::default()
-                    .with_shards(3)
-                    .with_shard_threads(shard_threads)
-                    .with_inner(QuasiiConfig::with_tau(12).with_threads(inner_threads));
-                let mut idx = ShardedQuasii::new(data.clone(), cfg);
-                let got = idx.execute_batch(&queries);
-                let orders: Vec<Vec<u64>> = idx
-                    .engines()
-                    .iter()
-                    .map(|s| s.records().iter().map(|r| r.id).collect())
-                    .collect();
-                let stats = idx.stats();
-                match &baseline {
-                    None => baseline = Some((got, orders, stats)),
-                    Some((r, o, st)) => {
-                        assert_eq!(&got, r, "results at {shard_threads}x{inner_threads}");
-                        assert_eq!(&orders, o, "permutation at {shard_threads}x{inner_threads}");
-                        assert_eq!(&stats, st, "stats at {shard_threads}x{inner_threads}");
-                    }
+            let cfg = ShardConfig::default()
+                .with_shards(3)
+                .with_shard_threads(shard_threads)
+                .with_inner(QuasiiConfig::with_tau(12));
+            let mut idx = ShardedQuasii::new(data.clone(), cfg);
+            let got = idx.execute_batch(&queries);
+            let orders: Vec<Vec<u64>> = idx
+                .engines()
+                .iter()
+                .map(|s| s.records().iter().map(|r| r.id).collect())
+                .collect();
+            let stats = idx.stats();
+            match &baseline {
+                None => baseline = Some((got, orders, stats)),
+                Some((r, o, st)) => {
+                    assert_eq!(&got, r, "results at {shard_threads} shard threads");
+                    assert_eq!(&orders, o, "permutation at {shard_threads} shard threads");
+                    assert_eq!(&stats, st, "stats at {shard_threads} shard threads");
                 }
             }
         }
@@ -1125,13 +1120,13 @@ mod tests {
         deployment(sealed, 0)
     }
 
-    /// [`two_shards`] with both thread knobs at `threads`.
+    /// [`two_shards`] with `shard_threads` at `threads`.
     fn deployment(sealed: &[usize], threads: usize) -> (Vec<Record<3>>, ShardedQuasii<3>) {
         let data = uniform_boxes_in::<3>(3_000, 600.0, 130);
         let cfg = ShardConfig::default()
             .with_shards(2)
             .with_shard_threads(threads)
-            .with_inner(QuasiiConfig::with_tau(16).with_threads(threads));
+            .with_inner(QuasiiConfig::with_tau(16));
         let mut idx = ShardedQuasii::new(data.clone(), cfg);
         assert_eq!(idx.shard_count(), 2);
         for &k in sealed {

@@ -23,7 +23,9 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"QSIISHRD";
 /// Versions 4 and 5 dropped words that no longer vary: the planner's sample
 /// cap and the engines' artificial-split depth (4), and whether the engines
 /// seal (5: an engine always seals what converges).
-pub(crate) const MANIFEST_VERSION: u32 = 5;
+/// Version 6 dropped the engines' read-phase thread cap: an engine batch
+/// runs on its calling thread, and `shard_threads` is the one thread word.
+pub(crate) const MANIFEST_VERSION: u32 = 6;
 
 impl<const D: usize> ShardedQuasii<D> {
     /// Serializes the deployment as a **manifest** plus **one buffer per
@@ -54,7 +56,6 @@ impl<const D: usize> ShardedQuasii<D> {
             self.cfg.shard_threads as u64,
             self.cfg.inner.tau as u64,
             self.cfg.inner.assign_by.code(),
-            self.cfg.inner.threads as u64,
         ] {
             m.u64(v);
         }
@@ -308,7 +309,6 @@ pub(crate) fn parse_manifest_any(bytes: &[u8]) -> Result<(u32, Manifest), Snapsh
     let inner = QuasiiConfig {
         tau: r.index("tau")?,
         assign_by: AssignBy::from_code(r.u64()?)?,
-        threads: r.index("inner threads")?,
         // SIMD dispatch is a host property, never persisted: re-resolve on
         // the loading host (see `quasii::simd`).
         simd: quasii::SimdPolicy::default(),
@@ -661,7 +661,6 @@ mod tests {
             1,        // shard threads
             60,       // tau
             0,        // assign mode
-            0,        // inner threads
             0,        // ext_low0
             0,        // ext_high0
             0,        // router queries

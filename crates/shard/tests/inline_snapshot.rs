@@ -31,7 +31,7 @@ fn one_shard_thread_writes_and_loads_without_the_pool() {
     let cfg = ShardConfig::default()
         .with_shards(3)
         .with_shard_threads(1)
-        .with_inner(QuasiiConfig::with_tau(16).with_threads(1));
+        .with_inner(QuasiiConfig::with_tau(16));
     let mut writer = ShardedQuasii::new(data, cfg);
     let expected = writer.execute_batch(&queries);
 

@@ -128,7 +128,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Clustered batches on two engines and the reference with one
-    /// history: `batched` (two threads, whole batches), `single` (one query
+    /// history: `batched` (whole batches), `single` (one query
     /// at a time) and `writer` (the reference: every query through
     /// Algorithm 1). After each batch, every query of the next cluster is
     /// probed: where `batched` says it can read, its read is answered and
@@ -151,8 +151,8 @@ proptest! {
         let volume = 10f64.powi(-volume_exp);
         let queries = workload::clustered(&universe, clusters, per_cluster, volume, seed).queries;
         let cfg = QuasiiConfig::with_tau(tau).with_assign_by(mode);
-        let mut batched = Quasii::new(data.clone(), cfg.clone().with_threads(2));
-        let mut single = Quasii::new(data.clone(), cfg.clone().with_threads(1));
+        let mut batched = Quasii::new(data.clone(), cfg.clone());
+        let mut single = Quasii::new(data.clone(), cfg.clone());
         let mut writer = Reference::new(data.clone(), &cfg);
 
         let chunks: Vec<&[Aabb<3>]> = queries.chunks(chunk).collect();

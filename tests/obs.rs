@@ -2,7 +2,7 @@
 //! never change anything an engine computes — result vectors (in engine
 //! visit order), the record permutation, `QuasiiStats` and `SealStats` are
 //! compared for equality between a disabled and an enabled run of the
-//! identical configuration, across thread counts × batch shapes.
+//! identical configuration, across batch shapes.
 //!
 //! The obs flag is process-global, so every test that toggles it holds
 //! [`OBS_LOCK`]; the engines themselves never *read* observability state to
@@ -46,13 +46,8 @@ type RunFingerprint = (
     quasii::SealStats,
 );
 
-fn run_engine(
-    data: &[Record<3>],
-    queries: &[Aabb<3>],
-    threads: usize,
-    batch: usize,
-) -> RunFingerprint {
-    let cfg = QuasiiConfig::with_tau(6).with_threads(threads);
+fn run_engine(data: &[Record<3>], queries: &[Aabb<3>], batch: usize) -> RunFingerprint {
+    let cfg = QuasiiConfig::with_tau(6);
     let mut idx = Quasii::new(data.to_vec(), cfg);
     let mut results: Vec<Vec<u64>> = Vec::new();
     if batch == 0 {
@@ -75,16 +70,15 @@ proptest! {
     fn metrics_never_change_results(
         data in dataset3(140),
         queries in prop::collection::vec(arb_box3(), 1..16),
-        threads in 1usize..3,
         batch in 0usize..5,
     ) {
         let _g = OBS_LOCK.lock().unwrap();
         obs::set_enabled(false);
-        let off = run_engine(&data, &queries, threads, batch);
+        let off = run_engine(&data, &queries, batch);
 
         obs::registry::reset();
         obs::set_enabled(true);
-        let on = run_engine(&data, &queries, threads, batch);
+        let on = run_engine(&data, &queries, batch);
         obs::set_enabled(false);
 
         prop_assert_eq!(off, on);
@@ -106,7 +100,7 @@ fn enabled_run_populates_registry_and_exposition_parses() {
             Record::new(i, Aabb::new([v; 3], [v + 2.0; 3]))
         })
         .collect();
-    let mut idx = Quasii::new(data, QuasiiConfig::default().with_threads(2));
+    let mut idx = Quasii::new(data, QuasiiConfig::default());
     let queries: Vec<Aabb<3>> = (0..32)
         .map(|i| {
             let lo = (i * 11) as f64;

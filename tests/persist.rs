@@ -1,11 +1,11 @@
 //! Property-based coverage for **single-buffer snapshots** (the `persist`
-//! module): for arbitrary datasets, query histories, thread counts and
-//! batch shapes, a reloaded engine must be byte-identical to its writer —
+//! module): for arbitrary datasets, query histories and batch shapes, a
+//! reloaded engine must be byte-identical to its writer —
 //! same ids in the same order, same record permutation, same deterministic
 //! work counters, same sealed regions — and `from_snapshot` must be total:
 //! any corruption (bit flips, truncation, wrong version/dimensionality,
-//! swapped shard buffers) yields `Err`, never a panic and never a silently
-//! wrong engine. A writer's records, and so its reload's, are the
+//! of an engine snapshot or of a shard manifest, and swapped shard
+//! buffers) yields `Err`, never a panic and never a silently wrong engine. A writer's records, and so its reload's, are the
 //! permutation the reference QUASII of `tests/reference` leaves. Deep CI
 //! runs widen the case budget via `PROPTEST_CASES`.
 
@@ -63,11 +63,10 @@ proptest! {
         data in dataset3(700),
         queries in queries3(24),
         tau in 2usize..24,
-        threads in 1usize..4,
         batch in 1usize..9,
         finalize in (0u8..2).prop_map(|v| v == 1),
     ) {
-        let cfg = QuasiiConfig::with_tau(tau).with_threads(threads);
+        let cfg = QuasiiConfig::with_tau(tau);
         let mut writer = Quasii::new(data.clone(), cfg);
         let (history, steady) = queries.split_at(queries.len() / 2);
         for chunk in history.chunks(batch) {
@@ -163,10 +162,7 @@ proptest! {
         flip_bit in 0u8..8,
         cut_at in 0.0..1.0f64,
     ) {
-        let mut writer = Quasii::new(
-            data,
-            QuasiiConfig::with_tau(8).with_threads(1),
-        );
+        let mut writer = Quasii::new(data, QuasiiConfig::with_tau(8));
         let _ = writer.execute_batch(&queries);
         writer.seal();
         let snap = writer.write_snapshot().unwrap();
@@ -204,18 +200,23 @@ proptest! {
     }
 
     /// Sharded deployments roundtrip through the manifest + per-shard
-    /// buffers transport, and the manifest's per-buffer checksums catch
-    /// shard buffers arriving out of order.
+    /// buffers transport, the manifest's per-buffer checksums catch shard
+    /// buffers arriving out of order, and the manifest, which is untrusted
+    /// input like a part, is read totally: a one-bit flip or a strict
+    /// prefix of it is `Err`, never a panic and never a loaded deployment.
     #[test]
     fn sharded_snapshot_roundtrips_and_rejects_swaps(
         data in dataset3(600),
         queries in queries3(16),
         shards in 2usize..5,
+        flip_at in 0.0..1.0f64,
+        flip_bit in 0u8..8,
+        cut_at in 0.0..1.0f64,
     ) {
         let cfg = ShardConfig::default()
             .with_shards(shards)
             .with_shard_threads(2)
-            .with_inner(QuasiiConfig::with_tau(8).with_threads(1));
+            .with_inner(QuasiiConfig::with_tau(8));
         let mut writer = ShardedQuasii::new(data, cfg);
         let (history, steady) = queries.split_at(queries.len() / 2);
         let _ = writer.execute_batch(history);
@@ -236,12 +237,38 @@ proptest! {
         // shard's record count and checksum, so a swap cannot slip through
         // even when both buffers are individually valid snapshots.
         if writer.shard_count() >= 2 {
-            let mut swapped = bufs;
+            let mut swapped = bufs.clone();
             swapped.swap(0, 1);
             prop_assert!(
                 ShardedQuasii::<3>::from_snapshot_parts(&manifest, swapped).is_err(),
                 "swapped shard buffers accepted"
             );
         }
+
+        // Any one-bit flip of the manifest: a frame field or the checksum
+        // over the body trips, so the parts are never loaded against it.
+        let mut bad = manifest.clone();
+        let at = ((flip_at * bad.len() as f64) as usize).min(bad.len() - 1);
+        bad[at] ^= 1 << flip_bit;
+        prop_assert!(
+            ShardedQuasii::<3>::from_snapshot_parts(&bad, bufs.clone()).is_err(),
+            "manifest bit flip at byte {} accepted", at
+        );
+
+        // Any strict prefix of the manifest is truncated.
+        let cut = ((cut_at * manifest.len() as f64) as usize).min(manifest.len() - 1);
+        prop_assert!(
+            ShardedQuasii::<3>::from_snapshot_parts(&manifest[..cut], bufs.clone()).is_err(),
+            "manifest truncated to {} bytes accepted", cut
+        );
+
+        // The version gate answers before the checksum.
+        let mut wrong_version = manifest.clone();
+        wrong_version[8] = wrong_version[8].wrapping_add(1);
+        let version_err = matches!(
+            ShardedQuasii::<3>::from_snapshot_parts(&wrong_version, bufs),
+            Err(SnapshotError::WrongVersion { .. })
+        );
+        prop_assert!(version_err, "foreign manifest version accepted");
     }
 }

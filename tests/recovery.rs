@@ -380,7 +380,7 @@ fn a_poisoned_fully_sealed_engine_is_rebuilt_from_its_arenas() {
     // the root slices and the table: re-sum the blob that holds the byte,
     // then the header.
     let sum_of = quasii_common::snapshot::checksum64;
-    let tree = 32 + (15 + 4 * 3) * 8 + 8;
+    let tree = 32 + (14 + 4 * 3) * 8 + 8;
     let table = tree + 8 + word(&snap, tree) as usize * (8 + 2 * 3) * 8 + 8;
     let header_end = table + 16 * word(&snap, table - 8) as usize;
     let mut blob = header_end;

@@ -205,7 +205,7 @@ proptest! {
         tau in 2usize..24,
         mode in arb_mode(),
     ) {
-        let cfg = QuasiiConfig::with_tau(tau).with_assign_by(mode).with_threads(2);
+        let cfg = QuasiiConfig::with_tau(tau).with_assign_by(mode);
         let what = format!("n {}, tau {tau}, {mode:?}", data.len());
         let mut stats = Vec::new();
         for drive in [Drive::QueryByQuery, Drive::Batches, Drive::ReadThenWrite] {
@@ -237,7 +237,7 @@ proptest! {
         tau in 2usize..24,
         mode in arb_mode(),
     ) {
-        let inner = QuasiiConfig::with_tau(tau).with_assign_by(mode).with_threads(1);
+        let inner = QuasiiConfig::with_tau(tau).with_assign_by(mode);
         let cfg = ShardConfig::default().with_shards(2).with_shard_threads(2).with_inner(inner);
         let what = format!("n {}, tau {tau}, {mode:?}", data.len());
         let mut idx = ShardedQuasii::new(data, cfg);

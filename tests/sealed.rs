@@ -69,10 +69,7 @@ proptest! {
     ) {
         let (expect, orc) = oracle(&data, &queries, tau);
         for read_first in [false, true] {
-            let mut idx = Quasii::new(
-                data.clone(),
-                QuasiiConfig::with_tau(tau).with_threads(1),
-            );
+            let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(tau));
             for (q, want) in queries.iter().zip(&expect) {
                 let mut got = Vec::new();
                 if !(read_first && idx.read(q, &mut got)) {
@@ -96,9 +93,9 @@ proptest! {
         }
     }
 
-    /// Batched histories across thread counts: phase-split execution
-    /// (shared-read pool + crack fallback) must reproduce the oracle
-    /// byte-for-byte for every thread count and batch size.
+    /// Batched histories: phase-split execution (reads first, then the
+    /// crack path) must reproduce the oracle byte-for-byte for every batch
+    /// size.
     #[test]
     fn sealed_batches_equal_unsealed_across_threads(
         data in dataset3(700),
@@ -107,27 +104,18 @@ proptest! {
         chunk in 1usize..8,
     ) {
         let (expect, orc) = oracle(&data, &queries, tau);
-        for threads in [1usize, 2, 4] {
-            let mut idx = Quasii::new(
-                data.clone(),
-                QuasiiConfig::with_tau(tau).with_threads(threads),
-            );
-            let mut got: Vec<Vec<u64>> = Vec::new();
-            for batch in queries.chunks(chunk) {
-                got.extend(idx.execute_batch(batch));
-                // Also: the seals are disjoint, each one root slice's range.
-                idx.validate().map_err(|e| {
-                    TestCaseError::fail(format!("invariants at threads={threads}: {e}"))
-                })?;
-            }
-            prop_assert_eq!(&got, &expect, "ids diverged at threads={}", threads);
-            prop_assert_eq!(algorithmic(idx.stats()), orc.stats(), "stats at threads={}", threads);
-            prop_assert_eq!(
-                ids(&idx.records()),
-                ids(orc.records()),
-                "permutation at threads={}", threads
-            );
+        let mut idx = Quasii::new(data.clone(), QuasiiConfig::with_tau(tau));
+        let mut got: Vec<Vec<u64>> = Vec::new();
+        for batch in queries.chunks(chunk) {
+            got.extend(idx.execute_batch(batch));
+            // Also: the seals are disjoint, each one root slice's range.
+            idx.validate().map_err(|e| {
+                TestCaseError::fail(format!("invariants: {e}"))
+            })?;
         }
+        prop_assert_eq!(&got, &expect, "ids diverged");
+        prop_assert_eq!(algorithmic(idx.stats()), orc.stats(), "stats diverged");
+        prop_assert_eq!(ids(&idx.records()), ids(orc.records()), "permutation diverged");
     }
 
     /// Once fully converged and sealed, every query is a pure read: no
@@ -444,7 +432,7 @@ fn sharded_sealed_equals_sharded_unsealed() {
     let cfg = ShardConfig::default()
         .with_shards(3)
         .with_shard_threads(2)
-        .with_inner(QuasiiConfig::with_tau(12).with_threads(2));
+        .with_inner(QuasiiConfig::with_tau(12));
     let mut sealed = ShardedQuasii::new(data.clone(), cfg);
     let mut plain = Shards::of(&sealed);
     let agree = |sealed: &mut ShardedQuasii<3>, plain: &mut Shards<3>| {

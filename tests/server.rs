@@ -20,14 +20,12 @@ fn dataset_and_queries(n: usize) -> (Vec<Record<3>>, Vec<Aabb<3>>) {
 }
 
 fn reference(data: &[Record<3>], queries: &[Aabb<3>]) -> Vec<Vec<u64>> {
-    let mut seq = Quasii::new(data.to_vec(), QuasiiConfig::default().with_threads(1));
+    let mut seq = Quasii::new(data.to_vec(), QuasiiConfig::default());
     canonical_results(&mut seq, queries)
 }
 
 fn engine(data: &[Record<3>], shards: usize) -> ShardedQuasii<3> {
-    let cfg = ShardConfig::default()
-        .with_shards(shards)
-        .with_inner(QuasiiConfig::default().with_threads(1));
+    let cfg = ShardConfig::default().with_shards(shards);
     ShardedQuasii::new(data.to_vec(), cfg)
 }
 

@@ -3,8 +3,8 @@
 //! canonical (ascending id) order, byte-identical to the brute-force ground
 //! truth and to the canonicalized single-instance engine, for every shard
 //! count — and byte-identical *including stats and per-shard data
-//! permutations* across every (shard-thread, engine-thread, batch size)
-//! combination at a fixed shard count.
+//! permutations* across every (shard-thread, batch size) combination at a
+//! fixed shard count.
 
 use proptest::prelude::*;
 use quasii_common::index::{brute_force, canonical_results};
@@ -37,7 +37,7 @@ fn dataset3(max: usize) -> impl Strategy<Value = Vec<Record<3>>> {
 /// Canonical per-query reference: the sequential single-instance engine
 /// with hits sorted by id (== the brute-force vector).
 fn canonical_reference(data: &[Record<3>], queries: &[Aabb<3>], tau: usize) -> Vec<Vec<u64>> {
-    let mut seq = Quasii::new(data.to_vec(), QuasiiConfig::with_tau(tau).with_threads(1));
+    let mut seq = Quasii::new(data.to_vec(), QuasiiConfig::with_tau(tau));
     canonical_results(&mut seq, queries)
 }
 
@@ -77,17 +77,17 @@ proptest! {
         queries in prop::collection::vec(arb_box3(), 2..14),
         split in 1usize..6,
     ) {
-        // Fixed shard count; sweep shard workers x engine workers x batch
-        // splits: results, folded stats, router stats and the per-shard
-        // data permutations must all be byte-identical.
+        // Fixed shard count; sweep shard workers x batch splits: results,
+        // folded stats, router stats and the per-shard data permutations
+        // must all be byte-identical.
         let cut = split.min(queries.len() - 1);
         let (first, second) = queries.split_at(cut);
         let mut runs = Vec::new();
-        for (shard_threads, inner_threads) in [(1usize, 1usize), (2, 1), (1, 3), (3, 2)] {
+        for shard_threads in [1usize, 2, 3] {
             let cfg = ShardConfig::default()
                 .with_shards(3)
                 .with_shard_threads(shard_threads)
-                .with_inner(QuasiiConfig::with_tau(5).with_threads(inner_threads));
+                .with_inner(QuasiiConfig::with_tau(5));
             let mut idx = ShardedQuasii::new(data.clone(), cfg);
             let mut results = idx.execute_batch(first);
             results.extend(idx.execute_batch(second));
@@ -136,9 +136,8 @@ proptest! {
 
 #[test]
 fn fixed_workload_full_sweep_is_byte_identical() {
-    // The deterministic end-to-end sweep the ISSUE's acceptance criterion
-    // names: every (shards, shard-threads, engine-threads, batch) cell must
-    // reproduce the canonical reference byte-for-byte.
+    // The deterministic end-to-end sweep: every (shards, shard-threads,
+    // batch) cell must reproduce the canonical reference byte-for-byte.
     let data = dataset::uniform_boxes_in::<3>(4_000, 1_000.0, 113);
     let u = Aabb::new([0.0; 3], [1_000.0; 3]);
     let queries = workload::skewed(&u, 4, 60, 1e-3, 1.1, 114).queries;
@@ -146,40 +145,37 @@ fn fixed_workload_full_sweep_is_byte_identical() {
     for shards in SHARD_COUNTS {
         let mut per_shard_state: Option<(Vec<Vec<u64>>, quasii::QuasiiStats)> = None;
         for shard_threads in [1usize, 2, 4] {
-            for inner_threads in [1usize, 2] {
-                for batch in [1usize, 7, 60] {
-                    let cfg = ShardConfig::default()
-                        .with_shards(shards)
-                        .with_shard_threads(shard_threads)
-                        .with_inner(QuasiiConfig::with_tau(24).with_threads(inner_threads));
-                    let mut idx = ShardedQuasii::new(data.clone(), cfg);
-                    let mut got = Vec::new();
-                    for chunk in queries.chunks(batch) {
-                        got.extend(idx.execute_batch(chunk));
-                    }
-                    assert_eq!(
-                        got, reference,
-                        "diverged at shards={shards} threads={shard_threads}x{inner_threads} batch={batch}"
-                    );
-                    idx.validate().unwrap_or_else(|e| {
-                        panic!("shards={shards} threads={shard_threads}x{inner_threads}: {e}")
-                    });
-                    let orders: Vec<Vec<u64>> = idx
-                        .engines()
-                        .iter()
-                        .map(|s| s.records().iter().map(|r| r.id).collect())
-                        .collect();
-                    match &per_shard_state {
-                        None => per_shard_state = Some((orders, idx.stats())),
-                        Some((o, st)) => {
-                            assert_eq!(&orders, o, "permutation diverged at shards={shards}");
-                            assert_eq!(
-                                idx.stats(),
-                                *st,
-                                "stats diverged at shards={shards} \
-                                 threads={shard_threads}x{inner_threads} batch={batch}"
-                            );
-                        }
+            for batch in [1usize, 7, 60] {
+                let cfg = ShardConfig::default()
+                    .with_shards(shards)
+                    .with_shard_threads(shard_threads)
+                    .with_inner(QuasiiConfig::with_tau(24));
+                let mut idx = ShardedQuasii::new(data.clone(), cfg);
+                let mut got = Vec::new();
+                for chunk in queries.chunks(batch) {
+                    got.extend(idx.execute_batch(chunk));
+                }
+                assert_eq!(
+                    got, reference,
+                    "diverged at shards={shards} threads={shard_threads} batch={batch}"
+                );
+                idx.validate()
+                    .unwrap_or_else(|e| panic!("shards={shards} threads={shard_threads}: {e}"));
+                let orders: Vec<Vec<u64>> = idx
+                    .engines()
+                    .iter()
+                    .map(|s| s.records().iter().map(|r| r.id).collect())
+                    .collect();
+                match &per_shard_state {
+                    None => per_shard_state = Some((orders, idx.stats())),
+                    Some((o, st)) => {
+                        assert_eq!(&orders, o, "permutation diverged at shards={shards}");
+                        assert_eq!(
+                            idx.stats(),
+                            *st,
+                            "stats diverged at shards={shards} \
+                             threads={shard_threads} batch={batch}"
+                        );
                     }
                 }
             }

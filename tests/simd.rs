@@ -43,11 +43,10 @@ fn arb_mode() -> impl Strategy<Value = AssignBy> {
 }
 
 /// One engine per policy, identical in every other respect.
-fn pair(data: &[Record<3>], tau: usize, mode: AssignBy, threads: usize) -> (Quasii<3>, Quasii<3>) {
+fn pair(data: &[Record<3>], tau: usize, mode: AssignBy) -> (Quasii<3>, Quasii<3>) {
     let cfg = |simd: SimdPolicy| {
         QuasiiConfig::with_tau(tau)
             .with_assign_by(mode)
-            .with_threads(threads)
             .with_simd(simd)
     };
     (
@@ -88,7 +87,7 @@ fn assert_lockstep(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The main lattice: threads × assign mode × batch shape ×
+    /// The main lattice: assign mode × batch shape ×
     /// segment size (including non-lane-multiple sizes and τ small enough
     /// to force deep refinement).
     #[test]
@@ -97,7 +96,6 @@ proptest! {
         n in 1usize..600,
         tau in 2usize..24,
         mode in arb_mode(),
-        threads in 1usize..3,
         batch in 1usize..9,
         queries in prop::collection::vec(
             (0.0..90.0f64, 0.0..90.0f64, 0.0..90.0f64, 1.0..40.0f64),
@@ -109,20 +107,19 @@ proptest! {
             .iter()
             .map(|&(x, y, z, w)| Aabb::new([x, y, z], [x + w, y + w, z + w]))
             .collect();
-        let (mut scalar, mut vector) = pair(&data, tau, mode, threads);
+        let (mut scalar, mut vector) = pair(&data, tau, mode);
         assert_lockstep(&mut scalar, &mut vector, &qs, batch)?;
     }
 
     /// Fully converged + sealed: `finalize()` exercises the median-fallback
     /// refinement sweep, `seal()` freezes the arena, and the remaining
-    /// queries run the vectorized sealed lane tests (including the
-    /// threads=2 shared-read pool) against the scalar oracle.
+    /// queries run the vectorized sealed lane tests against the scalar
+    /// oracle.
     #[test]
     fn sealed_read_path_is_byte_identical(
         seed in 0u64..1_000,
         n in 1usize..400,
         mode in arb_mode(),
-        threads in 1usize..3,
         queries in prop::collection::vec(
             (0.0..90.0f64, 0.0..90.0f64, 0.0..90.0f64, 1.0..40.0f64),
             1..10,
@@ -133,7 +130,7 @@ proptest! {
             .iter()
             .map(|&(x, y, z, w)| Aabb::new([x, y, z], [x + w, y + w, z + w]))
             .collect();
-        let (mut scalar, mut vector) = pair(&data, 8, mode, threads);
+        let (mut scalar, mut vector) = pair(&data, 8, mode);
         for idx in [&mut scalar, &mut vector] {
             idx.finalize();
             idx.seal();
@@ -163,7 +160,7 @@ fn degenerate_all_equal_records_stay_identical() {
         Aabb::new([10.0; 3], [20.0; 3]), // miss above
     ];
     for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-        let (mut scalar, mut vector) = pair(&data, 4, mode, 1);
+        let (mut scalar, mut vector) = pair(&data, 4, mode);
         for q in &qs {
             assert_eq!(scalar.query_collect(q), vector.query_collect(q));
         }
@@ -213,7 +210,7 @@ fn snapshots_cross_isa_boundaries() {
         dataset::uniform_boxes_in::<3>(500, 100.0, 11),
         signed_zero_boxes(),
     ] {
-        let (mut scalar, mut vector) = pair(&data, 8, AssignBy::Lower, 1);
+        let (mut scalar, mut vector) = pair(&data, 8, AssignBy::Lower);
         for idx in [&mut scalar, &mut vector] {
             let _ = idx.execute_batch(&qs);
         }
